@@ -214,8 +214,6 @@ def crossing_count(c: Circuit, t: int) -> int:
 
     The cut separates layout positions [0, t) from [t, n).
     """
-    if c.layout is None:
-        raise CircuitError("layout missing")
     if not 1 <= t <= c.total_qubits - 1:
         raise CircuitError(f"cut position {t} out of range")
     pos = c._pos_of
@@ -245,8 +243,6 @@ class SpanProfile:
 
 def span_profile(c: Circuit) -> SpanProfile:
     """Per-gate spans and the total prefix-span (sum of all cut crossings)."""
-    if c.layout is None:
-        raise CircuitError("layout missing")
     pos = c._pos_of
     spans = []
     for g in c.gates:
@@ -308,8 +304,10 @@ class Builder:
     With ``record=False`` the builder keeps only running tallies (gate count,
     depth layers, fan-in, ancilla liveness) and never materializes the gate
     list; ``finish()`` is then unavailable but ``report()`` works.  Segments
-    capture emitted gates so gadgets can re-emit their own inverse even in
-    tally mode.
+    (``begin_segment``/``end_segment``) collect emitted gates so gadgets can
+    re-emit their own inverse even in tally mode.  ``emit_reversed`` runs an
+    emitter under capture and emits only its gates in reverse, which is the
+    emitter's inverse.
     """
 
     def __init__(self, record: bool = True):
@@ -318,6 +316,7 @@ class Builder:
         self._n = 0
         self._gates: list[Gate] = []
         self._segments: list[list[Gate]] = []
+        self._capturing = False
         self._layers: list[int] = []
         self._depth = 0
         self._gate_count = 0
@@ -360,6 +359,10 @@ class Builder:
         self._emit(g)
 
     def _emit(self, g: Gate) -> None:
+        for seg in self._segments:
+            seg.append(g)
+        if self._capturing:
+            return
         self._gate_count += 1
         if g.fan_in > self._max_fan_in:
             self._max_fan_in = g.fan_in
@@ -372,8 +375,6 @@ class Builder:
             self._depth = lay
         if self.record:
             self._gates.append(g)
-        for seg in self._segments:
-            seg.append(g)
 
     def x(self, target: int) -> None:
         self.gate((), (target,))
@@ -391,6 +392,23 @@ class Builder:
     def emit_inverse(self, segment: Sequence[Gate]) -> None:
         for g in reversed(segment):
             self._emit(g)
+
+    def emit_reversed(self, emitter, *args, **kwargs) -> None:
+        """Emit the inverse of ``emitter(self, *args, **kwargs)``.
+
+        The emitter's gates are validated as usual but captured instead of
+        emitted: they reach only segments the emitter opens itself, and no
+        tally, gate list or enclosing segment sees them.  Their reverse is
+        then emitted for real.
+        """
+        outer, capturing = self._segments, self._capturing
+        self._segments, self._capturing = [[]], True
+        try:
+            emitter(self, *args, **kwargs)
+            captured = self._segments[0]
+        finally:
+            self._segments, self._capturing = outer, capturing
+        self.emit_inverse(captured)
 
     # -- results --------------------------------------------------------------
     def finish(self, layout=None) -> Circuit:

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import bestarm as ba
 from . import bounds as bd
@@ -18,7 +20,7 @@ from . import domains as dm
 from . import oracle as orc
 from . import rank_select as rs
 from .circuit import dumps
-from .emulator import apply_bits
+from .emulator import apply_bits, read_register, write_register
 
 CORRECTNESS_INSTANCES = (
     ("sway", 3, 2, None, None, 169, 3079, 9768, 0.271),
@@ -89,26 +91,22 @@ def cmd_ranksel_validate(args) -> int:
     lines = [_manifest(args)]
     for variant in variants:
         c = rs.build_scan(n) if variant == "scan" else rs.build_blocked(n)
-        mismatches = 0
-        import numpy as np
         rows = (1 << n) * (1 << w)
         masks = np.arange(rows, dtype=np.int64) % (1 << n)
         ranks = np.arange(rows, dtype=np.int64) // (1 << n)
         bits = np.zeros((rows, c.total_qubits), dtype=np.uint8)
-        for k, q in enumerate(c.register("mask")):
-            bits[:, q] = (masks >> k) & 1
-        for k, q in enumerate(c.register("nth")):
-            bits[:, q] = (ranks >> k) & 1
+        write_register(bits, c, "mask", masks)
+        write_register(bits, c, "nth", ranks)
         outs = apply_bits(c, bits)
-        got = np.zeros(rows, dtype=np.int64)
-        for k, q in enumerate(c.register("out")):
-            got |= outs[:, q].astype(np.int64) << k
+        got = read_register(outs, c, "out")
         want = np.array([rs.select_semantics(int(mv), n, int(rv))
                          for mv, rv in zip(masks, ranks)], dtype=np.int64)
         mismatches = int((got != want).sum())
-        anc_cols = [q for reg in c.registers if reg.role in ("ancilla", "rank")
-                    for q in c.register(reg.name)]
-        dirty = int(outs[:, anc_cols].any(axis=1).sum()) if anc_cols else 0
+        dirty_rows = np.zeros(rows, dtype=bool)
+        for reg in c.registers:
+            if reg.role in ("ancilla", "rank"):
+                dirty_rows |= read_register(outs, c, reg.name) != 0
+        dirty = int(dirty_rows.sum())
         status = "PASS" if mismatches == 0 and dirty == 0 else "FAIL"
         ok = ok and status == "PASS"
         lines.append(f"{variant} n={n}: {rows} (mask,rank) pairs, "

@@ -33,7 +33,7 @@ from math import sqrt
 
 from .circuit import Builder
 from .gadgets import (add_register, controlled_increment, copy_register,
-                      emit_reversed, flag_less_than_const, sub_register)
+                      flag_less_than_const, sub_register)
 from .oracle import OracleError, RolloutSpec
 from .rank_select import select_semantics, width_for
 
@@ -155,19 +155,6 @@ def _sway_transition(board: int, dice, nbrs) -> int:
     return out
 
 
-def sway_round(cfg: SwayConfig, board: int, black_selector: int,
-               white_selector: int, dice) -> int:
-    """One Sway round: black places, white places, then simultaneous flips."""
-    n = cfg.m * cfg.m
-    j = select_semantics(empty_mask(board, n), n, black_selector)
-    if j < n:
-        board = set_cell(board, j, BLACK)
-    j = select_semantics(empty_mask(board, n), n, white_selector)
-    if j < n:
-        board = set_cell(board, j, WHITE)
-    return _sway_transition(board, dice, neighbors(cfg.m))
-
-
 def _sway_eval(board: int, n: int) -> int:
     return 1 if count_code(board, n, BLACK) > count_code(board, n, WHITE) else 0
 
@@ -187,16 +174,6 @@ def _sir_transition(board: int, dice, nbrs, rho: int) -> int:
             if dice[i] < rho:
                 out = set_cell(out, i, RECOVERED)
     return out
-
-
-def sir_round(cfg: SirConfig, board: int, selector: int, dice) -> int:
-    """One SIR round: vaccinate the selected susceptible cell, then spread
-    and recover simultaneously on the post-vaccination board."""
-    n = cfg.m * cfg.m
-    j = select_semantics(empty_mask(board, n), n, selector)
-    if j < n:
-        board = set_cell(board, j, RECOVERED)
-    return _sir_transition(board, dice, neighbors(cfg.m), cfg.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +232,7 @@ def _emit_sway_eval(n: int):
             controlled_increment(b, white, [(cfg[2 * i + 1], True)], scr)
         copy_register(b, black, diff)
         sub_register(b, diff, white, scr)
-        emit_reversed(b, controlled_increment, diff, [], scr)  # diff -= 1
+        b.emit_reversed(controlled_increment, diff, [], scr)  # diff -= 1
         seg = b.end_segment()
         b.gate(((diff[wc], False),), (payoff,))   # black - white - 1 >= 0
         b.emit_inverse(seg)
@@ -402,14 +379,6 @@ def classical_trace(spec: RolloutSpec, board0: int, selectors, dice,
     return boards, spec.classical_eval(board)
 
 
-def classical_rollout(spec: RolloutSpec, board0: int, selectors, dice,
-                      first_move: int | None = None):
-    """Final configuration and payoff for fixed selector/dice streams."""
-    boards, payoff = classical_trace(spec, board0, selectors, dice,
-                                     first_move=first_move)
-    return boards[-1], payoff
-
-
 def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
                   first_move: int | None = None):
     """Seeded Monte Carlo payoff estimate with a 95% CI (classical sampler)."""
@@ -418,8 +387,8 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
     wins = 0
     for _ in range(shots):
         selectors, dice = draw_streams(spec, rng)
-        _, pay = classical_rollout(spec, board0, selectors, dice,
-                                   first_move=first_move)
+        _, pay = classical_trace(spec, board0, selectors, dice,
+                                 first_move=first_move)
         wins += pay
     p = wins / shots
     half = 1.96 * sqrt(p * (1 - p) / shots)

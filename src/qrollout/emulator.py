@@ -9,7 +9,6 @@ checks at 2^20 states in the seconds range.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from math import sqrt
 
@@ -88,16 +87,12 @@ class BasisState:
             qubits = c.register(name)
             if not 0 <= val < (1 << len(qubits)):
                 raise EmulationError(f"value {val} too wide for register {name!r}")
-            for k, q in enumerate(qubits):
-                if (val >> k) & 1:
-                    v |= 1 << q
+            v |= val << qubits[0]
         return cls(c.total_qubits, v)
 
     def register_value(self, c: Circuit, name: str) -> int:
-        out = 0
-        for k, q in enumerate(c.register(name)):
-            out |= ((self.value >> q) & 1) << k
-        return out
+        qubits = c.register(name)
+        return (self.value >> qubits[0]) & ((1 << len(qubits)) - 1)
 
     def bits(self) -> list[int]:
         return [(self.value >> i) & 1 for i in range(self.width)]
@@ -109,22 +104,58 @@ def apply(c: Circuit, b: BasisState) -> BasisState:
     return BasisState(b.width, apply_int(c, b.value))
 
 
-def ints_to_bits(values: np.ndarray, n: int) -> np.ndarray:
-    """Expand packed integer states (n <= 63) into a (rows, n) uint8 matrix."""
-    values = np.asarray(values, dtype=np.int64)
-    out = np.empty((values.shape[0], n), dtype=np.uint8)
-    for q in range(n):
-        out[:, q] = (values >> q) & 1
+# ---------------------------------------------------------------------------
+# register codec: a register is a contiguous column range of a bit matrix
+
+_LIMB = 63      # widest register that fits one int64 value
+
+
+def _columns(bits: np.ndarray, c: Circuit, name: str) -> np.ndarray:
+    qubits = c.register(name)
+    return bits[:, qubits[0]:qubits[0] + len(qubits)]
+
+
+def _write_int64(cols: np.ndarray, values: np.ndarray) -> None:
+    for k in range(cols.shape[1]):
+        cols[:, k] = (values >> k) & 1
+
+
+def _read_int64(cols: np.ndarray) -> np.ndarray:
+    out = np.zeros(cols.shape[0], dtype=np.int64)
+    for k in range(cols.shape[1]):
+        out |= cols[:, k].astype(np.int64) << k
     return out
 
 
-def bits_to_ints(bits: np.ndarray) -> np.ndarray:
-    rows, n = bits.shape
-    if n > 63:
-        raise EmulationError("too wide to pack into int64")
-    out = np.zeros(rows, dtype=np.int64)
-    for q in range(n):
-        out |= bits[:, q].astype(np.int64) << q
+def write_register(bits: np.ndarray, c: Circuit, name: str, values) -> None:
+    """Write a register's value into every row of a (rows, total_qubits) bit
+    matrix, in place.
+
+    ``values`` is one non-negative value per row, or a scalar written to
+    every row; each value must fit the register width.  Registers up to 63
+    bits take int64 values; wider ones take Python ints.
+    """
+    cols = _columns(bits, c, name)
+    width = cols.shape[1]
+    if width <= _LIMB:
+        _write_int64(cols, np.asarray(values, dtype=np.int64))
+        return
+    values = np.asarray(values, dtype=object)
+    for lo in range(0, width, _LIMB):
+        limb = (values >> lo) & ((1 << _LIMB) - 1)
+        _write_int64(cols[:, lo:lo + _LIMB], np.asarray(limb, dtype=np.int64))
+
+
+def read_register(bits: np.ndarray, c: Circuit, name: str) -> np.ndarray:
+    """A register's value in every row of a bit matrix: an int64 array for
+    registers up to 63 bits, an object array of Python ints above."""
+    cols = _columns(bits, c, name)
+    width = cols.shape[1]
+    if width <= _LIMB:
+        return _read_int64(cols)
+    out = np.zeros(cols.shape[0], dtype=object)
+    for lo in range(0, width, _LIMB):
+        out |= _read_int64(cols[:, lo:lo + _LIMB]).astype(object) << lo
     return out
 
 
@@ -166,50 +197,42 @@ class InputDistribution:
             total *= d
         return total
 
-    def _uniform_regs(self, c: Circuit) -> list[tuple[tuple[int, ...], int]]:
-        return [(c.register(name), d) for name, d in sorted(self.uniform.items())]
-
     def _base_bits(self, c: Circuit, rows: int) -> np.ndarray:
         bits = np.zeros((rows, c.total_qubits), dtype=np.uint8)
         for name, val in self.fixed.items():
-            for k, q in enumerate(c.register(name)):
-                if (val >> k) & 1:
-                    bits[:, q] = 1
+            write_register(bits, c, name, val)
         return bits
 
     def enumerate_chunks(self, c: Circuit, chunk: int = 1 << 16):
         """Yield bit matrices covering the whole support, in index order."""
         self.validate(c)
-        regs = self._uniform_regs(c)
         total = self.support_size(c)
         start = 0
         while start < total:
             rows = min(chunk, total - start)
-            idx = np.arange(start, start + rows, dtype=np.int64)
             bits = self._base_bits(c, rows)
-            rem = idx
-            for qubits, d in regs:
+            rem = np.arange(start, start + rows, dtype=np.int64)
+            for name, d in sorted(self.uniform.items()):
                 rem, vals = np.divmod(rem, d)
-                for k, q in enumerate(qubits):
-                    bits[:, q] = (vals >> k) & 1
+                write_register(bits, c, name, vals)
             yield bits
             start += rows
 
     def sample(self, c: Circuit, shots: int, seed: int) -> np.ndarray:
         """Seeded sample of ``shots`` inputs as a bit matrix.
 
-        Per-shot streams derive deterministically from the single 64-bit
-        seed, so shots are order-independent and parallel-safe.
+        One Philox generator keyed by ``seed`` draws all shots of each
+        uniform register in turn (registers in name order), so equal
+        arguments give equal matrices.  The draws are not per shot: with two
+        or more uniform registers, the first ``k`` rows of a larger sample
+        differ from a sample of ``k`` shots.
         """
         self.validate(c)
         bits = self._base_bits(c, shots)
-        # counter-based generator: shot i draws from a fixed offset, so the
-        # stream is reduction-order independent and parallel-safe
         rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-        for qubits, d in self._uniform_regs(c):
-            vals = rng.integers(0, d, size=shots, dtype=np.int64)
-            for k, q in enumerate(qubits):
-                bits[:, q] = (vals >> k) & 1
+        for name, d in sorted(self.uniform.items()):
+            write_register(bits, c, name,
+                           rng.integers(0, d, size=shots, dtype=np.int64))
         return bits
 
 
@@ -232,10 +255,19 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
     injectivity plus invert round-trip."""
     n = c.total_qubits
     if n <= exhaustive_limit:
-        values = np.arange(1 << n, dtype=np.int64)
-        bits = ints_to_bits(values, n)
-        outs = bits_to_ints(apply_bits(c, bits))
-        counts = np.bincount(outs, minlength=1 << n)
+        # row i is basis state i: each register holds its slice of i
+        rows = 1 << n
+        bits = np.empty((rows, n), dtype=np.uint8)
+        for reg in c.registers:
+            lo = c.register(reg.name)[0]
+            write_register(bits, c, reg.name,
+                           (np.arange(rows, dtype=np.int64) >> lo)
+                           & ((1 << reg.width) - 1))
+        apply_bits(c, bits)
+        outs = np.zeros(rows, dtype=np.int64)
+        for reg in c.registers:
+            outs |= read_register(bits, c, reg.name) << c.register(reg.name)[0]
+        counts = np.bincount(outs, minlength=rows)
         if counts.max() <= 1:
             return BijectiveReport(True, "exhaustive")
         dup = int(np.argmax(counts > 1))
@@ -284,17 +316,11 @@ def check_ancilla_clean(c: Circuit, dist: InputDistribution,
             dirty = outs[:, qs].any(axis=1)
             if dirty.any():
                 row = int(np.nonzero(dirty)[0][0])
-                witness = {r.name: _row_register_value(inputs[row], c, r.name)
+                witness = {r.name: int(read_register(
+                               inputs[row:row + 1], c, r.name)[0])
                            for r in c.registers}
                 return CleanReport(False, witness, name)
     return CleanReport(True)
-
-
-def _row_register_value(row: np.ndarray, c: Circuit, name: str) -> int:
-    val = 0
-    for k, q in enumerate(c.register(name)):
-        val |= int(row[q]) << k
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +380,3 @@ def payoff_probability(c: Circuit, dist: InputDistribution, mode: str = "exact",
         return PayoffEstimate(probability=p, mode="mc", shots=shots,
                               ci_low=p - half, ci_high=p + half)
     raise EmulationError(f"unknown mode {mode!r}")
-
-
-def random_basis_state(c: Circuit, rng: random.Random) -> BasisState:
-    return BasisState(c.total_qubits, rng.getrandbits(c.total_qubits))

@@ -59,58 +59,9 @@ def controlled_increment(b: Builder, reg: Reg, controls, scratch: Reg) -> None:
     b.gate(controls, (reg[0],))
 
 
-def emit_reversed(b: Builder, emitter, *args, **kwargs) -> None:
-    """Run ``emitter`` against a capture, then emit only the reversed gates."""
-    shadow = _ShadowBuilder(b)
-    emitter(shadow, *args, **kwargs)
-    for g in reversed(shadow.captured):
-        b._emit(g)
-
-
-class _ShadowBuilder:
-    """Builder proxy that captures gates instead of emitting them.
-
-    Validates against the parent's qubit count so shadow emission is exactly
-    as strict as real emission.
-    """
-
-    def __init__(self, parent: Builder):
-        self._parent = parent
-        self.captured = []
-
-    @property
-    def n_qubits(self):
-        return self._parent.n_qubits
-
-    def gate(self, controls, targets):
-        from .circuit import Gate, _normalize_controls, _check_gate
-        g = Gate(_normalize_controls(controls), tuple(int(t) for t in targets))
-        _check_gate(g, self._parent.n_qubits)
-        self.captured.append(g)
-
-    def cx(self, control, target):
-        self.gate((control,), (target,))
-
-    def x(self, target):
-        self.gate((), (target,))
-
-    def begin_segment(self):
-        pass
-
-    def end_segment(self):
-        return []
-
-    def emit_inverse(self, segment):
-        for g in reversed(segment):
-            self.captured.append(g)
-
-    def _emit(self, g):
-        self.captured.append(g)
-
-
 def controlled_decrement(b: Builder, reg: Reg, controls, scratch: Reg) -> None:
     """reg -= 1 (mod 2^w) iff controls satisfied."""
-    emit_reversed(b, controlled_increment, reg, list(controls), scratch)
+    b.emit_reversed(controlled_increment, reg, list(controls), scratch)
 
 
 def add_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg,
@@ -164,7 +115,8 @@ def add_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg,
 def sub_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg,
                  controls=()) -> None:
     """acc -= addend (mod 2^len(acc)) iff controls satisfied."""
-    emit_reversed(b, add_register, acc, addend, scratch, controls=list(controls))
+    b.emit_reversed(add_register, acc, addend, scratch,
+                    controls=list(controls))
 
 
 def flag_less_than_const(b: Builder, reg: Reg, bound: int, flag: int,

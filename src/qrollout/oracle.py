@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import Builder, Circuit, CostReport, Gate
-from .emulator import apply_bits
+from .emulator import apply_bits, read_register, write_register
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -183,8 +183,7 @@ def _checked_fragment(b: Builder, allowed: set[int], emit, *args) -> None:
 
 
 def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
-            first_moves: Sequence[int] | None = None,
-            validate_hooks: bool = True) -> ComposedOracle:
+            first_moves: Sequence[int] | None = None) -> ComposedOracle:
     """Build the full rollout oracle circuit (or its tally when record=False).
 
     With ``arms`` > 0 a dedicated first-move register replaces the round-1
@@ -221,11 +220,8 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     prep_gates = trans_gates = -1
 
     def emit_mask(source_bits):
-        if validate_hooks:
-            _checked_fragment(b, set(source_bits) | set(vmask),
-                              spec.emit_validity, source_bits, vmask)
-        else:
-            spec.emit_validity(b, source_bits, vmask)
+        _checked_fragment(b, set(source_bits) | set(vmask),
+                          spec.emit_validity, source_bits, vmask)
 
     for hh in range(h):
         g0 = b.gate_count
@@ -269,14 +265,10 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
         prep = b.end_segment()
         g1 = b.gate_count
 
-        if validate_hooks:
-            allow = (set(board_mid) | set(configs[hh + 1]) | set(dice[hh])
-                     | set(pool) | set(scr))
-            _checked_fragment(b, allow, spec.emit_transition, board_mid,
-                              configs[hh + 1], dice[hh], pool, scr)
-        else:
-            spec.emit_transition(b, board_mid, configs[hh + 1], dice[hh],
-                                 pool, scr)
+        allow = (set(board_mid) | set(configs[hh + 1]) | set(dice[hh])
+                 | set(pool) | set(scr))
+        _checked_fragment(b, allow, spec.emit_transition, board_mid,
+                          configs[hh + 1], dice[hh], pool, scr)
         g2 = b.gate_count
         b.emit_inverse(prep)
         b.release(anc_count)
@@ -293,12 +285,9 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
 
     g_eval0 = b.gate_count
     b.acquire(lay.pool + lay.scr)
-    if validate_hooks:
-        allow = set(configs[h]) | {payoff[0]} | set(pool) | set(scr)
-        _checked_fragment(b, allow, spec.emit_eval, configs[h], payoff[0],
-                          pool, scr)
-    else:
-        spec.emit_eval(b, configs[h], payoff[0], pool, scr)
+    allow = set(configs[h]) | {payoff[0]} | set(pool) | set(scr)
+    _checked_fragment(b, allow, spec.emit_eval, configs[h], payoff[0],
+                      pool, scr)
     b.release(lay.pool + lay.scr)
     eval_gates = b.gate_count - g_eval0
 
@@ -343,6 +332,25 @@ def draw_streams(spec: RolloutSpec, rng: random.Random,
     return selectors, dice
 
 
+def branch_inputs(spec: RolloutSpec, c: Circuit, board0: int, streams,
+                  arm_values: Sequence[int] | None = None) -> np.ndarray:
+    """Input bit matrix with one row per ``(selectors, dice)`` stream pair:
+    ``config0`` holds ``board0``, each selector and dice register its drawn
+    values (cell i's die at bits ``i*d``), and ``arm`` the row's arm value."""
+    bits = np.zeros((len(streams), c.total_qubits), dtype=np.uint8)
+    write_register(bits, c, "config0", board0)
+    for hh in range(spec.horizon):
+        for pj in range(spec.selectors_per_round):
+            write_register(bits, c, f"sel_h{hh + 1}_p{pj}",
+                           [sel[hh][pj] for sel, _ in streams])
+        write_register(bits, c, f"dice_h{hh + 1}",
+                       [sum(face << (i * spec.d) for i, face in enumerate(d[hh]))
+                        for _, d in streams])
+    if arm_values is not None:
+        write_register(bits, c, "arm", arm_values)
+    return bits
+
+
 def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
                      board0: int, arms: int = 0,
                      first_moves: Sequence[int] | None = None,
@@ -350,7 +358,11 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
                      oracle: ComposedOracle | None = None) -> BranchwiseReport:
     """Fix selector/dice registers branch by branch and demand bit-exact
     agreement with the classical rollout: every per-round configuration, the
-    payoff bit, read-only inputs, and cleanness of every ancilla register."""
+    payoff bit, read-only inputs, and cleanness of every ancilla register.
+
+    All outputs are compared at once against the expected bit matrix; the
+    first failing branch then names its first differing register, in the
+    order configs (by round), payoff, read-only inputs, ancillae."""
     from .domains import classical_trace  # local import: domains builds on us
 
     if isinstance(seeds, int):
@@ -359,66 +371,38 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
                                                    arms=arms,
                                                    first_moves=first_moves)
     c = oc.circuit
-    n, h, w, p, s = (spec.n_cells, spec.horizon, spec.w,
-                     spec.selectors_per_round, spec.s)
+    h = spec.horizon
     rows = len(seeds)
-    bits = np.zeros((rows, c.total_qubits), dtype=np.uint8)
-    streams = []
-    for r, seed in enumerate(seeds):
-        rng = random.Random(seed)
-        selectors, dice = draw_streams(spec, rng, arms)
-        arm_val = arm_values[r] if arms else 0
-        streams.append((selectors, dice, arm_val))
-        _set_register(bits, r, c, "config0", board0)
-        for hh in range(h):
-            for pj in range(p):
-                _set_register(bits, r, c, f"sel_h{hh + 1}_p{pj}",
-                              selectors[hh][pj])
-            dval = 0
-            for i, face in enumerate(dice[hh]):
-                dval |= face << (i * spec.d)
-            _set_register(bits, r, c, f"dice_h{hh + 1}", dval)
-        if arms:
-            _set_register(bits, r, c, "arm", arm_val)
-    inputs = bits.copy()
+    streams = [draw_streams(spec, random.Random(seed), arms) for seed in seeds]
+    arm_values = list(arm_values[:rows]) if arms else None
+    bits = branch_inputs(spec, c, board0, streams, arm_values)
+    # expected: inputs unchanged, ancillae clean, configs and payoff replayed
+    expected = bits.copy()
+    traces = [classical_trace(spec, board0, sel, dice,
+                              first_move=first_moves[arm_values[r]] if arms
+                              else None)
+              for r, (sel, dice) in enumerate(streams)]
+    for hh in range(1, h + 1):
+        write_register(expected, c, f"config{hh}",
+                       [boards[hh] for boards, _ in traces])
+    write_register(expected, c, "payoff", [payoff for _, payoff in traces])
     outs = apply_bits(c, bits)
 
-    clean_regs = [reg.name for reg in c.registers
-                  if reg.role in ("ancilla", "mask")]
-    for r, seed in enumerate(seeds):
-        selectors, dice, arm_val = streams[r]
-        fm = first_moves[arm_val] if arms else None
-        boards, payoff = classical_trace(spec, board0, selectors, dice,
-                                         first_move=fm)
-        for hh in range(h + 1):
-            got = _get_register(outs[r], c, f"config{hh}")
-            if got != boards[hh]:
-                return BranchwiseReport(False, rows, seed, hh, f"config{hh}")
-        if _get_register(outs[r], c, "payoff") != payoff:
-            return BranchwiseReport(False, rows, seed, h, "payoff")
-        for reg in c.registers:
-            if reg.role in ("selector", "dice", "arm"):
-                before = _get_register(inputs[r], c, reg.name)
-                after = _get_register(outs[r], c, reg.name)
-                if before != after:
-                    return BranchwiseReport(False, rows, seed, None, reg.name)
-        for name in clean_regs:
-            if _get_register(outs[r], c, name) != 0:
-                return BranchwiseReport(False, rows, seed, None, name)
-    return BranchwiseReport(True, rows)
-
-
-def _set_register(bits: np.ndarray, row: int, c: Circuit, name: str,
-                  value: int) -> None:
-    for k, q in enumerate(c.register(name)):
-        bits[row, q] = (value >> k) & 1
-
-
-def _get_register(row: np.ndarray, c: Circuit, name: str) -> int:
-    v = 0
-    for k, q in enumerate(c.register(name)):
-        v |= int(row[q]) << k
-    return v
+    bad = np.nonzero((outs != expected).any(axis=1))[0]
+    if not len(bad):
+        return BranchwiseReport(True, rows)
+    r = int(bad[0])
+    rounds = {f"config{hh}": hh for hh in range(h + 1)}
+    rounds["payoff"] = h
+    order = (list(rounds)
+             + [reg.name for reg in c.registers
+                if reg.role in ("selector", "dice", "arm")]
+             + [reg.name for reg in c.registers
+                if reg.role in ("ancilla", "mask")])
+    name = next(reg for reg in order
+                if read_register(outs[r:r + 1], c, reg)[0]
+                != read_register(expected[r:r + 1], c, reg)[0])
+    return BranchwiseReport(False, rows, seeds[r], rounds.get(name), name)
 
 
 def verify_read_only(c: Circuit, roles=("selector", "dice", "arm")) -> bool:

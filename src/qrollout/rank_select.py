@@ -17,8 +17,6 @@ write position XOR sentinel into a sentinel-preloaded output register.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Builder, Circuit
 from .gadgets import (add_register, and_ladder, controlled_decrement,
                       controlled_increment, copy_register, sub_register,
@@ -30,27 +28,6 @@ def width_for(n: int) -> int:
     if n < 1:
         raise ValueError("N must be >= 1")
     return n.bit_length()
-
-
-@dataclass(frozen=True)
-class RankSelectLayout:
-    n: int
-    w: int
-    variant: str            # "scan" | "blocked"
-    block: int = 0          # blocked only
-    n_blocks: int = 0       # blocked only
-
-
-def scan_layout(n: int) -> RankSelectLayout:
-    return RankSelectLayout(n=n, w=width_for(n), variant="scan")
-
-
-def blocked_layout(n: int, block: int | None = None) -> RankSelectLayout:
-    w = width_for(n)
-    b = w if block is None else block
-    b = max(1, min(b, n))
-    return RankSelectLayout(n=n, w=w, variant="blocked", block=b,
-                            n_blocks=-(-n // b))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +185,9 @@ def _emit_popcount_tree(b: Builder, leaves, tpool, scr):
 
 def builder_blocked(n: int, block: int | None = None,
                     record: bool = True) -> Builder:
-    lay = blocked_layout(n, block)
-    w, bsz, nblocks = lay.w, lay.block, lay.n_blocks
+    w = width_for(n)
+    bsz = max(1, min(w if block is None else block, n))
+    nblocks = -(-n // bsz)
     w_in = bsz.bit_length()
 
     b = Builder(record=record)

@@ -58,17 +58,13 @@ def _sweep_outputs(circuit, n):
     masks = np.arange(rows, dtype=np.int64) % (1 << n)
     ranks = np.arange(rows, dtype=np.int64) // (1 << n)
     bits = np.zeros((rows, circuit.total_qubits), dtype=np.uint8)
-    for k, q in enumerate(circuit.register("mask")):
-        bits[:, q] = (masks >> k) & 1
-    for k, q in enumerate(circuit.register("nth")):
-        bits[:, q] = (ranks >> k) & 1
+    em.write_register(bits, circuit, "mask", masks)
+    em.write_register(bits, circuit, "nth", ranks)
     outs = em.apply_bits(circuit, bits)
-    got = np.zeros(rows, dtype=np.int64)
-    for k, q in enumerate(circuit.register("out")):
-        got |= outs[:, q].astype(np.int64) << k
-    anc = [q for reg in circuit.registers if reg.role in ("ancilla", "rank")
-           for q in circuit.register(reg.name)]
-    clean = not outs[:, anc].any()
+    got = em.read_register(outs, circuit, "out")
+    clean = not any(em.read_register(outs, circuit, reg.name).any()
+                    for reg in circuit.registers
+                    if reg.role in ("ancilla", "rank"))
     return masks, ranks, got, clean
 
 
@@ -210,21 +206,10 @@ def _circuit_mc(circuit, spec, board, shots, seed):
     """Monte Carlo payoff through the gate-level emulator."""
     import random as _random
     rng = _random.Random(seed)
-    bits = np.zeros((shots, circuit.total_qubits), dtype=np.uint8)
-    for r in range(shots):
-        selectors, dice = orc.draw_streams(spec, rng)
-        orc._set_register(bits, r, circuit, "config0", board)
-        for hh in range(spec.horizon):
-            for pj in range(spec.selectors_per_round):
-                orc._set_register(bits, r, circuit, f"sel_h{hh + 1}_p{pj}",
-                                  selectors[hh][pj])
-            dval = 0
-            for i, face in enumerate(dice[hh]):
-                dval |= face << (i * spec.d)
-            orc._set_register(bits, r, circuit, f"dice_h{hh + 1}", dval)
-    outs = em.apply_bits(circuit, bits)
-    pq = circuit.register("payoff")[0]
-    return float(outs[:, pq].mean())
+    streams = [orc.draw_streams(spec, rng) for _ in range(shots)]
+    outs = em.apply_bits(circuit, orc.branch_inputs(spec, circuit, board,
+                                                    streams))
+    return float(em.read_register(outs, circuit, "payoff").mean())
 
 
 def test_criterion_06_scaling_bands_and_crossover():

@@ -29,17 +29,23 @@ def test_neighbors_grid():
     assert dm.neighbors(1) == [[]]
 
 
-def test_sway_round_places_then_flips():
-    cfg = dm.SwayConfig(m=2, horizon=1)
+def _one_round(spec, board, selectors, dice):
+    """Board after round 1 of an H=1 trace."""
+    boards, _ = dm.classical_trace(spec, board, [selectors], [dice])
+    return boards[1]
+
+
+def test_sway_places_then_flips():
+    spec = dm.sway_spec(dm.SwayConfig(m=2, horizon=1))
     # empty board, black selector 0 places at position 0; dice high: no flips
-    board = dm.sway_round(cfg, 0, 0, 0, [19, 19, 19, 19])
+    board = _one_round(spec, 0, [0, 0], [19, 19, 19, 19])
     assert dm.cell(board, 0) == dm.BLACK
     assert dm.cell(board, 1) == dm.WHITE     # white sees mask without cell 0
     # full board: both placements are sentinel no-ops
     full = 0
     for i in range(4):
         full = dm.set_cell(full, i, dm.BLACK)
-    out = dm.sway_round(cfg, full, 0, 0, [19, 19, 19, 19])
+    out = _one_round(spec, full, [0, 0], [19, 19, 19, 19])
     for i in range(4):
         assert dm.cell(out, i) in (dm.BLACK, dm.WHITE)
 
@@ -84,12 +90,12 @@ def test_sway_flip_frequency_matches_table():
     assert abs(flips / trials - p) <= 3 * sigma
 
 
-def test_sir_round_examples():
+def test_sir_single_round_examples():
     cfg = dm.SirConfig(m=3, horizon=1, threshold=2, rho=2)
     spec = dm.sir_spec(cfg)
     # no infected cells: spread is identity, only vaccination acts
     board = 0
-    out = dm.sir_round(cfg, board, 0, [7] * 9)
+    out = _one_round(spec, board, [0], [7] * 9)
     assert dm.cell(out, 0) == dm.RECOVERED
     assert all(dm.cell(out, i) == dm.SUSCEPTIBLE for i in range(1, 9))
     # susceptible with c=4 infected neighbors, die=3 -> infected (3 < 4)
@@ -114,35 +120,35 @@ def test_sir_round_examples():
 def test_sir_vaccination_precedes_spread():
     # vaccinating the only susceptible neighbor of an infected cell blocks
     # infection in the same round
-    cfg = dm.SirConfig(m=2, horizon=1, threshold=4, rho=0)
+    spec = dm.sir_spec(dm.SirConfig(m=2, horizon=1, threshold=4, rho=0))
     board = dm.set_cell(0, 0, dm.INFECTED)
     # selector 1 -> second susceptible cell (positions 1,2,3; rank 1 -> 2);
     # cell 2 is adjacent to the infected corner but was vaccinated first
-    out = dm.sir_round(cfg, board, 1, [0, 0, 0, 0])
+    out = _one_round(spec, board, [1], [0, 0, 0, 0])
     assert dm.cell(out, 2) == dm.RECOVERED
     assert dm.cell(out, 1) == dm.INFECTED    # die 0 < c=1
     assert dm.cell(out, 3) == dm.SUSCEPTIBLE  # diagonal: no infected neighbor
 
 
-def test_classical_rollout_h0_and_drift():
+def test_classical_trace_h0_and_drift():
     spec = dm.sir_spec(dm.SirConfig(m=2, horizon=0, threshold=0))
     board = dm.set_cell(0, 1, dm.INFECTED)
-    final, pay = dm.classical_rollout(spec, board, [], [])
-    assert final == board
+    boards, pay = dm.classical_trace(spec, board, [], [])
+    assert boards == [board]
     assert pay == 0
     # all-sentinel selectors, max dice: pure drift on a 2x2 sway board
     spec = dm.sway_spec(dm.SwayConfig(m=2, horizon=2))
     board = dm.set_cell(0, 0, dm.BLACK)
     sel = [[15, 15], [15, 15]]   # w=3 for n=4 -> 8..15 all out of range
     dice = [[19] * 4, [19] * 4]
-    final, _ = dm.classical_rollout(spec, board, sel, dice)
-    assert final == board        # k=0 flip needs die < 4; 19 never flips
+    boards, _ = dm.classical_trace(spec, board, sel, dice)
+    assert boards[-1] == board   # k=0 flip needs die < 4; 19 never flips
 
 
 def test_stream_length_validation():
     spec = dm.sway_spec(dm.SwayConfig(m=2, horizon=2))
     with pytest.raises(Exception):
-        dm.classical_rollout(spec, 0, [[0, 0]], [[0] * 4])
+        dm.classical_trace(spec, 0, [[0, 0]], [[0] * 4])
 
 
 def test_exact_value_h0_trivial():

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrollout.circuit import Builder, Gate, RegisterDecl, build_circuit, invert
 from qrollout import emulator as em
@@ -60,11 +61,36 @@ def test_apply_batch_agrees_with_apply_int():
             pol = [(q, rng.random() < 0.5) for q in qs[:-1]]
             gates.append(Gate(tuple(pol), (qs[-1],)))
         c = _simple(n, gates)
-        values = np.arange(1 << n, dtype=np.int64)
-        bits = em.ints_to_bits(values, n)
-        outs = em.bits_to_ints(em.apply_bits(c, bits))
+        bits = np.zeros((1 << n, n), dtype=np.uint8)
+        em.write_register(bits, c, "q", np.arange(1 << n))
+        outs = em.read_register(em.apply_bits(c, bits), c, "q")
         for x in range(1 << n):
             assert em.apply_int(c, x) == outs[x]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 63, 64, 125]), st.data())
+def test_register_codec_round_trip(width, data):
+    pad = data.draw(st.integers(1, 7))
+    c = build_circuit([RegisterDecl("lo", pad, "ancilla"),
+                       RegisterDecl("r", width, "dice"),
+                       RegisterDecl("hi", 3, "ancilla")], [])
+    values = data.draw(st.lists(st.integers(0, 2 ** width - 1),
+                                min_size=1, max_size=8))
+    bits = np.zeros((len(values), c.total_qubits), dtype=np.uint8)
+    em.write_register(bits, c, "r", values)
+    assert [int(v) for v in em.read_register(bits, c, "r")] == values
+    for row, v in zip(bits, values):
+        state = em.BasisState.from_registers(c, {"r": v})
+        assert row.tolist() == state.bits()
+        assert state.register_value(c, "r") == v
+    # a scalar reaches every row and leaves the neighbouring registers alone
+    scalar = data.draw(st.integers(0, 2 ** width - 1))
+    em.write_register(bits, c, "r", scalar)
+    assert [int(v) for v in em.read_register(bits, c, "r")] == \
+        [scalar] * len(values)
+    state = em.BasisState.from_registers(c, {"r": scalar})
+    assert all(row.tolist() == state.bits() for row in bits)
 
 
 def test_round_trip_with_invert_on_random_circuits():
@@ -155,10 +181,10 @@ def test_uniform_face_guarantee():
     c = _simple(4, [])
     dist = em.InputDistribution(uniform={"q": 11})
     for bits in dist.enumerate_chunks(c):
-        vals = em.bits_to_ints(bits)
+        vals = em.read_register(bits, c, "q")
         assert vals.max() < 11
     sampled = dist.sample(c, 500, seed=9)
-    assert em.bits_to_ints(sampled).max() < 11
+    assert em.read_register(sampled, c, "q").max() < 11
 
 
 def test_exact_budget_enforced():

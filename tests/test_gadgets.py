@@ -7,8 +7,8 @@ from qrollout.circuit import Builder, CircuitError
 from qrollout import emulator as em
 from qrollout.gadgets import (add_register, and_ladder, controlled_decrement,
                               controlled_increment, copy_register,
-                              emit_reversed, flag_less_than_const,
-                              sub_register, xor_constant)
+                              flag_less_than_const, sub_register,
+                              xor_constant)
 
 
 def _run(builder, assignments):
@@ -163,9 +163,55 @@ def test_copy_register_widths():
 def test_emit_reversed_gives_exact_inverse():
     b, (acc, add, scr) = _fresh(("a", 4), ("b", 3), ("s", 3))
     add_register(b, acc, add, scr)
-    emit_reversed(b, add_register, acc, add, scr)
+    b.emit_reversed(add_register, acc, add, scr)
     c = b.finish()
     for va in range(0, 16, 3):
         for vb in range(8):
             state = em.BasisState.from_registers(c, {"a": va, "b": vb})
             assert em.apply(c, state).value == state.value
+
+
+def _self_inverting(b):
+    # opens a segment and emits its inverse, as the Sway evaluation does
+    b.begin_segment()
+    b.x(0)
+    b.cx(0, 1)
+    seg = b.end_segment()
+    b.gate([1], [2])
+    b.emit_inverse(seg)
+
+
+def test_emit_reversed_captures_the_emitters_own_segments():
+    real, _ = _fresh(("q", 3))
+    _self_inverting(real)
+    forward = real.finish().gates
+    for record in (True, False):
+        b = Builder(record=record)
+        b.add_register("q", 3, "ancilla")
+        b.begin_segment()
+        b.emit_reversed(_self_inverting)
+        # an enclosing segment receives only the reversed gates
+        assert b.end_segment() == list(reversed(forward))
+        assert b.report() == real.report()
+        if record:
+            assert b.finish().gates == tuple(reversed(forward))
+    # x(0) followed by its captured inverse is the identity
+    def identity(b):
+        b.begin_segment()
+        b.x(0)
+        b.emit_inverse(b.end_segment())
+    b, _ = _fresh(("q", 1))
+    b.emit_reversed(identity)
+    c = b.finish()
+    assert len(c.gates) == 2
+    assert em.apply(c, em.BasisState(1, 0)).value == 0
+
+
+def test_emit_reversed_nests():
+    # reversing a subtraction, itself a reversed addition, is the addition
+    b, (acc, add, scr) = _fresh(("a", 4), ("b", 3), ("s", 3))
+    add_register(b, acc, add, scr)
+    forward = b.finish().gates
+    b, (acc, add, scr) = _fresh(("a", 4), ("b", 3), ("s", 3))
+    b.emit_reversed(sub_register, acc, add, scr)
+    assert b.finish().gates == forward

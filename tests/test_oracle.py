@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from qrollout import domains as dm
@@ -217,23 +216,10 @@ def test_branchwise_matches_classical_payoff_distribution():
     spec = small_sway(h=1, m=2)
     oc = orc.compose(spec)
     c = oc.circuit
-    seeds = list(range(300))
-    rng_states = []
-    bits = np.zeros((len(seeds), c.total_qubits), dtype=np.uint8)
-    for r, seed in enumerate(seeds):
-        rng = random.Random(seed)
-        selectors, dice = orc.draw_streams(spec, rng)
-        rng_states.append((selectors, dice))
-        orc._set_register(bits, r, c, "sel_h1_p0", selectors[0][0])
-        orc._set_register(bits, r, c, "sel_h1_p1", selectors[0][1])
-        dval = 0
-        for i, face in enumerate(dice[0]):
-            dval |= face << (i * spec.d)
-        orc._set_register(bits, r, c, "dice_h1", dval)
-    outs = em.apply_bits(c, bits)
-    circuit_wins = sum(orc._get_register(outs[r], c, "payoff")
-                       for r in range(len(seeds)))
-    classical_wins = sum(
-        dm.classical_rollout(spec, 0, sel, dice)[1]
-        for sel, dice in rng_states)
+    streams = [orc.draw_streams(spec, random.Random(seed))
+               for seed in range(300)]
+    outs = em.apply_bits(c, orc.branch_inputs(spec, c, 0, streams))
+    circuit_wins = int(em.read_register(outs, c, "payoff").sum())
+    classical_wins = sum(dm.classical_trace(spec, 0, sel, dice)[1]
+                         for sel, dice in streams)
     assert circuit_wins == classical_wins

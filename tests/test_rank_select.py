@@ -21,19 +21,13 @@ def sweep(circuit, n):
     masks = np.arange(rows, dtype=np.int64) % (1 << n)
     ranks = np.arange(rows, dtype=np.int64) // (1 << n)
     bits = np.zeros((rows, circuit.total_qubits), dtype=np.uint8)
-    for k, q in enumerate(circuit.register("mask")):
-        bits[:, q] = (masks >> k) & 1
-    for k, q in enumerate(circuit.register("nth")):
-        bits[:, q] = (ranks >> k) & 1
+    em.write_register(bits, circuit, "mask", masks)
+    em.write_register(bits, circuit, "nth", ranks)
     outs = em.apply_bits(circuit, bits)
     def read(reg):
-        v = np.zeros(rows, dtype=np.int64)
-        for k, q in enumerate(circuit.register(reg)):
-            v |= outs[:, q].astype(np.int64) << k
-        return v
-    anc = [q for reg in circuit.registers if reg.role in ("ancilla", "rank")
-           for q in circuit.register(reg.name)]
-    clean = not outs[:, anc].any()
+        return em.read_register(outs, circuit, reg)
+    clean = not any(read(reg.name).any() for reg in circuit.registers
+                    if reg.role in ("ancilla", "rank"))
     return masks, ranks, read("out"), read("mask"), read("nth"), clean
 
 
@@ -208,10 +202,21 @@ def test_canonical_mask_rejects_bad_weight():
         rs.canonical_mask(8, 6, 2)   # needs weight >= 2t-N = 4
 
 
+def _blocks(c):
+    # every block sets and clears its take flag once
+    take = c.register("take")[0]
+    return sum(take in g.targets for g in c.gates) // 2
+
+
 def test_layouts():
-    lay = rs.scan_layout(8)
-    assert (lay.n, lay.w, lay.variant) == (8, 4, "scan")
-    lay = rs.blocked_layout(8)
-    assert (lay.block, lay.n_blocks) == (4, 2)
-    lay = rs.blocked_layout(10, 4)
-    assert (lay.block, lay.n_blocks) == (4, 3)
+    c = rs.build_scan(8)
+    assert (len(c.register("mask")), len(c.register("nth"))) == (8, 4)
+    c = rs.build_blocked(8)
+    assert c == rs.build_blocked(8, 4)       # default block = w = 4
+    assert (len(c.register("ell")), _blocks(c)) == (3, 2)
+    c = rs.build_blocked(10, 4)
+    assert (len(c.register("ell")), _blocks(c)) == (3, 3)
+    # a block wider than N is clamped to N
+    gates = [rs.builder_blocked(8, block, record=False).report().gate_count
+             for block in (100, 8)]
+    assert gates[0] == gates[1]
