@@ -20,7 +20,7 @@ from . import domains as dm
 from . import oracle as orc
 from . import rank_select as rs
 from .circuit import dumps
-from .emulator import apply_bits, read_register, write_register
+from .emulator import Batch, apply_batch, read_register, write_register
 
 CORRECTNESS_INSTANCES = (
     ("sway", 3, 2, None, None, 169, 3079, 9768, 0.271),
@@ -94,19 +94,20 @@ def cmd_ranksel_validate(args) -> int:
         rows = (1 << n) * (1 << w)
         masks = np.arange(rows, dtype=np.int64) % (1 << n)
         ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-        bits = np.zeros((rows, c.total_qubits), dtype=np.uint8)
-        write_register(bits, c, "mask", masks)
-        write_register(bits, c, "nth", ranks)
-        outs = apply_bits(c, bits)
-        got = read_register(outs, c, "out")
+        batch = Batch.zeros(c, rows)
+        write_register(batch, c, "mask", masks)
+        write_register(batch, c, "nth", ranks)
+        apply_batch(c, batch)
+        got = read_register(batch, c, "out")
         want = np.array([rs.select_semantics(int(mv), n, int(rv))
                          for mv, rv in zip(masks, ranks)], dtype=np.int64)
         mismatches = int((got != want).sum())
-        dirty_rows = np.zeros(rows, dtype=bool)
+        dirty_rows = 0
         for reg in c.registers:
             if reg.role in ("ancilla", "rank"):
-                dirty_rows |= read_register(outs, c, reg.name) != 0
-        dirty = int(dirty_rows.sum())
+                for q in c.register(reg.name):
+                    dirty_rows |= batch.cols[q]
+        dirty = dirty_rows.bit_count()
         status = "PASS" if mismatches == 0 and dirty == 0 else "FAIL"
         ok = ok and status == "PASS"
         lines.append(f"{variant} n={n}: {rows} (mask,rank) pairs, "

@@ -2,15 +2,17 @@
 
 A basis state assigns one bit per circuit qubit.  Single states are carried
 as arbitrary-precision integers (bit i = qubit i), so circuits of any width
-emulate exactly.  Sweeps (bijectivity, ancilla cleanness, payoff estimation)
-run on a numpy bit matrix with one row per input, which keeps exhaustive
-checks at 2^20 states in the seconds range.
+emulate exactly.  Sweeps (bijectivity, ancilla cleanness, payoff estimation,
+branchwise checks) run bit-sliced on a :class:`Batch`: one Python int per
+qubit holds that qubit's bit for every input row, so one AND per control and
+one XOR per target apply a gate to all rows at once (Biham, "A fast new DES
+implementation in software", FSE 1997).
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -50,25 +52,6 @@ def apply_int(c: Circuit, x: int) -> int:
     return x
 
 
-def apply_bits(c: Circuit, bits: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a (rows, total_qubits) uint8 bit matrix in place."""
-    rows, n = bits.shape
-    if n != c.total_qubits:
-        raise EmulationError("bit-matrix width mismatch")
-    for g in c.gates:
-        if g.controls:
-            q0, p0 = g.controls[0]
-            sat = bits[:, q0] == 1 if p0 else bits[:, q0] == 0
-            for q, pol in g.controls[1:]:
-                sat &= (bits[:, q] == 1) if pol else (bits[:, q] == 0)
-            for t in g.targets:
-                bits[sat, t] ^= 1
-        else:
-            for t in g.targets:
-                bits[:, t] ^= 1
-    return bits
-
-
 @dataclass(frozen=True)
 class BasisState:
     """A full bit assignment to all circuit qubits, packed LSB-first."""
@@ -105,57 +88,114 @@ def apply(c: Circuit, b: BasisState) -> BasisState:
 
 
 # ---------------------------------------------------------------------------
-# register codec: a register is a contiguous column range of a bit matrix
+# bit-sliced batches
+
+@dataclass
+class Batch:
+    """Basis states of ``rows`` inputs, bit-sliced: bit ``r`` of ``cols[q]``
+    is qubit ``q`` of row ``r``."""
+
+    rows: int
+    cols: list[int]
+
+    @classmethod
+    def zeros(cls, c: Circuit, rows: int) -> "Batch":
+        return cls(rows, [0] * c.total_qubits)
+
+    def copy(self) -> "Batch":
+        return Batch(self.rows, list(self.cols))
+
+    def row(self, r: int) -> "Batch":
+        """The one-row batch holding row ``r``."""
+        return Batch(1, [(col >> r) & 1 for col in self.cols])
+
+
+def apply_batch(c: Circuit, batch: Batch) -> Batch:
+    """Apply the circuit to every row of a batch, in place."""
+    if len(batch.cols) != c.total_qubits:
+        raise EmulationError("batch width does not match circuit")
+    cols = batch.cols
+    full = (1 << batch.rows) - 1
+    for g in c.gates:
+        s = full
+        for q, pol in g.controls:
+            s &= cols[q] if pol else ~cols[q]
+        for t in g.targets:
+            cols[t] ^= s
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# register codec: a register is a contiguous range of a batch's columns
 
 _LIMB = 63      # widest register that fits one int64 value
 
 
-def _columns(bits: np.ndarray, c: Circuit, name: str) -> np.ndarray:
-    qubits = c.register(name)
-    return bits[:, qubits[0]:qubits[0] + len(qubits)]
+def _pack(bits: np.ndarray) -> int:
+    """One column from a uint8 0/1 value per row."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
 
 
-def _write_int64(cols: np.ndarray, values: np.ndarray) -> None:
-    for k in range(cols.shape[1]):
-        cols[:, k] = (values >> k) & 1
+def _unpack(col: int, rows: int) -> np.ndarray:
+    """A column's uint8 0/1 value per row."""
+    raw = np.frombuffer(col.to_bytes((rows + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little")
 
 
-def _read_int64(cols: np.ndarray) -> np.ndarray:
-    out = np.zeros(cols.shape[0], dtype=np.int64)
-    for k in range(cols.shape[1]):
-        out |= cols[:, k].astype(np.int64) << k
-    return out
+def _write_range(batch: Batch, lo: int, width: int, values: np.ndarray) -> None:
+    """Write int64 values, or an int64 scalar, into qubits lo..lo+width-1."""
+    if values.ndim == 0:
+        full = (1 << batch.rows) - 1
+        for k in range(width):
+            batch.cols[lo + k] = full if (int(values) >> k) & 1 else 0
+        return
+    # the narrowest unsigned type keeps the low ``width`` bits and makes
+    # each per-bit pass touch fewer bytes
+    values = values.astype(np.min_scalar_type((1 << width) - 1))
+    for k in range(width):
+        batch.cols[lo + k] = _pack((values >> k).astype(np.uint8) & 1)
 
 
-def write_register(bits: np.ndarray, c: Circuit, name: str, values) -> None:
-    """Write a register's value into every row of a (rows, total_qubits) bit
-    matrix, in place.
+def _read_range(batch: Batch, lo: int, width: int) -> np.ndarray:
+    """The int64 value of qubits lo..lo+width-1 in every row."""
+    dtype = np.min_scalar_type((1 << width) - 1)
+    out = np.zeros(batch.rows, dtype=dtype)
+    for k in range(width):
+        out |= _unpack(batch.cols[lo + k], batch.rows).astype(dtype) << k
+    return out.astype(np.int64)
+
+
+def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
+    """Write a register's value into every row of a batch, in place.
 
     ``values`` is one non-negative value per row, or a scalar written to
     every row; each value must fit the register width.  Registers up to 63
     bits take int64 values; wider ones take Python ints.
     """
-    cols = _columns(bits, c, name)
-    width = cols.shape[1]
+    qubits = c.register(name)
+    lo, width = qubits[0], len(qubits)
     if width <= _LIMB:
-        _write_int64(cols, np.asarray(values, dtype=np.int64))
+        _write_range(batch, lo, width, np.asarray(values, dtype=np.int64))
         return
     values = np.asarray(values, dtype=object)
-    for lo in range(0, width, _LIMB):
-        limb = (values >> lo) & ((1 << _LIMB) - 1)
-        _write_int64(cols[:, lo:lo + _LIMB], np.asarray(limb, dtype=np.int64))
+    for k in range(0, width, _LIMB):
+        limb = (values >> k) & ((1 << _LIMB) - 1)
+        _write_range(batch, lo + k, min(_LIMB, width - k),
+                     np.asarray(limb, dtype=np.int64))
 
 
-def read_register(bits: np.ndarray, c: Circuit, name: str) -> np.ndarray:
-    """A register's value in every row of a bit matrix: an int64 array for
+def read_register(batch: Batch, c: Circuit, name: str) -> np.ndarray:
+    """A register's value in every row of a batch: an int64 array for
     registers up to 63 bits, an object array of Python ints above."""
-    cols = _columns(bits, c, name)
-    width = cols.shape[1]
+    qubits = c.register(name)
+    lo, width = qubits[0], len(qubits)
     if width <= _LIMB:
-        return _read_int64(cols)
-    out = np.zeros(cols.shape[0], dtype=object)
-    for lo in range(0, width, _LIMB):
-        out |= _read_int64(cols[:, lo:lo + _LIMB]).astype(object) << lo
+        return _read_range(batch, lo, width)
+    out = np.zeros(batch.rows, dtype=object)
+    for k in range(0, width, _LIMB):
+        out |= _read_range(batch, lo + k,
+                           min(_LIMB, width - k)).astype(object) << k
     return out
 
 
@@ -192,48 +232,44 @@ class InputDistribution:
 
     def support_size(self, c: Circuit) -> int:
         self.validate(c)
-        total = 1
-        for _, d in self.uniform.items():
-            total *= d
-        return total
+        return prod(self.uniform.values())
 
-    def _base_bits(self, c: Circuit, rows: int) -> np.ndarray:
-        bits = np.zeros((rows, c.total_qubits), dtype=np.uint8)
+    def _base(self, c: Circuit, rows: int) -> Batch:
+        batch = Batch.zeros(c, rows)
         for name, val in self.fixed.items():
-            write_register(bits, c, name, val)
-        return bits
+            write_register(batch, c, name, val)
+        return batch
 
     def enumerate_chunks(self, c: Circuit, chunk: int = 1 << 16):
-        """Yield bit matrices covering the whole support, in index order."""
-        self.validate(c)
-        total = self.support_size(c)
-        start = 0
-        while start < total:
+        """Batches covering the whole support, in index order."""
+        return self._chunks(c, self.support_size(c), chunk)
+
+    def _chunks(self, c: Circuit, total: int, chunk: int):
+        for start in range(0, total, chunk):
             rows = min(chunk, total - start)
-            bits = self._base_bits(c, rows)
+            batch = self._base(c, rows)
             rem = np.arange(start, start + rows, dtype=np.int64)
             for name, d in sorted(self.uniform.items()):
                 rem, vals = np.divmod(rem, d)
-                write_register(bits, c, name, vals)
-            yield bits
-            start += rows
+                write_register(batch, c, name, vals)
+            yield batch
 
-    def sample(self, c: Circuit, shots: int, seed: int) -> np.ndarray:
-        """Seeded sample of ``shots`` inputs as a bit matrix.
+    def sample(self, c: Circuit, shots: int, seed: int) -> Batch:
+        """Seeded sample of ``shots`` inputs as a batch.
 
         One Philox generator keyed by ``seed`` draws all shots of each
         uniform register in turn (registers in name order), so equal
-        arguments give equal matrices.  The draws are not per shot: with two
+        arguments give equal batches.  The draws are not per shot: with two
         or more uniform registers, the first ``k`` rows of a larger sample
         differ from a sample of ``k`` shots.
         """
         self.validate(c)
-        bits = self._base_bits(c, shots)
+        batch = self._base(c, shots)
         rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
         for name, d in sorted(self.uniform.items()):
-            write_register(bits, c, name,
+            write_register(batch, c, name,
                            rng.integers(0, d, size=shots, dtype=np.int64))
-        return bits
+        return batch
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +285,23 @@ class BijectiveReport:
         return self.passed
 
 
+def first_row(col: int) -> int:
+    """The first row a nonzero column flags: its lowest set bit."""
+    return (col & -col).bit_length() - 1
+
+
 def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
                     exhaustive_limit: int = 20) -> BijectiveReport:
     """Exhaustive permutation check (<= exhaustive_limit qubits) or sampled
     injectivity plus invert round-trip."""
     n = c.total_qubits
     if n <= exhaustive_limit:
-        # row i is basis state i: each register holds its slice of i
+        # row i is basis state i; registers tile the qubits, so the whole
+        # state is one range of the codec
         rows = 1 << n
-        bits = np.empty((rows, n), dtype=np.uint8)
-        for reg in c.registers:
-            lo = c.register(reg.name)[0]
-            write_register(bits, c, reg.name,
-                           (np.arange(rows, dtype=np.int64) >> lo)
-                           & ((1 << reg.width) - 1))
-        apply_bits(c, bits)
-        outs = np.zeros(rows, dtype=np.int64)
-        for reg in c.registers:
-            outs |= read_register(bits, c, reg.name) << c.register(reg.name)[0]
+        batch = Batch.zeros(c, rows)
+        _write_range(batch, 0, n, np.arange(rows, dtype=np.int64))
+        outs = _read_range(apply_batch(c, batch), 0, n)
         counts = np.bincount(outs, minlength=rows)
         if counts.max() <= 1:
             return BijectiveReport(True, "exhaustive")
@@ -276,16 +311,21 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
     # sampled mode: distinct random inputs must map to distinct outputs,
     # and invert() must round-trip every sampled input.
     rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
-    bits = np.unique(bits, axis=0)
-    inputs = bits.copy()
-    outs = apply_bits(c, bits)
-    uniq = np.unique(outs, axis=0)
-    if uniq.shape[0] != outs.shape[0]:
+    draw = np.unique(rng.integers(0, 2, size=(samples, n), dtype=np.uint8),
+                     axis=0)
+    batch = Batch(draw.shape[0], [_pack(draw[:, q]) for q in range(n)])
+    inputs = batch.copy()
+    apply_batch(c, batch)
+    outs = np.stack([_read_range(batch, lo, min(_LIMB, n - lo))
+                     for lo in range(0, n, _LIMB)], axis=1)
+    if len(np.unique(outs, axis=0)) != batch.rows:
         return BijectiveReport(False, "sampled", None)
-    back = apply_bits(invert(c), outs)
-    if not np.array_equal(back, inputs):
-        bad = int(np.nonzero((back != inputs).any(axis=1))[0][0])
+    apply_batch(invert(c), batch)
+    diff = 0
+    for got, want in zip(batch.cols, inputs.cols):
+        diff |= got ^ want
+    if diff:
+        bad = first_row(diff)
         return BijectiveReport(False, "sampled", (bad, bad))
     return BijectiveReport(True, "sampled")
 
@@ -308,16 +348,16 @@ def check_ancilla_clean(c: Circuit, dist: InputDistribution,
     for name in watch:
         if dist.fixed.get(name, 0) != 0 or name in dist.uniform:
             raise EmulationError(f"ancilla register {name!r} must be fixed to 0")
-    cols = {name: list(c.register(name)) for name in watch}
-    for bits in dist.enumerate_chunks(c, chunk=chunk):
-        inputs = bits.copy()
-        outs = apply_bits(c, bits)
-        for name, qs in cols.items():
-            dirty = outs[:, qs].any(axis=1)
-            if dirty.any():
-                row = int(np.nonzero(dirty)[0][0])
-                witness = {r.name: int(read_register(
-                               inputs[row:row + 1], c, r.name)[0])
+    for batch in dist.enumerate_chunks(c, chunk=chunk):
+        inputs = batch.copy()
+        apply_batch(c, batch)
+        for name in watch:
+            dirty = 0
+            for q in c.register(name):
+                dirty |= batch.cols[q]
+            if dirty:
+                row = inputs.row(first_row(dirty))
+                witness = {r.name: int(read_register(row, c, r.name)[0])
                            for r in c.registers}
                 return CleanReport(False, witness, name)
     return CleanReport(True)
@@ -366,15 +406,11 @@ def payoff_probability(c: Circuit, dist: InputDistribution, mode: str = "exact",
         if total > limit:
             raise EmulationError(
                 f"exact enumeration of {total} inputs exceeds budget {limit}")
-        ones = 0
-        for bits in dist.enumerate_chunks(c):
-            outs = apply_bits(c, bits)
-            ones += int(outs[:, pq].sum())
+        ones = sum(apply_batch(c, batch).cols[pq].bit_count()
+                   for batch in dist._chunks(c, total, 1 << 16))
         return PayoffEstimate(probability=ones / total, mode="exact")
     if mode == "mc":
-        bits = dist.sample(c, shots, seed)
-        outs = apply_bits(c, bits)
-        ones = int(outs[:, pq].sum())
+        ones = apply_batch(c, dist.sample(c, shots, seed)).cols[pq].bit_count()
         p = ones / shots
         half = 1.96 * sqrt(p * (1.0 - p) / shots)
         return PayoffEstimate(probability=p, mode="mc", shots=shots,

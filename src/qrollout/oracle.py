@@ -20,10 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .circuit import Builder, Circuit, CostReport, Gate
-from .emulator import apply_bits, read_register, write_register
+from .emulator import Batch, apply_batch, first_row, write_register
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -316,13 +314,12 @@ class BranchwiseReport:
         return self.passed
 
 
-def draw_streams(spec: RolloutSpec, rng: random.Random,
-                 arms: int = 0) -> tuple[list[list[int]], list[list[int]]]:
+def draw_streams(spec: RolloutSpec,
+                 rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
     """Seed-derived selector and dice streams, in register declaration order.
 
     Selectors are uniform over all 2^w strings; dice are uniform over the
-    valid faces {0..D-1}.  The round-1 pass-0 selector is drawn even when an
-    arm register bypasses it, keeping streams aligned across modes.
+    valid faces {0..D-1}.  The round-1 pass-0 selector is always drawn.
     """
     w = spec.w
     selectors = [[rng.randrange(1 << w) for _ in range(spec.selectors_per_round)]
@@ -333,22 +330,22 @@ def draw_streams(spec: RolloutSpec, rng: random.Random,
 
 
 def branch_inputs(spec: RolloutSpec, c: Circuit, board0: int, streams,
-                  arm_values: Sequence[int] | None = None) -> np.ndarray:
-    """Input bit matrix with one row per ``(selectors, dice)`` stream pair:
+                  arm_values: Sequence[int] | None = None) -> Batch:
+    """Input batch with one row per ``(selectors, dice)`` stream pair:
     ``config0`` holds ``board0``, each selector and dice register its drawn
     values (cell i's die at bits ``i*d``), and ``arm`` the row's arm value."""
-    bits = np.zeros((len(streams), c.total_qubits), dtype=np.uint8)
-    write_register(bits, c, "config0", board0)
+    batch = Batch.zeros(c, len(streams))
+    write_register(batch, c, "config0", board0)
     for hh in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
-            write_register(bits, c, f"sel_h{hh + 1}_p{pj}",
+            write_register(batch, c, f"sel_h{hh + 1}_p{pj}",
                            [sel[hh][pj] for sel, _ in streams])
-        write_register(bits, c, f"dice_h{hh + 1}",
+        write_register(batch, c, f"dice_h{hh + 1}",
                        [sum(face << (i * spec.d) for i, face in enumerate(d[hh]))
                         for _, d in streams])
     if arm_values is not None:
-        write_register(bits, c, "arm", arm_values)
-    return bits
+        write_register(batch, c, "arm", arm_values)
+    return batch
 
 
 def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
@@ -360,9 +357,9 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     agreement with the classical rollout: every per-round configuration, the
     payoff bit, read-only inputs, and cleanness of every ancilla register.
 
-    All outputs are compared at once against the expected bit matrix; the
-    first failing branch then names its first differing register, in the
-    order configs (by round), payoff, read-only inputs, ancillae."""
+    All outputs are compared at once against the expected batch; the first
+    failing branch then names its first differing register, in the order
+    configs (by round), payoff, read-only inputs, ancillae."""
     from .domains import classical_trace  # local import: domains builds on us
 
     if isinstance(seeds, int):
@@ -373,11 +370,11 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     c = oc.circuit
     h = spec.horizon
     rows = len(seeds)
-    streams = [draw_streams(spec, random.Random(seed), arms) for seed in seeds]
+    streams = [draw_streams(spec, random.Random(seed)) for seed in seeds]
     arm_values = list(arm_values[:rows]) if arms else None
-    bits = branch_inputs(spec, c, board0, streams, arm_values)
+    batch = branch_inputs(spec, c, board0, streams, arm_values)
     # expected: inputs unchanged, ancillae clean, configs and payoff replayed
-    expected = bits.copy()
+    expected = batch.copy()
     traces = [classical_trace(spec, board0, sel, dice,
                               first_move=first_moves[arm_values[r]] if arms
                               else None)
@@ -386,12 +383,15 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
         write_register(expected, c, f"config{hh}",
                        [boards[hh] for boards, _ in traces])
     write_register(expected, c, "payoff", [payoff for _, payoff in traces])
-    outs = apply_bits(c, bits)
+    outs = apply_batch(c, batch)
 
-    bad = np.nonzero((outs != expected).any(axis=1))[0]
-    if not len(bad):
+    diff = [got ^ want for got, want in zip(outs.cols, expected.cols)]
+    bad = 0
+    for col in diff:
+        bad |= col
+    if not bad:
         return BranchwiseReport(True, rows)
-    r = int(bad[0])
+    r = first_row(bad)
     rounds = {f"config{hh}": hh for hh in range(h + 1)}
     rounds["payoff"] = h
     order = (list(rounds)
@@ -400,8 +400,7 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
              + [reg.name for reg in c.registers
                 if reg.role in ("ancilla", "mask")])
     name = next(reg for reg in order
-                if read_register(outs[r:r + 1], c, reg)[0]
-                != read_register(expected[r:r + 1], c, reg)[0])
+                if any((diff[q] >> r) & 1 for q in c.register(reg)))
     return BranchwiseReport(False, rows, seeds[r], rounds.get(name), name)
 
 

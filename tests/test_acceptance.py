@@ -57,14 +57,14 @@ def _sweep_outputs(circuit, n):
     rows = (1 << n) * (1 << w)
     masks = np.arange(rows, dtype=np.int64) % (1 << n)
     ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-    bits = np.zeros((rows, circuit.total_qubits), dtype=np.uint8)
-    em.write_register(bits, circuit, "mask", masks)
-    em.write_register(bits, circuit, "nth", ranks)
-    outs = em.apply_bits(circuit, bits)
+    batch = em.Batch.zeros(circuit, rows)
+    em.write_register(batch, circuit, "mask", masks)
+    em.write_register(batch, circuit, "nth", ranks)
+    outs = em.apply_batch(circuit, batch)
     got = em.read_register(outs, circuit, "out")
-    clean = not any(em.read_register(outs, circuit, reg.name).any()
-                    for reg in circuit.registers
-                    if reg.role in ("ancilla", "rank"))
+    clean = not any(outs.cols[q] for reg in circuit.registers
+                    if reg.role in ("ancilla", "rank")
+                    for q in circuit.register(reg.name))
     return masks, ranks, got, clean
 
 
@@ -207,9 +207,10 @@ def _circuit_mc(circuit, spec, board, shots, seed):
     import random as _random
     rng = _random.Random(seed)
     streams = [orc.draw_streams(spec, rng) for _ in range(shots)]
-    outs = em.apply_bits(circuit, orc.branch_inputs(spec, circuit, board,
-                                                    streams))
-    return float(em.read_register(outs, circuit, "payoff").mean())
+    outs = em.apply_batch(circuit, orc.branch_inputs(spec, circuit, board,
+                                                     streams))
+    payoff = circuit.register("payoff")[0]
+    return outs.cols[payoff].bit_count() / shots
 
 
 def test_criterion_06_scaling_bands_and_crossover():

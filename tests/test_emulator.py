@@ -16,6 +16,32 @@ def _simple(width, gates):
     return build_circuit([RegisterDecl("q", width, "ancilla")], gates)
 
 
+def apply_bits(c, bits):
+    """Reference: the circuit on a (rows, total_qubits) uint8 bit matrix, in
+    place, one numpy column operation per control and target."""
+    rows, n = bits.shape
+    if n != c.total_qubits:
+        raise em.EmulationError("bit-matrix width mismatch")
+    for g in c.gates:
+        if g.controls:
+            q0, p0 = g.controls[0]
+            sat = bits[:, q0] == 1 if p0 else bits[:, q0] == 0
+            for q, pol in g.controls[1:]:
+                sat &= (bits[:, q] == 1) if pol else (bits[:, q] == 0)
+            for t in g.targets:
+                bits[sat, t] ^= 1
+        else:
+            for t in g.targets:
+                bits[:, t] ^= 1
+    return bits
+
+
+def _row_bits(batch):
+    """The batch as a (rows, qubits) uint8 matrix, row r = basis state r."""
+    return np.array([[(col >> r) & 1 for col in batch.cols]
+                     for r in range(batch.rows)], dtype=np.uint8)
+
+
 def test_x_flips_bit_zero():
     c = _simple(3, [Gate((), (0,))])
     out = em.apply(c, em.BasisState(3, 0b000))
@@ -61,11 +87,63 @@ def test_apply_batch_agrees_with_apply_int():
             pol = [(q, rng.random() < 0.5) for q in qs[:-1]]
             gates.append(Gate(tuple(pol), (qs[-1],)))
         c = _simple(n, gates)
-        bits = np.zeros((1 << n, n), dtype=np.uint8)
-        em.write_register(bits, c, "q", np.arange(1 << n))
-        outs = em.read_register(em.apply_bits(c, bits), c, "q")
+        batch = em.Batch.zeros(c, 1 << n)
+        em.write_register(batch, c, "q", np.arange(1 << n))
+        outs = em.read_register(em.apply_batch(c, batch), c, "q")
         for x in range(1 << n):
             assert em.apply_int(c, x) == outs[x]
+
+
+@st.composite
+def _circuits(draw):
+    """A random MCX circuit on one register: 0-3 controls of mixed polarity
+    and 1-3 targets per gate, sometimes no gates at all."""
+    n = draw(st.integers(1, 12))
+    gates = []
+    for _ in range(draw(st.integers(0, 25))):
+        k = draw(st.integers(1, min(3, n)))
+        qs = draw(st.permutations(range(n)))[:draw(st.integers(k, min(n, k + 3)))]
+        controls = tuple((q, draw(st.booleans())) for q in qs[k:])
+        gates.append(Gate(controls, tuple(qs[:k])))
+    return _simple(n, gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_circuits(), st.sampled_from([1, 63, 64, 65, 1000]), st.data())
+def test_apply_batch_matches_reference_and_apply_int(c, rows, data):
+    n = c.total_qubits
+    values = data.draw(st.lists(st.integers(0, 2 ** n - 1),
+                                min_size=rows, max_size=rows))
+    batch = em.Batch.zeros(c, rows)
+    em.write_register(batch, c, "q", values)
+    ref = apply_bits(c, _row_bits(batch))
+    em.apply_batch(c, batch)
+    assert np.array_equal(_row_bits(batch), ref)
+    assert [int(v) for v in em.read_register(batch, c, "q")] == \
+        [em.apply_int(c, v) for v in values]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_apply_batch_on_a_70_qubit_register(data):
+    # wider than one int64 limb, so the codec carries Python ints
+    c = _simple(70, [Gate(((0, True), (69, False)), (35, 64)),
+                     Gate(((64, True),), (1,)), Gate((), (69,))])
+    rows = data.draw(st.sampled_from([1, 63, 64, 65, 1000]))
+    values = data.draw(st.lists(st.integers(0, 2 ** 70 - 1),
+                                min_size=rows, max_size=rows))
+    batch = em.Batch.zeros(c, rows)
+    em.write_register(batch, c, "q", values)
+    ref = apply_bits(c, _row_bits(batch))
+    em.apply_batch(c, batch)
+    assert np.array_equal(_row_bits(batch), ref)
+    assert [int(v) for v in em.read_register(batch, c, "q")] == \
+        [em.apply_int(c, v) for v in values]
+
+
+def test_apply_batch_rejects_width_mismatch():
+    with pytest.raises(em.EmulationError):
+        em.apply_batch(_simple(2, []), em.Batch(4, [0, 0, 0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,20 +155,20 @@ def test_register_codec_round_trip(width, data):
                        RegisterDecl("hi", 3, "ancilla")], [])
     values = data.draw(st.lists(st.integers(0, 2 ** width - 1),
                                 min_size=1, max_size=8))
-    bits = np.zeros((len(values), c.total_qubits), dtype=np.uint8)
-    em.write_register(bits, c, "r", values)
-    assert [int(v) for v in em.read_register(bits, c, "r")] == values
-    for row, v in zip(bits, values):
+    batch = em.Batch.zeros(c, len(values))
+    em.write_register(batch, c, "r", values)
+    assert [int(v) for v in em.read_register(batch, c, "r")] == values
+    for row, v in zip(_row_bits(batch), values):
         state = em.BasisState.from_registers(c, {"r": v})
         assert row.tolist() == state.bits()
         assert state.register_value(c, "r") == v
     # a scalar reaches every row and leaves the neighbouring registers alone
     scalar = data.draw(st.integers(0, 2 ** width - 1))
-    em.write_register(bits, c, "r", scalar)
-    assert [int(v) for v in em.read_register(bits, c, "r")] == \
+    em.write_register(batch, c, "r", scalar)
+    assert [int(v) for v in em.read_register(batch, c, "r")] == \
         [scalar] * len(values)
     state = em.BasisState.from_registers(c, {"r": scalar})
-    assert all(row.tolist() == state.bits() for row in bits)
+    assert all(row.tolist() == state.bits() for row in _row_bits(batch))
 
 
 def test_round_trip_with_invert_on_random_circuits():
@@ -141,6 +219,43 @@ def test_ancilla_clean_detects_violation():
     assert not rep.passed
     assert rep.dirty_register == "flag"
     assert rep.witness_input == {"inp": 1, "flag": 0}
+
+
+def test_ancilla_clean_witness_from_a_later_chunk():
+    # flag is set only for inp = 6 (binary 110), which enumerates as row 2
+    # of the second 4-row chunk; the fixed register rides along
+    b = Builder()
+    b.add_register("inp", 3, "mask")
+    b.add_register("cfg", 2, "config")
+    b.add_register("flag", 1, "ancilla")
+    b.gate([(0, False), (1, True), (2, True)], [5])
+    c = b.finish()
+    dist = em.InputDistribution(fixed={"cfg": 2}, uniform={"inp": 8})
+    rep = em.check_ancilla_clean(c, dist, chunk=4)
+    assert not rep.passed
+    assert rep.dirty_register == "flag"
+    assert rep.witness_input == {"inp": 6, "cfg": 2, "flag": 0}
+
+
+def test_validate_runs_once_per_call(monkeypatch):
+    calls = []
+    validate = em.InputDistribution.validate
+
+    def counting(self, c):
+        calls.append(1)
+        return validate(self, c)
+
+    monkeypatch.setattr(em.InputDistribution, "validate", counting)
+    b = Builder()
+    b.add_register("pay", 1, "payoff")
+    b.add_register("src", 2, "dice")
+    c = b.finish()
+    dist = em.InputDistribution(uniform={"src": 4})
+    assert sum(batch.rows for batch in dist.enumerate_chunks(c, chunk=3)) == 4
+    assert len(calls) == 1
+    calls.clear()
+    em.payoff_probability(c, dist, mode="exact")
+    assert len(calls) == 1
 
 
 def test_ancilla_clean_scan():

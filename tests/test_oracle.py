@@ -68,6 +68,42 @@ def test_branchwise_detects_corrupted_transition():
     assert rep.seed is not None
 
 
+def test_branchwise_localises_a_row_selective_corruption():
+    # flip config1 bit 0 only on branches whose cell-0 die has bit 1 set, so
+    # the first failing branch is not the first branch
+    spec = small_sir(h=1, m=2)
+    fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
+    good_emit = fields["emit_transition"]
+
+    def bad_emit(b, mid, nxt, dice, pool, scr):
+        good_emit(b, mid, nxt, dice, pool, scr)
+        b.cx(dice[1], nxt[0])
+
+    fields["emit_transition"] = bad_emit
+    bad_spec = orc.RolloutSpec(**fields)
+    board = dm.set_cell(0, 0, dm.INFECTED)
+    c = orc.compose(bad_spec).circuit
+    seeds = list(range(101, 141))
+
+    def disagrees(seed):
+        sel, dice = orc.draw_streams(bad_spec, random.Random(seed))
+        regs = {"config0": board, "dice_h1": sum(
+            f << (i * bad_spec.d) for i, f in enumerate(dice[0]))}
+        regs.update({f"sel_h1_p{j}": v for j, v in enumerate(sel[0])})
+        out = em.apply(c, em.BasisState.from_registers(c, regs))
+        boards, payoff = dm.classical_trace(bad_spec, board, sel, dice)
+        return (out.register_value(c, "config1") != boards[1]
+                or out.register_value(c, "payoff") != payoff)
+
+    first = next(seed for seed in seeds if disagrees(seed))
+    assert first != seeds[0]
+    rep = orc.branchwise_check(bad_spec, seeds, board)
+    assert not rep.passed
+    assert rep.seed == first
+    assert rep.register == "config1"
+    assert rep.round_index == 1
+
+
 def test_hook_touching_foreign_registers_rejected():
     spec = small_sir(h=1, m=2)
     fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
@@ -218,8 +254,8 @@ def test_branchwise_matches_classical_payoff_distribution():
     c = oc.circuit
     streams = [orc.draw_streams(spec, random.Random(seed))
                for seed in range(300)]
-    outs = em.apply_bits(c, orc.branch_inputs(spec, c, 0, streams))
-    circuit_wins = int(em.read_register(outs, c, "payoff").sum())
+    outs = em.apply_batch(c, orc.branch_inputs(spec, c, 0, streams))
+    circuit_wins = outs.cols[c.register("payoff")[0]].bit_count()
     classical_wins = sum(dm.classical_trace(spec, 0, sel, dice)[1]
                          for sel, dice in streams)
     assert circuit_wins == classical_wins

@@ -20,14 +20,15 @@ def sweep(circuit, n):
     rows = (1 << n) * (1 << w)
     masks = np.arange(rows, dtype=np.int64) % (1 << n)
     ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-    bits = np.zeros((rows, circuit.total_qubits), dtype=np.uint8)
-    em.write_register(bits, circuit, "mask", masks)
-    em.write_register(bits, circuit, "nth", ranks)
-    outs = em.apply_bits(circuit, bits)
+    batch = em.Batch.zeros(circuit, rows)
+    em.write_register(batch, circuit, "mask", masks)
+    em.write_register(batch, circuit, "nth", ranks)
+    outs = em.apply_batch(circuit, batch)
     def read(reg):
         return em.read_register(outs, circuit, reg)
-    clean = not any(read(reg.name).any() for reg in circuit.registers
-                    if reg.role in ("ancilla", "rank"))
+    clean = not any(outs.cols[q] for reg in circuit.registers
+                    if reg.role in ("ancilla", "rank")
+                    for q in circuit.register(reg.name))
     return masks, ranks, read("out"), read("mask"), read("nth"), clean
 
 
