@@ -1,24 +1,39 @@
 """Gate-level reversible-circuit intermediate representation and analyses.
 
-A circuit is an ordered list of multi-controlled multi-target X gates over
-named registers.  Controls carry a polarity (positive fires on |1>, negative
-on |0>); a gate flips every target iff all controls are satisfied.  Every
-gate is self-inverse, so reversing the gate list inverts the circuit.
+A circuit is an ordered sequence of multi-controlled multi-target X gates
+over named registers.  Controls carry a polarity (positive fires on |1>,
+negative on |0>); a gate flips every target iff all controls are satisfied.
+Every gate is self-inverse, so reversing the gate order inverts the circuit.
 
+Gates live in a :class:`GateTable`, a flat struct-of-arrays CSR table;
+``Circuit.gates`` is a read-only :class:`Gate` view of it, built on demand.
 Structural analyses (cost report, backward light cone, cut-crossing counts,
 span profile) are pure functions of the immutable circuit and require no
 emulation.
+
+The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
+replays of memoized fragments (``Builder.call``): a fragment is recorded
+once on local qubit indices and replayed by a qubit remap, its depth effect
+carried by a max-plus matrix.  A memoized emitter must be a pure function
+of its registers and constants, and must not call ``acquire`` or
+``release``.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 ROLES = (
     "config", "selector", "dice", "ancilla", "payoff",
     "arm", "mask", "rank", "output",
 )
+
+# table entry kinds
+NEG, POS, TGT = 0, 1, 2
 
 
 class CircuitError(ValueError):
@@ -62,28 +77,174 @@ class CostReport:
     max_live_ancilla: int
 
 
-def _normalize_controls(controls) -> tuple[tuple[int, bool], ...]:
-    out = []
-    for c in controls:
-        if isinstance(c, tuple):
-            q, pol = c
-            out.append((int(q), bool(pol)))
-        else:
-            out.append((int(c), True))
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# gate table
+
+class GateTable:
+    """Gates as CSR arrays: gate ``g`` owns entries ``ptr[g]:ptr[g+1]`` of
+    ``qubit`` (int32) and ``kind`` (int8: NEG or POS control, TGT target),
+    its controls first, then its targets, each in gate order.  Tables are
+    never mutated once built."""
+
+    __slots__ = ("ptr", "qubit", "kind", "_bounds")
+
+    def __init__(self, ptr, qubit, kind):
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.qubit = np.asarray(qubit, dtype=np.int32)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self._bounds = None
+
+    @classmethod
+    def from_gates(cls, gates: Iterable) -> "GateTable":
+        """From ``(controls, targets)`` pairs, a control being a
+        ``(qubit, polarity)`` pair."""
+        ptr, qubit, kind = [0], [], []
+        for controls, targets in gates:
+            for q, pol in controls:
+                qubit.append(q)
+                kind.append(POS if pol else NEG)
+            qubit.extend(targets)
+            kind.extend([TGT] * len(targets))
+            ptr.append(len(qubit))
+        return cls(ptr, qubit, kind)
+
+    @staticmethod
+    def concat(tables: Sequence["GateTable"]) -> "GateTable":
+        if not tables:
+            return GateTable([0], [], [])
+        lens = np.concatenate([np.diff(t.ptr) for t in tables])
+        ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=ptr[1:])
+        return GateTable(ptr, np.concatenate([t.qubit for t in tables]),
+                         np.concatenate([t.kind for t in tables]))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def remap(self, qmap: np.ndarray) -> "GateTable":
+        """The same gates with qubit ``q`` renamed ``qmap[q]``."""
+        return GateTable(self.ptr, qmap[self.qubit], self.kind)
+
+    def reversed(self) -> "GateTable":
+        """The gates in reverse order, each gate's entries unchanged."""
+        lens = np.diff(self.ptr)[::-1]
+        ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=ptr[1:])
+        idx = (np.repeat(self.ptr[:-1][::-1] - ptr[:-1], lens)
+               + np.arange(ptr[-1]))
+        return GateTable(ptr, self.qubit[idx], self.kind[idx])
+
+    def max_fan_in(self) -> int:
+        return int(np.diff(self.ptr).max()) if len(self) else 0
+
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """Per gate, as Python lists: entry start offsets (plus the end) and
+        the offset where the gate's targets start."""
+        if self._bounds is None:
+            starts = self.ptr[:-1]
+            ncontrols = (np.add.reduceat((self.kind != TGT).astype(np.int64),
+                                         starts)
+                         if len(self) else starts)
+            self._bounds = (self.ptr.tolist(), (starts + ncontrols).tolist())
+        return self._bounds
+
+    def validate(self, n_qubits: int, first: int = 0) -> None:
+        """Reject a gate without targets, a qubit out of range, a qubit twice
+        in one gate, or a control that is also a target.  The error names the
+        gate (numbered from ``first``) and the qubit."""
+        count = len(self)
+        lens = np.diff(self.ptr)
+        gate_of = np.repeat(np.arange(count), lens)
+        targets = np.bincount(gate_of[self.kind == TGT], minlength=count)
+        if count and targets.min() == 0:
+            g = int(np.argmin(targets))
+            raise CircuitError(f"gate {first + g}: gate must have at least "
+                               "one target")
+        bad = (self.qubit < 0) | (self.qubit >= n_qubits)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise CircuitError(f"gate {first + int(gate_of[e])}: qubit index "
+                               f"{int(self.qubit[e])} out of range "
+                               f"(n={n_qubits})")
+        order = np.lexsort((self.qubit, gate_of))
+        g_sorted, q_sorted = gate_of[order], self.qubit[order]
+        twice = ((g_sorted[1:] == g_sorted[:-1])
+                 & (q_sorted[1:] == q_sorted[:-1]))
+        if twice.any():
+            e = int(np.argmax(twice))
+            k1, k2 = self.kind[order[e]], self.kind[order[e + 1]]
+            what = ("controls and targets overlap"
+                    if (k1 == TGT) != (k2 == TGT)
+                    else "duplicate qubit within gate")
+            raise CircuitError(f"gate {first + int(g_sorted[e])}: {what} on "
+                               f"qubit {int(q_sorted[e])}")
+
+    def gate_tuple(self) -> tuple[Gate, ...]:
+        qubit, kind = self.qubit.tolist(), self.kind.tolist()
+        ptr, tgt = self.bounds()
+        return tuple(
+            Gate(tuple((qubit[e], kind[e] == POS) for e in range(a, m)),
+                 tuple(qubit[m:z]))
+            for a, m, z in zip(ptr, tgt, ptr[1:]))
 
 
-def _check_gate(gate: Gate, n_qubits: int) -> None:
-    cq = [q for q, _ in gate.controls]
-    if not gate.targets:
-        raise CircuitError("gate must have at least one target")
-    for q in cq + list(gate.targets):
-        if not 0 <= q < n_qubits:
-            raise CircuitError(f"qubit index {q} out of range (n={n_qubits})")
-    if len(set(cq)) != len(cq) or len(set(gate.targets)) != len(gate.targets):
-        raise CircuitError("duplicate qubit within gate")
-    if set(cq) & set(gate.targets):
-        raise CircuitError("controls and targets overlap")
+def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
+    """Greedy layering, the one depth rule: each gate, in order, enters the
+    layer after the latest one among its qubits.
+
+    ``layers[q]`` is qubit ``q``'s latest layer, one column per origin, and
+    is updated in place.  A zero column gives depth; starting from the
+    max-plus identity (0 on the diagonal, -inf elsewhere) row ``j`` ends as
+    the longest gate chain from each qubit's entry to ``j``'s exit.
+    """
+    if not len(table):
+        return layers
+    touched = np.unique(table.qubit)
+    rows = dict(zip(touched.tolist(), layers[touched].tolist()))
+    qubit = table.qubit.tolist()
+    ptr = table.ptr.tolist()
+    for a, z in zip(ptr, ptr[1:]):
+        s = qubit[a:z]
+        latest = [max(col) + 1 for col in zip(*[rows[q] for q in s])]
+        for q in s:
+            rows[q] = latest
+    layers[touched] = list(rows.values())
+    return layers
+
+
+class GateSequence(Sequence):
+    """Read-only sequence of :class:`Gate` over a circuit's table.  ``len``
+    reads the table; the Gate objects are built on first element access."""
+
+    __slots__ = ("_table", "_gates")
+
+    def __init__(self, table: GateTable):
+        self._table = table
+        self._gates = None
+
+    def _all(self) -> tuple[Gate, ...]:
+        if self._gates is None:
+            self._gates = self._table.gate_tuple()
+        return self._gates
+
+    def __len__(self):
+        return len(self._table)
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and self._all() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"GateSequence({list(self._all())!r})"
 
 
 class Circuit:
@@ -91,21 +252,36 @@ class Circuit:
 
     ``layout`` is a permutation of qubit indices giving the linear order used
     by cut analyses: ``layout[pos]`` is the qubit at position ``pos``.  It
-    defaults to declaration order.
+    defaults to declaration order.  ``gates`` is a sequence of :class:`Gate`
+    or a :class:`GateTable`; it is validated once, vectorised.  A circuit
+    from ``Builder.finish`` is not re-checked (its chunks were validated,
+    and memoized fragments, recorded from pure emitters, stay valid under
+    an injective qubit remap) and carries the depth its builder computed.
     """
 
-    __slots__ = ("registers", "gates", "total_qubits", "layout",
+    __slots__ = ("registers", "table", "total_qubits", "layout",
                  "max_live_ancilla", "_offsets", "_pos_of", "_cache")
 
     def __init__(self, registers, gates, layout=None, max_live_ancilla=0):
+        table = (gates if isinstance(gates, GateTable) else
+                 GateTable.from_gates((g.controls, g.targets) for g in gates))
+        self._setup(registers, table, layout, max_live_ancilla)
+        table.validate(self.total_qubits)
+
+    @classmethod
+    def _built(cls, registers, table, layout, max_live_ancilla, depth):
+        """A circuit whose table the builder validated, with its depth."""
+        c = cls.__new__(cls)
+        c._setup(registers, table, layout, max_live_ancilla)
+        c._cache["depth"] = depth
+        return c
+
+    def _setup(self, registers, table, layout, max_live_ancilla):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
             raise CircuitError("duplicate register name")
         total = sum(r.width for r in registers)
-        gates = tuple(gates)
-        for g in gates:
-            _check_gate(g, total)
         if layout is None:
             layout = tuple(range(total))
         else:
@@ -113,7 +289,7 @@ class Circuit:
             if sorted(layout) != list(range(total)):
                 raise CircuitError("layout must be a permutation of all qubits")
         self.registers = registers
-        self.gates = gates
+        self.table = table
         self.total_qubits = total
         self.layout = layout
         self.max_live_ancilla = max_live_ancilla
@@ -128,6 +304,12 @@ class Circuit:
             pos_of[q] = pos
         self._pos_of = tuple(pos_of)
         self._cache = {}
+
+    @property
+    def gates(self) -> GateSequence:
+        if "gates" not in self._cache:
+            self._cache["gates"] = GateSequence(self.table)
+        return self._cache["gates"]
 
     def register(self, name: str) -> tuple[int, ...]:
         """Qubit indices of a register, in declaration order (LSB first)."""
@@ -151,11 +333,13 @@ class Circuit:
     def __eq__(self, other):
         return (isinstance(other, Circuit)
                 and self.registers == other.registers
-                and self.gates == other.gates
-                and self.layout == other.layout)
+                and self.layout == other.layout
+                and np.array_equal(self.table.ptr, other.table.ptr)
+                and np.array_equal(self.table.qubit, other.table.qubit)
+                and np.array_equal(self.table.kind, other.table.kind))
 
     def __hash__(self):
-        return hash((self.registers, len(self.gates)))
+        return hash((self.registers, len(self.table)))
 
 
 def build_circuit(registers, gates, layout=None, max_live_ancilla=0) -> Circuit:
@@ -165,31 +349,29 @@ def build_circuit(registers, gates, layout=None, max_live_ancilla=0) -> Circuit:
 
 
 def invert(c: Circuit) -> Circuit:
-    """Gate-reversed circuit: the inverse, with an identical cost report."""
-    return Circuit(c.registers, tuple(reversed(c.gates)), layout=c.layout,
-                   max_live_ancilla=c.max_live_ancilla)
+    """Gate-reversed circuit: the inverse, with an identical cost report
+    (the longest gate chain is the same read backwards)."""
+    return Circuit._built(c.registers, c.table.reversed(), c.layout,
+                          c.max_live_ancilla, c._cache.get("depth"))
+
+
+def _depth(c: Circuit) -> int:
+    if c._cache.get("depth") is None:
+        layers = layer(c.table, np.zeros((c.total_qubits, 1)))
+        c._cache["depth"] = int(layers.max()) if c.total_qubits else 0
+    return c._cache["depth"]
 
 
 def cost(c: Circuit) -> CostReport:
     """Gate count, greedy-layered depth, qubits, fan-in, peak live ancilla.
 
     Depth convention: a gate enters the earliest layer in which none of its
-    qubits are occupied (per-qubit occupancy layering).
+    qubits are occupied (per-qubit occupancy layering, :func:`layer`).  A
+    builder-made circuit carries the depth its builder computed.
     """
-    layers = [0] * c.total_qubits
-    depth = 0
-    max_fan = 0
-    for g in c.gates:
-        sup = g.support()
-        lay = 1 + max(layers[q] for q in sup)
-        for q in sup:
-            layers[q] = lay
-        if lay > depth:
-            depth = lay
-        if g.fan_in > max_fan:
-            max_fan = g.fan_in
-    return CostReport(gate_count=len(c.gates), depth=depth,
-                      qubit_count=c.total_qubits, max_fan_in=max_fan,
+    return CostReport(gate_count=len(c.table), depth=_depth(c),
+                      qubit_count=c.total_qubits,
+                      max_fan_in=c.table.max_fan_in(),
                       max_live_ancilla=c.max_live_ancilla)
 
 
@@ -203,10 +385,30 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
     for q in cone:
         if not 0 <= q < c.total_qubits:
             raise CircuitError(f"output qubit {q} out of range")
-    for g in reversed(c.gates):
-        if any(t in cone for t in g.targets):
-            cone.update(q for q, _ in g.controls)
+    qubit = c.table.qubit.tolist()
+    ptr, tgt = c.table.bounds()
+    for g in range(len(c.table) - 1, -1, -1):
+        if not cone.isdisjoint(qubit[tgt[g]:ptr[g + 1]]):
+            cone.update(qubit[ptr[g]:tgt[g]])
     return cone
+
+
+def _gate_positions(c: Circuit, qubits=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate, the lowest and highest layout position of its support,
+    restricted to ``qubits`` when given (a gate with none of them gets
+    ``(n, -1)``)."""
+    t = c.table
+    if not len(t):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    pos = np.asarray(c._pos_of, dtype=np.int64)[t.qubit]
+    starts = t.ptr[:-1]
+    if qubits is None:
+        return (np.minimum.reduceat(pos, starts),
+                np.maximum.reduceat(pos, starts))
+    inside = np.isin(t.qubit, np.asarray(qubits, dtype=np.int64))
+    lo = np.minimum.reduceat(np.where(inside, pos, c.total_qubits), starts)
+    hi = np.maximum.reduceat(np.where(inside, pos, -1), starts)
+    return lo, hi
 
 
 def crossing_count(c: Circuit, t: int) -> int:
@@ -216,19 +418,8 @@ def crossing_count(c: Circuit, t: int) -> int:
     """
     if not 1 <= t <= c.total_qubits - 1:
         raise CircuitError(f"cut position {t} out of range")
-    pos = c._pos_of
-    n = 0
-    for g in c.gates:
-        lo = hi = pos[g.targets[0]]
-        for q in g.support():
-            p = pos[q]
-            if p < lo:
-                lo = p
-            elif p > hi:
-                hi = p
-        if lo < t <= hi:
-            n += 1
-    return n
+    lo, hi = _gate_positions(c)
+    return int(((lo < t) & (t <= hi)).sum())
 
 
 @dataclass(frozen=True)
@@ -243,12 +434,10 @@ class SpanProfile:
 
 def span_profile(c: Circuit) -> SpanProfile:
     """Per-gate spans and the total prefix-span (sum of all cut crossings)."""
-    pos = c._pos_of
-    spans = []
-    for g in c.gates:
-        ps = [pos[q] for q in g.support()]
-        spans.append(max(ps) - min(ps))
-    return SpanProfile(spans=tuple(spans), total_prefix_span=sum(spans))
+    lo, hi = _gate_positions(c)
+    spans = hi - lo
+    return SpanProfile(spans=tuple(spans.tolist()),
+                       total_prefix_span=int(spans.sum()))
 
 
 def register_local_span(c: Circuit, register: str) -> int:
@@ -256,16 +445,9 @@ def register_local_span(c: Circuit, register: str) -> int:
 
     Gates touching fewer than two qubits of the register contribute 0.
     """
-    qubits = set(c.register(register))
-    pos = c._pos_of
-    best = 0
-    for g in c.gates:
-        ps = [pos[q] for q in g.support() if q in qubits]
-        if len(ps) >= 2:
-            s = max(ps) - min(ps)
-            if s > best:
-                best = s
-    return best
+    lo, hi = _gate_positions(c, c.register(register))
+    spans = hi - lo
+    return int(spans.max()) if len(spans) and spans.max() > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +455,14 @@ def register_local_span(c: Circuit, register: str) -> int:
 
 def dumps(c: Circuit) -> str:
     """Lossless JSON dump: registers, gates with polarities, layout."""
+    qubit = c.table.qubit.tolist()
+    pairs = [[q, k == POS] for q, k in zip(qubit, c.table.kind.tolist())]
+    ptr, tgt = c.table.bounds()
     doc = {
         "registers": [{"name": r.name, "width": r.width, "role": r.role}
                       for r in c.registers],
-        "gates": [{"controls": [[q, bool(p)] for q, p in g.controls],
-                   "targets": list(g.targets)} for g in c.gates],
+        "gates": [{"controls": pairs[a:m], "targets": qubit[m:z]}
+                  for a, m, z in zip(ptr, tgt, ptr[1:])],
         "layout": list(c.layout),
         "max_live_ancilla": c.max_live_ancilla,
     }
@@ -288,37 +473,118 @@ def loads(text: str) -> Circuit:
     doc = json.loads(text)
     regs = [RegisterDecl(r["name"], r["width"], r["role"])
             for r in doc["registers"]]
-    gates = [Gate(tuple((int(q), bool(p)) for q, p in g["controls"]),
-                  tuple(int(t) for t in g["targets"]))
-             for g in doc["gates"]]
-    return build_circuit(regs, gates, layout=doc.get("layout"),
+    table = GateTable.from_gates((g["controls"], g["targets"])
+                                 for g in doc["gates"])
+    return build_circuit(regs, table,
+                         layout=doc.get("layout"),
                          max_live_ancilla=doc.get("max_live_ancilla", 0))
 
 
 # ---------------------------------------------------------------------------
 # builder
 
+class _Fragment:
+    """A gate table with its tallies.  A memoized fragment is on local qubit
+    indices and carries ``depth``, the max-plus matrix whose entry ``[i, j]``
+    is the longest gate chain from local qubit ``i``'s entry to ``j``'s exit
+    (-inf without one); a chunk of fresh gates is on builder qubits and has
+    no matrix."""
+
+    __slots__ = ("forward", "_backward", "gates", "fan_in", "depth", "chains",
+                 "_support")
+
+    def __init__(self, table: GateTable, depth: np.ndarray | None = None):
+        self.forward = table
+        self._backward = None
+        self.gates = len(table)
+        self.fan_in = table.max_fan_in()
+        self.depth = depth
+        # the matrix forward and transposed (a reversed replay), as
+        # [entry, exit, 1] for broadcasting against the layer columns
+        self.chains = (None if depth is None
+                       else (depth[:, :, None], depth.T.copy()[:, :, None]))
+        self._support = None
+
+    def table(self, reverse: bool) -> GateTable:
+        if not reverse:
+            return self.forward
+        if self._backward is None:
+            self._backward = self.forward.reversed()
+        return self._backward
+
+    def support(self) -> np.ndarray:
+        if self._support is None:
+            self._support = np.unique(self.forward.qubit)
+        return self._support
+
+
+def _local_args(shape, index) -> list:
+    """A memoized emitter's arguments on local qubits: ``index`` gives the
+    local qubit of each flattened argument qubit, in argument order."""
+    args, at = [], 0
+    for s in shape:
+        if s is None:
+            args.append(index[at])
+            at += 1
+        elif isinstance(s, tuple):
+            args.append(list(zip(index[at:at + len(s)], s)))
+            at += len(s)
+        else:
+            args.append(tuple(index[at:at + s]))
+            at += s
+    return args
+
+
+def segment_support(segment) -> np.ndarray:
+    """Sorted qubits touched by the gates of a segment."""
+    parts = [frag.support() if qmap is None else qmap[frag.support()]
+             for frag, qmap, _ in segment]
+    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+
+
 class Builder:
     """Incremental circuit constructor with cost tallying.
 
-    With ``record=False`` the builder keeps only running tallies (gate count,
-    depth layers, fan-in, ancilla liveness) and never materializes the gate
-    list; ``finish()`` is then unavailable but ``report()`` works.  Segments
-    (``begin_segment``/``end_segment``) collect emitted gates so gadgets can
-    re-emit their own inverse even in tally mode.  ``emit_reversed`` runs an
-    emitter under capture and emits only its gates in reverse, which is the
-    emitter's inverse.
+    Gates go onto an op tape: chunks of fresh gates (``gate``, ``x``,
+    ``cx``), each validated once, and replays of memoized fragments
+    (``call``).  With ``record=False`` the builder keeps only running
+    tallies (gate count, per-qubit depth layers, fan-in, ancilla liveness)
+    and the ops of open segments; ``finish()`` is then unavailable but
+    ``report()`` works.  Segments (``begin_segment``/``end_segment``) capture
+    a range of ops as an opaque token so gadgets can re-emit their own
+    inverse (``emit_inverse``) in either mode.  ``emit_reversed`` runs an
+    emitter under capture and emits only its ops in reverse, which is the
+    emitter's inverse.  Inverting a range of ops flips each op's direction;
+    no gate is revisited.
+
+    ``call(emitter, *regs, **consts)`` runs ``emitter(b, *regs, **consts)``
+    once per builder for each memo key and replays the recorded fragment on
+    later calls.  A positional argument is a qubit (int), a register (a
+    sequence of qubits) or a control list (a sequence of ``(qubit,
+    polarity)`` pairs); keyword arguments are hashable constants.  The key
+    is the emitter, the argument shapes with their aliasing pattern and
+    control polarities, and the constants.  A memoized emitter must be a
+    pure function of its registers and constants: it may compare qubits for
+    equality but must not depend on their numeric values, and must not call
+    ``acquire`` or ``release``.
     """
 
     def __init__(self, record: bool = True):
+        self._start(record, 0, {}, np.zeros((0, 1)), fragment=False)
+
+    def _start(self, record, n, memo, layers, fragment) -> None:
         self.record = record
         self._registers: list[RegisterDecl] = []
-        self._n = 0
-        self._gates: list[Gate] = []
-        self._segments: list[list[Gate]] = []
-        self._capturing = False
-        self._layers: list[int] = []
-        self._depth = 0
+        self._n = n
+        self._memo = memo
+        self._layers = layers          # per-qubit latest layer, per origin
+        self._fragment = fragment      # recording a memoized fragment
+        self._tape: list = []          # ops: (fragment, qmap or None, reverse)
+        self._marks: list[int] = []    # tape offset of each open segment
+        self._capturing = 0
+        self._pq: list[int] = []       # pending fresh gates: qubits,
+        self._pk: list[int] = []       # kinds,
+        self._pp: list[int] = [0]      # and entry offsets
         self._gate_count = 0
         self._max_fan_in = 0
         self._live_anc = 0
@@ -326,13 +592,15 @@ class Builder:
 
     # -- registers ---------------------------------------------------------
     def add_register(self, name: str, width: int, role: str) -> tuple[int, ...]:
+        if self._fragment:
+            raise CircuitError("a memoized emitter cannot add registers")
         decl = RegisterDecl(name, width, role)
         if any(r.name == name for r in self._registers):
             raise CircuitError(f"duplicate register name {name!r}")
         self._registers.append(decl)
         qubits = tuple(range(self._n, self._n + width))
         self._n += width
-        self._layers.extend([0] * width)
+        self._layers = np.concatenate([self._layers, np.zeros((width, 1))])
         return qubits
 
     @property
@@ -341,40 +609,38 @@ class Builder:
 
     @property
     def gate_count(self) -> int:
+        self._flush()
         return self._gate_count
 
     # -- ancilla liveness markers -------------------------------------------
     def acquire(self, n: int) -> None:
+        if self._fragment:
+            raise CircuitError("a memoized emitter must not call acquire")
         self._live_anc += n
         if self._live_anc > self._peak_anc:
             self._peak_anc = self._live_anc
 
     def release(self, n: int) -> None:
+        if self._fragment:
+            raise CircuitError("a memoized emitter must not call release")
         self._live_anc -= n
 
     # -- gate emission -------------------------------------------------------
     def gate(self, controls, targets) -> None:
-        g = Gate(_normalize_controls(controls), tuple(int(t) for t in targets))
-        _check_gate(g, self._n)
-        self._emit(g)
-
-    def _emit(self, g: Gate) -> None:
-        for seg in self._segments:
-            seg.append(g)
-        if self._capturing:
-            return
-        self._gate_count += 1
-        if g.fan_in > self._max_fan_in:
-            self._max_fan_in = g.fan_in
-        layers = self._layers
-        sup = g.support()
-        lay = 1 + max(layers[q] for q in sup)
-        for q in sup:
-            layers[q] = lay
-        if lay > self._depth:
-            self._depth = lay
-        if self.record:
-            self._gates.append(g)
+        """Multi-controlled X: a control is a qubit (positive) or a
+        ``(qubit, polarity)`` pair.  Validated when its chunk is flushed."""
+        qs, ks = self._pq, self._pk
+        for c in controls:
+            if isinstance(c, tuple):
+                qs.append(int(c[0]))
+                ks.append(POS if c[1] else NEG)
+            else:
+                qs.append(int(c))
+                ks.append(POS)
+        for t in targets:
+            qs.append(int(t))
+            ks.append(TGT)
+        self._pp.append(len(qs))
 
     def x(self, target: int) -> None:
         self.gate((), (target,))
@@ -382,42 +648,144 @@ class Builder:
     def cx(self, control, target: int) -> None:
         self.gate((control,), (target,))
 
+    def _flush(self) -> None:
+        """Turn the pending fresh gates into one validated chunk op."""
+        if len(self._pp) == 1:
+            return
+        table = GateTable(self._pp, self._pq, self._pk)
+        self._pq, self._pk, self._pp = [], [], [0]
+        table.validate(self._n, first=self._gate_count)
+        self._apply(_Fragment(table), None, False)
+
+    def _apply(self, frag: _Fragment, qmap, reverse: bool) -> None:
+        if self.record or self._marks:
+            self._tape.append((frag, qmap, reverse))
+        if self._capturing:
+            return
+        self._gate_count += frag.gates
+        if frag.fan_in > self._max_fan_in:
+            self._max_fan_in = frag.fan_in
+        if not frag.gates:
+            return
+        if frag.depth is None:
+            layer(frag.table(reverse), self._layers)
+        else:
+            # exit j's layer: max over entries i of (i's layer + chain[i, j])
+            before = self._layers.take(qmap, axis=0)
+            self._layers[qmap] = np.maximum.reduce(
+                before[:, None, :] + frag.chains[reverse], axis=0)
+
+    # -- memoized fragments --------------------------------------------------
+    def call(self, emitter, *regs, **consts) -> None:
+        """Emit ``emitter(self, *regs, **consts)`` by replaying its memoized
+        fragment (recorded on the first call with the same memo key)."""
+        self._flush()
+        flat: list = []
+        shape = []      # per argument: None (qubit), width, or polarities
+        for r in regs:
+            if isinstance(r, (int, np.integer)):
+                flat.append(int(r))
+                shape.append(None)
+            elif tuple in map(type, r):
+                flat.extend(int(c[0]) if isinstance(c, tuple) else int(c)
+                            for c in r)
+                shape.append(tuple(bool(c[1]) if isinstance(c, tuple)
+                                   else True for c in r))
+            else:
+                flat.extend(r)
+                shape.append(len(r))
+        if flat and not 0 <= min(flat) <= max(flat) < self._n:
+            raise CircuitError(f"{getattr(emitter, '__qualname__', emitter)}: "
+                               f"qubit out of range (n={self._n}) in {flat}")
+        distinct = dict.fromkeys(flat)
+        if len(distinct) == len(flat):
+            index, alias = range(len(flat)), None
+        else:
+            at = {q: i for i, q in enumerate(distinct)}
+            index = alias = tuple([at[q] for q in flat])
+        key = (emitter, tuple(shape), alias, tuple(sorted(consts.items())))
+        frag = self._memo.get(key)
+        if frag is None:
+            frag = self._memo[key] = self._record(
+                emitter, len(distinct), _local_args(shape, index), consts)
+        self._apply(frag, np.fromiter(distinct, np.intp, len(distinct)),
+                    False)
+
+    def _record(self, emitter, k: int, args, consts) -> _Fragment:
+        sub = Builder.__new__(Builder)
+        identity = np.full((k, k), -np.inf)
+        np.fill_diagonal(identity, 0.0)
+        sub._start(True, k, self._memo, identity, fragment=True)
+        try:
+            emitter(sub, *args, **consts)
+            sub._flush()
+        except CircuitError as err:
+            name = getattr(emitter, "__qualname__", repr(emitter))
+            raise CircuitError(f"{name} (local qubits): {err}") from None
+        if sub._marks:
+            raise CircuitError("a memoized emitter left a segment open")
+        return _Fragment(sub._table(), sub._layers.T.copy())
+
     # -- segment capture / inversion ----------------------------------------
     def begin_segment(self) -> None:
-        self._segments.append([])
+        self._flush()
+        self._marks.append(len(self._tape))
 
-    def end_segment(self) -> list[Gate]:
-        return self._segments.pop()
+    def end_segment(self) -> tuple:
+        """Close the innermost segment; returns its ops as an opaque token
+        for ``emit_inverse``."""
+        self._flush()
+        segment = tuple(self._tape[self._marks.pop():])
+        if not self.record and not self._marks:
+            self._tape.clear()
+        return segment
 
-    def emit_inverse(self, segment: Sequence[Gate]) -> None:
-        for g in reversed(segment):
-            self._emit(g)
+    def emit_inverse(self, segment) -> None:
+        self._flush()
+        for frag, qmap, reverse in reversed(segment):
+            self._apply(frag, qmap, not reverse)
 
     def emit_reversed(self, emitter, *args, **kwargs) -> None:
         """Emit the inverse of ``emitter(self, *args, **kwargs)``.
 
-        The emitter's gates are validated as usual but captured instead of
+        The emitter's ops are validated as usual but captured instead of
         emitted: they reach only segments the emitter opens itself, and no
         tally, gate list or enclosing segment sees them.  Their reverse is
         then emitted for real.
         """
-        outer, capturing = self._segments, self._capturing
-        self._segments, self._capturing = [[]], True
+        self._flush()
+        start = len(self._tape)
+        self._marks.append(start)
+        self._capturing += 1
         try:
             emitter(self, *args, **kwargs)
-            captured = self._segments[0]
+            self._flush()
+            captured = self._tape[start:]
         finally:
-            self._segments, self._capturing = outer, capturing
+            self._capturing -= 1
+            self._marks.pop()
+            del self._tape[start:]
         self.emit_inverse(captured)
 
     # -- results --------------------------------------------------------------
+    def _table(self) -> GateTable:
+        return GateTable.concat([
+            frag.table(reverse) if qmap is None
+            else frag.table(reverse).remap(qmap)
+            for frag, qmap, reverse in self._tape])
+
+    def _depth(self) -> int:
+        return int(self._layers.max()) if self._n else 0
+
     def finish(self, layout=None) -> Circuit:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
-        return build_circuit(self._registers, self._gates, layout=layout,
-                             max_live_ancilla=self._peak_anc)
+        self._flush()
+        return Circuit._built(self._registers, self._table(), layout,
+                              self._peak_anc, self._depth())
 
     def report(self) -> CostReport:
-        return CostReport(gate_count=self._gate_count, depth=self._depth,
+        self._flush()
+        return CostReport(gate_count=self._gate_count, depth=self._depth(),
                           qubit_count=self._n, max_fan_in=self._max_fan_in,
                           max_live_ancilla=self._peak_anc)

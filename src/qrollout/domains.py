@@ -186,35 +186,43 @@ def _emit_validity(b: Builder, board_bits, mask_bits) -> None:
                (mask_bits[i],))
 
 
+def _cell_bits(bits, i: int, width: int):
+    return bits[width * i:width * (i + 1)]
+
+
+def _sway_cell(b: Builder, cell, nbrs, nxt, die, k_reg, sum_reg, flag,
+               scr) -> None:
+    """One Sway cell: copy it to the next board, then flip its colour iff
+    die + (same-colour neighbours) < 4.  ``nbrs`` holds each neighbour's
+    two bits in turn."""
+    b.cx(cell[0], nxt[0])
+    b.cx(cell[1], nxt[1])
+    b.begin_segment()
+    for j in range(0, len(nbrs), 2):
+        controlled_increment(b, k_reg, [(cell[0], True), (nbrs[j], True)],
+                             scr)
+        controlled_increment(b, k_reg,
+                             [(cell[1], True), (nbrs[j + 1], True)], scr)
+    copy_register(b, die, sum_reg)
+    add_register(b, sum_reg, k_reg, scr)
+    flag_less_than_const(b, sum_reg, 4, flag)
+    seg = b.end_segment()
+    b.gate(((flag, True), (cell[0], True)), nxt)
+    b.gate(((flag, True), (cell[1], True)), nxt)
+    b.emit_inverse(seg)
+
+
 def _emit_sway_transition(m: int):
     nbrs = neighbors(m)
     kw = max(len(a) for a in nbrs).bit_length()
     d = SWAY_DICE_BITS
 
     def emit(b: Builder, mid, nxt, dice, pool, scr):
-        k_reg = pool[:kw]
-        sum_reg = pool[kw:kw + d]
-        flag = pool[kw + d]
         for i, adj in enumerate(nbrs):
-            b.cx(mid[2 * i], nxt[2 * i])
-            b.cx(mid[2 * i + 1], nxt[2 * i + 1])
-            b.begin_segment()
-            for j in adj:
-                controlled_increment(b, k_reg,
-                                     [(mid[2 * i], True), (mid[2 * j], True)],
-                                     scr)
-                controlled_increment(
-                    b, k_reg,
-                    [(mid[2 * i + 1], True), (mid[2 * j + 1], True)], scr)
-            copy_register(b, dice[d * i:d * (i + 1)], sum_reg)
-            add_register(b, sum_reg, k_reg, scr)
-            flag_less_than_const(b, sum_reg, 4, flag)
-            seg = b.end_segment()
-            b.gate(((flag, True), (mid[2 * i], True)),
-                   (nxt[2 * i], nxt[2 * i + 1]))
-            b.gate(((flag, True), (mid[2 * i + 1], True)),
-                   (nxt[2 * i], nxt[2 * i + 1]))
-            b.emit_inverse(seg)
+            b.call(_sway_cell, _cell_bits(mid, i, 2),
+                   [q for j in adj for q in _cell_bits(mid, j, 2)],
+                   _cell_bits(nxt, i, 2), _cell_bits(dice, i, d),
+                   pool[:kw], pool[kw:kw + d], pool[kw + d], scr)
 
     return emit, kw + d + 1
 
@@ -240,6 +248,30 @@ def _emit_sway_eval(n: int):
     return emit, 3 * wc + 1
 
 
+def _sir_cell(b: Builder, cell, nbrs, nxt, die, c_reg, t_reg, rflag, scr,
+              *, rho: int) -> None:
+    """One SIR cell: copy it to the next board; a susceptible cell becomes
+    infected iff die < (infected neighbours), an infected one recovers iff
+    die < rho.  ``nbrs`` holds each neighbour's infected bit."""
+    b.cx(cell[0], nxt[0])
+    b.cx(cell[1], nxt[1])
+    if nbrs:
+        b.begin_segment()
+        for q in nbrs:
+            controlled_increment(b, c_reg, [(q, True)], scr)
+        copy_register(b, die, t_reg)
+        sub_register(b, t_reg, c_reg, scr)   # sign <=> die < c
+        seg = b.end_segment()
+        b.gate(((t_reg[-1], True), (cell[0], False), (cell[1], False)),
+               (nxt[0],))
+        b.emit_inverse(seg)
+    b.begin_segment()
+    flag_less_than_const(b, die, rho, rflag)
+    seg = b.end_segment()
+    b.gate(((rflag, True), (cell[0], True)), nxt)
+    b.emit_inverse(seg)
+
+
 def _emit_sir_transition(m: int, rho: int):
     nbrs = neighbors(m)
     max_deg = max(len(a) for a in nbrs)
@@ -248,29 +280,11 @@ def _emit_sir_transition(m: int, rho: int):
     tw = d + 1
 
     def emit(b: Builder, mid, nxt, dice, pool, scr):
-        c_reg = pool[:cw]
-        t_reg = pool[cw:cw + tw]
-        rflag = pool[cw + tw]
         for i, adj in enumerate(nbrs):
-            b.cx(mid[2 * i], nxt[2 * i])
-            b.cx(mid[2 * i + 1], nxt[2 * i + 1])
-            die = dice[d * i:d * (i + 1)]
-            if adj:
-                b.begin_segment()
-                for j in adj:
-                    controlled_increment(b, c_reg, [(mid[2 * j], True)], scr)
-                copy_register(b, die, t_reg)
-                sub_register(b, t_reg, c_reg, scr)   # sign <=> die < c
-                seg = b.end_segment()
-                b.gate(((t_reg[tw - 1], True), (mid[2 * i], False),
-                        (mid[2 * i + 1], False)), (nxt[2 * i],))
-                b.emit_inverse(seg)
-            b.begin_segment()
-            flag_less_than_const(b, die, rho, rflag)
-            seg = b.end_segment()
-            b.gate(((rflag, True), (mid[2 * i], True)),
-                   (nxt[2 * i], nxt[2 * i + 1]))
-            b.emit_inverse(seg)
+            b.call(_sir_cell, _cell_bits(mid, i, 2),
+                   [mid[2 * j] for j in adj], _cell_bits(nxt, i, 2),
+                   _cell_bits(dice, i, d), pool[:cw], pool[cw:cw + tw],
+                   pool[cw + tw], scr, rho=rho)
 
     return emit, cw + tw + 1
 

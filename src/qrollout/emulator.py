@@ -16,7 +16,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .circuit import Circuit, invert
+from .circuit import NEG, POS, TGT, Circuit, invert
 
 DEFAULT_EXACT_BUDGET = 1 << 24
 
@@ -25,22 +25,36 @@ class EmulationError(ValueError):
     pass
 
 
+# a gate's first table entry carries its kind plus _START
+_START = 3
+
+
+def _entries(c: Circuit):
+    """The table as (qubit, code) pairs: code is the entry kind, plus
+    ``_START`` on each gate's first entry."""
+    tag = "entries"
+    if tag not in c._cache:
+        code = c.table.kind.astype(np.int64)
+        code[c.table.ptr[:-1]] += _START
+        # gathering from one int object per qubit shares them across all
+        # entries: faster and smaller than a new int per entry
+        labels = np.arange(c.total_qubits).astype(object)
+        c._cache[tag] = (labels[c.table.qubit].tolist(), code.tolist())
+    return c._cache[tag]
+
+
 def _compiled(c: Circuit):
     """Per-gate (positive mask, negative mask, target mask) integers."""
     tag = "masks"
     if tag not in c._cache:
-        triples = []
-        for g in c.gates:
-            pos = neg = tgt = 0
-            for q, pol in g.controls:
-                if pol:
-                    pos |= 1 << q
-                else:
-                    neg |= 1 << q
-            for t in g.targets:
-                tgt |= 1 << t
-            triples.append((pos, neg, tgt))
-        c._cache[tag] = triples
+        gates = []
+        for q, k in zip(*_entries(c)):
+            if k >= _START:
+                masks = [0, 0, 0]            # indexed by kind: NEG, POS, TGT
+                gates.append(masks)
+                k -= _START
+            masks[k] |= 1 << q
+        c._cache[tag] = [(pos, neg, tgt) for neg, pos, tgt in gates]
     return c._cache[tag]
 
 
@@ -115,13 +129,22 @@ def apply_batch(c: Circuit, batch: Batch) -> Batch:
     if len(batch.cols) != c.total_qubits:
         raise EmulationError("batch width does not match circuit")
     cols = batch.cols
-    full = (1 << batch.rows) - 1
-    for g in c.gates:
-        s = full
-        for q, pol in g.controls:
-            s &= cols[q] if pol else ~cols[q]
-        for t in g.targets:
-            cols[t] ^= s
+    full = s = (1 << batch.rows) - 1
+    qubits, codes = _entries(c)
+    for q, k in zip(qubits, codes):     # kinds tested most frequent first
+        if k == TGT:
+            cols[q] ^= s
+        elif k == POS + _START:
+            s = full & cols[q]
+        elif k == POS:
+            s &= cols[q]
+        elif k == NEG:
+            s &= ~cols[q]
+        elif k == NEG + _START:
+            s = full & ~cols[q]
+        else:                         # a gate without controls
+            s = full
+            cols[q] ^= s
     return batch
 
 
@@ -285,6 +308,20 @@ class BijectiveReport:
         return self.passed
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque byte-string scalar."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+
+def _unique_bit_rows(bits: np.ndarray) -> np.ndarray:
+    """``np.unique(bits, axis=0)`` for a 0/1 uint8 matrix, sorting packed
+    rows: big-endian packing keeps the rows' lexicographic order."""
+    keys = _row_keys(np.packbits(bits, axis=1, bitorder="big"))
+    _, first = np.unique(keys, return_index=True)
+    return bits[first]
+
+
 def first_row(col: int) -> int:
     """The first row a nonzero column flags: its lowest set bit."""
     return (col & -col).bit_length() - 1
@@ -311,14 +348,14 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
     # sampled mode: distinct random inputs must map to distinct outputs,
     # and invert() must round-trip every sampled input.
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draw = np.unique(rng.integers(0, 2, size=(samples, n), dtype=np.uint8),
-                     axis=0)
+    draw = _unique_bit_rows(rng.integers(0, 2, size=(samples, n),
+                                        dtype=np.uint8))
     batch = Batch(draw.shape[0], [_pack(draw[:, q]) for q in range(n)])
     inputs = batch.copy()
     apply_batch(c, batch)
     outs = np.stack([_read_range(batch, lo, min(_LIMB, n - lo))
                      for lo in range(0, n, _LIMB)], axis=1)
-    if len(np.unique(outs, axis=0)) != batch.rows:
+    if len(np.unique(_row_keys(outs))) != batch.rows:
         return BijectiveReport(False, "sampled", None)
     apply_batch(invert(c), batch)
     diff = 0

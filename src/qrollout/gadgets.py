@@ -2,7 +2,11 @@
 
 All gadgets leave their scratch qubits clean and read operand registers as
 controls only (operands are never modified unless the gadget's contract says
-so).  Registers are tuples of qubit indices, LSB first.
+so).  Registers are tuples of qubit indices, LSB first.  The arithmetic
+gadgets are memoized fragments (``Builder.call``): each is recorded once per
+builder and argument shape and replayed by qubit remap.  ``copy_register``
+and ``xor_constant`` emit fresh gates: one gate per bit gains nothing from a
+replay, and a wide fragment costs its width per gate to record.
 """
 from __future__ import annotations
 
@@ -21,11 +25,16 @@ def copy_register(b: Builder, src: Reg, dst: Reg) -> None:
         b.cx(s, d)
 
 
-def xor_constant(b: Builder, reg: Reg, value: int, controls=()) -> None:
-    """reg ^= value as a single multi-target controlled X (no gate if 0)."""
-    targets = [q for k, q in enumerate(reg) if (value >> k) & 1]
+def constant_targets(reg: Reg, value: int) -> list[int]:
+    """The qubits of ``reg`` at the set bits of ``value``."""
     if value >> len(reg):
         raise CircuitError("constant overflows register")
+    return [q for k, q in enumerate(reg) if (value >> k) & 1]
+
+
+def xor_constant(b: Builder, reg: Reg, value: int, controls=()) -> None:
+    """reg ^= value as a single multi-target controlled X (no gate if 0)."""
+    targets = constant_targets(reg, value)
     if targets:
         b.gate(controls, targets)
 
@@ -38,15 +47,19 @@ def controlled_increment(b: Builder, reg: Reg, controls, scratch: Reg) -> None:
     scratch bits; costs 3w-2 gates.
     """
     w = len(reg)
-    controls = list(controls)
     if w == 0:
         return
+    if w > 1 and len(scratch) < w - 1:
+        raise CircuitError("controlled_increment: need w-1 scratch bits")
+    b.call(_increment, reg, controls, scratch[:w - 1])
+
+
+def _increment(b: Builder, reg, controls, car) -> None:
+    w = len(reg)
+    controls = list(controls)
     if w == 1:
         b.gate(controls, (reg[0],))
         return
-    if len(scratch) < w - 1:
-        raise CircuitError("controlled_increment: need w-1 scratch bits")
-    car = scratch[:w - 1]
     b.gate(controls + [(reg[0], True)], (car[0],))
     for j in range(2, w):
         b.gate(((car[j - 2], True), (reg[j - 1], True)), (car[j - 1],))
@@ -79,13 +92,18 @@ def add_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg,
         raise CircuitError("addend wider than accumulator")
     if m == 0 or n == 0:
         return
+    if n > 1 and len(scratch) < n - 1:
+        raise CircuitError("add_register: need len(acc)-1 scratch bits")
+    b.call(_add, acc, addend, scratch[:n - 1], controls)
+
+
+def _add(b: Builder, acc, addend, car, controls) -> None:
+    n = len(acc)
+    m = len(addend)
     controls = list(controls)
     if n == 1:
         b.gate(controls + [(addend[0], True)], (acc[0],))
         return
-    if len(scratch) < n - 1:
-        raise CircuitError("add_register: need len(acc)-1 scratch bits")
-    car = scratch[:n - 1]
 
     def emit_carry(j):
         # car[j-1] ^= MAJ(addend[j-1], acc[j-1], car[j-2]) with car[-1] = 0
@@ -126,10 +144,13 @@ def flag_less_than_const(b: Builder, reg: Reg, bound: int, flag: int,
     Emits one gate per set bit of the bound (disjoint prefix patterns); a
     bound above the register range is unconditionally true.
     """
+    if bound > 0:
+        b.call(_flag_less_than, reg, flag, controls, bound=bound)
+
+
+def _flag_less_than(b: Builder, reg, flag, controls, *, bound: int) -> None:
     w = len(reg)
     controls = list(controls)
-    if bound <= 0:
-        return
     if bound >= (1 << w):
         b.gate(controls, (flag,))
         return
@@ -150,11 +171,16 @@ def and_ladder(b: Builder, inputs: Sequence[tuple[int, bool]], out: int,
     m = len(inputs)
     if m == 0:
         raise CircuitError("and_ladder: no inputs")
+    if m > 1 and len(scratch) < m - 2:
+        raise CircuitError("and_ladder: need m-2 scratch bits")
+    b.call(_and_ladder, inputs, out, scratch[:max(m - 2, 0)])
+
+
+def _and_ladder(b: Builder, inputs, out, scratch) -> None:
+    m = len(inputs)
     if m == 1:
         b.gate((inputs[0],), (out,))
         return
-    if len(scratch) < m - 2:
-        raise CircuitError("and_ladder: need m-2 scratch bits")
     cur = inputs[0]
     for idx in range(1, m):
         tgt = out if idx == m - 1 else scratch[idx - 1]

@@ -20,7 +20,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .circuit import Builder, Circuit, CostReport, Gate
+import numpy as np
+
+from .circuit import TGT, Builder, Circuit, CostReport, segment_support
 from .emulator import Batch, apply_batch, first_row, write_register
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
@@ -169,15 +171,22 @@ def _pattern(bits: Sequence[int], value: int):
     return [(bits[k], bool((value >> k) & 1)) for k in range(len(bits))]
 
 
+def _decode(b: Builder, out, cells, clear) -> None:
+    """cells[j] (and clear[j], if given) ^= [out == j] for every cell j."""
+    for j, q in enumerate(cells):
+        b.gate(_pattern(out, j), (q, clear[j]) if clear else (q,))
+
+
 def _checked_fragment(b: Builder, allowed: set[int], emit, *args) -> None:
+    """Run a domain hook and reject it if its gates touch a qubit outside
+    ``allowed``; the hook's whole support is checked at once."""
     b.begin_segment()
     emit(b, *args)
-    seg = b.end_segment()
-    for g in seg:
-        bad = [q for q in g.support() if q not in allowed]
-        if bad:
-            raise OracleError(
-                f"hook emitted a gate touching foreign qubits {bad}")
+    used = segment_support(b.end_segment())
+    bad = np.setdiff1d(used, np.fromiter(allowed, np.int64, len(allowed)))
+    if bad.size:
+        raise OracleError(
+            f"hook emitted a gate touching foreign qubits {bad.tolist()}")
 
 
 def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
@@ -227,26 +236,23 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
         b.begin_segment()                      # PREP capture
         copy_register(b, configs[hh], board_mid)
         emit_mask(board_mid)
-        scan_segs: list[list[Gate] | None] = []
+        scan_segs: list[tuple | None] = []
         for pj in range(p):
+            cells = [board_mid[j * s + spec.placement_bit(pj)]
+                     for j in range(n)]
+            clear = vmask if pj < p - 1 else ()
             if hh == 0 and pj == 0 and arms:
                 scan_segs.append(None)
                 for a in range(arms):
                     pos = first_moves[a]
-                    targets = [board_mid[pos * s + spec.placement_bit(pj)]]
-                    if pj < p - 1:
-                        targets.append(vmask[pos])
-                    b.gate(_pattern(arm_bits, a), targets)
+                    b.gate(_pattern(arm_bits, a), (cells[pos], clear[pos])
+                           if clear else (cells[pos],))
             else:
                 b.begin_segment()
                 scan_fragment(b, vmask, sels[hh][pj], rank, match, scr,
                               outs[pj], sentinel=n)
                 scan_segs.append(b.end_segment())
-                for j in range(n):
-                    targets = [board_mid[j * s + spec.placement_bit(pj)]]
-                    if pj < p - 1:
-                        targets.append(vmask[j])
-                    b.gate(_pattern(outs[pj], j), targets)
+                _decode(b, outs[pj], cells, clear)
         for pj in range(p - 1, -1, -1):
             if scan_segs[pj] is not None:
                 b.emit_inverse(scan_segs[pj])
@@ -257,8 +263,7 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
                         b.gate(_pattern(arm_bits, a),
                                (vmask[first_moves[a]],))
                 else:
-                    for j in range(n):
-                        b.gate(_pattern(outs[pj - 1], j), (vmask[j],))
+                    _decode(b, outs[pj - 1], vmask, ())
         emit_mask(configs[hh])                 # clears: same values as staging
         prep = b.end_segment()
         g1 = b.gate_count
@@ -406,8 +411,7 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
 
 def verify_read_only(c: Circuit, roles=("selector", "dice", "arm")) -> bool:
     """Structurally confirm that no gate targets a register in ``roles``."""
-    protected = set()
-    for reg in c.registers:
-        if reg.role in roles:
-            protected.update(c.register(reg.name))
-    return all(not (set(g.targets) & protected) for g in c.gates)
+    protected = [q for reg in c.registers if reg.role in roles
+                 for q in c.register(reg.name)]
+    targets = c.table.qubit[c.table.kind == TGT]
+    return not np.isin(targets, protected).any()

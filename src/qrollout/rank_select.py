@@ -18,9 +18,9 @@ write position XOR sentinel into a sentinel-preloaded output register.
 from __future__ import annotations
 
 from .circuit import Builder, Circuit
-from .gadgets import (add_register, and_ladder, controlled_decrement,
-                      controlled_increment, copy_register, sub_register,
-                      xor_constant)
+from .gadgets import (add_register, and_ladder, constant_targets,
+                      controlled_decrement, controlled_increment,
+                      copy_register, sub_register, xor_constant)
 
 
 def width_for(n: int) -> int:
@@ -77,25 +77,38 @@ def canonical_mask(n_total: int, t: int, weight: int) -> int:
 # ---------------------------------------------------------------------------
 # scan construction
 
+def _scan_cell(b: Builder, mbit, nth_bits, rank_bits, match_bit, scr_bits,
+               write) -> None:
+    """One cell: match = [mask bit set and rank == nth], ``write`` (the
+    output qubits of the cell's code) flipped on a match, match uncomputed,
+    then rank += mask bit.
+
+    The comparison XORs nth into the rank counter in place and tests for
+    all-zero with negative-polarity controls, then restores; the ladder and
+    its scratch are uncomputed around the conditional write.
+    """
+    b.begin_segment()
+    for n_bit, r_bit in zip(nth_bits, rank_bits):
+        b.cx(n_bit, r_bit)
+    and_ladder(b, [(mbit, True)] + [(r, False) for r in rank_bits],
+               match_bit, scr_bits)
+    compare = b.end_segment()
+    if write:
+        b.gate(((match_bit, True),), write)
+    b.emit_inverse(compare)
+    controlled_increment(b, rank_bits, [(mbit, True)], scr_bits)
+
+
 def scan_cells(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
                scr_bits, out_bits, sentinel: int) -> None:
     """Per-position compare/write/increment cells (no counter clear pass).
 
-    The comparison XORs nth into the rank counter in place and tests for
-    all-zero with negative-polarity controls, then restores; the ladder and
-    its scratch are uncomputed around each conditional write.
+    Each cell is one memoized fragment; cells whose codes ``i ^ sentinel``
+    have equally many set bits share it.
     """
-    w = len(nth_bits)
     for i, mbit in enumerate(mask_bits):
-        b.begin_segment()
-        for j in range(w):
-            b.cx(nth_bits[j], rank_bits[j])
-        inputs = [(mbit, True)] + [(rank_bits[j], False) for j in range(w)]
-        and_ladder(b, inputs, match_bit, scr_bits)
-        compare = b.end_segment()
-        xor_constant(b, out_bits, i ^ sentinel, controls=[(match_bit, True)])
-        b.emit_inverse(compare)
-        controlled_increment(b, rank_bits, [(mbit, True)], scr_bits)
+        b.call(_scan_cell, mbit, nth_bits, rank_bits, match_bit, scr_bits,
+               constant_targets(out_bits, i ^ sentinel))
 
 
 def scan_fragment(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
@@ -161,9 +174,18 @@ def _tree_pool_width(block: int) -> int:
     return total
 
 
-def _emit_popcount_tree(b: Builder, leaves, tpool, scr):
-    """Left-leaning balanced add-tree over single-bit leaves; returns the
-    root register holding the popcount.  A lone leaf is its own root."""
+def _popcount_root(leaves, tpool) -> tuple[int, ...]:
+    """The register ``_popcount_tree`` leaves the popcount in: the lone leaf,
+    or the last node it allocates from the pool."""
+    if len(leaves) == 1:
+        return tuple(leaves)
+    end = _tree_pool_width(len(leaves))
+    return tuple(tpool[end - len(leaves).bit_length():end])
+
+
+def _popcount_tree(b: Builder, leaves, tpool, scr) -> None:
+    """Left-leaning balanced add-tree over single-bit leaves; the popcount
+    ends in ``_popcount_root(leaves, tpool)``."""
     nodes = [((q,), 1) for q in leaves]
     cursor = 0
     while len(nodes) > 1:
@@ -180,7 +202,56 @@ def _emit_popcount_tree(b: Builder, leaves, tpool, scr):
         if len(nodes) % 2:
             nxt.append(nodes[-1])
         nodes = nxt
-    return nodes[0][0]
+
+
+def _block_compare(b: Builder, nth, p, root, diff, diff2, scr) -> None:
+    """diff = r - p (sign at its top bit), diff2 = low bits of diff - c_q."""
+    copy_register(b, nth, diff)
+    sub_register(b, diff, p, scr)
+    copy_register(b, diff[:len(diff2) - 1], diff2)
+    sub_register(b, diff2, root, scr)
+
+
+def _take_controls(diff, diff2):
+    """take = [p <= r < p + c_q]: diff's high bits clear, diff2 negative."""
+    w_in = len(diff2) - 2
+    return [(q, False) for q in diff[w_in:]] + [(diff2[-1], True)]
+
+
+def _block_inner(b: Builder, leaves, nth, irank, imatch, scr, ell) -> None:
+    """ell = in-block position of the selected bit (sentinel len(leaves))."""
+    xor_constant(b, ell, len(leaves))
+    scan_cells(b, leaves, nth, irank, imatch, scr, ell, sentinel=len(leaves))
+
+
+def _block_open(b: Builder, leaves, nth, p, tpool, diff, diff2, take, irank,
+                imatch, ell, scr) -> None:
+    """Block popcount, take flag, and inner scan at the local rank."""
+    _popcount_tree(b, leaves, tpool, scr)
+    _block_compare(b, nth, p, _popcount_root(leaves, tpool), diff, diff2, scr)
+    b.gate(_take_controls(diff, diff2), (take,))
+    _block_inner(b, leaves, diff[:len(ell)], irank, imatch, scr, ell)
+
+
+def _block_close(b: Builder, leaves, nth, p, tpool, diff, diff2, take, irank,
+                 imatch, ell, scr, out) -> None:
+    """Add the in-block position into out on take, unwind ``_block_open``,
+    and add the block popcount into the running prefix count p."""
+    root = _popcount_root(leaves, tpool)
+    add_register(b, out, ell, scr, controls=[(take, True)])
+    b.emit_reversed(_block_inner, leaves, diff[:len(ell)], irank, imatch,
+                    scr, ell)
+    b.gate(_take_controls(diff, diff2), (take,))
+    b.emit_reversed(_block_compare, nth, p, root, diff, diff2, scr)
+    add_register(b, p, root, scr)
+    b.emit_reversed(_popcount_tree, leaves, tpool, scr)
+
+
+def _block_unaccumulate(b: Builder, leaves, p, tpool, scr) -> None:
+    """p -= popcount(leaves), with the tree uncomputed."""
+    _popcount_tree(b, leaves, tpool, scr)
+    sub_register(b, p, _popcount_root(leaves, tpool), scr)
+    b.emit_reversed(_popcount_tree, leaves, tpool, scr)
 
 
 def builder_blocked(n: int, block: int | None = None,
@@ -207,48 +278,19 @@ def builder_blocked(n: int, block: int | None = None,
     anc = tp_w + (w + 1) + (w_in + 2) + 1 + w_in + 1 + w_in + len(scr) + w
     b.acquire(anc)
 
+    # per block: one memoized open and close around the long-range write
     xor_constant(b, out, n)
     for q in range(nblocks):
         leaves = mask[q * bsz: min((q + 1) * bsz, n)]
-        bprime = len(leaves)
-
-        b.begin_segment()
-        root = _emit_popcount_tree(b, leaves, tpool, scr)
-        tree = b.end_segment()
-
-        b.begin_segment()
-        copy_register(b, nth, diff)
-        sub_register(b, diff, p, scr)                 # diff = r - p, sign at bit w
-        copy_register(b, diff[:w_in + 1], diff2)
-        sub_register(b, diff2, root, scr)             # sign at bit w_in+1
-        cmp = b.end_segment()
-
-        take_controls = ([(diff[j], False) for j in range(w_in, w + 1)]
-                         + [(diff2[w_in + 1], True)])
-        b.gate(take_controls, (take[0],))
-
-        b.begin_segment()
-        xor_constant(b, ell, bprime)
-        scan_cells(b, leaves, diff[:w_in], irank, imatch[0], scr, ell,
-                   sentinel=bprime)
-        inner = b.end_segment()
-
+        regs = (leaves, nth, p, tpool, diff, diff2, take[0], irank,
+                imatch[0], ell, scr)
+        b.call(_block_open, *regs)
         xor_constant(b, out, n ^ (q * bsz), controls=[(take[0], True)])
-        add_register(b, out, ell, scr, controls=[(take[0], True)])
-
-        b.emit_inverse(inner)
-        b.gate(take_controls, (take[0],))
-        b.emit_inverse(cmp)
-        add_register(b, p, root, scr)
-        b.emit_inverse(tree)
+        b.call(_block_close, *regs, out)
 
     for q in reversed(range(nblocks)):
-        leaves = mask[q * bsz: min((q + 1) * bsz, n)]
-        b.begin_segment()
-        root = _emit_popcount_tree(b, leaves, tpool, scr)
-        tree = b.end_segment()
-        sub_register(b, p, root, scr)
-        b.emit_inverse(tree)
+        b.call(_block_unaccumulate, mask[q * bsz: min((q + 1) * bsz, n)], p,
+               tpool, scr)
 
     b.release(anc)
     return b

@@ -200,6 +200,17 @@ def test_bijective_exhaustive_scan_n3():
     assert rep.passed and rep.mode == "exhaustive"
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_unique_bit_rows_matches_numpy_unique(n, rows, seed):
+    # sampled bijectivity deduplicates packed rows; rows and their order
+    # must equal np.unique(axis=0) on the unpacked draw
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+    bits = np.concatenate([bits, bits[rng.integers(0, rows, size=rows)]])
+    assert np.array_equal(em._unique_bit_rows(bits), np.unique(bits, axis=0))
+
+
 def test_bijective_sampled_mode_on_wide_circuit():
     b = Builder()
     b.add_register("q", 40, "ancilla")

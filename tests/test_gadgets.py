@@ -190,8 +190,11 @@ def test_emit_reversed_captures_the_emitters_own_segments():
         b.add_register("q", 3, "ancilla")
         b.begin_segment()
         b.emit_reversed(_self_inverting)
-        # an enclosing segment receives only the reversed gates
-        assert b.end_segment() == list(reversed(forward))
+        # an enclosing segment receives only the reversed gates: inverting
+        # it alone gives the forward gates back
+        probe, _ = _fresh(("q", 3))
+        probe.emit_inverse(b.end_segment())
+        assert probe.finish().gates == forward
         assert b.report() == real.report()
         if record:
             assert b.finish().gates == tuple(reversed(forward))

@@ -118,6 +118,31 @@ def test_hook_touching_foreign_registers_rejected():
         orc.compose(orc.RolloutSpec(**fields))
 
 
+def _flip(b, reg):
+    b.x(reg[0])
+
+
+def test_hook_touching_foreign_qubits_on_a_later_replay_rejected():
+    # round 1 replays a fragment on the hook's own scratch, round 2 replays
+    # the same fragment on config0: the check must see every replay
+    spec = small_sir(h=2, m=2)
+    fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
+    good_emit = fields["emit_transition"]
+    rounds = []
+
+    def late_leaky_emit(b, mid, nxt, dice, pool, scr):
+        good_emit(b, mid, nxt, dice, pool, scr)
+        rounds.append(len(rounds) + 1)
+        b.call(_flip, scr[:1] if len(rounds) == 1 else (0,))
+
+    fields["emit_transition"] = late_leaky_emit
+    for record in (True, False):
+        rounds.clear()
+        with pytest.raises(orc.OracleError, match=r"foreign qubits \[0\]"):
+            orc.compose(orc.RolloutSpec(**fields), record=record)
+        assert rounds == [1, 2]
+
+
 def test_sentinel_no_op_branch():
     # out-of-range selector: configuration after the index phase equals the
     # configuration before it (placements skipped, only dynamics act)
