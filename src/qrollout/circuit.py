@@ -112,7 +112,7 @@ class GateTable:
     def concat(tables: Sequence["GateTable"]) -> "GateTable":
         if not tables:
             return GateTable([0], [], [])
-        lens = np.concatenate([np.diff(t.ptr) for t in tables])
+        lens = np.concatenate([t.lens() for t in tables])
         ptr = np.zeros(len(lens) + 1, dtype=np.int64)
         np.cumsum(lens, out=ptr[1:])
         return GateTable(ptr, np.concatenate([t.qubit for t in tables]),
@@ -121,13 +121,17 @@ class GateTable:
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
+    def lens(self) -> np.ndarray:
+        """Entries per gate."""
+        return self.ptr[1:] - self.ptr[:-1]
+
     def remap(self, qmap: np.ndarray) -> "GateTable":
         """The same gates with qubit ``q`` renamed ``qmap[q]``."""
         return GateTable(self.ptr, qmap[self.qubit], self.kind)
 
     def reversed(self) -> "GateTable":
         """The gates in reverse order, each gate's entries unchanged."""
-        lens = np.diff(self.ptr)[::-1]
+        lens = self.lens()[::-1]
         ptr = np.zeros(len(lens) + 1, dtype=np.int64)
         np.cumsum(lens, out=ptr[1:])
         idx = (np.repeat(self.ptr[:-1][::-1] - ptr[:-1], lens)
@@ -135,7 +139,7 @@ class GateTable:
         return GateTable(ptr, self.qubit[idx], self.kind[idx])
 
     def max_fan_in(self) -> int:
-        return int(np.diff(self.ptr).max()) if len(self) else 0
+        return int(self.lens().max()) if len(self) else 0
 
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per gate, as Python lists: entry start offsets (plus the end) and
@@ -153,7 +157,7 @@ class GateTable:
         in one gate, or a control that is also a target.  The error names the
         gate (numbered from ``first``) and the qubit."""
         count = len(self)
-        lens = np.diff(self.ptr)
+        lens = self.lens()
         gate_of = np.repeat(np.arange(count), lens)
         targets = np.bincount(gate_of[self.kind == TGT], minlength=count)
         if count and targets.min() == 0:
@@ -188,6 +192,12 @@ class GateTable:
             for a, m, z in zip(ptr, tgt, ptr[1:]))
 
 
+def _distinct(qubits: np.ndarray) -> np.ndarray:
+    """Sorted distinct qubit indices.  (``np.unique`` on integers imports
+    ``numpy.ma`` on first use, about 15 ms in every fresh process.)"""
+    return np.flatnonzero(np.bincount(qubits))
+
+
 def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
     """Greedy layering, the one depth rule: each gate, in order, enters the
     layer after the latest one among its qubits.
@@ -199,7 +209,7 @@ def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
     """
     if not len(table):
         return layers
-    touched = np.unique(table.qubit)
+    touched = _distinct(table.qubit)
     rows = dict(zip(touched.tolist(), layers[touched].tolist()))
     qubit = table.qubit.tolist()
     ptr = table.ptr.tolist()
@@ -405,7 +415,9 @@ def _gate_positions(c: Circuit, qubits=None) -> tuple[np.ndarray, np.ndarray]:
     if qubits is None:
         return (np.minimum.reduceat(pos, starts),
                 np.maximum.reduceat(pos, starts))
-    inside = np.isin(t.qubit, np.asarray(qubits, dtype=np.int64))
+    inside = np.zeros(c.total_qubits, dtype=bool)
+    inside[list(qubits)] = True
+    inside = inside[t.qubit]
     lo = np.minimum.reduceat(np.where(inside, pos, c.total_qubits), starts)
     hi = np.maximum.reduceat(np.where(inside, pos, -1), starts)
     return lo, hi
@@ -514,7 +526,7 @@ class _Fragment:
 
     def support(self) -> np.ndarray:
         if self._support is None:
-            self._support = np.unique(self.forward.qubit)
+            self._support = _distinct(self.forward.qubit)
         return self._support
 
 
@@ -539,7 +551,7 @@ def segment_support(segment) -> np.ndarray:
     """Sorted qubits touched by the gates of a segment."""
     parts = [frag.support() if qmap is None else qmap[frag.support()]
              for frag, qmap, _ in segment]
-    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+    return _distinct(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
 
 
 class Builder:

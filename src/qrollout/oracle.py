@@ -183,7 +183,9 @@ def _checked_fragment(b: Builder, allowed: set[int], emit, *args) -> None:
     b.begin_segment()
     emit(b, *args)
     used = segment_support(b.end_segment())
-    bad = np.setdiff1d(used, np.fromiter(allowed, np.int64, len(allowed)))
+    inside = np.zeros(b.n_qubits, dtype=bool)
+    inside[list(allowed)] = True
+    bad = used[~inside[used]]
     if bad.size:
         raise OracleError(
             f"hook emitted a gate touching foreign qubits {bad.tolist()}")
@@ -411,7 +413,8 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
 
 def verify_read_only(c: Circuit, roles=("selector", "dice", "arm")) -> bool:
     """Structurally confirm that no gate targets a register in ``roles``."""
-    protected = [q for reg in c.registers if reg.role in roles
-                 for q in c.register(reg.name)]
-    targets = c.table.qubit[c.table.kind == TGT]
-    return not np.isin(targets, protected).any()
+    protected = np.zeros(c.total_qubits, dtype=bool)
+    for reg in c.registers:
+        if reg.role in roles:
+            protected[list(c.register(reg.name))] = True
+    return not protected[c.table.qubit[c.table.kind == TGT]].any()
