@@ -328,12 +328,6 @@ class Circuit:
         except KeyError:
             raise CircuitError(f"no register named {name!r}") from None
 
-    def register_decl(self, name: str) -> RegisterDecl:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise CircuitError(f"no register named {name!r}")
-
     def registers_with_role(self, role: str) -> list[str]:
         return [r.name for r in self.registers if r.role == role]
 
@@ -465,20 +459,36 @@ def register_local_span(c: Circuit, register: str) -> int:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the JSON text before each table entry, by code: inside a gate, after a
+# NEG or POS control (0, 1; +2 before the first target) or a target (4); at
+# a gate start, after the previous gate (5) or at the first gate (7), +1 for
+# a gate without controls
+_SEPS = np.array([
+    ",false],[", ",true],[", ',false]],"targets":[', ',true]],"targets":[',
+    ",", ']},{"controls":[[', ']},{"controls":[],"targets":[',
+    '{"controls":[[', '{"controls":[],"targets":['], dtype=object)
+
+
 def dumps(c: Circuit) -> str:
-    """Lossless JSON dump: registers, gates with polarities, layout."""
-    qubit = c.table.qubit.tolist()
-    pairs = [[q, k == POS] for q, k in zip(qubit, c.table.kind.tolist())]
-    ptr, tgt = c.table.bounds()
-    doc = {
-        "registers": [{"name": r.name, "width": r.width, "role": r.role}
-                      for r in c.registers],
-        "gates": [{"controls": pairs[a:m], "targets": qubit[m:z]}
-                  for a, m, z in zip(ptr, tgt, ptr[1:])],
-        "layout": list(c.layout),
-        "max_live_ancilla": c.max_live_ancilla,
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Lossless JSON dump: registers, gates with polarities, layout.  The
+    gate list is joined from the table's entries, each after its separator."""
+    t = c.table
+    gates = "[]"
+    if len(t):
+        target = t.kind == TGT
+        code = np.empty(len(t.kind), dtype=np.int64)
+        code[1:] = np.where(target[:-1], 4, t.kind[:-1] + 2 * target[1:])
+        code[t.ptr[:-1]] = 5 + target[t.ptr[:-1]]
+        code[0] += 2
+        parts = [None] * (2 * len(code))
+        parts[::2] = _SEPS[code].tolist()
+        parts[1::2] = map(str, t.qubit.tolist())
+        gates = "[" + "".join(parts) + "]}]"
+    registers = json.dumps([{"name": r.name, "width": r.width, "role": r.role}
+                            for r in c.registers], separators=(",", ":"))
+    return (f'{{"registers":{registers},"gates":{gates},'
+            f'"layout":[{",".join(map(str, c.layout))}],'
+            f'"max_live_ancilla":{c.max_live_ancilla}}}')
 
 
 def loads(text: str) -> Circuit:

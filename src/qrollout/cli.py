@@ -20,7 +20,7 @@ from . import domains as dm
 from . import oracle as orc
 from . import rank_select as rs
 from .circuit import dumps
-from .emulator import Batch, apply_batch, read_register, write_register
+from .emulator import read_register
 
 CORRECTNESS_INSTANCES = (
     ("sway", 3, 2, None, None, 169, 3079, 9768, 0.271),
@@ -86,31 +86,19 @@ def _load_board(args, domain: str, m: int) -> int:
 def cmd_ranksel_validate(args) -> int:
     variants = ("scan", "blocked") if args.variant == "both" else (args.variant,)
     n = args.n
-    w = rs.width_for(n)
     ok = True
     lines = [_manifest(args)]
     for variant in variants:
         c = rs.build_scan(n) if variant == "scan" else rs.build_blocked(n)
-        rows = (1 << n) * (1 << w)
-        masks = np.arange(rows, dtype=np.int64) % (1 << n)
-        ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-        batch = Batch.zeros(c, rows)
-        write_register(batch, c, "mask", masks)
-        write_register(batch, c, "nth", ranks)
-        apply_batch(c, batch)
+        masks, ranks, batch, dirty_rows = rs.exhaustive_sweep(c)
         got = read_register(batch, c, "out")
         want = np.array([rs.select_semantics(int(mv), n, int(rv))
                          for mv, rv in zip(masks, ranks)], dtype=np.int64)
         mismatches = int((got != want).sum())
-        dirty_rows = 0
-        for reg in c.registers:
-            if reg.role in ("ancilla", "rank"):
-                for q in c.register(reg.name):
-                    dirty_rows |= batch.cols[q]
         dirty = dirty_rows.bit_count()
         status = "PASS" if mismatches == 0 and dirty == 0 else "FAIL"
         ok = ok and status == "PASS"
-        lines.append(f"{variant} n={n}: {rows} (mask,rank) pairs, "
+        lines.append(f"{variant} n={n}: {len(masks)} (mask,rank) pairs, "
                      f"{mismatches} mismatches, {dirty} dirty-ancilla inputs: "
                      f"{status}")
     _emit(args, lines)
@@ -351,10 +339,23 @@ def cmd_tables_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"      # argparse's message for a non-integer
+    return parse
+
+
+_COUNT, _HORIZON = _int_at_least(1), _int_at_least(0)
+
+
 def _add_domain_args(p, seeds=False):
     p.add_argument("--domain", required=True, choices=("sway", "epi"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--H", type=int, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--H", type=_HORIZON, required=True)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--rho", type=int, default=None)
     p.add_argument("--board", default=None,
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("ranksel").add_subparsers(dest="sub", required=True)
     p = g.add_parser("validate")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--variant", choices=("scan", "blocked", "both"),
                    default="both")
     p.add_argument("--out", default=None)
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_counts)
     p = g.add_parser("validate")
     _add_domain_args(p)
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=_COUNT, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_validate)
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_domain_exact)
     p = g.add_parser("mc")
     _add_domain_args(p)
-    p.add_argument("--shots", type=int, default=10_000)
+    p.add_argument("--shots", type=_COUNT, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_domain_mc)
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("separate")
     p.add_argument("--k", required=True, help="comma-separated arm counts")
     p.add_argument("--eps", required=True, help="comma-separated gaps")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_COUNT, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bestarm_separate)
@@ -419,19 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("decay")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--H", type=int, required=True)
+    p.add_argument("--H", type=_HORIZON, required=True)
     p.add_argument("--d-max", dest="d_max", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds_decay)
     p = g.add_parser("peripheral")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--H", type=int, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--H", type=_HORIZON, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds_peripheral)
     p = g.add_parser("lifting")
     _add_domain_args(p)
     p.add_argument("--arms", type=int, default=2)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_COUNT, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds_lifting)
@@ -439,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("tables").add_subparsers(dest="sub", required=True)
     p = g.add_parser("correctness")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--shots", type=int, default=10_000)
-    p.add_argument("--ref-shots", dest="ref_shots", type=int, default=200_000)
+    p.add_argument("--shots", type=_COUNT, default=10_000)
+    p.add_argument("--ref-shots", dest="ref_shots", type=_COUNT, default=200_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables_correctness)
     p = g.add_parser("scaling")

@@ -1,16 +1,13 @@
 """Bit-level emulation of permutation circuits on computational basis states.
 
-A basis state assigns one bit per circuit qubit.  Single states are carried
-as arbitrary-precision integers (bit i = qubit i), so circuits of any width
-emulate exactly.  Sweeps (bijectivity, ancilla cleanness, payoff estimation,
-branchwise checks) run bit-sliced on a :class:`Batch`: one Python int per
-qubit holds that qubit's bit for every input row, so one AND per control and
-one XOR per target apply a gate to all rows at once (Biham, "A fast new DES
-implementation in software", FSE 1997).
+A basis state assigns one bit per circuit qubit.  States run bit-sliced on a
+:class:`Batch`: one Python int per qubit holds that qubit's bit for every
+input row, so one AND per control and one XOR per target apply a gate to all
+rows at once (Biham, "A fast new DES implementation in software", FSE 1997).
+A single state is a one-row batch.  Circuits of any width emulate exactly.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import prod, sqrt
 
@@ -41,64 +38,6 @@ def _entries(c: Circuit):
         labels = np.arange(c.total_qubits).astype(object)
         c._cache[tag] = (labels[c.table.qubit].tolist(), code.tolist())
     return c._cache[tag]
-
-
-def _compiled(c: Circuit):
-    """Per-gate (positive mask, negative mask, target mask) integers."""
-    tag = "masks"
-    if tag not in c._cache:
-        gates = []
-        for q, k in zip(*_entries(c)):
-            if k >= _START:
-                masks = [0, 0, 0]            # indexed by kind: NEG, POS, TGT
-                gates.append(masks)
-                k -= _START
-            masks[k] |= 1 << q
-        c._cache[tag] = [(pos, neg, tgt) for neg, pos, tgt in gates]
-    return c._cache[tag]
-
-
-def apply_int(c: Circuit, x: int) -> int:
-    """Apply the circuit to a basis state packed as an integer."""
-    for pos, neg, tgt in _compiled(c):
-        if (x & pos) == pos and (x & neg) == 0:
-            x ^= tgt
-    return x
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """A full bit assignment to all circuit qubits, packed LSB-first."""
-
-    width: int
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << self.width):
-            raise EmulationError("state value does not fit width")
-
-    @classmethod
-    def from_registers(cls, c: Circuit, values: dict[str, int]) -> "BasisState":
-        v = 0
-        for name, val in values.items():
-            qubits = c.register(name)
-            if not 0 <= val < (1 << len(qubits)):
-                raise EmulationError(f"value {val} too wide for register {name!r}")
-            v |= val << qubits[0]
-        return cls(c.total_qubits, v)
-
-    def register_value(self, c: Circuit, name: str) -> int:
-        qubits = c.register(name)
-        return (self.value >> qubits[0]) & ((1 << len(qubits)) - 1)
-
-    def bits(self) -> list[int]:
-        return [(self.value >> i) & 1 for i in range(self.width)]
-
-
-def apply(c: Circuit, b: BasisState) -> BasisState:
-    if b.width != c.total_qubits:
-        raise EmulationError("basis state width does not match circuit")
-    return BasisState(b.width, apply_int(c, b.value))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +133,29 @@ def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
 
     ``values`` is one non-negative value per row, or a scalar written to
     every row; each value must fit the register width.  Registers up to 63
-    bits take int64 values; wider ones take Python ints.
+    bits take int64 values; wider ones take Python ints.  A value that does
+    not fit, or a value count other than ``batch.rows``, raises
+    :class:`EmulationError`.
     """
     qubits = c.register(name)
     lo, width = qubits[0], len(qubits)
+    try:
+        values = np.asarray(values, dtype=np.int64 if width <= _LIMB else object)
+    except OverflowError:
+        raise EmulationError(f"register {name!r}: value does not fit "
+                             f"{width} bits") from None
+    if values.ndim and values.shape != (batch.rows,):
+        raise EmulationError(f"register {name!r}: {values.size} values for "
+                             f"{batch.rows} rows")
+    if values.size:
+        low, high = values.min(), values.max()
+        if low < 0 or high >> width:
+            raise EmulationError(f"register {name!r}: value "
+                                 f"{low if low < 0 else high} does not fit "
+                                 f"{width} bits")
     if width <= _LIMB:
-        _write_range(batch, lo, width, np.asarray(values, dtype=np.int64))
+        _write_range(batch, lo, width, values)
         return
-    values = np.asarray(values, dtype=object)
     for k in range(0, width, _LIMB):
         limb = (values >> k) & ((1 << _LIMB) - 1)
         _write_range(batch, lo + k, min(_LIMB, width - k),
@@ -411,10 +365,6 @@ class PayoffEstimate:
     ci_low: float = 0.0
     ci_high: float = 0.0
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 def _payoff_qubit(c: Circuit) -> int:
     names = c.registers_with_role("payoff")
@@ -423,22 +373,18 @@ def _payoff_qubit(c: Circuit) -> int:
     return c.register(names[0])[0]
 
 
-def exact_budget() -> int:
-    env = os.environ.get("QROLLOUT_EXACT_BUDGET")
-    return int(env) if env else DEFAULT_EXACT_BUDGET
-
-
 def payoff_probability(c: Circuit, dist: InputDistribution, mode: str = "exact",
                        shots: int = 10_000, seed: int = 0,
                        budget: int | None = None) -> PayoffEstimate:
     """|1>-fraction of the payoff qubit under the input distribution.
 
-    ``exact`` enumerates the full support (must fit the budget); ``mc`` uses
+    ``exact`` enumerates the full support, which must not exceed ``budget``
+    inputs (``DEFAULT_EXACT_BUDGET`` when not given); ``mc`` uses
     a seeded deterministic sampler and reports a 95% normal-approximation CI.
     """
     pq = _payoff_qubit(c)
     if mode == "exact":
-        limit = budget if budget is not None else exact_budget()
+        limit = DEFAULT_EXACT_BUDGET if budget is None else budget
         total = dist.support_size(c)
         if total > limit:
             raise EmulationError(

@@ -13,11 +13,15 @@ Two constructions are provided:
                         Theta(N*log w) gates for blocks of size B ~ w.
 
 Both leave mask and rank inputs unchanged, return every ancilla to zero, and
-write position XOR sentinel into a sentinel-preloaded output register.
+write position XOR sentinel into a sentinel-preloaded output register;
+``exhaustive_sweep`` emulates either on every (mask, rank) input.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .circuit import Builder, Circuit
+from .emulator import Batch, apply_batch, write_register
 from .gadgets import (add_register, and_ladder, constant_targets,
                       controlled_decrement, controlled_increment,
                       copy_register, sub_register, xor_constant)
@@ -44,6 +48,29 @@ def select_semantics(mask: int, n: int, r: int) -> int:
                 return i
             seen += 1
     return n
+
+
+def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
+    """Emulate a rank-select circuit on every (mask, rank) input at once.
+
+    Returns the masks and ranks (row ``r`` holds mask ``r mod 2^N`` and rank
+    ``r div 2^N``), the output batch, and the OR of the ancilla and rank
+    columns, whose set bits flag the rows that leave scratch dirty.
+    """
+    n = len(c.register("mask"))
+    rows = 1 << (n + len(c.register("nth")))
+    masks = np.arange(rows, dtype=np.int64) % (1 << n)
+    ranks = np.arange(rows, dtype=np.int64) // (1 << n)
+    batch = Batch.zeros(c, rows)
+    write_register(batch, c, "mask", masks)
+    write_register(batch, c, "nth", ranks)
+    apply_batch(c, batch)
+    dirty = 0
+    for reg in c.registers:
+        if reg.role in ("ancilla", "rank"):
+            for q in c.register(reg.name):
+                dirty |= batch.cols[q]
+    return masks, ranks, batch, dirty
 
 
 def mask_from_string(s: str) -> int:

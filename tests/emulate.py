@@ -1,0 +1,31 @@
+"""Test helper: emulate a circuit on register inputs, one batch per sweep."""
+
+import itertools
+
+import numpy as np
+
+from qrollout import emulator as em
+
+
+def grid(ranges: dict) -> dict:
+    """Every combination of the given register values, one per row; the
+    first register varies slowest.  Maps each name to its row values."""
+    rows = list(itertools.product(*ranges.values()))
+    return {name: [row[i] for row in rows] for i, name in enumerate(ranges)}
+
+
+def run(c, inputs: dict) -> dict:
+    """Apply ``c`` to one batch through the register codec.
+
+    ``inputs`` maps register names to one value per row, or to a scalar
+    for every row (a single state is a one-row batch of scalars); other
+    registers start at 0.  Returns every register's output values, by
+    name, as lists of ints.
+    """
+    rows = max((len(v) for v in inputs.values() if np.ndim(v)), default=1)
+    batch = em.Batch.zeros(c, rows)
+    for name, values in inputs.items():
+        em.write_register(batch, c, name, values)
+    em.apply_batch(c, batch)
+    return {r.name: [int(v) for v in em.read_register(batch, c, r.name)]
+            for r in c.registers}

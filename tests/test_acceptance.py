@@ -52,22 +52,6 @@ class _Timer:
             f"runtime {self.elapsed:.1f}s exceeded budget {self.budget}s"
 
 
-def _sweep_outputs(circuit, n):
-    w = rs.width_for(n)
-    rows = (1 << n) * (1 << w)
-    masks = np.arange(rows, dtype=np.int64) % (1 << n)
-    ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-    batch = em.Batch.zeros(circuit, rows)
-    em.write_register(batch, circuit, "mask", masks)
-    em.write_register(batch, circuit, "nth", ranks)
-    outs = em.apply_batch(circuit, batch)
-    got = em.read_register(outs, circuit, "out")
-    clean = not any(outs.cols[q] for reg in circuit.registers
-                    if reg.role in ("ancilla", "rank")
-                    for q in circuit.register(reg.name))
-    return masks, ranks, got, clean
-
-
 def test_criterion_01_rank_select_exhaustive_equivalence():
     """All (mask, rank) pairs for N in 1..8: scan == blocked == semantics."""
     with _Timer(120) as t:
@@ -76,13 +60,14 @@ def test_criterion_01_rank_select_exhaustive_equivalence():
             semantics = None
             for make in (rs.build_scan, rs.build_blocked):
                 c = make(n)
-                masks, ranks, got, clean = _sweep_outputs(c, n)
+                masks, ranks, outs, dirty = rs.exhaustive_sweep(c)
+                got = em.read_register(outs, c, "out")
                 if semantics is None:
                     semantics = np.array(
                         [rs.select_semantics(int(m), n, int(r))
                          for m, r in zip(masks, ranks)], dtype=np.int64)
                 assert np.array_equal(got, semantics), (n, make.__name__)
-                assert clean, (n, make.__name__)
+                assert dirty == 0, (n, make.__name__)
                 total += len(masks)
     t.check()
     print(f"\n[criterion 1] PASS: {total} (mask,rank,variant) cases bit-exact "

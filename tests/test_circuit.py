@@ -1,10 +1,12 @@
 """Circuit IR: construction, inversion, cost, light cone, cuts, dumps."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrollout.circuit import (Builder, CircuitError, Gate, RegisterDecl,
+from qrollout.circuit import (POS, Builder, CircuitError, Gate, RegisterDecl,
                               build_circuit, cost, crossing_count, dumps,
                               invert, light_cone, loads, register_local_span,
                               span_profile)
@@ -160,6 +162,65 @@ def test_dump_roundtrip():
     assert c2 == c
     assert c2.max_live_ancilla == 3
     assert dumps(c2) == dumps(c)
+
+
+def reference_dumps(c) -> str:
+    """Reference: the per-gate dict encoder that ``dumps`` replaced."""
+    qubit = c.table.qubit.tolist()
+    pairs = [[q, k == POS] for q, k in zip(qubit, c.table.kind.tolist())]
+    ptr, tgt = c.table.bounds()
+    doc = {
+        "registers": [{"name": r.name, "width": r.width, "role": r.role}
+                      for r in c.registers],
+        "gates": [{"controls": pairs[a:m], "targets": qubit[m:z]}
+                  for a, m, z in zip(ptr, tgt, ptr[1:])],
+        "layout": list(c.layout),
+        "max_live_ancilla": c.max_live_ancilla,
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@st.composite
+def _io_circuits(draw):
+    """Random circuits over 1-4 registers: gates with 0-3 controls of mixed
+    polarity and 1-3 targets, a shuffled or identity layout."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    regs = [_reg(f"r{i}", w, draw(st.sampled_from(["ancilla", "mask",
+                                                   "dice", "payoff"])))
+            for i, w in enumerate(widths)]
+    n = sum(widths)
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        qs = draw(st.permutations(range(n)))
+        k = draw(st.integers(1, min(3, n)))
+        controls = qs[k:k + draw(st.integers(0, min(3, n - k)))]
+        gates.append(Gate(tuple((q, draw(st.booleans())) for q in controls),
+                          tuple(qs[:k])))
+    layout = draw(st.permutations(range(n)))
+    return build_circuit(regs, gates, layout=layout,
+                         max_live_ancilla=draw(st.integers(0, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_io_circuits())
+def test_dumps_matches_reference_encoder(c):
+    text = dumps(c)
+    assert text == reference_dumps(c)
+    assert loads(text) == c
+    assert loads(text).max_live_ancilla == c.max_live_ancilla
+
+
+def test_loads_rejects_tampered_gates():
+    c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
+    doc = json.loads(dumps(c))
+    doc["gates"][1]["targets"] = [7]                # qubit out of range
+    with pytest.raises(CircuitError, match="gate 1: qubit index 7"):
+        loads(json.dumps(doc))
+    doc = json.loads(dumps(c))
+    doc["gates"][1]["controls"][0] = [0, True]      # control is a target
+    with pytest.raises(CircuitError,
+                       match="gate 1: controls and targets overlap on qubit 0"):
+        loads(json.dumps(doc))
 
 
 def test_builder_tally_matches_materialized_cost():

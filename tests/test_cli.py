@@ -27,6 +27,29 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+_DOMAIN = ["--domain", "sway", "--m", "2", "--H", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ranksel", "validate", "--n", "0"],
+    ["domain", "mc", "--domain", "sway", "--m", "0", "--H", "1",
+     "--seed", "1"],
+    ["domain", "mc", *_DOMAIN, "--shots", "0", "--seed", "1"],
+    ["domain", "exact", "--domain", "sway", "--m", "2", "--H", "-1"],
+    ["oracle", "validate", *_DOMAIN, "--seeds", "0", "--seed", "1"],
+    ["bestarm", "separate", "--k", "4", "--eps", "0.1", "--trials", "0",
+     "--seed", "1"],
+    ["bounds", "lifting", *_DOMAIN, "--samples", "-3", "--seed", "1"],
+    ["tables", "correctness", "--seed", "1", "--ref-shots", "0"],
+    ["ranksel", "validate", "--n", "four"],
+])
+def test_bad_count_values_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_missing_required_seed_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["domain", "mc", "--domain", "epi", "--m", "2", "--H", "1"])

@@ -11,6 +11,8 @@ from qrollout.circuit import Builder, Gate, RegisterDecl, build_circuit, invert
 from qrollout import emulator as em
 from qrollout import rank_select as rs
 
+from emulate import run
+
 
 def _simple(width, gates):
     return build_circuit([RegisterDecl("q", width, "ancilla")], gates)
@@ -42,42 +44,40 @@ def _row_bits(batch):
                      for r in range(batch.rows)], dtype=np.uint8)
 
 
+def _row_values(bits):
+    """Each row of a (rows, qubits) bit matrix as one integer."""
+    return [sum(int(b) << q for q, b in enumerate(row)) for row in bits]
+
+
 def test_x_flips_bit_zero():
     c = _simple(3, [Gate((), (0,))])
-    out = em.apply(c, em.BasisState(3, 0b000))
-    assert out.value == 0b001
+    assert run(c, {"q": 0b000})["q"] == [0b001]
 
 
 def test_cnot_control_unsatisfied():
     c = _simple(2, [Gate(((1, True),), (0,))])
-    assert em.apply(c, em.BasisState(2, 0b00)).value == 0b00
-    assert em.apply(c, em.BasisState(2, 0b10)).value == 0b11
+    assert run(c, {"q": [0b00, 0b10]})["q"] == [0b00, 0b11]
 
 
 def test_negative_polarity_control():
     c = _simple(2, [Gate(((1, False),), (0,))])
-    assert em.apply(c, em.BasisState(2, 0b00)).value == 0b01
-    assert em.apply(c, em.BasisState(2, 0b10)).value == 0b10
+    assert run(c, {"q": [0b00, 0b10]})["q"] == [0b01, 0b10]
 
 
 def test_width_mismatch_rejected():
     c = _simple(2, [])
     with pytest.raises(em.EmulationError):
-        em.apply(c, em.BasisState(3, 0))
+        em.apply_batch(c, em.Batch(1, [0, 0, 0]))
 
 
 def test_scan_cell_writes_position_over_sentinel():
-    # mask 0100 (position 1 valid), nth 0: cell 1 replaces sentinel by 1
+    # mask 0100 (position 1 valid), nth 0: cell 1 replaces sentinel by 1;
+    # an all-zero mask keeps the sentinel
     c = rs.build_scan(4)
-    st = em.BasisState.from_registers(c, {"mask": 0b0010, "nth": 0})
-    out = em.apply(c, st)
-    assert out.register_value(c, "out") == 1
-    # all-zero mask keeps the sentinel
-    st = em.BasisState.from_registers(c, {"mask": 0, "nth": 0})
-    assert em.apply(c, st).register_value(c, "out") == 4
+    assert run(c, {"mask": [0b0010, 0], "nth": 0})["out"] == [1, 4]
 
 
-def test_apply_batch_agrees_with_apply_int():
+def test_apply_batch_agrees_with_reference_on_all_inputs():
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randrange(2, 8)
@@ -89,9 +89,10 @@ def test_apply_batch_agrees_with_apply_int():
         c = _simple(n, gates)
         batch = em.Batch.zeros(c, 1 << n)
         em.write_register(batch, c, "q", np.arange(1 << n))
-        outs = em.read_register(em.apply_batch(c, batch), c, "q")
-        for x in range(1 << n):
-            assert em.apply_int(c, x) == outs[x]
+        ref = apply_bits(c, _row_bits(batch))
+        em.apply_batch(c, batch)
+        assert np.array_equal(_row_bits(batch), ref)
+        assert em.read_register(batch, c, "q").tolist() == _row_values(ref)
 
 
 @st.composite
@@ -110,7 +111,7 @@ def _circuits(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_circuits(), st.sampled_from([1, 63, 64, 65, 1000]), st.data())
-def test_apply_batch_matches_reference_and_apply_int(c, rows, data):
+def test_apply_batch_matches_reference(c, rows, data):
     n = c.total_qubits
     values = data.draw(st.lists(st.integers(0, 2 ** n - 1),
                                 min_size=rows, max_size=rows))
@@ -119,8 +120,7 @@ def test_apply_batch_matches_reference_and_apply_int(c, rows, data):
     ref = apply_bits(c, _row_bits(batch))
     em.apply_batch(c, batch)
     assert np.array_equal(_row_bits(batch), ref)
-    assert [int(v) for v in em.read_register(batch, c, "q")] == \
-        [em.apply_int(c, v) for v in values]
+    assert em.read_register(batch, c, "q").tolist() == _row_values(ref)
 
 
 @settings(max_examples=20, deadline=None)
@@ -138,7 +138,7 @@ def test_apply_batch_on_a_70_qubit_register(data):
     em.apply_batch(c, batch)
     assert np.array_equal(_row_bits(batch), ref)
     assert [int(v) for v in em.read_register(batch, c, "q")] == \
-        [em.apply_int(c, v) for v in values]
+        _row_values(ref)
 
 
 def test_apply_batch_rejects_width_mismatch():
@@ -158,17 +158,41 @@ def test_register_codec_round_trip(width, data):
     batch = em.Batch.zeros(c, len(values))
     em.write_register(batch, c, "r", values)
     assert [int(v) for v in em.read_register(batch, c, "r")] == values
-    for row, v in zip(_row_bits(batch), values):
-        state = em.BasisState.from_registers(c, {"r": v})
-        assert row.tolist() == state.bits()
-        assert state.register_value(c, "r") == v
+    # each row holds its value at the register's offset and nothing else
+    assert _row_values(_row_bits(batch)) == [v << pad for v in values]
     # a scalar reaches every row and leaves the neighbouring registers alone
     scalar = data.draw(st.integers(0, 2 ** width - 1))
     em.write_register(batch, c, "r", scalar)
     assert [int(v) for v in em.read_register(batch, c, "r")] == \
         [scalar] * len(values)
-    state = em.BasisState.from_registers(c, {"r": scalar})
-    assert all(row.tolist() == state.bits() for row in _row_bits(batch))
+    assert _row_values(_row_bits(batch)) == [scalar << pad] * len(values)
+
+
+def test_write_register_rejects_values_that_do_not_fit():
+    c = build_circuit([RegisterDecl("nth", 3, "rank"),
+                       RegisterDecl("w63", 63, "dice"),
+                       RegisterDecl("w70", 70, "dice")], [])
+    batch = em.Batch.zeros(c, 3)
+    bad = {"nth": ([1, 9, -1], 13, -1, [0, 0, 8]),
+           "w63": ([2 ** 63, 0, 0], 2 ** 63, [0, -1, 0]),
+           "w70": ([2 ** 70, 0, 0], 2 ** 70, -1, [0, 0, -(2 ** 65)])}
+    for name, cases in bad.items():
+        for values in cases:
+            with pytest.raises(em.EmulationError,
+                               match=f"register '{name}': value"):
+                em.write_register(batch, c, name, values)
+        # a value count other than the batch's rows
+        for values in ([1], [1, 2, 3, 4]):
+            with pytest.raises(em.EmulationError,
+                               match=f"register '{name}': {len(values)} "
+                                     "values for 3 rows"):
+                em.write_register(batch, c, name, values)
+    assert batch.cols == [0] * c.total_qubits
+    # the largest values that fit are accepted
+    for name, width in (("nth", 3), ("w63", 63), ("w70", 70)):
+        em.write_register(batch, c, name, [0, 1, 2 ** width - 1])
+        assert [int(v) for v in em.read_register(batch, c, name)] == \
+            [0, 1, 2 ** width - 1]
 
 
 def test_round_trip_with_invert_on_random_circuits():
@@ -182,10 +206,9 @@ def test_round_trip_with_invert_on_random_circuits():
             gates.append(Gate(tuple((q, True) for q in qs[:-1]), (qs[-1],)))
         c = _simple(n, gates)
         ci = invert(c)
-        for _ in range(25):
-            x = rng.getrandbits(n)
-            assert em.apply_int(ci, em.apply_int(c, x)) == x
-            checked += 1
+        xs = [rng.getrandbits(n) for _ in range(25)]
+        assert run(ci, run(c, {"q": xs})) == {"q": xs}
+        checked += len(xs)
     assert checked >= 1000
 
 
@@ -318,19 +341,14 @@ def test_exact_budget_enforced():
     dist = em.InputDistribution(uniform={"q": 2 ** 30})
     with pytest.raises(em.EmulationError):
         em.payoff_probability(c, dist, budget=1 << 10)
-
-
-def test_exact_budget_env_override(monkeypatch):
-    monkeypatch.setenv("QROLLOUT_EXACT_BUDGET", "16")
-    assert em.exact_budget() == 16
+    # without a budget the default applies: one input too many is rejected
     b = Builder()
     b.add_register("pay", 1, "payoff")
-    b.add_register("src", 5, "dice")
+    b.add_register("src", 25, "dice")
     c = b.finish()
-    with pytest.raises(em.EmulationError):
-        em.payoff_probability(c, em.InputDistribution(uniform={"src": 32}))
-    monkeypatch.delenv("QROLLOUT_EXACT_BUDGET")
-    assert em.exact_budget() == em.DEFAULT_EXACT_BUDGET
+    dist = em.InputDistribution(uniform={"src": em.DEFAULT_EXACT_BUDGET + 1})
+    with pytest.raises(em.EmulationError, match="exceeds budget"):
+        em.payoff_probability(c, dist)
 
 
 def test_mc_matches_exact_within_three_sigma():

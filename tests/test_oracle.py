@@ -9,6 +9,8 @@ from qrollout import oracle as orc
 from qrollout.circuit import invert
 from qrollout import emulator as em
 
+from emulate import run
+
 CENTER3 = dm.parse_board("SSS\nSIS\nSSS", "sir")
 
 
@@ -27,10 +29,8 @@ def test_h0_oracle_is_eval_only():
     assert oc.report.gate_count == oc.eval_gates > 0
     # payoff of the initial configuration directly
     board = dm.set_cell(0, 0, dm.INFECTED)
-    c = oc.circuit
-    state = em.BasisState.from_registers(c, {"config0": board})
-    out = em.apply(c, state)
-    assert out.register_value(c, "payoff") == spec.classical_eval(board)
+    out = run(oc.circuit, {"config0": board})
+    assert out["payoff"] == [spec.classical_eval(board)]
 
 
 def test_branchwise_sir_and_sway_small():
@@ -84,18 +84,20 @@ def test_branchwise_localises_a_row_selective_corruption():
     board = dm.set_cell(0, 0, dm.INFECTED)
     c = orc.compose(bad_spec).circuit
     seeds = list(range(101, 141))
+    streams = [orc.draw_streams(bad_spec, random.Random(seed)) for seed in seeds]
+    regs = {"config0": board, "dice_h1": [sum(
+        f << (i * bad_spec.d) for i, f in enumerate(dice[0]))
+        for _, dice in streams]}
+    for j in range(bad_spec.selectors_per_round):
+        regs[f"sel_h1_p{j}"] = [sel[0][j] for sel, _ in streams]
+    out = run(c, regs)
 
-    def disagrees(seed):
-        sel, dice = orc.draw_streams(bad_spec, random.Random(seed))
-        regs = {"config0": board, "dice_h1": sum(
-            f << (i * bad_spec.d) for i, f in enumerate(dice[0]))}
-        regs.update({f"sel_h1_p{j}": v for j, v in enumerate(sel[0])})
-        out = em.apply(c, em.BasisState.from_registers(c, regs))
-        boards, payoff = dm.classical_trace(bad_spec, board, sel, dice)
-        return (out.register_value(c, "config1") != boards[1]
-                or out.register_value(c, "payoff") != payoff)
+    def disagrees(row):
+        boards, payoff = dm.classical_trace(bad_spec, board, *streams[row])
+        return (out["config1"][row] != boards[1]
+                or out["payoff"][row] != payoff)
 
-    first = next(seed for seed in seeds if disagrees(seed))
+    first = seeds[next(row for row in range(len(seeds)) if disagrees(row))]
     assert first != seeds[0]
     rep = orc.branchwise_check(bad_spec, seeds, board)
     assert not rep.passed
@@ -148,13 +150,10 @@ def test_sentinel_no_op_branch():
     # configuration before it (placements skipped, only dynamics act)
     spec = small_sway(h=1, m=2)
     oc = orc.compose(spec)
-    c = oc.circuit
     sel_max = (1 << spec.w) - 1          # 7 >= popcount(4): sentinel
-    state = em.BasisState.from_registers(
-        c, {"config0": 0, "sel_h1_p0": sel_max, "sel_h1_p1": sel_max,
-            "dice_h1": 0})
-    out = em.apply(c, state)
-    assert out.register_value(c, "config1") == 0   # empty board: no flips
+    out = run(oc.circuit, {"config0": 0, "sel_h1_p0": sel_max,
+                           "sel_h1_p1": sel_max, "dice_h1": 0})
+    assert out["config1"] == [0]         # empty board: no flips
 
 
 def test_oracle_bijective_exhaustive_smallest():
@@ -181,11 +180,12 @@ def test_compose_invert_round_trip():
     spec = small_sir(h=2, m=2)
     oc = orc.compose(spec)
     c = oc.circuit
-    ci = invert(c)
     rng = random.Random(5)
-    for _ in range(200):
-        x = rng.getrandbits(c.total_qubits)
-        assert em.apply_int(ci, em.apply_int(c, x)) == x
+    xs = [rng.getrandbits(c.total_qubits) for _ in range(200)]
+    # each random basis state, split into its register values
+    inputs = {r.name: [(x >> c.register(r.name)[0]) & ((1 << r.width) - 1)
+                       for x in xs] for r in c.registers}
+    assert run(invert(c), run(c, inputs)) == inputs
 
 
 def test_selectors_and_dice_read_only():

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qrollout import emulator as em
 from qrollout import rank_select as rs
-from qrollout.circuit import cost, crossing_count, light_cone, register_local_span, span_profile
+from qrollout.circuit import Gate, build_circuit, cost, crossing_count, light_cone, register_local_span, span_profile
+
+from emulate import run
 
 
 def brute_select(mask: int, n: int, r: int) -> int:
@@ -14,22 +16,12 @@ def brute_select(mask: int, n: int, r: int) -> int:
     return positions[r] if r < len(positions) else n
 
 
-def sweep(circuit, n):
+def sweep(circuit):
     """Emulate every (mask, rank) pair; returns (out, mask', nth', clean)."""
-    w = rs.width_for(n)
-    rows = (1 << n) * (1 << w)
-    masks = np.arange(rows, dtype=np.int64) % (1 << n)
-    ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-    batch = em.Batch.zeros(circuit, rows)
-    em.write_register(batch, circuit, "mask", masks)
-    em.write_register(batch, circuit, "nth", ranks)
-    outs = em.apply_batch(circuit, batch)
+    masks, ranks, outs, dirty = rs.exhaustive_sweep(circuit)
     def read(reg):
         return em.read_register(outs, circuit, reg)
-    clean = not any(outs.cols[q] for reg in circuit.registers
-                    if reg.role in ("ancilla", "rank")
-                    for q in circuit.register(reg.name))
-    return masks, ranks, read("out"), read("mask"), read("nth"), clean
+    return masks, ranks, read("out"), read("mask"), read("nth"), dirty == 0
 
 
 def test_worked_example_positions():
@@ -66,7 +58,7 @@ def test_mask_string_roundtrip():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_scan_equals_semantics_exhaustive(n):
     c = rs.build_scan(n)
-    masks, ranks, outs, m2, r2, clean = sweep(c, n)
+    masks, ranks, outs, m2, r2, clean = sweep(c)
     want = np.array([rs.select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
@@ -78,7 +70,7 @@ def test_scan_equals_semantics_exhaustive(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_blocked_equals_semantics_exhaustive(n):
     c = rs.build_blocked(n)
-    masks, ranks, outs, m2, r2, clean = sweep(c, n)
+    masks, ranks, outs, m2, r2, clean = sweep(c)
     want = np.array([rs.select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
@@ -87,27 +79,47 @@ def test_blocked_equals_semantics_exhaustive(n):
     assert clean
 
 
+def test_exhaustive_sweep_flags_dirty_rows():
+    # a trailing gate sets the rank register's top bit on odd masks with
+    # rank 3, and one sets the match ancilla on every input with rank >= 2
+    c = rs.build_scan(3)
+    mask, nth = c.register("mask"), c.register("nth")
+    extra = [Gate(((mask[0], True), (nth[0], True), (nth[1], True)),
+                  (c.register("rank")[1],)),
+             Gate(((nth[1], True),), c.register("match"))]
+    dirty_c = build_circuit(c.registers, list(c.gates) + extra)
+    masks, ranks, outs, dirty = rs.exhaustive_sweep(dirty_c)
+    assert list(masks) == [r % 8 for r in range(32)]
+    assert list(ranks) == [r // 8 for r in range(32)]
+    assert [(dirty >> r) & 1 for r in range(32)] == \
+        [int(rank >= 2) for rank in ranks]
+    assert rs.exhaustive_sweep(c)[3] == 0
+    # without the match gate only the rank register is dirty
+    masks, ranks, outs, dirty = rs.exhaustive_sweep(
+        build_circuit(c.registers, list(c.gates) + extra[:1]))
+    assert [(dirty >> r) & 1 for r in range(32)] == \
+        [int(rank == 3 and m % 2 == 1) for m, rank in zip(masks, ranks)]
+
+
 def test_blocked_worked_trace_n8():
     # mask 01101000, r=2: block 0 holds ranks {0,1}, block 1 fires with
     # local rank 0 at local index 0, so out = 1*4 + 0 = 4
     c = rs.build_blocked(8, 4)
-    state = em.BasisState.from_registers(
-        c, {"mask": rs.mask_from_string("01101000"), "nth": 2})
-    assert em.apply(c, state).register_value(c, "out") == 4
+    out = run(c, {"mask": rs.mask_from_string("01101000"), "nth": 2})
+    assert out["out"] == [4]
 
 
 def test_blocked_out_of_range_keeps_sentinel():
     c = rs.build_blocked(8, 4)
-    state = em.BasisState.from_registers(
-        c, {"mask": rs.mask_from_string("01101000"), "nth": 9})
-    assert em.apply(c, state).register_value(c, "out") == 8
+    out = run(c, {"mask": rs.mask_from_string("01101000"), "nth": 9})
+    assert out["out"] == [8]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_blocked_nondefault_block_sizes(block):
     n = 7
     c = rs.build_blocked(n, block)
-    masks, ranks, outs, _, _, clean = sweep(c, n)
+    masks, ranks, outs, _, _, clean = sweep(c)
     want = np.array([rs.select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
