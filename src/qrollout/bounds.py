@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .oracle import RolloutSpec
+from .domains import classical_trace
+from .oracle import RolloutSpec, input_law, law_streams, place_first_move
+from .rank_select import select_semantics
 
 
 class BoundsError(ValueError):
@@ -266,37 +268,26 @@ class InfluenceEstimate:
     trials: int
 
 
-def _coupled_pair(spec: RolloutSpec, board_a: int, board_b: int,
-                  rng: random.Random, coupling: str,
-                  first_move: int | None) -> tuple[int, int]:
-    from .rank_select import select_semantics
+def _coupled_pair(spec: RolloutSpec, board_a: int, board_b: int, selectors,
+                  dice, first_move: int | None) -> tuple[int, int]:
+    """Position coupling: both runs take the same decoded action, so only
+    dynamical propagation separates them."""
     n = spec.n_cells
-    w = spec.w
     a, b = board_a, board_b
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if h == 0 and pj == 0 and first_move is not None:
-                a = spec.classical_place(a, first_move, 0)
-                b = spec.classical_place(b, first_move, 0)
+                a = place_first_move(spec, a, first_move)
+                b = place_first_move(spec, b, first_move)
                 continue
-            r = rng.randrange(1 << w)
-            ja = select_semantics(spec.classical_validity(a), n, r)
-            if coupling == "rank":
-                jb = select_semantics(spec.classical_validity(b), n, r)
-                if ja < n:
-                    a = spec.classical_place(a, ja, pj)
-                if jb < n:
-                    b = spec.classical_place(b, jb, pj)
-            else:
-                # position coupling: both runs take the same decoded action,
-                # so only dynamical propagation separates them
-                if ja < n:
-                    a = spec.classical_place(a, ja, pj)
-                    if (spec.classical_validity(b) >> ja) & 1:
-                        b = spec.classical_place(b, ja, pj)
-        dice = [rng.randrange(spec.faces) for _ in range(n)]
-        a = spec.classical_transition(a, dice)
-        b = spec.classical_transition(b, dice)
+            j = select_semantics(spec.classical_validity(a), n,
+                                 selectors[h][pj])
+            if j < n:
+                a = spec.classical_place(a, j, pj)
+                if (spec.classical_validity(b) >> j) & 1:
+                    b = spec.classical_place(b, j, pj)
+        a = spec.classical_transition(a, dice[h])
+        b = spec.classical_transition(b, dice[h])
     return spec.classical_eval(a), spec.classical_eval(b)
 
 
@@ -306,6 +297,8 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
                         coupling: str = "position") -> InfluenceEstimate:
     """Coupled rollouts from two initial boards under shared streams; returns
     the measured payoff-probability difference with its Monte Carlo error.
+    Trial ``r`` feeds row ``r`` of ``input_law(spec, board_a).draw(trials,
+    seed)`` to both boards.
 
     ``position`` coupling (default) shares the decoded action positions, so
     the measured difference isolates the dynamical propagation that the
@@ -316,15 +309,21 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
     """
     if coupling not in ("position", "rank"):
         raise BoundsError(f"unknown coupling {coupling!r}")
-    rng = random.Random(seed)
     diffs_sum = 0
     diffs_sq = 0
-    for _ in range(trials):
-        pa, pb = _coupled_pair(spec, board_a, board_b, rng, coupling,
-                               first_move)
-        d = pa - pb
-        diffs_sum += d
-        diffs_sq += d * d
+    for faces in input_law(spec, board_a).draw_chunks(trials, seed):
+        for selectors, dice in law_streams(spec, faces):
+            if coupling == "rank":
+                pa = classical_trace(spec, board_a, selectors, dice,
+                                     first_move)[1]
+                pb = classical_trace(spec, board_b, selectors, dice,
+                                     first_move)[1]
+            else:
+                pa, pb = _coupled_pair(spec, board_a, board_b, selectors,
+                                       dice, first_move)
+            d = pa - pb
+            diffs_sum += d
+            diffs_sq += d * d
     mean = diffs_sum / trials
     var = max(0.0, diffs_sq / trials - mean * mean)
     sigma = math.sqrt(var / trials)

@@ -281,10 +281,10 @@ def cmd_bounds_lifting(args) -> int:
 def cmd_tables_correctness(args) -> int:
     lines = [_manifest(args),
              "# provenance: qubits/depth/gates measured from built circuits; "
-             "mc = seeded classical-rollout Monte Carlo (branchwise-equal to "
-             "the circuit); exact = distribution DP for m=3, reference MC "
-             f"({args.ref_shots} shots) for m=5; ref_* columns are external "
-             "comparison figures",
+             "mc = seeded classical-rollout Monte Carlo (equal to the "
+             "circuit MC at the same seed); exact = distribution DP for m=3, "
+             f"reference MC ({args.ref_shots} shots) for m=5; ref_* columns "
+             "are external comparison figures",
              "domain,instance,qubits,depth,gates,mc_payoff,mc_ci95,exact,"
              "exact_provenance,ref_qubits,ref_exact"]
     for (name, m, h, t, rho, pq, pd, pg, pex) in CORRECTNESS_INSTANCES:
@@ -339,24 +339,43 @@ def cmd_tables_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
-    parse.__name__ = "int"      # argparse's message for a non-integer
+def _ranged(kind, ok, what: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse's message for a bad literal
     return parse
 
 
-_COUNT, _HORIZON = _int_at_least(1), _int_at_least(0)
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    return _ranged(int, lambda v: v >= low, f"at least {low}")
 
 
-def _add_domain_args(p, seeds=False):
+def _comma_list(parse):
+    """An argparse type: comma-separated values that each pass ``parse``.
+    The text is kept as given, so the manifest records it unchanged."""
+    def check(text: str) -> str:
+        for item in text.split(","):
+            parse(item)
+        return text
+    check.__name__ = parse.__name__
+    return check
+
+
+_COUNT, _NONNEG = _int_at_least(1), _int_at_least(0)
+_PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_GAP = _ranged(float, lambda v: 0.0 < v <= 0.125, "in (0, 1/8]")
+
+
+def _add_domain_args(p):
     p.add_argument("--domain", required=True, choices=("sway", "epi"))
     p.add_argument("--m", type=_COUNT, required=True)
-    p.add_argument("--H", type=_HORIZON, required=True)
-    p.add_argument("--T", type=int, default=None)
+    p.add_argument("--H", type=_NONNEG, required=True)
+    p.add_argument("--T", type=_NONNEG, default=None)
     p.add_argument("--rho", type=int, default=None)
     p.add_argument("--board", default=None,
                    help="initial-configuration text file (symbols ./B/W or S/I/R)")
@@ -375,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ranksel_validate)
     p = g.add_parser("costs")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(4),
+                   required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ranksel_costs)
 
@@ -409,8 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("bestarm").add_subparsers(dest="sub", required=True)
     p = g.add_parser("separate")
-    p.add_argument("--k", required=True, help="comma-separated arm counts")
-    p.add_argument("--eps", required=True, help="comma-separated gaps")
+    p.add_argument("--k", type=_comma_list(_int_at_least(2)), required=True,
+                   help="comma-separated arm counts")
+    p.add_argument("--eps", type=_comma_list(_GAP), required=True,
+                   help="comma-separated gaps")
     p.add_argument("--trials", type=_COUNT, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -418,20 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("bounds").add_subparsers(dest="sub", required=True)
     p = g.add_parser("decay")
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--H", type=_HORIZON, required=True)
-    p.add_argument("--d-max", dest="d_max", type=int, required=True)
+    p.add_argument("--kappa", type=_int_at_least(2), required=True)
+    p.add_argument("--p", type=_PROBABILITY, required=True)
+    p.add_argument("--H", type=_NONNEG, required=True)
+    p.add_argument("--d-max", dest="d_max", type=_COUNT, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds_decay)
     p = g.add_parser("peripheral")
     p.add_argument("--m", type=_COUNT, required=True)
-    p.add_argument("--H", type=_HORIZON, required=True)
+    p.add_argument("--H", type=_NONNEG, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds_peripheral)
     p = g.add_parser("lifting")
     _add_domain_args(p)
-    p.add_argument("--arms", type=int, default=2)
+    p.add_argument("--arms", type=_int_at_least(2), default=2)
     p.add_argument("--samples", type=_COUNT, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)

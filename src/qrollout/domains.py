@@ -26,7 +26,6 @@ final infected count is at most the threshold T.
 """
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from math import sqrt
@@ -34,7 +33,8 @@ from math import sqrt
 from .circuit import Builder
 from .gadgets import (add_register, controlled_increment, copy_register,
                       flag_less_than_const, sub_register)
-from .oracle import OracleError, RolloutSpec
+from .oracle import (OracleError, RolloutSpec, input_law, law_streams,
+                     place_first_move)
 from .rank_select import select_semantics, width_for
 
 EMPTY = SUSCEPTIBLE = 0
@@ -382,7 +382,7 @@ def classical_trace(spec: RolloutSpec, board0: int, selectors, dice,
             raise OracleError("selector stream width mismatch")
         for pj in range(spec.selectors_per_round):
             if h == 0 and pj == 0 and first_move is not None:
-                board = spec.classical_place(board, first_move, 0)
+                board = place_first_move(spec, board, first_move)
                 continue
             j = select_semantics(spec.classical_validity(board), n,
                                  selectors[h][pj])
@@ -395,15 +395,15 @@ def classical_trace(spec: RolloutSpec, board0: int, selectors, dice,
 
 def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
                   first_move: int | None = None):
-    """Seeded Monte Carlo payoff estimate with a 95% CI (classical sampler)."""
-    from .oracle import draw_streams
-    rng = random.Random(seed)
+    """Seeded Monte Carlo payoff estimate with a 95% CI (classical sampler).
+
+    Shot ``r`` replays row ``r`` of ``input_law(spec, board0).draw(shots,
+    seed)``, the inputs that the circuit MC at the same seed emulates."""
     wins = 0
-    for _ in range(shots):
-        selectors, dice = draw_streams(spec, rng)
-        _, pay = classical_trace(spec, board0, selectors, dice,
-                                 first_move=first_move)
-        wins += pay
+    for faces in input_law(spec, board0).draw_chunks(shots, seed):
+        for selectors, dice in law_streams(spec, faces):
+            wins += classical_trace(spec, board0, selectors, dice,
+                                    first_move=first_move)[1]
     p = wins / shots
     half = 1.96 * sqrt(p * (1 - p) / shots)
     return p, half
@@ -499,7 +499,7 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if h == 0 and pj == 0 and first_move is not None:
-                dist = {spec.classical_place(b, first_move, 0): p
+                dist = {place_first_move(spec, b, first_move): p
                         for b, p in dist.items()}
             else:
                 dist = _mix_pass(spec, dist, pj)

@@ -5,6 +5,9 @@ A basis state assigns one bit per circuit qubit.  States run bit-sliced on a
 input row, so one AND per control and one XOR per target apply a gate to all
 rows at once (Biham, "A fast new DES implementation in software", FSE 1997).
 A single state is a one-row batch.  Circuits of any width emulate exactly.
+
+Seeded inputs have one definition, :class:`InputDistribution`: the classical
+sampler, branchwise checks and the circuit MC all draw from it.
 """
 from __future__ import annotations
 
@@ -180,41 +183,81 @@ def read_register(batch: Batch, c: Circuit, name: str) -> np.ndarray:
 # input distributions
 
 class InputDistribution:
-    """Per-register input spec: fixed value or uniform over faces {0..D-1}.
+    """The seeded input law: fixed registers plus uniform fields.
 
-    Registers not mentioned default to fixed 0.  A uniform register with
-    D < 2^width never receives an input at or above D (valid-face guarantee).
+    A ``uniform`` value is either ``D``, the whole register being one field
+    uniform on the faces {0..D-1}, or ``(D, width)``: consecutive
+    ``width``-bit fields, low field first, each uniform on D faces.  A
+    per-field register needs its total width in ``widths``, so that the
+    field count is known without a circuit.  Registers not mentioned are
+    fixed at 0, and no field ever receives a value at or above its D
+    (valid-face guarantee).
+
+    Fields are ordered by register name, then low field first; every draw
+    and enumeration uses that order.
     """
 
     def __init__(self, fixed: dict[str, int] | None = None,
-                 uniform: dict[str, int] | None = None):
+                 uniform: dict[str, int | tuple[int, int]] | None = None,
+                 widths: dict[str, int] | None = None):
         self.fixed = dict(fixed or {})
         self.uniform = dict(uniform or {})
+        self.widths = dict(widths or {})
         overlap = set(self.fixed) & set(self.uniform)
         if overlap:
             raise EmulationError(f"registers both fixed and uniform: {overlap}")
-        for name, d in self.uniform.items():
+        # (register, faces, low bit, field width or None for the whole)
+        self.fields: list[tuple[str, int, int, int | None]] = []
+        for name, law in sorted(self.uniform.items()):
+            d, width = law if isinstance(law, tuple) else (law, None)
             if d < 1:
                 raise EmulationError(f"uniform register {name!r}: D must be >= 1")
+            if d > 1 << 63:
+                raise EmulationError(f"uniform register {name!r}: D must be "
+                                     f"at most 2^63")
+            if width is None:
+                self.fields.append((name, d, 0, None))
+                continue
+            total = self.widths.get(name)
+            if width < 1 or total is None or total % width:
+                raise EmulationError(f"uniform register {name!r}: {width}-bit "
+                                     f"fields need a register width in "
+                                     f"widths that they tile")
+            if d > 1 << width:
+                raise EmulationError(f"D={d} exceeds 2^width for {name!r}")
+            self.fields += [(name, d, lo, width)
+                            for lo in range(0, total, width)]
 
     def validate(self, c: Circuit) -> None:
         for name, val in self.fixed.items():
             w = len(c.register(name))
             if not 0 <= val < (1 << w):
                 raise EmulationError(f"fixed value for {name!r} overflows width {w}")
-        for name, d in self.uniform.items():
+        for name, d, _, width in self.fields:
             w = len(c.register(name))
-            if d > (1 << w):
+            if width is None and d > 1 << w:
                 raise EmulationError(f"D={d} exceeds 2^width for {name!r}")
+            if width is not None and self.widths[name] != w:
+                raise EmulationError(f"register {name!r} has width {w}, the "
+                                     f"law says {self.widths[name]}")
 
     def support_size(self, c: Circuit) -> int:
         self.validate(c)
-        return prod(self.uniform.values())
+        return prod(d for _, d, _, _ in self.fields)
 
-    def _base(self, c: Circuit, rows: int) -> Batch:
-        batch = Batch.zeros(c, rows)
+    def batch(self, c: Circuit, faces: np.ndarray) -> Batch:
+        """The inputs that a ``(rows, fields)`` face array stands for: the
+        fixed values, and each face written into its field.  The circuit
+        is not validated against the law."""
+        batch = Batch.zeros(c, faces.shape[0])
         for name, val in self.fixed.items():
             write_register(batch, c, name, val)
+        for f, (name, _, lo, width) in enumerate(self.fields):
+            qubits = c.register(name)
+            # faces fit int64, so bits above the 63rd stay zero
+            _write_range(batch, qubits[0] + lo,
+                         min(_LIMB, len(qubits) if width is None else width),
+                         faces[:, f])
         return batch
 
     def enumerate_chunks(self, c: Circuit, chunk: int = 1 << 16):
@@ -222,31 +265,65 @@ class InputDistribution:
         return self._chunks(c, self.support_size(c), chunk)
 
     def _chunks(self, c: Circuit, total: int, chunk: int):
+        # mixed radix: the first field varies fastest
         for start in range(0, total, chunk):
-            rows = min(chunk, total - start)
-            batch = self._base(c, rows)
-            rem = np.arange(start, start + rows, dtype=np.int64)
-            for name, d in sorted(self.uniform.items()):
-                rem, vals = np.divmod(rem, d)
-                write_register(batch, c, name, vals)
-            yield batch
+            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            faces = np.empty((rem.size, len(self.fields)), dtype=np.int64)
+            for f, (_, d, _, _) in enumerate(self.fields):
+                rem, faces[:, f] = np.divmod(rem, d)
+            yield self.batch(c, faces)
+
+    def faces(self, words: np.ndarray) -> np.ndarray:
+        """Map ``(rows, fields)`` uint64 words to faces, ``(u * D) >> 64``
+        per field, exactly."""
+        d = [d for _, d, _, _ in self.fields]
+        if max(d, default=1) > 1 << 32:
+            return np.array([[(u * x) >> 64 for u, x in zip(row, d)]
+                             for row in words.tolist()],
+                            dtype=np.int64).reshape(words.shape)
+        # u*D from the 32-bit halves of u: each partial product fits uint64
+        dd, half = np.array(d, dtype=np.uint64), np.uint64(32)
+        low = ((words & np.uint64(0xFFFFFFFF)) * dd) >> half
+        return (((words >> half) * dd + low) >> half).astype(np.int64)
+
+    def _draw(self, bits: np.random.Philox, rows: int) -> np.ndarray:
+        n = len(self.fields)
+        return self.faces(bits.random_raw(rows * n).reshape(rows, n))
+
+    def draw(self, shots: int, seed: int) -> np.ndarray:
+        """Seeded faces, one row per shot: a ``(shots, fields)`` int64 array.
+
+        Word ``shot * fields + f`` of the Philox stream keyed by ``seed``
+        decides field ``f`` of that shot, so ``draw(k, s)`` equals the
+        first ``k`` rows of ``draw(n, s)``.
+        """
+        return self._draw(_philox(seed), shots)
+
+    def draw_chunks(self, shots: int, seed: int, chunk: int = 256):
+        """``draw(shots, seed)`` as consecutive arrays of at most ``chunk``
+        rows."""
+        bits = _philox(seed)
+        for start in range(0, shots, chunk):
+            yield self._draw(bits, min(chunk, shots - start))
+
+    def draw_each(self, seeds) -> np.ndarray:
+        """One row per seed: row ``r`` equals ``draw(1, seeds[r])[0]``; the
+        words of all seeds map to faces in one pass."""
+        n = len(self.fields)
+        words = np.array([_philox(s).random_raw(n) for s in seeds],
+                         dtype=np.uint64).reshape(len(seeds), n)
+        return self.faces(words)
 
     def sample(self, c: Circuit, shots: int, seed: int) -> Batch:
-        """Seeded sample of ``shots`` inputs as a batch.
-
-        One Philox generator keyed by ``seed`` draws all shots of each
-        uniform register in turn (registers in name order), so equal
-        arguments give equal batches.  The draws are not per shot: with two
-        or more uniform registers, the first ``k`` rows of a larger sample
-        differ from a sample of ``k`` shots.
-        """
+        """Seeded sample of ``shots`` inputs as a batch: the inputs of
+        ``draw(shots, seed)``, so equal arguments give equal batches and a
+        smaller sample is a prefix of a larger one."""
         self.validate(c)
-        batch = self._base(c, shots)
-        rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-        for name, d in sorted(self.uniform.items()):
-            write_register(batch, c, name,
-                           rng.integers(0, d, size=shots, dtype=np.int64))
-        return batch
+        return self.batch(c, self.draw(shots, seed))
+
+
+def _philox(seed: int) -> np.random.Philox:
+    return np.random.Philox(key=int(seed) & (2**64 - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ returns every register to its input value.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .circuit import TGT, Builder, Circuit, CostReport, segment_support
-from .emulator import Batch, apply_batch, first_row, write_register
+from .emulator import (InputDistribution, apply_batch, first_row,
+                       write_register)
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -204,6 +204,9 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     s = spec.s
     if arms and (first_moves is None or len(first_moves) < arms):
         raise OracleError("arms > 0 requires a first_moves table")
+    for move in (first_moves or ())[:arms]:
+        if not 0 <= move < n:
+            raise OracleError(f"first move {move} is not a cell of the board")
     lay = qubit_cost_formula(spec, arms)
     b = Builder(record=record)
 
@@ -321,38 +324,44 @@ class BranchwiseReport:
         return self.passed
 
 
-def draw_streams(spec: RolloutSpec,
-                 rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
-    """Seed-derived selector and dice streams, in register declaration order.
+def input_law(spec: RolloutSpec, board0: int) -> InputDistribution:
+    """The oracle's seeded input law: ``config0`` holds ``board0``, each
+    selector register is uniform over all 2^w strings, and each dice
+    register holds one d-bit field per cell, uniform on the D faces.  The
+    round-1 pass-0 selector is drawn even when an arm bypasses it."""
+    h, p = spec.horizon, spec.selectors_per_round
+    uniform = {f"sel_h{i + 1}_p{j}": 1 << spec.w
+               for i in range(h) for j in range(p)}
+    uniform.update({f"dice_h{i + 1}": (spec.faces, spec.d) for i in range(h)})
+    return InputDistribution(
+        fixed={"config0": board0}, uniform=uniform,
+        widths={f"dice_h{i + 1}": spec.n_cells * spec.d for i in range(h)})
 
-    Selectors are uniform over all 2^w strings; dice are uniform over the
-    valid faces {0..D-1}.  The round-1 pass-0 selector is always drawn.
-    """
-    w = spec.w
-    selectors = [[rng.randrange(1 << w) for _ in range(spec.selectors_per_round)]
-                 for _ in range(spec.horizon)]
-    dice = [[rng.randrange(spec.faces) for _ in range(spec.n_cells)]
-            for _ in range(spec.horizon)]
-    return selectors, dice
+
+def law_streams(spec: RolloutSpec, faces) -> list[tuple[list, list]]:
+    """Each face row of :func:`input_law` as its ``(selectors, dice)``
+    streams: ``selectors[h][p]`` and ``dice[h][i]``, rounds in order."""
+    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
+    column = {(name, lo): f for f, (name, _, lo, _)
+              in enumerate(input_law(spec, 0).fields)}
+    order = ([column[f"sel_h{i + 1}_p{j}", 0]
+              for i in range(h) for j in range(p)]
+             + [column[f"dice_h{i + 1}", k * spec.d]
+                for i in range(h) for k in range(n)])
+    dice0 = h * p
+    return [([row[i * p:(i + 1) * p] for i in range(h)],
+             [row[dice0 + i * n:dice0 + (i + 1) * n] for i in range(h)])
+            for row in faces[:, order].tolist()]
 
 
-def branch_inputs(spec: RolloutSpec, c: Circuit, board0: int, streams,
-                  arm_values: Sequence[int] | None = None) -> Batch:
-    """Input batch with one row per ``(selectors, dice)`` stream pair:
-    ``config0`` holds ``board0``, each selector and dice register its drawn
-    values (cell i's die at bits ``i*d``), and ``arm`` the row's arm value."""
-    batch = Batch.zeros(c, len(streams))
-    write_register(batch, c, "config0", board0)
-    for hh in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
-            write_register(batch, c, f"sel_h{hh + 1}_p{pj}",
-                           [sel[hh][pj] for sel, _ in streams])
-        write_register(batch, c, f"dice_h{hh + 1}",
-                       [sum(face << (i * spec.d) for i, face in enumerate(d[hh]))
-                        for _, d in streams])
-    if arm_values is not None:
-        write_register(batch, c, "arm", arm_values)
-    return batch
+def place_first_move(spec: RolloutSpec, board: int, move: int) -> int:
+    """The round-1 pass-0 placement of an arm's first move, which must be a
+    valid position of ``board``."""
+    if not (0 <= move < spec.n_cells
+            and (spec.classical_validity(board) >> move) & 1):
+        raise OracleError(f"first move {move} is not a valid position on "
+                          f"the initial board")
+    return spec.classical_place(board, move, 0)
 
 
 def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
@@ -363,6 +372,8 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     """Fix selector/dice registers branch by branch and demand bit-exact
     agreement with the classical rollout: every per-round configuration, the
     payoff bit, read-only inputs, and cleanness of every ancilla register.
+    Branch ``r`` takes the one-shot draw of :func:`input_law` at
+    ``seeds[r]``.
 
     All outputs are compared at once against the expected batch; the first
     failing branch then names its first differing register, in the order
@@ -377,9 +388,13 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     c = oc.circuit
     h = spec.horizon
     rows = len(seeds)
-    streams = [draw_streams(spec, random.Random(seed)) for seed in seeds]
-    arm_values = list(arm_values[:rows]) if arms else None
-    batch = branch_inputs(spec, c, board0, streams, arm_values)
+    law = input_law(spec, board0)
+    faces = law.draw_each(seeds)
+    streams = law_streams(spec, faces)
+    batch = law.batch(c, faces)
+    if arms:
+        arm_values = list(arm_values[:rows])
+        write_register(batch, c, "arm", arm_values)
     # expected: inputs unchanged, ancillae clean, configs and payoff replayed
     expected = batch.copy()
     traces = [classical_trace(spec, board0, sel, dice,

@@ -169,8 +169,9 @@ def test_criterion_05_table1_payoff_analogue():
         for name, spec, board in (("sway3", instances[0][1], 0),
                                   ("epi3", instances[2][1], CENTER3)):
             oc = orc.compose(spec)
-            est = _circuit_mc(oc.circuit, spec, board, shots=10_000,
-                              seed=909)
+            est = em.payoff_probability(oc.circuit, orc.input_law(spec, board),
+                                        "mc", shots=10_000,
+                                        seed=909).probability
             exact = dm.exact_value(spec, board)
             assert abs(est - exact) <= 1.96 * math.sqrt(
                 max(est * (1 - est), 1e-9) / 10_000) + 1e-9, (name, est,
@@ -185,17 +186,6 @@ def test_criterion_05_table1_payoff_analogue():
     print("\n[criterion 5] PASS: " + "; ".join(lines)
           + f"; rho sweep {{{', '.join(sweep)}}} (ext 0.891); "
           f"{t.elapsed:.1f}s")
-
-
-def _circuit_mc(circuit, spec, board, shots, seed):
-    """Monte Carlo payoff through the gate-level emulator."""
-    import random as _random
-    rng = _random.Random(seed)
-    streams = [orc.draw_streams(spec, rng) for _ in range(shots)]
-    outs = em.apply_batch(circuit, orc.branch_inputs(spec, circuit, board,
-                                                     streams))
-    payoff = circuit.register("payoff")[0]
-    return outs.cols[payoff].bit_count() / shots
 
 
 def test_criterion_06_scaling_bands_and_crossover():

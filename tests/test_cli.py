@@ -42,6 +42,19 @@ _DOMAIN = ["--domain", "sway", "--m", "2", "--H", "1"]
     ["bounds", "lifting", *_DOMAIN, "--samples", "-3", "--seed", "1"],
     ["tables", "correctness", "--seed", "1", "--ref-shots", "0"],
     ["ranksel", "validate", "--n", "four"],
+    ["bounds", "lifting", *_DOMAIN, "--arms", "0", "--seed", "1"],
+    ["bounds", "lifting", *_DOMAIN, "--arms", "1", "--seed", "1"],
+    ["bounds", "decay", "--kappa", "0", "--p", "0.1", "--H", "2",
+     "--d-max", "2"],
+    ["bounds", "decay", "--kappa", "4", "--p", "1.5", "--H", "2",
+     "--d-max", "2"],
+    ["bounds", "decay", "--kappa", "4", "--p", "0.1", "--H", "2",
+     "--d-max", "-1"],
+    ["domain", "exact", "--domain", "epi", "--m", "2", "--H", "1",
+     "--T", "-1"],
+    ["bestarm", "separate", "--k", "1", "--eps", "0.1", "--seed", "1"],
+    ["bestarm", "separate", "--k", "4", "--eps", "0", "--seed", "1"],
+    ["ranksel", "costs", "--n-max", "0"],
 ])
 def test_bad_count_values_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

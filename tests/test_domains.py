@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qrollout import domains as dm
-from qrollout.oracle import draw_streams
+from qrollout import oracle as orc
 
 
 CENTER3 = dm.parse_board("SSS\nSIS\nSSS", "sir")
@@ -254,9 +254,10 @@ def test_default_first_moves():
         dm.default_first_moves(spec, CENTER3, 9)   # only 8 susceptible
 
 
-def test_draw_streams_shapes_and_ranges():
+def test_law_streams_shapes_and_ranges():
     spec = dm.sway_spec(dm.SwayConfig(m=3, horizon=2))
-    selectors, dice = draw_streams(spec, random.Random(1))
+    faces = orc.input_law(spec, 0).draw(1, 1)
+    [(selectors, dice)] = orc.law_streams(spec, faces)
     assert len(selectors) == 2 and all(len(s) == 2 for s in selectors)
     assert len(dice) == 2 and all(len(d) == 9 for d in dice)
     assert all(0 <= v < 16 for row in selectors for v in row)

@@ -1,5 +1,6 @@
 """Emulator: gate semantics, bijectivity, cleanness, payoff estimates."""
 
+import itertools
 import math
 import random
 
@@ -334,6 +335,116 @@ def test_uniform_face_guarantee():
         assert vals.max() < 11
     sampled = dist.sample(c, 500, seed=9)
     assert em.read_register(sampled, c, "q").max() < 11
+
+
+@st.composite
+def _laws(draw, max_faces=1 << 63):
+    """A circuit of dice registers, declared out of name order, and an
+    input law on them: per-field registers and whole-register fields."""
+    decls, uniform, widths = [], {}, {}
+    for name in draw(st.permutations("dcba"))[:draw(st.integers(0, 4))]:
+        if draw(st.booleans()):
+            width, count = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+            uniform[name] = (draw(st.integers(1, min(1 << width, max_faces))),
+                             width)
+            widths[name] = width * count
+            decls.append(RegisterDecl(name, width * count, "dice"))
+        else:
+            width = draw(st.integers(1, 70))
+            uniform[name] = draw(st.integers(1, min(1 << width, max_faces)))
+            decls.append(RegisterDecl(name, width, "dice"))
+    law = em.InputDistribution(fixed={"cfg": 5}, uniform=uniform,
+                               widths=widths)
+    return build_circuit([RegisterDecl("cfg", 3, "config"), *decls], []), law
+
+
+def _read_faces(c, law, batch):
+    """The face array that a batch's registers hold, field by field."""
+    cols = []
+    for name, _, lo, width in law.fields:
+        vals = em.read_register(batch, c, name)
+        cols.append([int(v) if width is None
+                     else (int(v) >> lo) & ((1 << width) - 1) for v in vals])
+    return [list(row) for row in zip(*cols)] if cols else [[]] * batch.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laws(), st.integers(0, 40), st.integers(0, 40),
+       st.integers(0, 2**64 - 1))
+def test_law_draw_is_per_shot_prefix_stable(cl, k, n, seed):
+    _, law = cl
+    k, n = min(k, n), max(k, n)
+    full = law.draw(n, seed)
+    assert full.shape == (n, len(law.fields)) and full.dtype == np.int64
+    assert (law.draw(k, seed) == full[:k]).all()
+    chunks = list(law.draw_chunks(n, seed, chunk=7))
+    assert all(len(x) <= 7 for x in chunks)
+    assert np.array_equal(np.concatenate(chunks or [full]), full)
+    if n:
+        seeds = [seed, seed ^ 1]
+        each = law.draw_each(seeds)
+        assert (each[0] == full[0]).all()
+        assert (each[1] == law.draw(1, seed ^ 1)[0]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laws(), st.integers(0, 2**64 - 1))
+def test_law_faces_below_d_and_exact(cl, seed):
+    _, law = cl
+    faces = law.draw(50, seed)
+    words = np.random.Philox(key=seed).random_raw(faces.size)
+    want = [(int(u) * law.fields[f % len(law.fields)][1]) >> 64
+            for f, u in enumerate(words.tolist())]
+    assert faces.ravel().tolist() == want
+    for f, (_, d, _, _) in enumerate(law.fields):
+        assert ((0 <= faces[:, f]) & (faces[:, f] < d)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laws(), st.integers(1, 30), st.integers(0, 2**64 - 1))
+def test_law_registers_decode_to_faces(cl, shots, seed):
+    c, law = cl
+    faces = law.draw(shots, seed)
+    batch = law.sample(c, shots, seed)
+    assert _read_faces(c, law, batch) == faces.tolist()
+    assert (em.read_register(batch, c, "cfg") == 5).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_laws(max_faces=3), st.integers(1, 9))
+def test_law_enumeration_visits_each_face_tuple_once(cl, chunk):
+    c, law = cl
+    total = law.support_size(c)
+    if total > 4096:
+        return
+    seen = [tuple(row) for batch in law.enumerate_chunks(c, chunk=chunk)
+            for row in _read_faces(c, law, batch)]
+    assert len(seen) == total
+    assert sorted(seen) == sorted(itertools.product(
+        *(range(d) for _, d, _, _ in law.fields)))
+
+
+def test_law_whole_register_enumeration_order_unchanged():
+    # whole-register fields enumerate the first register (by name) fastest,
+    # the order exact payoffs and ancilla witnesses are reported in
+    c = build_circuit([RegisterDecl("b", 2, "dice"),
+                       RegisterDecl("a", 2, "dice")], [])
+    law = em.InputDistribution(uniform={"b": 2, "a": 3})
+    [batch] = law.enumerate_chunks(c)
+    assert em.read_register(batch, c, "a").tolist() == [0, 1, 2] * 2
+    assert em.read_register(batch, c, "b").tolist() == [0] * 3 + [1] * 3
+
+
+def test_law_rejects_untiled_fields():
+    for widths in ({}, {"a": 7}):
+        with pytest.raises(em.EmulationError, match="tile"):
+            em.InputDistribution(uniform={"a": (3, 2)}, widths=widths)
+    c = build_circuit([RegisterDecl("a", 6, "dice")], [])
+    law = em.InputDistribution(uniform={"a": (3, 2)}, widths={"a": 4})
+    with pytest.raises(em.EmulationError, match="width 6"):
+        law.sample(c, 3, seed=1)
+    with pytest.raises(em.EmulationError, match="exceeds"):
+        em.InputDistribution(uniform={"a": (5, 2)}, widths={"a": 6})
 
 
 def test_exact_budget_enforced():

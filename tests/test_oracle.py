@@ -69,7 +69,7 @@ def test_branchwise_detects_corrupted_transition():
 
 
 def test_branchwise_localises_a_row_selective_corruption():
-    # flip config1 bit 0 only on branches whose cell-0 die has bit 1 set, so
+    # flip config1 bit 0 only on branches whose cell-0 die has bit 0 set, so
     # the first failing branch is not the first branch
     spec = small_sir(h=1, m=2)
     fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
@@ -77,14 +77,15 @@ def test_branchwise_localises_a_row_selective_corruption():
 
     def bad_emit(b, mid, nxt, dice, pool, scr):
         good_emit(b, mid, nxt, dice, pool, scr)
-        b.cx(dice[1], nxt[0])
+        b.cx(dice[0], nxt[0])
 
     fields["emit_transition"] = bad_emit
     bad_spec = orc.RolloutSpec(**fields)
     board = dm.set_cell(0, 0, dm.INFECTED)
     c = orc.compose(bad_spec).circuit
     seeds = list(range(101, 141))
-    streams = [orc.draw_streams(bad_spec, random.Random(seed)) for seed in seeds]
+    streams = orc.law_streams(
+        bad_spec, orc.input_law(bad_spec, board).draw_each(seeds))
     regs = {"config0": board, "dice_h1": [sum(
         f << (i * bad_spec.d) for i, f in enumerate(dice[0]))
         for _, dice in streams]}
@@ -273,14 +274,32 @@ def test_reference_instance_qubit_totals_within_band():
 
 
 def test_branchwise_matches_classical_payoff_distribution():
-    # aggregate check: circuit MC via emulator == classical MC, same seeds
-    spec = small_sway(h=1, m=2)
-    oc = orc.compose(spec)
-    c = oc.circuit
-    streams = [orc.draw_streams(spec, random.Random(seed))
-               for seed in range(300)]
-    outs = em.apply_batch(c, orc.branch_inputs(spec, c, 0, streams))
-    circuit_wins = outs.cols[c.register("payoff")[0]].bit_count()
-    classical_wins = sum(dm.classical_trace(spec, 0, sel, dice)[1]
-                         for sel, dice in streams)
-    assert circuit_wins == classical_wins
+    # aggregate check: the circuit MC through the emulator and the classical
+    # sampler replay the same draws of one input law, so they agree exactly
+    cases = ((small_sway(h=1, m=2), 0),
+             (small_sir(h=1, m=2), dm.set_cell(0, 0, dm.INFECTED)),
+             (small_sway(h=2, m=3), 0))
+    for spec, board in cases:
+        c = orc.compose(spec).circuit
+        for seed in (0, 77):
+            est = em.payoff_probability(c, orc.input_law(spec, board), "mc",
+                                        shots=300, seed=seed)
+            p, _ = dm.sample_payoff(spec, board, shots=300, seed=seed)
+            assert est.probability == p, (spec.name, seed)
+
+
+def test_first_move_must_be_valid_on_the_board():
+    # the infected centre cannot be vaccinated: the reference dynamics
+    # reject the move instead of returning a mean the oracle cannot realise
+    spec = dm.sir_spec(dm.SirConfig(m=3, horizon=1, threshold=1))
+    for bad in (4, 9, -1):
+        with pytest.raises(orc.OracleError, match=f"first move {bad} "):
+            dm.arm_means(spec, CENTER3, 2, first_moves=[bad, 0])
+        with pytest.raises(orc.OracleError, match=f"first move {bad} "):
+            dm.classical_trace(spec, CENTER3, [[0]], [[0] * 9],
+                               first_move=bad)
+        with pytest.raises(orc.OracleError, match=f"first move {bad} "):
+            orc.branchwise_check(spec, 4, CENTER3, arms=2,
+                                 first_moves=[bad, 0], arm_values=[0, 1, 0, 1])
+    assert orc.place_first_move(spec, CENTER3, 0) == dm.set_cell(
+        CENTER3, 0, dm.RECOVERED)
