@@ -230,6 +230,9 @@ def separation_report(k_values, eps_values, trials: int,
     """
     k_values = sorted(set(k_values))
     eps_values = sorted(set(eps_values), reverse=True)
+    if len(k_values) < 2 or len(eps_values) < 2:
+        raise BestArmError("slopes need two distinct k and two distinct eps "
+                           "values")
     rows = []
     table: dict[tuple[int, float], SeparationRow] = {}
     for k in k_values:

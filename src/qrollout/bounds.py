@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .domains import classical_trace
-from .oracle import RolloutSpec, input_law, law_streams, place_first_move
-from .rank_select import select_semantics
+from .domains import rollout_codes
+from .oracle import RolloutSpec, input_law
 
 
 class BoundsError(ValueError):
@@ -268,29 +267,6 @@ class InfluenceEstimate:
     trials: int
 
 
-def _coupled_pair(spec: RolloutSpec, board_a: int, board_b: int, selectors,
-                  dice, first_move: int | None) -> tuple[int, int]:
-    """Position coupling: both runs take the same decoded action, so only
-    dynamical propagation separates them."""
-    n = spec.n_cells
-    a, b = board_a, board_b
-    for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
-            if h == 0 and pj == 0 and first_move is not None:
-                a = place_first_move(spec, a, first_move)
-                b = place_first_move(spec, b, first_move)
-                continue
-            j = select_semantics(spec.classical_validity(a), n,
-                                 selectors[h][pj])
-            if j < n:
-                a = spec.classical_place(a, j, pj)
-                if (spec.classical_validity(b) >> j) & 1:
-                    b = spec.classical_place(b, j, pj)
-        a = spec.classical_transition(a, dice[h])
-        b = spec.classical_transition(b, dice[h])
-    return spec.classical_eval(a), spec.classical_eval(b)
-
-
 def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
                         trials: int, seed: int,
                         first_move: int | None = None,
@@ -300,8 +276,9 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
     Trial ``r`` feeds row ``r`` of ``input_law(spec, board_a).draw(trials,
     seed)`` to both boards.
 
-    ``position`` coupling (default) shares the decoded action positions, so
-    the measured difference isolates the dynamical propagation that the
+    ``position`` coupling (default) shares the decoded action positions
+    (``board_b`` skips a position that is not valid on it), so the
+    measured difference isolates the dynamical propagation that the
     path-counting decay bound models.  ``rank`` coupling shares the raw
     selector ranks instead; a single-site change then additionally shifts
     every later rank-select decode through the global popcount, a policy
@@ -312,18 +289,11 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
     diffs_sum = 0
     diffs_sq = 0
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):
-        for selectors, dice in law_streams(spec, faces):
-            if coupling == "rank":
-                pa = classical_trace(spec, board_a, selectors, dice,
-                                     first_move)[1]
-                pb = classical_trace(spec, board_b, selectors, dice,
-                                     first_move)[1]
-            else:
-                pa, pb = _coupled_pair(spec, board_a, board_b, selectors,
-                                       dice, first_move)
-            d = pa - pb
-            diffs_sum += d
-            diffs_sq += d * d
+        a, b = rollout_codes(spec, [board_a, board_b], faces, first_move,
+                             coupled=coupling == "position")
+        d = spec.array_eval(a) - spec.array_eval(b)
+        diffs_sum += int(d.sum())
+        diffs_sq += int((d * d).sum())
     mean = diffs_sum / trials
     var = max(0.0, diffs_sq / trials - mean * mean)
     sigma = math.sqrt(var / trials)

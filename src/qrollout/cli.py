@@ -36,6 +36,11 @@ REFERENCE_QUBITS = {
 }
 
 
+class _UsageError(Exception):
+    """A value that only the domain can reject, reported like a parser
+    error (exit 2)."""
+
+
 def _manifest(args: argparse.Namespace) -> str:
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func",) and v is not None}
@@ -244,6 +249,10 @@ def cmd_bounds_lifting(args) -> int:
     spec = _make_spec(args.domain, args.m, args.H, args.T, args.rho)
     board = _load_board(args, args.domain, args.m)
     arms = args.arms
+    valid = spec.classical_validity(board).bit_count()
+    if arms > valid:
+        raise _UsageError(f"argument --arms: {arms} arms need {arms} valid "
+                          f"cells, the initial board has {valid}")
     moves = dm.default_first_moves(spec, board, arms)
     values = dm.arm_means(spec, board, arms, first_moves=moves)
     best = max(range(arms), key=lambda j: values[j])
@@ -356,11 +365,13 @@ def _int_at_least(low: int):
 
 
 def _comma_list(parse):
-    """An argparse type: comma-separated values that each pass ``parse``.
-    The text is kept as given, so the manifest records it unchanged."""
+    """An argparse type: comma-separated values that each pass ``parse``,
+    at least two of them distinct (a fitted slope needs two points).  The
+    text is kept as given, so the manifest records it unchanged."""
     def check(text: str) -> str:
-        for item in text.split(","):
-            parse(item)
+        if len({parse(item) for item in text.split(",")}) < 2:
+            raise argparse.ArgumentTypeError(
+                f"needs two distinct values, got {text}")
         return text
     check.__name__ = parse.__name__
     return check
@@ -369,6 +380,8 @@ def _comma_list(parse):
 _COUNT, _NONNEG = _int_at_least(1), _int_at_least(0)
 _PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _GAP = _ranged(float, lambda v: 0.0 < v <= 0.125, "in (0, 1/8]")
+_RHO = _ranged(int, lambda v: 0 <= v <= dm.SIR_FACES,
+               f"in [0, {dm.SIR_FACES}]")
 
 
 def _add_domain_args(p):
@@ -376,7 +389,7 @@ def _add_domain_args(p):
     p.add_argument("--m", type=_COUNT, required=True)
     p.add_argument("--H", type=_NONNEG, required=True)
     p.add_argument("--T", type=_NONNEG, default=None)
-    p.add_argument("--rho", type=int, default=None)
+    p.add_argument("--rho", type=_RHO, default=None)
     p.add_argument("--board", default=None,
                    help="initial-configuration text file (symbols ./B/W or S/I/R)")
 
@@ -477,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        ap.error(str(exc))
 
 
 def console_main() -> None:

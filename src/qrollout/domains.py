@@ -8,9 +8,16 @@ two bits per cell (bit 0, bit 1):
     code 2 = (0,1) = white / recovered        (code 3 unreachable)
 
 Both domains provide circuit fragments (validity mask, stochastic transition,
-terminal evaluation) and matching classical functions; the classical side is
-the branchwise reference and also drives the exact distribution dynamic
-program used as the payoff oracle at 3x3 scale.
+terminal evaluation) and matching classical functions.  On packed ints,
+``classical_trace`` replays one branch; it is the branchwise reference.  On
+(rows, N) int8 code arrays, one board per row, each spec's ``flip_law``
+states the dice law once: a cell takes ``alt`` iff its die is below
+``threshold``, with neighbour counts from one adjacency matmul.  The array
+sampler (``rollout_codes``, one row per shot, rank-select as a cumulative
+sum over the empty cells) and the exact distribution dynamic program both
+read it.  The DP keeps its support as a sorted int64 array of packed boards
+and is the payoff oracle at 3x3 scale: by H=4 Sway 3x3 reaches 19,171 of
+the 3^9 boards, through 1.68 M outcome rows in the last transition.
 
 Sway (two-player placement game): black then white place on empty cells each
 round (white's validity excludes black's fresh placement), then every
@@ -26,16 +33,17 @@ final infected count is at most the threshold T.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from math import sqrt
+
+import numpy as np
 
 from .circuit import Builder
 from .gadgets import (add_register, controlled_increment, copy_register,
                       flag_less_than_const, sub_register)
-from .oracle import (OracleError, RolloutSpec, input_law, law_streams,
+from .oracle import (OracleError, RolloutSpec, input_law, law_columns,
                      place_first_move)
-from .rank_select import select_semantics, width_for
+from .rank_select import select_rows, select_semantics, width_for
 
 EMPTY = SUSCEPTIBLE = 0
 BLACK = INFECTED = 1
@@ -106,6 +114,17 @@ def neighbors(m: int) -> list[list[int]]:
     return out
 
 
+def adjacency(m: int) -> np.ndarray:
+    """The N x N int8 adjacency matrix of :func:`neighbors`.  The flip laws
+    build it per call: a spec that holds one keeps a small block alive on
+    the heap, which raised the peak RSS of circuit synthesis by about 1%."""
+    n = m * m
+    adj = np.zeros((n, n), dtype=np.int8)
+    for i, nbrs in enumerate(neighbors(m)):
+        adj[nbrs, i] = 1
+    return adj
+
+
 _SYMBOLS = {"sway": ".BW", "sir": "SIR"}
 
 
@@ -159,6 +178,22 @@ def _sway_eval(board: int, n: int) -> int:
     return 1 if count_code(board, n, BLACK) > count_code(board, n, WHITE) else 0
 
 
+def _sway_flip_law(m: int):
+    def law(codes):
+        adj = adjacency(m)
+        black = (codes == BLACK).astype(np.int8) @ adj
+        white = (codes == WHITE).astype(np.int8) @ adj
+        same = np.where(codes == BLACK, black, white)
+        # black <-> white; empty cells get threshold 0 and never change
+        return np.where(codes == EMPTY, 0, 4 - same), 3 - codes
+    return law
+
+
+def _sway_array_eval(codes):
+    return ((codes == BLACK).sum(axis=1)
+            > (codes == WHITE).sum(axis=1)).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # SIR classical dynamics
 
@@ -174,6 +209,16 @@ def _sir_transition(board: int, dice, nbrs, rho: int) -> int:
             if dice[i] < rho:
                 out = set_cell(out, i, RECOVERED)
     return out
+
+
+def _sir_flip_law(m: int, rho: int):
+    def law(codes):
+        c = (codes == INFECTED).astype(np.int8) @ adjacency(m)
+        threshold = np.where(codes == SUSCEPTIBLE, c,
+                             np.where(codes == INFECTED, rho, 0))
+        # S -> I, I -> R; recovered cells get threshold 0 and never change
+        return threshold, codes + 1
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +377,8 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
         classical_transition=lambda board, dice: _sway_transition(
             board, dice, nbrs),
         classical_eval=lambda board: _sway_eval(board, n),
+        flip_law=_sway_flip_law(cfg.m),
+        array_eval=_sway_array_eval,
         payoff_params={"m": cfg.m},
     )
 
@@ -362,6 +409,9 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
             board, dice, nbrs, cfg.rho),
         classical_eval=lambda board: (
             1 if count_code(board, n, INFECTED) <= cfg.threshold else 0),
+        flip_law=_sir_flip_law(cfg.m, cfg.rho),
+        array_eval=lambda codes: (
+            (codes == INFECTED).sum(axis=1) <= cfg.threshold).astype(np.int64),
         payoff_params={"m": cfg.m, "threshold": cfg.threshold, "rho": cfg.rho},
     )
 
@@ -393,17 +443,66 @@ def classical_trace(spec: RolloutSpec, board0: int, selectors, dice,
     return boards, spec.classical_eval(board)
 
 
+# ---------------------------------------------------------------------------
+# array rollouts: one row per shot, one int8 code per cell
+
+def board_codes(board: int, n: int) -> np.ndarray:
+    """A packed board as an (n,) int8 code array."""
+    return np.array([cell(board, i) for i in range(n)], dtype=np.int8)
+
+
+def _placement_codes(spec: RolloutSpec) -> list[int]:
+    """The code that each selector pass places."""
+    return [cell(spec.classical_place(0, 0, pj), 0)
+            for pj in range(spec.selectors_per_round)]
+
+
+def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
+                  first_move: int | None = None,
+                  coupled: bool = False) -> list[np.ndarray]:
+    """Final boards of one rollout per face row, from each initial board.
+
+    ``faces`` is a ``(rows, fields)`` face array of :func:`input_law`; row
+    ``r`` of each returned ``(rows, N)`` code array is the final board of
+    :func:`classical_trace` on row ``r``'s streams.  Every board reads the
+    same faces.  With ``coupled``, the first board decides each placement
+    and the others place at the same cell when it is valid on them;
+    otherwise each board rank-selects among its own valid cells.
+    """
+    rows, n = faces.shape[0], spec.n_cells
+    sel, dice = law_columns(spec)
+    codes = _placement_codes(spec)
+    skip = first_move is not None and spec.horizon > 0
+    if skip:
+        boards0 = [place_first_move(spec, b, first_move) for b in boards0]
+    boards = [np.tile(board_codes(b, n), (rows, 1)) for b in boards0]
+    for h in range(spec.horizon):
+        for pj in range(spec.selectors_per_round):
+            if skip and h == pj == 0:
+                continue
+            ranks = faces[:, sel[h, pj]]
+            for k, board in enumerate(boards):
+                valid = board == EMPTY
+                if k == 0 or not coupled:
+                    hit = select_rows(valid, ranks)
+                board[hit & valid] = codes[pj]
+        roll = faces[:, dice[h]]
+        for k, board in enumerate(boards):
+            threshold, alt = spec.flip_law(board)
+            boards[k] = np.where(roll < threshold, alt, board)
+    return boards
+
+
 def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
                   first_move: int | None = None):
     """Seeded Monte Carlo payoff estimate with a 95% CI (classical sampler).
 
-    Shot ``r`` replays row ``r`` of ``input_law(spec, board0).draw(shots,
+    Shot ``r`` plays row ``r`` of ``input_law(spec, board0).draw(shots,
     seed)``, the inputs that the circuit MC at the same seed emulates."""
     wins = 0
     for faces in input_law(spec, board0).draw_chunks(shots, seed):
-        for selectors, dice in law_streams(spec, faces):
-            wins += classical_trace(spec, board0, selectors, dice,
-                                    first_move=first_move)[1]
+        [board] = rollout_codes(spec, [board0], faces, first_move)
+        wins += int(spec.array_eval(board).sum())
     p = wins / shots
     half = 1.96 * sqrt(p * (1 - p) / shots)
     return p, half
@@ -412,103 +511,90 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
 # ---------------------------------------------------------------------------
 # exact value by distribution dynamic programming
 
-class _KernelCache:
-    """Per-spec memo of the per-cell-independent transition expansion."""
-
-    def __init__(self, spec: RolloutSpec):
-        self.spec = spec
-        self.memo: dict[int, tuple] = {}
-        m = spec.payoff_params["m"]
-        self.nbrs = neighbors(m)
-
-    def expand(self, board: int):
-        hit = self.memo.get(board)
-        if hit is not None:
-            return hit
-        outcomes = [(0, 1.0)]
-        for i, adj in enumerate(self.nbrs):
-            branches = self._cell_branches(board, i, adj)
-            if len(branches) == 1 and branches[0][1] == 1.0:
-                code = branches[0][0]
-                outcomes = [(acc | (code << (2 * i)), pr)
-                            for acc, pr in outcomes]
-            else:
-                outcomes = [(acc | (code << (2 * i)), pr * cp)
-                            for acc, pr in outcomes
-                            for code, cp in branches]
-        result = tuple(outcomes)
-        self.memo[board] = result
-        return result
-
-    def _cell_branches(self, board: int, i: int, adj):
-        spec = self.spec
-        code = cell(board, i)
-        if spec.name == "sway":
-            if code == EMPTY:
-                return ((EMPTY, 1.0),)
-            k = sum(1 for j in adj if cell(board, j) == code)
-            pf = (4 - k) / SWAY_FACES
-            if pf == 0.0:
-                return ((code, 1.0),)
-            other = BLACK if code == WHITE else WHITE
-            return ((code, 1.0 - pf), (other, pf))
-        if code == SUSCEPTIBLE:
-            c = sum(1 for j in adj if cell(board, j) == INFECTED)
-            if c == 0:
-                return ((SUSCEPTIBLE, 1.0),)
-            pi = c / SIR_FACES
-            return ((SUSCEPTIBLE, 1.0 - pi), (INFECTED, pi))
-        if code == INFECTED:
-            rho = spec.payoff_params["rho"]
-            if rho == 0:
-                return ((INFECTED, 1.0),)
-            pr = rho / SIR_FACES
-            return ((INFECTED, 1.0 - pr), (RECOVERED, pr))
-        return ((RECOVERED, 1.0),)
+_SPLIT_ROWS = 1 << 18   # outcome rows per block: bounds the split's memory
 
 
-def _mix_pass(spec: RolloutSpec, dist: dict, pass_index: int) -> dict:
-    n, w = spec.n_cells, spec.w
-    inv = 1.0 / (1 << w)
-    out: dict[int, float] = defaultdict(float)
-    for board, pr in dist.items():
-        mask = spec.classical_validity(board)
-        positions = [i for i in range(n) if (mask >> i) & 1]
-        sentinel = ((1 << w) - len(positions)) * inv
-        if sentinel:
-            out[board] += pr * sentinel
-        for j in positions:
-            out[spec.classical_place(board, j, pass_index)] += pr * inv
-    return dict(out)
+def _unpack(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """int64 packed boards as a (rows, N) code array."""
+    return ((states[:, None] >> shift) & 3).astype(np.int8)
+
+
+def _merge(states: np.ndarray, probs: np.ndarray):
+    """Sum the mass of equal boards: sorted distinct boards and their mass."""
+    order = np.argsort(states, kind="stable")
+    states, probs = states[order], probs[order]
+    first = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
+    return states[first], np.add.reduceat(probs, first)
+
+
+def _select_pass(states, probs, shift, strings: int, code: int):
+    """Mix each board uniformly over the selector's strings: 1/strings of
+    its mass to each valid placement, the rest stays (sentinel no-op)."""
+    valid = _unpack(states, shift) == EMPTY
+    row, pos = np.nonzero(valid)
+    inv = 1.0 / strings
+    stay = (strings - valid.sum(axis=1)) * inv
+    return _merge(np.concatenate((states, states[row] + (code << shift[pos]))),
+                  np.concatenate((probs * stay, probs[row] * inv)))
+
+
+def transition_distribution(spec: RolloutSpec, states: np.ndarray,
+                            probs: np.ndarray):
+    """Push a distribution over int64 packed boards through one transition;
+    returns the sorted distinct boards and their mass.  Every pre-board
+    reads ``flip_law`` once, then splits cell by cell into its outcome rows,
+    each row carrying its pre-board's index."""
+    shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
+    codes = _unpack(states, shift)
+    threshold, alt = spec.flip_law(codes)
+    flip = threshold / spec.faces
+    step = (alt.astype(np.int64) - codes) << shift   # a flip's packed change
+    fan = np.cumsum(1 << (flip > 0).sum(axis=1))      # outcome rows so far
+    cuts = np.flatnonzero(np.diff(fan // _SPLIT_ROWS)) + 1
+    parts = []
+    for idx in np.split(np.arange(states.size), cuts):
+        acc, weight = states[idx], np.ones(idx.size)
+        for i in range(spec.n_cells):
+            pf = flip[idx, i]
+            split = np.flatnonzero(pf)
+            if split.size:
+                pre, pf = idx[split], pf[split]
+                idx = np.concatenate((idx, pre))
+                acc = np.concatenate((acc, acc[split] + step[pre, i]))
+                weight = np.concatenate((weight, weight[split] * pf))
+                weight[split] *= 1.0 - pf
+        parts.append(_merge(acc, probs[idx] * weight))
+    return _merge(*(np.concatenate(part) for part in zip(*parts)))
 
 
 def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
-                budget: int = DP_STATE_BUDGET,
-                _cache: _KernelCache | None = None) -> float:
+                budget: int = DP_STATE_BUDGET) -> float:
     """Exact payoff probability by full distribution dynamic programming.
 
-    Selectors mix uniformly over all 2^w values (out-of-range mass on the
-    sentinel no-op); the transition kernel factorizes over cells.  Requires
-    3^N within the state budget (m <= 3 by default).
+    The support is a sorted int64 array of packed boards with a float64
+    mass each.  Selectors mix uniformly over all 2^w values (out-of-range
+    mass on the sentinel no-op); the transition splits each board cell by
+    cell under ``spec.flip_law``.  Requires 3^N within the state budget
+    (m <= 3 by default).
     """
-    if 3 ** spec.n_cells > budget:
-        raise BudgetError(
-            f"state space 3^{spec.n_cells} exceeds budget {budget}")
-    cache = _cache if _cache is not None else _KernelCache(spec)
-    dist = {board0: 1.0}
+    n = spec.n_cells
+    if 3 ** n > budget:
+        raise BudgetError(f"state space 3^{n} exceeds budget {budget}")
+    if n > 31:
+        raise BudgetError(f"{n} cells do not pack into an int64 board")
+    shift = 2 * np.arange(n, dtype=np.int64)
+    codes = _placement_codes(spec)
+    skip = first_move is not None and spec.horizon > 0
+    if skip:
+        board0 = place_first_move(spec, board0, first_move)
+    states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
-            if h == 0 and pj == 0 and first_move is not None:
-                dist = {place_first_move(spec, b, first_move): p
-                        for b, p in dist.items()}
-            else:
-                dist = _mix_pass(spec, dist, pj)
-        nxt: dict[int, float] = defaultdict(float)
-        for board, pr in dist.items():
-            for nb, p in cache.expand(board):
-                nxt[nb] += pr * p
-        dist = dict(nxt)
-    return sum(pr for b, pr in dist.items() if spec.classical_eval(b) == 1)
+            if not (skip and h == pj == 0):
+                states, probs = _select_pass(states, probs, shift,
+                                             1 << spec.w, codes[pj])
+        states, probs = transition_distribution(spec, states, probs)
+    return float(probs[spec.array_eval(_unpack(states, shift)) == 1].sum())
 
 
 def default_first_moves(spec: RolloutSpec, board0: int, k: int) -> list[int]:
@@ -526,6 +612,5 @@ def arm_means(spec: RolloutSpec, board0: int, k: int,
     round-1 placement that bypasses the round-1 selector)."""
     if first_moves is None:
         first_moves = default_first_moves(spec, board0, k)
-    cache = _KernelCache(spec)
-    return [exact_value(spec, board0, first_move=fm, budget=budget,
-                        _cache=cache) for fm in first_moves[:k]]
+    return [exact_value(spec, board0, first_move=fm, budget=budget)
+            for fm in first_moves[:k]]

@@ -299,9 +299,9 @@ class InputDistribution:
         """
         return self._draw(_philox(seed), shots)
 
-    def draw_chunks(self, shots: int, seed: int, chunk: int = 256):
+    def draw_chunks(self, shots: int, seed: int, chunk: int = 4096):
         """``draw(shots, seed)`` as consecutive arrays of at most ``chunk``
-        rows."""
+        rows, so a sampler's memory is bounded by one chunk."""
         bits = _philox(seed)
         for start in range(0, shots, chunk):
             yield self._draw(bits, min(chunk, shots - start))

@@ -37,8 +37,9 @@ class RolloutSpec:
     """A domain's validity/transition/evaluation hooks plus register widths.
 
     Circuit hooks emit gate fragments through a Builder; classical hooks are
-    the bit-exact reference semantics used for branchwise validation and the
-    exact dynamic program.
+    the single-branch reference semantics that branchwise validation
+    replays; array hooks state the same rules on code arrays for the
+    sampler, the influence MC and the exact dynamic program.
     """
 
     name: str
@@ -62,6 +63,12 @@ class RolloutSpec:
     classical_place: Callable        # (board, position, pass_index) -> board
     classical_transition: Callable   # (board, dice_faces) -> board
     classical_eval: Callable         # board -> 0 | 1
+    # array hooks on (rows, N) int8 code arrays, one row per board; a cell
+    # is a valid placement iff its code is 0, and pass p places the code
+    # that classical_place writes
+    flip_law: Callable    # codes -> (threshold, alt): a cell takes alt iff
+                          # its die is below threshold
+    array_eval: Callable  # codes -> 0 | 1 per row
     payoff_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -338,16 +345,27 @@ def input_law(spec: RolloutSpec, board0: int) -> InputDistribution:
         widths={f"dice_h{i + 1}": spec.n_cells * spec.d for i in range(h)})
 
 
+def law_columns(spec: RolloutSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The face-array columns of :func:`input_law`: ``sel[h, p]`` holds
+    selector ``p`` of round ``h + 1`` and ``dice[h, i]`` the die of cell
+    ``i`` in that round.  Fields sort by register name, so ``dice_h10``
+    comes before ``dice_h2``."""
+    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
+    column = {(name, lo): f for f, (name, _, lo, _)
+              in enumerate(input_law(spec, 0).fields)}
+    sel = [column[f"sel_h{i + 1}_p{j}", 0] for i in range(h) for j in range(p)]
+    dice = [column[f"dice_h{i + 1}", k * spec.d]
+            for i in range(h) for k in range(n)]
+    return (np.array(sel, dtype=np.intp).reshape(h, p),
+            np.array(dice, dtype=np.intp).reshape(h, n))
+
+
 def law_streams(spec: RolloutSpec, faces) -> list[tuple[list, list]]:
     """Each face row of :func:`input_law` as its ``(selectors, dice)``
     streams: ``selectors[h][p]`` and ``dice[h][i]``, rounds in order."""
     h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
-    column = {(name, lo): f for f, (name, _, lo, _)
-              in enumerate(input_law(spec, 0).fields)}
-    order = ([column[f"sel_h{i + 1}_p{j}", 0]
-              for i in range(h) for j in range(p)]
-             + [column[f"dice_h{i + 1}", k * spec.d]
-                for i in range(h) for k in range(n)])
+    sel, dice = law_columns(spec)
+    order = np.concatenate((sel.ravel(), dice.ravel()))
     dice0 = h * p
     return [([row[i * p:(i + 1) * p] for i in range(h)],
              [row[dice0 + i * n:dice0 + (i + 1) * n] for i in range(h)])

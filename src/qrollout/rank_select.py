@@ -50,6 +50,16 @@ def select_semantics(mask: int, n: int, r: int) -> int:
     return n
 
 
+def select_rows(valid: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """:func:`select_semantics` on every row of a ``(rows, n)`` bool array:
+    row ``r`` of the result marks the ``ranks[r]``-th set cell of
+    ``valid[r]``, and nothing when the rank reaches the row's count (the
+    sentinel)."""
+    count = np.cumsum(valid, axis=1,
+                      dtype=np.min_scalar_type(valid.shape[1]))
+    return valid & (count == ranks[:, None] + 1)
+
+
 def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
     """Emulate a rank-select circuit on every (mask, rank) input at once.
 

@@ -146,6 +146,14 @@ def test_transportation_ratio_floor():
         assert per_arm[j] / trials >= ratio
 
 
+def test_separation_report_needs_two_points_per_slope():
+    # a log-log slope fitted to one point is meaningless
+    with pytest.raises(ba.BestArmError, match="two distinct"):
+        ba.separation_report([4], [0.08, 0.04], trials=2, seed=1)
+    with pytest.raises(ba.BestArmError, match="two distinct"):
+        ba.separation_report([4, 8], [0.08, 0.08], trials=2, seed=1)
+
+
 def test_separation_report_smoke():
     rep = ba.separation_report([4, 16], [0.08, 0.04], trials=25, seed=3)
     assert len(rep.rows) == 4

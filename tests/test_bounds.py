@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import classical_reference as ref
 from qrollout import bounds as bd
 from qrollout import domains as dm
 
@@ -268,3 +269,23 @@ def test_empirical_influence_within_cumulative_bound():
                                      seed=6)
         bound = bd.decay_cumulative(model, dist)
         assert est.delta <= bound + 3 * est.sigma, (site, dist)
+
+
+@pytest.mark.parametrize("coupling", ["position", "rank"])
+@pytest.mark.parametrize("site,first_move", [(1, None), (1, 6), (0, None),
+                                             (3, 2)])
+def test_empirical_influence_equals_the_trace_loop(coupling, site,
+                                                   first_move):
+    # the array MC and the per-row loop sum the same integer differences,
+    # so both return the same floats
+    spec = dm.sir_spec(dm.SirConfig(m=3, horizon=2, threshold=2, rho=2))
+    other = dm.set_cell(CENTER3, site, dm.RECOVERED)
+    trials = 1500
+    est = bd.empirical_influence(spec, CENTER3, other, trials, seed=9 + site,
+                                 first_move=first_move, coupling=coupling)
+    total, squares = ref.loop_influence_sums(spec, CENTER3, other, trials,
+                                             9 + site, first_move, coupling)
+    mean = total / trials
+    var = max(0.0, squares / trials - mean * mean)
+    assert est.delta == abs(mean)
+    assert est.sigma == math.sqrt(var / trials)

@@ -37,8 +37,8 @@ _DOMAIN = ["--domain", "sway", "--m", "2", "--H", "1"]
     ["domain", "mc", *_DOMAIN, "--shots", "0", "--seed", "1"],
     ["domain", "exact", "--domain", "sway", "--m", "2", "--H", "-1"],
     ["oracle", "validate", *_DOMAIN, "--seeds", "0", "--seed", "1"],
-    ["bestarm", "separate", "--k", "4", "--eps", "0.1", "--trials", "0",
-     "--seed", "1"],
+    ["bestarm", "separate", "--k", "4,8", "--eps", "0.1,0.05", "--trials",
+     "0", "--seed", "1"],
     ["bounds", "lifting", *_DOMAIN, "--samples", "-3", "--seed", "1"],
     ["tables", "correctness", "--seed", "1", "--ref-shots", "0"],
     ["ranksel", "validate", "--n", "four"],
@@ -52,15 +52,31 @@ _DOMAIN = ["--domain", "sway", "--m", "2", "--H", "1"]
      "--d-max", "-1"],
     ["domain", "exact", "--domain", "epi", "--m", "2", "--H", "1",
      "--T", "-1"],
-    ["bestarm", "separate", "--k", "1", "--eps", "0.1", "--seed", "1"],
-    ["bestarm", "separate", "--k", "4", "--eps", "0", "--seed", "1"],
+    ["bestarm", "separate", "--k", "1,4", "--eps", "0.1,0.05", "--seed",
+     "1"],
+    ["bestarm", "separate", "--k", "4,8", "--eps", "0,0.1", "--seed", "1"],
     ["ranksel", "costs", "--n-max", "0"],
+    ["bestarm", "separate", "--k", "4", "--eps", "0.1", "--trials", "2",
+     "--seed", "1"],
+    ["bestarm", "separate", "--k", "4,8", "--eps", "0.1,0.10", "--trials",
+     "2", "--seed", "1"],
+    ["domain", "exact", "--domain", "epi", "--m", "2", "--H", "1",
+     "--rho", "9"],
 ])
 def test_bad_count_values_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(argv)
     assert exc.value.code == 2
     assert "error: argument --" in capsys.readouterr().err
+
+
+def test_arms_beyond_the_valid_cells_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["bounds", "lifting", "--domain", "epi", "--m", "3", "--H",
+                 "1", "--arms", "9", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --arms" in err and "initial board has 8" in err
 
 
 def test_missing_required_seed_exits_2():

@@ -1,11 +1,14 @@
 """Sway / SIR rules, classical rollouts, exact DP, arm means."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import classical_reference as ref
 from qrollout import domains as dm
 from qrollout import oracle as orc
 
@@ -164,21 +167,37 @@ def test_exact_value_budget():
         dm.exact_value(spec, 0)
 
 
+def _array_step(spec, board):
+    """The array kernel's one-step transition distribution of one board."""
+    states, probs = dm.transition_distribution(
+        spec, np.array([board], dtype=np.int64), np.ones(1))
+    return dict(zip(states.tolist(), probs.tolist()))
+
+
+def _array_transition(spec, board, dice):
+    """The sampler's transition of one board under one row of dice."""
+    codes = dm.board_codes(board, spec.n_cells)[None, :]
+    threshold, alt = spec.flip_law(codes)
+    out = np.where(np.array([dice]) < threshold, alt, codes)
+    return _pack(out[0])
+
+
+def _pack(codes) -> int:
+    return sum(int(c) << (2 * i) for i, c in enumerate(codes))
+
+
 def test_kernel_against_bruteforce_dice_2x2():
-    # the factorized DP kernel must equal brute-force enumeration of all
-    # dice on a 2x2 SIR grid
+    # the array transition distribution must equal brute-force enumeration
+    # of all dice on a 2x2 SIR grid
     cfg = dm.SirConfig(m=2, horizon=1, threshold=1, rho=2)
     spec = dm.sir_spec(cfg)
     board = dm.set_cell(0, 0, dm.INFECTED)
-    cache = dm._KernelCache(spec)
-    got = dict(cache.expand(board))
+    got = _array_step(spec, board)
     brute = {}
-    for d0 in range(8):
-        for d1 in range(8):
-            for d2 in range(8):
-                for d3 in range(8):
-                    nb = spec.classical_transition(board, [d0, d1, d2, d3])
-                    brute[nb] = brute.get(nb, 0) + 1
+    for dice in itertools.product(range(8), repeat=4):
+        nb = spec.classical_transition(board, list(dice))
+        assert _array_transition(spec, board, dice) == nb
+        brute[nb] = brute.get(nb, 0) + 1
     total = 8 ** 4
     assert set(got) == set(brute)
     for nb, count in brute.items():
@@ -189,17 +208,111 @@ def test_kernel_against_bruteforce_dice_2x2_sway():
     cfg = dm.SwayConfig(m=2, horizon=1)
     spec = dm.sway_spec(cfg)
     board = dm.set_cell(dm.set_cell(0, 0, dm.BLACK), 3, dm.WHITE)
-    cache = dm._KernelCache(spec)
-    got = dict(cache.expand(board))
+    got = _array_step(spec, board)
     brute = {}
     for d0 in range(20):
         for d3 in range(20):
             nb = spec.classical_transition(board, [d0, 0, 0, d3])
+            assert _array_transition(spec, board, [d0, 0, 0, d3]) == nb
             brute[nb] = brute.get(nb, 0) + 1
     total = 20 ** 2
     assert set(got) == set(brute)
     for nb, count in brute.items():
         assert abs(got[nb] - count / total) < 1e-12
+
+
+def _trace_rows(spec, board, faces, first_move=None):
+    return [dm.classical_trace(spec, board, sel, dice, first_move=first_move)
+            for sel, dice in orc.law_streams(spec, faces)]
+
+
+@pytest.mark.parametrize("spec,board,first_move", [
+    (dm.sway_spec(dm.SwayConfig(3, 0)), 0, None),
+    (dm.sir_spec(dm.SirConfig(3, 0, threshold=0)), CENTER3, None),
+    # 11 rounds: dice_h10 and dice_h11 sort before dice_h2 in the law
+    (dm.sway_spec(dm.SwayConfig(2, 11)), 0, None),
+    (dm.sway_spec(dm.SwayConfig(2, 11)), 0, 3),
+    (dm.sway_spec(dm.SwayConfig(3, 2)), dm.set_cell(0, 4, dm.WHITE), 0),
+    (dm.sir_spec(dm.SirConfig(3, 3, threshold=2)), CENTER3, None),
+    (dm.sir_spec(dm.SirConfig(3, 2, threshold=2, rho=5)), CENTER3, 7),
+])
+def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
+                                                         first_move):
+    faces = orc.input_law(spec, board).draw(400, 31)
+    [codes] = dm.rollout_codes(spec, [board], faces, first_move)
+    payoff = spec.array_eval(codes)
+    for r, (boards, bit) in enumerate(_trace_rows(spec, board, faces,
+                                                  first_move)):
+        assert _pack(codes[r]) == boards[-1], r
+        assert payoff[r] == bit, r
+
+
+@pytest.mark.parametrize("spec,board,other", [
+    (dm.sir_spec(dm.SirConfig(3, 2, threshold=2)), CENTER3,
+     dm.set_cell(CENTER3, 1, dm.RECOVERED)),
+    # a cell empty on the first board and black on the second: following a
+    # placement there would overwrite the second board's piece
+    (dm.sway_spec(dm.SwayConfig(3, 2)), 0, dm.set_cell(0, 4, dm.BLACK)),
+])
+def test_coupled_array_rollouts_match_the_pair_loop(spec, board, other):
+    # position coupling: the second board follows the first board's
+    # placements where they are valid on it; rank coupling: independent
+    faces = orc.input_law(spec, board).draw(300, 8)
+    streams = orc.law_streams(spec, faces)
+    for first_move in (None, 6):
+        a, b = dm.rollout_codes(spec, [board, other], faces, first_move,
+                                coupled=True)
+        for r, (sel, dice) in enumerate(streams):
+            want = ref.coupled_pair(spec, board, other, sel, dice,
+                                    first_move)
+            assert (spec.array_eval(a)[r], spec.array_eval(b)[r]) == want
+        a, b = dm.rollout_codes(spec, [board, other], faces, first_move)
+        rows = zip(_trace_rows(spec, board, faces, first_move),
+                   _trace_rows(spec, other, faces, first_move))
+        for r, ((ta, _), (tb, _)) in enumerate(rows):
+            assert (_pack(a[r]), _pack(b[r])) == (ta[-1], tb[-1])
+
+
+@pytest.mark.parametrize("spec,board,first_moves", [
+    (dm.sway_spec(dm.SwayConfig(3, 2)), 0, (None, 0, 4)),
+    (dm.sway_spec(dm.SwayConfig(5, 2)), 0, (None, 12)),
+    (dm.sir_spec(dm.SirConfig(3, 2, threshold=2)), CENTER3, (None, 1)),
+    (dm.sway_spec(dm.SwayConfig(2, 11)), 0, (None, 2)),
+])
+def test_sample_payoff_equals_the_trace_loop(spec, board, first_moves):
+    for seed in (1, 2, 3):
+        for fm in first_moves:
+            p, _ = dm.sample_payoff(spec, board, 700, seed, first_move=fm)
+            assert p == ref.loop_sample_payoff(spec, board, 700, seed,
+                                               first_move=fm) / 700
+
+
+def _dp_instances():
+    for t in range(5):
+        yield dm.sir_spec(dm.SirConfig(3, 2, threshold=t)), CENTER3
+    for rho in range(9):
+        yield dm.sir_spec(dm.SirConfig(3, 2, threshold=2, rho=rho)), CENTER3
+    yield dm.sir_spec(dm.SirConfig(3, 1, threshold=1)), CENTER3
+    yield dm.sway_spec(dm.SwayConfig(3, 2)), 0
+    yield dm.sway_spec(dm.SwayConfig(3, 1)), 0
+    yield dm.sway_spec(dm.SwayConfig(2, 3)), dm.set_cell(0, 1, dm.WHITE)
+
+
+def test_exact_value_matches_the_dict_dp():
+    for spec, board in _dp_instances():
+        cache = ref.KernelCache(spec)
+        for fm in (None, 0, 2, 3):
+            got = dm.exact_value(spec, board, first_move=fm)
+            want = ref.dict_exact_value(spec, board, first_move=fm,
+                                        cache=cache)
+            assert abs(got - want) <= 1e-12, (spec.payoff_params, fm)
+
+
+def test_rho_sweep_is_monotone_without_tolerance():
+    values = [dm.exact_value(dm.sir_spec(dm.SirConfig(3, 2, threshold=2,
+                                                      rho=rho)), CENTER3)
+              for rho in range(9)]
+    assert all(0.0 <= a <= b <= 1.0 for a, b in zip(values, values[1:]))
 
 
 def test_exact_vs_mc_three_sigma():

@@ -50,6 +50,24 @@ def test_semantics_matches_bruteforce(n, data):
     assert rs.select_semantics(mask, n, r) == brute_select(mask, n, r)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_select_rows_matches_semantics(n, data):
+    # array rank-select on a batch of masks, every rank up to 2^w - 1, so
+    # the sentinel rows (rank at or above the popcount) are included
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=8))
+    ranks = np.arange(1 << rs.width_for(n))
+    m = np.repeat(masks, ranks.size)
+    r = np.tile(ranks, len(masks))
+    valid = ((m[:, None] >> np.arange(n)) & 1).astype(bool)
+    hit = rs.select_rows(valid, r)
+    assert (hit.sum(axis=1) <= 1).all()
+    got = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    want = [rs.select_semantics(int(mv), n, int(rv)) for mv, rv in zip(m, r)]
+    assert got.tolist() == want
+
+
 def test_mask_string_roundtrip():
     s = "0110100011"
     assert rs.mask_to_string(rs.mask_from_string(s), len(s)) == s
