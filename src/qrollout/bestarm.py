@@ -6,17 +6,24 @@ cited primitives (maximum finding over k arms, amplitude estimation at
 additive error eps) rather than simulating amplitudes: each threshold
 comparison costs one amplitude-estimation run of AE_CALL_CONSTANT / eps
 oracle calls returning the exact mean perturbed by a seeded error below
-eps/2, and the outer maximum-finding loop performs its expected
-O(sqrt(k)) comparisons.  Ledgers are deterministic given (instance, eps,
-seed).
+eps/2, and the outer maximum-finding walk performs its expected
+O(sqrt(k)) comparisons.
+
+Both sides are kernels that play every trial of one instance at once on
+(trials, k) arrays (``successive_elimination``, ``threshold_walk``);
+``classical_baseline`` and ``quantum_accounting`` are their one-trial
+views.  Ledgers are deterministic given (instance, eps, seed, trials).
+``separation_report`` gives each (k, eps) cell of its grid its own seeded
+streams, one per side.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .rank_select import select_rows
 
 AE_CALL_CONSTANT = 4.0     # oracle calls per amplitude estimation = C_ae/eps
 DH_BATCH_CONSTANT = 2.0    # comparisons charged per Grover find = C_dh*sqrt(k/m)
@@ -113,84 +120,124 @@ class QueryLedger:
 
 
 # ---------------------------------------------------------------------------
-# classical baseline: successive elimination
+# kernels: every trial of one instance at once, on (trials, k) arrays
 
-def classical_baseline(instance: BanditInstance, eps: float,
-                       seed: int) -> tuple[int, QueryLedger]:
-    """Successive elimination with constant Hoeffding radii sqrt(a/t).
+@dataclass(frozen=True)
+class TrialLedgers:
+    """The ledgers of ``trials`` independent runs on one instance, one row
+    per trial: the chosen arm, the per-arm count (pulls classically, AE
+    runs on the quantum side) and the coherent oracle calls (zero
+    classically)."""
+    chosen: np.ndarray         # (trials,) int64
+    per_arm: np.ndarray        # (trials, k) int64
+    oracle_calls: np.ndarray   # (trials,) float64
+
+    def ledger(self, t: int) -> QueryLedger:
+        return QueryLedger(oracle_calls=float(self.oracle_calls[t]),
+                           per_arm=self.per_arm[t].tolist(),
+                           chosen=int(self.chosen[t]))
+
+
+def generator(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed`` mod 2^64."""
+    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+
+
+def _uniform_below(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
+    """One uniform integer in [0, m) per entry of ``m``: floor(u * m) for a
+    53-bit uniform u, so each value's probability is within 2^-53 of 1/m."""
+    return (rng.random(m.size) * m).astype(np.int64)
+
+
+def successive_elimination(instance: BanditInstance, eps: float, trials: int,
+                           rng: np.random.Generator) -> TrialLedgers:
+    """Successive elimination with constant Hoeffding radii sqrt(a/t), all
+    trials at once.
 
     Arms whose empirical mean trails the leader by more than twice the
-    radius are dropped; the run stops when one arm remains or the radius
-    falls below eps/2.  Elimination is checked in chunks of rounds, which
-    only delays drop times.  Every pull is ledgered.
+    radius are dropped; a trial stops when one arm remains or the radius
+    falls below eps/2, and a stopped trial is charged no more pulls.
+    Elimination is checked in chunks of rounds, which only delays drop
+    times.  A chunk adds one ``rng.binomial(rounds, mean)`` per live (trial,
+    arm) entry, in row-major order: a sum of ``rounds`` Bernoulli pulls.
+    Ties among the arms left at the horizon go to the lowest index.
     """
-    k = instance.k
-    ledger = QueryLedger(per_arm=[0] * k)
-    if k == 1:
-        ledger.chosen = 0
-        return 0, ledger
-    rng = np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
     means = np.asarray(instance.means)
     a = SE_RADIUS_CONSTANT
     t_stop = int(math.ceil(4.0 * a / (eps * eps)))
     chunk = max(1, t_stop // SE_CHECK_CHUNKS)
-    active = np.arange(k)
-    sums = np.zeros(k)
+    live = np.ones((trials, instance.k), dtype=bool)
+    sums = np.zeros(live.shape, dtype=np.int64)
+    pulls = np.zeros(live.shape, dtype=np.int64)
+    running = live.sum(axis=1) > 1
+    emp = np.zeros(live.shape)
     t = 0
-    while t < t_stop and active.size > 1:
+    while t < t_stop and running.any():
         rounds = min(chunk, t_stop - t)
-        draws = rng.random((rounds, active.size)) < means[active]
-        sums[active] += draws.sum(axis=0)
-        for i in active:
-            ledger.per_arm[i] += rounds
+        draw = live & running[:, None]
+        sums[draw] += rng.binomial(rounds, means[np.nonzero(draw)[1]])
+        pulls[draw] += rounds
         t += rounds
-        radius = math.sqrt(a / t)
-        emp = sums[active] / t
-        keep = emp >= emp.max() - 2.0 * radius
-        active = active[keep]
-    if active.size == 1:
-        ledger.chosen = int(active[0])
-    else:
-        emp = sums[active] / t
-        ledger.chosen = int(active[int(np.argmax(emp))])
-    return ledger.chosen, ledger
+        emp = np.where(live, sums / t, -np.inf)
+        keep = emp >= emp.max(axis=1, keepdims=True) - 2.0 * math.sqrt(a / t)
+        live &= keep
+        running &= live.sum(axis=1) > 1
+    chosen = np.argmax(np.where(live, emp, -np.inf), axis=1)
+    return TrialLedgers(chosen=chosen, per_arm=pulls,
+                        oracle_calls=np.zeros(trials))
 
 
-# ---------------------------------------------------------------------------
-# quantum accounting
+def threshold_walk(instance: BanditInstance, eps: float, trials: int,
+                   rng: np.random.Generator) -> TrialLedgers:
+    """Maximum finding over amplitude-estimated arm values, all trials at
+    once, charged at query level.
+
+    Each arm's estimate is its mean plus a seeded uniform error in
+    [-eps/2, eps/2).  A walk starts at a uniform arm (one AE run of
+    AE_CALL_CONSTANT/eps calls); each step against m > 0 marked arms (those
+    estimated above the current one) charges DH_BATCH_CONSTANT*sqrt(k/m)
+    AE runs and moves to a uniform marked arm, and a walk ends on a final
+    sqrt(k)-run exhaustion check where m = 0.  A single arm costs one AE
+    run.
+    """
+    k = instance.k
+    ae_calls = AE_CALL_CONSTANT / eps
+    rows = np.arange(trials)
+    per_arm = np.zeros((trials, k), dtype=np.int64)
+    calls = np.full(trials, ae_calls)
+    if k == 1:
+        per_arm[:, 0] = 1
+        return TrialLedgers(chosen=np.zeros(trials, dtype=np.int64),
+                            per_arm=per_arm, oracle_calls=calls)
+    est = np.asarray(instance.means) + (rng.random((trials, k)) - 0.5) * eps
+    cur = _uniform_below(rng, np.full(trials, k))
+    per_arm[rows, cur] = 1
+    run = rows
+    while run.size:
+        marked = est[run] > est[run, cur[run]][:, None]
+        m = marked.sum(axis=1)
+        done = m == 0
+        calls[run[done]] += DH_BATCH_CONSTANT * math.sqrt(k) * ae_calls
+        run, marked, m = run[~done], marked[~done], m[~done]
+        calls[run] += DH_BATCH_CONSTANT * np.sqrt(k / m) * ae_calls
+        cur[run] = select_rows(marked, _uniform_below(rng, m)).nonzero()[1]
+        per_arm[run, cur[run]] += 1
+    return TrialLedgers(chosen=cur, per_arm=per_arm, oracle_calls=calls)
+
+
+def classical_baseline(instance: BanditInstance, eps: float,
+                       seed: int) -> tuple[int, QueryLedger]:
+    """One trial of :func:`successive_elimination` under
+    ``generator(seed)``."""
+    led = successive_elimination(instance, eps, 1, generator(seed)).ledger(0)
+    return led.chosen, led
+
 
 def quantum_accounting(instance: BanditInstance, eps: float,
                        seed: int) -> tuple[int, QueryLedger]:
-    """Maximum-finding over amplitude-estimated arm values, charged at query
-    level: each comparison costs one AE run of AE_CALL_CONSTANT/eps calls;
-    a Grover find against m marked arms charges DH_BATCH_CONSTANT*sqrt(k/m)
-    comparisons, plus a final sqrt(k) exhaustion check."""
-    k = instance.k
-    rng = random.Random(seed)
-    ae_calls = AE_CALL_CONSTANT / eps
-    ledger = QueryLedger(per_arm=[0] * k)
-    estimates = [mu + (rng.random() - 0.5) * eps
-                 for mu in instance.means]       # |error| < eps/2, seeded
-    if k == 1:
-        ledger.oracle_calls += ae_calls
-        ledger.per_arm[0] += 1
-        ledger.chosen = 0
-        return 0, ledger
-    current = rng.randrange(k)
-    ledger.oracle_calls += ae_calls
-    ledger.per_arm[current] += 1
-    while True:
-        marked = [j for j in range(k) if estimates[j] > estimates[current]]
-        if not marked:
-            ledger.oracle_calls += (DH_BATCH_CONSTANT * math.sqrt(k)
-                                    * ae_calls)
-            break
-        find_cost = DH_BATCH_CONSTANT * math.sqrt(k / len(marked))
-        ledger.oracle_calls += find_cost * ae_calls
-        current = marked[rng.randrange(len(marked))]
-        ledger.per_arm[current] += 1
-    ledger.chosen = current
-    return current, ledger
+    """One trial of :func:`threshold_walk` under ``generator(seed)``."""
+    led = threshold_walk(instance, eps, 1, generator(seed)).ledger(0)
+    return led.chosen, led
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +248,10 @@ class SeparationRow:
     k: int
     eps: float
     classical_pulls: float
+    classical_pulls_se: float     # standard error of the mean over trials
     classical_success: float
     quantum_calls: float
+    quantum_calls_se: float
     quantum_success: float
     lower_bound: float
 
@@ -214,19 +263,40 @@ class SeparationReport:
     slope_quantum_k: float
     slope_classical_eps: float
     slope_quantum_eps: float
+    slope_classical_k_se: float   # delta-method standard errors
+    slope_quantum_k_se: float
+    slope_classical_eps_se: float
+    slope_quantum_eps_se: float
 
 
-def _loglog_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Mean of per-trial values and its standard error (nan for one trial)."""
+    se = x.std(ddof=1) / math.sqrt(x.size) if x.size > 1 else math.nan
+    return float(x.mean()), float(se)
+
+
+def _loglog_slope(xs, ys, ses) -> tuple[float, float]:
+    """Least-squares slope of log y on log x, ``sum_i w_i log y_i``, and its
+    delta-method standard error: the cells are independent, and log y_i
+    has error se_i / y_i."""
+    lx = np.log(xs)
+    d = lx - lx.mean()
+    w = d / (d @ d)
+    ys = np.asarray(ys)
+    return (float(w @ np.log(ys)),
+            float(np.sqrt(((w * np.asarray(ses) / ys) ** 2).sum())))
 
 
 def separation_report(k_values, eps_values, trials: int,
                       seed: int) -> SeparationReport:
-    """Mean pulls/calls and success rates on hard base instances over a
-    (k, eps) grid, with fitted log-log exponents.
+    """Mean pulls/calls (with standard errors) and success rates on hard base
+    instances over a (k, eps) grid, with fitted log-log exponents.
 
-    The k-slopes are fitted at the smallest eps in the grid; the eps-slopes
-    (versus 1/eps) at the largest k.
+    Each (k, eps) cell draws from its own stream,
+    ``SeedSequence([seed, k, round(eps * 1e9)])``, spawned into a classical
+    and a quantum child, so either side can change without moving the
+    other's draws.  The k-slopes are fitted at the smallest eps in the
+    grid; the eps-slopes (versus 1/eps) at the largest k.
     """
     k_values = sorted(set(k_values))
     eps_values = sorted(set(eps_values), reverse=True)
@@ -238,33 +308,39 @@ def separation_report(k_values, eps_values, trials: int,
     for k in k_values:
         for eps in eps_values:
             inst = BanditInstance.hard_base(k, eps)
-            cp = cs = qc = qs = 0.0
-            good = inst.optimal_set()
-            for t in range(trials):
-                s = (seed * 1_000_003 + 7919 * t) ^ (k << 20) ^ int(eps * 1e9)
-                arm, led = classical_baseline(inst, eps, s)
-                cp += led.total_pulls
-                cs += arm in good
-                arm, led = quantum_accounting(inst, eps, s)
-                qc += led.oracle_calls
-                qs += arm in good
+            good = np.zeros(k, dtype=bool)
+            good[list(inst.optimal_set())] = True
+            cell = np.random.SeedSequence(
+                [seed & (2 ** 64 - 1), k, round(eps * 1e9)])
+            c_rng, q_rng = (np.random.Generator(np.random.Philox(child))
+                            for child in cell.spawn(2))
+            cl = successive_elimination(inst, eps, trials, c_rng)
+            qa = threshold_walk(inst, eps, trials, q_rng)
+            cp, cp_se = _mean_se(cl.per_arm.sum(axis=1))
+            qc, qc_se = _mean_se(qa.oracle_calls)
             row = SeparationRow(
-                k=k, eps=eps,
-                classical_pulls=cp / trials, classical_success=cs / trials,
-                quantum_calls=qc / trials, quantum_success=qs / trials,
+                k=k, eps=eps, classical_pulls=cp, classical_pulls_se=cp_se,
+                classical_success=float(good[cl.chosen].mean()),
+                quantum_calls=qc, quantum_calls_se=qc_se,
+                quantum_success=float(good[qa.chosen].mean()),
                 lower_bound=classical_lower_bound(k, eps))
             rows.append(row)
             table[(k, eps)] = row
     eps_ref = eps_values[-1]
     k_ref = k_values[-1]
-    ks = [k for k in k_values]
-    sck = _loglog_slope(ks, [table[(k, eps_ref)].classical_pulls for k in ks])
-    sqk = _loglog_slope(ks, [table[(k, eps_ref)].quantum_calls for k in ks])
+    by_k = [table[(k, eps_ref)] for k in k_values]
+    by_eps = [table[(k_ref, e)] for e in eps_values]
     inv = [1.0 / e for e in eps_values]
-    sce = _loglog_slope(inv, [table[(k_ref, e)].classical_pulls
-                              for e in eps_values])
-    sqe = _loglog_slope(inv, [table[(k_ref, e)].quantum_calls
-                              for e in eps_values])
-    return SeparationReport(rows=tuple(rows), slope_classical_k=sck,
-                            slope_quantum_k=sqk, slope_classical_eps=sce,
-                            slope_quantum_eps=sqe)
+    sck = _loglog_slope(k_values, [r.classical_pulls for r in by_k],
+                        [r.classical_pulls_se for r in by_k])
+    sqk = _loglog_slope(k_values, [r.quantum_calls for r in by_k],
+                        [r.quantum_calls_se for r in by_k])
+    sce = _loglog_slope(inv, [r.classical_pulls for r in by_eps],
+                        [r.classical_pulls_se for r in by_eps])
+    sqe = _loglog_slope(inv, [r.quantum_calls for r in by_eps],
+                        [r.quantum_calls_se for r in by_eps])
+    return SeparationReport(
+        rows=tuple(rows), slope_classical_k=sck[0], slope_quantum_k=sqk[0],
+        slope_classical_eps=sce[0], slope_quantum_eps=sqe[0],
+        slope_classical_k_se=sck[1], slope_quantum_k_se=sqk[1],
+        slope_classical_eps_se=sce[1], slope_quantum_eps_se=sqe[1])

@@ -206,17 +206,24 @@ def cmd_bestarm_separate(args) -> int:
     rep = ba.separation_report(ks, epss, trials=args.trials, seed=args.seed)
     lines = [_manifest(args),
              "# provenance: pulls/calls/success = seeded Monte Carlo means; "
+             "*_se = standard error of the mean over trials; "
              "lower_bound = (k-1)ln2/(288 eps^2)",
-             "k,eps,classical_pulls,classical_success,quantum_calls,"
-             "quantum_success,lower_bound"]
+             "k,eps,classical_pulls,classical_pulls_se,classical_success,"
+             "quantum_calls,quantum_calls_se,quantum_success,lower_bound"]
     for r in rep.rows:
         lines.append(f"{r.k},{r.eps:.6g},{r.classical_pulls:.3f},"
-                     f"{r.classical_success:.4f},{r.quantum_calls:.3f},"
+                     f"{r.classical_pulls_se:.3f},{r.classical_success:.4f},"
+                     f"{r.quantum_calls:.3f},{r.quantum_calls_se:.3f},"
                      f"{r.quantum_success:.4f},{r.lower_bound:.6f}")
     lines.append(f"# slopes: classical_vs_k={rep.slope_classical_k:.4f} "
                  f"quantum_vs_k={rep.slope_quantum_k:.4f} "
                  f"classical_vs_inv_eps={rep.slope_classical_eps:.4f} "
                  f"quantum_vs_inv_eps={rep.slope_quantum_eps:.4f}")
+    lines.append("# slope standard errors (delta method): "
+                 f"classical_vs_k={rep.slope_classical_k_se:.4f} "
+                 f"quantum_vs_k={rep.slope_quantum_k_se:.4f} "
+                 f"classical_vs_inv_eps={rep.slope_classical_eps_se:.4f} "
+                 f"quantum_vs_inv_eps={rep.slope_quantum_eps_se:.4f}")
     _emit(args, lines)
     return 0
 

@@ -281,10 +281,18 @@ class InputDistribution:
             return np.array([[(u * x) >> 64 for u, x in zip(row, d)]
                              for row in words.tolist()],
                             dtype=np.int64).reshape(words.shape)
-        # u*D from the 32-bit halves of u: each partial product fits uint64
+        # u*D from the 32-bit halves of u: each partial product fits uint64.
+        # In place, so a call holds two arrays beside ``words``; a face
+        # below D <= 2^32 reads the same as int64.
         dd, half = np.array(d, dtype=np.uint64), np.uint64(32)
-        low = ((words & np.uint64(0xFFFFFFFF)) * dd) >> half
-        return (((words >> half) * dd + low) >> half).astype(np.int64)
+        low = words & np.uint64(0xFFFFFFFF)
+        low *= dd
+        low >>= half
+        out = words >> half
+        out *= dd
+        out += low
+        out >>= half
+        return out.view(np.int64)
 
     def _draw(self, bits: np.random.Philox, rows: int) -> np.ndarray:
         n = len(self.fields)

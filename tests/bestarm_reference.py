@@ -1,0 +1,102 @@
+"""Test helper: one-trial loops for the best-arm kernels of
+``qrollout.bestarm``.
+
+Each loop plays one trial in plain Python, with its draws passed in, so one
+loop states two laws:
+
+* under ``binomial_sums`` / ``numpy_walk_draws`` it makes the same ``rng``
+  calls in the same order as ``successive_elimination`` and
+  ``threshold_walk`` at ``trials=1``, and must agree with them exactly;
+* under ``bernoulli_sums`` / ``python_walk_draws`` it is the per-trial law
+  the kernels replaced (a matrix of Bernoulli pulls per chunk, and a
+  ``random.Random`` walk), which the kernels must match in distribution.
+"""
+
+import math
+import random
+
+import numpy as np
+
+from qrollout import bestarm as ba
+
+
+def bernoulli_sums(rng, rounds, p):
+    return (rng.random((rounds, p.size)) < p).sum(axis=0)
+
+
+def binomial_sums(rng, rounds, p):
+    return rng.binomial(rounds, p)
+
+
+def elimination_loop(instance, eps, rng, sums_of):
+    """Successive elimination on one trial: ``(chosen, per-arm pulls)``."""
+    k = instance.k
+    per_arm = [0] * k
+    if k == 1:
+        return 0, per_arm
+    means = np.asarray(instance.means)
+    a = ba.SE_RADIUS_CONSTANT
+    t_stop = int(math.ceil(4.0 * a / (eps * eps)))
+    chunk = max(1, t_stop // ba.SE_CHECK_CHUNKS)
+    active = np.arange(k)
+    sums = np.zeros(k)
+    t = 0
+    while t < t_stop and active.size > 1:
+        rounds = min(chunk, t_stop - t)
+        sums[active] += sums_of(rng, rounds, means[active])
+        for i in active:
+            per_arm[i] += rounds
+        t += rounds
+        radius = math.sqrt(a / t)
+        emp = sums[active] / t
+        keep = emp >= emp.max() - 2.0 * radius
+        active = active[keep]
+    if active.size == 1:
+        return int(active[0]), per_arm
+    emp = sums[active] / t
+    return int(active[int(np.argmax(emp))]), per_arm
+
+
+def numpy_walk_draws(rng):
+    """(k uniforms, uniform integer below n) as ``threshold_walk`` draws."""
+    return rng.random, lambda n: int(rng.random() * n)
+
+
+def python_walk_draws(seed):
+    rng = random.Random(seed)
+    return (lambda k: [rng.random() for _ in range(k)]), rng.randrange
+
+
+def walk_loop(instance, eps, draws):
+    """The threshold walk on one trial: ``(chosen, calls, per-arm runs)``."""
+    uniforms, below = draws
+    k = instance.k
+    ae_calls = ba.AE_CALL_CONSTANT / eps
+    per_arm = [0] * k
+    if k == 1:
+        per_arm[0] = 1
+        return 0, ae_calls, per_arm
+    estimates = [mu + (u - 0.5) * eps
+                 for mu, u in zip(instance.means, uniforms(k))]
+    current = below(k)
+    calls = ae_calls
+    per_arm[current] += 1
+    while True:
+        marked = [j for j in range(k) if estimates[j] > estimates[current]]
+        if not marked:
+            calls += ba.DH_BATCH_CONSTANT * math.sqrt(k) * ae_calls
+            return current, calls, per_arm
+        calls += ba.DH_BATCH_CONSTANT * math.sqrt(k / len(marked)) * ae_calls
+        current = marked[below(len(marked))]
+        per_arm[current] += 1
+
+
+def old_classical(instance, eps, seed):
+    """The per-trial classical law before the kernels: Bernoulli sums."""
+    return elimination_loop(instance, eps, ba.generator(seed), bernoulli_sums)
+
+
+def old_quantum(instance, eps, seed):
+    """The per-trial quantum law before the kernels: a ``random.Random``
+    walk."""
+    return walk_loop(instance, eps, python_walk_draws(seed))

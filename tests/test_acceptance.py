@@ -242,13 +242,8 @@ def test_criterion_07_lower_bound_conformance(separation):
         eps = 0.05
         inst = ba.BanditInstance.hard_base(10, eps)
         ratio = ba.transportation_ratio(eps)
-        per_arm = [0.0] * 10
-        trials = 200
-        for i in range(trials):
-            _, led = ba.classical_baseline(inst, eps, seed=31_000 + i)
-            for j in range(10):
-                per_arm[j] += led.per_arm[j]
-        floor = min(per_arm[j] / trials for j in range(1, 10))
+        led = ba.successive_elimination(inst, eps, 200, ba.generator(31_000))
+        floor = led.per_arm[:, 1:].mean(axis=0).min()
         assert floor >= ratio
     t.check()
     print(f"\n[criterion 7] PASS: bound(10, 0.1) = "
@@ -269,11 +264,14 @@ def test_criterion_08_separation_exponents(separation):
         for row in separation.rows:
             assert row.quantum_success >= 2 / 3
     t.check()
-    print(f"\n[criterion 8] PASS: slopes classical-k "
-          f"{separation.slope_classical_k:.3f} in [0.85,1.15], quantum-k "
-          f"{separation.slope_quantum_k:.3f} in [0.35,0.65], classical-eps "
-          f"{separation.slope_classical_eps:.3f} in [1.8,2.2], quantum-eps "
-          f"{separation.slope_quantum_eps:.3f} in [0.85,1.15]; "
+    rep = separation
+    print(f"\n[criterion 8] PASS: slopes (delta-method se) classical-k "
+          f"{rep.slope_classical_k:.3f} ({rep.slope_classical_k_se:.3f}) "
+          f"in [0.85,1.15], quantum-k {rep.slope_quantum_k:.3f} "
+          f"({rep.slope_quantum_k_se:.3f}) in [0.35,0.65], classical-eps "
+          f"{rep.slope_classical_eps:.3f} ({rep.slope_classical_eps_se:.3f}) "
+          f"in [1.8,2.2], quantum-eps {rep.slope_quantum_eps:.3f} "
+          f"({rep.slope_quantum_eps_se:.3f}) in [0.85,1.15]; "
           f"{sep_elapsed:.1f}s (200 trials)")
 
 

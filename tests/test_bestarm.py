@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qrollout import bestarm as ba
+
+import bestarm_reference as ref
 
 
 def test_kl_zero_on_diagonal():
@@ -74,12 +77,81 @@ def test_hard_instances():
 
 
 def test_single_arm_edge_cases():
+    # one arm: no pulls, and one AE run charged; the kernels keep the
+    # one-trial ledgers on every trial
     inst = ba.BanditInstance(k=1, means=(0.6,), eps=0.05)
     arm, led = ba.classical_baseline(inst, 0.05, seed=1)
     assert arm == 0 and led.total_pulls == 0
     arm, led = ba.quantum_accounting(inst, 0.05, seed=1)
-    assert arm == 0
+    assert arm == 0 and led.per_arm == [1]
     assert abs(led.oracle_calls - ba.AE_CALL_CONSTANT / 0.05) < 1e-9
+    cl = ba.successive_elimination(inst, 0.05, 7, ba.generator(1))
+    assert (cl.chosen == 0).all() and (cl.per_arm == 0).all()
+    qa = ba.threshold_walk(inst, 0.05, 7, ba.generator(1))
+    assert (qa.chosen == 0).all() and (qa.per_arm == 1).all()
+    assert (qa.oracle_calls == ba.AE_CALL_CONSTANT / 0.05).all()
+
+
+_EXACT_INSTANCES = [
+    ba.BanditInstance.hard_base(2, 0.08),
+    ba.BanditInstance.hard_base(9, 0.03),
+    ba.BanditInstance.hard_alternative(5, 0.05, 3),
+    # equal means: ties at the horizon go to the lowest surviving index
+    ba.BanditInstance(k=3, means=(0.5, 0.5, 0.5), eps=0.1),
+    ba.BanditInstance(k=6, means=(0.1, 0.9, 0.45, 0.5, 0.9, 0.3), eps=0.05),
+]
+
+
+@pytest.mark.parametrize("inst", _EXACT_INSTANCES, ids=lambda i: i.kind)
+def test_kernels_at_one_trial_equal_the_scalar_loops(inst):
+    eps = inst.eps
+    for seed in range(40):
+        cl = ba.successive_elimination(inst, eps, 1, ba.generator(seed))
+        arm, per_arm = ref.elimination_loop(inst, eps, ba.generator(seed),
+                                            ref.binomial_sums)
+        assert (cl.chosen[0], cl.per_arm[0].tolist()) == (arm, per_arm)
+        assert ba.classical_baseline(inst, eps, seed)[1] == cl.ledger(0)
+        qa = ba.threshold_walk(inst, eps, 1, ba.generator(seed))
+        arm, calls, per_arm = ref.walk_loop(
+            inst, eps, ref.numpy_walk_draws(ba.generator(seed)))
+        assert (qa.chosen[0], qa.oracle_calls[0],
+                qa.per_arm[0].tolist()) == (arm, calls, per_arm)
+        assert ba.quantum_accounting(inst, eps, seed)[1] == qa.ledger(0)
+
+
+def _within_4_sigma(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sigma = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return abs(a.mean() - b.mean()) <= 4 * sigma
+
+
+@pytest.mark.parametrize("k,eps", [(4, 0.08), (16, 0.04), (8, 0.02)])
+def test_kernels_match_the_old_per_trial_law(k, eps):
+    # binomial chunk sums and the numpy walk against the Bernoulli-sum loop
+    # and the random.Random walk they replaced: means within 4 sigma
+    inst = ba.BanditInstance.hard_base(k, eps)
+    trials = 300
+    good = np.isin(np.arange(k), list(inst.optimal_set()))
+    cl = ba.successive_elimination(inst, eps, trials, ba.generator(k))
+    qa = ba.threshold_walk(inst, eps, trials, ba.generator(k + 1))
+    old_c = [ref.old_classical(inst, eps, 5000 + t) for t in range(trials)]
+    old_q = [ref.old_quantum(inst, eps, 5000 + t) for t in range(trials)]
+    assert _within_4_sigma(cl.per_arm.sum(axis=1),
+                           [sum(per_arm) for _, per_arm in old_c])
+    assert _within_4_sigma(good[cl.chosen], [good[a] for a, _ in old_c])
+    assert _within_4_sigma(qa.oracle_calls, [calls for _, calls, _ in old_q])
+    assert _within_4_sigma(good[qa.chosen], [good[a] for a, _, _ in old_q])
+
+
+def test_stopped_trials_are_not_charged():
+    # two arms 0.05 apart stop at different chunks: a trial keeps its own
+    # stop time, and both of its arms were pulled up to it
+    inst = ba.BanditInstance(k=2, means=(0.55, 0.5), eps=0.01)
+    cl = ba.successive_elimination(inst, 0.01, 50, ba.generator(2))
+    t_stop = math.ceil(4 * ba.SE_RADIUS_CONSTANT / 0.01 ** 2)
+    stops = cl.per_arm.max(axis=1)
+    assert len(set(stops.tolist())) > 1 and (stops < t_stop).all()
+    assert (cl.per_arm[:, 0] == cl.per_arm[:, 1]).all()
 
 
 def test_baseline_correct_and_above_bound():
@@ -120,16 +192,26 @@ def test_ledgers_deterministic():
 
 def test_quantum_correct_and_sublinear():
     eps = 0.05
-    inst = ba.BanditInstance.hard_base(16, eps)
+    k = 16
+    inst = ba.BanditInstance.hard_base(k, eps)
     wins = 0
-    calls = 0.0
     for t in range(60):
         arm, led = ba.quantum_accounting(inst, eps, seed=t)
         wins += arm in inst.optimal_set()
-        calls += led.oracle_calls
     assert wins / 60 >= 2 / 3
-    # well below the k/eps^2 scale at k=16
-    assert calls / 60 < 16 / (eps * eps) / 4
+    # expected calls over the estimate ranks: from a state with m arms
+    # estimated above the current one, cost(m) = DH sqrt(k/m) AE plus the
+    # mean cost of the m states above; cost(0) is the exhaustion check
+    ae = ba.AE_CALL_CONSTANT / eps
+    cost = [ba.DH_BATCH_CONSTANT * math.sqrt(k) * ae]
+    for m in range(1, k):
+        cost.append(ba.DH_BATCH_CONSTANT * math.sqrt(k / m) * ae
+                    + sum(cost) / m)
+    expected = ae + sum(cost) / k
+    # below the k/eps^2 scale at k=16
+    assert expected < k / (eps * eps) / 4
+    calls = ba.threshold_walk(inst, eps, 4000, ba.generator(16)).oracle_calls
+    assert abs(calls.mean() - expected) <= 4 * calls.std() / math.sqrt(4000)
 
 
 def test_transportation_ratio_floor():
@@ -161,8 +243,40 @@ def test_separation_report_smoke():
         assert row.classical_pulls >= row.lower_bound
         assert row.classical_success >= 2 / 3
         assert row.quantum_success >= 2 / 3
+        assert 0 < row.classical_pulls_se < row.classical_pulls
+        assert 0 < row.quantum_calls_se < row.quantum_calls
     assert 0.2 <= rep.slope_quantum_k <= 0.9
     assert 1.5 <= rep.slope_classical_eps <= 2.5
+
+
+def test_separation_slope_errors_follow_the_delta_method():
+    # with two points the slope is a difference quotient of logs, so its
+    # delta-method error is sqrt((se1/y1)^2 + (se2/y2)^2) / |log x2/x1|
+    rep = ba.separation_report([4, 16], [0.08, 0.04], trials=25, seed=3)
+    cells = {(r.k, r.eps): r for r in rep.rows}
+
+    def se(rows, attr):
+        rel = [getattr(r, attr + "_se") / getattr(r, attr) for r in rows]
+        return math.hypot(*rel)
+
+    by_k = [cells[(4, 0.04)], cells[(16, 0.04)]]
+    by_eps = [cells[(16, 0.08)], cells[(16, 0.04)]]
+    assert rep.slope_classical_k_se == pytest.approx(
+        se(by_k, "classical_pulls") / math.log(4))
+    assert rep.slope_quantum_k_se == pytest.approx(
+        se(by_k, "quantum_calls") / math.log(4))
+    assert rep.slope_classical_eps_se == pytest.approx(
+        se(by_eps, "classical_pulls") / math.log(2))
+    assert rep.slope_quantum_eps_se == pytest.approx(
+        se(by_eps, "quantum_calls") / math.log(2))
+
+
+def test_separation_report_cells_have_their_own_streams():
+    # a cell's rows depend on (seed, k, eps) only, not on the rest of the grid
+    small = ba.separation_report([4, 8], [0.08, 0.04], trials=10, seed=5)
+    big = ba.separation_report([4, 8, 16], [0.08, 0.04, 0.02], trials=10,
+                               seed=5)
+    assert set(small.rows) <= set(big.rows)
 
 
 def test_instance_from_domain_arm_means():

@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, manifests, byte-stable CSV artifacts."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,13 @@ def test_manifest_reproducible_byte_identical(tmp_path):
     assert text1.replace("a.csv", "") == text2.replace("b.csv", "")
     manifest = json.loads(text1.splitlines()[0].split("# manifest: ")[1])
     assert manifest["seed"] == 99
+
+
+def test_bestarm_separate_matches_its_golden_file(capsys):
+    golden = Path(__file__).parent / "golden" / "bestarm_separate_seed1.csv"
+    assert cli.run(["bestarm", "separate", "--k", "4,8,16", "--eps",
+                    "0.08,0.04", "--trials", "40", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_oracle_build_dump_roundtrips(tmp_path):

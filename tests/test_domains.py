@@ -167,6 +167,15 @@ def test_exact_value_budget():
         dm.exact_value(spec, 0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7])
+def test_neighbour_counts_match_the_neighbour_lists(m):
+    mask = np.random.default_rng(m).random((64, m * m)) < 0.5
+    want = [[sum(row[j] for j in adj) for adj in dm.neighbors(m)]
+            for row in mask.tolist()]
+    got = dm.neighbour_counts(mask, m)
+    assert got.dtype == np.int8 and got.tolist() == want
+
+
 def _array_step(spec, board):
     """The array kernel's one-step transition distribution of one board."""
     states, probs = dm.transition_distribution(

@@ -368,6 +368,20 @@ def _read_faces(c, law, batch):
     return [list(row) for row in zip(*cols)] if cols else [[]] * batch.rows
 
 
+def test_law_faces_exact_where_the_low_half_carries():
+    # (u * D) >> 64 from the 32-bit halves of u: the low half's product can
+    # carry into the high half, e.g. u = 0x55555555_FFFFFFFF, D = 3 gives 1
+    law = em.InputDistribution(uniform={"a": 3, "b": 7, "c": 1 << 32})
+    ds = [d for _, d, _, _ in law.fields]
+    rows = [[(hi << 32) | lo for d in ds]
+            for hi in (0, 1, (1 << 32) - 1, 0x55555555, 0x24924924)
+            for lo in (0, 1 << 31, (1 << 32) - 1)]
+    rows += [[(((1 << 32) - 1) // d << 32) | ((1 << 32) - 1) for d in ds]]
+    faces = law.faces(np.array(rows, dtype=np.uint64))
+    assert faces.tolist() == [[(u * d) >> 64 for u, d in zip(row, ds)]
+                              for row in rows]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_laws(), st.integers(0, 40), st.integers(0, 40),
        st.integers(0, 2**64 - 1))
