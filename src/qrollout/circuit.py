@@ -280,7 +280,8 @@ class Circuit:
 
     @classmethod
     def _built(cls, registers, table, layout, max_live_ancilla, depth):
-        """A circuit whose table the builder validated, with its depth."""
+        """A circuit whose table the builder validated (or the caller
+        validates), with its depth if known."""
         c = cls.__new__(cls)
         c._setup(registers, table, layout, max_live_ancilla)
         c._cache["depth"] = depth
@@ -471,7 +472,8 @@ _SEPS = np.array([
 
 def dumps(c: Circuit) -> str:
     """Lossless JSON dump: registers, gates with polarities, layout.  The
-    gate list is joined from the table's entries, each after its separator."""
+    gate list is joined once from the table's entries, each qubit's string
+    after its separator."""
     t = c.table
     gates = "[]"
     if len(t):
@@ -480,10 +482,12 @@ def dumps(c: Circuit) -> str:
         code[1:] = np.where(target[:-1], 4, t.kind[:-1] + 2 * target[1:])
         code[t.ptr[:-1]] = 5 + target[t.ptr[:-1]]
         code[0] += 2
-        parts = [None] * (2 * len(code))
-        parts[::2] = _SEPS[code].tolist()
-        parts[1::2] = map(str, t.qubit.tolist())
-        gates = "[" + "".join(parts) + "]}]"
+        names = np.array([str(q) for q in range(c.total_qubits)],
+                         dtype=object)
+        parts = np.empty(2 * len(code), dtype=object)
+        parts[::2] = _SEPS[code]
+        parts[1::2] = names[t.qubit]
+        gates = "[" + "".join(parts.tolist()) + "]}]"
     registers = json.dumps([{"name": r.name, "width": r.width, "role": r.role}
                             for r in c.registers], separators=(",", ":"))
     return (f'{{"registers":{registers},"gates":{gates},'
@@ -491,15 +495,120 @@ def dumps(c: Circuit) -> str:
             f'"max_live_ancilla":{c.max_live_ancilla}}}')
 
 
-def loads(text: str) -> Circuit:
+_GATES_KEY, _LAYOUT_KEY = b'"gates":[', b'],"layout":['
+_COMMA, _TRUE, _FALSE, _OPEN = b",tf{"
+
+
+def _parse_gate_list(b: np.ndarray) -> GateTable | None:
+    """The table that ``dumps``' own gate list reads as, from its bytes
+    (from the opening ``[`` to the ``,`` after the closing ``]``): each
+    ``{`` opens a gate, each digit run is a qubit, a POS or NEG control when
+    ``,t`` or ``,f`` follows it and a target otherwise.  None when no table
+    fits (a digit before the first gate, a gate without qubits, a number of
+    ten digits or more); other text may give a table that does not re-dump
+    to it."""
+    digit = (b - np.uint8(48)) < 10
+    # the first and last bytes are not digits, so run edges alternate
+    # start, end
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]
+    lens = ends - starts
+    longest = int(lens.max(initial=0))
+    ptr = np.append(np.searchsorted(starts, np.flatnonzero(b == _OPEN)),
+                    len(starts))
+    if ptr[0] or (ptr[1:] == ptr[:-1]).any() or longest > 9:
+        return None
+    qubit = np.zeros(len(starts), dtype=np.int64)
+    for k in range(longest):                        # Horner, digit by digit
+        d = b[np.minimum(starts + k, len(b) - 1)] - np.uint8(48)
+        qubit = np.where(lens > k, 10 * qubit + d, qubit)
+    control = b[ends] == _COMMA
+    kind = np.full(len(starts), TGT, dtype=np.int8)
+    kind[control & (b[ends + 1] == _TRUE)] = POS
+    kind[control & (b[ends + 1] == _FALSE)] = NEG
+    return GateTable(ptr, qubit, kind)
+
+
+def _loads_own(text: str) -> Circuit | None:
+    """``dumps``' own text, its gate list parsed on arrays and the rest by
+    ``json.loads``; None for any text that the result does not re-dump to.
+    The table is validated only after that check, so every error raised
+    is about the text as JSON reads it; a qubit out of the registers' range
+    is left to the json path, as ``dumps`` names only the qubits in it."""
+    if not text.isascii():          # dumps escapes every non-ASCII character
+        return None
+    data = text.encode("ascii")
+    key = data.find(_GATES_KEY)
+    start = key + len(_GATES_KEY) - 1              # the gate list's "["
+    end = data.find(_LAYOUT_KEY, start) + 1        # one past its "]"
+    if key < 0 or end < 1:
+        return None
+    table = _parse_gate_list(np.frombuffer(data, np.uint8)[start:end + 1])
+    if table is None:
+        return None
+    try:
+        doc = json.loads(data[:start] + b"[]" + data[end:])
+        c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
+                            for r in doc["registers"]], table,
+                           doc["layout"], doc["max_live_ancilla"], None)
+    except (ValueError, KeyError, TypeError):
+        return None
+    if len(table) and int(table.qubit.max()) >= c.total_qubits:
+        return None
+    if dumps(c) != text:
+        return None
+    table.validate(c.total_qubits)
+    return c
+
+
+def _field(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise CircuitError(f"{where}missing field {key!r}")
+    return doc[key]
+
+
+def _json_gates(gates):
+    """``(controls, targets)`` of each gate of a JSON gate list, rejecting a
+    missing field, a qubit that is not an int, and a control that is not a
+    ``[qubit, polarity]`` pair."""
+    if not isinstance(gates, list):
+        raise CircuitError("field 'gates' is not a list")
+    for g, gate in enumerate(gates):
+        controls = _field(gate, "controls", f"gate {g}: ")
+        targets = _field(gate, "targets", f"gate {g}: ")
+        for name, value in (("controls", controls), ("targets", targets)):
+            if not isinstance(value, list):
+                raise CircuitError(f"gate {g}: field {name!r} is not a list")
+        for pair in controls:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is bool):
+                raise CircuitError(f"gate {g}: field 'controls': {pair!r} is "
+                                   "not an [int, bool] pair")
+        for q in targets:
+            if type(q) is not int:
+                raise CircuitError(f"gate {g}: field 'targets': qubit {q!r} "
+                                   "is not an int")
+        yield controls, targets
+
+
+def _loads_json(text: str) -> Circuit:
+    """Any JSON text of ``dumps``' schema, read by ``json.loads``."""
     doc = json.loads(text)
     regs = [RegisterDecl(r["name"], r["width"], r["role"])
-            for r in doc["registers"]]
-    table = GateTable.from_gates((g["controls"], g["targets"])
-                                 for g in doc["gates"])
+            for r in _field(doc, "registers", "")]
+    table = GateTable.from_gates(_json_gates(_field(doc, "gates", "")))
     return build_circuit(regs, table,
                          layout=doc.get("layout"),
                          max_live_ancilla=doc.get("max_live_ancilla", 0))
+
+
+def loads(text: str) -> Circuit:
+    """The circuit of a JSON text of ``dumps``' schema.  ``dumps``' own text
+    is parsed on arrays; any other text (whitespace, key order, ...) goes
+    through ``json.loads``.  Both paths validate the gates; a malformed gate
+    raises a CircuitError naming it and the field."""
+    c = _loads_own(text)
+    return _loads_json(text) if c is None else c
 
 
 # ---------------------------------------------------------------------------

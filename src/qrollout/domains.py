@@ -150,14 +150,6 @@ def parse_board(text: str, domain: str) -> int:
     return board
 
 
-def format_board(board: int, m: int, domain: str) -> str:
-    symbols = _SYMBOLS[domain]
-    rows = []
-    for r in range(m):
-        rows.append("".join(symbols[cell(board, r * m + c)] for c in range(m)))
-    return "\n".join(rows)
-
-
 def empty_mask(board: int, n: int) -> int:
     mask = 0
     for i in range(n):

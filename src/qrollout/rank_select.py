@@ -94,10 +94,6 @@ def mask_from_string(s: str) -> int:
     return m
 
 
-def mask_to_string(mask: int, n: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
-
-
 def canonical_mask(n_total: int, t: int, weight: int) -> int:
     """Hard-family mask: weight leftmost-packed ones in the length-t prefix,
     all-ones suffix.  At rank t-1 it selects position 2t - weight - 1."""

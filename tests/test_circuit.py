@@ -4,12 +4,13 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrollout.circuit import (POS, Builder, CircuitError, Gate, RegisterDecl,
                               build_circuit, cost, crossing_count, dumps,
                               invert, light_cone, loads, register_local_span,
                               span_profile)
+from qrollout.circuit import _loads_json, _loads_own
 
 
 def _reg(name, width, role="ancilla"):
@@ -210,17 +211,113 @@ def test_dumps_matches_reference_encoder(c):
     assert loads(text).max_live_ancilla == c.max_live_ancilla
 
 
+def _variants(c) -> list[str]:
+    """Texts of ``c`` other than ``dumps``' own that JSON reads as its
+    document: indented, default separators, top-level keys reordered, and
+    a gate with a key the reader ignores (whose digits the array parse
+    would take for a qubit out of range)."""
+    doc = json.loads(dumps(c))
+    keys = ("gates", "layout", "registers", "max_live_ancilla")
+    texts = [json.dumps(doc, indent=1), json.dumps(doc),
+             json.dumps({k: doc[k] for k in keys}, separators=(",", ":"))]
+    if doc["gates"]:
+        doc["gates"][0]["qubit99"] = 0
+        texts.append(json.dumps(doc, separators=(",", ":")))
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_io_circuits())
+@example(build_circuit([_reg("q", 2)], [], max_live_ancilla=1))
+def test_loads_paths_agree(c):
+    text = dumps(c)
+    fast, slow = _loads_own(text), _loads_json(text)
+    assert fast == slow == c
+    assert fast.max_live_ancilla == slow.max_live_ancilla
+    assert dumps(loads(text)) == text
+    for variant in _variants(c):
+        assert _loads_own(variant) is None
+        assert loads(variant) == c
+        assert loads(variant).max_live_ancilla == c.max_live_ancilla
+
+
+def test_loads_declines_leading_zeros():
+    # the array parse reads 007 as 7, but JSON has no leading zeros
+    c = build_circuit([_reg("q", 8)], [_gate([0], [7])])
+    text = dumps(c).replace('"targets":[7]', '"targets":[007]')
+    assert _loads_own(text) is None
+    with pytest.raises(json.JSONDecodeError):
+        loads(text)
+
+
+def test_loads_non_ascii_register_name():
+    c = build_circuit([_reg("\u00e9", 2)], [_gate([0], [1])])
+    text = dumps(c)
+    assert text.isascii() and _loads_own(text) == c
+    raw = json.dumps(json.loads(text), ensure_ascii=False,
+                     separators=(",", ":"))
+    assert _loads_own(raw) is None
+    assert loads(raw) == c
+
+
 def test_loads_rejects_tampered_gates():
     c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
+    cases = [("targets", [7], "gate 1: qubit index 7", False),  # out of range
+             ("controls", [[0, True], [2, True]],        # control is a target
+              "gate 1: controls and targets overlap on qubit 0", True)]
+    for key, value, match, own in cases:
+        doc = json.loads(dumps(c))
+        doc["gates"][1][key] = value
+        # default separators go through json.loads; compact ones (dumps'
+        # own) through the array parse, whose validate raises the same
+        # error, except a qubit out of range, which it leaves to json.loads
+        for separators in (None, (",", ":")):
+            with pytest.raises(CircuitError, match=match):
+                loads(json.dumps(doc, separators=separators))
+        compact = json.dumps(doc, separators=(",", ":"))
+        if own:
+            with pytest.raises(CircuitError, match=match):
+                _loads_own(compact)
+        else:
+            assert _loads_own(compact) is None
+
+
+def test_loads_rejects_a_nine_digit_qubit_without_naming_every_qubit():
+    # the re-dump in the array parse must not name qubits up to a tampered
+    # index: that would build a billion strings before validate rejects it
+    c = build_circuit([_reg("q", 3)], [_gate([0], [1])])
+    text = dumps(c).replace('"targets":[1]', '"targets":[999999999]')
+    assert _loads_own(text) is None
+    with pytest.raises(CircuitError, match="gate 0: qubit index 999999999"):
+        loads(text)
+
+
+def _drop(key):
+    return lambda doc: doc["gates"][1].pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc["gates"][1].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (lambda doc: doc.pop("gates"), "missing field 'gates'"),
+    (_drop("controls"), "gate 1: missing field 'controls'"),
+    (_drop("targets"), "gate 1: missing field 'targets'"),
+    (_set("controls", [[0]]), r"gate 1: field 'controls': \[0\] is not an"),
+    (_set("controls", [[0, 1]]), r"gate 1: field 'controls': \[0, 1\] is"),
+    (_set("controls", [[True, True]]), "gate 1: field 'controls': .True"),
+    (_set("controls", 0), "gate 1: field 'controls' is not a list"),
+    (_set("targets", [1.5]), "gate 1: field 'targets': qubit 1.5 is not"),
+    (_set("targets", ["0"]), "gate 1: field 'targets': qubit '0' is not"),
+    (_set("targets", [True]), "gate 1: field 'targets': qubit True is not"),
+])
+def test_loads_rejects_malformed_gates(tamper, match):
+    c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
     doc = json.loads(dumps(c))
-    doc["gates"][1]["targets"] = [7]                # qubit out of range
-    with pytest.raises(CircuitError, match="gate 1: qubit index 7"):
-        loads(json.dumps(doc))
-    doc = json.loads(dumps(c))
-    doc["gates"][1]["controls"][0] = [0, True]      # control is a target
-    with pytest.raises(CircuitError,
-                       match="gate 1: controls and targets overlap on qubit 0"):
-        loads(json.dumps(doc))
+    tamper(doc)
+    with pytest.raises(CircuitError, match=match):
+        loads(json.dumps(doc, separators=(",", ":")))
 
 
 def test_builder_tally_matches_materialized_cost():

@@ -11,6 +11,11 @@ from qrollout.circuit import Gate, build_circuit, cost, crossing_count, light_co
 from emulate import run
 
 
+def mask_to_string(mask: int, n: int) -> str:
+    """Left-to-right mask string, the inverse of ``mask_from_string``."""
+    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
+
+
 def brute_select(mask: int, n: int, r: int) -> int:
     positions = [i for i in range(n) if (mask >> i) & 1]
     return positions[r] if r < len(positions) else n
@@ -70,7 +75,7 @@ def test_select_rows_matches_semantics(n, data):
 
 def test_mask_string_roundtrip():
     s = "0110100011"
-    assert rs.mask_to_string(rs.mask_from_string(s), len(s)) == s
+    assert mask_to_string(rs.mask_from_string(s), len(s)) == s
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -210,10 +215,10 @@ def test_span_profile_scan_vs_blocked():
 def test_canonical_mask_examples():
     # N=8, t=4, weight=3 -> 11101111, selects position 4 at rank 3
     m = rs.canonical_mask(8, 4, 3)
-    assert rs.mask_to_string(m, 8) == "11101111"
+    assert mask_to_string(m, 8) == "11101111"
     assert rs.select_semantics(m, 8, 3) == 2 * 4 - 3 - 1 == 4
     m = rs.canonical_mask(8, 4, 0)
-    assert rs.mask_to_string(m, 8) == "00001111"
+    assert mask_to_string(m, 8) == "00001111"
     assert rs.select_semantics(m, 8, 3) == 7
 
 
