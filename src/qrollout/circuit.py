@@ -170,18 +170,22 @@ class GateTable:
             raise CircuitError(f"gate {first + int(gate_of[e])}: qubit index "
                                f"{int(self.qubit[e])} out of range "
                                f"(n={n_qubits})")
-        order = np.lexsort((self.qubit, gate_of))
-        g_sorted, q_sorted = gate_of[order], self.qubit[order]
-        twice = ((g_sorted[1:] == g_sorted[:-1])
-                 & (q_sorted[1:] == q_sorted[:-1]))
+        # the qubits are in range, so gate * n + qubit orders by (gate,
+        # qubit); the key is built in gate_of's buffer
+        key = gate_of
+        key *= n_qubits
+        key += self.qubit
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        twice = key[1:] == key[:-1]
         if twice.any():
             e = int(np.argmax(twice))
             k1, k2 = self.kind[order[e]], self.kind[order[e + 1]]
             what = ("controls and targets overlap"
                     if (k1 == TGT) != (k2 == TGT)
                     else "duplicate qubit within gate")
-            raise CircuitError(f"gate {first + int(g_sorted[e])}: {what} on "
-                               f"qubit {int(q_sorted[e])}")
+            g, q = divmod(int(key[e]), n_qubits)
+            raise CircuitError(f"gate {first + g}: {what} on qubit {q}")
 
     def gate_tuple(self) -> tuple[Gate, ...]:
         qubit, kind = self.qubit.tolist(), self.kind.tolist()

@@ -15,9 +15,20 @@ states the dice law once: a cell takes ``alt`` iff its die is below
 ``threshold``, with neighbour counts from shifted-slice adds.  The array
 sampler (``rollout_codes``, one row per shot, rank-select as a cumulative
 sum over the empty cells) and the exact distribution dynamic program both
-read it.  The DP keeps its support as a sorted int64 array of packed boards
-and is the payoff oracle at 3x3 scale: by H=4 Sway 3x3 reaches 19,171 of
-the 3^9 boards, through 1.68 M outcome rows in the last transition.
+read it.  The payoff is stated once per spec, as per-code count weights and
+a win rule on their sum.
+
+The DP is the payoff oracle at 3x3 scale.  The selector's uniform mix over
+the empty cells, both flip laws and both payoffs commute with the square's
+8 symmetries (``square_symmetries``), so the chain lumps exactly onto their
+classes, whatever the initial board.  The DP keeps its support as a sorted
+int64 array of packed boards, one per class (each board is replaced by its
+least packed image before a merge).  Its last transition and the payoff are
+one count convolution per pre-board, with no outcome boards.  Sway 3x3 H=4
+from the empty board holds at most 2,754 boards (the last round's
+pre-boards) and splits at most 70,045 outcome rows (round 3); on all boards
+and with the last round split too, it held 19,153 pre-boards and split
+1.68 M outcome rows.
 
 Sway (two-player placement game): black then white place on empty cells each
 round (white's validity excludes black's fresh placement), then every
@@ -34,7 +45,8 @@ final infected count is at most the threshold T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -94,9 +106,6 @@ def cell(board: int, i: int) -> int:
 def set_cell(board: int, i: int, code: int) -> int:
     return (board & ~(3 << (2 * i))) | (code << (2 * i))
 
-def count_code(board: int, n: int, code: int) -> int:
-    return sum(1 for i in range(n) if cell(board, i) == code)
-
 def neighbors(m: int) -> list[list[int]]:
     out = []
     for r in range(m):
@@ -130,6 +139,22 @@ def neighbour_counts(mask: np.ndarray, m: int) -> np.ndarray:
     out[:, m::m] -= x[:, m - 1:-1:m]
     out[:, m - 1:-1:m] -= x[:, m::m]
     return out
+
+
+@lru_cache(maxsize=None)
+def square_symmetries(m: int) -> np.ndarray:
+    """The symmetries of the m x m grid (rotations and reflections) as
+    distinct cell permutations, one per row, identity first: a ``(rows,
+    N)`` code array's image under row ``g`` is ``codes[:, g]``.  They map
+    neighbours to neighbours and keep the grid's edge, so the non-wrapping
+    four-neighbour laws commute with them.  The array is shared and
+    read-only."""
+    grid = np.arange(m * m).reshape(m, m)
+    images = {tuple(np.rot90(t, k).ravel().tolist())
+              for t in (grid, grid.T) for k in range(4)}
+    perms = np.array(sorted(images), dtype=np.int64)
+    perms.flags.writeable = False
+    return perms
 
 
 _SYMBOLS = {"sway": ".BW", "sir": "SIR"}
@@ -173,10 +198,6 @@ def _sway_transition(board: int, dice, nbrs) -> int:
     return out
 
 
-def _sway_eval(board: int, n: int) -> int:
-    return 1 if count_code(board, n, BLACK) > count_code(board, n, WHITE) else 0
-
-
 def _sway_flip_law(m: int):
     def law(codes):
         black = neighbour_counts(codes == BLACK, m)
@@ -185,11 +206,6 @@ def _sway_flip_law(m: int):
         # black <-> white; empty cells get threshold 0 and never change
         return np.where(codes == EMPTY, 0, 4 - same), 3 - codes
     return law
-
-
-def _sway_array_eval(codes):
-    return ((codes == BLACK).sum(axis=1)
-            > (codes == WHITE).sum(axis=1)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +390,9 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
         classical_place=place,
         classical_transition=lambda board, dice: _sway_transition(
             board, dice, nbrs),
-        classical_eval=lambda board: _sway_eval(board, n),
         flip_law=_sway_flip_law(cfg.m),
-        array_eval=_sway_array_eval,
+        count_weights=(0, 1, -1, 0),          # black - white
+        win=lambda count: count > 0,
         payoff_params={"m": cfg.m},
     )
 
@@ -405,11 +421,9 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
         classical_place=place,
         classical_transition=lambda board, dice: _sir_transition(
             board, dice, nbrs, cfg.rho),
-        classical_eval=lambda board: (
-            1 if count_code(board, n, INFECTED) <= cfg.threshold else 0),
         flip_law=_sir_flip_law(cfg.m, cfg.rho),
-        array_eval=lambda codes: (
-            (codes == INFECTED).sum(axis=1) <= cfg.threshold).astype(np.int64),
+        count_weights=(0, 1, 0, 0),           # infected cells
+        win=lambda count: count <= cfg.threshold,
         payoff_params={"m": cfg.m, "threshold": cfg.threshold, "rho": cfg.rho},
     )
 
@@ -510,6 +524,7 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
 # exact value by distribution dynamic programming
 
 _SPLIT_ROWS = 1 << 18   # outcome rows per block: bounds the split's memory
+_CANON_ROWS = 1 << 14   # boards per block of images: bounds their memory
 
 
 def _unpack(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -525,23 +540,43 @@ def _merge(states: np.ndarray, probs: np.ndarray):
     return states[first], np.add.reduceat(probs, first)
 
 
-def _select_pass(states, probs, shift, strings: int, code: int):
+def _canonical(states: np.ndarray, perms) -> np.ndarray:
+    """Each int64 packed board's least packed image under the cell
+    permutations ``perms`` (``None``: the boards as they are).  Image ``g``
+    packs cell ``j``'s code at the place ``g`` moves it to, so all images
+    of a block of boards are one product of codes and powers of 4."""
+    if perms is None:
+        return states
+    shift = 2 * np.arange(perms.shape[1], dtype=np.int64)
+    place = (1 << shift)[np.argsort(perms, axis=1)].T    # (N, G)
+    least = np.empty_like(states)
+    for lo in range(0, states.size, _CANON_ROWS):
+        codes = (states[lo:lo + _CANON_ROWS, None] >> shift) & 3
+        least[lo:lo + _CANON_ROWS] = (codes @ place).min(axis=1)
+    return least
+
+
+def _select_pass(states, probs, shift, strings: int, code: int,
+                 perms=None):
     """Mix each board uniformly over the selector's strings: 1/strings of
-    its mass to each valid placement, the rest stays (sentinel no-op)."""
+    its mass to each valid placement, the rest stays (sentinel no-op).
+    Placed boards are canonicalised before the one merge."""
     valid = _unpack(states, shift) == EMPTY
     row, pos = np.nonzero(valid)
     inv = 1.0 / strings
     stay = (strings - valid.sum(axis=1)) * inv
-    return _merge(np.concatenate((states, states[row] + (code << shift[pos]))),
+    placed = _canonical(states[row] + (code << shift[pos]), perms)
+    return _merge(np.concatenate((states, placed)),
                   np.concatenate((probs * stay, probs[row] * inv)))
 
 
 def transition_distribution(spec: RolloutSpec, states: np.ndarray,
-                            probs: np.ndarray):
+                            probs: np.ndarray, perms=None):
     """Push a distribution over int64 packed boards through one transition;
-    returns the sorted distinct boards and their mass.  Every pre-board
-    reads ``flip_law`` once, then splits cell by cell into its outcome rows,
-    each row carrying its pre-board's index."""
+    returns the sorted distinct boards (canonicalised under ``perms``) and
+    their mass.  Every pre-board reads ``flip_law`` once, then splits cell
+    by cell into its outcome rows, each row carrying its pre-board's
+    index."""
     shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
     codes = _unpack(states, shift)
     threshold, alt = spec.flip_law(codes)
@@ -561,8 +596,39 @@ def transition_distribution(spec: RolloutSpec, states: np.ndarray,
                 acc = np.concatenate((acc, acc[split] + step[pre, i]))
                 weight = np.concatenate((weight, weight[split] * pf))
                 weight[split] *= 1.0 - pf
-        parts.append(_merge(acc, probs[idx] * weight))
+        parts.append(_merge(_canonical(acc, perms), probs[idx] * weight))
     return _merge(*(np.concatenate(part) for part in zip(*parts)))
+
+
+def _terminal_value(spec: RolloutSpec, states: np.ndarray,
+                    probs: np.ndarray) -> float:
+    """The payoff probability after one more transition, by a count
+    convolution: given its pre-board every cell flips independently, so
+    each board's final count is a sum of independent per-cell steps.  The
+    count distributions of all boards, mass included, are one ``(span,
+    rows)`` array, convolved cell by cell; no outcome board is formed."""
+    n = spec.n_cells
+    weight = np.asarray(spec.count_weights, dtype=np.int64)
+    codes = _unpack(states, 2 * np.arange(n, dtype=np.int64))
+    threshold, alt = spec.flip_law(codes)
+    step = weight[alt] - weight[codes]            # a flip's count change
+    flip = np.where(step != 0, threshold / spec.faces, 0.0)
+    low = n * int(weight.min())
+    counts = np.arange(low, n * int(weight.max()) + 1)
+    dist = np.zeros((counts.size, states.size))
+    dist[weight[codes].sum(axis=1) - low, np.arange(states.size)] = probs
+    steps = sorted(set(step[flip > 0].tolist()))
+    moves = [np.where(step == d, flip, 0.0) for d in steps]
+    for i in np.flatnonzero(flip.any(axis=0)):
+        out = dist * (1.0 - flip[:, i])
+        for d, move in zip(steps, moves):
+            moved = dist * move[:, i]
+            if d > 0:
+                out[d:] += moved[:-d]
+            else:
+                out[:d] += moved[-d:]
+        dist = out
+    return float(dist[spec.win(counts)].sum())
 
 
 def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
@@ -570,10 +636,14 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     """Exact payoff probability by full distribution dynamic programming.
 
     The support is a sorted int64 array of packed boards with a float64
-    mass each.  Selectors mix uniformly over all 2^w values (out-of-range
-    mass on the sentinel no-op); the transition splits each board cell by
-    cell under ``spec.flip_law``.  Requires 3^N within the state budget
-    (m <= 3 by default).
+    mass each, one board per class of the square's symmetries
+    (``square_symmetries``): every law and the payoff commute with them,
+    so a class's mass moves as its least packed member's does.  Selectors
+    mix uniformly over all 2^w values (out-of-range mass on the sentinel
+    no-op); each transition but the last splits each board cell by cell
+    under ``spec.flip_law``; the last transition and the payoff are one
+    count convolution per pre-board.
+    Requires 3^N within the state budget (m <= 3 by default).
     """
     n = spec.n_cells
     if 3 ** n > budget:
@@ -585,14 +655,19 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     skip = first_move is not None and spec.horizon > 0
     if skip:
         board0 = place_first_move(spec, board0, first_move)
+    if spec.horizon == 0:
+        return float(spec.classical_eval(board0))
+    perms = square_symmetries(isqrt(n))
     states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if not (skip and h == pj == 0):
                 states, probs = _select_pass(states, probs, shift,
-                                             1 << spec.w, codes[pj])
-        states, probs = transition_distribution(spec, states, probs)
-    return float(probs[spec.array_eval(_unpack(states, shift)) == 1].sum())
+                                             1 << spec.w, codes[pj], perms)
+        if h < spec.horizon - 1:
+            states, probs = transition_distribution(spec, states, probs,
+                                                    perms)
+    return _terminal_value(spec, states, probs)
 
 
 def default_first_moves(spec: RolloutSpec, board0: int, k: int) -> list[int]:

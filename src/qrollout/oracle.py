@@ -39,7 +39,9 @@ class RolloutSpec:
     Circuit hooks emit gate fragments through a Builder; classical hooks are
     the single-branch reference semantics that branchwise validation
     replays; array hooks state the same rules on code arrays for the
-    sampler, the influence MC and the exact dynamic program.
+    sampler, the influence MC and the exact dynamic program.  The payoff is
+    stated once, as count weights and a win rule, which ``classical_eval``,
+    ``array_eval`` and the DP's terminal count convolution all read.
     """
 
     name: str
@@ -62,13 +64,17 @@ class RolloutSpec:
     classical_validity: Callable     # board -> mask int
     classical_place: Callable        # (board, position, pass_index) -> board
     classical_transition: Callable   # (board, dice_faces) -> board
-    classical_eval: Callable         # board -> 0 | 1
     # array hooks on (rows, N) int8 code arrays, one row per board; a cell
     # is a valid placement iff its code is 0, and pass p places the code
     # that classical_place writes
     flip_law: Callable    # codes -> (threshold, alt): a cell takes alt iff
                           # its die is below threshold
-    array_eval: Callable  # codes -> 0 | 1 per row
+    # the selector law, flip_law and the payoff commute with the m x m
+    # grid's symmetries: the exact DP keeps one board per class of them
+    # the payoff, stated once: 1 iff win(sum of count_weights[code] over
+    # the cells) on the final board
+    count_weights: tuple  # one int per code 0..3
+    win: Callable         # count (int or int array) -> bool
     payoff_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -81,6 +87,17 @@ class RolloutSpec:
     @property
     def w(self) -> int:
         return width_for(self.n_cells)
+
+    def array_eval(self, codes: np.ndarray) -> np.ndarray:
+        """The payoff of each row of a (rows, N) code array, as int64."""
+        weight = np.asarray(self.count_weights, dtype=np.int64)
+        return self.win(weight[codes].sum(axis=1)).astype(np.int64)
+
+    def classical_eval(self, board: int) -> int:
+        """The payoff of one packed board."""
+        count = sum(self.count_weights[(board >> (2 * i)) & 3]
+                    for i in range(self.n_cells))
+        return int(self.win(count))
 
 
 @dataclass(frozen=True)

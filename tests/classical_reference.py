@@ -1,13 +1,17 @@
-"""Test helper: the classical reference on boards packed into Python ints.
+"""Test helper: the classical references that faster paths are held to.
 
 These are the dict-based distribution DP and the per-row loops over
 ``classical_trace`` that the code-array kernels in ``qrollout.domains`` and
-``qrollout.bounds`` replaced; the differential tests hold the array paths
-to them.  ``_cell_branches`` states the dice law in its own terms, apart
-from the specs' ``flip_law`` hooks.
+``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
+before it kept symmetry classes and convolved the last round's count; the
+differential tests hold the array paths to them.  ``_cell_branches``
+states the dice law in its own terms, apart from the specs' ``flip_law``
+hooks.
 """
 
 from collections import defaultdict
+
+import numpy as np
 
 from qrollout import domains as dm
 from qrollout.oracle import input_law, law_streams, place_first_move
@@ -100,6 +104,26 @@ def dict_exact_value(spec, board0: int, first_move=None, cache=None) -> float:
                 nxt[nb] += pr * p
         dist = dict(nxt)
     return sum(pr for b, pr in dist.items() if spec.classical_eval(b) == 1)
+
+
+def array_exact_value(spec, board0: int, first_move=None) -> float:
+    """Exact payoff probability by the array DP on every board: each
+    transition, the last one included, splits each board into its outcome
+    rows, and ``array_eval`` reads the final boards."""
+    shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
+    codes = dm._placement_codes(spec)
+    skip = first_move is not None and spec.horizon > 0
+    if skip:
+        board0 = place_first_move(spec, board0, first_move)
+    states, probs = np.array([board0], dtype=np.int64), np.ones(1)
+    for h in range(spec.horizon):
+        for pj in range(spec.selectors_per_round):
+            if not (skip and h == pj == 0):
+                states, probs = dm._select_pass(states, probs, shift,
+                                                1 << spec.w, codes[pj])
+        states, probs = dm.transition_distribution(spec, states, probs)
+    final = dm._unpack(states, shift)
+    return float(probs[spec.array_eval(final) == 1].sum())
 
 
 def loop_sample_payoff(spec, board0: int, shots: int, seed: int,

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrollout.circuit import (POS, Builder, CircuitError, Gate, RegisterDecl,
-                              build_circuit, cost, crossing_count, dumps,
+from qrollout.circuit import (POS, Builder, CircuitError, Gate, GateTable,
+                              RegisterDecl, build_circuit, cost, crossing_count, dumps,
                               invert, light_cone, loads, register_local_span,
                               span_profile)
 from qrollout.circuit import _loads_json, _loads_own
@@ -39,6 +39,25 @@ def test_empty_circuit_is_identity():
 def test_control_target_overlap_rejected():
     with pytest.raises(CircuitError):
         build_circuit([_reg("q", 2)], [_gate([0], [0])])
+
+
+@pytest.mark.parametrize("gates,first,match", [
+    # gate 1 holds both faults: qubit 2's control and target sort first
+    ([((), (0,)), (((7, True), (2, False), (7, False)), (7, 2)),
+      ((), (1, 1))], 0, "gate 1: controls and targets overlap on qubit 2$"),
+    # equal (gate, qubit) entries keep their order: two controls, then the
+    # target, so the first pair is the duplicate
+    ([((), (0,)), (((5, True), (5, False)), (5, 9)), (((0, True),), (0,))],
+     10, "gate 11: duplicate qubit within gate on qubit 5$"),
+    ([((), (4,)), ((), (6,)), (((8, True),), (3, 8, 3)),
+      (((2, True),), (2, 2))], 0,
+     "gate 2: duplicate qubit within gate on qubit 3$"),
+])
+def test_validate_names_the_first_fault_in_gate_and_qubit_order(gates, first,
+                                                                match):
+    table = GateTable.from_gates(gates)
+    with pytest.raises(CircuitError, match=match):
+        table.validate(10, first)
 
 
 def test_duplicate_register_name_rejected():

@@ -324,6 +324,141 @@ def test_exact_value_matches_the_dict_dp():
             assert abs(got - want) <= 1e-12, (spec.payoff_params, fm)
 
 
+ASYMMETRIC3 = dm.parse_board("B..\n..W\n...", "sway")   # no symmetry fixes it
+
+
+def _differential_instances():
+    for m in (2, 3):
+        for h in range(3):
+            yield dm.sway_spec(dm.SwayConfig(m, h)), 0, None
+            board = dm.set_cell(0, (m * m) // 2, dm.INFECTED)
+            yield dm.sir_spec(dm.SirConfig(m, h, threshold=1)), board, None
+    yield dm.sway_spec(dm.SwayConfig(3, 4)), 0, None
+    for rho in range(9):
+        yield (dm.sir_spec(dm.SirConfig(3, 2, threshold=2, rho=rho)),
+               CENTER3, None)
+    for fm in range(4):
+        yield dm.sway_spec(dm.SwayConfig(3, 2)), 0, fm
+        yield dm.sir_spec(dm.SirConfig(3, 2, threshold=2)), CENTER3, fm
+    yield dm.sway_spec(dm.SwayConfig(3, 2)), ASYMMETRIC3, None
+    yield dm.sway_spec(dm.SwayConfig(3, 2)), ASYMMETRIC3, 8
+    yield (dm.sir_spec(dm.SirConfig(3, 2, threshold=1)),
+           dm.parse_board("ISS\nSSS\nSRS", "sir"), None)
+
+
+@pytest.mark.parametrize("spec,board,first_move", _differential_instances())
+def test_exact_value_matches_the_array_and_dict_dps(spec, board, first_move):
+    # symmetry classes and the terminal count convolution against the
+    # array DP on every board and the dict DP
+    got = dm.exact_value(spec, board, first_move=first_move)
+    assert abs(got - ref.array_exact_value(spec, board, first_move)) <= 1e-12
+    assert abs(got - ref.dict_exact_value(spec, board, first_move)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_square_symmetries_are_the_grid_automorphisms(m):
+    perms = dm.square_symmetries(m)
+    assert len(perms) == (1 if m == 1 else 8)
+    assert perms[0].tolist() == list(range(m * m))
+    nbrs = [set(adj) for adj in dm.neighbors(m)]
+    for g in perms.tolist():
+        assert sorted(g) == list(range(m * m))
+        # the gather convention: cell i of the image is cell g[i]
+        assert all({g[j] for j in nbrs[i]} == nbrs[g[i]]
+                   for i in range(m * m))
+
+
+@pytest.mark.parametrize("spec", [
+    dm.sway_spec(dm.SwayConfig(3, 1)), dm.sway_spec(dm.SwayConfig(4, 1)),
+    dm.sway_spec(dm.SwayConfig(5, 1)),
+    dm.sir_spec(dm.SirConfig(3, 1, threshold=2, rho=3)),
+    dm.sir_spec(dm.SirConfig(4, 1, threshold=5)),
+])
+def test_laws_and_payoff_commute_with_the_square_symmetries(spec):
+    rng = np.random.default_rng(spec.n_cells)
+    codes = rng.integers(0, 3, size=(500, spec.n_cells)).astype(np.int8)
+    threshold, alt = spec.flip_law(codes)
+    payoff = spec.array_eval(codes)
+    for g in dm.square_symmetries(math.isqrt(spec.n_cells)):
+        image = codes[:, g]
+        got_threshold, got_alt = spec.flip_law(image)
+        assert (got_threshold == threshold[:, g]).all()
+        assert (got_alt == alt[:, g]).all()
+        assert (spec.array_eval(image) == payoff).all()
+
+
+def _image(board: int, g) -> int:
+    return _pack(dm.board_codes(board, len(g))[g])
+
+
+@pytest.mark.parametrize("spec", [
+    dm.sway_spec(dm.SwayConfig(3, 2)),
+    dm.sir_spec(dm.SirConfig(3, 2, threshold=2)),
+])
+def test_exact_value_is_equal_on_every_image_of_a_board(spec):
+    rng = np.random.default_rng(5)
+    codes = rng.choice(3, size=9, p=[0.6, 0.2, 0.2])
+    board = _pack(codes)
+    images = {_image(board, g) for g in dm.square_symmetries(3)}
+    assert len(images) == 8                 # no symmetry fixes the board
+    values = [dm.exact_value(spec, image) for image in images]
+    assert max(values) - min(values) <= 1e-12
+
+
+def _old_array_eval(spec, codes):
+    """The payoff as each domain stated it before the count hook."""
+    if spec.name == "sway":
+        win = (codes == dm.BLACK).sum(axis=1) > (codes == dm.WHITE).sum(axis=1)
+    else:
+        win = ((codes == dm.INFECTED).sum(axis=1)
+               <= spec.payoff_params["threshold"])
+    return win.astype(np.int64)
+
+
+def _outcomes(spec, board, every_die):
+    """Each outcome of one transition of ``board`` with its probability:
+    with ``every_die`` one row per dice tuple, otherwise one row per set
+    of cells whose die falls below its threshold."""
+    codes = dm.board_codes(board, spec.n_cells)[None, :]
+    threshold, alt = spec.flip_law(codes)
+    n = spec.n_cells
+    if every_die:
+        dice = np.array(list(itertools.product(range(spec.faces), repeat=n)))
+        return (np.where(dice < threshold, alt, codes),
+                np.full(len(dice), spec.faces ** -n))
+    flips = np.array(list(itertools.product((False, True), repeat=n)))
+    pf = threshold[0] / spec.faces
+    return (np.where(flips, alt, codes),
+            np.where(flips, pf, 1 - pf).prod(axis=1))
+
+
+@pytest.mark.parametrize("spec,board,every_die", [
+    (dm.sway_spec(dm.SwayConfig(2, 1)),
+     dm.parse_board("BW\nB.", "sway"), True),
+    (dm.sway_spec(dm.SwayConfig(2, 1)),
+     dm.parse_board("BB\nWW", "sway"), True),
+    (dm.sir_spec(dm.SirConfig(2, 1, threshold=1, rho=3)),
+     dm.parse_board("IS\nRS", "sir"), True),
+    (dm.sir_spec(dm.SirConfig(2, 1, threshold=0)),
+     dm.parse_board("II\nSS", "sir"), True),
+    (dm.sway_spec(dm.SwayConfig(3, 1)),
+     dm.parse_board("BW.\nWBB\n.WB", "sway"), False),
+    (dm.sir_spec(dm.SirConfig(3, 1, threshold=3)),
+     dm.parse_board("ISS\nSIR\nSSI", "sir"), False),
+])
+def test_count_hook_gives_the_old_payoff_on_every_outcome(spec, board,
+                                                          every_die):
+    final, prob = _outcomes(spec, board, every_die)
+    want = _old_array_eval(spec, final)
+    assert (spec.array_eval(final) == want).all()
+    assert [spec.classical_eval(_pack(row)) for row in final[::97]] \
+        == want[::97].tolist()
+    # the terminal count convolution is the outcomes' mean payoff
+    got = dm._terminal_value(spec, np.array([board], dtype=np.int64),
+                             np.ones(1))
+    assert abs(got - float(prob @ want)) <= 1e-12
+
+
 def test_rho_sweep_is_monotone_without_tolerance():
     values = [dm.exact_value(dm.sir_spec(dm.SirConfig(3, 2, threshold=2,
                                                       rho=rho)), CENTER3)
