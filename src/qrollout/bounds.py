@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .domains import rollout_codes
+from .domains import final_codes
 from .oracle import RolloutSpec, input_law
 
 
@@ -289,8 +289,8 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
     diffs_sum = 0
     diffs_sq = 0
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):
-        a, b = rollout_codes(spec, [board_a, board_b], faces, first_move,
-                             coupled=coupling == "position")
+        a, b = final_codes(spec, [board_a, board_b], faces, first_move,
+                           coupled=coupling == "position")
         d = spec.array_eval(a) - spec.array_eval(b)
         diffs_sum += int(d.sum())
         diffs_sq += int((d * d).sum())

@@ -256,7 +256,7 @@ def cmd_bounds_lifting(args) -> int:
     spec = _make_spec(args.domain, args.m, args.H, args.T, args.rho)
     board = _load_board(args, args.domain, args.m)
     arms = args.arms
-    valid = spec.classical_validity(board).bit_count()
+    valid = int((dm.board_codes(board, spec.n_cells) == dm.EMPTY).sum())
     if arms > valid:
         raise _UsageError(f"argument --arms: {arms} arms need {arms} valid "
                           f"cells, the initial board has {valid}")

@@ -8,15 +8,16 @@ two bits per cell (bit 0, bit 1):
     code 2 = (0,1) = white / recovered        (code 3 unreachable)
 
 Both domains provide circuit fragments (validity mask, stochastic transition,
-terminal evaluation) and matching classical functions.  On packed ints,
-``classical_trace`` replays one branch; it is the branchwise reference.  On
-(rows, N) int8 code arrays, one board per row, each spec's ``flip_law``
+terminal evaluation) and the same rules on (rows, N) int8 code arrays, one
+board per row: a cell is a valid placement iff its code is 0, selector pass
+``p`` writes code ``1 << placement_bit(p)``, and each spec's ``flip_law``
 states the dice law once: a cell takes ``alt`` iff its die is below
-``threshold``, with neighbour counts from shifted-slice adds.  The array
-sampler (``rollout_codes``, one row per shot, rank-select as a cumulative
-sum over the empty cells) and the exact distribution dynamic program both
-read it.  The payoff is stated once per spec, as per-code count weights and
-a win rule on their sum.
+``threshold``, with neighbour counts from shifted-slice adds.  The rollout
+kernel (``rollout_codes``, one row per branch, rank-select as a cumulative
+sum over the empty cells) gives every round's boards; branchwise validation,
+the sampler and the influence MC replay it, and the exact distribution
+dynamic program reads ``flip_law`` too.  The payoff is stated once per
+spec, as per-code count weights and a win rule on their sum.
 
 The DP is the payoff oracle at 3x3 scale.  The selector's uniform mix over
 the empty cells, both flip laws and both payoffs commute with the square's
@@ -55,7 +56,7 @@ from .gadgets import (add_register, controlled_increment, copy_register,
                       flag_less_than_const, sub_register)
 from .oracle import (OracleError, RolloutSpec, input_law, law_columns,
                      place_first_move)
-from .rank_select import select_rows, select_semantics, width_for
+from .rank_select import select_rows, width_for
 
 EMPTY = SUSCEPTIBLE = 0
 BLACK = INFECTED = 1
@@ -175,28 +176,8 @@ def parse_board(text: str, domain: str) -> int:
     return board
 
 
-def empty_mask(board: int, n: int) -> int:
-    mask = 0
-    for i in range(n):
-        if cell(board, i) == 0:
-            mask |= 1 << i
-    return mask
-
-
 # ---------------------------------------------------------------------------
-# Sway classical dynamics
-
-def _sway_transition(board: int, dice, nbrs) -> int:
-    out = board
-    for i, adj in enumerate(nbrs):
-        code = cell(board, i)
-        if code == EMPTY:
-            continue
-        k = sum(1 for j in adj if cell(board, j) == code)
-        if dice[i] < 4 - k:
-            out = set_cell(out, i, BLACK if code == WHITE else WHITE)
-    return out
-
+# dice laws on code arrays
 
 def _sway_flip_law(m: int):
     def law(codes):
@@ -206,23 +187,6 @@ def _sway_flip_law(m: int):
         # black <-> white; empty cells get threshold 0 and never change
         return np.where(codes == EMPTY, 0, 4 - same), 3 - codes
     return law
-
-
-# ---------------------------------------------------------------------------
-# SIR classical dynamics
-
-def _sir_transition(board: int, dice, nbrs, rho: int) -> int:
-    out = board
-    for i, adj in enumerate(nbrs):
-        code = cell(board, i)
-        if code == SUSCEPTIBLE:
-            c = sum(1 for j in adj if cell(board, j) == INFECTED)
-            if dice[i] < c:
-                out = set_cell(out, i, INFECTED)
-        elif code == INFECTED:
-            if dice[i] < rho:
-                out = set_cell(out, i, RECOVERED)
-    return out
 
 
 def _sir_flip_law(m: int, rho: int):
@@ -271,7 +235,7 @@ def _sway_cell(b: Builder, cell, nbrs, nxt, die, k_reg, sum_reg, flag,
     b.emit_inverse(seg)
 
 
-def _emit_sway_transition(m: int):
+def _emit_sway_dynamics(m: int):
     nbrs = neighbors(m)
     kw = max(len(a) for a in nbrs).bit_length()
     d = SWAY_DICE_BITS
@@ -331,7 +295,7 @@ def _sir_cell(b: Builder, cell, nbrs, nxt, die, c_reg, t_reg, rflag, scr,
     b.emit_inverse(seg)
 
 
-def _emit_sir_transition(m: int, rho: int):
+def _emit_sir_dynamics(m: int, rho: int):
     nbrs = neighbors(m)
     max_deg = max(len(a) for a in nbrs)
     cw = max_deg.bit_length() if max_deg else 0
@@ -368,14 +332,9 @@ def _emit_sir_eval(n: int, threshold: int):
 
 def sway_spec(cfg: SwayConfig) -> RolloutSpec:
     n = cfg.m * cfg.m
-    nbrs = neighbors(cfg.m)
     wc = width_for(n)
-    emit_trans, trans_pool = _emit_sway_transition(cfg.m)
+    emit_trans, trans_pool = _emit_sway_dynamics(cfg.m)
     emit_eval, eval_pool = _emit_sway_eval(n)
-
-    def place(board, pos, pass_index):
-        return set_cell(board, pos, BLACK if pass_index == 0 else WHITE)
-
     return RolloutSpec(
         name="sway", n_cells=n, horizon=cfg.horizon, s=2,
         d=SWAY_DICE_BITS, faces=SWAY_FACES, selectors_per_round=2,
@@ -386,10 +345,6 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
         trans_pool_width=trans_pool,
         eval_pool_width=eval_pool,
         domain_scr_width=max(SWAY_DICE_BITS - 1, wc),
-        classical_validity=lambda board: empty_mask(board, n),
-        classical_place=place,
-        classical_transition=lambda board, dice: _sway_transition(
-            board, dice, nbrs),
         flip_law=_sway_flip_law(cfg.m),
         count_weights=(0, 1, -1, 0),          # black - white
         win=lambda count: count > 0,
@@ -399,28 +354,19 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
 
 def sir_spec(cfg: SirConfig) -> RolloutSpec:
     n = cfg.m * cfg.m
-    nbrs = neighbors(cfg.m)
     wc = width_for(n)
-    emit_trans, trans_pool = _emit_sir_transition(cfg.m, cfg.rho)
+    emit_trans, trans_pool = _emit_sir_dynamics(cfg.m, cfg.rho)
     emit_eval, eval_pool = _emit_sir_eval(n, cfg.threshold)
-
-    def place(board, pos, pass_index):
-        return set_cell(board, pos, RECOVERED)    # vaccination: S -> R
-
     return RolloutSpec(
         name="sir", n_cells=n, horizon=cfg.horizon, s=2,
         d=SIR_DICE_BITS, faces=SIR_FACES, selectors_per_round=1,
         emit_validity=_emit_validity,
         emit_transition=emit_trans,
         emit_eval=emit_eval,
-        placement_bit=lambda pass_index: 1,            # flip the removed bit
+        placement_bit=lambda pass_index: 1,     # vaccination: S -> R
         trans_pool_width=trans_pool,
         eval_pool_width=eval_pool,
         domain_scr_width=max(SIR_DICE_BITS, wc - 1),
-        classical_validity=lambda board: empty_mask(board, n),
-        classical_place=place,
-        classical_transition=lambda board, dice: _sir_transition(
-            board, dice, nbrs, cfg.rho),
         flip_law=_sir_flip_law(cfg.m, cfg.rho),
         count_weights=(0, 1, 0, 0),           # infected cells
         win=lambda count: count <= cfg.threshold,
@@ -429,79 +375,64 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
 
 
 # ---------------------------------------------------------------------------
-# classical rollouts
-
-def classical_trace(spec: RolloutSpec, board0: int, selectors, dice,
-                    first_move: int | None = None):
-    """Replay a branch; returns ([board after round 0..H], payoff bit)."""
-    n = spec.n_cells
-    if len(selectors) != spec.horizon or len(dice) != spec.horizon:
-        raise OracleError("stream length does not match horizon")
-    boards = [board0]
-    board = board0
-    for h in range(spec.horizon):
-        if len(selectors[h]) != spec.selectors_per_round:
-            raise OracleError("selector stream width mismatch")
-        for pj in range(spec.selectors_per_round):
-            if h == 0 and pj == 0 and first_move is not None:
-                board = place_first_move(spec, board, first_move)
-                continue
-            j = select_semantics(spec.classical_validity(board), n,
-                                 selectors[h][pj])
-            if j < n:
-                board = spec.classical_place(board, j, pj)
-        board = spec.classical_transition(board, dice[h])
-        boards.append(board)
-    return boards, spec.classical_eval(board)
-
-
-# ---------------------------------------------------------------------------
-# array rollouts: one row per shot, one int8 code per cell
+# array rollouts: one row per branch, one int8 code per cell
 
 def board_codes(board: int, n: int) -> np.ndarray:
     """A packed board as an (n,) int8 code array."""
     return np.array([cell(board, i) for i in range(n)], dtype=np.int8)
 
 
-def _placement_codes(spec: RolloutSpec) -> list[int]:
-    """The code that each selector pass places."""
-    return [cell(spec.classical_place(0, 0, pj), 0)
-            for pj in range(spec.selectors_per_round)]
-
-
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
-                  first_move: int | None = None,
-                  coupled: bool = False) -> list[np.ndarray]:
-    """Final boards of one rollout per face row, from each initial board.
+                  first_move: int | None = None, coupled: bool = False):
+    """Every round's boards of one rollout per face row, from each initial
+    board.
 
-    ``faces`` is a ``(rows, fields)`` face array of :func:`input_law`; row
-    ``r`` of each returned ``(rows, N)`` code array is the final board of
-    :func:`classical_trace` on row ``r``'s streams.  Every board reads the
-    same faces.  With ``coupled``, the first board decides each placement
-    and the others place at the same cell when it is valid on them;
-    otherwise each board rank-selects among its own valid cells.
+    ``faces`` is a ``(rows, fields)`` face array of :func:`input_law`.
+    Yields rounds 0..H in turn, each as one list with one ``(rows, N)``
+    code array per initial board: row ``r`` after round ``h`` is what the
+    oracle writes into ``config<h>`` on the branch of row ``r``'s faces.
+    The next round updates that list and its arrays in place, so a caller
+    copies what it keeps.  Every board reads the same faces.  With
+    ``first_move``, round 1's first pass places there instead of reading
+    its selector.  With ``coupled``, the first board
+    decides each placement and the others place at the same cell when it
+    is valid on them; otherwise each board rank-selects among its own valid
+    cells.
     """
     rows, n = faces.shape[0], spec.n_cells
     sel, dice = law_columns(spec)
-    codes = _placement_codes(spec)
     skip = first_move is not None and spec.horizon > 0
     if skip:
-        boards0 = [place_first_move(spec, b, first_move) for b in boards0]
+        for board in boards0:                # reject an invalid first move
+            place_first_move(spec, board, first_move)
     boards = [np.tile(board_codes(b, n), (rows, 1)) for b in boards0]
+    yield boards
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
+            code = spec.placed_code(pj)
             if skip and h == pj == 0:
+                for board in boards:
+                    board[:, first_move] = code
                 continue
             ranks = faces[:, sel[h, pj]]
             for k, board in enumerate(boards):
                 valid = board == EMPTY
                 if k == 0 or not coupled:
                     hit = select_rows(valid, ranks)
-                board[hit & valid] = codes[pj]
+                board[hit & valid] = code
         roll = faces[:, dice[h]]
         for k, board in enumerate(boards):
             threshold, alt = spec.flip_law(board)
             boards[k] = np.where(roll < threshold, alt, board)
+        yield boards
+
+
+def final_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
+                first_move: int | None = None,
+                coupled: bool = False) -> list[np.ndarray]:
+    """The last round of :func:`rollout_codes`; no earlier round is kept."""
+    for boards in rollout_codes(spec, boards0, faces, first_move, coupled):
+        pass
     return boards
 
 
@@ -513,7 +444,7 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
     seed)``, the inputs that the circuit MC at the same seed emulates."""
     wins = 0
     for faces in input_law(spec, board0).draw_chunks(shots, seed):
-        [board] = rollout_codes(spec, [board0], faces, first_move)
+        [board] = final_codes(spec, [board0], faces, first_move)
         wins += int(spec.array_eval(board).sum())
     p = wins / shots
     half = 1.96 * sqrt(p * (1 - p) / shots)
@@ -651,19 +582,19 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     if n > 31:
         raise BudgetError(f"{n} cells do not pack into an int64 board")
     shift = 2 * np.arange(n, dtype=np.int64)
-    codes = _placement_codes(spec)
     skip = first_move is not None and spec.horizon > 0
     if skip:
         board0 = place_first_move(spec, board0, first_move)
     if spec.horizon == 0:
-        return float(spec.classical_eval(board0))
+        return float(spec.array_eval(board_codes(board0, n)[None])[0])
     perms = square_symmetries(isqrt(n))
     states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if not (skip and h == pj == 0):
                 states, probs = _select_pass(states, probs, shift,
-                                             1 << spec.w, codes[pj], perms)
+                                             1 << spec.w,
+                                             spec.placed_code(pj), perms)
         if h < spec.horizon - 1:
             states, probs = transition_distribution(spec, states, probs,
                                                     perms)
@@ -672,11 +603,10 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
 
 def default_first_moves(spec: RolloutSpec, board0: int, k: int) -> list[int]:
     """firstMove decoder: the first k valid positions of the initial board."""
-    mask = spec.classical_validity(board0)
-    positions = [i for i in range(spec.n_cells) if (mask >> i) & 1]
+    positions = np.flatnonzero(board_codes(board0, spec.n_cells) == EMPTY)
     if len(positions) < k:
         raise OracleError(f"initial board has only {len(positions)} valid cells")
-    return positions[:k]
+    return positions[:k].tolist()
 
 
 def arm_means(spec: RolloutSpec, board0: int, k: int,

@@ -165,6 +165,18 @@ def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
                      np.asarray(limb, dtype=np.int64))
 
 
+def write_bits(batch: Batch, c: Circuit, name: str, bits: np.ndarray) -> None:
+    """Write a register from a ``(rows, width)`` 0/1 array, in place: bit
+    ``k`` of the register in row ``r`` is ``bits[r, k]``.  Any width takes
+    this form, so wide registers need no Python ints."""
+    qubits = c.register(name)
+    if bits.shape != (batch.rows, len(qubits)):
+        raise EmulationError(f"register {name!r}: bits of shape {bits.shape} "
+                             f"for {batch.rows} rows of {len(qubits)} bits")
+    for k, q in enumerate(qubits):
+        batch.cols[q] = _pack(bits[:, k])
+
+
 def read_register(batch: Batch, c: Circuit, name: str) -> np.ndarray:
     """A register's value in every row of a batch: an int64 array for
     registers up to 63 bits, an object array of Python ints above."""

@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import TGT, Builder, Circuit, CostReport, segment_support
+from .circuit import Builder, Circuit, CostReport, segment_support
 from .emulator import (InputDistribution, apply_batch, first_row,
-                       write_register)
+                       write_bits, write_register)
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -36,12 +36,14 @@ class OracleError(ValueError):
 class RolloutSpec:
     """A domain's validity/transition/evaluation hooks plus register widths.
 
-    Circuit hooks emit gate fragments through a Builder; classical hooks are
-    the single-branch reference semantics that branchwise validation
-    replays; array hooks state the same rules on code arrays for the
-    sampler, the influence MC and the exact dynamic program.  The payoff is
-    stated once, as count weights and a win rule, which ``classical_eval``,
-    ``array_eval`` and the DP's terminal count convolution all read.
+    Circuit hooks emit gate fragments through a Builder; the array hook
+    states the same dice law on code arrays for the rollout kernel (which
+    branchwise validation, the sampler and the influence MC replay) and the
+    exact dynamic program.  A cell's code is its ``s`` configuration bits.
+    A cell is a valid placement iff its code is 0, and selector pass ``p``
+    writes code ``placed_code(p)`` there.  The payoff is stated once, as
+    count weights and a win rule, which ``array_eval`` and the DP's
+    terminal count convolution read.
     """
 
     name: str
@@ -60,13 +62,7 @@ class RolloutSpec:
     trans_pool_width: int
     eval_pool_width: int
     domain_scr_width: int
-    # classical hooks
-    classical_validity: Callable     # board -> mask int
-    classical_place: Callable        # (board, position, pass_index) -> board
-    classical_transition: Callable   # (board, dice_faces) -> board
-    # array hooks on (rows, N) int8 code arrays, one row per board; a cell
-    # is a valid placement iff its code is 0, and pass p places the code
-    # that classical_place writes
+    # array hook on (rows, N) int8 code arrays, one row per board
     flip_law: Callable    # codes -> (threshold, alt): a cell takes alt iff
                           # its die is below threshold
     # the selector law, flip_law and the payoff commute with the m x m
@@ -93,11 +89,10 @@ class RolloutSpec:
         weight = np.asarray(self.count_weights, dtype=np.int64)
         return self.win(weight[codes].sum(axis=1)).astype(np.int64)
 
-    def classical_eval(self, board: int) -> int:
-        """The payoff of one packed board."""
-        count = sum(self.count_weights[(board >> (2 * i)) & 3]
-                    for i in range(self.n_cells))
-        return int(self.win(count))
+    def placed_code(self, pass_index: int) -> int:
+        """The code that selector pass ``pass_index`` writes on an empty
+        cell: the pass sets the cell's bit ``placement_bit(pass_index)``."""
+        return 1 << self.placement_bit(pass_index)
 
 
 @dataclass(frozen=True)
@@ -377,26 +372,27 @@ def law_columns(spec: RolloutSpec) -> tuple[np.ndarray, np.ndarray]:
             np.array(dice, dtype=np.intp).reshape(h, n))
 
 
-def law_streams(spec: RolloutSpec, faces) -> list[tuple[list, list]]:
-    """Each face row of :func:`input_law` as its ``(selectors, dice)``
-    streams: ``selectors[h][p]`` and ``dice[h][i]``, rounds in order."""
-    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
-    sel, dice = law_columns(spec)
-    order = np.concatenate((sel.ravel(), dice.ravel()))
-    dice0 = h * p
-    return [([row[i * p:(i + 1) * p] for i in range(h)],
-             [row[dice0 + i * n:dice0 + (i + 1) * n] for i in range(h)])
-            for row in faces[:, order].tolist()]
-
-
 def place_first_move(spec: RolloutSpec, board: int, move: int) -> int:
-    """The round-1 pass-0 placement of an arm's first move, which must be a
-    valid position of ``board``."""
-    if not (0 <= move < spec.n_cells
-            and (spec.classical_validity(board) >> move) & 1):
+    """The round-1 pass-0 placement of an arm's first move on a packed
+    board; the move must be a valid (code 0) cell of ``board``."""
+    cell = (1 << spec.s) - 1
+    if not (0 <= move < spec.n_cells and not (board >> spec.s * move) & cell):
         raise OracleError(f"first move {move} is not a valid position on "
                           f"the initial board")
-    return spec.classical_place(board, move, 0)
+    return board | spec.placed_code(0) << spec.s * move
+
+
+def _arm_rows(arms: int, arm_values, rows: int) -> np.ndarray:
+    """The checked arm value of every branch."""
+    if arm_values is None:
+        raise OracleError("arms > 0 requires arm_values")
+    values = list(arm_values)
+    if len(values) != rows:
+        raise OracleError(f"{len(values)} arm values for {rows} branches")
+    for value in values:
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < arms):
+            raise OracleError(f"arm value {value!r} is not in [0, {arms})")
+    return np.array(values, dtype=np.int64)
 
 
 def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
@@ -408,38 +404,44 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     agreement with the classical rollout: every per-round configuration, the
     payoff bit, read-only inputs, and cleanness of every ancilla register.
     Branch ``r`` takes the one-shot draw of :func:`input_law` at
-    ``seeds[r]``.
+    ``seeds[r]``; with ``arms``, ``arm_values[r]`` in ``[0, arms)`` is its
+    arm.
 
-    All outputs are compared at once against the expected batch; the first
+    The expected configurations of all branches come from the array
+    rollout kernel, one call per arm; bit ``s*i + b`` of register
+    ``config<h>`` is bit ``b`` of cell ``i``'s code after round ``h``.  All
+    outputs are compared at once against the expected batch; the first
     failing branch then names its first differing register, in the order
     configs (by round), payoff, read-only inputs, ancillae."""
-    from .domains import classical_trace  # local import: domains builds on us
+    from .domains import rollout_codes  # local import: domains builds on us
 
     if isinstance(seeds, int):
         seeds = list(range(seeds))
+    rows = len(seeds)
+    arm = _arm_rows(arms, arm_values, rows) if arms else np.zeros(rows, int)
     oc = oracle if oracle is not None else compose(spec, record=True,
                                                    arms=arms,
                                                    first_moves=first_moves)
     c = oc.circuit
-    h = spec.horizon
-    rows = len(seeds)
+    h, n, s = spec.horizon, spec.n_cells, spec.s
     law = input_law(spec, board0)
     faces = law.draw_each(seeds)
-    streams = law_streams(spec, faces)
     batch = law.batch(c, faces)
     if arms:
-        arm_values = list(arm_values[:rows])
-        write_register(batch, c, "arm", arm_values)
+        write_register(batch, c, "arm", arm)
     # expected: inputs unchanged, ancillae clean, configs and payoff replayed
+    codes = np.empty((h + 1, rows, n), dtype=np.int8)
+    for a, move in enumerate(first_moves[:arms] if arms else [None]):
+        mine = arm == a
+        for hh, [board] in enumerate(rollout_codes(spec, [board0],
+                                                   faces[mine], move)):
+            codes[hh, mine] = board
     expected = batch.copy()
-    traces = [classical_trace(spec, board0, sel, dice,
-                              first_move=first_moves[arm_values[r]] if arms
-                              else None)
-              for r, (sel, dice) in enumerate(streams)]
+    bit = np.arange(s, dtype=np.int8)
     for hh in range(1, h + 1):
-        write_register(expected, c, f"config{hh}",
-                       [boards[hh] for boards, _ in traces])
-    write_register(expected, c, "payoff", [payoff for _, payoff in traces])
+        bits = (codes[hh, :, :, None] >> bit) & 1
+        write_bits(expected, c, f"config{hh}", bits.reshape(rows, n * s))
+    write_register(expected, c, "payoff", spec.array_eval(codes[h]))
     outs = apply_batch(c, batch)
 
     diff = [got ^ want for got, want in zip(outs.cols, expected.cols)]
@@ -459,12 +461,3 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     name = next(reg for reg in order
                 if any((diff[q] >> r) & 1 for q in c.register(reg)))
     return BranchwiseReport(False, rows, seeds[r], rounds.get(name), name)
-
-
-def verify_read_only(c: Circuit, roles=("selector", "dice", "arm")) -> bool:
-    """Structurally confirm that no gate targets a register in ``roles``."""
-    protected = np.zeros(c.total_qubits, dtype=bool)
-    for reg in c.registers:
-        if reg.role in roles:
-            protected[list(c.register(reg.name))] = True
-    return not protected[c.table.qubit[c.table.kind == TGT]].any()

@@ -1,21 +1,139 @@
 """Test helper: the classical references that faster paths are held to.
 
-These are the dict-based distribution DP and the per-row loops over
-``classical_trace`` that the code-array kernels in ``qrollout.domains`` and
-``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
+These are the single-branch dynamics on packed int boards
+(``classical_trace`` replays one branch, one cell at a time), the
+dict-based distribution DP and the per-row loops over ``classical_trace``
+that the code-array kernels in ``qrollout.domains``, ``qrollout.oracle``
+and ``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
 before it kept symmetry classes and convolved the last round's count; the
-differential tests hold the array paths to them.  ``_cell_branches``
-states the dice law in its own terms, apart from the specs' ``flip_law``
-hooks.
+differential tests hold the array paths to them.  The packed-int
+transitions and ``_cell_branches`` state the dice law in their own terms,
+apart from the specs' ``flip_law`` hooks.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 
 from qrollout import domains as dm
-from qrollout.oracle import input_law, law_streams, place_first_move
+from qrollout.oracle import OracleError, input_law, law_columns
 from qrollout.rank_select import select_semantics
+
+
+# ---------------------------------------------------------------------------
+# single-branch dynamics on packed int boards
+
+def _sway_transition(board: int, dice, nbrs) -> int:
+    out = board
+    for i, adj in enumerate(nbrs):
+        code = dm.cell(board, i)
+        if code == dm.EMPTY:
+            continue
+        k = sum(1 for j in adj if dm.cell(board, j) == code)
+        if dice[i] < 4 - k:
+            out = dm.set_cell(out, i, dm.BLACK if code == dm.WHITE
+                              else dm.WHITE)
+    return out
+
+
+def _sir_transition(board: int, dice, nbrs, rho: int) -> int:
+    out = board
+    for i, adj in enumerate(nbrs):
+        code = dm.cell(board, i)
+        if code == dm.SUSCEPTIBLE:
+            c = sum(1 for j in adj if dm.cell(board, j) == dm.INFECTED)
+            if dice[i] < c:
+                out = dm.set_cell(out, i, dm.INFECTED)
+        elif code == dm.INFECTED:
+            if dice[i] < rho:
+                out = dm.set_cell(out, i, dm.RECOVERED)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _neighbors(m: int):
+    return dm.neighbors(m)
+
+
+def classical_validity(spec, board: int) -> int:
+    """The valid placements of a board as a mask int: its empty cells."""
+    mask = 0
+    for i in range(spec.n_cells):
+        if dm.cell(board, i) == 0:
+            mask |= 1 << i
+    return mask
+
+
+def classical_place(spec, board: int, pos: int, pass_index: int) -> int:
+    if spec.name == "sway":
+        return dm.set_cell(board, pos,
+                           dm.BLACK if pass_index == 0 else dm.WHITE)
+    return dm.set_cell(board, pos, dm.RECOVERED)    # vaccination: S -> R
+
+
+def classical_transition(spec, board: int, dice) -> int:
+    nbrs = _neighbors(spec.payoff_params["m"])
+    if spec.name == "sway":
+        return _sway_transition(board, dice, nbrs)
+    return _sir_transition(board, dice, nbrs, spec.payoff_params["rho"])
+
+
+def classical_eval(spec, board: int) -> int:
+    """The payoff of one packed board."""
+    count = sum(spec.count_weights[(board >> (2 * i)) & 3]
+                for i in range(spec.n_cells))
+    return int(spec.win(count))
+
+
+def place_first_move(spec, board: int, move: int) -> int:
+    """The round-1 pass-0 placement of an arm's first move, which must be a
+    valid position of ``board``."""
+    if not (0 <= move < spec.n_cells
+            and (classical_validity(spec, board) >> move) & 1):
+        raise OracleError(f"first move {move} is not a valid position on "
+                          f"the initial board")
+    return classical_place(spec, board, move, 0)
+
+
+def classical_trace(spec, board0: int, selectors, dice,
+                    first_move: int | None = None):
+    """Replay a branch; returns ([board after round 0..H], payoff bit)."""
+    n = spec.n_cells
+    if len(selectors) != spec.horizon or len(dice) != spec.horizon:
+        raise OracleError("stream length does not match horizon")
+    boards = [board0]
+    board = board0
+    for h in range(spec.horizon):
+        if len(selectors[h]) != spec.selectors_per_round:
+            raise OracleError("selector stream width mismatch")
+        for pj in range(spec.selectors_per_round):
+            if h == 0 and pj == 0 and first_move is not None:
+                board = place_first_move(spec, board, first_move)
+                continue
+            j = select_semantics(classical_validity(spec, board), n,
+                                 selectors[h][pj])
+            if j < n:
+                board = classical_place(spec, board, j, pj)
+        board = classical_transition(spec, board, dice[h])
+        boards.append(board)
+    return boards, classical_eval(spec, board)
+
+
+def law_streams(spec, faces) -> list[tuple[list, list]]:
+    """Each face row of ``input_law`` as its ``(selectors, dice)``
+    streams: ``selectors[h][p]`` and ``dice[h][i]``, rounds in order."""
+    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
+    sel, dice = law_columns(spec)
+    order = np.concatenate((sel.ravel(), dice.ravel()))
+    dice0 = h * p
+    return [([row[i * p:(i + 1) * p] for i in range(h)],
+             [row[dice0 + i * n:dice0 + (i + 1) * n] for i in range(h)])
+            for row in faces[:, order].tolist()]
+
+
+# ---------------------------------------------------------------------------
+# distribution DPs and loops
 
 
 class KernelCache:
@@ -77,13 +195,13 @@ def _mix_pass(spec, dist: dict, pass_index: int) -> dict:
     inv = 1.0 / (1 << w)
     out = defaultdict(float)
     for board, pr in dist.items():
-        mask = spec.classical_validity(board)
+        mask = classical_validity(spec, board)
         positions = [i for i in range(n) if (mask >> i) & 1]
         sentinel = ((1 << w) - len(positions)) * inv
         if sentinel:
             out[board] += pr * sentinel
         for j in positions:
-            out[spec.classical_place(board, j, pass_index)] += pr * inv
+            out[classical_place(spec, board, j, pass_index)] += pr * inv
     return dict(out)
 
 
@@ -103,7 +221,7 @@ def dict_exact_value(spec, board0: int, first_move=None, cache=None) -> float:
             for nb, p in cache.expand(board):
                 nxt[nb] += pr * p
         dist = dict(nxt)
-    return sum(pr for b, pr in dist.items() if spec.classical_eval(b) == 1)
+    return sum(pr for b, pr in dist.items() if classical_eval(spec, b) == 1)
 
 
 def array_exact_value(spec, board0: int, first_move=None) -> float:
@@ -111,7 +229,6 @@ def array_exact_value(spec, board0: int, first_move=None) -> float:
     transition, the last one included, splits each board into its outcome
     rows, and ``array_eval`` reads the final boards."""
     shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
-    codes = dm._placement_codes(spec)
     skip = first_move is not None and spec.horizon > 0
     if skip:
         board0 = place_first_move(spec, board0, first_move)
@@ -120,7 +237,8 @@ def array_exact_value(spec, board0: int, first_move=None) -> float:
         for pj in range(spec.selectors_per_round):
             if not (skip and h == pj == 0):
                 states, probs = dm._select_pass(states, probs, shift,
-                                                1 << spec.w, codes[pj])
+                                                1 << spec.w,
+                                                spec.placed_code(pj))
         states, probs = dm.transition_distribution(spec, states, probs)
     final = dm._unpack(states, shift)
     return float(probs[spec.array_eval(final) == 1].sum())
@@ -133,8 +251,8 @@ def loop_sample_payoff(spec, board0: int, shots: int, seed: int,
     wins = 0
     for faces in input_law(spec, board0).draw_chunks(shots, seed):
         for selectors, dice in law_streams(spec, faces):
-            wins += dm.classical_trace(spec, board0, selectors, dice,
-                                       first_move=first_move)[1]
+            wins += classical_trace(spec, board0, selectors, dice,
+                                    first_move=first_move)[1]
     return wins
 
 
@@ -150,15 +268,15 @@ def coupled_pair(spec, board_a: int, board_b: int, selectors, dice,
                 a = place_first_move(spec, a, first_move)
                 b = place_first_move(spec, b, first_move)
                 continue
-            j = select_semantics(spec.classical_validity(a), n,
+            j = select_semantics(classical_validity(spec, a), n,
                                  selectors[h][pj])
             if j < n:
-                a = spec.classical_place(a, j, pj)
-                if (spec.classical_validity(b) >> j) & 1:
-                    b = spec.classical_place(b, j, pj)
-        a = spec.classical_transition(a, dice[h])
-        b = spec.classical_transition(b, dice[h])
-    return spec.classical_eval(a), spec.classical_eval(b)
+                a = classical_place(spec, a, j, pj)
+                if (classical_validity(spec, b) >> j) & 1:
+                    b = classical_place(spec, b, j, pj)
+        a = classical_transition(spec, a, dice[h])
+        b = classical_transition(spec, b, dice[h])
+    return classical_eval(spec, a), classical_eval(spec, b)
 
 
 def loop_influence_sums(spec, board_a: int, board_b: int, trials: int,
@@ -169,10 +287,10 @@ def loop_influence_sums(spec, board_a: int, board_b: int, trials: int,
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):
         for selectors, dice in law_streams(spec, faces):
             if coupling == "rank":
-                pa = dm.classical_trace(spec, board_a, selectors, dice,
-                                        first_move)[1]
-                pb = dm.classical_trace(spec, board_b, selectors, dice,
-                                        first_move)[1]
+                pa = classical_trace(spec, board_a, selectors, dice,
+                                     first_move)[1]
+                pb = classical_trace(spec, board_b, selectors, dice,
+                                     first_move)[1]
             else:
                 pa, pb = coupled_pair(spec, board_a, board_b, selectors,
                                       dice, first_move)

@@ -41,7 +41,7 @@ def test_neighbors_grid():
 
 def _one_round(spec, board, selectors, dice):
     """Board after round 1 of an H=1 trace."""
-    boards, _ = dm.classical_trace(spec, board, [selectors], [dice])
+    boards, _ = ref.classical_trace(spec, board, [selectors], [dice])
     return boards[1]
 
 
@@ -66,7 +66,8 @@ def test_sway_isolated_flip_probability():
     board = dm.set_cell(0, 4, dm.BLACK)
     spec = dm.sway_spec(cfg)
     for die in range(20):
-        out = spec.classical_transition(board, [19] * 4 + [die] + [19] * 4)
+        out = ref.classical_transition(spec, board,
+                                       [19] * 4 + [die] + [19] * 4)
         expected = dm.WHITE if die < 4 else dm.BLACK
         assert dm.cell(out, 4) == expected
 
@@ -77,7 +78,7 @@ def test_sway_flip_uses_preflip_neighbors():
     cfg = dm.SwayConfig(m=2, horizon=1)
     board = dm.set_cell(dm.set_cell(0, 0, dm.BLACK), 1, dm.BLACK)
     spec = dm.sway_spec(cfg)
-    out = spec.classical_transition(board, [2, 2, 0, 0])
+    out = ref.classical_transition(spec, board, [2, 2, 0, 0])
     # both dice = 2 < 3: both flip simultaneously
     assert dm.cell(out, 0) == dm.WHITE and dm.cell(out, 1) == dm.WHITE
 
@@ -93,7 +94,7 @@ def test_sway_flip_frequency_matches_table():
     flips = 0
     for _ in range(trials):
         dice = [rng.randrange(20) for _ in range(4)]
-        out = spec.classical_transition(board, dice)
+        out = ref.classical_transition(spec, board, dice)
         flips += dm.cell(out, 0) == dm.WHITE
     p = 3 / 20
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -114,16 +115,16 @@ def test_sir_single_round_examples():
         board = dm.set_cell(board, j, dm.INFECTED)
     dice = [7] * 9
     dice[4] = 3
-    out = spec.classical_transition(board, dice)
+    out = ref.classical_transition(spec, board, dice)
     assert dm.cell(out, 4) == dm.INFECTED
     # infected cell with rho=2 and die=5 stays infected
     board = dm.set_cell(0, 4, dm.INFECTED)
     dice = [7] * 9
     dice[4] = 5
-    out = spec.classical_transition(board, dice)
+    out = ref.classical_transition(spec, board, dice)
     assert dm.cell(out, 4) == dm.INFECTED
     dice[4] = 1
-    out = spec.classical_transition(board, dice)
+    out = ref.classical_transition(spec, board, dice)
     assert dm.cell(out, 4) == dm.RECOVERED
 
 
@@ -143,7 +144,7 @@ def test_sir_vaccination_precedes_spread():
 def test_classical_trace_h0_and_drift():
     spec = dm.sir_spec(dm.SirConfig(m=2, horizon=0, threshold=0))
     board = dm.set_cell(0, 1, dm.INFECTED)
-    boards, pay = dm.classical_trace(spec, board, [], [])
+    boards, pay = ref.classical_trace(spec, board, [], [])
     assert boards == [board]
     assert pay == 0
     # all-sentinel selectors, max dice: pure drift on a 2x2 sway board
@@ -151,14 +152,14 @@ def test_classical_trace_h0_and_drift():
     board = dm.set_cell(0, 0, dm.BLACK)
     sel = [[15, 15], [15, 15]]   # w=3 for n=4 -> 8..15 all out of range
     dice = [[19] * 4, [19] * 4]
-    boards, _ = dm.classical_trace(spec, board, sel, dice)
+    boards, _ = ref.classical_trace(spec, board, sel, dice)
     assert boards[-1] == board   # k=0 flip needs die < 4; 19 never flips
 
 
 def test_stream_length_validation():
     spec = dm.sway_spec(dm.SwayConfig(m=2, horizon=2))
     with pytest.raises(Exception):
-        dm.classical_trace(spec, 0, [[0, 0]], [[0] * 4])
+        ref.classical_trace(spec, 0, [[0, 0]], [[0] * 4])
 
 
 def test_exact_value_h0_trivial():
@@ -211,7 +212,7 @@ def test_kernel_against_bruteforce_dice_2x2():
     got = _array_step(spec, board)
     brute = {}
     for dice in itertools.product(range(8), repeat=4):
-        nb = spec.classical_transition(board, list(dice))
+        nb = ref.classical_transition(spec, board, list(dice))
         assert _array_transition(spec, board, dice) == nb
         brute[nb] = brute.get(nb, 0) + 1
     total = 8 ** 4
@@ -228,7 +229,7 @@ def test_kernel_against_bruteforce_dice_2x2_sway():
     brute = {}
     for d0 in range(20):
         for d3 in range(20):
-            nb = spec.classical_transition(board, [d0, 0, 0, d3])
+            nb = ref.classical_transition(spec, board, [d0, 0, 0, d3])
             assert _array_transition(spec, board, [d0, 0, 0, d3]) == nb
             brute[nb] = brute.get(nb, 0) + 1
     total = 20 ** 2
@@ -238,8 +239,8 @@ def test_kernel_against_bruteforce_dice_2x2_sway():
 
 
 def _trace_rows(spec, board, faces, first_move=None):
-    return [dm.classical_trace(spec, board, sel, dice, first_move=first_move)
-            for sel, dice in orc.law_streams(spec, faces)]
+    return [ref.classical_trace(spec, board, sel, dice, first_move=first_move)
+            for sel, dice in ref.law_streams(spec, faces)]
 
 
 @pytest.mark.parametrize("spec,board,first_move", [
@@ -254,12 +255,16 @@ def _trace_rows(spec, board, faces, first_move=None):
 ])
 def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
                                                          first_move):
+    # every round's boards, the ones branchwise validation writes into the
+    # config registers, not just the final ones
     faces = orc.input_law(spec, board).draw(400, 31)
-    [codes] = dm.rollout_codes(spec, [board], faces, first_move)
-    payoff = spec.array_eval(codes)
+    rounds = [codes.copy() for [codes] in dm.rollout_codes(spec, [board],
+                                                           faces, first_move)]
+    assert len(rounds) == spec.horizon + 1
+    payoff = spec.array_eval(rounds[-1])
     for r, (boards, bit) in enumerate(_trace_rows(spec, board, faces,
                                                   first_move)):
-        assert _pack(codes[r]) == boards[-1], r
+        assert [_pack(codes[r]) for codes in rounds] == boards, r
         assert payoff[r] == bit, r
 
 
@@ -274,15 +279,15 @@ def test_coupled_array_rollouts_match_the_pair_loop(spec, board, other):
     # position coupling: the second board follows the first board's
     # placements where they are valid on it; rank coupling: independent
     faces = orc.input_law(spec, board).draw(300, 8)
-    streams = orc.law_streams(spec, faces)
+    streams = ref.law_streams(spec, faces)
     for first_move in (None, 6):
-        a, b = dm.rollout_codes(spec, [board, other], faces, first_move,
-                                coupled=True)
+        a, b = dm.final_codes(spec, [board, other], faces, first_move,
+                              coupled=True)
         for r, (sel, dice) in enumerate(streams):
             want = ref.coupled_pair(spec, board, other, sel, dice,
                                     first_move)
             assert (spec.array_eval(a)[r], spec.array_eval(b)[r]) == want
-        a, b = dm.rollout_codes(spec, [board, other], faces, first_move)
+        a, b = dm.final_codes(spec, [board, other], faces, first_move)
         rows = zip(_trace_rows(spec, board, faces, first_move),
                    _trace_rows(spec, other, faces, first_move))
         for r, ((ta, _), (tb, _)) in enumerate(rows):
@@ -451,7 +456,7 @@ def test_count_hook_gives_the_old_payoff_on_every_outcome(spec, board,
     final, prob = _outcomes(spec, board, every_die)
     want = _old_array_eval(spec, final)
     assert (spec.array_eval(final) == want).all()
-    assert [spec.classical_eval(_pack(row)) for row in final[::97]] \
+    assert [ref.classical_eval(spec, _pack(row)) for row in final[::97]] \
         == want[::97].tolist()
     # the terminal count convolution is the outcomes' mean payoff
     got = dm._terminal_value(spec, np.array([board], dtype=np.int64),
@@ -521,7 +526,7 @@ def test_default_first_moves():
 def test_law_streams_shapes_and_ranges():
     spec = dm.sway_spec(dm.SwayConfig(m=3, horizon=2))
     faces = orc.input_law(spec, 0).draw(1, 1)
-    [(selectors, dice)] = orc.law_streams(spec, faces)
+    [(selectors, dice)] = ref.law_streams(spec, faces)
     assert len(selectors) == 2 and all(len(s) == 2 for s in selectors)
     assert len(dice) == 2 and all(len(d) == 9 for d in dice)
     assert all(0 <= v < 16 for row in selectors for v in row)

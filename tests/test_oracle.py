@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import classical_reference as ref
 from qrollout import domains as dm
 from qrollout import oracle as orc
-from qrollout.circuit import invert
+from qrollout.circuit import TGT, invert
 from qrollout import emulator as em
 
 from emulate import run
@@ -30,7 +32,7 @@ def test_h0_oracle_is_eval_only():
     # payoff of the initial configuration directly
     board = dm.set_cell(0, 0, dm.INFECTED)
     out = run(oc.circuit, {"config0": board})
-    assert out["payoff"] == [spec.classical_eval(board)]
+    assert out["payoff"] == [ref.classical_eval(spec, board)]
 
 
 def test_branchwise_sir_and_sway_small():
@@ -84,7 +86,7 @@ def test_branchwise_localises_a_row_selective_corruption():
     board = dm.set_cell(0, 0, dm.INFECTED)
     c = orc.compose(bad_spec).circuit
     seeds = list(range(101, 141))
-    streams = orc.law_streams(
+    streams = ref.law_streams(
         bad_spec, orc.input_law(bad_spec, board).draw_each(seeds))
     regs = {"config0": board, "dice_h1": [sum(
         f << (i * bad_spec.d) for i, f in enumerate(dice[0]))
@@ -94,7 +96,7 @@ def test_branchwise_localises_a_row_selective_corruption():
     out = run(c, regs)
 
     def disagrees(row):
-        boards, payoff = dm.classical_trace(bad_spec, board, *streams[row])
+        boards, payoff = ref.classical_trace(bad_spec, board, *streams[row])
         return (out["config1"][row] != boards[1]
                 or out["payoff"][row] != payoff)
 
@@ -105,6 +107,64 @@ def test_branchwise_localises_a_row_selective_corruption():
     assert rep.seed == first
     assert rep.register == "config1"
     assert rep.round_index == 1
+
+
+def _corrupt_round(spec, round_index, flip):
+    """The spec with ``flip(b, nxt, dice, hit)`` appended to every call of
+    its transition hook; ``hit`` is true on the ``round_index``-th call."""
+    fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
+    good_emit = fields["emit_transition"]
+    calls = []
+
+    def bad_emit(b, mid, nxt, dice, pool, scr):
+        good_emit(b, mid, nxt, dice, pool, scr)
+        calls.append(None)
+        flip(b, nxt, dice, len(calls) == round_index)
+
+    fields["emit_transition"] = bad_emit
+    return orc.RolloutSpec(**fields)
+
+
+def test_branchwise_localises_a_corruption_in_round_two():
+    # two gates in every round keep the rounds' gate counts equal; they
+    # cancel except in round 2, where config2 bit 0 flips iff bits 0 and
+    # 1 of cell 0's round-2 die differ
+    def flip(b, nxt, dice, hit):
+        b.cx(dice[0], nxt[0])
+        b.cx(dice[1] if hit else dice[0], nxt[0])
+
+    bad_spec = _corrupt_round(small_sir(h=2, m=2), 2, flip)
+    board = dm.set_cell(0, 0, dm.INFECTED)
+    seeds = list(range(101, 141))
+    streams = ref.law_streams(
+        bad_spec, orc.input_law(bad_spec, board).draw_each(seeds))
+    first = next(seed for seed, (_, dice) in zip(seeds, streams)
+                 if (dice[1][0] ^ dice[1][0] >> 1) & 1)
+    assert first == 105 != seeds[0]
+    rep = orc.branchwise_check(bad_spec, seeds, board)
+    assert not rep.passed
+    assert (rep.seed, rep.round_index, rep.register) == (first, 2, "config2")
+
+
+def test_branchwise_on_a_board_wider_than_63_config_bits():
+    # Sway 6x6 has 72 config bits: the expected configs go through the
+    # bit-array codec, and a corruption of bit 71 must be seen
+    spec = small_sway(h=1, m=6)
+    seeds = list(range(1, 21))
+    rep = orc.branchwise_check(spec, seeds, 0)
+    assert rep.passed and rep.n_branches == 20
+
+    def flip(b, nxt, dice, hit):
+        b.cx(dice[0], nxt[-1])           # cell 35's bit 1 iff die 0 is odd
+
+    bad_spec = _corrupt_round(spec, 1, flip)
+    streams = ref.law_streams(
+        bad_spec, orc.input_law(bad_spec, 0).draw_each(seeds))
+    first = next(seed for seed, (_, dice) in zip(seeds, streams)
+                 if dice[0][0] & 1)
+    assert first == 2
+    rep = orc.branchwise_check(bad_spec, seeds, 0)
+    assert (rep.seed, rep.round_index, rep.register) == (first, 1, "config1")
 
 
 def test_hook_touching_foreign_registers_rejected():
@@ -189,10 +249,19 @@ def test_compose_invert_round_trip():
     assert run(invert(c), run(c, inputs)) == inputs
 
 
+def verify_read_only(c, roles=("selector", "dice", "arm")) -> bool:
+    """Structurally confirm that no gate targets a register in ``roles``."""
+    protected = np.zeros(c.total_qubits, dtype=bool)
+    for reg in c.registers:
+        if reg.role in roles:
+            protected[list(c.register(reg.name))] = True
+    return not protected[c.table.qubit[c.table.kind == TGT]].any()
+
+
 def test_selectors_and_dice_read_only():
     for spec in (small_sir(h=2, m=2), small_sway(h=1, m=2)):
         oc = orc.compose(spec)
-        assert orc.verify_read_only(oc.circuit)
+        assert verify_read_only(oc.circuit)
 
 
 def test_gate_formula_exact_and_h_regression():
@@ -247,6 +316,22 @@ def test_arm_register_compose_and_branchwise():
     assert rep.passed
 
 
+def test_branchwise_rejects_bad_arm_values():
+    spec = small_sir(h=1, m=2)
+    board = dm.set_cell(0, 0, dm.INFECTED)
+    moves = dm.default_first_moves(spec, board, 3)
+    cases = (([0, 1, 2, 3], moves[:2], "arm value 2 is not in"),
+             # a third first move that the circuit never places
+             ([0, 2, 1, 0], moves, "arm value 2 is not in"),
+             ([0, -1, 1, 0], moves[:2], "arm value -1 is not in"),
+             ([0, 1], moves[:2], "2 arm values for 4 branches"),
+             (None, moves[:2], "requires arm_values"))
+    for values, first_moves, message in cases:
+        with pytest.raises(orc.OracleError, match=message):
+            orc.branchwise_check(spec, 4, board, arms=2,
+                                 first_moves=first_moves, arm_values=values)
+
+
 def test_arm_layout_adds_register_keeps_selectors():
     spec = small_sir(h=1, m=2)
     base = orc.qubit_cost_formula(spec)
@@ -296,8 +381,8 @@ def test_first_move_must_be_valid_on_the_board():
         with pytest.raises(orc.OracleError, match=f"first move {bad} "):
             dm.arm_means(spec, CENTER3, 2, first_moves=[bad, 0])
         with pytest.raises(orc.OracleError, match=f"first move {bad} "):
-            dm.classical_trace(spec, CENTER3, [[0]], [[0] * 9],
-                               first_move=bad)
+            ref.classical_trace(spec, CENTER3, [[0]], [[0] * 9],
+                                first_move=bad)
         with pytest.raises(orc.OracleError, match=f"first move {bad} "):
             orc.branchwise_check(spec, 4, CENTER3, arms=2,
                                  first_moves=[bad, 0], arm_values=[0, 1, 0, 1])
