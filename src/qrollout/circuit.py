@@ -210,19 +210,28 @@ def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
     is updated in place.  A zero column gives depth; starting from the
     max-plus identity (0 on the diagonal, -inf elsewhere) row ``j`` ends as
     the longest gate chain from each qubit's entry to ``j``'s exit.
+
+    One column (a builder's top level, :func:`cost`) is swept as Python
+    scalars.  Several columns (a fragment being recorded, one per local
+    qubit) update each gate's rows with one numpy ``max(axis=0) + 1``.
     """
     if not len(table):
         return layers
-    touched = _distinct(table.qubit)
-    rows = dict(zip(touched.tolist(), layers[touched].tolist()))
     qubit = table.qubit.tolist()
     ptr = table.ptr.tolist()
+    if layers.shape[1] > 1:
+        for a, z in zip(ptr, ptr[1:]):
+            s = qubit[a:z]
+            layers[s] = layers[s].max(axis=0) + 1
+        return layers
+    touched = _distinct(table.qubit)
+    rows = dict(zip(touched.tolist(), layers[touched, 0].tolist()))
     for a, z in zip(ptr, ptr[1:]):
         s = qubit[a:z]
-        latest = [max(col) + 1 for col in zip(*[rows[q] for q in s])]
+        latest = max([rows[q] for q in s]) + 1
         for q in s:
             rows[q] = latest
-    layers[touched] = list(rows.values())
+    layers[touched, 0] = list(rows.values())
     return layers
 
 

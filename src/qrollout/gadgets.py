@@ -6,7 +6,7 @@ so).  Registers are tuples of qubit indices, LSB first.  The arithmetic
 gadgets are memoized fragments (``Builder.call``): each is recorded once per
 builder and argument shape and replayed by qubit remap.  ``copy_register``
 and ``xor_constant`` emit fresh gates: one gate per bit gains nothing from a
-replay, and a wide fragment costs its width per gate to record.
+replay.
 """
 from __future__ import annotations
 

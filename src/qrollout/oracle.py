@@ -218,6 +218,12 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     pass-0 selector: the arm index decodes to a deterministic placement at
     ``first_moves[a]``.  The bypassed selector register is still allocated so
     the qubit formula holds verbatim.
+
+    Every selector pass is one ``Builder.call`` of ``scan_fragment`` with
+    one memo key, so the pass is recorded once per builder and then its
+    forward emission, its unwind and the inverted prep phase each replay it
+    as a single op.  The round's other phases (copy, mask, decode,
+    transition, unprep) stay top-level ops.
     """
     n, h, w, p = spec.n_cells, spec.horizon, spec.w, spec.selectors_per_round
     s = spec.s
@@ -273,8 +279,8 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
                            if clear else (cells[pos],))
             else:
                 b.begin_segment()
-                scan_fragment(b, vmask, sels[hh][pj], rank, match, scr,
-                              outs[pj], sentinel=n)
+                b.call(scan_fragment, vmask, sels[hh][pj], rank, match, scr,
+                       outs[pj], sentinel=n)
                 scan_segs.append(b.end_segment())
                 _decode(b, outs[pj], cells, clear)
         for pj in range(p - 1, -1, -1):

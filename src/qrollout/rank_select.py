@@ -136,24 +136,38 @@ def scan_cells(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
                scr_bits, out_bits, sentinel: int) -> None:
     """Per-position compare/write/increment cells (no counter clear pass).
 
-    Each cell is one memoized fragment; cells whose codes ``i ^ sentinel``
-    have equally many set bits share it.
+    Each cell is one memoized fragment, keyed by the popcount of its code
+    ``i ^ sentinel``: cells whose codes have equally many set bits share it.
     """
     for i, mbit in enumerate(mask_bits):
         b.call(_scan_cell, mbit, nth_bits, rank_bits, match_bit, scr_bits,
                constant_targets(out_bits, i ^ sentinel))
 
 
+def _clear_run(b: Builder, mask_bits, rank_bits, scr_bits) -> None:
+    """rank -= popcount(mask_bits): one decrement per bit, top bit first."""
+    for mbit in reversed(mask_bits):
+        controlled_decrement(b, rank_bits, [(mbit, True)], scr_bits)
+
+
 def scan_fragment(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
                   scr_bits, out_bits, sentinel: int | None = None) -> None:
-    """Full self-cleaning scan: preload sentinel, cells, counter clear pass."""
+    """Full self-cleaning scan: preload sentinel, cells, counter clear pass.
+
+    The cells are memoized by the popcount of their codes
+    (:func:`scan_cells`).  The clear pass decrements the counter once per
+    mask bit, top bit first, in runs of w = ``len(rank_bits)`` bits: one
+    memoized ``_clear_run`` per run, from the top run down, so it records
+    at most two runs (a full one and a shorter top one).
+    """
     if sentinel is None:
         sentinel = len(mask_bits)
     xor_constant(b, out_bits, sentinel)
     scan_cells(b, mask_bits, nth_bits, rank_bits, match_bit, scr_bits,
                out_bits, sentinel)
-    for mbit in reversed(mask_bits):
-        controlled_decrement(b, rank_bits, [(mbit, True)], scr_bits)
+    w = len(rank_bits)
+    for a in reversed(range(0, len(mask_bits), w)):
+        b.call(_clear_run, mask_bits[a:a + w], rank_bits, scr_bits)
 
 
 def build_scan(n: int, record: bool = True) -> Circuit | None:
@@ -290,7 +304,9 @@ def _block_unaccumulate(b: Builder, leaves, p, tpool, scr) -> None:
 def builder_blocked(n: int, block: int | None = None,
                     record: bool = True) -> Builder:
     w = width_for(n)
-    bsz = max(1, min(w if block is None else block, n))
+    if block is not None and block < 1:
+        raise ValueError(f"block size must be >= 1, got {block}")
+    bsz = min(w if block is None else block, n)
     nblocks = -(-n // bsz)
     w_in = bsz.bit_length()
 

@@ -4,6 +4,7 @@ against the per-gate reference builder, plus pinned outputs."""
 import hashlib
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -212,6 +213,11 @@ PINNED_DUMPS = {
     "blocked16": "dc78903b64694f286726e6bbcc4651d6dcae9c031b1582e2e7174e764187acf6",
     "sway2x2h1": "e6100a0bd002781dab899ed67a7236058344b3b2df553f7dd9624a1d053d5c05",
     "sir2x2h1t1": "5d2386dac06a69190ccdd15462f69efee60318162f8a6e5d11138a965e3b2f2b",
+    # captured before selector passes and counter-clear runs were memoized
+    "scan1": "19742defead0fca02dda6eaeb101408ea56daf7299d6093e97644882147a53d0",
+    "scan12": "ce553239780a0bfe74d1862f328238a3da358f7f1df969822ef3c686853b3348",
+    "sway3x3h2": "7919d26ec77b17da252de132ab9a892af9b137a789db0dcf8fba92b8618c0a90",
+    "sway2x2h2arms": "55bc87d3349f598927b9da6710ee98cb8db0d1d20380a5a58a93bc121bab89d9",
 }
 
 
@@ -236,10 +242,119 @@ def test_pinned_dumps():
         "blocked16": rs.build_blocked(16),
         "sway2x2h1": orc.compose(dm.sway_spec(dm.SwayConfig(2, 1))).circuit,
         "sir2x2h1t1": orc.compose(dm.sir_spec(dm.SirConfig(2, 1, 1))).circuit,
+        "scan1": rs.build_scan(1),                 # w = 1: no scratch
+        "scan12": rs.build_scan(12),               # N a multiple of w
+        "sway3x3h2": orc.compose(dm.sway_spec(dm.SwayConfig(3, 2))).circuit,
+        # a bypassed pass next to memoized ones
+        "sway2x2h2arms": orc.compose(dm.sway_spec(dm.SwayConfig(2, 2)),
+                                     arms=2, first_moves=[0, 3]).circuit,
     }
     for name, c in circuits.items():
         digest = hashlib.sha256(cq.dumps(c).encode()).hexdigest()
         assert digest == PINNED_DUMPS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the real emitters on the per-gate reference: every memoized call runs
+# inline on global qubits there
+
+def _reference_support(segment) -> np.ndarray:
+    return np.array(sorted({q for g in segment for q in g.support()}),
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("make", ["builder_scan", "builder_blocked"])
+def test_rank_select_emitters_match_reference(make, monkeypatch):
+    sizes = list(range(1, 21)) + [33]
+    built = {n: getattr(rs, make)(n) for n in sizes}
+    tallies = {n: getattr(rs, make)(n, record=False).report() for n in sizes}
+    monkeypatch.setattr(rs, "Builder", ReferenceBuilder)
+    for n in sizes:
+        ref = getattr(rs, make)(n)
+        want = ref.finish()
+        c = built[n].finish()
+        assert c.gates == want.gates, n
+        assert built[n].report() == tallies[n] == ref.report(), n
+
+
+ORACLES = {
+    "sway3x3h2": (dm.sway_spec(dm.SwayConfig(3, 2)), {}),
+    "sway2x2h2arms": (dm.sway_spec(dm.SwayConfig(2, 2)),
+                      {"arms": 2, "first_moves": [0, 3]}),
+    "sir2x2h2": (dm.sir_spec(dm.SirConfig(2, 2, 1)), {}),
+}
+
+
+def _counts(oc):
+    return oc.report, oc.prep_gates, oc.trans_gates, oc.eval_gates
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_compose_matches_reference(name, monkeypatch):
+    spec, kw = ORACLES[name]
+    got = orc.compose(spec, **kw)
+    tally = orc.compose(spec, record=False, **kw)
+    monkeypatch.setattr(orc, "Builder", ReferenceBuilder)
+    monkeypatch.setattr(orc, "segment_support", _reference_support)
+    ref = orc.compose(spec, **kw)
+    assert got.circuit.gates == ref.circuit.gates
+    assert _counts(got) == _counts(tally) == _counts(ref)
+
+
+# ---------------------------------------------------------------------------
+# structure: the op count follows the repeated structure, not N
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_compose_records_one_selector_pass(monkeypatch):
+    calls = _counting(monkeypatch, orc, "scan_fragment")
+    oc = orc.compose(dm.sway_spec(dm.SwayConfig(3, 2)), record=False)
+    assert oc.passes * oc.layout.horizon == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 20, 33, 100])
+def test_scan_records_at_most_two_clear_runs(n, monkeypatch):
+    calls = _counting(monkeypatch, rs, "_clear_run")
+    rs.builder_scan(n, record=False)
+    w = rs.width_for(n)
+    assert len(calls) == (1 if n % w == 0 or n < w else 2)
+
+
+_layer_value = st.one_of(st.just(-np.inf), st.integers(0, 6).map(float))
+
+
+@st.composite
+def _table_and_layers(draw):
+    n = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        qs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                           unique=True))
+        nt = draw(st.integers(1, len(qs)))
+        gates.append(([(q, draw(st.booleans())) for q in qs[nt:]], qs[:nt]))
+    k = draw(st.integers(2, 5))
+    values = draw(st.lists(_layer_value, min_size=n * k, max_size=n * k))
+    return cq.GateTable.from_gates(gates), np.array(values).reshape(n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_and_layers())
+def test_layer_columns_are_independent_runs(case):
+    table, layers = case
+    want = np.hstack([cq.layer(table, layers[:, [j]].copy())
+                      for j in range(layers.shape[1])])
+    np.testing.assert_array_equal(cq.layer(table, layers.copy()), want)
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,10 @@ def test_layouts():
     gates = [rs.builder_blocked(8, block, record=False).report().gate_count
              for block in (100, 8)]
     assert gates[0] == gates[1]
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_blocked_rejects_a_block_below_one(block):
+    with pytest.raises(ValueError, match=f"block size must be >= 1, got "
+                                         f"{block}"):
+        rs.builder_blocked(8, block)
