@@ -442,6 +442,8 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
 
     Shot ``r`` plays row ``r`` of ``input_law(spec, board0).draw(shots,
     seed)``, the inputs that the circuit MC at the same seed emulates."""
+    if shots < 1:
+        raise OracleError(f"shots must be >= 1, got {shots}")
     wins = 0
     for faces in input_law(spec, board0).draw_chunks(shots, seed):
         [board] = final_codes(spec, [board0], faces, first_move)

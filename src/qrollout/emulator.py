@@ -5,6 +5,17 @@ A basis state assigns one bit per circuit qubit.  States run bit-sliced on a
 input row, so one AND per control and one XOR per target apply a gate to all
 rows at once (Biham, "A fast new DES implementation in software", FSE 1997).
 A single state is a one-row batch.  Circuits of any width emulate exactly.
+Every basis state of ``k`` qubits is one batch of counting columns
+(:func:`counting_batch`), built without encoding a row.
+
+Bijectivity is checked by a round trip: apply the circuit, then its
+inverse, and demand that every input column comes back.  That is exact, not
+a sample: the round trip restores every input only if the circuit is
+injective on them.  Conversely, every gate of a table whose controls precede
+its targets is either an involution or not injective (a target that is also
+a control), so on all ``2^n`` inputs the round trip fails only if the
+circuit is not a permutation.  Rows are decoded only to name a colliding
+pair once the round trip has failed.
 
 Seeded inputs have one definition, :class:`InputDistribution`: the classical
 sampler, branchwise checks and the circuit MC all draw from it.
@@ -120,6 +131,29 @@ def _write_range(batch: Batch, lo: int, width: int, values: np.ndarray) -> None:
     values = values.astype(np.min_scalar_type((1 << width) - 1))
     for k in range(width):
         batch.cols[lo + k] = _pack((values >> k).astype(np.uint8) & 1)
+
+
+# byte ``q`` holds bit ``q`` of each of its eight row indices
+_LOW_COUNTS = (0xAA, 0xCC, 0xF0)
+
+
+def counting_batch(c: Circuit, qubits) -> Batch:
+    """Every basis state of ``qubits`` once, in index order: ``2^k`` rows
+    for ``k`` qubits, where bit ``r`` of the column of ``qubits[q]`` is bit
+    ``q`` of ``r``; the other qubits are 0.  Column ``q`` repeats a
+    ``2^(q+1)``-row pattern, so each is one ``int.from_bytes`` of a
+    repeated byte string."""
+    rows = 1 << len(qubits)
+    batch = Batch.zeros(c, rows)
+    size = (rows + 7) // 8
+    for q, qubit in enumerate(qubits):
+        if q < 3:
+            unit = bytes([_LOW_COUNTS[q]])
+        else:
+            unit = bytes(1 << q - 3) + b"\xff" * (1 << q - 3)
+        col = int.from_bytes(unit * (size // len(unit)), "little")
+        batch.cols[qubit] = col & (1 << rows) - 1 if rows < 8 else col
+    return batch
 
 
 def _read_range(batch: Batch, lo: int, width: int) -> np.ndarray:
@@ -328,10 +362,20 @@ class InputDistribution:
 
     def draw_each(self, seeds) -> np.ndarray:
         """One row per seed: row ``r`` equals ``draw(1, seeds[r])[0]``; the
-        words of all seeds map to faces in one pass."""
+        words of all seeds map to faces in one pass.  One bit generator
+        serves every seed: its key and counter are reset through ``state``,
+        which skips the entropy draw of a new ``Philox``."""
         n = len(self.fields)
-        words = np.array([_philox(s).random_raw(n) for s in seeds],
-                         dtype=np.uint64).reshape(len(seeds), n)
+        bits = np.random.Philox(key=0)
+        state = bits.state
+        zero = state["state"]["counter"]
+        words = np.empty((len(seeds), n), dtype=np.uint64)
+        for r, s in enumerate(seeds):
+            state["state"] = {"counter": zero,
+                              "key": np.array([int(s) & (2**64 - 1), 0],
+                                              dtype=np.uint64)}
+            bits.state = state
+            words[r] = bits.random_raw(n)
         return self.faces(words)
 
     def sample(self, c: Circuit, shots: int, seed: int) -> Batch:
@@ -359,16 +403,12 @@ class BijectiveReport:
         return self.passed
 
 
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one opaque byte-string scalar."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
-
-
 def _unique_bit_rows(bits: np.ndarray) -> np.ndarray:
     """``np.unique(bits, axis=0)`` for a 0/1 uint8 matrix, sorting packed
-    rows: big-endian packing keeps the rows' lexicographic order."""
-    keys = _row_keys(np.packbits(bits, axis=1, bitorder="big"))
+    rows, each one opaque byte-string scalar: big-endian packing keeps the
+    rows' lexicographic order."""
+    packed = np.packbits(bits, axis=1, bitorder="big")
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
     return bits[first]
 
@@ -378,40 +418,67 @@ def first_row(col: int) -> int:
     return (col & -col).bit_length() - 1
 
 
+def _round_trip(c: Circuit, batch: Batch) -> int:
+    """Apply ``c`` and then ``invert(c)`` to a batch, in place: the OR of
+    every column's changed bits, whose set bits flag the rows that did not
+    come back."""
+    inputs = list(batch.cols)
+    apply_batch(invert(c), apply_batch(c, batch))
+    diff = 0
+    for got, want in zip(batch.cols, inputs):
+        diff |= got ^ want
+    return diff
+
+
 def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
                     exhaustive_limit: int = 20) -> BijectiveReport:
-    """Exhaustive permutation check (<= exhaustive_limit qubits) or sampled
-    injectivity plus invert round-trip."""
+    """Whether the circuit permutes its basis states, by a round trip.
+
+    Circuits of at most ``exhaustive_limit`` qubits run on all ``2^n``
+    basis states (``exhaustive``), wider ones on ``samples`` seeded random
+    states (``sampled``, deduplicated).  Both apply ``c`` and then
+    ``invert(c)`` and pass iff every input column comes back.  On all
+    inputs that is exact (see the module docstring): a restored round trip
+    makes the circuit injective, and a failed one is decided by decoding
+    and counting the outputs, which names the least output that two inputs
+    reach and the first two inputs that reach it.  A sampled failure names
+    the first row that did not come back, as ``(row, row)``.
+
+    Two applies replace one apply and a decode of ``n`` columns of ``2^n``
+    rows, so the round trip costs more than the decode only for circuits
+    of about 100 to 150 gate entries per qubit or more (random three-qubit
+    gates at ``2^20`` rows).  The circuits of at most 20 qubits that this
+    package builds have at most 26 (``build_scan(7)``, 19 qubits).
+
+    ``samples`` below 1, and an exhaustive run of more than
+    ``DEFAULT_EXACT_BUDGET`` rows, raise :class:`EmulationError` before
+    anything is allocated.
+    """
     n = c.total_qubits
+    if samples < 1:
+        raise EmulationError(f"samples must be >= 1, got {samples}")
     if n <= exhaustive_limit:
+        if 1 << n > DEFAULT_EXACT_BUDGET:
+            raise EmulationError(
+                f"exhaustive check of 2^{n} inputs exceeds budget "
+                f"{DEFAULT_EXACT_BUDGET}; lower exhaustive_limit")
+        qubits = range(n)
+        if not _round_trip(c, counting_batch(c, qubits)):
+            return BijectiveReport(True, "exhaustive")
         # row i is basis state i; registers tile the qubits, so the whole
         # state is one range of the codec
-        rows = 1 << n
-        batch = Batch.zeros(c, rows)
-        _write_range(batch, 0, n, np.arange(rows, dtype=np.int64))
-        outs = _read_range(apply_batch(c, batch), 0, n)
-        counts = np.bincount(outs, minlength=rows)
+        outs = _read_range(apply_batch(c, counting_batch(c, qubits)), 0, n)
+        counts = np.bincount(outs, minlength=1 << n)
         if counts.max() <= 1:
             return BijectiveReport(True, "exhaustive")
         dup = int(np.argmax(counts > 1))
         pre = np.nonzero(outs == dup)[0][:2]
         return BijectiveReport(False, "exhaustive", (int(pre[0]), int(pre[1])))
-    # sampled mode: distinct random inputs must map to distinct outputs,
-    # and invert() must round-trip every sampled input.
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(_philox(seed))
     draw = _unique_bit_rows(rng.integers(0, 2, size=(samples, n),
                                         dtype=np.uint8))
-    batch = Batch(draw.shape[0], [_pack(draw[:, q]) for q in range(n)])
-    inputs = batch.copy()
-    apply_batch(c, batch)
-    outs = np.stack([_read_range(batch, lo, min(_LIMB, n - lo))
-                     for lo in range(0, n, _LIMB)], axis=1)
-    if len(np.unique(_row_keys(outs))) != batch.rows:
-        return BijectiveReport(False, "sampled", None)
-    apply_batch(invert(c), batch)
-    diff = 0
-    for got, want in zip(batch.cols, inputs.cols):
-        diff |= got ^ want
+    diff = _round_trip(c, Batch(draw.shape[0],
+                                [_pack(draw[:, q]) for q in range(n)]))
     if diff:
         bad = first_row(diff)
         return BijectiveReport(False, "sampled", (bad, bad))
@@ -490,6 +557,8 @@ def payoff_probability(c: Circuit, dist: InputDistribution, mode: str = "exact",
                    for batch in dist._chunks(c, total, 1 << 16))
         return PayoffEstimate(probability=ones / total, mode="exact")
     if mode == "mc":
+        if shots < 1:
+            raise EmulationError(f"shots must be >= 1, got {shots}")
         ones = apply_batch(c, dist.sample(c, shots, seed)).cols[pq].bit_count()
         p = ones / shots
         half = 1.96 * sqrt(p * (1.0 - p) / shots)

@@ -410,8 +410,9 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     agreement with the classical rollout: every per-round configuration, the
     payoff bit, read-only inputs, and cleanness of every ancilla register.
     Branch ``r`` takes the one-shot draw of :func:`input_law` at
-    ``seeds[r]``; with ``arms``, ``arm_values[r]`` in ``[0, arms)`` is its
-    arm.
+    ``seeds[r]``, and an int ``seeds`` stands for ``range(seeds)``; fewer
+    than one branch raises :class:`OracleError`.  With ``arms``,
+    ``arm_values[r]`` in ``[0, arms)`` is its arm.
 
     The expected configurations of all branches come from the array
     rollout kernel, one call per arm; bit ``s*i + b`` of register
@@ -421,9 +422,12 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     configs (by round), payoff, read-only inputs, ancillae."""
     from .domains import rollout_codes  # local import: domains builds on us
 
+    rows = seeds if isinstance(seeds, int) else len(seeds)
+    if rows < 1:
+        raise OracleError(f"seeds must give at least one branch, got "
+                          f"{seeds!r}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    rows = len(seeds)
     arm = _arm_rows(arms, arm_values, rows) if arms else np.zeros(rows, int)
     oc = oracle if oracle is not None else compose(spec, record=True,
                                                    arms=arms,

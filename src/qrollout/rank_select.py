@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Builder, Circuit
-from .emulator import Batch, apply_batch, write_register
+from .emulator import Batch, apply_batch, counting_batch
 from .gadgets import (add_register, and_ladder, constant_targets,
                       controlled_decrement, controlled_increment,
                       copy_register, sub_register, xor_constant)
@@ -65,15 +65,14 @@ def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
 
     Returns the masks and ranks (row ``r`` holds mask ``r mod 2^N`` and rank
     ``r div 2^N``), the output batch, and the OR of the ancilla and rank
-    columns, whose set bits flag the rows that leave scratch dirty.
+    columns, whose set bits flag the rows that leave scratch dirty.  The
+    inputs are the counting columns of :func:`emulator.counting_batch` over
+    the mask qubits and then the rank qubits, so no row is encoded.
     """
     n = len(c.register("mask"))
-    rows = 1 << (n + len(c.register("nth")))
-    masks = np.arange(rows, dtype=np.int64) % (1 << n)
-    ranks = np.arange(rows, dtype=np.int64) // (1 << n)
-    batch = Batch.zeros(c, rows)
-    write_register(batch, c, "mask", masks)
-    write_register(batch, c, "nth", ranks)
+    batch = counting_batch(c, c.register("mask") + c.register("nth"))
+    masks = np.arange(batch.rows, dtype=np.int64) % (1 << n)
+    ranks = np.arange(batch.rows, dtype=np.int64) // (1 << n)
     apply_batch(c, batch)
     dirty = 0
     for reg in c.registers:

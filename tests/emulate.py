@@ -29,3 +29,22 @@ def run(c, inputs: dict) -> dict:
     em.apply_batch(c, batch)
     return {r.name: [int(v) for v in em.read_register(batch, c, r.name)]
             for r in c.registers}
+
+
+def bijective_by_count(c) -> em.BijectiveReport:
+    """Referee for exhaustive ``check_bijective``: decode the circuit's
+    output on every basis state and count each output.  A failure names
+    the least output that two inputs reach and its first two inputs."""
+    n = c.total_qubits
+    # row i is basis state i; registers tile the qubits, so the whole
+    # state is one range of the codec
+    rows = 1 << n
+    batch = em.Batch.zeros(c, rows)
+    em._write_range(batch, 0, n, np.arange(rows, dtype=np.int64))
+    outs = em._read_range(em.apply_batch(c, batch), 0, n)
+    counts = np.bincount(outs, minlength=rows)
+    if counts.max() <= 1:
+        return em.BijectiveReport(True, "exhaustive")
+    dup = int(np.argmax(counts > 1))
+    pre = np.nonzero(outs == dup)[0][:2]
+    return em.BijectiveReport(False, "exhaustive", (int(pre[0]), int(pre[1])))

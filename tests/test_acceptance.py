@@ -95,7 +95,7 @@ def test_criterion_02_bijectivity():
         modes.append(f"oracle[{oc.report.qubit_count}q]:exhaustive")
     t.check()
     print(f"\n[criterion 2] PASS: {'; '.join(modes)} in {t.elapsed:.1f}s "
-          f"(blocked > 20 qubits uses sampled injectivity per the "
+          f"(blocked > 20 qubits uses sampled round trips per the "
           f"check_bijective contract)")
 
 

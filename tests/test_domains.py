@@ -479,6 +479,14 @@ def test_exact_vs_mc_three_sigma():
     assert abs(p - exact) <= 3 * math.sqrt(exact * (1 - exact) / shots)
 
 
+def test_sample_payoff_rejects_shots_below_one():
+    spec = dm.sway_spec(dm.SwayConfig(2, 1))
+    for shots in (0, -4):
+        with pytest.raises(orc.OracleError,
+                           match=f"shots must be >= 1, got {shots}"):
+            dm.sample_payoff(spec, 0, shots, 1)
+
+
 def test_sir_monotone_in_threshold_and_rho():
     values_t = []
     for t in range(0, 5):

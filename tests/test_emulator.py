@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrollout.circuit import Builder, Gate, RegisterDecl, build_circuit, invert
+from qrollout.circuit import (NEG, POS, TGT, Builder, Circuit, Gate,
+                              GateTable, RegisterDecl, build_circuit, invert)
 from qrollout import emulator as em
 from qrollout import rank_select as rs
 
-from emulate import run
+from emulate import bijective_by_count, run
 
 
 def _simple(width, gates):
@@ -337,6 +338,126 @@ def test_uniform_face_guarantee():
     assert em.read_register(sampled, c, "q").max() < 11
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.data())
+def test_counting_batch_holds_every_basis_state(n, data):
+    c = _simple(n, [])
+    k = data.draw(st.integers(0, min(n, 12)))
+    qubits = data.draw(st.permutations(range(n)))[:k]
+    batch = em.counting_batch(c, qubits)
+    rows = np.arange(1 << len(qubits))
+    assert batch.rows == rows.size
+    want = [0] * n
+    for k, q in enumerate(qubits):
+        want[q] = em._pack(((rows >> k) & 1).astype(np.uint8))
+    assert batch.cols == want
+
+
+def _table(rng, n, invalid):
+    """A random gate table on one ``n``-qubit register, built without
+    validation: each gate lists 0-3 controls of mixed polarity, then 1-2
+    targets.  With probability ``invalid`` a gate also takes one of its
+    targets as a control, which makes it non-injective unless its controls
+    contradict each other."""
+    ptr, qubit, kind = [0], [], []
+    for _ in range(rng.randrange(0, 12)):
+        qs = rng.sample(range(n), n)
+        k = rng.randint(1, min(2, n))
+        controls = qs[k:rng.randint(k, min(n, k + 3))]
+        if rng.random() < invalid:
+            controls.insert(rng.randrange(len(controls) + 1),
+                            rng.choice(qs[:k]))
+        qubit += controls + qs[:k]
+        kind += [rng.choice((POS, NEG)) for _ in controls] + [TGT] * k
+        ptr.append(len(qubit))
+    return Circuit._built([RegisterDecl("q", n, "ancilla")],
+                          GateTable(ptr, qubit, kind), None, 0, None)
+
+
+def test_bijective_round_trip_matches_the_count_referee():
+    # the round trip decides like decoding and counting every output, and
+    # an exhaustive failure names the referee's pair
+    rng = random.Random(15)
+    verdicts = {True: 0, False: 0}
+    sampled_failures = 0
+    for case in range(2000):
+        c = _table(rng, rng.randint(1, 10), (0.0, 0.1, 0.4)[case % 3])
+        rep, want = em.check_bijective(c), bijective_by_count(c)
+        assert rep == want, case
+        verdicts[rep.passed] += 1
+        if not rep.passed:
+            a, b = rep.counterexample
+            assert a != b
+            out = run(c, {"q": [a, b]})["q"]
+            assert out[0] == out[1]
+        # sampled mode never fails a permutation, and it fails a
+        # non-injective circuit wherever its sample holds a lost row
+        sampled = em.check_bijective(c, samples=64, seed=case,
+                                     exhaustive_limit=0)
+        assert sampled.mode == "sampled"
+        if rep.passed:
+            assert sampled.passed
+        sampled_failures += not sampled.passed
+    assert min(verdicts.values()) >= 500, verdicts
+    assert sampled_failures >= 0.9 * verdicts[False]
+
+
+def _lossy(n, controls):
+    """An ``n``-qubit circuit whose one gate clears qubit 0 where qubits
+    ``0..controls-1`` are all set: not injective."""
+    return Circuit._built([RegisterDecl("q", n, "ancilla")],
+                          GateTable([0, controls + 1], [*range(controls), 0],
+                                    [POS] * controls + [TGT]),
+                          None, 0, None)
+
+
+def test_bijective_sampled_mode_names_a_row_that_does_not_come_back():
+    c = _lossy(24, 3)
+    rep = em.check_bijective(c, samples=500, seed=11)
+    assert not rep.passed and rep.mode == "sampled"
+    a, b = rep.counterexample
+    assert a == b
+    # the sampled inputs, drawn as check_bijective draws them
+    rng = np.random.Generator(np.random.Philox(key=11))
+    draw = em._unique_bit_rows(rng.integers(0, 2, size=(500, 24),
+                                            dtype=np.uint8))
+    x = int(draw[a] @ (1 << np.arange(24)))
+    assert run(invert(c), run(c, {"q": [x]}))["q"] != [x]
+
+
+def test_bijective_pass_decodes_no_rows(monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("a passing check decoded rows")
+
+    monkeypatch.setattr(em, "_read_range", no_decode)
+    rep = em.check_bijective(rs.build_scan(3))
+    assert rep.passed and rep.mode == "exhaustive"
+    rep = em.check_bijective(rs.build_scan(3), samples=300, exhaustive_limit=0)
+    assert rep.passed and rep.mode == "sampled"
+
+
+def test_bijective_seed_is_reduced_mod_2_64():
+    c = _lossy(24, 6)
+    for low, high in ((-1, 2**64 - 1), (3, 2**64 + 3)):
+        rep = em.check_bijective(c, samples=1000, seed=low)
+        assert not rep.passed
+        assert rep == em.check_bijective(c, samples=1000, seed=high)
+
+
+def test_bijective_rejects_counts_below_one_and_oversized_sweeps(monkeypatch):
+    for samples in (0, -5):
+        with pytest.raises(em.EmulationError,
+                           match=f"samples must be >= 1, got {samples}"):
+            em.check_bijective(_simple(21, []), samples=samples)
+
+    def no_alloc(*args):
+        raise AssertionError("columns allocated past the budget")
+
+    monkeypatch.setattr(em, "counting_batch", no_alloc)
+    with pytest.raises(em.EmulationError, match="exceeds budget"):
+        em.check_bijective(_simple(25, []), exhaustive_limit=25)
+
+
 @st.composite
 def _laws(draw, max_faces=1 << 63):
     """A circuit of dice registers, declared out of name order, and an
@@ -399,6 +520,18 @@ def test_law_draw_is_per_shot_prefix_stable(cl, k, n, seed):
         each = law.draw_each(seeds)
         assert (each[0] == full[0]).all()
         assert (each[1] == law.draw(1, seed ^ 1)[0]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laws(), st.lists(
+    st.one_of(st.sampled_from([0, 2**64 - 1, -1, 2**64]),
+              st.integers(-2**70, 2**70)), max_size=12))
+def test_law_draw_each_is_one_draw_per_seed(cl, seeds):
+    _, law = cl
+    each = law.draw_each(seeds)
+    assert each.shape == (len(seeds), len(law.fields))
+    for r, seed in enumerate(seeds):
+        assert (each[r] == law.draw(1, seed)[0]).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,3 +641,14 @@ def test_mc_deterministic_given_seed():
     a = em.payoff_probability(c, dist, mode="mc", shots=1000, seed=5)
     b2 = em.payoff_probability(c, dist, mode="mc", shots=1000, seed=5)
     assert a.probability == b2.probability
+
+
+def test_mc_rejects_shots_below_one():
+    b = Builder()
+    b.add_register("pay", 1, "payoff")
+    c = b.finish()
+    for shots in (0, -3):
+        with pytest.raises(em.EmulationError,
+                           match=f"shots must be >= 1, got {shots}"):
+            em.payoff_probability(c, em.InputDistribution(), mode="mc",
+                                  shots=shots)

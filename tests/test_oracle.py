@@ -1,6 +1,7 @@
 """Oracle composition: branchwise agreement, cost formulas, invariants."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_branchwise_sir_and_sway_small():
     assert rep.passed
     rep = orc.branchwise_check(small_sway(h=2, m=2), 150, 0)
     assert rep.passed
+
+
+def test_branchwise_rejects_fewer_than_one_branch():
+    for seeds in (0, -2, []):
+        with pytest.raises(orc.OracleError,
+                           match=rf"seeds must give at least one branch, "
+                                 rf"got {re.escape(repr(seeds))}"):
+            orc.branchwise_check(small_sway(h=1, m=2), seeds, 0)
 
 
 def test_branchwise_3x3_instances():

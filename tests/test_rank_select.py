@@ -171,7 +171,7 @@ def test_scan_bijective_exhaustive_n3():
 
 def test_blocked_bijective_sampled_n4():
     # blocked at N=4 carries ~35 qubits; the permutation check falls back to
-    # sampled injectivity with an invert round-trip
+    # sampled mode: a seeded invert round trip
     rep = em.check_bijective(rs.build_blocked(4), samples=20_000)
     assert rep.passed and rep.mode == "sampled"
 
