@@ -1,12 +1,12 @@
-"""Gate-level reversible-circuit intermediate representation and analyses.
+"""Reversible-circuit intermediate representation and its analyses.
 
 A circuit is an ordered sequence of multi-controlled multi-target X gates
 over named registers.  Controls carry a polarity (positive fires on |1>,
 negative on |0>); a gate flips every target iff all controls are satisfied.
 Every gate is self-inverse, so reversing the gate order inverts the circuit.
 
-Gates live in a :class:`GateTable`, a flat struct-of-arrays CSR table;
-``Circuit.gates`` is a read-only :class:`Gate` view of it, built on demand.
+A circuit's gates are one :class:`GateTable`, ``Circuit.gates``: flat
+struct-of-arrays CSR arrays, never mutated once built.
 Structural analyses (cost report, backward light cone, cut-crossing counts,
 span profile) are pure functions of the immutable circuit and require no
 emulation.
@@ -51,21 +51,6 @@ class RegisterDecl:
             raise CircuitError(f"register {self.name!r}: width must be >= 1")
         if self.role not in ROLES:
             raise CircuitError(f"register {self.name!r}: unknown role {self.role!r}")
-
-
-@dataclass(frozen=True)
-class Gate:
-    """Multi-controlled multi-target X.  controls: ((qubit, polarity), ...)."""
-
-    controls: tuple[tuple[int, bool], ...]
-    targets: tuple[int, ...]
-
-    @property
-    def fan_in(self) -> int:
-        return len(self.controls) + len(self.targets)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.controls) + self.targets
 
 
 @dataclass(frozen=True)
@@ -138,6 +123,12 @@ class GateTable:
                + np.arange(ptr[-1]))
         return GateTable(ptr, self.qubit[idx], self.kind[idx])
 
+    def __eq__(self, other):
+        return (isinstance(other, GateTable)
+                and np.array_equal(self.ptr, other.ptr)
+                and np.array_equal(self.qubit, other.qubit)
+                and np.array_equal(self.kind, other.kind))
+
     def max_fan_in(self) -> int:
         return int(self.lens().max()) if len(self) else 0
 
@@ -187,14 +178,6 @@ class GateTable:
             g, q = divmod(int(key[e]), n_qubits)
             raise CircuitError(f"gate {first + g}: {what} on qubit {q}")
 
-    def gate_tuple(self) -> tuple[Gate, ...]:
-        qubit, kind = self.qubit.tolist(), self.kind.tolist()
-        ptr, tgt = self.bounds()
-        return tuple(
-            Gate(tuple((qubit[e], kind[e] == POS) for e in range(a, m)),
-                 tuple(qubit[m:z]))
-            for a, m, z in zip(ptr, tgt, ptr[1:]))
-
 
 def _distinct(qubits: np.ndarray) -> np.ndarray:
     """Sorted distinct qubit indices.  (``np.unique`` on integers imports
@@ -235,72 +218,40 @@ def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
     return layers
 
 
-class GateSequence(Sequence):
-    """Read-only sequence of :class:`Gate` over a circuit's table.  ``len``
-    reads the table; the Gate objects are built on first element access."""
-
-    __slots__ = ("_table", "_gates")
-
-    def __init__(self, table: GateTable):
-        self._table = table
-        self._gates = None
-
-    def _all(self) -> tuple[Gate, ...]:
-        if self._gates is None:
-            self._gates = self._table.gate_tuple()
-        return self._gates
-
-    def __len__(self):
-        return len(self._table)
-
-    def __getitem__(self, i):
-        return self._all()[i]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and self._all() == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"GateSequence({list(self._all())!r})"
-
-
 class Circuit:
     """Immutable reversible circuit over named registers.
 
     ``layout`` is a permutation of qubit indices giving the linear order used
     by cut analyses: ``layout[pos]`` is the qubit at position ``pos``.  It
-    defaults to declaration order.  ``gates`` is a sequence of :class:`Gate`
-    or a :class:`GateTable`; it is validated once, vectorised.  A circuit
-    from ``Builder.finish`` is not re-checked (its chunks were validated,
-    and memoized fragments, recorded from pure emitters, stay valid under
-    an injective qubit remap) and carries the depth its builder computed.
+    defaults to declaration order.  ``gates`` is the circuit's
+    :class:`GateTable` (``GateTable.from_gates`` builds one from
+    ``(controls, targets)`` pairs); it is validated once, vectorised.  A
+    circuit from ``Builder.finish`` is not re-checked (its chunks were
+    validated, and memoized fragments, recorded from pure emitters, stay
+    valid under an injective qubit remap) and carries the depth its builder
+    computed.
     """
 
-    __slots__ = ("registers", "table", "total_qubits", "layout",
+    __slots__ = ("registers", "gates", "total_qubits", "layout",
                  "max_live_ancilla", "_offsets", "_pos_of", "_cache")
 
-    def __init__(self, registers, gates, layout=None, max_live_ancilla=0):
-        table = (gates if isinstance(gates, GateTable) else
-                 GateTable.from_gates((g.controls, g.targets) for g in gates))
-        self._setup(registers, table, layout, max_live_ancilla)
-        table.validate(self.total_qubits)
+    def __init__(self, registers, gates: GateTable, layout=None,
+                 max_live_ancilla=0):
+        if not isinstance(gates, GateTable):
+            raise CircuitError("gates must be a GateTable")
+        self._setup(registers, gates, layout, max_live_ancilla)
+        gates.validate(self.total_qubits)
 
     @classmethod
-    def _built(cls, registers, table, layout, max_live_ancilla, depth):
+    def _built(cls, registers, gates, layout, max_live_ancilla, depth):
         """A circuit whose table the builder validated (or the caller
         validates), with its depth if known."""
         c = cls.__new__(cls)
-        c._setup(registers, table, layout, max_live_ancilla)
+        c._setup(registers, gates, layout, max_live_ancilla)
         c._cache["depth"] = depth
         return c
 
-    def _setup(self, registers, table, layout, max_live_ancilla):
+    def _setup(self, registers, gates, layout, max_live_ancilla):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
@@ -313,7 +264,7 @@ class Circuit:
             if sorted(layout) != list(range(total)):
                 raise CircuitError("layout must be a permutation of all qubits")
         self.registers = registers
-        self.table = table
+        self.gates = gates
         self.total_qubits = total
         self.layout = layout
         self.max_live_ancilla = max_live_ancilla
@@ -328,12 +279,6 @@ class Circuit:
             pos_of[q] = pos
         self._pos_of = tuple(pos_of)
         self._cache = {}
-
-    @property
-    def gates(self) -> GateSequence:
-        if "gates" not in self._cache:
-            self._cache["gates"] = GateSequence(self.table)
-        return self._cache["gates"]
 
     def register(self, name: str) -> tuple[int, ...]:
         """Qubit indices of a register, in declaration order (LSB first)."""
@@ -352,44 +297,37 @@ class Circuit:
         return (isinstance(other, Circuit)
                 and self.registers == other.registers
                 and self.layout == other.layout
-                and np.array_equal(self.table.ptr, other.table.ptr)
-                and np.array_equal(self.table.qubit, other.table.qubit)
-                and np.array_equal(self.table.kind, other.table.kind))
+                and self.gates == other.gates)
 
     def __hash__(self):
-        return hash((self.registers, len(self.table)))
-
-
-def build_circuit(registers, gates, layout=None, max_live_ancilla=0) -> Circuit:
-    """Validate and freeze a circuit.  Raises CircuitError on bad input."""
-    return Circuit(registers, gates, layout=layout,
-                   max_live_ancilla=max_live_ancilla)
+        return hash((self.registers, len(self.gates)))
 
 
 def invert(c: Circuit) -> Circuit:
-    """Gate-reversed circuit: the inverse, with an identical cost report
-    (the longest gate chain is the same read backwards)."""
-    return Circuit._built(c.registers, c.table.reversed(), c.layout,
+    """The circuit with its gates reversed: the inverse, with an identical
+    cost report (the longest gate chain is the same read backwards)."""
+    return Circuit._built(c.registers, c.gates.reversed(), c.layout,
                           c.max_live_ancilla, c._cache.get("depth"))
 
 
 def _depth(c: Circuit) -> int:
     if c._cache.get("depth") is None:
-        layers = layer(c.table, np.zeros((c.total_qubits, 1)))
+        layers = layer(c.gates, np.zeros((c.total_qubits, 1)))
         c._cache["depth"] = int(layers.max()) if c.total_qubits else 0
     return c._cache["depth"]
 
 
 def cost(c: Circuit) -> CostReport:
-    """Gate count, greedy-layered depth, qubits, fan-in, peak live ancilla.
+    """The gate count, greedy-layered depth, qubits, fan-in and peak live
+    ancilla.
 
     Depth convention: a gate enters the earliest layer in which none of its
     qubits are occupied (per-qubit occupancy layering, :func:`layer`).  A
     builder-made circuit carries the depth its builder computed.
     """
-    return CostReport(gate_count=len(c.table), depth=_depth(c),
+    return CostReport(gate_count=len(c.gates), depth=_depth(c),
                       qubit_count=c.total_qubits,
-                      max_fan_in=c.table.max_fan_in(),
+                      max_fan_in=c.gates.max_fan_in(),
                       max_live_ancilla=c.max_live_ancilla)
 
 
@@ -403,9 +341,9 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
     for q in cone:
         if not 0 <= q < c.total_qubits:
             raise CircuitError(f"output qubit {q} out of range")
-    qubit = c.table.qubit.tolist()
-    ptr, tgt = c.table.bounds()
-    for g in range(len(c.table) - 1, -1, -1):
+    qubit = c.gates.qubit.tolist()
+    ptr, tgt = c.gates.bounds()
+    for g in range(len(c.gates) - 1, -1, -1):
         if not cone.isdisjoint(qubit[tgt[g]:ptr[g + 1]]):
             cone.update(qubit[ptr[g]:tgt[g]])
     return cone
@@ -415,7 +353,7 @@ def _gate_positions(c: Circuit, qubits=None) -> tuple[np.ndarray, np.ndarray]:
     """Per gate, the lowest and highest layout position of its support,
     restricted to ``qubits`` when given (a gate with none of them gets
     ``(n, -1)``)."""
-    t = c.table
+    t = c.gates
     if not len(t):
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     pos = np.asarray(c._pos_of, dtype=np.int64)[t.qubit]
@@ -487,7 +425,7 @@ def dumps(c: Circuit) -> str:
     """Lossless JSON dump: registers, gates with polarities, layout.  The
     gate list is joined once from the table's entries, each qubit's string
     after its separator."""
-    t = c.table
+    t = c.gates
     gates = "[]"
     if len(t):
         target = t.kind == TGT
@@ -610,9 +548,8 @@ def _loads_json(text: str) -> Circuit:
     regs = [RegisterDecl(r["name"], r["width"], r["role"])
             for r in _field(doc, "registers", "")]
     table = GateTable.from_gates(_json_gates(_field(doc, "gates", "")))
-    return build_circuit(regs, table,
-                         layout=doc.get("layout"),
-                         max_live_ancilla=doc.get("max_live_ancilla", 0))
+    return Circuit(regs, table, layout=doc.get("layout"),
+                   max_live_ancilla=doc.get("max_live_ancilla", 0))
 
 
 def loads(text: str) -> Circuit:

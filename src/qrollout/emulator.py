@@ -45,12 +45,12 @@ def _entries(c: Circuit):
     ``_START`` on each gate's first entry."""
     tag = "entries"
     if tag not in c._cache:
-        code = c.table.kind.astype(np.int64)
-        code[c.table.ptr[:-1]] += _START
+        code = c.gates.kind.astype(np.int64)
+        code[c.gates.ptr[:-1]] += _START
         # gathering from one int object per qubit shares them across all
         # entries: faster and smaller than a new int per entry
         labels = np.arange(c.total_qubits).astype(object)
-        c._cache[tag] = (labels[c.table.qubit].tolist(), code.tolist())
+        c._cache[tag] = (labels[c.gates.qubit].tolist(), code.tolist())
     return c._cache[tag]
 
 

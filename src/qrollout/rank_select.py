@@ -1,4 +1,4 @@
-"""Coherent rank-select: semantic oracle, scan and blocked circuit builders.
+"""Coherent rank-select: the selection rule, scan and blocked circuit builders.
 
 Rank-select maps an N-bit validity mask and a rank r to the position of the
 r-th set bit (0-indexed), or to the sentinel N when r is out of range.  Masks
@@ -14,14 +14,18 @@ Two constructions are provided:
 
 Both leave mask and rank inputs unchanged, return every ancilla to zero, and
 write position XOR sentinel into a sentinel-preloaded output register;
-``exhaustive_sweep`` emulates either on every (mask, rank) input.
+``exhaustive_sweep`` emulates either on every (mask, rank) input, and
+``exhaustive_check`` holds its outputs to ``select_rows``.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Builder, Circuit
-from .emulator import Batch, apply_batch, counting_batch
+from .emulator import (DEFAULT_EXACT_BUDGET, Batch, EmulationError,
+                       apply_batch, counting_batch, read_register)
 from .gadgets import (add_register, and_ladder, constant_targets,
                       controlled_decrement, controlled_increment,
                       copy_register, sub_register, xor_constant)
@@ -35,29 +39,38 @@ def width_for(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# semantics
+# the selection rule
 
-def select_semantics(mask: int, n: int, r: int) -> int:
-    """Position of the r-th set bit of an n-bit mask, else sentinel n."""
-    if r < 0:
-        raise ValueError("rank must be non-negative")
-    seen = 0
-    for i in range(n):
-        if (mask >> i) & 1:
-            if seen == r:
-                return i
-            seen += 1
-    return n
+# rows per chunk of exhaustive_check's expected outputs
+_CHECK_ROWS = 1 << 16
 
 
 def select_rows(valid: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """:func:`select_semantics` on every row of a ``(rows, n)`` bool array:
-    row ``r`` of the result marks the ``ranks[r]``-th set cell of
-    ``valid[r]``, and nothing when the rank reaches the row's count (the
-    sentinel)."""
+    """Rank-select on every row of a ``(rows, n)`` bool array of valid
+    cells, with 0-indexed ranks: row ``r`` of the result marks the
+    ``ranks[r]``-th set cell of ``valid[r]``, and no cell when the rank
+    reaches the row's count of set cells (the sentinel n)."""
     count = np.cumsum(valid, axis=1,
                       dtype=np.min_scalar_type(valid.shape[1]))
     return valid & (count == ranks[:, None] + 1)
+
+
+def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
+    """The output batch of every (mask, rank) input, and the OR of the
+    ancilla and rank columns."""
+    inputs = c.register("mask") + c.register("nth")
+    if 1 << len(inputs) > DEFAULT_EXACT_BUDGET:
+        raise EmulationError(
+            f"exhaustive sweep of n={len(c.register('mask'))}: "
+            f"{1 << len(inputs)} (mask,rank) rows exceed the budget of "
+            f"{DEFAULT_EXACT_BUDGET} rows")
+    batch = apply_batch(c, counting_batch(c, inputs))
+    dirty = 0
+    for reg in c.registers:
+        if reg.role in ("ancilla", "rank"):
+            for q in c.register(reg.name):
+                dirty |= batch.cols[q]
+    return batch, dirty
 
 
 def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
@@ -67,19 +80,44 @@ def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
     ``r div 2^N``), the output batch, and the OR of the ancilla and rank
     columns, whose set bits flag the rows that leave scratch dirty.  The
     inputs are the counting columns of :func:`emulator.counting_batch` over
-    the mask qubits and then the rank qubits, so no row is encoded.
+    the mask qubits and then the rank qubits, so no row is encoded.  Above
+    ``DEFAULT_EXACT_BUDGET`` rows (N >= 20) it raises
+    :class:`EmulationError` before anything is allocated.
     """
+    batch, dirty = _sweep_batch(c)
     n = len(c.register("mask"))
-    batch = counting_batch(c, c.register("mask") + c.register("nth"))
-    masks = np.arange(batch.rows, dtype=np.int64) % (1 << n)
-    ranks = np.arange(batch.rows, dtype=np.int64) // (1 << n)
-    apply_batch(c, batch)
-    dirty = 0
-    for reg in c.registers:
-        if reg.role in ("ancilla", "rank"):
-            for q in c.register(reg.name):
-                dirty |= batch.cols[q]
-    return masks, ranks, batch, dirty
+    rows = np.arange(batch.rows, dtype=np.int64)
+    return rows % (1 << n), rows // (1 << n), batch, dirty
+
+
+@dataclass(frozen=True)
+class SweepCheck:
+    pairs: int          # (mask, rank) rows swept
+    mismatches: int     # rows whose output is not select_rows' position
+    dirty: int          # rows that leave an ancilla or the counter set
+
+    @property
+    def passed(self) -> bool:
+        return self.mismatches == 0 and self.dirty == 0
+
+
+def exhaustive_check(c: Circuit) -> SweepCheck:
+    """:func:`exhaustive_sweep`, each row's output held to the position
+    that :func:`select_rows` marks (N when it marks none).  The expected
+    positions are computed in chunks of 2^16 rows, each chunk's masks and
+    ranks from its row numbers, so no array of the whole sweep but the
+    read output is held."""
+    n = len(c.register("mask"))
+    batch, dirty = _sweep_batch(c)
+    got = read_register(batch, c, "out")
+    bits = np.arange(n)
+    mismatches = 0
+    for a in range(0, batch.rows, _CHECK_ROWS):
+        rows = np.arange(a, min(a + _CHECK_ROWS, batch.rows))
+        hit = select_rows((rows[:, None] >> bits) & 1 == 1, rows >> n)
+        want = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+        mismatches += int(np.count_nonzero(got[a:a + _CHECK_ROWS] != want))
+    return SweepCheck(batch.rows, mismatches, dirty.bit_count())
 
 
 def mask_from_string(s: str) -> int:

@@ -5,8 +5,10 @@ These are the single-branch dynamics on packed int boards
 dict-based distribution DP and the per-row loops over ``classical_trace``
 that the code-array kernels in ``qrollout.domains``, ``qrollout.oracle``
 and ``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
-before it kept symmetry classes and convolved the last round's count; the
-differential tests hold the array paths to them.  The packed-int
+before it kept symmetry classes and convolved the last round's count, and
+``select_semantics``, the scalar rank-select rule that
+``rank_select.select_rows`` states on arrays; the differential tests hold
+the array paths to them.  The packed-int
 transitions and ``_cell_branches`` state the dice law in their own terms,
 apart from the specs' ``flip_law`` hooks.
 """
@@ -18,7 +20,22 @@ import numpy as np
 
 from qrollout import domains as dm
 from qrollout.oracle import OracleError, input_law, law_columns
-from qrollout.rank_select import select_semantics
+
+
+# ---------------------------------------------------------------------------
+# the selection rule, one scalar at a time
+
+def select_semantics(mask: int, n: int, r: int) -> int:
+    """Position of the r-th set bit of an n-bit mask, else sentinel n."""
+    if r < 0:
+        raise ValueError("rank must be non-negative")
+    seen = 0
+    for i in range(n):
+        if (mask >> i) & 1:
+            if seen == r:
+                return i
+            seen += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from qrollout import oracle as orc
 from qrollout import rank_select as rs
 from qrollout.circuit import cost, crossing_count, light_cone
 
+from classical_reference import select_semantics
+
 CENTER3 = dm.parse_board("SSS\nSIS\nSSS", "sir")
 
 SCALING_GRID = ((5, 5), (7, 5), (10, 5), (10, 10), (20, 10))
@@ -64,7 +66,7 @@ def test_criterion_01_rank_select_exhaustive_equivalence():
                 got = em.read_register(outs, c, "out")
                 if semantics is None:
                     semantics = np.array(
-                        [rs.select_semantics(int(m), n, int(r))
+                        [select_semantics(int(m), n, int(r))
                          for m, r in zip(masks, ranks)], dtype=np.int64)
                 assert np.array_equal(got, semantics), (n, make.__name__)
                 assert dirty == 0, (n, make.__name__)

@@ -12,13 +12,14 @@ from qrollout import circuit as cq
 from qrollout import domains as dm
 from qrollout import oracle as orc
 from qrollout import rank_select as rs
-from qrollout.circuit import (Circuit, CircuitError, CostReport, Gate,
-                              RegisterDecl, build_circuit)
+from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
+
+from gates import Gate, gate_list, make_circuit
 
 
 # ---------------------------------------------------------------------------
 # reference: the per-gate builder and depth loop that the flat gate table
-# with fragment replay replaced, kept verbatim
+# with fragment replay replaced, its gates kept as (controls, targets) pairs
 
 def _normalize_controls(controls) -> tuple[tuple[int, bool], ...]:
     out = []
@@ -29,6 +30,10 @@ def _normalize_controls(controls) -> tuple[tuple[int, bool], ...]:
         else:
             out.append((int(c), True))
     return tuple(out)
+
+
+def _support(gate: Gate) -> tuple[int, ...]:
+    return tuple(q for q, _ in gate.controls) + gate.targets
 
 
 def _check_gate(gate: Gate, n_qubits: int) -> None:
@@ -53,15 +58,15 @@ def reference_cost(c) -> CostReport:
     layers = [0] * c.total_qubits
     depth = 0
     max_fan = 0
-    for g in c.gates:
-        sup = g.support()
+    for g in gate_list(c.gates):
+        sup = _support(g)
         lay = 1 + max(layers[q] for q in sup)
         for q in sup:
             layers[q] = lay
         if lay > depth:
             depth = lay
-        if g.fan_in > max_fan:
-            max_fan = g.fan_in
+        if len(sup) > max_fan:
+            max_fan = len(sup)
     return CostReport(gate_count=len(c.gates), depth=depth,
                       qubit_count=c.total_qubits, max_fan_in=max_fan,
                       max_live_ancilla=c.max_live_ancilla)
@@ -133,10 +138,10 @@ class Builder:
         if self._capturing:
             return
         self._gate_count += 1
-        if g.fan_in > self._max_fan_in:
-            self._max_fan_in = g.fan_in
         layers = self._layers
-        sup = g.support()
+        sup = _support(g)
+        if len(sup) > self._max_fan_in:
+            self._max_fan_in = len(sup)
         lay = 1 + max(layers[q] for q in sup)
         for q in sup:
             layers[q] = lay
@@ -183,8 +188,8 @@ class Builder:
     def finish(self, layout=None) -> Circuit:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
-        return build_circuit(self._registers, self._gates, layout=layout,
-                             max_live_ancilla=self._peak_anc)
+        return make_circuit(self._registers, self._gates, layout=layout,
+                            max_live_ancilla=self._peak_anc)
 
     def report(self) -> CostReport:
         return CostReport(gate_count=self._gate_count, depth=self._depth,
@@ -259,7 +264,7 @@ def test_pinned_dumps():
 # inline on global qubits there
 
 def _reference_support(segment) -> np.ndarray:
-    return np.array(sorted({q for g in segment for q in g.support()}),
+    return np.array(sorted({q for g in segment for q in _support(g)}),
                     dtype=np.int64)
 
 
@@ -509,8 +514,8 @@ def test_validation_names_the_gate_and_the_qubit():
         b.finish()
     with pytest.raises(CircuitError, match="gate 2: qubit index 7 out of "
                                            "range"):
-        build_circuit([RegisterDecl("q", 3, "ancilla")],
-                      [Gate((), (0,)), Gate((), (1,)), Gate(((7, True),), (2,))])
+        make_circuit([RegisterDecl("q", 3, "ancilla")],
+                     [Gate((), (0,)), Gate((), (1,)), Gate(((7, True),), (2,))])
     # a replay is checked against the builder's qubits
     b = cq.Builder()
     b.add_register("q", 2, "ancilla")

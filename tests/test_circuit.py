@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrollout.circuit import (POS, Builder, CircuitError, Gate, GateTable,
-                              RegisterDecl, build_circuit, cost, crossing_count, dumps,
+from qrollout.circuit import (POS, Builder, Circuit, CircuitError, GateTable,
+                              RegisterDecl, cost, crossing_count, dumps,
                               invert, light_cone, loads, register_local_span,
                               span_profile)
 from qrollout.circuit import _loads_json, _loads_own
+
+from gates import Gate, make_circuit
 
 
 def _reg(name, width, role="ancilla"):
@@ -23,14 +25,14 @@ def _gate(controls, targets):
 
 
 def test_single_x_gate():
-    c = build_circuit([_reg("q", 1)], [_gate([], [0])])
+    c = make_circuit([_reg("q", 1)], [_gate([], [0])])
     rep = cost(c)
     assert rep.gate_count == 1
     assert rep.depth == 1
 
 
 def test_empty_circuit_is_identity():
-    c = build_circuit([_reg("q", 3)], [])
+    c = make_circuit([_reg("q", 3)], [])
     rep = cost(c)
     assert rep.gate_count == 0
     assert rep.depth == 0
@@ -38,7 +40,7 @@ def test_empty_circuit_is_identity():
 
 def test_control_target_overlap_rejected():
     with pytest.raises(CircuitError):
-        build_circuit([_reg("q", 2)], [_gate([0], [0])])
+        make_circuit([_reg("q", 2)], [_gate([0], [0])])
 
 
 @pytest.mark.parametrize("gates,first,match", [
@@ -60,14 +62,28 @@ def test_validate_names_the_first_fault_in_gate_and_qubit_order(gates, first,
         table.validate(10, first)
 
 
+def test_gates_are_one_table():
+    pairs = [_gate([0], [1]), _gate([], [0])]
+    with pytest.raises(CircuitError, match="gates must be a GateTable"):
+        Circuit([_reg("q", 2)], pairs)
+    c = make_circuit([_reg("q", 2)], pairs)
+    assert c.gates == GateTable.from_gates(pairs)
+    assert c.gates != GateTable.from_gates(pairs[:1])
+    assert c.gates != GateTable.from_gates([_gate([(0, False)], [1]),
+                                            pairs[1]])
+    assert c.gates != GateTable.from_gates([_gate([1], [0]), pairs[1]])
+    assert c.gates != pairs
+    assert not hasattr(c, "table")
+
+
 def test_duplicate_register_name_rejected():
     with pytest.raises(CircuitError):
-        build_circuit([_reg("a", 1), _reg("a", 2)], [])
+        make_circuit([_reg("a", 1), _reg("a", 2)], [])
 
 
 def test_index_out_of_range_rejected():
     with pytest.raises(CircuitError):
-        build_circuit([_reg("q", 2)], [_gate([1], [5])])
+        make_circuit([_reg("q", 2)], [_gate([1], [5])])
 
 
 def test_zero_width_register_rejected():
@@ -81,34 +97,34 @@ def test_unknown_role_rejected():
 
 
 def test_invert_identity_and_involution():
-    c = build_circuit([_reg("q", 2)], [])
+    c = make_circuit([_reg("q", 2)], [])
     assert invert(c) == c
-    c2 = build_circuit([_reg("q", 3)],
-                       [_gate([0], [1]), _gate([1, 2], [0]), _gate([], [2])])
+    c2 = make_circuit([_reg("q", 3)],
+                      [_gate([0], [1]), _gate([1, 2], [0]), _gate([], [2])])
     assert invert(invert(c2)) == c2
     assert cost(invert(c2)) == cost(c2)
 
 
 def test_depth_parallel_and_sequential_cnots():
     # two disjoint CNOTs share no qubits: depth 1
-    c = build_circuit([_reg("q", 4)], [_gate([0], [1]), _gate([2], [3])])
+    c = make_circuit([_reg("q", 4)], [_gate([0], [1]), _gate([2], [3])])
     assert cost(c).depth == 1
     assert cost(c).gate_count == 2
     # two CNOTs sharing a qubit: depth 2
-    c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1], [2])])
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1], [2])])
     assert cost(c).depth == 2
 
 
 def test_depth_equals_count_for_overlapping_chain():
     gates = [_gate([0], [1]) for _ in range(7)]
-    c = build_circuit([_reg("q", 2)], gates)
+    c = make_circuit([_reg("q", 2)], gates)
     assert cost(c).depth == 7 == cost(c).gate_count
 
 
 def test_light_cone_identity_and_cnot():
-    c = build_circuit([_reg("q", 2)], [])
+    c = make_circuit([_reg("q", 2)], [])
     assert light_cone(c, {0}) == {0}
-    c = build_circuit([_reg("q", 2)], [_gate([0], [1])])
+    c = make_circuit([_reg("q", 2)], [_gate([0], [1])])
     assert light_cone(c, {1}) == {0, 1}
     assert light_cone(c, {0}) == {0}
 
@@ -121,7 +137,7 @@ def test_light_cone_bound_on_random_circuits():
         for _ in range(rng.randrange(1, 25)):
             qs = rng.sample(range(n), rng.randrange(2, min(4, n) + 1))
             gates.append(_gate(qs[:-1], qs[-1:]))
-        c = build_circuit([_reg("q", n)], gates)
+        c = make_circuit([_reg("q", n)], gates)
         outs = set(rng.sample(range(n), rng.randrange(1, n + 1)))
         cone = light_cone(c, outs)
         rep = cost(c)
@@ -130,10 +146,10 @@ def test_light_cone_bound_on_random_circuits():
 
 
 def test_crossing_counts_and_span_identity():
-    c = build_circuit([_reg("q", 4)], [])
+    c = make_circuit([_reg("q", 4)], [])
     for t in range(1, 4):
         assert crossing_count(c, t) == 0
-    c = build_circuit([_reg("q", 4)], [_gate([1], [2])])
+    c = make_circuit([_reg("q", 4)], [_gate([1], [2])])
     assert crossing_count(c, 2) == 1
     assert crossing_count(c, 1) == 0
     assert crossing_count(c, 3) == 0
@@ -145,7 +161,7 @@ def test_crossing_counts_and_span_identity():
         for _ in range(rng.randrange(1, 30)):
             qs = rng.sample(range(n), rng.randrange(2, min(4, n) + 1))
             gates.append(_gate(qs[:-1], qs[-1:]))
-        c = build_circuit([_reg("q", n)], gates)
+        c = make_circuit([_reg("q", n)], gates)
         prof = span_profile(c)
         assert prof.total_prefix_span == sum(
             crossing_count(c, t) for t in range(1, n))
@@ -153,31 +169,31 @@ def test_crossing_counts_and_span_identity():
 
 def test_layout_permutation_changes_cuts():
     # gate on qubits {0, 3}; with reversed layout it still spans 3 positions
-    c = build_circuit([_reg("q", 4)], [_gate([0], [3])],
-                      layout=[3, 2, 1, 0])
+    c = make_circuit([_reg("q", 4)], [_gate([0], [3])],
+                     layout=[3, 2, 1, 0])
     assert span_profile(c).spans == (3,)
     with pytest.raises(CircuitError):
-        build_circuit([_reg("q", 3)], [], layout=[0, 0, 1])
+        make_circuit([_reg("q", 3)], [], layout=[0, 0, 1])
 
 
 def test_span_examples():
-    c = build_circuit([_reg("q", 2)], [_gate([0], [1])])
+    c = make_circuit([_reg("q", 2)], [_gate([0], [1])])
     assert span_profile(c).spans == (1,)
-    c = build_circuit([_reg("q", 10)], [_gate([0], [9])])
+    c = make_circuit([_reg("q", 10)], [_gate([0], [9])])
     assert span_profile(c).spans == (9,)
 
 
 def test_register_local_span():
     regs = [_reg("m", 4, "mask"), _reg("o", 2, "output")]
     # touches two mask qubits at distance 2 plus an output qubit
-    c = build_circuit(regs, [_gate([0, 2], [4]), _gate([1], [5])])
+    c = make_circuit(regs, [_gate([0, 2], [4]), _gate([1], [5])])
     assert register_local_span(c, "m") == 2
 
 
 def test_dump_roundtrip():
     regs = [_reg("a", 2, "mask"), _reg("b", 2, "output")]
     gates = [Gate(((0, True), (1, False)), (2,)), Gate((), (3, 2))]
-    c = build_circuit(regs, gates, max_live_ancilla=3)
+    c = make_circuit(regs, gates, max_live_ancilla=3)
     c2 = loads(dumps(c))
     assert c2 == c
     assert c2.max_live_ancilla == 3
@@ -186,9 +202,9 @@ def test_dump_roundtrip():
 
 def reference_dumps(c) -> str:
     """Reference: the per-gate dict encoder that ``dumps`` replaced."""
-    qubit = c.table.qubit.tolist()
-    pairs = [[q, k == POS] for q, k in zip(qubit, c.table.kind.tolist())]
-    ptr, tgt = c.table.bounds()
+    qubit = c.gates.qubit.tolist()
+    pairs = [[q, k == POS] for q, k in zip(qubit, c.gates.kind.tolist())]
+    ptr, tgt = c.gates.bounds()
     doc = {
         "registers": [{"name": r.name, "width": r.width, "role": r.role}
                       for r in c.registers],
@@ -217,8 +233,8 @@ def _io_circuits(draw):
         gates.append(Gate(tuple((q, draw(st.booleans())) for q in controls),
                           tuple(qs[:k])))
     layout = draw(st.permutations(range(n)))
-    return build_circuit(regs, gates, layout=layout,
-                         max_live_ancilla=draw(st.integers(0, 9)))
+    return make_circuit(regs, gates, layout=layout,
+                        max_live_ancilla=draw(st.integers(0, 9)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +263,7 @@ def _variants(c) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(_io_circuits())
-@example(build_circuit([_reg("q", 2)], [], max_live_ancilla=1))
+@example(make_circuit([_reg("q", 2)], [], max_live_ancilla=1))
 def test_loads_paths_agree(c):
     text = dumps(c)
     fast, slow = _loads_own(text), _loads_json(text)
@@ -262,7 +278,7 @@ def test_loads_paths_agree(c):
 
 def test_loads_declines_leading_zeros():
     # the array parse reads 007 as 7, but JSON has no leading zeros
-    c = build_circuit([_reg("q", 8)], [_gate([0], [7])])
+    c = make_circuit([_reg("q", 8)], [_gate([0], [7])])
     text = dumps(c).replace('"targets":[7]', '"targets":[007]')
     assert _loads_own(text) is None
     with pytest.raises(json.JSONDecodeError):
@@ -270,7 +286,7 @@ def test_loads_declines_leading_zeros():
 
 
 def test_loads_non_ascii_register_name():
-    c = build_circuit([_reg("\u00e9", 2)], [_gate([0], [1])])
+    c = make_circuit([_reg("\u00e9", 2)], [_gate([0], [1])])
     text = dumps(c)
     assert text.isascii() and _loads_own(text) == c
     raw = json.dumps(json.loads(text), ensure_ascii=False,
@@ -280,7 +296,7 @@ def test_loads_non_ascii_register_name():
 
 
 def test_loads_rejects_tampered_gates():
-    c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
     cases = [("targets", [7], "gate 1: qubit index 7", False),  # out of range
              ("controls", [[0, True], [2, True]],        # control is a target
               "gate 1: controls and targets overlap on qubit 0", True)]
@@ -304,7 +320,7 @@ def test_loads_rejects_tampered_gates():
 def test_loads_rejects_a_nine_digit_qubit_without_naming_every_qubit():
     # the re-dump in the array parse must not name qubits up to a tampered
     # index: that would build a billion strings before validate rejects it
-    c = build_circuit([_reg("q", 3)], [_gate([0], [1])])
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1])])
     text = dumps(c).replace('"targets":[1]', '"targets":[999999999]')
     assert _loads_own(text) is None
     with pytest.raises(CircuitError, match="gate 0: qubit index 999999999"):
@@ -332,7 +348,7 @@ def _set(key, value):
     (_set("targets", [True]), "gate 1: field 'targets': qubit True is not"),
 ])
 def test_loads_rejects_malformed_gates(tamper, match):
-    c = build_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
     doc = json.loads(dumps(c))
     tamper(doc)
     with pytest.raises(CircuitError, match=match):
@@ -378,7 +394,7 @@ def test_inverted_depth_equals_forward_depth():
         for _ in range(rng.randrange(1, 40)):
             qs = rng.sample(range(n), min(n, rng.randrange(2, 4)))
             gates.append(_gate(qs[:-1], qs[-1:]))
-        c = build_circuit([_reg("q", n)], gates)
+        c = make_circuit([_reg("q", n)], gates)
         rep = cost(c)
         assert cost(invert(c)).depth == rep.depth
         assert rep.depth <= rep.gate_count

@@ -94,6 +94,35 @@ def test_ranksel_validate_pass(tmp_path):
     assert "PASS" in text and "FAIL" not in text
 
 
+def test_ranksel_validate_reports_a_failed_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.rs, "exhaustive_check",
+                        lambda c: cli.rs.SweepCheck(64, 3, 1))
+    code, text = run_to_file(tmp_path, ["ranksel", "validate", "--n", "4",
+                                        "--variant", "scan"])
+    assert code == 1
+    assert text.splitlines()[1] == ("scan n=4: 64 (mask,rank) pairs, 3 "
+                                    "mismatches, 1 dirty-ancilla inputs: "
+                                    "FAIL")
+
+
+def test_ranksel_validate_over_the_row_budget_exits_2(monkeypatch, capsys):
+    # n = 20 sweeps 2^25 rows, over the 2^24 budget: refused before any
+    # batch is made or emulated
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(cli.rs, "counting_batch", no_sweep)
+    monkeypatch.setattr(cli.rs, "apply_batch", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["ranksel", "validate", "--n", "20"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: argument --n: exhaustive sweep of n=20: 33554432 "
+            "(mask,rank) rows exceed the budget of 16777216 rows"
+            in captured.err)
+
+
 def test_ranksel_costs_csv(tmp_path):
     code, text = run_to_file(tmp_path,
                              ["ranksel", "costs", "--n-max", "16"])

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrollout.circuit import (NEG, POS, TGT, Builder, Circuit, Gate,
-                              GateTable, RegisterDecl, build_circuit, invert)
+from qrollout.circuit import (NEG, POS, TGT, Builder, Circuit, GateTable,
+                              RegisterDecl, invert)
 from qrollout import emulator as em
 from qrollout import rank_select as rs
 
 from emulate import bijective_by_count, run
+from gates import Gate, gate_list, make_circuit
 
 
 def _simple(width, gates):
-    return build_circuit([RegisterDecl("q", width, "ancilla")], gates)
+    return make_circuit([RegisterDecl("q", width, "ancilla")], gates)
 
 
 def apply_bits(c, bits):
@@ -26,7 +27,7 @@ def apply_bits(c, bits):
     rows, n = bits.shape
     if n != c.total_qubits:
         raise em.EmulationError("bit-matrix width mismatch")
-    for g in c.gates:
+    for g in gate_list(c.gates):
         if g.controls:
             q0, p0 = g.controls[0]
             sat = bits[:, q0] == 1 if p0 else bits[:, q0] == 0
@@ -152,9 +153,9 @@ def test_apply_batch_rejects_width_mismatch():
 @given(st.sampled_from([1, 63, 64, 125]), st.data())
 def test_register_codec_round_trip(width, data):
     pad = data.draw(st.integers(1, 7))
-    c = build_circuit([RegisterDecl("lo", pad, "ancilla"),
-                       RegisterDecl("r", width, "dice"),
-                       RegisterDecl("hi", 3, "ancilla")], [])
+    c = make_circuit([RegisterDecl("lo", pad, "ancilla"),
+                      RegisterDecl("r", width, "dice"),
+                      RegisterDecl("hi", 3, "ancilla")], [])
     values = data.draw(st.lists(st.integers(0, 2 ** width - 1),
                                 min_size=1, max_size=8))
     batch = em.Batch.zeros(c, len(values))
@@ -171,9 +172,9 @@ def test_register_codec_round_trip(width, data):
 
 
 def test_write_register_rejects_values_that_do_not_fit():
-    c = build_circuit([RegisterDecl("nth", 3, "rank"),
-                       RegisterDecl("w63", 63, "dice"),
-                       RegisterDecl("w70", 70, "dice")], [])
+    c = make_circuit([RegisterDecl("nth", 3, "rank"),
+                      RegisterDecl("w63", 63, "dice"),
+                      RegisterDecl("w70", 70, "dice")], [])
     batch = em.Batch.zeros(c, 3)
     bad = {"nth": ([1, 9, -1], 13, -1, [0, 0, 8]),
            "w63": ([2 ** 63, 0, 0], 2 ** 63, [0, -1, 0]),
@@ -476,7 +477,7 @@ def _laws(draw, max_faces=1 << 63):
             decls.append(RegisterDecl(name, width, "dice"))
     law = em.InputDistribution(fixed={"cfg": 5}, uniform=uniform,
                                widths=widths)
-    return build_circuit([RegisterDecl("cfg", 3, "config"), *decls], []), law
+    return make_circuit([RegisterDecl("cfg", 3, "config"), *decls], []), law
 
 
 def _read_faces(c, law, batch):
@@ -574,8 +575,8 @@ def test_law_enumeration_visits_each_face_tuple_once(cl, chunk):
 def test_law_whole_register_enumeration_order_unchanged():
     # whole-register fields enumerate the first register (by name) fastest,
     # the order exact payoffs and ancilla witnesses are reported in
-    c = build_circuit([RegisterDecl("b", 2, "dice"),
-                       RegisterDecl("a", 2, "dice")], [])
+    c = make_circuit([RegisterDecl("b", 2, "dice"),
+                      RegisterDecl("a", 2, "dice")], [])
     law = em.InputDistribution(uniform={"b": 2, "a": 3})
     [batch] = law.enumerate_chunks(c)
     assert em.read_register(batch, c, "a").tolist() == [0, 1, 2] * 2
@@ -586,7 +587,7 @@ def test_law_rejects_untiled_fields():
     for widths in ({}, {"a": 7}):
         with pytest.raises(em.EmulationError, match="tile"):
             em.InputDistribution(uniform={"a": (3, 2)}, widths=widths)
-    c = build_circuit([RegisterDecl("a", 6, "dice")], [])
+    c = make_circuit([RegisterDecl("a", 6, "dice")], [])
     law = em.InputDistribution(uniform={"a": (3, 2)}, widths={"a": 4})
     with pytest.raises(em.EmulationError, match="width 6"):
         law.sample(c, 3, seed=1)

@@ -168,7 +168,7 @@ def test_emit_reversed_captures_the_emitters_own_segments():
         assert probe.finish().gates == forward
         assert b.report() == real.report()
         if record:
-            assert b.finish().gates == tuple(reversed(forward))
+            assert b.finish().gates == forward.reversed()
     # x(0) followed by its captured inverse is the identity
     def identity(b):
         b.begin_segment()

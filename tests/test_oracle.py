@@ -264,7 +264,7 @@ def verify_read_only(c, roles=("selector", "dice", "arm")) -> bool:
     for reg in c.registers:
         if reg.role in roles:
             protected[list(c.register(reg.name))] = True
-    return not protected[c.table.qubit[c.table.kind == TGT]].any()
+    return not protected[c.gates.qubit[c.gates.kind == TGT]].any()
 
 
 def test_selectors_and_dice_read_only():

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qrollout import emulator as em
 from qrollout import rank_select as rs
-from qrollout.circuit import Gate, build_circuit, cost, crossing_count, light_cone, register_local_span, span_profile
+from qrollout.circuit import (TGT, Circuit, GateTable, cost, crossing_count,
+                              light_cone, register_local_span, span_profile)
 
+from classical_reference import select_semantics
 from emulate import run
+from gates import Gate
 
 
 def mask_to_string(mask: int, n: int) -> str:
@@ -29,22 +32,39 @@ def sweep(circuit):
     return masks, ranks, read("out"), read("mask"), read("nth"), dirty == 0
 
 
+def referee_check(c) -> rs.SweepCheck:
+    """``exhaustive_check``'s counts, each row's output held to the scalar
+    ``select_semantics`` referee."""
+    n = len(c.register("mask"))
+    masks, ranks, outs, dirty = rs.exhaustive_sweep(c)
+    want = [select_semantics(int(m), n, int(r)) for m, r in zip(masks, ranks)]
+    got = em.read_register(outs, c, "out")
+    return rs.SweepCheck(len(masks), int((got != want).sum()),
+                         dirty.bit_count())
+
+
+def _extended(c, extra):
+    """``c`` with the ``(controls, targets)`` gates ``extra`` appended."""
+    return Circuit(c.registers,
+                   GateTable.concat([c.gates, GateTable.from_gates(extra)]))
+
+
 def test_worked_example_positions():
     mask = rs.mask_from_string("01101000")
     assert mask == 0b00010110
-    assert rs.select_semantics(mask, 8, 0) == 1
-    assert rs.select_semantics(mask, 8, 1) == 2
-    assert rs.select_semantics(mask, 8, 2) == 4
+    assert select_semantics(mask, 8, 0) == 1
+    assert select_semantics(mask, 8, 1) == 2
+    assert select_semantics(mask, 8, 2) == 4
     for r in range(3, 16):
-        assert rs.select_semantics(mask, 8, r) == 8
+        assert select_semantics(mask, 8, r) == 8
 
 
 def test_semantics_trivial_cases():
-    assert rs.select_semantics(0, 6, 0) == 6
-    assert rs.select_semantics(0, 6, 5) == 6
+    assert select_semantics(0, 6, 0) == 6
+    assert select_semantics(0, 6, 5) == 6
     full = (1 << 6) - 1
     for k in range(6):
-        assert rs.select_semantics(full, 6, k) == k
+        assert select_semantics(full, 6, k) == k
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,7 +72,7 @@ def test_semantics_trivial_cases():
 def test_semantics_matches_bruteforce(n, data):
     mask = data.draw(st.integers(0, 2 ** n - 1))
     r = data.draw(st.integers(0, 2 ** rs.width_for(n) - 1))
-    assert rs.select_semantics(mask, n, r) == brute_select(mask, n, r)
+    assert select_semantics(mask, n, r) == brute_select(mask, n, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,7 +89,7 @@ def test_select_rows_matches_semantics(n, data):
     hit = rs.select_rows(valid, r)
     assert (hit.sum(axis=1) <= 1).all()
     got = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
-    want = [rs.select_semantics(int(mv), n, int(rv)) for mv, rv in zip(m, r)]
+    want = [select_semantics(int(mv), n, int(rv)) for mv, rv in zip(m, r)]
     assert got.tolist() == want
 
 
@@ -82,24 +102,26 @@ def test_mask_string_roundtrip():
 def test_scan_equals_semantics_exhaustive(n):
     c = rs.build_scan(n)
     masks, ranks, outs, m2, r2, clean = sweep(c)
-    want = np.array([rs.select_semantics(int(m), n, int(r))
+    want = np.array([select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
     assert np.array_equal(m2, masks)      # mask register unchanged
     assert np.array_equal(r2, ranks)      # nth register unchanged
     assert clean
+    assert rs.exhaustive_check(c) == rs.SweepCheck(len(masks), 0, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_blocked_equals_semantics_exhaustive(n):
     c = rs.build_blocked(n)
     masks, ranks, outs, m2, r2, clean = sweep(c)
-    want = np.array([rs.select_semantics(int(m), n, int(r))
+    want = np.array([select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
     assert np.array_equal(m2, masks)
     assert np.array_equal(r2, ranks)
     assert clean
+    assert rs.exhaustive_check(c) == rs.SweepCheck(len(masks), 0, 0)
 
 
 def test_exhaustive_sweep_flags_dirty_rows():
@@ -110,7 +132,7 @@ def test_exhaustive_sweep_flags_dirty_rows():
     extra = [Gate(((mask[0], True), (nth[0], True), (nth[1], True)),
                   (c.register("rank")[1],)),
              Gate(((nth[1], True),), c.register("match"))]
-    dirty_c = build_circuit(c.registers, list(c.gates) + extra)
+    dirty_c = _extended(c, extra)
     masks, ranks, outs, dirty = rs.exhaustive_sweep(dirty_c)
     assert list(masks) == [r % 8 for r in range(32)]
     assert list(ranks) == [r // 8 for r in range(32)]
@@ -119,9 +141,58 @@ def test_exhaustive_sweep_flags_dirty_rows():
     assert rs.exhaustive_sweep(c)[3] == 0
     # without the match gate only the rank register is dirty
     masks, ranks, outs, dirty = rs.exhaustive_sweep(
-        build_circuit(c.registers, list(c.gates) + extra[:1]))
+        _extended(c, extra[:1]))
     assert [(dirty >> r) & 1 for r in range(32)] == \
         [int(rank == 3 and m % 2 == 1) for m, rank in zip(masks, ranks)]
+
+
+def _flip(c, controls, target):
+    """A trailing gate that flips ``target`` when the named (register, bit)
+    controls are all set."""
+    return _extended(c, [Gate(tuple((c.register(r)[i], True)
+                                    for r, i in controls),
+                              (c.register(target[0])[target[1]],))])
+
+
+MUTANTS = {
+    # out[0] flips when mask[0] and nth[1] are set
+    "scan4-out": lambda: _flip(rs.build_scan(4), [("mask", 0), ("nth", 1)],
+                               ("out", 0)),
+    "blocked5-out": lambda: _flip(rs.build_blocked(5),
+                                  [("mask", 2), ("nth", 0)], ("out", 1)),
+    # an ancilla left set: dirty rows, outputs right
+    "scan3-match": lambda: _flip(rs.build_scan(3), [("nth", 1)],
+                                 ("match", 0)),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_exhaustive_check_counts_what_the_referee_counts(name, chunk,
+                                                         monkeypatch):
+    c = MUTANTS[name]()
+    want = referee_check(c)
+    assert not want.passed
+    assert (want.mismatches > 0) == name.endswith("-out")
+    assert (want.dirty > 0) == name.endswith("-match")
+    monkeypatch.setattr(rs, "_CHECK_ROWS", chunk)
+    assert rs.exhaustive_check(c) == want
+
+
+def test_exhaustive_sweep_refuses_rows_over_the_budget(monkeypatch):
+    def no_batch(c, qubits):
+        raise AssertionError(f"batch of {len(qubits)} counting columns")
+
+    monkeypatch.setattr(rs, "counting_batch", no_batch)
+    # n = 20: 2^(20 + 5) rows, refused before any batch is made
+    with pytest.raises(em.EmulationError,
+                       match=r"exhaustive sweep of n=20: 33554432 "
+                             r"\(mask,rank\) rows exceed the budget of "
+                             r"16777216 rows"):
+        rs.exhaustive_sweep(rs.build_scan(20))
+    # n = 19: 2^24 rows, the budget itself, go on to the batch
+    with pytest.raises(AssertionError, match="batch of 24 counting columns"):
+        rs.exhaustive_sweep(rs.build_scan(19))
 
 
 def test_blocked_worked_trace_n8():
@@ -143,7 +214,7 @@ def test_blocked_nondefault_block_sizes(block):
     n = 7
     c = rs.build_blocked(n, block)
     masks, ranks, outs, _, _, clean = sweep(c)
-    want = np.array([rs.select_semantics(int(m), n, int(r))
+    want = np.array([select_semantics(int(m), n, int(r))
                      for m, r in zip(masks, ranks)])
     assert np.array_equal(outs, want)
     assert clean
@@ -216,10 +287,10 @@ def test_canonical_mask_examples():
     # N=8, t=4, weight=3 -> 11101111, selects position 4 at rank 3
     m = rs.canonical_mask(8, 4, 3)
     assert mask_to_string(m, 8) == "11101111"
-    assert rs.select_semantics(m, 8, 3) == 2 * 4 - 3 - 1 == 4
+    assert select_semantics(m, 8, 3) == 2 * 4 - 3 - 1 == 4
     m = rs.canonical_mask(8, 4, 0)
     assert mask_to_string(m, 8) == "00001111"
-    assert rs.select_semantics(m, 8, 3) == 7
+    assert select_semantics(m, 8, 3) == 7
 
 
 def test_canonical_mask_distinct_outputs():
@@ -227,7 +298,7 @@ def test_canonical_mask_distinct_outputs():
     outs = set()
     for w in range(max(0, 2 * t - n), t):
         m = rs.canonical_mask(n, t, w)
-        outs.add(rs.select_semantics(m, n, t - 1))
+        outs.add(select_semantics(m, n, t - 1))
     assert len(outs) == t - max(0, 2 * t - n)
 
 
@@ -241,7 +312,8 @@ def test_canonical_mask_rejects_bad_weight():
 def _blocks(c):
     # every block sets and clears its take flag once
     take = c.register("take")[0]
-    return sum(take in g.targets for g in c.gates) // 2
+    t = c.gates
+    return int(((t.kind == TGT) & (t.qubit == take)).sum()) // 2
 
 
 def test_layouts():
