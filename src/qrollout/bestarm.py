@@ -10,16 +10,15 @@ eps/2, and the outer maximum-finding walk performs its expected
 O(sqrt(k)) comparisons.
 
 Both sides are kernels that play every trial of one instance at once on
-(trials, k) arrays (``successive_elimination``, ``threshold_walk``);
-``classical_baseline`` and ``quantum_accounting`` are their one-trial
-views.  Ledgers are deterministic given (instance, eps, seed, trials).
+(trials, k) arrays (``successive_elimination``, ``threshold_walk``).
+Ledgers are deterministic given (instance, eps, seed, trials).
 ``separation_report`` gives each (k, eps) cell of its grid its own seeded
 streams, one per side.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,17 +107,6 @@ class BanditInstance:
                 if mu >= best - self.eps}
 
 
-@dataclass
-class QueryLedger:
-    oracle_calls: float = 0.0
-    per_arm: list[int] = field(default_factory=list)
-    chosen: int = -1
-
-    @property
-    def total_pulls(self) -> int:
-        return sum(self.per_arm)
-
-
 # ---------------------------------------------------------------------------
 # kernels: every trial of one instance at once, on (trials, k) arrays
 
@@ -131,11 +119,6 @@ class TrialLedgers:
     chosen: np.ndarray         # (trials,) int64
     per_arm: np.ndarray        # (trials, k) int64
     oracle_calls: np.ndarray   # (trials,) float64
-
-    def ledger(self, t: int) -> QueryLedger:
-        return QueryLedger(oracle_calls=float(self.oracle_calls[t]),
-                           per_arm=self.per_arm[t].tolist(),
-                           chosen=int(self.chosen[t]))
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -223,21 +206,6 @@ def threshold_walk(instance: BanditInstance, eps: float, trials: int,
         cur[run] = select_rows(marked, _uniform_below(rng, m)).nonzero()[1]
         per_arm[run, cur[run]] += 1
     return TrialLedgers(chosen=cur, per_arm=per_arm, oracle_calls=calls)
-
-
-def classical_baseline(instance: BanditInstance, eps: float,
-                       seed: int) -> tuple[int, QueryLedger]:
-    """One trial of :func:`successive_elimination` under
-    ``generator(seed)``."""
-    led = successive_elimination(instance, eps, 1, generator(seed)).ledger(0)
-    return led.chosen, led
-
-
-def quantum_accounting(instance: BanditInstance, eps: float,
-                       seed: int) -> tuple[int, QueryLedger]:
-    """One trial of :func:`threshold_walk` under ``generator(seed)``."""
-    led = threshold_walk(instance, eps, 1, generator(seed)).ledger(0)
-    return led.chosen, led
 
 
 # ---------------------------------------------------------------------------

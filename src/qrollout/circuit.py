@@ -16,12 +16,15 @@ replays of memoized fragments (``Builder.call``): a fragment is recorded
 once on local qubit indices and replayed by a qubit remap, its depth effect
 carried by a max-plus matrix.  A memoized emitter must be a pure function
 of its registers and constants, and must not call ``acquire`` or
-``release``.
+``release``.  A ``Builder.capture()`` block holds its ops back instead of
+emitting them, and ``emit``/``emit_inverse`` play them forwards or
+backwards: compute, use, uncompute.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -616,27 +619,19 @@ def _local_args(shape, index) -> list:
     return args
 
 
-def segment_support(segment) -> np.ndarray:
-    """Sorted qubits touched by the gates of a segment."""
-    parts = [frag.support() if qmap is None else qmap[frag.support()]
-             for frag, qmap, _ in segment]
-    return _distinct(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
-
-
 class Builder:
     """Incremental circuit constructor with cost tallying.
 
     Gates go onto an op tape: chunks of fresh gates (``gate``, ``x``,
     ``cx``), each validated once, and replays of memoized fragments
     (``call``).  With ``record=False`` the builder keeps only running
-    tallies (gate count, per-qubit depth layers, fan-in, ancilla liveness)
-    and the ops of open segments; ``finish()`` is then unavailable but
-    ``report()`` works.  Segments (``begin_segment``/``end_segment``) capture
-    a range of ops as an opaque token so gadgets can re-emit their own
-    inverse (``emit_inverse``) in either mode.  ``emit_reversed`` runs an
-    emitter under capture and emits only its ops in reverse, which is the
-    emitter's inverse.  Inverting a range of ops flips each op's direction;
-    no gate is revisited.
+    tallies (gate count, per-qubit depth layers, fan-in, ancilla liveness);
+    ``finish()`` is then unavailable but ``report()`` works.  In either
+    mode, ``with b.capture() as ops:`` validates the block's ops and holds
+    them in ``ops`` instead of emitting them; ``emit(ops)`` plays them
+    forwards and ``emit_inverse(ops)`` backwards, each op with its direction
+    flipped, so no gate is revisited.  A gate is numbered in errors as if
+    every open capture had been emitted where it opened.
 
     ``call(emitter, *regs, **consts)`` runs ``emitter(b, *regs, **consts)``
     once per builder for each memo key and replays the recorded fragment on
@@ -661,8 +656,8 @@ class Builder:
         self._layers = layers          # per-qubit latest layer, per origin
         self._fragment = fragment      # recording a memoized fragment
         self._tape: list = []          # ops: (fragment, qmap or None, reverse)
-        self._marks: list[int] = []    # tape offset of each open segment
-        self._capturing = 0
+        self._held: list[list] = []    # the ops of each open capture
+        self._held_gates = 0           # and their gates
         self._pq: list[int] = []       # pending fresh gates: qubits,
         self._pk: list[int] = []       # kinds,
         self._pp: list[int] = [0]      # and entry offsets
@@ -735,14 +730,16 @@ class Builder:
             return
         table = GateTable(self._pp, self._pq, self._pk)
         self._pq, self._pk, self._pp = [], [], [0]
-        table.validate(self._n, first=self._gate_count)
+        table.validate(self._n, first=self._gate_count + self._held_gates)
         self._apply(_Fragment(table), None, False)
 
     def _apply(self, frag: _Fragment, qmap, reverse: bool) -> None:
-        if self.record or self._marks:
-            self._tape.append((frag, qmap, reverse))
-        if self._capturing:
+        if self._held:
+            self._held[-1].append((frag, qmap, reverse))
+            self._held_gates += frag.gates
             return
+        if self.record:
+            self._tape.append((frag, qmap, reverse))
         self._gate_count += frag.gates
         if frag.fan_in > self._max_fan_in:
             self._max_fan_in = frag.fan_in
@@ -803,50 +800,47 @@ class Builder:
         except CircuitError as err:
             name = getattr(emitter, "__qualname__", repr(emitter))
             raise CircuitError(f"{name} (local qubits): {err}") from None
-        if sub._marks:
-            raise CircuitError("a memoized emitter left a segment open")
         return _Fragment(sub._table(), sub._layers.T.copy())
 
-    # -- segment capture / inversion ----------------------------------------
-    def begin_segment(self) -> None:
+    # -- capture / inversion ------------------------------------------------
+    @contextmanager
+    def capture(self):
+        """``with b.capture() as ops:`` holds the block's ops in ``ops``
+        instead of emitting them: no tally, gate list or enclosing capture
+        sees them until ``emit`` or ``emit_inverse`` plays them."""
         self._flush()
-        self._marks.append(len(self._tape))
+        ops, held = [], self._held_gates
+        self._held.append(ops)
+        try:
+            yield ops
+            self._flush()
+        finally:
+            self._held.pop()
+            self._held_gates = held
 
-    def end_segment(self) -> tuple:
-        """Close the innermost segment; returns its ops as an opaque token
-        for ``emit_inverse``."""
+    def emit(self, ops) -> None:
         self._flush()
-        segment = tuple(self._tape[self._marks.pop():])
-        if not self.record and not self._marks:
-            self._tape.clear()
-        return segment
+        for op in ops:
+            self._apply(*op)
 
-    def emit_inverse(self, segment) -> None:
+    def emit_inverse(self, ops) -> None:
         self._flush()
-        for frag, qmap, reverse in reversed(segment):
+        for frag, qmap, reverse in reversed(ops):
             self._apply(frag, qmap, not reverse)
 
     def emit_reversed(self, emitter, *args, **kwargs) -> None:
-        """Emit the inverse of ``emitter(self, *args, **kwargs)``.
-
-        The emitter's ops are validated as usual but captured instead of
-        emitted: they reach only segments the emitter opens itself, and no
-        tally, gate list or enclosing segment sees them.  Their reverse is
-        then emitted for real.
-        """
-        self._flush()
-        start = len(self._tape)
-        self._marks.append(start)
-        self._capturing += 1
-        try:
+        """Emit the inverse of ``emitter(self, *args, **kwargs)``."""
+        with self.capture() as ops:
             emitter(self, *args, **kwargs)
-            self._flush()
-            captured = self._tape[start:]
-        finally:
-            self._capturing -= 1
-            self._marks.pop()
-            del self._tape[start:]
-        self.emit_inverse(captured)
+        self.emit_inverse(ops)
+
+    @staticmethod
+    def support(ops) -> np.ndarray:
+        """Sorted qubits touched by the gates of captured ops."""
+        parts = [frag.support() if qmap is None else qmap[frag.support()]
+                 for frag, qmap, _ in ops]
+        return (_distinct(np.concatenate(parts)) if parts
+                else np.zeros(0, np.int64))
 
     # -- results --------------------------------------------------------------
     def _table(self) -> GateTable:
@@ -858,11 +852,11 @@ class Builder:
     def _depth(self) -> int:
         return int(self._layers.max()) if self._n else 0
 
-    def finish(self, layout=None) -> Circuit:
+    def finish(self) -> Circuit:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
         self._flush()
-        return Circuit._built(self._registers, self._table(), layout,
+        return Circuit._built(self._registers, self._table(), None,
                               self._peak_anc, self._depth())
 
     def report(self) -> CostReport:

@@ -220,19 +220,19 @@ def _sway_cell(b: Builder, cell, nbrs, nxt, die, k_reg, sum_reg, flag,
     two bits in turn."""
     b.cx(cell[0], nxt[0])
     b.cx(cell[1], nxt[1])
-    b.begin_segment()
-    for j in range(0, len(nbrs), 2):
-        controlled_increment(b, k_reg, [(cell[0], True), (nbrs[j], True)],
-                             scr)
-        controlled_increment(b, k_reg,
-                             [(cell[1], True), (nbrs[j + 1], True)], scr)
-    copy_register(b, die, sum_reg)
-    add_register(b, sum_reg, k_reg, scr)
-    flag_less_than_const(b, sum_reg, 4, flag)
-    seg = b.end_segment()
+    with b.capture() as count:
+        for j in range(0, len(nbrs), 2):
+            controlled_increment(b, k_reg,
+                                 [(cell[0], True), (nbrs[j], True)], scr)
+            controlled_increment(b, k_reg,
+                                 [(cell[1], True), (nbrs[j + 1], True)], scr)
+        copy_register(b, die, sum_reg)
+        add_register(b, sum_reg, k_reg, scr)
+        flag_less_than_const(b, sum_reg, 4, flag)
+    b.emit(count)
     b.gate(((flag, True), (cell[0], True)), nxt)
     b.gate(((flag, True), (cell[1], True)), nxt)
-    b.emit_inverse(seg)
+    b.emit_inverse(count)
 
 
 def _emit_sway_dynamics(m: int):
@@ -257,16 +257,16 @@ def _emit_sway_eval(n: int):
         black = pool[:wc]
         white = pool[wc:2 * wc]
         diff = pool[2 * wc:3 * wc + 1]
-        b.begin_segment()
-        for i in range(n):
-            controlled_increment(b, black, [(cfg[2 * i], True)], scr)
-            controlled_increment(b, white, [(cfg[2 * i + 1], True)], scr)
-        copy_register(b, black, diff)
-        sub_register(b, diff, white, scr)
-        b.emit_reversed(controlled_increment, diff, [], scr)  # diff -= 1
-        seg = b.end_segment()
+        with b.capture() as count:
+            for i in range(n):
+                controlled_increment(b, black, [(cfg[2 * i], True)], scr)
+                controlled_increment(b, white, [(cfg[2 * i + 1], True)], scr)
+            copy_register(b, black, diff)
+            sub_register(b, diff, white, scr)
+            b.emit_reversed(controlled_increment, diff, [], scr)  # diff -= 1
+        b.emit(count)
         b.gate(((diff[wc], False),), (payoff,))   # black - white - 1 >= 0
-        b.emit_inverse(seg)
+        b.emit_inverse(count)
 
     return emit, 3 * wc + 1
 
@@ -279,20 +279,20 @@ def _sir_cell(b: Builder, cell, nbrs, nxt, die, c_reg, t_reg, rflag, scr,
     b.cx(cell[0], nxt[0])
     b.cx(cell[1], nxt[1])
     if nbrs:
-        b.begin_segment()
-        for q in nbrs:
-            controlled_increment(b, c_reg, [(q, True)], scr)
-        copy_register(b, die, t_reg)
-        sub_register(b, t_reg, c_reg, scr)   # sign <=> die < c
-        seg = b.end_segment()
+        with b.capture() as infect:
+            for q in nbrs:
+                controlled_increment(b, c_reg, [(q, True)], scr)
+            copy_register(b, die, t_reg)
+            sub_register(b, t_reg, c_reg, scr)   # sign <=> die < c
+        b.emit(infect)
         b.gate(((t_reg[-1], True), (cell[0], False), (cell[1], False)),
                (nxt[0],))
-        b.emit_inverse(seg)
-    b.begin_segment()
-    flag_less_than_const(b, die, rho, rflag)
-    seg = b.end_segment()
+        b.emit_inverse(infect)
+    with b.capture() as recover:
+        flag_less_than_const(b, die, rho, rflag)
+    b.emit(recover)
     b.gate(((rflag, True), (cell[0], True)), nxt)
-    b.emit_inverse(seg)
+    b.emit_inverse(recover)
 
 
 def _emit_sir_dynamics(m: int, rho: int):
@@ -317,12 +317,12 @@ def _emit_sir_eval(n: int, threshold: int):
 
     def emit(b: Builder, cfg, payoff, pool, scr):
         cnt = pool[:wc]
-        b.begin_segment()
-        for i in range(n):
-            controlled_increment(b, cnt, [(cfg[2 * i], True)], scr)
-        seg = b.end_segment()
+        with b.capture() as count:
+            for i in range(n):
+                controlled_increment(b, cnt, [(cfg[2 * i], True)], scr)
+        b.emit(count)
         flag_less_than_const(b, cnt, threshold + 1, payoff)
-        b.emit_inverse(seg)
+        b.emit_inverse(count)
 
     return emit, wc
 

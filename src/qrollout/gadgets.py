@@ -166,7 +166,7 @@ def and_ladder(b: Builder, inputs: Sequence[tuple[int, bool]], out: int,
     """out ^= AND of polarity-qualified inputs via a Toffoli chain.
 
     Needs len(inputs)-2 scratch bits; the caller uncomputes by re-emitting
-    the same ladder reversed (capture it in a segment).
+    the same ladder reversed (``emit_inverse`` of a ``capture()``).
     """
     m = len(inputs)
     if m == 0:

@@ -16,12 +16,12 @@ returns every register to its input value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Builder, Circuit, CostReport, segment_support
+from .circuit import Builder, Circuit, CostReport
 from .emulator import (InputDistribution, apply_batch, first_row,
                        write_bits, write_register)
 from .gadgets import copy_register
@@ -169,6 +169,7 @@ class ComposedOracle:
     eval_gates: int
     passes: int = 1           # selector passes per round
     arms: int = 0
+    first_moves: tuple = ()   # the cell each arm places in round 1
 
     @property
     def g_index(self) -> float:
@@ -199,15 +200,24 @@ def _decode(b: Builder, out, cells, clear) -> None:
 def _checked_fragment(b: Builder, allowed: set[int], emit, *args) -> None:
     """Run a domain hook and reject it if its gates touch a qubit outside
     ``allowed``; the hook's whole support is checked at once."""
-    b.begin_segment()
-    emit(b, *args)
-    used = segment_support(b.end_segment())
+    with b.capture() as ops:
+        emit(b, *args)
+    used = b.support(ops)
     inside = np.zeros(b.n_qubits, dtype=bool)
     inside[list(allowed)] = True
     bad = used[~inside[used]]
     if bad.size:
         raise OracleError(
             f"hook emitted a gate touching foreign qubits {bad.tolist()}")
+    b.emit(ops)
+
+
+def _check_first_moves(spec: RolloutSpec, arms: int, first_moves) -> None:
+    if arms and (first_moves is None or len(first_moves) < arms):
+        raise OracleError("arms > 0 requires a first_moves table")
+    for move in (first_moves or ())[:arms]:
+        if not 0 <= move < spec.n_cells:
+            raise OracleError(f"first move {move} is not a cell of the board")
 
 
 def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
@@ -227,11 +237,7 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     """
     n, h, w, p = spec.n_cells, spec.horizon, spec.w, spec.selectors_per_round
     s = spec.s
-    if arms and (first_moves is None or len(first_moves) < arms):
-        raise OracleError("arms > 0 requires a first_moves table")
-    for move in (first_moves or ())[:arms]:
-        if not 0 <= move < n:
-            raise OracleError(f"first move {move} is not a cell of the board")
+    _check_first_moves(spec, arms, first_moves)
     lay = qubit_cost_formula(spec, arms)
     b = Builder(record=record)
 
@@ -263,39 +269,40 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     for hh in range(h):
         g0 = b.gate_count
         b.acquire(anc_count)
-        b.begin_segment()                      # PREP capture
-        copy_register(b, configs[hh], board_mid)
-        emit_mask(board_mid)
-        scan_segs: list[tuple | None] = []
-        for pj in range(p):
-            cells = [board_mid[j * s + spec.placement_bit(pj)]
-                     for j in range(n)]
-            clear = vmask if pj < p - 1 else ()
-            if hh == 0 and pj == 0 and arms:
-                scan_segs.append(None)
-                for a in range(arms):
-                    pos = first_moves[a]
-                    b.gate(_pattern(arm_bits, a), (cells[pos], clear[pos])
-                           if clear else (cells[pos],))
-            else:
-                b.begin_segment()
-                b.call(scan_fragment, vmask, sels[hh][pj], rank, match, scr,
-                       outs[pj], sentinel=n)
-                scan_segs.append(b.end_segment())
-                _decode(b, outs[pj], cells, clear)
-        for pj in range(p - 1, -1, -1):
-            if scan_segs[pj] is not None:
-                b.emit_inverse(scan_segs[pj])
-            if pj > 0:
-                # restore the mask bit cleared by pass pj-1's decode
-                if scan_segs[pj - 1] is None:
+        with b.capture() as prep:
+            copy_register(b, configs[hh], board_mid)
+            emit_mask(board_mid)
+            scans: list[list | None] = []
+            for pj in range(p):
+                cells = [board_mid[j * s + spec.placement_bit(pj)]
+                         for j in range(n)]
+                clear = vmask if pj < p - 1 else ()
+                if hh == 0 and pj == 0 and arms:
+                    scans.append(None)
                     for a in range(arms):
-                        b.gate(_pattern(arm_bits, a),
-                               (vmask[first_moves[a]],))
+                        pos = first_moves[a]
+                        b.gate(_pattern(arm_bits, a), (cells[pos], clear[pos])
+                               if clear else (cells[pos],))
                 else:
-                    _decode(b, outs[pj - 1], vmask, ())
-        emit_mask(configs[hh])                 # clears: same values as staging
-        prep = b.end_segment()
+                    with b.capture() as scan:
+                        b.call(scan_fragment, vmask, sels[hh][pj], rank,
+                               match, scr, outs[pj])
+                    b.emit(scan)
+                    scans.append(scan)
+                    _decode(b, outs[pj], cells, clear)
+            for pj in range(p - 1, -1, -1):
+                if scans[pj] is not None:
+                    b.emit_inverse(scans[pj])
+                if pj > 0:
+                    # restore the mask bit cleared by pass pj-1's decode
+                    if scans[pj - 1] is None:
+                        for a in range(arms):
+                            b.gate(_pattern(arm_bits, a),
+                                   (vmask[first_moves[a]],))
+                    else:
+                        _decode(b, outs[pj - 1], vmask, ())
+            emit_mask(configs[hh])             # clears: same values as staging
+        b.emit(prep)
         g1 = b.gate_count
 
         allow = (set(board_mid) | set(configs[hh + 1]) | set(dice[hh])
@@ -331,7 +338,8 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     return ComposedOracle(circuit=circuit, report=report, layout=lay,
                           prep_gates=max(prep_gates, 0),
                           trans_gates=max(trans_gates, 0),
-                          eval_gates=eval_gates, passes=p, arms=arms)
+                          eval_gates=eval_gates, passes=p, arms=arms,
+                          first_moves=tuple((first_moves or ())[:arms]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +420,10 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     Branch ``r`` takes the one-shot draw of :func:`input_law` at
     ``seeds[r]``, and an int ``seeds`` stands for ``range(seeds)``; fewer
     than one branch raises :class:`OracleError`.  With ``arms``,
-    ``arm_values[r]`` in ``[0, arms)`` is its arm.
+    ``arm_values[r]`` in ``[0, arms)`` is its arm, and ``first_moves``
+    is required.  A prebuilt ``oracle`` must be a recorded composition of
+    ``spec`` with the same ``arms`` and first moves, else
+    :class:`OracleError` names the mismatch.
 
     The expected configurations of all branches come from the array
     rollout kernel, one call per arm; bit ``s*i + b`` of register
@@ -429,10 +440,26 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     if isinstance(seeds, int):
         seeds = list(range(seeds))
     arm = _arm_rows(arms, arm_values, rows) if arms else np.zeros(rows, int)
-    oc = oracle if oracle is not None else compose(spec, record=True,
-                                                   arms=arms,
-                                                   first_moves=first_moves)
-    c = oc.circuit
+    _check_first_moves(spec, arms, first_moves)
+    if oracle is None:
+        oracle = compose(spec, arms=arms, first_moves=first_moves)
+    elif oracle.arms != arms:
+        raise OracleError(f"the oracle was composed with arms={oracle.arms}, "
+                          f"not arms={arms}")
+    elif oracle.first_moves != tuple((first_moves or ())[:arms]):
+        raise OracleError(f"the oracle places first moves "
+                          f"{list(oracle.first_moves)}, not "
+                          f"{list(first_moves[:arms])}")
+    elif oracle.circuit is None:
+        raise OracleError("the oracle was composed in tally mode")
+    else:
+        want = qubit_cost_formula(spec, arms)
+        differ = [f.name for f in fields(want)
+                  if getattr(oracle.layout, f.name) != getattr(want, f.name)]
+        if differ:
+            raise OracleError(f"the oracle's layout differs from spec "
+                              f"{spec.name!r} in {', '.join(differ)}")
+    c = oracle.circuit
     h, n, s = spec.horizon, spec.n_cells, spec.s
     law = input_law(spec, board0)
     faces = law.draw_each(seeds)

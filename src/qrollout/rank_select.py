@@ -157,12 +157,12 @@ def _scan_cell(b: Builder, mbit, nth_bits, rank_bits, match_bit, scr_bits,
     all-zero with negative-polarity controls, then restores; the ladder and
     its scratch are uncomputed around the conditional write.
     """
-    b.begin_segment()
-    for n_bit, r_bit in zip(nth_bits, rank_bits):
-        b.cx(n_bit, r_bit)
-    and_ladder(b, [(mbit, True)] + [(r, False) for r in rank_bits],
-               match_bit, scr_bits)
-    compare = b.end_segment()
+    with b.capture() as compare:
+        for n_bit, r_bit in zip(nth_bits, rank_bits):
+            b.cx(n_bit, r_bit)
+        and_ladder(b, [(mbit, True)] + [(r, False) for r in rank_bits],
+                   match_bit, scr_bits)
+    b.emit(compare)
     if write:
         b.gate(((match_bit, True),), write)
     b.emit_inverse(compare)
@@ -170,12 +170,14 @@ def _scan_cell(b: Builder, mbit, nth_bits, rank_bits, match_bit, scr_bits,
 
 
 def scan_cells(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
-               scr_bits, out_bits, sentinel: int) -> None:
-    """Per-position compare/write/increment cells (no counter clear pass).
+               scr_bits, out_bits) -> None:
+    """Per-position compare/write/increment cells (no counter clear pass)
+    into an output preloaded with the sentinel N = ``len(mask_bits)``.
 
     Each cell is one memoized fragment, keyed by the popcount of its code
-    ``i ^ sentinel``: cells whose codes have equally many set bits share it.
+    ``i ^ N``: cells whose codes have equally many set bits share it.
     """
+    sentinel = len(mask_bits)
     for i, mbit in enumerate(mask_bits):
         b.call(_scan_cell, mbit, nth_bits, rank_bits, match_bit, scr_bits,
                constant_targets(out_bits, i ^ sentinel))
@@ -188,7 +190,7 @@ def _clear_run(b: Builder, mask_bits, rank_bits, scr_bits) -> None:
 
 
 def scan_fragment(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
-                  scr_bits, out_bits, sentinel: int | None = None) -> None:
+                  scr_bits, out_bits) -> None:
     """Full self-cleaning scan: preload sentinel, cells, counter clear pass.
 
     The cells are memoized by the popcount of their codes
@@ -197,25 +199,22 @@ def scan_fragment(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
     memoized ``_clear_run`` per run, from the top run down, so it records
     at most two runs (a full one and a shorter top one).
     """
-    if sentinel is None:
-        sentinel = len(mask_bits)
-    xor_constant(b, out_bits, sentinel)
+    xor_constant(b, out_bits, len(mask_bits))
     scan_cells(b, mask_bits, nth_bits, rank_bits, match_bit, scr_bits,
-               out_bits, sentinel)
+               out_bits)
     w = len(rank_bits)
     for a in reversed(range(0, len(mask_bits), w)):
         b.call(_clear_run, mask_bits[a:a + w], rank_bits, scr_bits)
 
 
-def build_scan(n: int, record: bool = True) -> Circuit | None:
+def build_scan(n: int) -> Circuit:
     """Sequential-scan rank-select circuit over an n-bit mask.
 
     Registers (declaration order = cut layout): mask, nth, rank counter,
     match flag, shared scratch, output (sentinel-preloaded).  Exact gate
     count N*(10w - 3) + 1.
     """
-    b = builder_scan(n, record=record)
-    return b.finish() if record else None
+    return builder_scan(n).finish()
 
 
 def builder_scan(n: int, record: bool = True) -> Builder:
@@ -228,7 +227,7 @@ def builder_scan(n: int, record: bool = True) -> Builder:
     scr = b.add_register("scr", w - 1, "ancilla") if w > 1 else ()
     out = b.add_register("out", w, "output")
     b.acquire(w + 1 + len(scr))
-    scan_fragment(b, mask, nth, rank, match[0], scr, out, sentinel=n)
+    scan_fragment(b, mask, nth, rank, match[0], scr, out)
     b.release(w + 1 + len(scr))
     return b
 
@@ -305,7 +304,7 @@ def _take_controls(diff, diff2):
 def _block_inner(b: Builder, leaves, nth, irank, imatch, scr, ell) -> None:
     """ell = in-block position of the selected bit (sentinel len(leaves))."""
     xor_constant(b, ell, len(leaves))
-    scan_cells(b, leaves, nth, irank, imatch, scr, ell, sentinel=len(leaves))
+    scan_cells(b, leaves, nth, irank, imatch, scr, ell)
 
 
 def _block_open(b: Builder, leaves, nth, p, tpool, diff, diff2, take, irank,
@@ -382,11 +381,9 @@ def builder_blocked(n: int, block: int | None = None,
     return b
 
 
-def build_blocked(n: int, block: int | None = None,
-                  record: bool = True) -> Circuit | None:
+def build_blocked(n: int, block: int | None = None) -> Circuit:
     """Blocked rank-select: per block, popcount via a balanced add-tree, a
     take flag [p <= r < p + c_q], an inner scan at the local rank, one
     long-range conditional write, then full cleanup; a reverse accumulation
     pass clears the running prefix count."""
-    b = builder_blocked(n, block, record=record)
-    return b.finish() if record else None
+    return builder_blocked(n, block).finish()

@@ -10,6 +10,21 @@ from qrollout import bestarm as ba
 import bestarm_reference as ref
 
 
+def _classical(inst, eps, seed):
+    """One trial of successive elimination under ``generator(seed)``: the
+    chosen arm and the per-arm pulls."""
+    led = ba.successive_elimination(inst, eps, 1, ba.generator(seed))
+    return int(led.chosen[0]), led.per_arm[0].tolist()
+
+
+def _quantum(inst, eps, seed):
+    """One trial of the threshold walk under ``generator(seed)``: the chosen
+    arm, the per-arm AE runs and the oracle calls."""
+    led = ba.threshold_walk(inst, eps, 1, ba.generator(seed))
+    return (int(led.chosen[0]), led.per_arm[0].tolist(),
+            float(led.oracle_calls[0]))
+
+
 def test_kl_zero_on_diagonal():
     for p in (0.0, 0.2, 0.5, 1.0):
         assert ba.kl(p, p) == 0.0
@@ -77,14 +92,14 @@ def test_hard_instances():
 
 
 def test_single_arm_edge_cases():
-    # one arm: no pulls, and one AE run charged; the kernels keep the
-    # one-trial ledgers on every trial
+    # one arm: no pulls, and one AE run charged, on one trial and on every
+    # trial of many
     inst = ba.BanditInstance(k=1, means=(0.6,), eps=0.05)
-    arm, led = ba.classical_baseline(inst, 0.05, seed=1)
-    assert arm == 0 and led.total_pulls == 0
-    arm, led = ba.quantum_accounting(inst, 0.05, seed=1)
-    assert arm == 0 and led.per_arm == [1]
-    assert abs(led.oracle_calls - ba.AE_CALL_CONSTANT / 0.05) < 1e-9
+    arm, pulls = _classical(inst, 0.05, 1)
+    assert arm == 0 and sum(pulls) == 0
+    arm, runs, calls = _quantum(inst, 0.05, 1)
+    assert arm == 0 and runs == [1]
+    assert abs(calls - ba.AE_CALL_CONSTANT / 0.05) < 1e-9
     cl = ba.successive_elimination(inst, 0.05, 7, ba.generator(1))
     assert (cl.chosen == 0).all() and (cl.per_arm == 0).all()
     qa = ba.threshold_walk(inst, 0.05, 7, ba.generator(1))
@@ -110,13 +125,13 @@ def test_kernels_at_one_trial_equal_the_scalar_loops(inst):
         arm, per_arm = ref.elimination_loop(inst, eps, ba.generator(seed),
                                             ref.binomial_sums)
         assert (cl.chosen[0], cl.per_arm[0].tolist()) == (arm, per_arm)
-        assert ba.classical_baseline(inst, eps, seed)[1] == cl.ledger(0)
+        assert _classical(inst, eps, seed) == (arm, per_arm)
         qa = ba.threshold_walk(inst, eps, 1, ba.generator(seed))
         arm, calls, per_arm = ref.walk_loop(
             inst, eps, ref.numpy_walk_draws(ba.generator(seed)))
         assert (qa.chosen[0], qa.oracle_calls[0],
                 qa.per_arm[0].tolist()) == (arm, calls, per_arm)
-        assert ba.quantum_accounting(inst, eps, seed)[1] == qa.ledger(0)
+        assert _quantum(inst, eps, seed) == (arm, per_arm, calls)
 
 
 def _within_4_sigma(a, b):
@@ -162,9 +177,9 @@ def test_baseline_correct_and_above_bound():
     pulls = 0.0
     trials = 80
     for t in range(trials):
-        arm, led = ba.classical_baseline(inst, eps, seed=1000 + t)
+        arm, per_arm = _classical(inst, eps, 1000 + t)
         wins += arm == 0
-        pulls += led.total_pulls
+        pulls += sum(per_arm)
     assert wins / trials >= 2 / 3
     assert pulls / trials >= bound
 
@@ -174,20 +189,20 @@ def test_baseline_base_instance_eps_tenth():
     inst = ba.BanditInstance.hard_base(10, 0.1)
     wins = 0
     for t in range(60):
-        arm, _ = ba.classical_baseline(inst, 0.1, seed=t)
+        arm, _ = _classical(inst, 0.1, t)
         wins += arm == 0
     assert wins / 60 >= 2 / 3
 
 
 def test_ledgers_deterministic():
     inst = ba.BanditInstance.hard_base(6, 0.04)
-    a1, l1 = ba.classical_baseline(inst, 0.04, seed=77)
-    a2, l2 = ba.classical_baseline(inst, 0.04, seed=77)
-    assert (a1, l1.per_arm, l1.total_pulls) == (a2, l2.per_arm, l2.total_pulls)
-    q1 = ba.quantum_accounting(inst, 0.04, seed=77)
-    q2 = ba.quantum_accounting(inst, 0.04, seed=77)
+    a1, p1 = _classical(inst, 0.04, 77)
+    a2, p2 = _classical(inst, 0.04, 77)
+    assert (a1, p1, sum(p1)) == (a2, p2, sum(p2))
+    q1 = _quantum(inst, 0.04, 77)
+    q2 = _quantum(inst, 0.04, 77)
     assert q1[0] == q2[0]
-    assert q1[1].oracle_calls == q2[1].oracle_calls
+    assert q1[2] == q2[2]
 
 
 def test_quantum_correct_and_sublinear():
@@ -196,7 +211,7 @@ def test_quantum_correct_and_sublinear():
     inst = ba.BanditInstance.hard_base(k, eps)
     wins = 0
     for t in range(60):
-        arm, led = ba.quantum_accounting(inst, eps, seed=t)
+        arm, _, _ = _quantum(inst, eps, t)
         wins += arm in inst.optimal_set()
     assert wins / 60 >= 2 / 3
     # expected calls over the estimate ranks: from a state with m arms
@@ -221,9 +236,9 @@ def test_transportation_ratio_floor():
     per_arm = [0.0] * 6
     trials = 40
     for t in range(trials):
-        _, led = ba.classical_baseline(inst, eps, seed=t)
+        _, pulls = _classical(inst, eps, t)
         for j in range(6):
-            per_arm[j] += led.per_arm[j]
+            per_arm[j] += pulls[j]
     for j in range(1, 6):
         assert per_arm[j] / trials >= ratio
 
@@ -287,11 +302,11 @@ def test_instance_from_domain_arm_means():
     board = dm.parse_board("SSS\nSIS\nSSS", "sir")
     means = dm.arm_means(spec, board, 4)
     inst = ba.BanditInstance(k=4, means=tuple(means), eps=0.02)
-    arm, led = ba.quantum_accounting(inst, 0.02, seed=3)
+    arm, _, calls = _quantum(inst, 0.02, 3)
     assert 0 <= arm < 4
-    assert led.oracle_calls > 0
-    arm2, led2 = ba.classical_baseline(inst, 0.02, seed=3)
-    assert 0 <= arm2 < 4 and led2.total_pulls > 0
+    assert calls > 0
+    arm2, pulls = _classical(inst, 0.02, 3)
+    assert 0 <= arm2 < 4 and sum(pulls) > 0
 
 
 def test_quantum_cheaper_beyond_crossover():
@@ -300,8 +315,6 @@ def test_quantum_cheaper_beyond_crossover():
         inst = ba.BanditInstance.hard_base(k, eps)
         cp = qc = 0.0
         for t in range(30):
-            _, led = ba.classical_baseline(inst, eps, seed=t)
-            cp += led.total_pulls
-            _, led = ba.quantum_accounting(inst, eps, seed=t)
-            qc += led.oracle_calls
+            cp += sum(_classical(inst, eps, t)[1])
+            qc += _quantum(inst, eps, t)[2]
         assert qc < cp, k

@@ -2,6 +2,7 @@
 against the per-gate reference builder, plus pinned outputs."""
 
 import hashlib
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -77,11 +78,10 @@ class Builder:
 
     With ``record=False`` the builder keeps only running tallies (gate count,
     depth layers, fan-in, ancilla liveness) and never materializes the gate
-    list; ``finish()`` is then unavailable but ``report()`` works.  Segments
-    (``begin_segment``/``end_segment``) collect emitted gates so gadgets can
-    re-emit their own inverse even in tally mode.  ``emit_reversed`` runs an
-    emitter under capture and emits only its gates in reverse, which is the
-    emitter's inverse.
+    list; ``finish()`` is then unavailable but ``report()`` works.  In either
+    mode ``with b.capture() as ops:`` checks the block's gates and holds them
+    in ``ops`` instead of emitting them; ``emit`` and ``emit_inverse`` play
+    them forwards or backwards.
     """
 
     def __init__(self, record: bool = True):
@@ -89,8 +89,7 @@ class Builder:
         self._registers: list[RegisterDecl] = []
         self._n = 0
         self._gates: list[Gate] = []
-        self._segments: list[list[Gate]] = []
-        self._capturing = False
+        self._held: list[list[Gate]] = []
         self._layers: list[int] = []
         self._depth = 0
         self._gate_count = 0
@@ -133,9 +132,8 @@ class Builder:
         self._emit(g)
 
     def _emit(self, g: Gate) -> None:
-        for seg in self._segments:
-            seg.append(g)
-        if self._capturing:
+        if self._held:
+            self._held[-1].append(g)
             return
         self._gate_count += 1
         layers = self._layers
@@ -156,39 +154,39 @@ class Builder:
     def cx(self, control, target: int) -> None:
         self.gate((control,), (target,))
 
-    # -- segment capture / inversion ----------------------------------------
-    def begin_segment(self) -> None:
-        self._segments.append([])
+    # -- capture / inversion ------------------------------------------------
+    @contextmanager
+    def capture(self):
+        ops: list[Gate] = []
+        self._held.append(ops)
+        try:
+            yield ops
+        finally:
+            self._held.pop()
 
-    def end_segment(self) -> list[Gate]:
-        return self._segments.pop()
+    def emit(self, ops: Sequence[Gate]) -> None:
+        for g in ops:
+            self._emit(g)
 
-    def emit_inverse(self, segment: Sequence[Gate]) -> None:
-        for g in reversed(segment):
+    def emit_inverse(self, ops: Sequence[Gate]) -> None:
+        for g in reversed(ops):
             self._emit(g)
 
     def emit_reversed(self, emitter, *args, **kwargs) -> None:
-        """Emit the inverse of ``emitter(self, *args, **kwargs)``.
-
-        The emitter's gates are validated as usual but captured instead of
-        emitted: they reach only segments the emitter opens itself, and no
-        tally, gate list or enclosing segment sees them.  Their reverse is
-        then emitted for real.
-        """
-        outer, capturing = self._segments, self._capturing
-        self._segments, self._capturing = [[]], True
-        try:
+        with self.capture() as ops:
             emitter(self, *args, **kwargs)
-            captured = self._segments[0]
-        finally:
-            self._segments, self._capturing = outer, capturing
-        self.emit_inverse(captured)
+        self.emit_inverse(ops)
+
+    @staticmethod
+    def support(ops: Sequence[Gate]) -> np.ndarray:
+        return np.array(sorted({q for g in ops for q in _support(g)}),
+                        dtype=np.int64)
 
     # -- results --------------------------------------------------------------
-    def finish(self, layout=None) -> Circuit:
+    def finish(self) -> Circuit:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
-        return make_circuit(self._registers, self._gates, layout=layout,
+        return make_circuit(self._registers, self._gates,
                             max_live_ancilla=self._peak_anc)
 
     def report(self) -> CostReport:
@@ -263,11 +261,6 @@ def test_pinned_dumps():
 # the real emitters on the per-gate reference: every memoized call runs
 # inline on global qubits there
 
-def _reference_support(segment) -> np.ndarray:
-    return np.array(sorted({q for g in segment for q in _support(g)}),
-                    dtype=np.int64)
-
-
 @pytest.mark.parametrize("make", ["builder_scan", "builder_blocked"])
 def test_rank_select_emitters_match_reference(make, monkeypatch):
     sizes = list(range(1, 21)) + [33]
@@ -300,7 +293,6 @@ def test_compose_matches_reference(name, monkeypatch):
     got = orc.compose(spec, **kw)
     tally = orc.compose(spec, record=False, **kw)
     monkeypatch.setattr(orc, "Builder", ReferenceBuilder)
-    monkeypatch.setattr(orc, "segment_support", _reference_support)
     ref = orc.compose(spec, **kw)
     assert got.circuit.gates == ref.circuit.gates
     assert _counts(got) == _counts(tally) == _counts(ref)
@@ -376,16 +368,19 @@ def _ladder(b, a, c):
             b.gate([(x, False)], (y,))
 
 
-def _guarded(b, a, c, ctrl):
-    # nested replays, a segment and its inverse, a reversed emitter
-    b.begin_segment()
-    b.call(_ladder, a, c)
-    seg = b.end_segment()
+def _guarded(b, a, c, ctrl, *, play):
+    # nested replays, a capture played forwards (play bit 0) and backwards
+    # (bit 1) around the guarded gates, a reversed emitter
+    with b.capture() as ops:
+        b.call(_ladder, a, c)
+    if play & 1:
+        b.emit(ops)
     held = {q for q, _ in ctrl}
     for y in c:
         if y not in held:
             b.gate(list(ctrl), (y,))
-    b.emit_inverse(seg)
+    if play & 2:
+        b.emit_inverse(ops)
     b.emit_reversed(_ladder, c, a)
     b.call(_ladder, c, a)
 
@@ -413,7 +408,7 @@ def _controls(draw):
 
 @st.composite
 def _op(draw, depth):
-    kinds = ["gate", "call"] + (["segment", "reversed"] if depth else [])
+    kinds = ["gate", "call"] + (["capture", "reversed"] if depth else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "gate":
         qs = draw(st.lists(st.integers(0, N_QUBITS - 1), min_size=1,
@@ -426,14 +421,17 @@ def _op(draw, depth):
         args = [draw(_reg) for _ in range(nregs)]
         if name == "guarded":
             args[2] = draw(_controls())
-        consts = {"k": draw(st.integers(0, 15))} if name == "constant" else {}
+        consts = ({"k": draw(st.integers(0, 15))} if name == "constant"
+                  else {"play": draw(st.integers(0, 3))} if name == "guarded"
+                  else {})
         # replays: the same argument shape under qubit relabellings
         perms = [draw(st.permutations(range(N_QUBITS)))
                  for _ in range(draw(st.integers(0, 2)))]
         return ("call", name, args, consts, perms)
     body = draw(st.lists(_op(depth - 1), max_size=4))
-    if kind == "segment":
-        return ("segment", body, draw(st.booleans()))
+    if kind == "capture":
+        # played forwards, backwards, both or neither
+        return ("capture", body, draw(st.booleans()), draw(st.booleans()))
     return ("reversed", body)
 
 
@@ -452,12 +450,13 @@ def _run(b, ops):
             b.call(emitter, *args, **consts)
             for perm in perms:
                 b.call(emitter, *[_relabel(a, perm) for a in args], **consts)
-        elif op[0] == "segment":
-            b.begin_segment()
-            _run(b, op[1])
-            seg = b.end_segment()
+        elif op[0] == "capture":
+            with b.capture() as ops:
+                _run(b, op[1])
             if op[2]:
-                b.emit_inverse(seg)
+                b.emit(ops)
+            if op[3]:
+                b.emit_inverse(ops)
         else:
             b.emit_reversed(_run, op[1])
 
@@ -521,6 +520,39 @@ def test_validation_names_the_gate_and_the_qubit():
     b.add_register("q", 2, "ancilla")
     with pytest.raises(CircuitError, match=r"_ladder: qubit out of range"):
         b.call(_ladder, (0, 5), ())
+    # a gate flushed inside a capture is numbered as if the open captures'
+    # ops had been emitted where they opened: 5 gates, then x(0), a 2-gate
+    # replay, x(1) and the bad gate 9
+    def overlap(b):
+        b.x(1)
+        b.gate([(2, True)], (2,))
+
+    def body(b):
+        b.x(0)
+        b.call(_ladder, (0, 1, 2), ())
+        overlap(b)
+
+    def captured(b):
+        with b.capture():
+            body(b)
+
+    def nested(b):
+        with b.capture():
+            b.x(0)
+            with b.capture() as ops:
+                b.call(_ladder, (0, 1, 2), ())
+            b.emit(ops)                 # held once, by the outer capture
+            with b.capture():
+                overlap(b)
+
+    for run in (captured, nested, lambda b: b.emit_reversed(body)):
+        b = cq.Builder()
+        b.add_register("q", 3, "ancilla")
+        for _ in range(5):
+            b.x(0)
+        with pytest.raises(CircuitError, match="gate 9: controls and targets "
+                                               "overlap on qubit 2"):
+            run(b)
     # a bad gate inside a fragment names the emitter
     b = cq.Builder()
     q = b.add_register("q", 2, "ancilla")

@@ -104,10 +104,10 @@ def test_flag_less_than_const_exhaustive(w):
 def test_and_ladder_polarities():
     b, (inp, out, scr) = _fresh(("i", 3), ("o", 1), ("s", 2))
     inputs = [(inp[0], True), (inp[1], False), (inp[2], True)]
-    b.begin_segment()
-    and_ladder(b, inputs, out[0], scr)
-    seg = b.end_segment()
-    b.emit_inverse(seg)  # scratch must uncompute; net effect only on out
+    with b.capture() as ops:
+        and_ladder(b, inputs, out[0], scr)
+    b.emit(ops)
+    b.emit_inverse(ops)  # scratch must uncompute; net effect only on out
     # re-apply ladder once more so out keeps the AND value
     and_ladder(b, inputs, out[0], scr)
     want = [1 if (v & 1) and not (v & 2) and (v & 4) else 0 for v in range(8)]
@@ -143,37 +143,41 @@ def test_emit_reversed_gives_exact_inverse():
 
 
 def _self_inverting(b):
-    # opens a segment and emits its inverse, as the Sway evaluation does
-    b.begin_segment()
-    b.x(0)
-    b.cx(0, 1)
-    seg = b.end_segment()
+    # captures a block and plays it around a gate, as the Sway evaluation does
+    with b.capture() as ops:
+        b.x(0)
+        b.cx(0, 1)
+    b.emit(ops)
     b.gate([1], [2])
-    b.emit_inverse(seg)
+    b.emit_inverse(ops)
 
 
-def test_emit_reversed_captures_the_emitters_own_segments():
+def test_emit_reversed_captures_the_emitters_own_captures():
     real, _ = _fresh(("q", 3))
     _self_inverting(real)
     forward = real.finish().gates
     for record in (True, False):
         b = Builder(record=record)
         b.add_register("q", 3, "ancilla")
-        b.begin_segment()
-        b.emit_reversed(_self_inverting)
-        # an enclosing segment receives only the reversed gates: inverting
-        # it alone gives the forward gates back
+        with b.capture() as ops:
+            b.emit_reversed(_self_inverting)
+        # the capture held every gate back, and an enclosing capture
+        # receives only the reversed gates: inverting them alone gives the
+        # forward gates back
+        assert b.report().gate_count == 0 and not b._tape
         probe, _ = _fresh(("q", 3))
-        probe.emit_inverse(b.end_segment())
+        probe.emit_inverse(ops)
         assert probe.finish().gates == forward
+        b.emit(ops)
         assert b.report() == real.report()
         if record:
             assert b.finish().gates == forward.reversed()
     # x(0) followed by its captured inverse is the identity
     def identity(b):
-        b.begin_segment()
-        b.x(0)
-        b.emit_inverse(b.end_segment())
+        with b.capture() as ops:
+            b.x(0)
+        b.emit(ops)
+        b.emit_inverse(ops)
     b, _ = _fresh(("q", 1))
     b.emit_reversed(identity)
     c = b.finish()

@@ -341,6 +341,50 @@ def test_branchwise_rejects_bad_arm_values():
                                  first_moves=first_moves, arm_values=values)
 
 
+def _sway_with_two_arms():
+    spec = small_sway(h=1)
+    return spec, orc.compose(spec, arms=2, first_moves=[0, 3])
+
+
+def test_branchwise_prebuilt_oracle_with_arms_needs_first_moves():
+    spec, oc = _sway_with_two_arms()
+    with pytest.raises(orc.OracleError, match="requires a first_moves table"):
+        orc.branchwise_check(spec, 4, 0, arms=2, arm_values=[0, 1, 0, 1],
+                             oracle=oc)
+
+
+def test_branchwise_prebuilt_oracle_must_have_the_checked_arms():
+    # no false FAIL at config1 from an arm register left at zero
+    spec, oc = _sway_with_two_arms()
+    with pytest.raises(orc.OracleError,
+                       match="composed with arms=2, not arms=0"):
+        orc.branchwise_check(spec, 4, 0, oracle=oc)
+
+
+def test_branchwise_prebuilt_oracle_must_have_the_checked_first_moves():
+    spec, oc = _sway_with_two_arms()
+    with pytest.raises(orc.OracleError,
+                       match=r"places first moves \[0, 3\], not \[1, 2\]"):
+        orc.branchwise_check(spec, 4, 0, arms=2, first_moves=[1, 2],
+                             arm_values=[0, 1, 0, 1], oracle=oc)
+
+
+def test_branchwise_prebuilt_oracle_must_match_the_spec_layout():
+    # no missing-register error from writing round 2's dice
+    oc = orc.compose(small_sway(h=1))
+    with pytest.raises(orc.OracleError,
+                       match="layout differs from spec 'sway' in horizon, "
+                             "config_qubits, selector_qubits, dice_qubits$"):
+        orc.branchwise_check(small_sway(h=2), 4, 0, oracle=oc)
+
+
+def test_branchwise_prebuilt_oracle_must_be_recorded():
+    spec = small_sway(h=1)
+    with pytest.raises(orc.OracleError, match="composed in tally mode"):
+        orc.branchwise_check(spec, 4, 0,
+                             oracle=orc.compose(spec, record=False))
+
+
 def test_arm_layout_adds_register_keeps_selectors():
     spec = small_sir(h=1, m=2)
     base = orc.qubit_cost_formula(spec)
