@@ -12,13 +12,16 @@ span profile) are pure functions of the immutable circuit and require no
 emulation.
 
 The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
-replays of memoized fragments (``Builder.call``): a fragment is recorded
-once on local qubit indices and replayed by a qubit remap, its depth effect
-carried by a max-plus matrix.  A memoized emitter must be a pure function
-of its registers and constants, and must not call ``acquire`` or
-``release``.  A ``Builder.capture()`` block holds its ops back instead of
-emitting them, and ``emit``/``emit_inverse`` play them forwards or
-backwards: compute, use, uncompute.
+replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
+as Python lists, checked and layered in Python, until a table is needed.  A
+fragment is recorded once on local qubit indices and replayed by a qubit
+remap, its depth effect carried by a max-plus matrix; it keeps its recorded
+tape and builds its gate table on first use, so a tally-mode build never
+flattens one.  A memoized emitter must be a pure function of its registers
+and constants, and must not call ``acquire`` or ``release``.  A
+``Builder.capture()`` block holds its ops back instead of emitting them,
+and ``emit``/``emit_inverse`` play them forwards or backwards: compute,
+use, uncompute.
 """
 from __future__ import annotations
 
@@ -135,6 +138,11 @@ class GateTable:
     def max_fan_in(self) -> int:
         return int(self.lens().max()) if len(self) else 0
 
+    def qubit_lists(self) -> list[list[int]]:
+        """Each gate's qubits as a Python list, in gate order."""
+        qubit, ptr = self.qubit.tolist(), self.ptr.tolist()
+        return [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
+
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per gate, as Python lists: entry start offsets (plus the end) and
         the offset where the gate's targets start."""
@@ -188,36 +196,28 @@ def _distinct(qubits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(qubits))
 
 
-def layer(table: GateTable, layers: np.ndarray) -> np.ndarray:
+def layer(gates: Iterable[list[int]], layers: list | np.ndarray):
     """Greedy layering, the one depth rule: each gate, in order, enters the
     layer after the latest one among its qubits.
 
-    ``layers[q]`` is qubit ``q``'s latest layer, one column per origin, and
-    is updated in place.  A zero column gives depth; starting from the
-    max-plus identity (0 on the diagonal, -inf elsewhere) row ``j`` ends as
-    the longest gate chain from each qubit's entry to ``j``'s exit.
-
-    One column (a builder's top level, :func:`cost`) is swept as Python
-    scalars.  Several columns (a fragment being recorded, one per local
-    qubit) update each gate's rows with one numpy ``max(axis=0) + 1``.
+    ``gates`` gives each gate's qubits as a list.  ``layers[q]`` is qubit
+    ``q``'s latest layer and is updated in place.  A Python list (one
+    column: a builder's top level, :func:`cost`) is swept as Python
+    scalars, with no numpy call.  A 2-D array has one column per origin (a
+    fragment being recorded, one per local qubit), and each gate updates its
+    rows with one numpy ``max(axis=0) + 1``: starting from the max-plus
+    identity (0 on the diagonal, -inf elsewhere) row ``j`` ends as the
+    longest gate chain from each qubit's entry to ``j``'s exit.  Each column
+    of an array ends as a list sweep of that column would.
     """
-    if not len(table):
-        return layers
-    qubit = table.qubit.tolist()
-    ptr = table.ptr.tolist()
-    if layers.shape[1] > 1:
-        for a, z in zip(ptr, ptr[1:]):
-            s = qubit[a:z]
+    if isinstance(layers, list):
+        for s in gates:
+            latest = max([layers[q] for q in s]) + 1
+            for q in s:
+                layers[q] = latest
+    else:
+        for s in gates:
             layers[s] = layers[s].max(axis=0) + 1
-        return layers
-    touched = _distinct(table.qubit)
-    rows = dict(zip(touched.tolist(), layers[touched, 0].tolist()))
-    for a, z in zip(ptr, ptr[1:]):
-        s = qubit[a:z]
-        latest = max([rows[q] for q in s]) + 1
-        for q in s:
-            rows[q] = latest
-    layers[touched, 0] = list(rows.values())
     return layers
 
 
@@ -230,9 +230,9 @@ class Circuit:
     :class:`GateTable` (``GateTable.from_gates`` builds one from
     ``(controls, targets)`` pairs); it is validated once, vectorised.  A
     circuit from ``Builder.finish`` is not re-checked (its chunks were
-    validated, and memoized fragments, recorded from pure emitters, stay
-    valid under an injective qubit remap) and carries the depth its builder
-    computed.
+    checked as they were flushed, and memoized fragments, recorded from pure
+    emitters, stay valid under an injective qubit remap) and carries the
+    depth its builder computed.
     """
 
     __slots__ = ("registers", "gates", "total_qubits", "layout",
@@ -315,8 +315,8 @@ def invert(c: Circuit) -> Circuit:
 
 def _depth(c: Circuit) -> int:
     if c._cache.get("depth") is None:
-        layers = layer(c.gates, np.zeros((c.total_qubits, 1)))
-        c._cache["depth"] = int(layers.max()) if c.total_qubits else 0
+        layers = layer(c.gates.qubit_lists(), [0] * c.total_qubits)
+        c._cache["depth"] = max(layers, default=0)
     return c._cache["depth"]
 
 
@@ -567,39 +567,98 @@ def loads(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # builder
 
+def _chunk_is_valid(ptr, qubit, kind, n_qubits: int) -> bool:
+    """Whether ``GateTable(ptr, qubit, kind).validate(n_qubits)`` passes, on
+    the Python lists of a chunk whose gates list their controls before
+    their targets (as ``Builder.gate`` does): every gate ends with a target
+    and holds each qubit once, and every qubit is in range."""
+    if qubit and not (0 <= min(qubit) and max(qubit) < n_qubits):
+        return False
+    for a, z in zip(ptr, ptr[1:]):
+        if z - a < 2:
+            if a == z or kind[a] != TGT:
+                return False
+        elif kind[z - 1] != TGT or len(set(qubit[a:z])) < z - a:
+            return False
+    return True
+
+
+# the widest column slice of one max-plus product inside a recording
+_MAXPLUS_COLUMNS = 64
+
+
 class _Fragment:
-    """A gate table with its tallies.  A memoized fragment is on local qubit
-    indices and carries ``depth``, the max-plus matrix whose entry ``[i, j]``
-    is the longest gate chain from local qubit ``i``'s entry to ``j``'s exit
-    (-inf without one); a chunk of fresh gates is on builder qubits and has
-    no matrix."""
+    """Gates with their tallies (``gates``, ``fan_in``); the gate table, its
+    reversal and the support are built the first time one is needed.
 
-    __slots__ = ("forward", "_backward", "gates", "fan_in", "depth", "chains",
-                 "_support")
+    A chunk of fresh gates is on builder qubits and holds its gates as the
+    Python lists ``(ptr, qubit, kind)`` until its table is built, which
+    drops them.  A memoized fragment is on local qubit indices: it holds
+    its recorded op tape (None in tally mode, which never needs a table)
+    until its table is built, and carries ``depth``, the max-plus matrix
+    whose entry ``[i, j]`` is the longest gate chain from local qubit
+    ``i``'s entry to ``j``'s exit (-inf without one).  A local qubit is in
+    the support iff its own chain ``depth[i, i]`` holds a gate.
+    """
 
-    def __init__(self, table: GateTable, depth: np.ndarray | None = None):
-        self.forward = table
-        self._backward = None
-        self.gates = len(table)
-        self.fan_in = table.max_fan_in()
+    __slots__ = ("gates", "fan_in", "depth", "chains", "_lists", "_tape",
+                 "_forward", "_backward", "_support")
+
+    def __init__(self, gates: int, fan_in: int, depth=None, lists=None,
+                 tape=None):
+        self.gates = gates
+        self.fan_in = fan_in
         self.depth = depth
-        # the matrix forward and transposed (a reversed replay), as
-        # [entry, exit, 1] for broadcasting against the layer columns
-        self.chains = (None if depth is None
-                       else (depth[:, :, None], depth.T.copy()[:, :, None]))
-        self._support = None
+        # the matrix forward and transposed (a reversed replay)
+        self.chains = None if depth is None else (depth, depth.T.copy())
+        self._lists = lists
+        self._tape = tape
+        self._forward = self._backward = self._support = None
+
+    @classmethod
+    def chunk(cls, ptr, qubit, kind) -> "_Fragment":
+        return cls(len(ptr) - 1, max([z - a for a, z in zip(ptr, ptr[1:])]),
+                   lists=(ptr, qubit, kind))
 
     def table(self, reverse: bool) -> GateTable:
+        if self._forward is None:
+            if self._lists is not None:
+                self._forward = GateTable(*self._lists)
+            else:
+                self._forward = _flatten(self._tape)
+            self._lists = self._tape = None
         if not reverse:
-            return self.forward
+            return self._forward
         if self._backward is None:
-            self._backward = self.forward.reversed()
+            self._backward = self._forward.reversed()
         return self._backward
+
+    def gate_qubits(self, reverse: bool) -> list[list[int]]:
+        """A chunk's per-gate qubit lists, in the order they are applied."""
+        if self._lists is None:
+            gates = self._forward.qubit_lists()
+        else:
+            ptr, qubit, _ = self._lists
+            gates = [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
+        return gates[::-1] if reverse else gates
 
     def support(self) -> np.ndarray:
         if self._support is None:
-            self._support = _distinct(self.forward.qubit)
+            if self.depth is not None:
+                self._support = np.flatnonzero(np.diagonal(self.depth) > 0)
+            else:
+                qubit = (self._forward.qubit if self._lists is None
+                         else self._lists[1])
+                self._support = _distinct(np.asarray(qubit))
         return self._support
+
+
+def _flatten(tape) -> GateTable:
+    """One table of an op tape's gates, each replay's table remapped."""
+    return GateTable.concat([
+        frag.table(reverse) if qmap is None
+        else frag.table(reverse).remap(np.array(qmap))
+        for frag, qmap, reverse in tape])
 
 
 def _local_args(shape, index) -> list:
@@ -623,15 +682,19 @@ class Builder:
     """Incremental circuit constructor with cost tallying.
 
     Gates go onto an op tape: chunks of fresh gates (``gate``, ``x``,
-    ``cx``), each validated once, and replays of memoized fragments
-    (``call``).  With ``record=False`` the builder keeps only running
-    tallies (gate count, per-qubit depth layers, fan-in, ancilla liveness);
-    ``finish()`` is then unavailable but ``report()`` works.  In either
-    mode, ``with b.capture() as ops:`` validates the block's ops and holds
-    them in ``ops`` instead of emitting them; ``emit(ops)`` plays them
-    forwards and ``emit_inverse(ops)`` backwards, each op with its direction
-    flipped, so no gate is revisited.  A gate is numbered in errors as if
-    every open capture had been emitted where it opened.
+    ``cx``) and replays of memoized fragments (``call``).  A chunk stays
+    Python lists: it is checked once when flushed (a failing chunk gets
+    ``GateTable.validate``'s error) and, on the top level's one column of
+    depth layers, layered by the scalar sweep of :func:`layer`; a replay
+    there is a 1-D max-plus update.  With ``record=False`` the builder keeps
+    only running tallies (gate count, per-qubit depth layers, fan-in,
+    ancilla liveness) and builds no gate table; ``finish()`` is then
+    unavailable but ``report()`` works.  In either mode, ``with
+    b.capture() as ops:`` checks the block's ops and holds them in ``ops``
+    instead of emitting them; ``emit(ops)`` plays them forwards and
+    ``emit_inverse(ops)`` backwards, each op with its direction flipped, so
+    no gate is revisited.  A gate is numbered in errors as if every open
+    capture had been emitted where it opened.
 
     ``call(emitter, *regs, **consts)`` runs ``emitter(b, *regs, **consts)``
     once per builder for each memo key and replays the recorded fragment on
@@ -646,14 +709,15 @@ class Builder:
     """
 
     def __init__(self, record: bool = True):
-        self._start(record, 0, {}, np.zeros((0, 1)), fragment=False)
+        self._start(record, 0, {}, [], fragment=False)
 
     def _start(self, record, n, memo, layers, fragment) -> None:
         self.record = record
         self._registers: list[RegisterDecl] = []
         self._n = n
         self._memo = memo
-        self._layers = layers          # per-qubit latest layer, per origin
+        self._layers = layers          # per-qubit latest layer: a list, or
+                                       # an array with one column per origin
         self._fragment = fragment      # recording a memoized fragment
         self._tape: list = []          # ops: (fragment, qmap or None, reverse)
         self._held: list[list] = []    # the ops of each open capture
@@ -676,7 +740,7 @@ class Builder:
         self._registers.append(decl)
         qubits = tuple(range(self._n, self._n + width))
         self._n += width
-        self._layers = np.concatenate([self._layers, np.zeros((width, 1))])
+        self._layers.extend([0] * width)
         return qubits
 
     @property
@@ -724,14 +788,21 @@ class Builder:
     def cx(self, control, target: int) -> None:
         self.gate((control,), (target,))
 
-    def _flush(self) -> None:
-        """Turn the pending fresh gates into one validated chunk op."""
-        if len(self._pp) == 1:
-            return
-        table = GateTable(self._pp, self._pq, self._pk)
+    def _drop_pending(self) -> None:
         self._pq, self._pk, self._pp = [], [], [0]
-        table.validate(self._n, first=self._gate_count + self._held_gates)
-        self._apply(_Fragment(table), None, False)
+
+    def _flush(self) -> None:
+        """Turn the pending fresh gates into one checked chunk op.  A chunk
+        that fails the Python check is handed to ``GateTable.validate``,
+        which raises the error that names its first fault."""
+        ptr, qubit, kind = self._pp, self._pq, self._pk
+        if len(ptr) == 1:
+            return
+        self._drop_pending()
+        if not _chunk_is_valid(ptr, qubit, kind, self._n):
+            GateTable(ptr, qubit, kind).validate(
+                self._n, first=self._gate_count + self._held_gates)
+        self._apply(_Fragment.chunk(ptr, qubit, kind), None, False)
 
     def _apply(self, frag: _Fragment, qmap, reverse: bool) -> None:
         if self._held:
@@ -745,13 +816,24 @@ class Builder:
             self._max_fan_in = frag.fan_in
         if not frag.gates:
             return
+        layers = self._layers
         if frag.depth is None:
-            layer(frag.table(reverse), self._layers)
-        else:
-            # exit j's layer: max over entries i of (i's layer + chain[i, j])
-            before = self._layers.take(qmap, axis=0)
-            self._layers[qmap] = np.maximum.reduce(
-                before[:, None, :] + frag.chains[reverse], axis=0)
+            layer(frag.gate_qubits(reverse), layers)
+            return
+        # exit j's layer: max over entries i of (i's layer + chain[i, j])
+        chain = frag.chains[reverse]
+        if not self._fragment:
+            before = np.array([layers[q] for q in qmap])
+            after = np.maximum.reduce(before[:, None] + chain).tolist()
+            for q, v in zip(qmap, after):
+                layers[q] = v
+            return
+        rows = np.array(qmap)
+        before = layers[rows]
+        for a in range(0, before.shape[1], _MAXPLUS_COLUMNS):
+            cols = slice(a, a + _MAXPLUS_COLUMNS)
+            layers[rows, cols] = np.maximum.reduce(
+                before[:, None, cols] + chain[:, :, None])
 
     # -- memoized fragments --------------------------------------------------
     def call(self, emitter, *regs, **consts) -> None:
@@ -786,34 +868,39 @@ class Builder:
         if frag is None:
             frag = self._memo[key] = self._record(
                 emitter, len(distinct), _local_args(shape, index), consts)
-        self._apply(frag, np.fromiter(distinct, np.intp, len(distinct)),
-                    False)
+        self._apply(frag, list(distinct), False)
 
     def _record(self, emitter, k: int, args, consts) -> _Fragment:
         sub = Builder.__new__(Builder)
         identity = np.full((k, k), -np.inf)
         np.fill_diagonal(identity, 0.0)
-        sub._start(True, k, self._memo, identity, fragment=True)
+        sub._start(self.record, k, self._memo, identity, fragment=True)
         try:
             emitter(sub, *args, **consts)
             sub._flush()
         except CircuitError as err:
             name = getattr(emitter, "__qualname__", repr(emitter))
             raise CircuitError(f"{name} (local qubits): {err}") from None
-        return _Fragment(sub._table(), sub._layers.T.copy())
+        return _Fragment(sub._gate_count, sub._max_fan_in,
+                         depth=sub._layers.T.copy(),
+                         tape=sub._tape if self.record else None)
 
     # -- capture / inversion ------------------------------------------------
     @contextmanager
     def capture(self):
         """``with b.capture() as ops:`` holds the block's ops in ``ops``
         instead of emitting them: no tally, gate list or enclosing capture
-        sees them until ``emit`` or ``emit_inverse`` plays them."""
+        sees them until ``emit`` or ``emit_inverse`` plays them.  A block
+        that exits by an exception drops its pending fresh gates."""
         self._flush()
         ops, held = [], self._held_gates
         self._held.append(ops)
         try:
             yield ops
             self._flush()
+        except BaseException:
+            self._drop_pending()
+            raise
         finally:
             self._held.pop()
             self._held_gates = held
@@ -837,26 +924,21 @@ class Builder:
     @staticmethod
     def support(ops) -> np.ndarray:
         """Sorted qubits touched by the gates of captured ops."""
-        parts = [frag.support() if qmap is None else qmap[frag.support()]
+        parts = [frag.support() if qmap is None
+                 else np.array(qmap)[frag.support()]
                  for frag, qmap, _ in ops]
         return (_distinct(np.concatenate(parts)) if parts
                 else np.zeros(0, np.int64))
 
     # -- results --------------------------------------------------------------
-    def _table(self) -> GateTable:
-        return GateTable.concat([
-            frag.table(reverse) if qmap is None
-            else frag.table(reverse).remap(qmap)
-            for frag, qmap, reverse in self._tape])
-
     def _depth(self) -> int:
-        return int(self._layers.max()) if self._n else 0
+        return int(max(self._layers, default=0))
 
     def finish(self) -> Circuit:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
         self._flush()
-        return Circuit._built(self._registers, self._table(), None,
+        return Circuit._built(self._registers, _flatten(self._tape), None,
                               self._peak_anc, self._depth())
 
     def report(self) -> CostReport:

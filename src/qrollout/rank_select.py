@@ -169,18 +169,42 @@ def _scan_cell(b: Builder, mbit, nth_bits, rank_bits, match_bit, scr_bits,
     controlled_increment(b, rank_bits, [(mbit, True)], scr_bits)
 
 
+def _scan_run(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
+              scr_bits, low_out, high_write, *, low) -> None:
+    """An aligned run of 2^r cells, r = ``len(low_out)``: cell ``j`` writes
+    the code whose low r bits are ``j ^ low`` into ``low_out`` and whose
+    high bits are the run's, already set out as the qubits ``high_write``.
+    """
+    for j, mbit in enumerate(mask_bits):
+        b.call(_scan_cell, mbit, nth_bits, rank_bits, match_bit, scr_bits,
+               constant_targets(low_out, j ^ low) + list(high_write))
+
+
 def scan_cells(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
                scr_bits, out_bits) -> None:
     """Per-position compare/write/increment cells (no counter clear pass)
     into an output preloaded with the sentinel N = ``len(mask_bits)``.
 
-    Each cell is one memoized fragment, keyed by the popcount of its code
-    ``i ^ N``: cells whose codes have equally many set bits share it.
+    Cell ``i`` writes the code ``i ^ N``.  The cells go in aligned runs of
+    2^r cells, 2^r the largest power of two up to w = ``len(rank_bits)``
+    (8 at w = 11): in a run the low r code bits take every value and the
+    high ones are fixed, so each run is one memoized ``_scan_run`` keyed by
+    the popcount of its high code bits.  The cells after the last full run
+    are replayed one by one.  Each cell is one memoized ``_scan_cell``,
+    keyed by the popcount of its code, so at most w + 1 cells are recorded.
     """
     sentinel = len(mask_bits)
-    for i, mbit in enumerate(mask_bits):
-        b.call(_scan_cell, mbit, nth_bits, rank_bits, match_bit, scr_bits,
-               constant_targets(out_bits, i ^ sentinel))
+    r = len(rank_bits).bit_length() - 1
+    run = 1 << r
+    full = sentinel - sentinel % run
+    for a in range(0, full, run):
+        b.call(_scan_run, mask_bits[a:a + run], nth_bits, rank_bits,
+               match_bit, scr_bits, out_bits[:r],
+               constant_targets(out_bits[r:], (a ^ sentinel) >> r),
+               low=sentinel % run)
+    for i in range(full, sentinel):
+        b.call(_scan_cell, mask_bits[i], nth_bits, rank_bits, match_bit,
+               scr_bits, constant_targets(out_bits, i ^ sentinel))
 
 
 def _clear_run(b: Builder, mask_bits, rank_bits, scr_bits) -> None:
@@ -193,7 +217,7 @@ def scan_fragment(b: Builder, mask_bits, nth_bits, rank_bits, match_bit,
                   scr_bits, out_bits) -> None:
     """Full self-cleaning scan: preload sentinel, cells, counter clear pass.
 
-    The cells are memoized by the popcount of their codes
+    The cells are replayed in aligned runs of 2^r <= w cells
     (:func:`scan_cells`).  The clear pass decrements the counter once per
     mask bit, top bit first, in runs of w = ``len(rank_bits)`` bits: one
     memoized ``_clear_run`` per run, from the top run down, so it records

@@ -263,7 +263,8 @@ def test_pinned_dumps():
 
 @pytest.mark.parametrize("make", ["builder_scan", "builder_blocked"])
 def test_rank_select_emitters_match_reference(make, monkeypatch):
-    sizes = list(range(1, 21)) + [33]
+    # 64 and 100 end in a full and in a partial run of scan cells
+    sizes = list(range(1, 21)) + [33, 64, 100]
     built = {n: getattr(rs, make)(n) for n in sizes}
     tallies = {n: getattr(rs, make)(n, record=False).report() for n in sizes}
     monkeypatch.setattr(rs, "Builder", ReferenceBuilder)
@@ -328,6 +329,39 @@ def test_scan_records_at_most_two_clear_runs(n, monkeypatch):
     assert len(calls) == (1 if n % w == 0 or n < w else 2)
 
 
+def test_scan_replays_aligned_runs(monkeypatch):
+    top = []
+    real = cq.Builder._apply
+
+    def counting(self, frag, qmap, reverse):
+        if not self._fragment:
+            top.append(frag)
+        return real(self, frag, qmap, reverse)
+
+    monkeypatch.setattr(cq.Builder, "_apply", counting)
+    cells = _counting(monkeypatch, rs, "_scan_cell")
+    n = 1024
+    b = rs.builder_scan(n, record=False)
+    w = rs.width_for(n)
+    run = 1 << (w.bit_length() - 1)
+    assert run == 8
+    # the runs, the clear runs and the sentinel preload
+    assert len(top) <= -(-n // run) + -(-n // w) + 2
+    assert len(cells) <= w + 1
+    assert b.report() == PINNED_REPORTS["scan1024"]
+
+
+def test_tally_builds_never_flatten_a_table(monkeypatch):
+    def concat(tables):
+        raise AssertionError("a tally-mode build flattened a table")
+
+    monkeypatch.setattr(cq.GateTable, "concat", staticmethod(concat))
+    rs.builder_scan(100, record=False).report()
+    rs.builder_blocked(100, record=False).report()
+    orc.compose(dm.sway_spec(dm.SwayConfig(3, 2)), record=False)
+    orc.compose(dm.sir_spec(dm.SirConfig(2, 2, 1)), record=False)
+
+
 _layer_value = st.one_of(st.just(-np.inf), st.integers(0, 6).map(float))
 
 
@@ -349,9 +383,66 @@ def _table_and_layers(draw):
 @given(_table_and_layers())
 def test_layer_columns_are_independent_runs(case):
     table, layers = case
-    want = np.hstack([cq.layer(table, layers[:, [j]].copy())
+    gates = table.qubit_lists()
+    want = np.hstack([cq.layer(gates, layers[:, [j]].copy())
                       for j in range(layers.shape[1])])
-    np.testing.assert_array_equal(cq.layer(table, layers.copy()), want)
+    np.testing.assert_array_equal(cq.layer(gates, layers.copy()), want)
+    # the scalar sweep of a list column agrees with the numpy rows
+    for j in range(layers.shape[1]):
+        assert cq.layer(gates, layers[:, j].tolist()) == want[:, j].tolist()
+
+
+# ---------------------------------------------------------------------------
+# the builder's chunk check against GateTable.validate
+
+@st.composite
+def _chunks(draw):
+    """A first gate number, a qubit count and a chunk of gates in the
+    builder's form (controls before targets): valid ones, and ones with any
+    mix of gates without targets, qubits out of range, duplicate qubits and
+    controls that are also targets."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        qubit = st.integers(-1, n)
+        gates = draw(st.lists(st.tuples(
+            st.lists(st.tuples(qubit, st.booleans()), max_size=3),
+            st.lists(qubit, max_size=3)), min_size=1, max_size=6))
+    else:
+        gates = []
+        for _ in range(draw(st.integers(1, 6))):
+            qs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                               unique=True))
+            nt = draw(st.integers(1, len(qs)))
+            gates.append(([(q, draw(st.booleans())) for q in qs[nt:]],
+                          qs[:nt]))
+    return draw(st.integers(0, 20)), n, gates
+
+
+def _error(f):
+    try:
+        f()
+    except CircuitError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chunks())
+def test_chunk_check_matches_validate(case):
+    first, n, gates = case
+    table = cq.GateTable.from_gates(gates)
+    want = _error(lambda: table.validate(n, first))
+    lists = table.ptr.tolist(), table.qubit.tolist(), table.kind.tolist()
+    assert cq._chunk_is_valid(*lists, n) == (want is None)
+    # through the builder: the chunk flushed after `first` valid gates
+    b = cq.Builder(record=False)
+    b.add_register("q", n, "ancilla")
+    for _ in range(first):
+        b.x(0)
+    assert b.gate_count == first
+    for controls, targets in gates:
+        b.gate(controls, targets)
+    assert _error(b.report) == want
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +574,30 @@ def test_builder_matches_reference(ops):
             assert cq.cost(cq.loads(cq.dumps(c))) == ref.report()
 
 
+def _wide(b, a):
+    # replays, forwards and reversed, across every column of a recording
+    for i in range(len(a) - 3):
+        b.call(_ladder, a[i:i + 2], a[i + 2:i + 4])
+    with b.capture() as ops:
+        for i in range(0, len(a) - 9, 5):
+            b.call(_ladder, a[i + 9:i + 6:-1], a[i:i + 3])
+    b.emit_inverse(ops)
+    _ladder(b, a[::7], a[1::7])
+
+
+def test_recorded_chains_match_layering_the_fragments_gates():
+    k = 150                       # wider than one max-plus column slice
+    b = cq.Builder()
+    q = b.add_register("q", k, "ancilla")
+    b.call(_wide, q)
+    (frag,) = [f for key, f in b._memo.items() if key[0] is _wide]
+    identity = np.full((k, k), -np.inf)
+    np.fill_diagonal(identity, 0.0)
+    want = cq.layer(frag.table(False).qubit_lists(), identity).T
+    np.testing.assert_array_equal(frag.depth, want)
+    np.testing.assert_array_equal(frag.support(), np.arange(k))
+
+
 def test_replays_reuse_one_fragment():
     b = cq.Builder(record=False)
     q = b.add_register("q", 6, "ancilla")
@@ -490,6 +605,22 @@ def test_replays_reuse_one_fragment():
         b.call(_ladder, q[shift:shift + 2], q[shift + 2:shift + 4])
     b.call(_ladder, q[:2], q[1:3])          # aliased: its own fragment
     assert len(b._memo) == 2
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_capture_left_by_an_exception_drops_its_pending_gates(record):
+    b = cq.Builder(record=record)
+    b.add_register("q", 3, "ancilla")
+    b.x(0)
+    with pytest.raises(RuntimeError):
+        with b.capture():
+            b.cx(0, 1)
+            raise RuntimeError("abandoned block")
+    b.x(2)
+    assert b.report().gate_count == 2
+    if record:
+        assert b.finish().gates == cq.GateTable.from_gates([((), (0,)),
+                                                            ((), (2,))])
 
 
 def test_memoized_emitter_must_not_touch_liveness():
