@@ -252,7 +252,8 @@ def cmd_bounds_lifting(args) -> int:
     spec = _make_spec(args.domain, args.m, args.H, args.T, args.rho)
     board = _load_board(args, args.domain, args.m)
     arms = args.arms
-    valid = int((dm.board_codes(board, spec.n_cells) == dm.EMPTY).sum())
+    codes = dm.board_codes(board, spec.n_cells)
+    valid = int((codes == dm.EMPTY).sum())
     if arms > valid:
         raise _UsageError(f"argument --arms: {arms} arms need {arms} valid "
                           f"cells, the initial board has {valid}")
@@ -262,7 +263,7 @@ def cmd_bounds_lifting(args) -> int:
     gaps = [values[best] - v for j, v in enumerate(values) if j != best]
     eps = max(min(gaps) / 3.0 * 0.99, 1e-6)
     ps = bd.peripheral_set(args.m, args.H)
-    cfg = tuple(dm.cell(board, i) for i in range(spec.n_cells))
+    cfg = tuple(codes.tolist())
     witness = bd.LiftingWitness(
         n_factors=spec.n_cells, alphabet=(0, 1, 2), base_config=cfg,
         best_arm=best, eps=eps,
@@ -306,10 +307,10 @@ def cmd_tables_correctness(args) -> int:
         rep = oc.report
         p, half = dm.sample_payoff(spec, board, shots=args.shots,
                                    seed=args.seed)
-        if 3 ** spec.n_cells <= dm.DP_STATE_BUDGET:
+        try:
             exact = dm.exact_value(spec, board)
             prov = "dp-exact"
-        else:
+        except dm.BudgetError:
             exact, _ = dm.sample_payoff(spec, board, shots=args.ref_shots,
                                         seed=args.seed + 1)
             prov = f"mc-ref({args.ref_shots})"

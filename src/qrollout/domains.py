@@ -377,9 +377,14 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
 # ---------------------------------------------------------------------------
 # array rollouts: one row per branch, one int8 code per cell
 
-def board_codes(board: int, n: int) -> np.ndarray:
-    """A packed board as an (n,) int8 code array."""
-    return np.array([cell(board, i) for i in range(n)], dtype=np.int8)
+def board_codes(boards, n: int) -> np.ndarray:
+    """Packed boards as int8 codes, cell ``i`` from bits ``2i`` and
+    ``2i + 1``: a Python int of any width gives an (n,) array, an int64
+    array of boards a (rows, n) array."""
+    if np.ndim(boards) == 0:
+        # an object scalar: a board in [2^63, 2^64) would become uint64
+        boards = np.array(int(boards), dtype=object)
+    return ((boards[..., None] >> 2 * np.arange(n)) & 3).astype(np.int8)
 
 
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
@@ -460,11 +465,6 @@ _SPLIT_ROWS = 1 << 18   # outcome rows per block: bounds the split's memory
 _CANON_ROWS = 1 << 14   # boards per block of images: bounds their memory
 
 
-def _unpack(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """int64 packed boards as a (rows, N) code array."""
-    return ((states[:, None] >> shift) & 3).astype(np.int8)
-
-
 def _merge(states: np.ndarray, probs: np.ndarray):
     """Sum the mass of equal boards: sorted distinct boards and their mass."""
     order = np.argsort(states, kind="stable")
@@ -480,25 +480,25 @@ def _canonical(states: np.ndarray, perms) -> np.ndarray:
     of a block of boards are one product of codes and powers of 4."""
     if perms is None:
         return states
-    shift = 2 * np.arange(perms.shape[1], dtype=np.int64)
-    place = (1 << shift)[np.argsort(perms, axis=1)].T    # (N, G)
+    n = perms.shape[1]
+    place = (1 << 2 * np.arange(n))[np.argsort(perms, axis=1)].T    # (N, G)
     least = np.empty_like(states)
     for lo in range(0, states.size, _CANON_ROWS):
-        codes = (states[lo:lo + _CANON_ROWS, None] >> shift) & 3
+        codes = board_codes(states[lo:lo + _CANON_ROWS], n)
         least[lo:lo + _CANON_ROWS] = (codes @ place).min(axis=1)
     return least
 
 
-def _select_pass(states, probs, shift, strings: int, code: int,
+def _select_pass(states, probs, n: int, strings: int, code: int,
                  perms=None):
-    """Mix each board uniformly over the selector's strings: 1/strings of
-    its mass to each valid placement, the rest stays (sentinel no-op).
-    Placed boards are canonicalised before the one merge."""
-    valid = _unpack(states, shift) == EMPTY
+    """Mix each ``n``-cell board uniformly over the selector's strings:
+    1/strings of its mass to each valid placement, the rest stays (sentinel
+    no-op).  Placed boards are canonicalised before the one merge."""
+    valid = board_codes(states, n) == EMPTY
     row, pos = np.nonzero(valid)
     inv = 1.0 / strings
     stay = (strings - valid.sum(axis=1)) * inv
-    placed = _canonical(states[row] + (code << shift[pos]), perms)
+    placed = _canonical(states[row] + (code << 2 * pos), perms)
     return _merge(np.concatenate((states, placed)),
                   np.concatenate((probs * stay, probs[row] * inv)))
 
@@ -510,11 +510,11 @@ def transition_distribution(spec: RolloutSpec, states: np.ndarray,
     their mass.  Every pre-board reads ``flip_law`` once, then splits cell
     by cell into its outcome rows, each row carrying its pre-board's
     index."""
-    shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
-    codes = _unpack(states, shift)
+    codes = board_codes(states, spec.n_cells)
     threshold, alt = spec.flip_law(codes)
     flip = threshold / spec.faces
-    step = (alt.astype(np.int64) - codes) << shift   # a flip's packed change
+    # a flip's packed change
+    step = (alt.astype(np.int64) - codes) << 2 * np.arange(spec.n_cells)
     fan = np.cumsum(1 << (flip > 0).sum(axis=1))      # outcome rows so far
     cuts = np.flatnonzero(np.diff(fan // _SPLIT_ROWS)) + 1
     parts = []
@@ -542,7 +542,7 @@ def _terminal_value(spec: RolloutSpec, states: np.ndarray,
     rows)`` array, convolved cell by cell; no outcome board is formed."""
     n = spec.n_cells
     weight = np.asarray(spec.count_weights, dtype=np.int64)
-    codes = _unpack(states, 2 * np.arange(n, dtype=np.int64))
+    codes = board_codes(states, n)
     threshold, alt = spec.flip_law(codes)
     step = weight[alt] - weight[codes]            # a flip's count change
     flip = np.where(step != 0, threshold / spec.faces, 0.0)
@@ -583,7 +583,6 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
         raise BudgetError(f"state space 3^{n} exceeds budget {budget}")
     if n > 31:
         raise BudgetError(f"{n} cells do not pack into an int64 board")
-    shift = 2 * np.arange(n, dtype=np.int64)
     skip = first_move is not None and spec.horizon > 0
     if skip:
         board0 = place_first_move(spec, board0, first_move)
@@ -594,8 +593,7 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if not (skip and h == pj == 0):
-                states, probs = _select_pass(states, probs, shift,
-                                             1 << spec.w,
+                states, probs = _select_pass(states, probs, n, 1 << spec.w,
                                              spec.placed_code(pj), perms)
         if h < spec.horizon - 1:
             states, probs = transition_distribution(spec, states, probs,

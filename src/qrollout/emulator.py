@@ -5,6 +5,9 @@ A basis state assigns one bit per circuit qubit.  States run bit-sliced on a
 input row, so one AND per control and one XOR per target apply a gate to all
 rows at once (Biham, "A fast new DES implementation in software", FSE 1997).
 A single state is a one-row batch.  Circuits of any width emulate exactly.
+Values meet columns in one pair, :func:`write_qubits` and
+:func:`read_qubits`: bit ``k`` of a row's value is the ``k``-th qubit of a
+qubit list, and a register is the list of its qubits.
 Every basis state of ``k`` qubits is one batch of counting columns
 (:func:`counting_batch`), built without encoding a row.
 
@@ -102,10 +105,7 @@ def apply_batch(c: Circuit, batch: Batch) -> Batch:
 
 
 # ---------------------------------------------------------------------------
-# register codec: a register is a contiguous range of a batch's columns
-
-_LIMB = 63      # widest register that fits one int64 value
-
+# register codec: values meet columns only in write_qubits and read_qubits
 
 def _pack(bits: np.ndarray) -> int:
     """One column from a uint8 0/1 value per row."""
@@ -119,18 +119,37 @@ def _unpack(col: int, rows: int) -> np.ndarray:
     return np.unpackbits(raw, count=rows, bitorder="little")
 
 
-def _write_range(batch: Batch, lo: int, width: int, values: np.ndarray) -> None:
-    """Write int64 values, or an int64 scalar, into qubits lo..lo+width-1."""
-    if values.ndim == 0:
-        full = (1 << batch.rows) - 1
-        for k in range(width):
-            batch.cols[lo + k] = full if (int(values) >> k) & 1 else 0
+def write_qubits(batch: Batch, qubits, values) -> None:
+    """Write a value into ``qubits`` of every row, in place: bit ``k`` of a
+    row's value goes to ``qubits[k]``.  ``values`` is one value per row, or
+    a scalar written to every row, each in ``[0, 2^len(qubits))``; unlike
+    :func:`write_register`, nothing is checked."""
+    if np.ndim(values) == 0:
+        value, full = int(values), (1 << batch.rows) - 1
+        for k, q in enumerate(qubits):
+            batch.cols[q] = full if (value >> k) & 1 else 0
         return
-    # the narrowest unsigned type keeps the low ``width`` bits and makes
-    # each per-bit pass touch fewer bytes
-    values = values.astype(np.min_scalar_type((1 << width) - 1))
-    for k in range(width):
-        batch.cols[lo + k] = _pack((values >> k).astype(np.uint8) & 1)
+    # the narrowest unsigned type keeps the low bits and makes each
+    # per-bit pass touch fewer bytes.  Python ints carry 64 bits and more:
+    # numpy reads a list mixing ints above and below 2^63 as float64.
+    width = len(qubits)
+    values = (np.asarray(values).astype(np.min_scalar_type((1 << width) - 1))
+              if width < 64 else np.array(values, dtype=object))
+    for k, q in enumerate(qubits):
+        batch.cols[q] = _pack(((values >> k) & 1).astype(np.uint8,
+                                                         copy=False))
+
+
+def read_qubits(batch: Batch, qubits) -> np.ndarray:
+    """The value of ``qubits`` in every row, bit ``k`` from ``qubits[k]``:
+    an int64 array up to 63 qubits, an object array of Python ints
+    above."""
+    width = len(qubits)
+    dtype = np.min_scalar_type((1 << width) - 1) if width < 64 else object
+    out = np.zeros(batch.rows, dtype=dtype)
+    for k, q in enumerate(qubits):
+        out |= _unpack(batch.cols[q], batch.rows).astype(dtype) << k
+    return out.astype(np.int64) if width < 64 else out
 
 
 # byte ``q`` holds bit ``q`` of each of its eight row indices
@@ -156,15 +175,6 @@ def counting_batch(c: Circuit, qubits) -> Batch:
     return batch
 
 
-def _read_range(batch: Batch, lo: int, width: int) -> np.ndarray:
-    """The int64 value of qubits lo..lo+width-1 in every row."""
-    dtype = np.min_scalar_type((1 << width) - 1)
-    out = np.zeros(batch.rows, dtype=dtype)
-    for k in range(width):
-        out |= _unpack(batch.cols[lo + k], batch.rows).astype(dtype) << k
-    return out.astype(np.int64)
-
-
 def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
     """Write a register's value into every row of a batch, in place.
 
@@ -175,9 +185,9 @@ def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
     :class:`EmulationError`.
     """
     qubits = c.register(name)
-    lo, width = qubits[0], len(qubits)
+    width = len(qubits)
     try:
-        values = np.asarray(values, dtype=np.int64 if width <= _LIMB else object)
+        values = np.asarray(values, dtype=np.int64 if width < 64 else object)
     except OverflowError:
         raise EmulationError(f"register {name!r}: value does not fit "
                              f"{width} bits") from None
@@ -190,39 +200,13 @@ def write_register(batch: Batch, c: Circuit, name: str, values) -> None:
             raise EmulationError(f"register {name!r}: value "
                                  f"{low if low < 0 else high} does not fit "
                                  f"{width} bits")
-    if width <= _LIMB:
-        _write_range(batch, lo, width, values)
-        return
-    for k in range(0, width, _LIMB):
-        limb = (values >> k) & ((1 << _LIMB) - 1)
-        _write_range(batch, lo + k, min(_LIMB, width - k),
-                     np.asarray(limb, dtype=np.int64))
-
-
-def write_bits(batch: Batch, c: Circuit, name: str, bits: np.ndarray) -> None:
-    """Write a register from a ``(rows, width)`` 0/1 array, in place: bit
-    ``k`` of the register in row ``r`` is ``bits[r, k]``.  Any width takes
-    this form, so wide registers need no Python ints."""
-    qubits = c.register(name)
-    if bits.shape != (batch.rows, len(qubits)):
-        raise EmulationError(f"register {name!r}: bits of shape {bits.shape} "
-                             f"for {batch.rows} rows of {len(qubits)} bits")
-    for k, q in enumerate(qubits):
-        batch.cols[q] = _pack(bits[:, k])
+    write_qubits(batch, qubits, values)
 
 
 def read_register(batch: Batch, c: Circuit, name: str) -> np.ndarray:
     """A register's value in every row of a batch: an int64 array for
     registers up to 63 bits, an object array of Python ints above."""
-    qubits = c.register(name)
-    lo, width = qubits[0], len(qubits)
-    if width <= _LIMB:
-        return _read_range(batch, lo, width)
-    out = np.zeros(batch.rows, dtype=object)
-    for k in range(0, width, _LIMB):
-        out |= _read_range(batch, lo + k,
-                           min(_LIMB, width - k)).astype(object) << k
-    return out
+    return read_qubits(batch, c.register(name))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +282,10 @@ class InputDistribution:
         batch = Batch.zeros(c, faces.shape[0])
         for name, val in self.fixed.items():
             write_register(batch, c, name, val)
-        for f, (name, _, lo, width) in enumerate(self.fields):
-            qubits = c.register(name)
-            # faces fit int64, so bits above the 63rd stay zero
-            _write_range(batch, qubits[0] + lo,
-                         min(_LIMB, len(qubits) if width is None else width),
-                         faces[:, f])
+        for f, (name, d, lo, _) in enumerate(self.fields):
+            # a face is below D, so the field's higher qubits stay 0
+            qubits = c.register(name)[lo:lo + (d - 1).bit_length()]
+            write_qubits(batch, qubits, faces[:, f])
         return batch
 
     def enumerate_chunks(self, c: Circuit, chunk: int = 1 << 16):
@@ -465,9 +447,8 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
         qubits = range(n)
         if not _round_trip(c, counting_batch(c, qubits)):
             return BijectiveReport(True, "exhaustive")
-        # row i is basis state i; registers tile the qubits, so the whole
-        # state is one range of the codec
-        outs = _read_range(apply_batch(c, counting_batch(c, qubits)), 0, n)
+        # row i is basis state i
+        outs = read_qubits(apply_batch(c, counting_batch(c, qubits)), qubits)
         counts = np.bincount(outs, minlength=1 << n)
         if counts.max() <= 1:
             return BijectiveReport(True, "exhaustive")

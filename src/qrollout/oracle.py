@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Builder, Circuit, CostReport
 from .emulator import (InputDistribution, apply_batch, first_row,
-                       write_bits, write_register)
+                       write_qubits, write_register)
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -272,35 +272,29 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
         with b.capture() as prep:
             copy_register(b, configs[hh], board_mid)
             emit_mask(board_mid)
-            scans: list[list | None] = []
+            # per pass: its scan ops, the register it decodes, the cells
+            # that register picks among (the arm picks its first moves)
+            passes = []
             for pj in range(p):
-                cells = [board_mid[j * s + spec.placement_bit(pj)]
-                         for j in range(n)]
-                clear = vmask if pj < p - 1 else ()
                 if hh == 0 and pj == 0 and arms:
-                    scans.append(None)
-                    for a in range(arms):
-                        pos = first_moves[a]
-                        b.gate(_pattern(arm_bits, a), (cells[pos], clear[pos])
-                               if clear else (cells[pos],))
+                    scan, src, pick = [], arm_bits, first_moves[:arms]
                 else:
                     with b.capture() as scan:
                         b.call(scan_fragment, vmask, sels[hh][pj], rank,
                                match, scr, outs[pj])
                     b.emit(scan)
-                    scans.append(scan)
-                    _decode(b, outs[pj], cells, clear)
+                    src, pick = outs[pj], range(n)
+                passes.append((scan, src, pick))
+                cells = [board_mid[j * s + spec.placement_bit(pj)]
+                         for j in pick]
+                clear = [vmask[j] for j in pick] if pj < p - 1 else ()
+                _decode(b, src, cells, clear)
             for pj in range(p - 1, -1, -1):
-                if scans[pj] is not None:
-                    b.emit_inverse(scans[pj])
+                b.emit_inverse(passes[pj][0])
                 if pj > 0:
-                    # restore the mask bit cleared by pass pj-1's decode
-                    if scans[pj - 1] is None:
-                        for a in range(arms):
-                            b.gate(_pattern(arm_bits, a),
-                                   (vmask[first_moves[a]],))
-                    else:
-                        _decode(b, outs[pj - 1], vmask, ())
+                    # restore the mask bits cleared by pass pj-1's decode
+                    _, src, pick = passes[pj - 1]
+                    _decode(b, src, [vmask[j] for j in pick], ())
             emit_mask(configs[hh])             # clears: same values as staging
         b.emit(prep)
         g1 = b.gate_count
@@ -474,10 +468,10 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
                                                    faces[mine], move)):
             codes[hh, mine] = board
     expected = batch.copy()
-    bit = np.arange(s, dtype=np.int8)
     for hh in range(1, h + 1):
-        bits = (codes[hh, :, :, None] >> bit) & 1
-        write_bits(expected, c, f"config{hh}", bits.reshape(rows, n * s))
+        config = c.register(f"config{hh}")
+        for i in range(n):
+            write_qubits(expected, config[i * s:(i + 1) * s], codes[hh, :, i])
     write_register(expected, c, "payoff", spec.array_eval(codes[h]))
     outs = apply_batch(c, batch)
 

@@ -245,7 +245,6 @@ def array_exact_value(spec, board0: int, first_move=None) -> float:
     """Exact payoff probability by the array DP on every board: each
     transition, the last one included, splits each board into its outcome
     rows, and ``array_eval`` reads the final boards."""
-    shift = 2 * np.arange(spec.n_cells, dtype=np.int64)
     skip = first_move is not None and spec.horizon > 0
     if skip:
         board0 = place_first_move(spec, board0, first_move)
@@ -253,11 +252,11 @@ def array_exact_value(spec, board0: int, first_move=None) -> float:
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             if not (skip and h == pj == 0):
-                states, probs = dm._select_pass(states, probs, shift,
+                states, probs = dm._select_pass(states, probs, spec.n_cells,
                                                 1 << spec.w,
                                                 spec.placed_code(pj))
         states, probs = dm.transition_distribution(spec, states, probs)
-    final = dm._unpack(states, shift)
+    final = dm.board_codes(states, spec.n_cells)
     return float(probs[spec.array_eval(final) == 1].sum())
 
 

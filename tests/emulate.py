@@ -35,13 +35,12 @@ def bijective_by_count(c) -> em.BijectiveReport:
     """Referee for exhaustive ``check_bijective``: decode the circuit's
     output on every basis state and count each output.  A failure names
     the least output that two inputs reach and its first two inputs."""
-    n = c.total_qubits
-    # row i is basis state i; registers tile the qubits, so the whole
-    # state is one range of the codec
-    rows = 1 << n
+    qubits = range(c.total_qubits)
+    # row i is basis state i
+    rows = 1 << len(qubits)
     batch = em.Batch.zeros(c, rows)
-    em._write_range(batch, 0, n, np.arange(rows, dtype=np.int64))
-    outs = em._read_range(em.apply_batch(c, batch), 0, n)
+    em.write_qubits(batch, qubits, np.arange(rows))
+    outs = em.read_qubits(em.apply_batch(c, batch), qubits)
     counts = np.bincount(outs, minlength=rows)
     if counts.max() <= 1:
         return em.BijectiveReport(True, "exhaustive")

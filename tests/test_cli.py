@@ -142,11 +142,23 @@ def test_manifest_reproducible_byte_identical(tmp_path):
     assert manifest["seed"] == 99
 
 
-def test_bestarm_separate_matches_its_golden_file(capsys):
-    golden = Path(__file__).parent / "golden" / "bestarm_separate_seed1.csv"
-    assert cli.run(["bestarm", "separate", "--k", "4,8,16", "--eps",
-                    "0.08,0.04", "--trials", "40", "--seed", "1"]) == 0
-    assert capsys.readouterr().out == golden.read_text()
+GOLDEN_RUNS = {
+    "bestarm_separate_seed1.csv": "bestarm separate --k 4,8,16 "
+                                  "--eps 0.08,0.04 --trials 40 --seed 1",
+    "oracle_validate_epi_m2_H1.csv": "oracle validate --domain epi --m 2 "
+                                     "--H 1 --T 1 --seeds 50 --seed 1",
+    # 72-bit config registers, wider than an int64
+    "oracle_validate_sway_m6_H1.csv": "oracle validate --domain sway --m 6 "
+                                      "--H 1 --seeds 20 --seed 1",
+    "ranksel_validate_n6.txt": "ranksel validate --n 6",
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_RUNS)
+def test_cli_output_matches_its_golden_file(golden, capsys):
+    path = Path(__file__).parent / "golden" / golden
+    assert cli.run(GOLDEN_RUNS[golden].split()) == 0
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_oracle_build_dump_roundtrips(tmp_path):

@@ -203,6 +203,21 @@ def _pack(codes) -> int:
     return sum(int(c) << (2 * i) for i, c in enumerate(codes))
 
 
+def test_board_codes_unpacks_ints_of_any_width_and_int64_arrays():
+    rng = random.Random(19)
+    for n in (1, 9, 31, 32, 36):
+        codes = [[rng.randrange(3) for _ in range(n)] for _ in range(5)]
+        # the last cell at code 2: at n = 32 a board in [2^63, 2^64)
+        codes.append([0] * (n - 1) + [2])
+        for row in codes:
+            got = dm.board_codes(_pack(row), n)
+            assert got.dtype == np.int8 and got.tolist() == row
+        if n <= 31:
+            boards = np.array([_pack(row) for row in codes], dtype=np.int64)
+            got = dm.board_codes(boards, n)
+            assert got.dtype == np.int8 and got.tolist() == codes
+
+
 def test_kernel_against_bruteforce_dice_2x2():
     # the array transition distribution must equal brute-force enumeration
     # of all dice on a 2x2 SIR grid

@@ -169,6 +169,27 @@ def test_register_codec_round_trip(width, data):
     assert [int(v) for v in em.read_register(batch, c, "r")] == \
         [scalar] * len(values)
     assert _row_values(_row_bits(batch)) == [scalar << pad] * len(values)
+    # the qubit-list pair on a non-contiguous, unordered list: bit k of a
+    # row's value lands on qubits[k], and every other qubit keeps its bit
+    order = data.draw(st.permutations(range(c.total_qubits)))
+    qubits = order[:data.draw(st.integers(0, len(order)))]
+    values = data.draw(st.lists(st.integers(0, 2 ** len(qubits) - 1),
+                                min_size=batch.rows, max_size=batch.rows))
+    want = _row_bits(batch)
+    for k, q in enumerate(qubits):
+        want[:, q] = [(v >> k) & 1 for v in values]
+    em.write_qubits(batch, qubits, values)
+    assert np.array_equal(_row_bits(batch), want)
+    assert [int(v) for v in em.read_qubits(batch, qubits)] == values
+
+
+def test_write_qubits_keeps_wide_ints_in_a_list_exact():
+    # numpy reads [0, 2**63] as float64; the writer must not
+    batch = em.Batch(3, [0] * 70)
+    for width in (64, 70):
+        values = [0, 2 ** 63, 2 ** width - 1]
+        em.write_qubits(batch, range(width), values)
+        assert [int(v) for v in em.read_qubits(batch, range(width))] == values
 
 
 def test_write_register_rejects_values_that_do_not_fit():
@@ -430,7 +451,7 @@ def test_bijective_pass_decodes_no_rows(monkeypatch):
     def no_decode(*args):
         raise AssertionError("a passing check decoded rows")
 
-    monkeypatch.setattr(em, "_read_range", no_decode)
+    monkeypatch.setattr(em, "read_qubits", no_decode)
     rep = em.check_bijective(rs.build_scan(3))
     assert rep.passed and rep.mode == "exhaustive"
     rep = em.check_bijective(rs.build_scan(3), samples=300, exhaustive_limit=0)
@@ -570,6 +591,25 @@ def test_law_enumeration_visits_each_face_tuple_once(cl, chunk):
     assert len(seen) == total
     assert sorted(seen) == sorted(itertools.product(
         *(range(d) for _, d, _, _ in law.fields)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 30), st.integers(0, 2**64 - 1))
+def test_law_writes_only_the_qubits_a_face_needs(fields, shots, seed):
+    # a face below D = 3 fits the low 2 qubits of its 4-qubit field; the
+    # high 2 stay 0, so each field decodes back to its drawn face
+    c = make_circuit([RegisterDecl("pad", 2, "ancilla"),
+                      RegisterDecl("dice", 4 * fields, "dice")], [])
+    law = em.InputDistribution(uniform={"dice": (3, 4)},
+                               widths={"dice": 4 * fields})
+    faces = law.draw(shots, seed)
+    batch = law.sample(c, shots, seed)
+    dice = c.register("dice")
+    for f in range(fields):
+        field = dice[4 * f:4 * f + 4]
+        assert em.read_qubits(batch, field).tolist() == faces[:, f].tolist()
+        assert batch.cols[field[2]] == batch.cols[field[3]] == 0
+    assert em.read_register(batch, c, "pad").tolist() == [0] * shots
 
 
 def test_law_whole_register_enumeration_order_unchanged():
