@@ -258,7 +258,14 @@ def cmd_bounds_lifting(args) -> int:
         raise _UsageError(f"argument --arms: {arms} arms need {arms} valid "
                           f"cells, the initial board has {valid}")
     moves = dm.default_first_moves(spec, board, arms)
-    values = dm.arm_means(spec, board, arms, first_moves=moves)
+    lines = [_manifest(args)]
+    try:
+        # the DP budget depends on the cell count only, so members fit too
+        values = dm.arm_means(spec, board, arms, first_moves=moves)
+    except dm.BudgetError as exc:
+        lines.append(f"error: {exc}")
+        _emit(args, lines)
+        return 1
     best = max(range(arms), key=lambda j: values[j])
     gaps = [values[best] - v for j, v in enumerate(values) if j != best]
     eps = max(min(gaps) / 3.0 * 0.99, 1e-6)
@@ -279,12 +286,11 @@ def cmd_bounds_lifting(args) -> int:
 
     rep = bd.check_lifting(witness, sample_count=args.samples,
                            value_oracle=value_oracle, seed=args.seed)
-    lines = [_manifest(args),
-             f"family_size,{rep.family_size}",
-             f"members_checked,{rep.members_checked}",
-             f"structural_ok,{rep.structural_ok}",
-             f"optimality_failures,{rep.optimality_failures}",
-             f"result,{'PASS' if rep.passed else 'FAIL'}"]
+    lines += [f"family_size,{rep.family_size}",
+              f"members_checked,{rep.members_checked}",
+              f"structural_ok,{rep.structural_ok}",
+              f"optimality_failures,{rep.optimality_failures}",
+              f"result,{'PASS' if rep.passed else 'FAIL'}"]
     if rep.failure_reason:
         lines.append(f"reason,{rep.failure_reason}")
     _emit(args, lines)

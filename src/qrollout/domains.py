@@ -101,9 +101,6 @@ class SirConfig:
 # ---------------------------------------------------------------------------
 # boards and grids
 
-def cell(board: int, i: int) -> int:
-    return (board >> (2 * i)) & 3
-
 def set_cell(board: int, i: int, code: int) -> int:
     return (board & ~(3 << (2 * i))) | (code << (2 * i))
 
@@ -201,13 +198,6 @@ def _sir_flip_law(m: int, rho: int):
 
 # ---------------------------------------------------------------------------
 # circuit fragments
-
-def _emit_validity(b: Builder, board_bits, mask_bits) -> None:
-    # valid <=> cell code 00 (empty / susceptible)
-    for i in range(len(mask_bits)):
-        b.gate(((board_bits[2 * i], False), (board_bits[2 * i + 1], False)),
-               (mask_bits[i],))
-
 
 def _cell_bits(bits, i: int, width: int):
     return bits[width * i:width * (i + 1)]
@@ -338,7 +328,6 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
     return RolloutSpec(
         name="sway", n_cells=n, horizon=cfg.horizon, s=2,
         d=SWAY_DICE_BITS, faces=SWAY_FACES, selectors_per_round=2,
-        emit_validity=_emit_validity,
         emit_transition=emit_trans,
         emit_eval=emit_eval,
         placement_bit=lambda pass_index: pass_index,   # 0 -> black, 1 -> white
@@ -360,7 +349,6 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
     return RolloutSpec(
         name="sir", n_cells=n, horizon=cfg.horizon, s=2,
         d=SIR_DICE_BITS, faces=SIR_FACES, selectors_per_round=1,
-        emit_validity=_emit_validity,
         emit_transition=emit_trans,
         emit_eval=emit_eval,
         placement_bit=lambda pass_index: 1,     # vaccination: S -> R

@@ -385,31 +385,27 @@ class BijectiveReport:
         return self.passed
 
 
-def _unique_bit_rows(bits: np.ndarray) -> np.ndarray:
-    """``np.unique(bits, axis=0)`` for a 0/1 uint8 matrix, sorting packed
-    rows, each one opaque byte-string scalar: big-endian packing keeps the
-    rows' lexicographic order."""
-    packed = np.packbits(bits, axis=1, bitorder="big")
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return bits[first]
-
-
 def first_row(col: int) -> int:
     """The first row a nonzero column flags: its lowest set bit."""
     return (col & -col).bit_length() - 1
 
 
+def flagged_rows(batch: Batch, qubits, want: Batch | None = None) -> int:
+    """The rows of a batch that have a 1 on any of ``qubits`` or, given
+    ``want``, differ from ``want`` there: bit ``r`` is set iff row ``r`` is
+    flagged."""
+    flags = 0
+    for q in qubits:
+        flags |= batch.cols[q] if want is None else batch.cols[q] ^ want.cols[q]
+    return flags
+
+
 def _round_trip(c: Circuit, batch: Batch) -> int:
-    """Apply ``c`` and then ``invert(c)`` to a batch, in place: the OR of
-    every column's changed bits, whose set bits flag the rows that did not
-    come back."""
-    inputs = list(batch.cols)
+    """Apply ``c`` and then ``invert(c)`` to a batch, in place: the rows
+    that did not come back, as :func:`flagged_rows` flags them."""
+    inputs = batch.copy()
     apply_batch(invert(c), apply_batch(c, batch))
-    diff = 0
-    for got, want in zip(batch.cols, inputs):
-        diff |= got ^ want
-    return diff
+    return flagged_rows(batch, range(c.total_qubits), inputs)
 
 
 def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
@@ -418,13 +414,15 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
 
     Circuits of at most ``exhaustive_limit`` qubits run on all ``2^n``
     basis states (``exhaustive``), wider ones on ``samples`` seeded random
-    states (``sampled``, deduplicated).  Both apply ``c`` and then
-    ``invert(c)`` and pass iff every input column comes back.  On all
-    inputs that is exact (see the module docstring): a restored round trip
-    makes the circuit injective, and a failed one is decided by decoding
-    and counting the outputs, which names the least output that two inputs
-    reach and the first two inputs that reach it.  A sampled failure names
-    the first row that did not come back, as ``(row, row)``.
+    states (``sampled``: column ``q`` is the ``q``-th draw of
+    ``ceil(samples / 8)`` bytes from the Philox stream of ``seed``, cut to
+    ``samples`` rows).  Both apply ``c`` and then ``invert(c)`` and pass
+    iff every input column comes back.  On all inputs that is exact (see
+    the module docstring): a restored round trip makes the circuit
+    injective, and a failed one is decided by decoding and counting the
+    outputs, which names the least output that two inputs reach and the
+    first two inputs that reach it.  A sampled failure names the first row
+    that did not come back, in draw order, as ``(row, row)``.
 
     Two applies replace one apply and a decode of ``n`` columns of ``2^n``
     rows, so the round trip costs more than the decode only for circuits
@@ -456,13 +454,12 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
         pre = np.nonzero(outs == dup)[0][:2]
         return BijectiveReport(False, "exhaustive", (int(pre[0]), int(pre[1])))
     rng = np.random.Generator(_philox(seed))
-    draw = _unique_bit_rows(rng.integers(0, 2, size=(samples, n),
-                                        dtype=np.uint8))
-    diff = _round_trip(c, Batch(draw.shape[0],
-                                [_pack(draw[:, q]) for q in range(n)]))
-    if diff:
-        bad = first_row(diff)
-        return BijectiveReport(False, "sampled", (bad, bad))
+    size, rows = (samples + 7) // 8, (1 << samples) - 1
+    bad = _round_trip(c, Batch(samples, [
+        int.from_bytes(rng.bytes(size), "little") & rows for _ in range(n)]))
+    if bad:
+        row = first_row(bad)
+        return BijectiveReport(False, "sampled", (row, row))
     return BijectiveReport(True, "sampled")
 
 
@@ -488,9 +485,7 @@ def check_ancilla_clean(c: Circuit, dist: InputDistribution,
         inputs = batch.copy()
         apply_batch(c, batch)
         for name in watch:
-            dirty = 0
-            for q in c.register(name):
-                dirty |= batch.cols[q]
+            dirty = flagged_rows(batch, c.register(name))
             if dirty:
                 row = inputs.row(first_row(dirty))
                 witness = {r.name: int(read_register(row, c, r.name)[0])

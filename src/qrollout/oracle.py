@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Builder, Circuit, CostReport
 from .emulator import (InputDistribution, apply_batch, first_row,
-                       write_qubits, write_register)
+                       flagged_rows, write_qubits, write_register)
 from .gadgets import copy_register
 from .rank_select import scan_fragment, width_for
 
@@ -34,7 +34,7 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class RolloutSpec:
-    """A domain's validity/transition/evaluation hooks plus register widths.
+    """A domain's transition/evaluation hooks plus register widths.
 
     Circuit hooks emit gate fragments through a Builder; the array hook
     states the same dice law on code arrays for the rollout kernel (which
@@ -54,7 +54,6 @@ class RolloutSpec:
     faces: int                   # dice faces, faces <= 2^d
     selectors_per_round: int
     # circuit hooks
-    emit_validity: Callable      # (b, board_bits, mask_bits) -> None
     emit_transition: Callable    # (b, mid_bits, next_bits, dice_bits, pool, scr)
     emit_eval: Callable          # (b, config_bits, payoff_qubit, pool, scr)
     placement_bit: Callable      # pass_index -> cell-bit offset in {0..s-1}
@@ -262,9 +261,10 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     anc_count = lay.q_anc
     prep_gates = trans_gates = -1
 
-    def emit_mask(source_bits):
-        _checked_fragment(b, set(source_bits) | set(vmask),
-                          spec.emit_validity, source_bits, vmask)
+    def emit_mask(board):
+        # vmask[i] ^= [cell i is a valid placement: all its s bits clear]
+        for i, q in enumerate(vmask):
+            b.gate(_pattern(board[i * s:(i + 1) * s], 0), (q,))
 
     for hh in range(h):
         g0 = b.gate_count
@@ -474,14 +474,11 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
             write_qubits(expected, config[i * s:(i + 1) * s], codes[hh, :, i])
     write_register(expected, c, "payoff", spec.array_eval(codes[h]))
     outs = apply_batch(c, batch)
-
-    diff = [got ^ want for got, want in zip(outs.cols, expected.cols)]
-    bad = 0
-    for col in diff:
-        bad |= col
+    bad = flagged_rows(outs, range(c.total_qubits), expected)
     if not bad:
         return BranchwiseReport(True, rows)
     r = first_row(bad)
+    got, want = outs.row(r), expected.row(r)
     rounds = {f"config{hh}": hh for hh in range(h + 1)}
     rounds["payoff"] = h
     order = (list(rounds)
@@ -490,5 +487,5 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
              + [reg.name for reg in c.registers
                 if reg.role in ("ancilla", "mask")])
     name = next(reg for reg in order
-                if any((diff[q] >> r) & 1 for q in c.register(reg)))
+                if flagged_rows(got, c.register(reg), want))
     return BranchwiseReport(False, rows, seeds[r], rounds.get(name), name)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .circuit import Builder, Circuit
 from .emulator import (DEFAULT_EXACT_BUDGET, Batch, EmulationError,
-                       apply_batch, counting_batch, read_register)
+                       apply_batch, counting_batch, flagged_rows,
+                       read_register)
 from .gadgets import (add_register, and_ladder, constant_targets,
                       controlled_decrement, controlled_increment,
                       copy_register, sub_register, xor_constant)
@@ -56,8 +57,8 @@ def select_rows(valid: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
-    """The output batch of every (mask, rank) input, and the OR of the
-    ancilla and rank columns."""
+    """The output batch of every (mask, rank) input, and the rows that
+    leave an ancilla or rank qubit set, as :func:`flagged_rows` flags them."""
     inputs = c.register("mask") + c.register("nth")
     if 1 << len(inputs) > DEFAULT_EXACT_BUDGET:
         raise EmulationError(
@@ -65,12 +66,9 @@ def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
             f"{1 << len(inputs)} (mask,rank) rows exceed the budget of "
             f"{DEFAULT_EXACT_BUDGET} rows")
     batch = apply_batch(c, counting_batch(c, inputs))
-    dirty = 0
-    for reg in c.registers:
-        if reg.role in ("ancilla", "rank"):
-            for q in c.register(reg.name):
-                dirty |= batch.cols[q]
-    return batch, dirty
+    scratch = [q for reg in c.registers if reg.role in ("ancilla", "rank")
+               for q in c.register(reg.name)]
+    return batch, flagged_rows(batch, scratch)
 
 
 def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:

@@ -41,13 +41,18 @@ def select_semantics(mask: int, n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 # single-branch dynamics on packed int boards
 
+def cell(board: int, i: int) -> int:
+    """The code of cell ``i`` of a packed board."""
+    return (board >> (2 * i)) & 3
+
+
 def _sway_transition(board: int, dice, nbrs) -> int:
     out = board
     for i, adj in enumerate(nbrs):
-        code = dm.cell(board, i)
+        code = cell(board, i)
         if code == dm.EMPTY:
             continue
-        k = sum(1 for j in adj if dm.cell(board, j) == code)
+        k = sum(1 for j in adj if cell(board, j) == code)
         if dice[i] < 4 - k:
             out = dm.set_cell(out, i, dm.BLACK if code == dm.WHITE
                               else dm.WHITE)
@@ -57,9 +62,9 @@ def _sway_transition(board: int, dice, nbrs) -> int:
 def _sir_transition(board: int, dice, nbrs, rho: int) -> int:
     out = board
     for i, adj in enumerate(nbrs):
-        code = dm.cell(board, i)
+        code = cell(board, i)
         if code == dm.SUSCEPTIBLE:
-            c = sum(1 for j in adj if dm.cell(board, j) == dm.INFECTED)
+            c = sum(1 for j in adj if cell(board, j) == dm.INFECTED)
             if dice[i] < c:
                 out = dm.set_cell(out, i, dm.INFECTED)
         elif code == dm.INFECTED:
@@ -77,7 +82,7 @@ def classical_validity(spec, board: int) -> int:
     """The valid placements of a board as a mask int: its empty cells."""
     mask = 0
     for i in range(spec.n_cells):
-        if dm.cell(board, i) == 0:
+        if cell(board, i) == 0:
             mask |= 1 << i
     return mask
 
@@ -182,18 +187,18 @@ class KernelCache:
 
     def _cell_branches(self, board: int, i: int, adj):
         spec = self.spec
-        code = dm.cell(board, i)
+        code = cell(board, i)
         if spec.name == "sway":
             if code == dm.EMPTY:
                 return ((dm.EMPTY, 1.0),)
-            k = sum(1 for j in adj if dm.cell(board, j) == code)
+            k = sum(1 for j in adj if cell(board, j) == code)
             pf = (4 - k) / dm.SWAY_FACES
             if pf == 0.0:
                 return ((code, 1.0),)
             other = dm.BLACK if code == dm.WHITE else dm.WHITE
             return ((code, 1.0 - pf), (other, pf))
         if code == dm.SUSCEPTIBLE:
-            c = sum(1 for j in adj if dm.cell(board, j) == dm.INFECTED)
+            c = sum(1 for j in adj if cell(board, j) == dm.INFECTED)
             if c == 0:
                 return ((dm.SUSCEPTIBLE, 1.0),)
             pi = c / dm.SIR_FACES

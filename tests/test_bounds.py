@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classical_reference as ref
+from classical_reference import cell
 from qrollout import bounds as bd
 from qrollout import domains as dm
 
@@ -203,6 +204,25 @@ def test_lifting_optimality_failure_detected():
     assert rep.optimality_failures > 0 and not rep.passed
 
 
+def test_lifting_samples_a_family_larger_than_sample_count():
+    # 27 members, 9 checked: a prefix in enumeration order never sets the
+    # last peripheral factor, where arm 1 gains 0.3; corners and seeded
+    # uniform members do
+    w = bd.LiftingWitness(
+        n_factors=5, alphabet=(0, 1, 2), base_config=(0,) * 5, best_arm=0,
+        eps=0.05, deltas={2: 0.0, 3: 0.0, 4: 0.0},
+        peripheral=frozenset({2, 3, 4}),
+        arm_supports=(frozenset({0}), frozenset({1})))
+    oracle = _toy_oracle([0.7, 0.5], sensitive=({}, {4: 0.3}))
+    rep = bd.check_lifting(w, 9, oracle, seed=0)
+    assert rep.family_size == 27 and rep.members_checked == 9
+    assert rep.optimality_failures > 0 and not rep.passed
+    # a sample_count that covers the family checks every member once
+    rep = bd.check_lifting(w, 27, oracle)
+    assert rep.members_checked == 27
+    assert rep.optimality_failures == 18
+
+
 def test_lifting_sir_3x3_trivial_family():
     # r* = H+1 = 2 leaves no 3x3 cell beyond radius 2: family == {C*}
     spec = dm.sir_spec(dm.SirConfig(m=3, horizon=1, threshold=1, rho=2))
@@ -211,7 +231,7 @@ def test_lifting_sir_3x3_trivial_family():
     gap = means[0] - means[1]
     assert gap > 0
     ps = bd.peripheral_set(3, 1)
-    cfg = tuple(dm.cell(CENTER3, i) for i in range(9))
+    cfg = tuple(cell(CENTER3, i) for i in range(9))
     w = bd.LiftingWitness(
         n_factors=9, alphabet=(0, 1, 2), base_config=cfg, best_arm=0,
         eps=gap / 3 * 0.99, deltas={p: 0.0 for p in ps.cells},

@@ -241,6 +241,18 @@ def test_bounds_lifting_pass(tmp_path):
     assert "result,PASS" in text
 
 
+def test_bounds_lifting_over_the_dp_budget_exits_1(tmp_path):
+    # 16 cells: the arm means' DP refuses 3^16 states, as domain exact does
+    code, text = run_to_file(tmp_path,
+                             ["bounds", "lifting", "--domain", "epi",
+                              "--m", "4", "--H", "1", "--T", "1",
+                              "--seed", "1"])
+    assert code == 1
+    lines = text.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# manifest: ")
+    assert lines[1] == "error: state space 3^16 exceeds budget 19683"
+
+
 def test_tables_correctness_smoke(tmp_path):
     code, text = run_to_file(tmp_path,
                              ["tables", "correctness", "--seed", "8",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import classical_reference as ref
+from classical_reference import cell
 from qrollout import domains as dm
 from qrollout import oracle as orc
 
@@ -16,7 +17,7 @@ from qrollout import oracle as orc
 def format_board(board: int, m: int, domain: str) -> str:
     """Row-per-line grid of cell symbols, the inverse of ``parse_board``."""
     symbols = {"sway": ".BW", "sir": "SIR"}[domain]
-    return "\n".join("".join(symbols[dm.cell(board, r * m + c)]
+    return "\n".join("".join(symbols[cell(board, r * m + c)]
                               for c in range(m)) for r in range(m))
 
 
@@ -49,15 +50,15 @@ def test_sway_places_then_flips():
     spec = dm.sway_spec(dm.SwayConfig(m=2, horizon=1))
     # empty board, black selector 0 places at position 0; dice high: no flips
     board = _one_round(spec, 0, [0, 0], [19, 19, 19, 19])
-    assert dm.cell(board, 0) == dm.BLACK
-    assert dm.cell(board, 1) == dm.WHITE     # white sees mask without cell 0
+    assert cell(board, 0) == dm.BLACK
+    assert cell(board, 1) == dm.WHITE     # white sees mask without cell 0
     # full board: both placements are sentinel no-ops
     full = 0
     for i in range(4):
         full = dm.set_cell(full, i, dm.BLACK)
     out = _one_round(spec, full, [0, 0], [19, 19, 19, 19])
     for i in range(4):
-        assert dm.cell(out, i) in (dm.BLACK, dm.WHITE)
+        assert cell(out, i) in (dm.BLACK, dm.WHITE)
 
 
 def test_sway_isolated_flip_probability():
@@ -69,7 +70,7 @@ def test_sway_isolated_flip_probability():
         out = ref.classical_transition(spec, board,
                                        [19] * 4 + [die] + [19] * 4)
         expected = dm.WHITE if die < 4 else dm.BLACK
-        assert dm.cell(out, 4) == expected
+        assert cell(out, 4) == expected
 
 
 def test_sway_flip_uses_preflip_neighbors():
@@ -80,7 +81,7 @@ def test_sway_flip_uses_preflip_neighbors():
     spec = dm.sway_spec(cfg)
     out = ref.classical_transition(spec, board, [2, 2, 0, 0])
     # both dice = 2 < 3: both flip simultaneously
-    assert dm.cell(out, 0) == dm.WHITE and dm.cell(out, 1) == dm.WHITE
+    assert cell(out, 0) == dm.WHITE and cell(out, 1) == dm.WHITE
 
 
 def test_sway_flip_frequency_matches_table():
@@ -95,7 +96,7 @@ def test_sway_flip_frequency_matches_table():
     for _ in range(trials):
         dice = [rng.randrange(20) for _ in range(4)]
         out = ref.classical_transition(spec, board, dice)
-        flips += dm.cell(out, 0) == dm.WHITE
+        flips += cell(out, 0) == dm.WHITE
     p = 3 / 20
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(flips / trials - p) <= 3 * sigma
@@ -107,8 +108,8 @@ def test_sir_single_round_examples():
     # no infected cells: spread is identity, only vaccination acts
     board = 0
     out = _one_round(spec, board, [0], [7] * 9)
-    assert dm.cell(out, 0) == dm.RECOVERED
-    assert all(dm.cell(out, i) == dm.SUSCEPTIBLE for i in range(1, 9))
+    assert cell(out, 0) == dm.RECOVERED
+    assert all(cell(out, i) == dm.SUSCEPTIBLE for i in range(1, 9))
     # susceptible with c=4 infected neighbors, die=3 -> infected (3 < 4)
     board = 0
     for j in (1, 3, 5, 7):
@@ -116,16 +117,16 @@ def test_sir_single_round_examples():
     dice = [7] * 9
     dice[4] = 3
     out = ref.classical_transition(spec, board, dice)
-    assert dm.cell(out, 4) == dm.INFECTED
+    assert cell(out, 4) == dm.INFECTED
     # infected cell with rho=2 and die=5 stays infected
     board = dm.set_cell(0, 4, dm.INFECTED)
     dice = [7] * 9
     dice[4] = 5
     out = ref.classical_transition(spec, board, dice)
-    assert dm.cell(out, 4) == dm.INFECTED
+    assert cell(out, 4) == dm.INFECTED
     dice[4] = 1
     out = ref.classical_transition(spec, board, dice)
-    assert dm.cell(out, 4) == dm.RECOVERED
+    assert cell(out, 4) == dm.RECOVERED
 
 
 def test_sir_vaccination_precedes_spread():
@@ -136,9 +137,9 @@ def test_sir_vaccination_precedes_spread():
     # selector 1 -> second susceptible cell (positions 1,2,3; rank 1 -> 2);
     # cell 2 is adjacent to the infected corner but was vaccinated first
     out = _one_round(spec, board, [1], [0, 0, 0, 0])
-    assert dm.cell(out, 2) == dm.RECOVERED
-    assert dm.cell(out, 1) == dm.INFECTED    # die 0 < c=1
-    assert dm.cell(out, 3) == dm.SUSCEPTIBLE  # diagonal: no infected neighbor
+    assert cell(out, 2) == dm.RECOVERED
+    assert cell(out, 1) == dm.INFECTED    # die 0 < c=1
+    assert cell(out, 3) == dm.SUSCEPTIBLE  # diagonal: no infected neighbor
 
 
 def test_classical_trace_h0_and_drift():

@@ -247,17 +247,6 @@ def test_bijective_exhaustive_scan_n3():
     assert rep.passed and rep.mode == "exhaustive"
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 80), st.integers(1, 200), st.integers(0, 2**32 - 1))
-def test_unique_bit_rows_matches_numpy_unique(n, rows, seed):
-    # sampled bijectivity deduplicates packed rows; rows and their order
-    # must equal np.unique(axis=0) on the unpacked draw
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
-    bits = np.concatenate([bits, bits[rng.integers(0, rows, size=rows)]])
-    assert np.array_equal(em._unique_bit_rows(bits), np.unique(bits, axis=0))
-
-
 def test_bijective_sampled_mode_on_wide_circuit():
     b = Builder()
     b.add_register("q", 40, "ancilla")
@@ -439,12 +428,43 @@ def test_bijective_sampled_mode_names_a_row_that_does_not_come_back():
     assert not rep.passed and rep.mode == "sampled"
     a, b = rep.counterexample
     assert a == b
-    # the sampled inputs, drawn as check_bijective draws them
+    # the sampled inputs, drawn as check_bijective draws them: column q is
+    # the q-th draw of ceil(500 / 8) bytes; rows up to a decide alone
     rng = np.random.Generator(np.random.Philox(key=11))
-    draw = em._unique_bit_rows(rng.integers(0, 2, size=(500, 24),
-                                            dtype=np.uint8))
-    x = int(draw[a] @ (1 << np.arange(24)))
-    assert run(invert(c), run(c, {"q": [x]}))["q"] != [x]
+    cols = [int.from_bytes(rng.bytes(63), "little") for _ in range(24)]
+    xs = em.read_qubits(em.Batch(500, cols), range(24))[:a + 1].tolist()
+    back = run(invert(c), run(c, {"q": xs}))["q"]
+    assert back[:a] == xs[:a] and back[a] != xs[a]
+
+
+def test_bijective_sampled_mode_with_more_samples_than_states():
+    # 2^5 and 2^4 states in 300 rows: states repeat, and the round trip
+    # needs no deduplication
+    rep = em.check_bijective(rs.build_scan(1), samples=300,
+                             exhaustive_limit=0)
+    assert rep.passed and rep.mode == "sampled"
+    c = _lossy(4, 2)
+    rep = em.check_bijective(c, samples=300, seed=5, exhaustive_limit=0)
+    assert not rep.passed and rep.mode == "sampled"
+    a, b = rep.counterexample
+    assert a == b < 300
+    rng = np.random.Generator(np.random.Philox(key=5))
+    cols = [int.from_bytes(rng.bytes(38), "little") for _ in range(4)]
+    xs = em.read_qubits(em.Batch(300, cols), range(4))
+    # the first row where the lossy gate fires and qubit 0 is lost
+    assert a == np.flatnonzero(xs & 3 == 3)[0]
+
+
+def test_flagged_rows_ors_the_columns_or_their_differences():
+    batch = em.Batch(5, [0b00010, 0b01000, 0b00011])
+    assert em.flagged_rows(batch, []) == 0
+    assert em.flagged_rows(batch, [0, 1]) == 0b01010
+    assert em.flagged_rows(batch, range(3)) == 0b01011
+    want = em.Batch(5, [0b00010, 0b11000, 0b00001])
+    assert em.flagged_rows(batch, [0], want) == 0
+    assert em.flagged_rows(batch, [0, 1], want) == 0b10000
+    assert em.flagged_rows(batch, range(3), want) == 0b10010
+    assert em.flagged_rows(batch, range(3), batch.copy()) == 0
 
 
 def test_bijective_pass_decodes_no_rows(monkeypatch):
