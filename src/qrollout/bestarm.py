@@ -65,11 +65,6 @@ def classical_lower_bound(k: int, eps: float) -> float:
     return (k - 1) * math.log(2.0) / (288.0 * eps * eps)
 
 
-def transportation_ratio(eps: float) -> float:
-    """kl(1/3, 2/3) / kl(1/2, 1/2 + 6 eps): per-arm pull floor."""
-    return kl(1.0 / 3.0, 2.0 / 3.0) / kl(0.5, 0.5 + 6.0 * eps)
-
-
 @dataclass(frozen=True)
 class BanditInstance:
     k: int
@@ -89,17 +84,6 @@ class BanditInstance:
             raise BestArmError("base instance requires eps <= 1/8")
         means = (0.5 + 4.0 * eps,) + (0.5,) * (k - 1)
         return cls(k=k, means=means, eps=eps, kind="base")
-
-    @classmethod
-    def hard_alternative(cls, k: int, eps: float, j: int) -> "BanditInstance":
-        if not 0.0 < eps <= 1.0 / 12.0:
-            raise BestArmError("alternative instance requires eps <= 1/12")
-        if not 1 <= j < k:
-            raise BestArmError("alternative arm must differ from arm 0")
-        means = [0.5] * k
-        means[0] = 0.5 + 4.0 * eps
-        means[j] = 0.5 + 6.0 * eps
-        return cls(k=k, means=tuple(means), eps=eps, kind=f"alternative({j})")
 
     def optimal_set(self) -> set[int]:
         best = max(self.means)

@@ -14,14 +14,15 @@ emulation.
 The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
 replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
 as Python lists, checked and layered in Python, until a table is needed.  A
-fragment is recorded once on local qubit indices and replayed by a qubit
-remap, its depth effect carried by a max-plus matrix; it keeps its recorded
-tape and builds its gate table on first use, so a tally-mode build never
-flattens one.  A memoized emitter must be a pure function of its registers
-and constants, and must not call ``acquire`` or ``release``.  A
-``Builder.capture()`` block holds its ops back instead of emitting them,
-and ``emit``/``emit_inverse`` play them forwards or backwards: compute,
-use, uncompute.
+fragment is recorded once on local qubit indices, its depth state one int32
+row per local qubit (an entry below 0 means no gate chain), and replayed by
+a qubit remap, its depth effect carried by the int32 max-plus matrix of
+those rows; it keeps its recorded tape and builds its gate table on first
+use, so a tally-mode build never flattens one.  A memoized emitter must be
+a pure function of its registers and constants, and must not call
+``acquire`` or ``release``.  A ``Builder.capture()`` block holds its ops
+back instead of emitting them, and ``emit``/``emit_inverse`` play them
+forwards or backwards: compute, use, uncompute.
 """
 from __future__ import annotations
 
@@ -196,28 +197,35 @@ def _distinct(qubits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(qubits))
 
 
-def layer(gates: Iterable[list[int]], layers: list | np.ndarray):
+def layer(gates: Iterable[list[int]], layers: list) -> list:
     """Greedy layering, the one depth rule: each gate, in order, enters the
     layer after the latest one among its qubits.
 
     ``gates`` gives each gate's qubits as a list.  ``layers[q]`` is qubit
-    ``q``'s latest layer and is updated in place.  A Python list (one
-    column: a builder's top level, :func:`cost`) is swept as Python
-    scalars, with no numpy call.  A 2-D array has one column per origin (a
-    fragment being recorded, one per local qubit), and each gate updates its
-    rows with one numpy ``max(axis=0) + 1``: starting from the max-plus
-    identity (0 on the diagonal, -inf elsewhere) row ``j`` ends as the
-    longest gate chain from each qubit's entry to ``j``'s exit.  Each column
-    of an array ends as a list sweep of that column would.
+    ``q``'s latest layer and is updated in place, in one of two forms.  A
+    list of ints (one column: a builder's top level, :func:`cost`) is swept
+    as Python scalars, with no numpy call.  A list of int32 rows has one
+    column per origin (a fragment being recorded, one per local qubit): a
+    gate's new row is the elementwise max of its qubits' rows plus one,
+    assigned to each of them, so starting from the max-plus identity (0 on
+    the diagonal, ``_NO_CHAIN`` elsewhere) row ``j`` ends as the longest
+    gate chain from each qubit's entry to ``j``'s exit, below 0 without
+    one.  Rows may alias one array; none is written in place.  Each column
+    ends as a list sweep of that column would.
     """
-    if isinstance(layers, list):
+    if not layers or not isinstance(layers[0], np.ndarray):
         for s in gates:
             latest = max([layers[q] for q in s]) + 1
             for q in s:
                 layers[q] = latest
     else:
         for s in gates:
-            layers[s] = layers[s].max(axis=0) + 1
+            m = layers[s[0]]
+            for q in s[1:]:
+                m = np.maximum(m, layers[q])
+            m = m + 1
+            for q in s:
+                layers[q] = m
     return layers
 
 
@@ -293,9 +301,6 @@ class Circuit:
     def registers_with_role(self, role: str) -> list[str]:
         return [r.name for r in self.registers if r.role == role]
 
-    def position_of(self, qubit: int) -> int:
-        return self._pos_of[qubit]
-
     def __eq__(self, other):
         return (isinstance(other, Circuit)
                 and self.registers == other.registers
@@ -338,18 +343,25 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
     """Input qubits reachable backwards from ``outputs`` through the gates.
 
     A gate propagates dependence from any of its targets to all of its
-    controls (targets are flipped by a function of the controls).
+    controls (targets are flipped by a function of the controls).  The gates
+    are walked backwards over one live flag per qubit.
     """
-    cone = set(outputs)
-    for q in cone:
-        if not 0 <= q < c.total_qubits:
+    n = c.total_qubits
+    live = [False] * n
+    for q in set(outputs):
+        if not 0 <= q < n:
             raise CircuitError(f"output qubit {q} out of range")
-    qubit = c.gates.qubit.tolist()
+        live[q] = True
+    # one shared int object per qubit, not one per entry
+    qubit = np.arange(n).astype(object)[c.gates.qubit].tolist()
     ptr, tgt = c.gates.bounds()
-    for g in range(len(c.gates) - 1, -1, -1):
-        if not cone.isdisjoint(qubit[tgt[g]:ptr[g + 1]]):
-            cone.update(qubit[ptr[g]:tgt[g]])
-    return cone
+    for g in range(len(ptr) - 2, -1, -1):
+        m, z = tgt[g], ptr[g + 1]
+        if (live[qubit[m]] if z - m == 1
+                else any([live[q] for q in qubit[m:z]])):
+            for q in qubit[ptr[g]:m]:
+                live[q] = True
+    return {q for q, v in enumerate(live) if v}
 
 
 def _gate_positions(c: Circuit, qubits=None) -> tuple[np.ndarray, np.ndarray]:
@@ -418,30 +430,31 @@ def register_local_span(c: Circuit, register: str) -> int:
 # NEG or POS control (0, 1; +2 before the first target) or a target (4); at
 # a gate start, after the previous gate (5) or at the first gate (7), +1 for
 # a gate without controls
-_SEPS = np.array([
+_SEPS = (
     ",false],[", ",true],[", ',false]],"targets":[', ',true]],"targets":[',
     ",", ']},{"controls":[[', ']},{"controls":[],"targets":[',
-    '{"controls":[[', '{"controls":[],"targets":['], dtype=object)
+    '{"controls":[[', '{"controls":[],"targets":[')
 
 
 def dumps(c: Circuit) -> str:
     """Lossless JSON dump: registers, gates with polarities, layout.  The
-    gate list is joined once from the table's entries, each qubit's string
-    after its separator."""
+    gate list is joined once from pre-joined (separator, qubit) strings,
+    one gathered per table entry."""
     t = c.gates
     gates = "[]"
     if len(t):
+        n = c.total_qubits
         target = t.kind == TGT
         code = np.empty(len(t.kind), dtype=np.int64)
         code[1:] = np.where(target[:-1], 4, t.kind[:-1] + 2 * target[1:])
         code[t.ptr[:-1]] = 5 + target[t.ptr[:-1]]
         code[0] += 2
-        names = np.array([str(q) for q in range(c.total_qubits)],
-                         dtype=object)
-        parts = np.empty(2 * len(code), dtype=object)
-        parts[::2] = _SEPS[code]
-        parts[1::2] = names[t.qubit]
-        gates = "[" + "".join(parts.tolist()) + "]}]"
+        names = [str(q) for q in range(n)]
+        pieces = np.array([sep + q for sep in _SEPS for q in names],
+                          dtype=object)
+        code *= n
+        code += t.qubit
+        gates = "[" + "".join(pieces[code].tolist()) + "]}]"
     registers = json.dumps([{"name": r.name, "width": r.width, "role": r.role}
                             for r in c.registers], separators=(",", ":"))
     return (f'{{"registers":{registers},"gates":{gates},'
@@ -586,6 +599,17 @@ def _chunk_is_valid(ptr, qubit, kind, n_qubits: int) -> bool:
 # the widest column slice of one max-plus product inside a recording
 _MAXPLUS_COLUMNS = 64
 
+# "no chain" in a recording's int32 rows.  Every entry starts at 0 or
+# _NO_CHAIN, never falls (a gate sets a max plus one, and a replay's
+# max-plus product is at least the row's own entry, a fragment's diagonal
+# being at least 0) and rises by at most one per gate, so while a fragment
+# holds fewer than _CHAIN_GATE_LIMIT gates a "no chain" entry stays below
+# 0, a chain stays below 2^29 and no sum of two entries leaves int32.  A
+# top-level replay adds the chains to int64 layers, exact while the
+# circuit has fewer than 2^30 gates.
+_NO_CHAIN = -2 ** 30
+_CHAIN_GATE_LIMIT = 2 ** 29
+
 
 class _Fragment:
     """Gates with their tallies (``gates``, ``fan_in``); the gate table, its
@@ -595,10 +619,11 @@ class _Fragment:
     Python lists ``(ptr, qubit, kind)`` until its table is built, which
     drops them.  A memoized fragment is on local qubit indices: it holds
     its recorded op tape (None in tally mode, which never needs a table)
-    until its table is built, and carries ``depth``, the max-plus matrix
-    whose entry ``[i, j]`` is the longest gate chain from local qubit
-    ``i``'s entry to ``j``'s exit (-inf without one).  A local qubit is in
-    the support iff its own chain ``depth[i, i]`` holds a gate.
+    until its table is built, and carries ``depth``, the int32 max-plus
+    matrix whose entry ``[i, j]`` is the longest gate chain from local
+    qubit ``i``'s entry to ``j``'s exit (``_NO_CHAIN`` without one).  A
+    local qubit is in the support iff its own chain ``depth[i, i]`` holds a
+    gate.
     """
 
     __slots__ = ("gates", "fan_in", "depth", "chains", "_lists", "_tape",
@@ -716,8 +741,9 @@ class Builder:
         self._registers: list[RegisterDecl] = []
         self._n = n
         self._memo = memo
-        self._layers = layers          # per-qubit latest layer: a list, or
-                                       # an array with one column per origin
+        self._layers = layers          # per-qubit latest layer: an int, or
+                                       # an int32 row with one column per
+                                       # origin
         self._fragment = fragment      # recording a memoized fragment
         self._tape: list = []          # ops: (fragment, qmap or None, reverse)
         self._held: list[list] = []    # the ops of each open capture
@@ -828,12 +854,14 @@ class Builder:
             for q, v in zip(qmap, after):
                 layers[q] = v
             return
-        rows = np.array(qmap)
-        before = layers[rows]
+        before = np.stack([layers[q] for q in qmap])
+        after = np.empty_like(before)
         for a in range(0, before.shape[1], _MAXPLUS_COLUMNS):
             cols = slice(a, a + _MAXPLUS_COLUMNS)
-            layers[rows, cols] = np.maximum.reduce(
-                before[:, None, cols] + chain[:, :, None])
+            np.maximum.reduce(before[:, None, cols] + chain[:, :, None],
+                              out=after[:, cols])
+        for q, row in zip(qmap, after):
+            layers[q] = row
 
     # -- memoized fragments --------------------------------------------------
     def call(self, emitter, *regs, **consts) -> None:
@@ -872,17 +900,24 @@ class Builder:
 
     def _record(self, emitter, k: int, args, consts) -> _Fragment:
         sub = Builder.__new__(Builder)
-        identity = np.full((k, k), -np.inf)
-        np.fill_diagonal(identity, 0.0)
-        sub._start(self.record, k, self._memo, identity, fragment=True)
+        identity = np.full((k, k), _NO_CHAIN, dtype=np.int32)
+        np.fill_diagonal(identity, 0)
+        sub._start(self.record, k, self._memo, list(identity), fragment=True)
+        name = getattr(emitter, "__qualname__", repr(emitter))
         try:
             emitter(sub, *args, **consts)
             sub._flush()
         except CircuitError as err:
-            name = getattr(emitter, "__qualname__", repr(emitter))
             raise CircuitError(f"{name} (local qubits): {err}") from None
+        if sub._gate_count >= _CHAIN_GATE_LIMIT:
+            raise CircuitError(f"{name}: a memoized fragment holds at most "
+                               f"{_CHAIN_GATE_LIMIT - 1} gates, not "
+                               f"{sub._gate_count}")
+        # row j of the layers holds the chains into j's exit
+        depth = np.array(sub._layers, dtype=np.int32).reshape(k, k)
+        depth[depth < 0] = _NO_CHAIN
         return _Fragment(sub._gate_count, sub._max_fan_in,
-                         depth=sub._layers.T.copy(),
+                         depth=depth.T.copy(),
                          tape=sub._tape if self.record else None)
 
     # -- capture / inversion ------------------------------------------------

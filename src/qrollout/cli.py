@@ -279,10 +279,8 @@ def cmd_bounds_lifting(args) -> int:
         arm_supports=tuple(frozenset({mv}) for mv in moves))
 
     def value_oracle(config):
-        b = 0
-        for i, code in enumerate(config):
-            b |= code << (2 * i)
-        return dm.arm_means(spec, b, arms, first_moves=moves)
+        return dm.arm_means(spec, dm.board_pack(config), arms,
+                            first_moves=moves)
 
     rep = bd.check_lifting(witness, sample_count=args.samples,
                            value_oracle=value_oracle, seed=args.seed)

@@ -102,7 +102,11 @@ class SirConfig:
 # boards and grids
 
 def set_cell(board: int, i: int, code: int) -> int:
-    return (board & ~(3 << (2 * i))) | (code << (2 * i))
+    """The board with cell ``i`` set to ``code``."""
+    codes = board_codes(board, max(i + 1, (board.bit_length() + 1) // 2))
+    codes[i] = code
+    return board_pack(codes)
+
 
 def neighbors(m: int) -> list[list[int]]:
     out = []
@@ -161,16 +165,8 @@ _SYMBOLS = {"sway": ".BW", "sir": "SIR"}
 def parse_board(text: str, domain: str) -> int:
     """Plain-text grid of cell symbols (., B, W / S, I, R), row per line."""
     symbols = _SYMBOLS[domain]
-    board = 0
-    i = 0
-    for line in text.strip().splitlines():
-        for ch in line.strip():
-            if ch.isspace():
-                continue
-            code = symbols.index(ch)
-            board |= code << (2 * i)
-            i += 1
-    return board
+    return board_pack([symbols.index(ch) for ch in text
+                       if not ch.isspace()])
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +369,19 @@ def board_codes(boards, n: int) -> np.ndarray:
         # an object scalar: a board in [2^63, 2^64) would become uint64
         boards = np.array(int(boards), dtype=object)
     return ((boards[..., None] >> 2 * np.arange(n)) & 3).astype(np.int8)
+
+
+def board_pack(codes):
+    """The inverse of :func:`board_codes`: an (n,) code vector gives the
+    board as a Python int of any width, a (rows, n) array gives int64
+    boards (n <= 31)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim == 1:
+        # cell i is the board's base-4 digit i
+        return int("".join(map(str, codes[::-1].tolist())) or "0", 4)
+    if codes.shape[1] > 31:
+        raise ValueError(f"{codes.shape[1]} cells do not fit an int64 board")
+    return (codes << 2 * np.arange(codes.shape[1])).sum(axis=1)
 
 
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,

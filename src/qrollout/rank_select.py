@@ -129,19 +129,6 @@ def mask_from_string(s: str) -> int:
     return m
 
 
-def canonical_mask(n_total: int, t: int, weight: int) -> int:
-    """Hard-family mask: weight leftmost-packed ones in the length-t prefix,
-    all-ones suffix.  At rank t-1 it selects position 2t - weight - 1."""
-    if not 1 <= t <= n_total - 1:
-        raise ValueError("cut position out of range")
-    lo = max(0, 2 * t - n_total)
-    if not lo <= weight <= t - 1:
-        raise ValueError(f"weight {weight} outside S_t = [{lo}, {t - 1}]")
-    prefix = (1 << weight) - 1
-    suffix = ((1 << (n_total - t)) - 1) << t
-    return prefix | suffix
-
-
 # ---------------------------------------------------------------------------
 # scan construction
 

@@ -20,6 +20,24 @@ import numpy as np
 from qrollout import bestarm as ba
 
 
+def transportation_ratio(eps: float) -> float:
+    """kl(1/3, 2/3) / kl(1/2, 1/2 + 6 eps): per-arm pull floor."""
+    return ba.kl(1.0 / 3.0, 2.0 / 3.0) / ba.kl(0.5, 0.5 + 6.0 * eps)
+
+
+def hard_alternative(k: int, eps: float, j: int) -> ba.BanditInstance:
+    """The hard base family with arm ``j`` raised above arm 0."""
+    if not 0.0 < eps <= 1.0 / 12.0:
+        raise ba.BestArmError("alternative instance requires eps <= 1/12")
+    if not 1 <= j < k:
+        raise ba.BestArmError("alternative arm must differ from arm 0")
+    means = [0.5] * k
+    means[0] = 0.5 + 4.0 * eps
+    means[j] = 0.5 + 6.0 * eps
+    return ba.BanditInstance(k=k, means=tuple(means), eps=eps,
+                             kind=f"alternative({j})")
+
+
 def bernoulli_sums(rng, rounds, p):
     return (rng.random((rounds, p.size)) < p).sum(axis=0)
 

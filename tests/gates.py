@@ -1,9 +1,12 @@
 """Test helper: gates as ``(controls, targets)`` pairs, the form that tests
-write circuits in and read a circuit's gate table back as."""
+write circuits in and read a circuit's gate table back as, and the referee
+loops that circuit analyses replaced."""
 
 from typing import NamedTuple
 
-from qrollout.circuit import POS, Circuit, GateTable
+import numpy as np
+
+from qrollout.circuit import POS, Circuit, CircuitError, GateTable
 
 
 class Gate(NamedTuple):
@@ -26,3 +29,27 @@ def gate_list(table: GateTable) -> list[Gate]:
     return [Gate(tuple((qubit[e], kind[e] == POS) for e in range(a, m)),
                  tuple(qubit[m:z]))
             for a, m, z in zip(ptr, tgt, ptr[1:])]
+
+
+def reference_light_cone(c: Circuit, outputs) -> set[int]:
+    """Referee: the set-based backward walk that ``light_cone`` replaced."""
+    cone = set(outputs)
+    for q in cone:
+        if not 0 <= q < c.total_qubits:
+            raise CircuitError(f"output qubit {q} out of range")
+    qubit = c.gates.qubit.tolist()
+    ptr, tgt = c.gates.bounds()
+    for g in range(len(c.gates) - 1, -1, -1):
+        if not cone.isdisjoint(qubit[tgt[g]:ptr[g + 1]]):
+            cone.update(qubit[ptr[g]:tgt[g]])
+    return cone
+
+
+def reference_layer(gates, layers: np.ndarray) -> np.ndarray:
+    """Referee: the 2-D float form of ``layer`` that its int32 rows
+    replaced.  ``layers`` has one column per origin (-inf without a chain),
+    and each gate updates its rows, in place, with one ``max(axis=0) + 1``.
+    """
+    for s in gates:
+        layers[s] = layers[s].max(axis=0) + 1
+    return layers

@@ -18,6 +18,7 @@ from qrollout import oracle as orc
 from qrollout import rank_select as rs
 from qrollout.circuit import cost, crossing_count, light_cone
 
+from bestarm_reference import transportation_ratio
 from classical_reference import select_semantics
 
 CENTER3 = dm.parse_board("SSS\nSIS\nSSS", "sir")
@@ -243,7 +244,7 @@ def test_criterion_07_lower_bound_conformance(separation):
         # per-arm transportation floor at eps = 0.05 on the hard base family
         eps = 0.05
         inst = ba.BanditInstance.hard_base(10, eps)
-        ratio = ba.transportation_ratio(eps)
+        ratio = transportation_ratio(eps)
         led = ba.successive_elimination(inst, eps, 200, ba.generator(31_000))
         floor = led.per_arm[:, 1:].mean(axis=0).min()
         assert floor >= ratio

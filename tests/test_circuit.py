@@ -12,7 +12,7 @@ from qrollout.circuit import (POS, Builder, Circuit, CircuitError, GateTable,
                               span_profile)
 from qrollout.circuit import _loads_json, _loads_own
 
-from gates import Gate, make_circuit
+from gates import Gate, make_circuit, reference_light_cone
 
 
 def _reg(name, width, role="ancilla"):
@@ -237,13 +237,40 @@ def _io_circuits(draw):
                         max_live_ancilla=draw(st.integers(0, 9)))
 
 
+def _wide_circuit():
+    """A circuit on 1,200 qubits, most of them with 4-digit names."""
+    rng = random.Random(8)
+    gates = []
+    for _ in range(40):
+        qs = rng.sample(range(1200), 4)
+        gates.append(Gate(((qs[0], True), (qs[1], False)), tuple(qs[2:])))
+    return make_circuit([_reg("a", 1000), _reg("b", 200, "mask")], gates)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_io_circuits())
+@example(make_circuit([_reg("q", 3)], []))
+@example(_wide_circuit())
 def test_dumps_matches_reference_encoder(c):
     text = dumps(c)
     assert text == reference_dumps(c)
     assert loads(text) == c
     assert loads(text).max_live_ancilla == c.max_live_ancilla
+
+
+@settings(max_examples=200, deadline=None)
+@given(_io_circuits(), st.data())
+@example(make_circuit([_reg("q", 3)], []), None)
+def test_light_cone_matches_the_set_referee(c, data):
+    n = c.total_qubits
+    outs = ([0, n - 1, 0] if data is None      # duplicates
+            else data.draw(st.lists(st.integers(0, n - 1), max_size=6)))
+    want = reference_light_cone(c, outs)
+    assert light_cone(c, outs) == want
+    assert light_cone(c, (q for q in outs)) == want
+    for bad in (-1, n):
+        with pytest.raises(CircuitError, match=f"output qubit {bad} out of"):
+            light_cone(c, outs + [bad])
 
 
 def _variants(c) -> list[str]:

@@ -219,6 +219,23 @@ def test_board_codes_unpacks_ints_of_any_width_and_int64_arrays():
             assert got.dtype == np.int8 and got.tolist() == codes
 
 
+def test_board_pack_inverts_board_codes():
+    rng = random.Random(23)
+    assert dm.board_pack([]) == 0
+    for n in (1, 9, 31, 32, 36):
+        boards = [rng.getrandbits(2 * n) for _ in range(6)]
+        boards.append(_pack([0] * (n - 1) + [2]))
+        for b in boards:
+            got = dm.board_pack(dm.board_codes(b, n))
+            assert type(got) is int and got == b
+        if n <= 31:
+            arr = np.array(boards, dtype=np.int64)
+            got = dm.board_pack(dm.board_codes(arr, n))
+            assert got.dtype == np.int64 and got.tolist() == boards
+    with pytest.raises(ValueError, match="32 cells"):
+        dm.board_pack(np.zeros((2, 32), dtype=np.int8))
+
+
 def test_kernel_against_bruteforce_dice_2x2():
     # the array transition distribution must equal brute-force enumeration
     # of all dice on a 2x2 SIR grid

@@ -19,6 +19,19 @@ def mask_to_string(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
+def canonical_mask(n_total: int, t: int, weight: int) -> int:
+    """Hard-family mask: weight leftmost-packed ones in the length-t prefix,
+    all-ones suffix.  At rank t-1 it selects position 2t - weight - 1."""
+    if not 1 <= t <= n_total - 1:
+        raise ValueError("cut position out of range")
+    lo = max(0, 2 * t - n_total)
+    if not lo <= weight <= t - 1:
+        raise ValueError(f"weight {weight} outside S_t = [{lo}, {t - 1}]")
+    prefix = (1 << weight) - 1
+    suffix = ((1 << (n_total - t)) - 1) << t
+    return prefix | suffix
+
+
 def brute_select(mask: int, n: int, r: int) -> int:
     positions = [i for i in range(n) if (mask >> i) & 1]
     return positions[r] if r < len(positions) else n
@@ -279,16 +292,16 @@ def test_span_profile_scan_vs_blocked():
     prof = span_profile(blocked)
     assert prof.max_span >= rs.width_for(n)
     # the long-range writes reach from the mask region to the out register
-    out_pos = min(blocked.position_of(q) for q in blocked.register("out"))
+    out_pos = min(blocked.layout.index(q) for q in blocked.register("out"))
     assert prof.max_span >= out_pos - n
 
 
 def test_canonical_mask_examples():
     # N=8, t=4, weight=3 -> 11101111, selects position 4 at rank 3
-    m = rs.canonical_mask(8, 4, 3)
+    m = canonical_mask(8, 4, 3)
     assert mask_to_string(m, 8) == "11101111"
     assert select_semantics(m, 8, 3) == 2 * 4 - 3 - 1 == 4
-    m = rs.canonical_mask(8, 4, 0)
+    m = canonical_mask(8, 4, 0)
     assert mask_to_string(m, 8) == "00001111"
     assert select_semantics(m, 8, 3) == 7
 
@@ -297,16 +310,16 @@ def test_canonical_mask_distinct_outputs():
     n, t = 10, 5
     outs = set()
     for w in range(max(0, 2 * t - n), t):
-        m = rs.canonical_mask(n, t, w)
+        m = canonical_mask(n, t, w)
         outs.add(select_semantics(m, n, t - 1))
     assert len(outs) == t - max(0, 2 * t - n)
 
 
 def test_canonical_mask_rejects_bad_weight():
     with pytest.raises(ValueError):
-        rs.canonical_mask(8, 4, 4)
+        canonical_mask(8, 4, 4)
     with pytest.raises(ValueError):
-        rs.canonical_mask(8, 6, 2)   # needs weight >= 2t-N = 4
+        canonical_mask(8, 6, 2)   # needs weight >= 2t-N = 4
 
 
 def _blocks(c):
