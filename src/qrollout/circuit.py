@@ -13,23 +13,27 @@ emulation.
 
 The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
 replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
-as Python lists, checked and layered in Python, until a table is needed.  A
-fragment is recorded once on local qubit indices, its depth state one int32
-row per local qubit (an entry below 0 means no gate chain), and replayed by
-a qubit remap, its depth effect carried by the int32 max-plus matrix of
-those rows; it keeps its recorded tape and builds its gate table on first
-use, so a tally-mode build never flattens one.  A memoized emitter must be
-a pure function of its registers and constants, and must not call
-``acquire`` or ``release``.  A ``Builder.capture()`` block holds its ops
-back instead of emitting them, and ``emit``/``emit_inverse`` play them
-forwards or backwards: compute, use, uncompute.
+as Python lists, checked in Python, until a table is needed.  A fragment is
+recorded once on local qubit indices, as its op tape, and replayed by a
+qubit remap.  Gate counts and fan-in are tallied as ops are emitted; depth
+is computed only when it is first read, by one walk of the builder's tape,
+a replay's depth effect carried by the int32 max-plus matrix of its
+fragment's gate chains (walked from the fragment's tape on one int32 row
+per local qubit, an entry below 0 meaning no chain).  A fragment builds its
+gate table and its chains on first use, so a tally-mode build never
+flattens one, and a build whose depth is never read builds no chains.  A
+memoized emitter must be a pure function of its registers and constants,
+and must not call ``acquire`` or ``release``.  A ``Builder.capture()``
+block holds its ops back instead of emitting them, and
+``emit``/``emit_inverse`` play them forwards or backwards: compute, use,
+uncompute.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -60,13 +64,49 @@ class RegisterDecl:
             raise CircuitError(f"register {self.name!r}: unknown role {self.role!r}")
 
 
-@dataclass(frozen=True)
 class CostReport:
-    gate_count: int
-    depth: int
-    qubit_count: int
-    max_fan_in: int
-    max_live_ancilla: int
+    """Gate count, depth, qubit count, fan-in and peak live ancilla;
+    immutable.  A builder's report holds a deferred depth, which the first
+    read of ``depth`` resolves and keeps; equality, hash and repr see the
+    resolved value."""
+
+    __slots__ = ("gate_count", "_depth", "qubit_count", "max_fan_in",
+                 "max_live_ancilla")
+
+    def __init__(self, gate_count: int, depth, qubit_count: int,
+                 max_fan_in: int, max_live_ancilla: int):
+        for name, value in zip(self.__slots__, (gate_count, depth, qubit_count,
+                                                max_fan_in, max_live_ancilla)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def depth(self) -> int:
+        if isinstance(self._depth, _Depth):
+            object.__setattr__(self, "_depth", self._depth.resolve())
+        return self._depth
+
+    def _fields(self) -> tuple:
+        return (self.gate_count, self.depth, self.qubit_count,
+                self.max_fan_in, self.max_live_ancilla)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("CostReport(gate_count={!r}, depth={!r}, qubit_count={!r}, "
+                "max_fan_in={!r}, max_live_ancilla={!r})".format(
+                    *self._fields()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +243,14 @@ def layer(gates: Iterable[list[int]], layers: list) -> list:
 
     ``gates`` gives each gate's qubits as a list.  ``layers[q]`` is qubit
     ``q``'s latest layer and is updated in place, in one of two forms.  A
-    list of ints (one column: a builder's top level, :func:`cost`) is swept
-    as Python scalars, with no numpy call.  A list of int32 rows has one
-    column per origin (a fragment being recorded, one per local qubit): a
-    gate's new row is the elementwise max of its qubits' rows plus one,
-    assigned to each of them, so starting from the max-plus identity (0 on
-    the diagonal, ``_NO_CHAIN`` elsewhere) row ``j`` ends as the longest
-    gate chain from each qubit's entry to ``j``'s exit, below 0 without
-    one.  Rows may alias one array; none is written in place.  Each column
+    list of ints (one column: a builder's top-level depth walk, :func:`cost`)
+    is swept as Python scalars, with no numpy call.  A list of int32 rows
+    has one column per origin (a memoized fragment's chain walk, one per
+    local qubit): a gate's new row is the elementwise max of its qubits'
+    rows plus one, assigned to each of them, so starting from the max-plus
+    identity (0 on the diagonal, ``_NO_CHAIN`` elsewhere) row ``j`` ends as
+    the longest gate chain from each qubit's entry to ``j``'s exit, below 0
+    without one.  Rows may alias one array; none is written in place.  Each column
     ends as a list sweep of that column would.
     """
     if not layers or not isinstance(layers[0], np.ndarray):
@@ -239,8 +279,8 @@ class Circuit:
     ``(controls, targets)`` pairs); it is validated once, vectorised.  A
     circuit from ``Builder.finish`` is not re-checked (its chunks were
     checked as they were flushed, and memoized fragments, recorded from pure
-    emitters, stay valid under an injective qubit remap) and carries the
-    depth its builder computed.
+    emitters, stay valid under an injective qubit remap) and holds its
+    builder's deferred depth.
     """
 
     __slots__ = ("registers", "gates", "total_qubits", "layout",
@@ -256,7 +296,7 @@ class Circuit:
     @classmethod
     def _built(cls, registers, gates, layout, max_live_ancilla, depth):
         """A circuit whose table the builder validated (or the caller
-        validates), with its depth if known."""
+        validates), with its depth if known (an int or a deferred depth)."""
         c = cls.__new__(cls)
         c._setup(registers, gates, layout, max_live_ancilla)
         c._cache["depth"] = depth
@@ -319,10 +359,14 @@ def invert(c: Circuit) -> Circuit:
 
 
 def _depth(c: Circuit) -> int:
-    if c._cache.get("depth") is None:
-        layers = layer(c.gates.qubit_lists(), [0] * c.total_qubits)
-        c._cache["depth"] = max(layers, default=0)
-    return c._cache["depth"]
+    depth = c._cache.get("depth")
+    if depth is None:
+        depth = max(layer(c.gates.qubit_lists(), [0] * c.total_qubits),
+                    default=0)
+    elif isinstance(depth, _Depth):
+        depth = depth.resolve()
+    c._cache["depth"] = depth
+    return depth
 
 
 def cost(c: Circuit) -> CostReport:
@@ -331,7 +375,9 @@ def cost(c: Circuit) -> CostReport:
 
     Depth convention: a gate enters the earliest layer in which none of its
     qubits are occupied (per-qubit occupancy layering, :func:`layer`).  A
-    builder-made circuit carries the depth its builder computed.
+    builder-made circuit holds its builder's deferred depth, resolved here
+    by walking the builder's op tape (once per builder, whichever of this
+    and the builder's report reads it first).
     """
     return CostReport(gate_count=len(c.gates), depth=_depth(c),
                       qubit_count=c.total_qubits,
@@ -596,46 +642,46 @@ def _chunk_is_valid(ptr, qubit, kind, n_qubits: int) -> bool:
     return True
 
 
-# the widest column slice of one max-plus product inside a recording
+# the widest column slice of one max-plus product in a fragment's chain walk
 _MAXPLUS_COLUMNS = 64
 
-# "no chain" in a recording's int32 rows.  Every entry starts at 0 or
-# _NO_CHAIN, never falls (a gate sets a max plus one, and a replay's
-# max-plus product is at least the row's own entry, a fragment's diagonal
-# being at least 0) and rises by at most one per gate, so while a fragment
-# holds fewer than _CHAIN_GATE_LIMIT gates a "no chain" entry stays below
-# 0, a chain stays below 2^29 and no sum of two entries leaves int32.  A
-# top-level replay adds the chains to int64 layers, exact while the
-# circuit has fewer than 2^30 gates.
+# "no chain" in a fragment's chain walk, its int32 rows.  Every entry
+# starts at 0 or _NO_CHAIN, never falls (a gate sets a max plus one, and a
+# replay's max-plus product is at least the row's own entry, a fragment's
+# diagonal being at least 0) and rises by at most one per gate, so while a
+# fragment holds fewer than _CHAIN_GATE_LIMIT gates a "no chain" entry
+# stays below 0, a chain stays below 2^29 and no sum of two entries leaves
+# int32.  A top-level replay adds the chains to int64 layers, exact while
+# the circuit has fewer than 2^30 gates.
 _NO_CHAIN = -2 ** 30
 _CHAIN_GATE_LIMIT = 2 ** 29
 
 
 class _Fragment:
     """Gates with their tallies (``gates``, ``fan_in``); the gate table, its
-    reversal and the support are built the first time one is needed.
+    reversal, the support and a memoized fragment's chains are built the
+    first time one is needed.
 
     A chunk of fresh gates is on builder qubits and holds its gates as the
     Python lists ``(ptr, qubit, kind)`` until its table is built, which
-    drops them.  A memoized fragment is on local qubit indices: it holds
-    its recorded op tape (None in tally mode, which never needs a table)
-    until its table is built, and carries ``depth``, the int32 max-plus
-    matrix whose entry ``[i, j]`` is the longest gate chain from local
-    qubit ``i``'s entry to ``j``'s exit (``_NO_CHAIN`` without one).  A
-    local qubit is in the support iff its own chain ``depth[i, i]`` holds a
-    gate.
+    drops them.  A memoized fragment is on ``k`` local qubit indices and
+    holds its recorded op tape until its table and its chains are both
+    built.  Its ``depth`` is the int32 max-plus matrix whose entry ``[i,
+    j]`` is the longest gate chain from local qubit ``i``'s entry to
+    ``j``'s exit (``_NO_CHAIN`` without one), and ``chains`` is that matrix
+    forwards and transposed (a reversed replay).  Its support is the union
+    of its ops' supports.
     """
 
-    __slots__ = ("gates", "fan_in", "depth", "chains", "_lists", "_tape",
+    __slots__ = ("gates", "fan_in", "k", "_chains", "_lists", "_tape",
                  "_forward", "_backward", "_support")
 
-    def __init__(self, gates: int, fan_in: int, depth=None, lists=None,
+    def __init__(self, gates: int, fan_in: int, k=None, lists=None,
                  tape=None):
         self.gates = gates
         self.fan_in = fan_in
-        self.depth = depth
-        # the matrix forward and transposed (a reversed replay)
-        self.chains = None if depth is None else (depth, depth.T.copy())
+        self.k = k
+        self._chains = None
         self._lists = lists
         self._tape = tape
         self._forward = self._backward = self._support = None
@@ -649,14 +695,35 @@ class _Fragment:
         if self._forward is None:
             if self._lists is not None:
                 self._forward = GateTable(*self._lists)
+                self._lists = None
             else:
                 self._forward = _flatten(self._tape)
-            self._lists = self._tape = None
+                if self._chains is not None:
+                    self._tape = None
         if not reverse:
             return self._forward
         if self._backward is None:
             self._backward = self._forward.reversed()
         return self._backward
+
+    @property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._chains is None:
+            # row j of the walked rows holds the chains into j's exit
+            k = self.k
+            identity = np.full((k, k), _NO_CHAIN, dtype=np.int32)
+            np.fill_diagonal(identity, 0)
+            rows = _walk(self._tape, 0, len(self._tape), list(identity))
+            depth = np.array(rows, dtype=np.int32).reshape(k, k)
+            depth[depth < 0] = _NO_CHAIN
+            self._chains = (depth.T.copy(), depth)
+            if self._forward is not None:
+                self._tape = None
+        return self._chains
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self.chains[0]
 
     def gate_qubits(self, reverse: bool) -> list[list[int]]:
         """A chunk's per-gate qubit lists, in the order they are applied."""
@@ -669,8 +736,8 @@ class _Fragment:
 
     def support(self) -> np.ndarray:
         if self._support is None:
-            if self.depth is not None:
-                self._support = np.flatnonzero(np.diagonal(self.depth) > 0)
+            if self._tape is not None:
+                self._support = Builder.support(self._tape)
             else:
                 qubit = (self._forward.qubit if self._lists is None
                          else self._lists[1])
@@ -684,6 +751,82 @@ def _flatten(tape) -> GateTable:
         frag.table(reverse) if qmap is None
         else frag.table(reverse).remap(np.array(qmap))
         for frag, qmap, reverse in tape])
+
+
+def _walk(tape, start: int, stop: int, layers: list) -> list:
+    """``layers`` (in either form of :func:`layer`) carried over ops
+    ``start:stop`` of an op tape: a chunk is layered gate by gate, and a
+    replay by a max-plus product with the fragment's chains."""
+    for i in range(start, stop):
+        frag, qmap, reverse = tape[i]
+        if not frag.gates:
+            continue
+        if qmap is None:
+            layer(frag.gate_qubits(reverse), layers)
+            continue
+        # exit j's layer: max over entries i of (i's layer + chain[i, j])
+        chain = frag.chains[reverse]
+        if not isinstance(layers[0], np.ndarray):
+            before = np.array([layers[q] for q in qmap])
+            after = np.maximum.reduce(before[:, None] + chain).tolist()
+        else:
+            before = np.stack([layers[q] for q in qmap])
+            after = np.empty_like(before)
+            for a in range(0, before.shape[1], _MAXPLUS_COLUMNS):
+                cols = slice(a, a + _MAXPLUS_COLUMNS)
+                np.maximum.reduce(before[:, None, cols] + chain[:, :, None],
+                                  out=after[:, cols])
+        for q, v in zip(qmap, after):
+            layers[q] = v
+    return layers
+
+
+class _Depth:
+    """A builder's depth after its first ``length`` top-level ops, on ``n``
+    qubits: ``resolve()`` walks the builder's tape to it on first use, then
+    keeps the value and drops the walk."""
+
+    __slots__ = ("walk", "length", "n", "value")
+
+    def __init__(self, walk: "_TapeWalk", length: int, n: int):
+        self.walk, self.length, self.n = walk, length, n
+        self.value = None
+
+    def resolve(self) -> int:
+        if self.walk is not None:
+            self.walk.resolve(self.length)
+        return self.value
+
+
+class _TapeWalk:
+    """One builder's top-level depth walk: the per-qubit layers after the
+    first ``at`` ops of its tape, and the depths handed out, by tape
+    length.  A walk to one of them resolves every one before it, so the
+    tape is walked once however many depths are read, in any order."""
+
+    def __init__(self, tape: list):
+        self.tape = tape
+        self.layers: list[int] = []
+        self.at = 0
+        self.depths: dict[int, _Depth] = {}
+
+    def depth(self, n: int) -> _Depth:
+        """The depth of the tape as it stands, on ``n`` qubits."""
+        length = len(self.tape)
+        d = self.depths.get(length)
+        if d is None:
+            d = self.depths[length] = _Depth(self, length, n)
+        return d
+
+    def resolve(self, length: int) -> None:
+        for stop in sorted(p for p, d in self.depths.items()
+                           if d.walk is not None and p <= length):
+            d = self.depths[stop]
+            self.layers.extend([0] * (d.n - len(self.layers)))
+            _walk(self.tape, self.at, stop, self.layers)
+            self.at = stop
+            d.value = max(self.layers, default=0)
+            d.walk = None
 
 
 def _local_args(shape, index) -> list:
@@ -709,17 +852,20 @@ class Builder:
     Gates go onto an op tape: chunks of fresh gates (``gate``, ``x``,
     ``cx``) and replays of memoized fragments (``call``).  A chunk stays
     Python lists: it is checked once when flushed (a failing chunk gets
-    ``GateTable.validate``'s error) and, on the top level's one column of
-    depth layers, layered by the scalar sweep of :func:`layer`; a replay
-    there is a 1-D max-plus update.  With ``record=False`` the builder keeps
-    only running tallies (gate count, per-qubit depth layers, fan-in,
-    ancilla liveness) and builds no gate table; ``finish()`` is then
-    unavailable but ``report()`` works.  In either mode, ``with
-    b.capture() as ops:`` checks the block's ops and holds them in ``ops``
-    instead of emitting them; ``emit(ops)`` plays them forwards and
-    ``emit_inverse(ops)`` backwards, each op with its direction flipped, so
-    no gate is revisited.  A gate is numbered in errors as if every open
-    capture had been emitted where it opened.
+    ``GateTable.validate``'s error).  Each op tallies the gate count and
+    fan-in as it is emitted; the depth is not tallied.  ``report()`` and
+    ``finish()`` hand out a deferred depth of the tape as it stands, which
+    the first read resolves by walking the tape on one column of per-qubit
+    layers (a chunk by the scalar sweep of :func:`layer`, a replay by a 1-D
+    max-plus update); one walk serves every depth the builder hands out.
+    With ``record=False`` the builder keeps its tape and tallies (gate
+    count, fan-in, ancilla liveness) but builds no gate table;
+    ``finish()`` is then unavailable but ``report()`` works.  In either
+    mode, ``with b.capture() as ops:`` checks the block's ops and holds
+    them in ``ops`` instead of emitting them; ``emit(ops)`` plays them
+    forwards and ``emit_inverse(ops)`` backwards, each op with its
+    direction flipped, so no gate is revisited.  A gate is numbered in
+    errors as if every open capture had been emitted where it opened.
 
     ``call(emitter, *regs, **consts)`` runs ``emitter(b, *regs, **consts)``
     once per builder for each memo key and replays the recorded fragment on
@@ -734,18 +880,16 @@ class Builder:
     """
 
     def __init__(self, record: bool = True):
-        self._start(record, 0, {}, [], fragment=False)
-
-    def _start(self, record, n, memo, layers, fragment) -> None:
         self.record = record
+        self._start(0, {}, fragment=False)
+
+    def _start(self, n, memo, fragment) -> None:
         self._registers: list[RegisterDecl] = []
         self._n = n
         self._memo = memo
-        self._layers = layers          # per-qubit latest layer: an int, or
-                                       # an int32 row with one column per
-                                       # origin
         self._fragment = fragment      # recording a memoized fragment
         self._tape: list = []          # ops: (fragment, qmap or None, reverse)
+        self._walk = None              # its depth walk, made on first report
         self._held: list[list] = []    # the ops of each open capture
         self._held_gates = 0           # and their gates
         self._pq: list[int] = []       # pending fresh gates: qubits,
@@ -766,7 +910,6 @@ class Builder:
         self._registers.append(decl)
         qubits = tuple(range(self._n, self._n + width))
         self._n += width
-        self._layers.extend([0] * width)
         return qubits
 
     @property
@@ -835,33 +978,10 @@ class Builder:
             self._held[-1].append((frag, qmap, reverse))
             self._held_gates += frag.gates
             return
-        if self.record:
-            self._tape.append((frag, qmap, reverse))
+        self._tape.append((frag, qmap, reverse))
         self._gate_count += frag.gates
         if frag.fan_in > self._max_fan_in:
             self._max_fan_in = frag.fan_in
-        if not frag.gates:
-            return
-        layers = self._layers
-        if frag.depth is None:
-            layer(frag.gate_qubits(reverse), layers)
-            return
-        # exit j's layer: max over entries i of (i's layer + chain[i, j])
-        chain = frag.chains[reverse]
-        if not self._fragment:
-            before = np.array([layers[q] for q in qmap])
-            after = np.maximum.reduce(before[:, None] + chain).tolist()
-            for q, v in zip(qmap, after):
-                layers[q] = v
-            return
-        before = np.stack([layers[q] for q in qmap])
-        after = np.empty_like(before)
-        for a in range(0, before.shape[1], _MAXPLUS_COLUMNS):
-            cols = slice(a, a + _MAXPLUS_COLUMNS)
-            np.maximum.reduce(before[:, None, cols] + chain[:, :, None],
-                              out=after[:, cols])
-        for q, row in zip(qmap, after):
-            layers[q] = row
 
     # -- memoized fragments --------------------------------------------------
     def call(self, emitter, *regs, **consts) -> None:
@@ -900,9 +1020,7 @@ class Builder:
 
     def _record(self, emitter, k: int, args, consts) -> _Fragment:
         sub = Builder.__new__(Builder)
-        identity = np.full((k, k), _NO_CHAIN, dtype=np.int32)
-        np.fill_diagonal(identity, 0)
-        sub._start(self.record, k, self._memo, list(identity), fragment=True)
+        sub._start(k, self._memo, fragment=True)
         name = getattr(emitter, "__qualname__", repr(emitter))
         try:
             emitter(sub, *args, **consts)
@@ -913,12 +1031,8 @@ class Builder:
             raise CircuitError(f"{name}: a memoized fragment holds at most "
                                f"{_CHAIN_GATE_LIMIT - 1} gates, not "
                                f"{sub._gate_count}")
-        # row j of the layers holds the chains into j's exit
-        depth = np.array(sub._layers, dtype=np.int32).reshape(k, k)
-        depth[depth < 0] = _NO_CHAIN
-        return _Fragment(sub._gate_count, sub._max_fan_in,
-                         depth=depth.T.copy(),
-                         tape=sub._tape if self.record else None)
+        return _Fragment(sub._gate_count, sub._max_fan_in, k=k,
+                         tape=sub._tape)
 
     # -- capture / inversion ------------------------------------------------
     @contextmanager
@@ -966,8 +1080,10 @@ class Builder:
                 else np.zeros(0, np.int64))
 
     # -- results --------------------------------------------------------------
-    def _depth(self) -> int:
-        return int(max(self._layers, default=0))
+    def _depth(self) -> _Depth:
+        if self._walk is None:
+            self._walk = _TapeWalk(self._tape)
+        return self._walk.depth(self._n)
 
     def finish(self) -> Circuit:
         if not self.record:

@@ -2,6 +2,7 @@
 against the per-gate reference builder, plus pinned outputs."""
 
 import hashlib
+import weakref
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -581,6 +582,180 @@ def test_builder_matches_reference(ops):
             assert c.gates == want.gates
             assert cq.cost(c) == reference_cost(want) == ref.report()
             assert cq.cost(cq.loads(cq.dumps(c))) == ref.report()
+
+
+# ---------------------------------------------------------------------------
+# depth on first read: a builder hands out deferred depths, walked from its
+# op tape when one is first read
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op(2), max_size=4), st.lists(_op(2), min_size=1, max_size=4),
+       st.booleans())
+def test_a_mid_build_report_keeps_its_depth(first, then, early_first):
+    ref = _build(ReferenceBuilder, True, first)
+    want_early = ref.report()
+    _run(ref, then)
+    want_late = ref.report()
+    got = {}
+    for record in (True, False):
+        b = _build(cq.Builder, record, first)
+        early = b.report()
+        mid = b.finish() if record else None
+        _run(b, then)
+        late = b.report()
+        # either read first; the other is still right afterwards
+        if early_first:
+            assert early.depth == want_early.depth
+        assert late == want_late
+        assert early == want_early
+        if record:
+            assert cq.cost(mid).depth == want_early.depth
+            assert cq.cost(b.finish()) == want_late
+        got[record] = (early, late)
+    assert got[True] == got[False]
+
+
+def _top_level_walks(monkeypatch) -> list:
+    """The walks of a builder's top level (one column of int layers), not of
+    a fragment's chains."""
+    walks = []
+    real = cq._walk
+
+    def counting(tape, start, stop, layers):
+        if layers and not isinstance(layers[0], np.ndarray):
+            walks.append((start, stop))
+        return real(tape, start, stop, layers)
+
+    monkeypatch.setattr(cq, "_walk", counting)
+    return walks
+
+
+def test_one_tape_walk_serves_report_finish_and_cost(monkeypatch):
+    walks = _top_level_walks(monkeypatch)
+    oc = orc.compose(dm.sir_spec(dm.SirConfig(3, 2, 1)))
+    assert walks == []
+    depth = oc.report.depth
+    assert walks == [(0, walks[0][1])]
+    assert cq.cost(oc.circuit).depth == cq.cost(cq.invert(oc.circuit)).depth
+    assert len(walks) == 1
+    assert depth == reference_cost(oc.circuit).depth
+    # finish, then report: the same tape, walked once
+    b = rs.builder_scan(40)
+    c = b.finish()
+    assert cq.cost(c).depth == b.report().depth == reference_cost(c).depth
+    assert len(walks) == 2
+    # reports at two tape lengths read in reverse: one walk to each
+    b = cq.Builder(record=False)
+    q = b.add_register("q", 3, "ancilla")
+    b.cx(q[0], q[1])
+    early = b.report()
+    b.cx(q[1], q[2])
+    late = b.report()
+    assert (late.depth, early.depth) == (2, 1)
+    assert walks[2:] == [(0, 1), (1, 2)]
+
+
+def test_a_build_whose_depth_is_never_read_builds_no_chains(monkeypatch):
+    def chains(frag):
+        raise AssertionError("a fragment built its chain matrix")
+
+    monkeypatch.setattr(cq._Fragment, "chains", property(chains))
+    for record in (False, True):
+        for n in (40, 100):
+            b = rs.builder_scan(n, record=record)
+            rep = rs.builder_blocked(n, record=record).report()
+            assert rep.gate_count > 0 and b.report().qubit_count > n
+        for spec in (dm.sway_spec(dm.SwayConfig(3, 2)),
+                     dm.sir_spec(dm.SirConfig(3, 2, 1))):
+            oc = orc.compose(spec, record=record)
+            assert oc.report.gate_count > 0
+            if record:
+                cq.dumps(oc.circuit)
+    with pytest.raises(AssertionError, match="chain matrix"):
+        oc.report.depth
+
+
+@pytest.mark.parametrize("read_first", [True, False])
+def test_inverted_depth_before_or_after_the_original_is_read(read_first):
+    oc = orc.compose(dm.sway_spec(dm.SwayConfig(2, 2)), arms=2,
+                     first_moves=[0, 3])
+    want = reference_cost(oc.circuit).depth
+    if read_first:
+        assert cq.cost(oc.circuit).depth == want
+    inverse = cq.invert(oc.circuit)
+    assert cq.cost(inverse).depth == want
+    assert reference_cost(inverse).depth == want
+    assert oc.report.depth == cq.cost(oc.circuit).depth == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op(2), min_size=1, max_size=6))
+def test_a_fragments_support_is_its_tables_qubits(ops):
+    # aliased arguments and nested replays come from the programs' calls
+    b = _build(cq.Builder, False, ops)
+    for frag in b._memo.values():
+        support = frag.support()
+        np.testing.assert_array_equal(
+            support, cq._distinct(frag.table(False).qubit))
+
+
+def test_cost_report_is_a_frozen_value():
+    rep = CostReport(5, 3, 4, 2, 1)
+    assert ((rep.gate_count, rep.depth, rep.qubit_count, rep.max_fan_in,
+             rep.max_live_ancilla) == (5, 3, 4, 2, 1))
+    assert rep == CostReport(5, 3, 4, 2, 1)
+    assert hash(rep) == hash(CostReport(5, 3, 4, 2, 1))
+    assert rep != CostReport(5, 4, 4, 2, 1) and rep != (5, 3, 4, 2, 1)
+    assert repr(rep) == ("CostReport(gate_count=5, depth=3, qubit_count=4, "
+                         "max_fan_in=2, max_live_ancilla=1)")
+    # a builder's report, its depth deferred, is the same value
+    b = cq.Builder(record=False)
+    q = b.add_register("q", 4, "ancilla")
+    b.acquire(1)
+    b.x(q[0])
+    b.cx(q[0], q[1])
+    b.gate([q[1]], (q[2], q[3]))
+    built = b.report()
+    assert hash(built) == hash(CostReport(3, 3, 4, 3, 1))
+    assert built == CostReport(3, 3, 4, 3, 1)
+    assert repr(built) == ("CostReport(gate_count=3, depth=3, qubit_count=4, "
+                           "max_fan_in=3, max_live_ancilla=1)")
+    for r in (rep, built):
+        for name in ("gate_count", "depth", "qubit_count", "max_fan_in",
+                     "max_live_ancilla", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            del r.depth
+    assert built.depth == 3
+
+
+class _Watched(cq._Fragment):
+    """A fragment that takes weak references (``_Fragment`` has slots)."""
+
+
+def test_reading_the_depth_lets_the_tape_go(monkeypatch):
+    chunks = []
+    real = cq._Fragment.chunk.__func__
+
+    def chunk(ptr, qubit, kind):
+        frag = real(_Watched, ptr, qubit, kind)
+        chunks.append(weakref.ref(frag))
+        return frag
+
+    monkeypatch.setattr(cq._Fragment, "chunk", staticmethod(chunk))
+    for record in (False, True):
+        chunks.clear()
+        oc = orc.compose(dm.sway_spec(dm.SwayConfig(3, 2)), record=record)
+        # the deferred depth holds the tape until it is read
+        assert any(ref() is not None for ref in chunks)
+        oc.report.depth
+        assert all(ref() is None for ref in chunks)
+    chunks.clear()
+    rep = rs.builder_blocked(30, record=False).report()
+    assert any(ref() is not None for ref in chunks)
+    rep.depth
+    assert all(ref() is None for ref in chunks)
 
 
 def _wide(b, a):
