@@ -255,6 +255,8 @@ def separation_report(k_values, eps_values, trials: int,
     if len(k_values) < 2 or len(eps_values) < 2:
         raise BestArmError("slopes need two distinct k and two distinct eps "
                            "values")
+    if trials < 1:
+        raise BestArmError(f"trials must be >= 1, got {trials}")
     rows = []
     table: dict[tuple[int, float], SeparationRow] = {}
     for k in k_values:

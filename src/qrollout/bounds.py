@@ -263,6 +263,8 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
     """
     if coupling not in ("position", "rank"):
         raise BoundsError(f"unknown coupling {coupling!r}")
+    if trials < 1:
+        raise BoundsError(f"trials must be >= 1, got {trials}")
     diffs_sum = 0
     diffs_sq = 0
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):

@@ -15,12 +15,14 @@ The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
 replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
 as Python lists, checked in Python, until a table is needed.  A fragment is
 recorded once on local qubit indices, as its op tape, and replayed by a
-qubit remap.  Gate counts and fan-in are tallied as ops are emitted; depth
-is computed only when it is first read, by one walk of the builder's tape,
-a replay's depth effect carried by the int32 max-plus matrix of its
-fragment's gate chains (walked from the fragment's tape on one int32 row
-per local qubit, an entry below 0 meaning no chain).  A fragment builds its
-gate table and its chains on first use, so a tally-mode build never
+qubit remap.  Gate counts and fan-in are tallied as ops are emitted.
+Every depth (a builder's report, a built, loaded or inverted circuit's
+cost) is one deferred walk of an op tape, taken when the depth is first
+read; a circuit from a table (``Circuit()``, ``loads``) is a tape of one
+chunk.  A replay's depth effect is carried by the int32 max-plus matrix of
+its fragment's gate chains (walked from the fragment's tape on one int32
+row per local qubit, an entry below 0 meaning no chain).  A fragment builds
+its gate table and its chains on first use, so a tally-mode build never
 flattens one, and a build whose depth is never read builds no chains.  A
 memoized emitter must be a pure function of its registers and constants,
 and must not call ``acquire`` or ``release``.  A ``Builder.capture()``
@@ -66,9 +68,9 @@ class RegisterDecl:
 
 class CostReport:
     """Gate count, depth, qubit count, fan-in and peak live ancilla;
-    immutable.  A builder's report holds a deferred depth, which the first
-    read of ``depth`` resolves and keeps; equality, hash and repr see the
-    resolved value."""
+    immutable.  A report from a builder or :func:`cost` holds a deferred
+    depth, which the first read of ``depth`` resolves and keeps; equality,
+    hash and repr see the resolved value."""
 
     __slots__ = ("gate_count", "_depth", "qubit_count", "max_fan_in",
                  "max_live_ancilla")
@@ -243,8 +245,8 @@ def layer(gates: Iterable[list[int]], layers: list) -> list:
 
     ``gates`` gives each gate's qubits as a list.  ``layers[q]`` is qubit
     ``q``'s latest layer and is updated in place, in one of two forms.  A
-    list of ints (one column: a builder's top-level depth walk, :func:`cost`)
-    is swept as Python scalars, with no numpy call.  A list of int32 rows
+    list of ints (one column: a top-level depth walk, :class:`_Depth`) is
+    swept as Python scalars, with no numpy call.  A list of int32 rows
     has one column per origin (a memoized fragment's chain walk, one per
     local qubit): a gate's new row is the elementwise max of its qubits'
     rows plus one, assigned to each of them, so starting from the max-plus
@@ -279,30 +281,31 @@ class Circuit:
     ``(controls, targets)`` pairs); it is validated once, vectorised.  A
     circuit from ``Builder.finish`` is not re-checked (its chunks were
     checked as they were flushed, and memoized fragments, recorded from pure
-    emitters, stay valid under an injective qubit remap) and holds its
-    builder's deferred depth.
+    emitters, stay valid under an injective qubit remap).  Its depth is a
+    deferred tape walk, :class:`_Depth`: its builder's for a built circuit,
+    and a tape of one chunk, its own table, for any other.
     """
 
     __slots__ = ("registers", "gates", "total_qubits", "layout",
-                 "max_live_ancilla", "_offsets", "_pos_of", "_cache")
+                 "max_live_ancilla", "_offsets", "_pos_of", "_depth",
+                 "_cache")
 
     def __init__(self, registers, gates: GateTable, layout=None,
                  max_live_ancilla=0):
         if not isinstance(gates, GateTable):
             raise CircuitError("gates must be a GateTable")
-        self._setup(registers, gates, layout, max_live_ancilla)
+        self._setup(registers, gates, layout, max_live_ancilla, None)
         gates.validate(self.total_qubits)
 
     @classmethod
-    def _built(cls, registers, gates, layout, max_live_ancilla, depth):
+    def _built(cls, registers, gates, layout, max_live_ancilla, depth=None):
         """A circuit whose table the builder validated (or the caller
-        validates), with its depth if known (an int or a deferred depth)."""
+        validates), with its deferred depth if one walks another tape."""
         c = cls.__new__(cls)
-        c._setup(registers, gates, layout, max_live_ancilla)
-        c._cache["depth"] = depth
+        c._setup(registers, gates, layout, max_live_ancilla, depth)
         return c
 
-    def _setup(self, registers, gates, layout, max_live_ancilla):
+    def _setup(self, registers, gates, layout, max_live_ancilla, depth):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
@@ -329,6 +332,10 @@ class Circuit:
         for pos, q in enumerate(layout):
             pos_of[q] = pos
         self._pos_of = tuple(pos_of)
+        if depth is None:
+            depth = _Depth([(_Fragment.of_table(gates), None, False)], 1,
+                           total)
+        self._depth = depth
         self._cache = {}
 
     def register(self, name: str) -> tuple[int, ...]:
@@ -353,20 +360,10 @@ class Circuit:
 
 def invert(c: Circuit) -> Circuit:
     """The circuit with its gates reversed: the inverse, with an identical
-    cost report (the longest gate chain is the same read backwards)."""
+    cost report (the longest gate chain is the same read backwards), so it
+    shares the circuit's deferred depth."""
     return Circuit._built(c.registers, c.gates.reversed(), c.layout,
-                          c.max_live_ancilla, c._cache.get("depth"))
-
-
-def _depth(c: Circuit) -> int:
-    depth = c._cache.get("depth")
-    if depth is None:
-        depth = max(layer(c.gates.qubit_lists(), [0] * c.total_qubits),
-                    default=0)
-    elif isinstance(depth, _Depth):
-        depth = depth.resolve()
-    c._cache["depth"] = depth
-    return depth
+                          c.max_live_ancilla, c._depth)
 
 
 def cost(c: Circuit) -> CostReport:
@@ -374,12 +371,12 @@ def cost(c: Circuit) -> CostReport:
     ancilla.
 
     Depth convention: a gate enters the earliest layer in which none of its
-    qubits are occupied (per-qubit occupancy layering, :func:`layer`).  A
-    builder-made circuit holds its builder's deferred depth, resolved here
-    by walking the builder's op tape (once per builder, whichever of this
-    and the builder's report reads it first).
+    qubits are occupied (per-qubit occupancy layering, :func:`layer`).  The
+    report holds the circuit's deferred depth, one walk of its op tape
+    (its builder's, or one chunk of its table) on the first read of
+    ``depth``, shared with every other report of that tape and length.
     """
-    return CostReport(gate_count=len(c.gates), depth=_depth(c),
+    return CostReport(gate_count=len(c.gates), depth=c._depth,
                       qubit_count=c.total_qubits,
                       max_fan_in=c.gates.max_fan_in(),
                       max_live_ancilla=c.max_live_ancilla)
@@ -563,7 +560,7 @@ def _loads_own(text: str) -> Circuit | None:
         doc = json.loads(data[:start] + b"[]" + data[end:])
         c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
                             for r in doc["registers"]], table,
-                           doc["layout"], doc["max_live_ancilla"], None)
+                           doc["layout"], doc["max_live_ancilla"])
     except (ValueError, KeyError, TypeError):
         return None
     if len(table) and int(table.qubit.max()) >= c.total_qubits:
@@ -691,6 +688,13 @@ class _Fragment:
         return cls(len(ptr) - 1, max([z - a for a, z in zip(ptr, ptr[1:])]),
                    lists=(ptr, qubit, kind))
 
+    @classmethod
+    def of_table(cls, table: GateTable) -> "_Fragment":
+        """A chunk of a table's gates."""
+        frag = cls(len(table), table.max_fan_in())
+        frag._forward = table
+        return frag
+
     def table(self, reverse: bool) -> GateTable:
         if self._forward is None:
             if self._lists is not None:
@@ -713,7 +717,7 @@ class _Fragment:
             k = self.k
             identity = np.full((k, k), _NO_CHAIN, dtype=np.int32)
             np.fill_diagonal(identity, 0)
-            rows = _walk(self._tape, 0, len(self._tape), list(identity))
+            rows = _walk(self._tape, len(self._tape), list(identity))
             depth = np.array(rows, dtype=np.int32).reshape(k, k)
             depth[depth < 0] = _NO_CHAIN
             self._chains = (depth.T.copy(), depth)
@@ -753,11 +757,11 @@ def _flatten(tape) -> GateTable:
         for frag, qmap, reverse in tape])
 
 
-def _walk(tape, start: int, stop: int, layers: list) -> list:
-    """``layers`` (in either form of :func:`layer`) carried over ops
-    ``start:stop`` of an op tape: a chunk is layered gate by gate, and a
+def _walk(tape, length: int, layers: list) -> list:
+    """``layers`` (in either form of :func:`layer`) carried over the first
+    ``length`` ops of an op tape: a chunk is layered gate by gate, and a
     replay by a max-plus product with the fragment's chains."""
-    for i in range(start, stop):
+    for i in range(length):
         frag, qmap, reverse = tape[i]
         if not frag.gates:
             continue
@@ -776,57 +780,35 @@ def _walk(tape, start: int, stop: int, layers: list) -> list:
                 cols = slice(a, a + _MAXPLUS_COLUMNS)
                 np.maximum.reduce(before[:, None, cols] + chain[:, :, None],
                                   out=after[:, cols])
+            if before.shape[1] > _MAXPLUS_COLUMNS:
+                # rows copied out of a product wider than one slice, so
+                # that it is freed with this replay; a narrower product
+                # costs less to keep than to copy row by row
+                after = [v.copy() for v in after]
         for q, v in zip(qmap, after):
             layers[q] = v
     return layers
 
 
 class _Depth:
-    """A builder's depth after its first ``length`` top-level ops, on ``n``
-    qubits: ``resolve()`` walks the builder's tape to it on first use, then
-    keeps the value and drops the walk."""
+    """The depth of the first ``length`` ops of an op tape on ``n`` qubits,
+    the one depth routine: on first use, ``resolve()`` walks them on one
+    column of per-qubit layers (a chunk by the scalar sweep of
+    :func:`layer`, a replay by a 1-D max-plus update), then keeps the value
+    and drops the tape."""
 
-    __slots__ = ("walk", "length", "n", "value")
+    __slots__ = ("tape", "length", "n", "value")
 
-    def __init__(self, walk: "_TapeWalk", length: int, n: int):
-        self.walk, self.length, self.n = walk, length, n
+    def __init__(self, tape: list, length: int, n: int):
+        self.tape, self.length, self.n = tape, length, n
         self.value = None
 
     def resolve(self) -> int:
-        if self.walk is not None:
-            self.walk.resolve(self.length)
+        if self.tape is not None:
+            self.value = max(_walk(self.tape, self.length, [0] * self.n),
+                             default=0)
+            self.tape = None
         return self.value
-
-
-class _TapeWalk:
-    """One builder's top-level depth walk: the per-qubit layers after the
-    first ``at`` ops of its tape, and the depths handed out, by tape
-    length.  A walk to one of them resolves every one before it, so the
-    tape is walked once however many depths are read, in any order."""
-
-    def __init__(self, tape: list):
-        self.tape = tape
-        self.layers: list[int] = []
-        self.at = 0
-        self.depths: dict[int, _Depth] = {}
-
-    def depth(self, n: int) -> _Depth:
-        """The depth of the tape as it stands, on ``n`` qubits."""
-        length = len(self.tape)
-        d = self.depths.get(length)
-        if d is None:
-            d = self.depths[length] = _Depth(self, length, n)
-        return d
-
-    def resolve(self, length: int) -> None:
-        for stop in sorted(p for p, d in self.depths.items()
-                           if d.walk is not None and p <= length):
-            d = self.depths[stop]
-            self.layers.extend([0] * (d.n - len(self.layers)))
-            _walk(self.tape, self.at, stop, self.layers)
-            self.at = stop
-            d.value = max(self.layers, default=0)
-            d.walk = None
 
 
 def _local_args(shape, index) -> list:
@@ -854,10 +836,10 @@ class Builder:
     Python lists: it is checked once when flushed (a failing chunk gets
     ``GateTable.validate``'s error).  Each op tallies the gate count and
     fan-in as it is emitted; the depth is not tallied.  ``report()`` and
-    ``finish()`` hand out a deferred depth of the tape as it stands, which
-    the first read resolves by walking the tape on one column of per-qubit
-    layers (a chunk by the scalar sweep of :func:`layer`, a replay by a 1-D
-    max-plus update); one walk serves every depth the builder hands out.
+    ``finish()`` hand out a deferred depth of the tape as it stands, a
+    :class:`_Depth` that one walk of the tape resolves on first read; the
+    builder hands out one per tape length and qubit count, so a
+    ``finish()`` and a ``report()`` of the same tape share it.
     With ``record=False`` the builder keeps its tape and tallies (gate
     count, fan-in, ancilla liveness) but builds no gate table;
     ``finish()`` is then unavailable but ``report()`` works.  In either
@@ -889,7 +871,7 @@ class Builder:
         self._memo = memo
         self._fragment = fragment      # recording a memoized fragment
         self._tape: list = []          # ops: (fragment, qmap or None, reverse)
-        self._walk = None              # its depth walk, made on first report
+        self._handed = None            # the last depth handed out
         self._held: list[list] = []    # the ops of each open capture
         self._held_gates = 0           # and their gates
         self._pq: list[int] = []       # pending fresh gates: qubits,
@@ -1081,9 +1063,10 @@ class Builder:
 
     # -- results --------------------------------------------------------------
     def _depth(self) -> _Depth:
-        if self._walk is None:
-            self._walk = _TapeWalk(self._tape)
-        return self._walk.depth(self._n)
+        d = self._handed
+        if d is None or (d.length, d.n) != (len(self._tape), self._n):
+            d = self._handed = _Depth(self._tape, len(self._tape), self._n)
+        return d
 
     def finish(self) -> Circuit:
         if not self.record:

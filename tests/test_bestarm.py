@@ -251,6 +251,13 @@ def test_separation_report_needs_two_points_per_slope():
         ba.separation_report([4, 8], [0.08, 0.08], trials=2, seed=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_separation_report_needs_a_trial(trials):
+    with pytest.raises(ba.BestArmError,
+                       match=f"trials must be >= 1, got {trials}"):
+        ba.separation_report([4, 8], [0.08, 0.04], trials=trials, seed=1)
+
+
 def test_separation_report_smoke():
     rep = ba.separation_report([4, 16], [0.08, 0.04], trials=25, seed=3)
     assert len(rep.rows) == 4

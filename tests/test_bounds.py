@@ -267,6 +267,14 @@ def test_empirical_influence_p_zero_dynamics():
     assert est.delta == 0.0
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_empirical_influence_needs_a_trial(trials):
+    spec = dm.sir_spec(dm.SirConfig(m=3, horizon=1, threshold=2, rho=2))
+    with pytest.raises(bd.BoundsError,
+                       match=f"trials must be >= 1, got {trials}"):
+        bd.empirical_influence(spec, CENTER3, 0, trials=trials, seed=3)
+
+
 def test_rank_coupling_exposes_policy_shift():
     # sharing raw selector ranks lets a far site move later vaccination
     # positions through the global popcount; position coupling removes it

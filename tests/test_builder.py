@@ -616,15 +616,15 @@ def test_a_mid_build_report_keeps_its_depth(first, then, early_first):
 
 
 def _top_level_walks(monkeypatch) -> list:
-    """The walks of a builder's top level (one column of int layers), not of
-    a fragment's chains."""
+    """The lengths of the walks of an op tape's top level (one column of int
+    layers), not of a fragment's chains."""
     walks = []
     real = cq._walk
 
-    def counting(tape, start, stop, layers):
+    def counting(tape, length, layers):
         if layers and not isinstance(layers[0], np.ndarray):
-            walks.append((start, stop))
-        return real(tape, start, stop, layers)
+            walks.append(length)
+        return real(tape, length, layers)
 
     monkeypatch.setattr(cq, "_walk", counting)
     return walks
@@ -635,7 +635,7 @@ def test_one_tape_walk_serves_report_finish_and_cost(monkeypatch):
     oc = orc.compose(dm.sir_spec(dm.SirConfig(3, 2, 1)))
     assert walks == []
     depth = oc.report.depth
-    assert walks == [(0, walks[0][1])]
+    assert len(walks) == 1
     assert cq.cost(oc.circuit).depth == cq.cost(cq.invert(oc.circuit)).depth
     assert len(walks) == 1
     assert depth == reference_cost(oc.circuit).depth
@@ -644,15 +644,38 @@ def test_one_tape_walk_serves_report_finish_and_cost(monkeypatch):
     c = b.finish()
     assert cq.cost(c).depth == b.report().depth == reference_cost(c).depth
     assert len(walks) == 2
-    # reports at two tape lengths read in reverse: one walk to each
+
+
+@pytest.mark.parametrize("early_first", [True, False])
+def test_reports_at_two_tape_lengths_each_walk_their_own(monkeypatch,
+                                                         early_first):
+    walks = _top_level_walks(monkeypatch)
     b = cq.Builder(record=False)
     q = b.add_register("q", 3, "ancilla")
     b.cx(q[0], q[1])
     early = b.report()
     b.cx(q[1], q[2])
     late = b.report()
-    assert (late.depth, early.depth) == (2, 1)
-    assert walks[2:] == [(0, 1), (1, 2)]
+    if early_first:
+        assert (early.depth, late.depth) == (1, 2)
+        assert walks == [1, 2]
+    else:
+        assert (late.depth, early.depth) == (2, 1)
+        assert walks == [2, 1]
+    assert (early.depth, late.depth) == (1, 2) and len(walks) == 2
+
+
+def test_a_loaded_circuits_depth_is_one_walk_on_first_read(monkeypatch):
+    oc = orc.compose(dm.sir_spec(dm.SirConfig(3, 2, 1)))
+    want = reference_cost(oc.circuit).depth
+    walks = _top_level_walks(monkeypatch)
+    c = cq.loads(cq.dumps(oc.circuit))
+    rep = cq.cost(c)
+    inverse = cq.cost(cq.invert(c))
+    assert walks == []
+    # the loaded tape is one chunk, its own table
+    assert rep.depth == want and walks == [1]
+    assert inverse.depth == cq.cost(c).depth == want and walks == [1]
 
 
 def test_a_build_whose_depth_is_never_read_builds_no_chains(monkeypatch):

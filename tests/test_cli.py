@@ -145,12 +145,25 @@ def test_manifest_reproducible_byte_identical(tmp_path):
 GOLDEN_RUNS = {
     "bestarm_separate_seed1.csv": "bestarm separate --k 4,8,16 "
                                   "--eps 0.08,0.04 --trials 40 --seed 1",
+    "domain_exact_sway_m3_H4.csv": "domain exact --domain sway --m 3 --H 4",
+    "domain_exact_epi_m3_H2.csv": "domain exact --domain epi --m 3 --H 2 "
+                                  "--T 2 --rho 2",
+    "oracle_counts_sway_m3_H2.csv": "oracle counts --domain sway --m 3 "
+                                    "--H 2",
+    "oracle_counts_epi_m3_H2.csv": "oracle counts --domain epi --m 3 --H 2 "
+                                   "--T 2",
     "oracle_validate_epi_m2_H1.csv": "oracle validate --domain epi --m 2 "
                                      "--H 1 --T 1 --seeds 50 --seed 1",
     # 72-bit config registers, wider than an int64
     "oracle_validate_sway_m6_H1.csv": "oracle validate --domain sway --m 6 "
                                       "--H 1 --seeds 20 --seed 1",
     "ranksel_validate_n6.txt": "ranksel validate --n 6",
+    "tables_scaling_build_all.csv": "tables scaling --build-all",
+    # these three print depths
+    "ranksel_costs_n1024.csv": "ranksel costs --n-max 1024",
+    "ranksel_costs_n4096.csv": "ranksel costs --n-max 4096",
+    "tables_correctness_seed3.csv": "tables correctness --seed 3 "
+                                    "--shots 2000 --ref-shots 20000",
 }
 
 
