@@ -673,7 +673,7 @@ class _Fragment:
     __slots__ = ("gates", "fan_in", "k", "_chains", "_lists", "_tape",
                  "_forward", "_backward", "_support")
 
-    def __init__(self, gates: int, fan_in: int, k=None, lists=None,
+    def __init__(self, gates: int, fan_in: int | None, k=None, lists=None,
                  tape=None):
         self.gates = gates
         self.fan_in = fan_in
@@ -690,8 +690,9 @@ class _Fragment:
 
     @classmethod
     def of_table(cls, table: GateTable) -> "_Fragment":
-        """A chunk of a table's gates."""
-        frag = cls(len(table), table.max_fan_in())
+        """A chunk of a table's gates, for a tape that never reaches a
+        builder, so its fan-in is not tallied."""
+        frag = cls(len(table), None)
         frag._forward = table
         return frag
 
@@ -780,11 +781,8 @@ def _walk(tape, length: int, layers: list) -> list:
                 cols = slice(a, a + _MAXPLUS_COLUMNS)
                 np.maximum.reduce(before[:, None, cols] + chain[:, :, None],
                                   out=after[:, cols])
-            if before.shape[1] > _MAXPLUS_COLUMNS:
-                # rows copied out of a product wider than one slice, so
-                # that it is freed with this replay; a narrower product
-                # costs less to keep than to copy row by row
-                after = [v.copy() for v in after]
+            # rows copied out, so the product is freed with this replay
+            after = [v.copy() for v in after]
         for q, v in zip(qmap, after):
             layers[q] = v
     return layers

@@ -171,7 +171,7 @@ GOLDEN_RUNS = {
 def test_cli_output_matches_its_golden_file(golden, capsys):
     path = Path(__file__).parent / "golden" / golden
     assert cli.run(GOLDEN_RUNS[golden].split()) == 0
-    assert capsys.readouterr().out == path.read_text()
+    assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 def test_oracle_build_dump_roundtrips(tmp_path):
