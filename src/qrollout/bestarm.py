@@ -1,5 +1,5 @@
-"""Best-arm identification: hard instances, KL lower bound, classical
-successive elimination, and quantum query accounting.
+"""Best-arm identification: hard instances, the classical lower bound,
+classical successive elimination, and quantum query accounting.
 
 The quantum side charges oracle calls at the published complexities of its
 cited primitives (maximum finding over k arms, amplitude estimation at
@@ -32,24 +32,6 @@ SE_CHECK_CHUNKS = 64       # elimination checks per stopping horizon
 
 class BestArmError(ValueError):
     pass
-
-
-def kl(p: float, q: float) -> float:
-    """Bernoulli KL divergence kl(p || q) in nats; divergent cases -> inf."""
-    if not 0.0 <= p <= 1.0:
-        raise BestArmError("p must lie in [0, 1]")
-    if not 0.0 <= q <= 1.0:
-        raise BestArmError("q must lie in [0, 1]")
-    if p == q:
-        return 0.0
-    if q in (0.0, 1.0):
-        return math.inf
-    terms = 0.0
-    if p > 0.0:
-        terms += p * math.log(p / q)
-    if p < 1.0:
-        terms += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    return terms
 
 
 def classical_lower_bound(k: int, eps: float) -> float:
@@ -103,11 +85,6 @@ class TrialLedgers:
     chosen: np.ndarray         # (trials,) int64
     per_arm: np.ndarray        # (trials, k) int64
     oracle_calls: np.ndarray   # (trials,) float64
-
-
-def generator(seed: int) -> np.random.Generator:
-    """The Philox generator keyed by ``seed`` mod 2^64."""
-    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
 
 
 def _uniform_below(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ modularity witness (per-factor budgets summing below the gap, pairwise
 disjoint arm supports, a peripheral set disjoint from all of them, and the
 base-configuration gap), then samples the induced configuration family and
 confirms the designated arm stays eps-optimal at every sampled member.
+
+The empirical influence runs coupled rollouts from two boards under one
+face array, position-coupled: the first board decides each placement and
+the second places at the same cell when it is valid there.
 """
 from __future__ import annotations
 
@@ -44,10 +48,6 @@ class InfluenceModel:
             raise BoundsError("p must lie in [0, 1]")
         if self.horizon < 0:
             raise BoundsError("horizon must be >= 0")
-
-    @property
-    def subcritical(self) -> bool:
-        return self.kappa * self.p < 1.0
 
 
 def decay_per_round(model: InfluenceModel, d: int) -> float:
@@ -164,6 +164,8 @@ def check_lifting(witness: LiftingWitness, sample_count: int,
     fully modular case (all peripheral budgets zero) arm values must match
     the base configuration's to within 1e-12.
     """
+    if sample_count < 1:
+        raise BoundsError(f"sample_count must be >= 1, got {sample_count}")
     w = witness
     report = LiftingReport(structural_ok=True, gap_ok=True, family_size=0,
                            members_checked=0, optimality_failures=0,
@@ -218,7 +220,7 @@ def check_lifting(witness: LiftingWitness, sample_count: int,
             picks.append([sigma[rng.randrange(len(sigma))] for _ in q])
 
     tol = 1e-12
-    for pick in picks[:max(sample_count, 1)]:
+    for pick in picks[:sample_count]:
         member = list(w.base_config)
         for pos, sym in zip(q, pick):
             member[pos] = sym
@@ -246,30 +248,25 @@ class InfluenceEstimate:
 
 def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
                         trials: int, seed: int,
-                        first_move: int | None = None,
-                        coupling: str = "position") -> InfluenceEstimate:
+                        first_move: int | None = None) -> InfluenceEstimate:
     """Coupled rollouts from two initial boards under shared streams; returns
     the measured payoff-probability difference with its Monte Carlo error.
     Trial ``r`` feeds row ``r`` of ``input_law(spec, board_a).draw(trials,
     seed)`` to both boards.
 
-    ``position`` coupling (default) shares the decoded action positions
-    (``board_b`` skips a position that is not valid on it), so the
-    measured difference isolates the dynamical propagation that the
-    path-counting decay bound models.  ``rank`` coupling shares the raw
-    selector ranks instead; a single-site change then additionally shifts
-    every later rank-select decode through the global popcount, a policy
-    effect outside the path-counting model.
+    The boards share the decoded action positions (``board_b`` skips a
+    position that is not valid on it), so the measured difference isolates
+    the dynamical propagation that the path-counting decay bound models.
+    Sharing the raw selector ranks instead would let a single-site change
+    shift every later rank-select decode through the global popcount, a
+    policy effect outside that model.
     """
-    if coupling not in ("position", "rank"):
-        raise BoundsError(f"unknown coupling {coupling!r}")
     if trials < 1:
         raise BoundsError(f"trials must be >= 1, got {trials}")
     diffs_sum = 0
     diffs_sq = 0
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):
-        a, b = final_codes(spec, [board_a, board_b], faces, first_move,
-                           coupled=coupling == "position")
+        a, b = final_codes(spec, [board_a, board_b], faces, first_move)
         d = spec.array_eval(a) - spec.array_eval(b)
         diffs_sum += int(d.sum())
         diffs_sq += int((d * d).sum())

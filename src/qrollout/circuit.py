@@ -7,9 +7,8 @@ Every gate is self-inverse, so reversing the gate order inverts the circuit.
 
 A circuit's gates are one :class:`GateTable`, ``Circuit.gates``: flat
 struct-of-arrays CSR arrays, never mutated once built.
-Structural analyses (cost report, backward light cone, cut-crossing counts,
-span profile) are pure functions of the immutable circuit and require no
-emulation.
+Structural analyses (cost report, backward light cone, span profile) are
+pure functions of the immutable circuit and require no emulation.
 
 The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
 replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
@@ -407,41 +406,21 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
     return {q for q, v in enumerate(live) if v}
 
 
-def _gate_positions(c: Circuit, qubits=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per gate, the lowest and highest layout position of its support,
-    restricted to ``qubits`` when given (a gate with none of them gets
-    ``(n, -1)``)."""
+def _gate_positions(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate, the lowest and highest layout position of its support."""
     t = c.gates
     if not len(t):
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     pos = np.asarray(c._pos_of, dtype=np.int64)[t.qubit]
     starts = t.ptr[:-1]
-    if qubits is None:
-        return (np.minimum.reduceat(pos, starts),
-                np.maximum.reduceat(pos, starts))
-    inside = np.zeros(c.total_qubits, dtype=bool)
-    inside[list(qubits)] = True
-    inside = inside[t.qubit]
-    lo = np.minimum.reduceat(np.where(inside, pos, c.total_qubits), starts)
-    hi = np.maximum.reduceat(np.where(inside, pos, -1), starts)
-    return lo, hi
-
-
-def crossing_count(c: Circuit, t: int) -> int:
-    """Number of gates with support on both sides of cut position ``t``.
-
-    The cut separates layout positions [0, t) from [t, n).
-    """
-    if not 1 <= t <= c.total_qubits - 1:
-        raise CircuitError(f"cut position {t} out of range")
-    lo, hi = _gate_positions(c)
-    return int(((lo < t) & (t <= hi)).sum())
+    return (np.minimum.reduceat(pos, starts),
+            np.maximum.reduceat(pos, starts))
 
 
 @dataclass(frozen=True)
 class SpanProfile:
     spans: tuple[int, ...]       # per-gate (max - min) layout position
-    total_prefix_span: int       # == sum over cuts t of crossing_count(t)
+    total_prefix_span: int       # == sum over cuts t of gates crossing t
 
     @property
     def max_span(self) -> int:
@@ -454,16 +433,6 @@ def span_profile(c: Circuit) -> SpanProfile:
     spans = hi - lo
     return SpanProfile(spans=tuple(spans.tolist()),
                        total_prefix_span=int(spans.sum()))
-
-
-def register_local_span(c: Circuit, register: str) -> int:
-    """Largest per-gate span restricted to one register's qubits.
-
-    Gates touching fewer than two qubits of the register contribute 0.
-    """
-    lo, hi = _gate_positions(c, c.register(register))
-    spans = hi - lo
-    return int(spans.max()) if len(spans) and spans.max() > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +632,10 @@ class _Fragment:
     Python lists ``(ptr, qubit, kind)`` until its table is built, which
     drops them.  A memoized fragment is on ``k`` local qubit indices and
     holds its recorded op tape until its table and its chains are both
-    built.  Its ``depth`` is the int32 max-plus matrix whose entry ``[i,
-    j]`` is the longest gate chain from local qubit ``i``'s entry to
-    ``j``'s exit (``_NO_CHAIN`` without one), and ``chains`` is that matrix
-    forwards and transposed (a reversed replay).  Its support is the union
-    of its ops' supports.
+    built.  Its ``chains`` are the int32 max-plus matrix whose entry
+    ``[i, j]`` is the longest gate chain from local qubit ``i``'s entry to
+    ``j``'s exit (``_NO_CHAIN`` without one), and that matrix transposed
+    (a reversed replay).  Its support is the union of its ops' supports.
     """
 
     __slots__ = ("gates", "fan_in", "k", "_chains", "_lists", "_tape",
@@ -725,10 +693,6 @@ class _Fragment:
             if self._forward is not None:
                 self._tape = None
         return self._chains
-
-    @property
-    def depth(self) -> np.ndarray:
-        return self.chains[0]
 
     def gate_qubits(self, reverse: bool) -> list[list[int]]:
         """A chunk's per-gate qubit lists, in the order they are applied."""

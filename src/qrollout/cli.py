@@ -77,10 +77,18 @@ def _default_board(domain: str, m: int) -> int:
 
 def _load_board(args, domain: str, m: int) -> int:
     path = getattr(args, "board", None)
-    if path:
-        with open(path) as fh:
-            return dm.parse_board(fh.read(), "sir" if domain == "epi" else domain)
-    return _default_board(domain, m)
+    if not path:
+        return _default_board(domain, m)
+    with open(path) as fh:
+        text = fh.read()
+    cells = len("".join(text.split()))
+    if cells != m * m:
+        raise _UsageError(f"argument --board: {path} holds {cells} cells, "
+                          f"not --m {m} squared ({m * m})")
+    try:
+        return dm.parse_board(text, "sir" if domain == "epi" else domain)
+    except ValueError as exc:
+        raise _UsageError(f"argument --board: {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,14 @@ _SYMBOLS = {"sway": ".BW", "sir": "SIR"}
 
 
 def parse_board(text: str, domain: str) -> int:
-    """Plain-text grid of cell symbols (., B, W / S, I, R), row per line."""
+    """Plain-text grid of cell symbols (., B, W / S, I, R), row per line.
+    A symbol outside the domain's three raises ``ValueError``."""
     symbols = _SYMBOLS[domain]
-    return board_pack([symbols.index(ch) for ch in text
-                       if not ch.isspace()])
+    cells = "".join(text.split())
+    for ch in cells:
+        if ch not in symbols:
+            raise ValueError(f"cell symbol {ch!r} is not one of {symbols!r}")
+    return board_pack([symbols.index(ch) for ch in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +389,7 @@ def board_pack(codes):
 
 
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
-                  first_move: int | None = None, coupled: bool = False):
+                  first_move: int | None = None):
     """Every round's boards of one rollout per face row, from each initial
     board.
 
@@ -396,10 +400,8 @@ def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
     The next round updates that list and its arrays in place, so a caller
     copies what it keeps.  Every board reads the same faces.  With
     ``first_move``, round 1's first pass places there instead of reading
-    its selector.  With ``coupled``, the first board
-    decides each placement and the others place at the same cell when it
-    is valid on them; otherwise each board rank-selects among its own valid
-    cells.
+    its selector.  The first board decides each placement, and the others
+    place at the same cell when it is valid on them.
     """
     rows, n = faces.shape[0], spec.n_cells
     sel, dice = law_columns(spec)
@@ -416,12 +418,10 @@ def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
                 for board in boards:
                     board[:, first_move] = code
                 continue
-            ranks = faces[:, sel[h, pj]]
-            for k, board in enumerate(boards):
-                valid = board == EMPTY
-                if k == 0 or not coupled:
-                    hit = select_rows(valid, ranks)
-                board[hit & valid] = code
+            hit = select_rows(boards[0] == EMPTY, faces[:, sel[h, pj]])
+            boards[0][hit] = code
+            for board in boards[1:]:
+                board[hit & (board == EMPTY)] = code
         roll = faces[:, dice[h]]
         for k, board in enumerate(boards):
             threshold, alt = spec.flip_law(board)
@@ -430,10 +430,9 @@ def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
 
 
 def final_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
-                first_move: int | None = None,
-                coupled: bool = False) -> list[np.ndarray]:
+                first_move: int | None = None) -> list[np.ndarray]:
     """The last round of :func:`rollout_codes`; no earlier round is kept."""
-    for boards in rollout_codes(spec, boards0, faces, first_move, coupled):
+    for boards in rollout_codes(spec, boards0, faces, first_move):
         pass
     return boards
 

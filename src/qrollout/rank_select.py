@@ -2,8 +2,7 @@
 
 Rank-select maps an N-bit validity mask and a rank r to the position of the
 r-th set bit (0-indexed), or to the sentinel N when r is out of range.  Masks
-are integers with bit i = position i; ``mask_from_string`` reads the
-left-to-right string form where character i is position i.
+are integers with bit i = position i.
 
 Two constructions are provided:
 
@@ -14,8 +13,8 @@ Two constructions are provided:
 
 Both leave mask and rank inputs unchanged, return every ancilla to zero, and
 write position XOR sentinel into a sentinel-preloaded output register;
-``exhaustive_sweep`` emulates either on every (mask, rank) input, and
-``exhaustive_check`` holds its outputs to ``select_rows``.
+``exhaustive_check`` emulates either on every (mask, rank) input and holds
+its outputs to ``select_rows``.
 """
 from __future__ import annotations
 
@@ -58,7 +57,9 @@ def select_rows(valid: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
     """The output batch of every (mask, rank) input, and the rows that
-    leave an ancilla or rank qubit set, as :func:`flagged_rows` flags them."""
+    leave an ancilla or rank qubit set, as :func:`flagged_rows` flags them.
+    The inputs are the counting columns of :func:`emulator.counting_batch`
+    over the mask qubits and then the rank qubits, so no row is encoded."""
     inputs = c.register("mask") + c.register("nth")
     if 1 << len(inputs) > DEFAULT_EXACT_BUDGET:
         raise EmulationError(
@@ -69,23 +70,6 @@ def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
     scratch = [q for reg in c.registers if reg.role in ("ancilla", "rank")
                for q in c.register(reg.name)]
     return batch, flagged_rows(batch, scratch)
-
-
-def exhaustive_sweep(c: Circuit) -> tuple[np.ndarray, np.ndarray, Batch, int]:
-    """Emulate a rank-select circuit on every (mask, rank) input at once.
-
-    Returns the masks and ranks (row ``r`` holds mask ``r mod 2^N`` and rank
-    ``r div 2^N``), the output batch, and the OR of the ancilla and rank
-    columns, whose set bits flag the rows that leave scratch dirty.  The
-    inputs are the counting columns of :func:`emulator.counting_batch` over
-    the mask qubits and then the rank qubits, so no row is encoded.  Above
-    ``DEFAULT_EXACT_BUDGET`` rows (N >= 20) it raises
-    :class:`EmulationError` before anything is allocated.
-    """
-    batch, dirty = _sweep_batch(c)
-    n = len(c.register("mask"))
-    rows = np.arange(batch.rows, dtype=np.int64)
-    return rows % (1 << n), rows // (1 << n), batch, dirty
 
 
 @dataclass(frozen=True)
@@ -100,8 +84,11 @@ class SweepCheck:
 
 
 def exhaustive_check(c: Circuit) -> SweepCheck:
-    """:func:`exhaustive_sweep`, each row's output held to the position
-    that :func:`select_rows` marks (N when it marks none).  The expected
+    """Emulate a rank-select circuit on every (mask, rank) input, row ``r``
+    holding mask ``r mod 2^N`` and rank ``r div 2^N``, and hold each row's
+    output to the position that :func:`select_rows` marks (N when it marks
+    none).  Above ``DEFAULT_EXACT_BUDGET`` rows (N >= 20) it raises
+    :class:`EmulationError` before anything is allocated.  The expected
     positions are computed in chunks of 2^16 rows, each chunk's masks and
     ranks from its row numbers, so no array of the whole sweep but the
     read output is held."""
@@ -116,17 +103,6 @@ def exhaustive_check(c: Circuit) -> SweepCheck:
         want = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
         mismatches += int(np.count_nonzero(got[a:a + _CHECK_ROWS] != want))
     return SweepCheck(batch.rows, mismatches, dirty.bit_count())
-
-
-def mask_from_string(s: str) -> int:
-    """Left-to-right mask string: character i is position i."""
-    m = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            m |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad mask character {ch!r}")
-    return m
 
 
 # ---------------------------------------------------------------------------

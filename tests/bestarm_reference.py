@@ -10,6 +10,10 @@ loop states two laws:
 * under ``bernoulli_sums`` / ``python_walk_draws`` it is the per-trial law
   the kernels replaced (a matrix of Bernoulli pulls per chunk, and a
   ``random.Random`` walk), which the kernels must match in distribution.
+
+It also holds the Bernoulli ``kl`` behind the transportation ratio of the
+hard family, and ``generator``, the Philox stream that the kernel tests
+seed.
 """
 
 import math
@@ -20,9 +24,32 @@ import numpy as np
 from qrollout import bestarm as ba
 
 
+def kl(p: float, q: float) -> float:
+    """Bernoulli KL divergence kl(p || q) in nats; divergent cases -> inf."""
+    if not 0.0 <= p <= 1.0:
+        raise ba.BestArmError("p must lie in [0, 1]")
+    if not 0.0 <= q <= 1.0:
+        raise ba.BestArmError("q must lie in [0, 1]")
+    if p == q:
+        return 0.0
+    if q in (0.0, 1.0):
+        return math.inf
+    terms = 0.0
+    if p > 0.0:
+        terms += p * math.log(p / q)
+    if p < 1.0:
+        terms += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+    return terms
+
+
+def generator(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed`` mod 2^64."""
+    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+
+
 def transportation_ratio(eps: float) -> float:
     """kl(1/3, 2/3) / kl(1/2, 1/2 + 6 eps): per-arm pull floor."""
-    return ba.kl(1.0 / 3.0, 2.0 / 3.0) / ba.kl(0.5, 0.5 + 6.0 * eps)
+    return kl(1.0 / 3.0, 2.0 / 3.0) / kl(0.5, 0.5 + 6.0 * eps)
 
 
 def hard_alternative(k: int, eps: float, j: int) -> ba.BanditInstance:
@@ -111,7 +138,7 @@ def walk_loop(instance, eps, draws):
 
 def old_classical(instance, eps, seed):
     """The per-trial classical law before the kernels: Bernoulli sums."""
-    return elimination_loop(instance, eps, ba.generator(seed), bernoulli_sums)
+    return elimination_loop(instance, eps, generator(seed), bernoulli_sums)
 
 
 def old_quantum(instance, eps, seed):

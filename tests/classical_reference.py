@@ -7,8 +7,9 @@ that the code-array kernels in ``qrollout.domains``, ``qrollout.oracle``
 and ``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
 before it kept symmetry classes and convolved the last round's count, and
 ``select_semantics``, the scalar rank-select rule that
-``rank_select.select_rows`` states on arrays; the differential tests hold
-the array paths to them.  The packed-int
+``rank_select.select_rows`` states on arrays (``mask_from_string`` reads
+its masks from left-to-right strings); the differential tests hold the
+array paths to them.  The packed-int
 transitions and ``_cell_branches`` state the dice law in their own terms,
 apart from the specs' ``flip_law`` hooks.
 """
@@ -36,6 +37,17 @@ def select_semantics(mask: int, n: int, r: int) -> int:
                 return i
             seen += 1
     return n
+
+
+def mask_from_string(s: str) -> int:
+    """Left-to-right mask string: character i is position i."""
+    m = 0
+    for i, ch in enumerate(s):
+        if ch == "1":
+            m |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"bad mask character {ch!r}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +315,10 @@ def coupled_pair(spec, board_a: int, board_b: int, selectors, dice,
 def loop_influence_sums(spec, board_a: int, board_b: int, trials: int,
                         seed: int, first_move=None, coupling="position"):
     """The integer sums of the coupled payoff differences and of their
-    squares, one pair of traces per row."""
+    squares, one pair of traces per row.  ``position`` coupling is
+    :func:`coupled_pair`, what ``bounds.empirical_influence`` runs;
+    ``rank`` coupling shares the raw selector ranks, two independent
+    traces."""
     diffs_sum = diffs_sq = 0
     for faces in input_law(spec, board_a).draw_chunks(trials, seed):
         for selectors, dice in law_streams(spec, faces):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from qrollout import emulator as em
+from qrollout.rank_select import _sweep_batch
 
 
 def grid(ranges: dict) -> dict:
@@ -47,3 +48,17 @@ def bijective_by_count(c) -> em.BijectiveReport:
     dup = int(np.argmax(counts > 1))
     pre = np.nonzero(outs == dup)[0][:2]
     return em.BijectiveReport(False, "exhaustive", (int(pre[0]), int(pre[1])))
+
+
+def exhaustive_sweep(c) -> tuple[np.ndarray, np.ndarray, em.Batch, int]:
+    """Emulate a rank-select circuit on every (mask, rank) input at once,
+    under ``rank_select.exhaustive_check``'s row budget.
+
+    Returns the masks and ranks (row ``r`` holds mask ``r mod 2^N`` and rank
+    ``r div 2^N``), the output batch, and the OR of the ancilla and rank
+    columns, whose set bits flag the rows that leave scratch dirty.
+    """
+    batch, dirty = _sweep_batch(c)
+    n = len(c.register("mask"))
+    rows = np.arange(batch.rows, dtype=np.int64)
+    return rows % (1 << n), rows // (1 << n), batch, dirty

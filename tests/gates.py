@@ -1,12 +1,14 @@
 """Test helper: gates as ``(controls, targets)`` pairs, the form that tests
-write circuits in and read a circuit's gate table back as, and the referee
-loops that circuit analyses replaced."""
+write circuits in and read a circuit's gate table back as, the referee
+loops that circuit analyses replaced, and the layout measures that only
+the lower-bound tests read (cut crossings, register-local span)."""
 
 from typing import NamedTuple
 
 import numpy as np
 
 from qrollout.circuit import POS, Circuit, CircuitError, GateTable
+from qrollout.circuit import _gate_positions
 
 
 class Gate(NamedTuple):
@@ -43,6 +45,33 @@ def reference_light_cone(c: Circuit, outputs) -> set[int]:
         if not cone.isdisjoint(qubit[tgt[g]:ptr[g + 1]]):
             cone.update(qubit[ptr[g]:tgt[g]])
     return cone
+
+
+def crossing_count(c: Circuit, t: int) -> int:
+    """Number of gates with support on both sides of cut position ``t``.
+
+    The cut separates layout positions [0, t) from [t, n).
+    """
+    if not 1 <= t <= c.total_qubits - 1:
+        raise CircuitError(f"cut position {t} out of range")
+    lo, hi = _gate_positions(c)
+    return int(((lo < t) & (t <= hi)).sum())
+
+
+def register_local_span(c: Circuit, register: str) -> int:
+    """Largest per-gate span restricted to one register's qubits.
+
+    Gates touching fewer than two qubits of the register contribute 0.
+    """
+    inside = set(c.register(register))
+    pos_of = {q: i for i, q in enumerate(c.layout)}
+    span = 0
+    for controls, targets in gate_list(c.gates):
+        pos = [pos_of[q] for q in [q for q, _ in controls] + list(targets)
+               if q in inside]
+        if pos:
+            span = max(span, max(pos) - min(pos))
+    return span
 
 
 def reference_layer(gates, layers: np.ndarray) -> np.ndarray:

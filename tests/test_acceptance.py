@@ -16,10 +16,12 @@ from qrollout import domains as dm
 from qrollout import emulator as em
 from qrollout import oracle as orc
 from qrollout import rank_select as rs
-from qrollout.circuit import cost, crossing_count, light_cone
+from qrollout.circuit import cost, light_cone
 
-from bestarm_reference import transportation_ratio
+from bestarm_reference import generator, transportation_ratio
 from classical_reference import select_semantics
+from emulate import exhaustive_sweep
+from gates import crossing_count
 
 CENTER3 = dm.parse_board("SSS\nSIS\nSSS", "sir")
 
@@ -63,7 +65,7 @@ def test_criterion_01_rank_select_exhaustive_equivalence():
             semantics = None
             for make in (rs.build_scan, rs.build_blocked):
                 c = make(n)
-                masks, ranks, outs, dirty = rs.exhaustive_sweep(c)
+                masks, ranks, outs, dirty = exhaustive_sweep(c)
                 got = em.read_register(outs, c, "out")
                 if semantics is None:
                     semantics = np.array(
@@ -245,7 +247,7 @@ def test_criterion_07_lower_bound_conformance(separation):
         eps = 0.05
         inst = ba.BanditInstance.hard_base(10, eps)
         ratio = transportation_ratio(eps)
-        led = ba.successive_elimination(inst, eps, 200, ba.generator(31_000))
+        led = ba.successive_elimination(inst, eps, 200, generator(31_000))
         floor = led.per_arm[:, 1:].mean(axis=0).min()
         assert floor >= ratio
     t.check()

@@ -13,39 +13,39 @@ import bestarm_reference as ref
 def _classical(inst, eps, seed):
     """One trial of successive elimination under ``generator(seed)``: the
     chosen arm and the per-arm pulls."""
-    led = ba.successive_elimination(inst, eps, 1, ba.generator(seed))
+    led = ba.successive_elimination(inst, eps, 1, ref.generator(seed))
     return int(led.chosen[0]), led.per_arm[0].tolist()
 
 
 def _quantum(inst, eps, seed):
     """One trial of the threshold walk under ``generator(seed)``: the chosen
     arm, the per-arm AE runs and the oracle calls."""
-    led = ba.threshold_walk(inst, eps, 1, ba.generator(seed))
+    led = ba.threshold_walk(inst, eps, 1, ref.generator(seed))
     return (int(led.chosen[0]), led.per_arm[0].tolist(),
             float(led.oracle_calls[0]))
 
 
 def test_kl_zero_on_diagonal():
     for p in (0.0, 0.2, 0.5, 1.0):
-        assert ba.kl(p, p) == 0.0
+        assert ref.kl(p, p) == 0.0
 
 
 def test_kl_closed_form_value():
-    assert abs(ba.kl(1 / 3, 2 / 3) - math.log(2) / 3) < 1e-12
+    assert abs(ref.kl(1 / 3, 2 / 3) - math.log(2) / 3) < 1e-12
 
 
 def test_kl_divergent_sentinel():
-    assert ba.kl(0.5, 0.0) == math.inf
-    assert ba.kl(0.5, 1.0) == math.inf
-    assert ba.kl(0.0, 0.0) == 0.0
-    assert ba.kl(1.0, 1.0) == 0.0
+    assert ref.kl(0.5, 0.0) == math.inf
+    assert ref.kl(0.5, 1.0) == math.inf
+    assert ref.kl(0.0, 0.0) == 0.0
+    assert ref.kl(1.0, 1.0) == 0.0
 
 
 def test_kl_asymmetry_and_nonnegativity():
-    assert ba.kl(0.2, 0.7) != ba.kl(0.7, 0.2)
+    assert ref.kl(0.2, 0.7) != ref.kl(0.7, 0.2)
     for p in (0.1, 0.4, 0.9):
         for q in (0.2, 0.5, 0.8):
-            v = ba.kl(p, q)
+            v = ref.kl(p, q)
             assert v >= 0.0
             assert (v == 0.0) == (p == q)
 
@@ -54,7 +54,7 @@ def test_kl_quadratic_upper_bound():
     # kl(1/2, 1/2 + 6 eps) <= 96 eps^2 over the hard-family range
     eps = 0.0005
     while eps <= 0.05:
-        assert ba.kl(0.5, 0.5 + 6 * eps) <= 96 * eps * eps
+        assert ref.kl(0.5, 0.5 + 6 * eps) <= 96 * eps * eps
         eps += 0.0005
 
 
@@ -100,9 +100,9 @@ def test_single_arm_edge_cases():
     arm, runs, calls = _quantum(inst, 0.05, 1)
     assert arm == 0 and runs == [1]
     assert abs(calls - ba.AE_CALL_CONSTANT / 0.05) < 1e-9
-    cl = ba.successive_elimination(inst, 0.05, 7, ba.generator(1))
+    cl = ba.successive_elimination(inst, 0.05, 7, ref.generator(1))
     assert (cl.chosen == 0).all() and (cl.per_arm == 0).all()
-    qa = ba.threshold_walk(inst, 0.05, 7, ba.generator(1))
+    qa = ba.threshold_walk(inst, 0.05, 7, ref.generator(1))
     assert (qa.chosen == 0).all() and (qa.per_arm == 1).all()
     assert (qa.oracle_calls == ba.AE_CALL_CONSTANT / 0.05).all()
 
@@ -121,14 +121,14 @@ _EXACT_INSTANCES = [
 def test_kernels_at_one_trial_equal_the_scalar_loops(inst):
     eps = inst.eps
     for seed in range(40):
-        cl = ba.successive_elimination(inst, eps, 1, ba.generator(seed))
-        arm, per_arm = ref.elimination_loop(inst, eps, ba.generator(seed),
+        cl = ba.successive_elimination(inst, eps, 1, ref.generator(seed))
+        arm, per_arm = ref.elimination_loop(inst, eps, ref.generator(seed),
                                             ref.binomial_sums)
         assert (cl.chosen[0], cl.per_arm[0].tolist()) == (arm, per_arm)
         assert _classical(inst, eps, seed) == (arm, per_arm)
-        qa = ba.threshold_walk(inst, eps, 1, ba.generator(seed))
+        qa = ba.threshold_walk(inst, eps, 1, ref.generator(seed))
         arm, calls, per_arm = ref.walk_loop(
-            inst, eps, ref.numpy_walk_draws(ba.generator(seed)))
+            inst, eps, ref.numpy_walk_draws(ref.generator(seed)))
         assert (qa.chosen[0], qa.oracle_calls[0],
                 qa.per_arm[0].tolist()) == (arm, calls, per_arm)
         assert _quantum(inst, eps, seed) == (arm, per_arm, calls)
@@ -147,8 +147,8 @@ def test_kernels_match_the_old_per_trial_law(k, eps):
     inst = ba.BanditInstance.hard_base(k, eps)
     trials = 300
     good = np.isin(np.arange(k), list(inst.optimal_set()))
-    cl = ba.successive_elimination(inst, eps, trials, ba.generator(k))
-    qa = ba.threshold_walk(inst, eps, trials, ba.generator(k + 1))
+    cl = ba.successive_elimination(inst, eps, trials, ref.generator(k))
+    qa = ba.threshold_walk(inst, eps, trials, ref.generator(k + 1))
     old_c = [ref.old_classical(inst, eps, 5000 + t) for t in range(trials)]
     old_q = [ref.old_quantum(inst, eps, 5000 + t) for t in range(trials)]
     assert _within_4_sigma(cl.per_arm.sum(axis=1),
@@ -162,7 +162,7 @@ def test_stopped_trials_are_not_charged():
     # two arms 0.05 apart stop at different chunks: a trial keeps its own
     # stop time, and both of its arms were pulled up to it
     inst = ba.BanditInstance(k=2, means=(0.55, 0.5), eps=0.01)
-    cl = ba.successive_elimination(inst, 0.01, 50, ba.generator(2))
+    cl = ba.successive_elimination(inst, 0.01, 50, ref.generator(2))
     t_stop = math.ceil(4 * ba.SE_RADIUS_CONSTANT / 0.01 ** 2)
     stops = cl.per_arm.max(axis=1)
     assert len(set(stops.tolist())) > 1 and (stops < t_stop).all()
@@ -225,7 +225,7 @@ def test_quantum_correct_and_sublinear():
     expected = ae + sum(cost) / k
     # below the k/eps^2 scale at k=16
     assert expected < k / (eps * eps) / 4
-    calls = ba.threshold_walk(inst, eps, 4000, ba.generator(16)).oracle_calls
+    calls = ba.threshold_walk(inst, eps, 4000, ref.generator(16)).oracle_calls
     assert abs(calls.mean() - expected) <= 4 * calls.std() / math.sqrt(4000)
 
 

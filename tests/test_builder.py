@@ -802,8 +802,8 @@ def test_recorded_chains_match_layering_the_fragments_gates():
     np.fill_diagonal(identity, 0)
     want = np.stack(cq.layer(frag.table(False).qubit_lists(),
                              list(identity))).T
-    assert frag.depth.dtype == np.int32
-    np.testing.assert_array_equal(frag.depth,
+    assert frag.chains[0].dtype == np.int32
+    np.testing.assert_array_equal(frag.chains[0],
                                   np.where(want < 0, cq._NO_CHAIN, want))
     np.testing.assert_array_equal(frag.support(), np.arange(k))
 
@@ -857,12 +857,13 @@ def test_recorded_chains_equal_per_column_scalar_sweeps(case):
     q = b.add_register("q", k + 1, "ancilla")
     b.call(_program, *q[:k], ops=ops)
     (frag,) = [f for key, f in b._memo.items() if key[0] is _program]
-    assert frag.depth.dtype == np.int32 and frag.depth.shape == (k, k)
+    assert frag.chains[0].dtype == np.int32
+    assert frag.chains[0].shape == (k, k)
     gates = frag.table(False).qubit_lists()
     for i in range(k):
         sweep = cq.layer(gates, [0.0 if j == i else -np.inf
                                  for j in range(k)])
-        got = frag.depth[i]
+        got = frag.chains[0][i]
         np.testing.assert_array_equal(np.where(got < 0, -np.inf, got), sweep)
         assert (got[got < 0] == cq._NO_CHAIN).all()
     # the reversed chains read the same gates backwards

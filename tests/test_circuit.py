@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrollout.circuit import (POS, Builder, Circuit, CircuitError, GateTable,
-                              RegisterDecl, cost, crossing_count, dumps,
-                              invert, light_cone, loads, register_local_span,
-                              span_profile)
+                              RegisterDecl, cost, dumps, invert, light_cone,
+                              loads, span_profile)
 from qrollout.circuit import _loads_json, _loads_own
 
-from gates import Gate, make_circuit, reference_light_cone
+from gates import (Gate, crossing_count, make_circuit, reference_light_cone,
+                   register_local_span)
 
 
 def _reg(name, width, role="ancilla"):

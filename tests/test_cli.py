@@ -80,6 +80,33 @@ def test_arms_beyond_the_valid_cells_exit_2(capsys):
     assert "argument --arms" in err and "initial board has 8" in err
 
 
+_EPI3 = ["domain", "exact", "--domain", "epi", "--m", "3", "--H", "1"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("SSSS\nSIS\nSSS\n", "holds 10 cells, not --m 3 squared (9)"),
+    ("SS\nSI\n", "holds 4 cells, not --m 3 squared (9)"),
+    ("SSX\nSIS\nSSS\n", "cell symbol 'X' is not one of 'SIR'"),
+], ids=["ten-cells", "four-cells", "unknown-symbol"])
+def test_bad_board_files_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "board.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(_EPI3 + ["--board", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --board: {path}" in err and message in err
+
+
+def test_board_file_of_the_default_board(tmp_path, capsys):
+    path = tmp_path / "board.txt"
+    path.write_text("SSS\nSIS\nSSS\n")
+    assert cli.run(_EPI3 + ["--board", str(path)]) == 0
+    assert cli.run(_EPI3) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == lines[5] == "exact_value,0.9461364746"
+
+
 def test_missing_required_seed_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["domain", "mc", "--domain", "epi", "--m", "2", "--H", "1"])

@@ -311,16 +311,17 @@ def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
 def test_coupled_array_rollouts_match_the_pair_loop(spec, board, other):
     # position coupling: the second board follows the first board's
     # placements where they are valid on it; rank coupling: independent
+    # rollouts, one board per call
     faces = orc.input_law(spec, board).draw(300, 8)
     streams = ref.law_streams(spec, faces)
     for first_move in (None, 6):
-        a, b = dm.final_codes(spec, [board, other], faces, first_move,
-                              coupled=True)
+        a, b = dm.final_codes(spec, [board, other], faces, first_move)
         for r, (sel, dice) in enumerate(streams):
             want = ref.coupled_pair(spec, board, other, sel, dice,
                                     first_move)
             assert (spec.array_eval(a)[r], spec.array_eval(b)[r]) == want
-        a, b = dm.final_codes(spec, [board, other], faces, first_move)
+        [a] = dm.final_codes(spec, [board], faces, first_move)
+        [b] = dm.final_codes(spec, [other], faces, first_move)
         rows = zip(_trace_rows(spec, board, faces, first_move),
                    _trace_rows(spec, other, faces, first_move))
         for r, ((ta, _), (tb, _)) in enumerate(rows):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qrollout import emulator as em
 from qrollout import rank_select as rs
-from qrollout.circuit import (TGT, Circuit, GateTable, cost, crossing_count,
-                              light_cone, register_local_span, span_profile)
+from qrollout.circuit import (TGT, Circuit, GateTable, cost, light_cone,
+                              span_profile)
 
-from classical_reference import select_semantics
-from emulate import run
-from gates import Gate
+from classical_reference import mask_from_string, select_semantics
+from emulate import exhaustive_sweep, run
+from gates import Gate, crossing_count, register_local_span
 
 
 def mask_to_string(mask: int, n: int) -> str:
@@ -39,7 +39,7 @@ def brute_select(mask: int, n: int, r: int) -> int:
 
 def sweep(circuit):
     """Emulate every (mask, rank) pair; returns (out, mask', nth', clean)."""
-    masks, ranks, outs, dirty = rs.exhaustive_sweep(circuit)
+    masks, ranks, outs, dirty = exhaustive_sweep(circuit)
     def read(reg):
         return em.read_register(outs, circuit, reg)
     return masks, ranks, read("out"), read("mask"), read("nth"), dirty == 0
@@ -49,7 +49,7 @@ def referee_check(c) -> rs.SweepCheck:
     """``exhaustive_check``'s counts, each row's output held to the scalar
     ``select_semantics`` referee."""
     n = len(c.register("mask"))
-    masks, ranks, outs, dirty = rs.exhaustive_sweep(c)
+    masks, ranks, outs, dirty = exhaustive_sweep(c)
     want = [select_semantics(int(m), n, int(r)) for m, r in zip(masks, ranks)]
     got = em.read_register(outs, c, "out")
     return rs.SweepCheck(len(masks), int((got != want).sum()),
@@ -63,7 +63,7 @@ def _extended(c, extra):
 
 
 def test_worked_example_positions():
-    mask = rs.mask_from_string("01101000")
+    mask = mask_from_string("01101000")
     assert mask == 0b00010110
     assert select_semantics(mask, 8, 0) == 1
     assert select_semantics(mask, 8, 1) == 2
@@ -108,7 +108,7 @@ def test_select_rows_matches_semantics(n, data):
 
 def test_mask_string_roundtrip():
     s = "0110100011"
-    assert mask_to_string(rs.mask_from_string(s), len(s)) == s
+    assert mask_to_string(mask_from_string(s), len(s)) == s
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -146,14 +146,14 @@ def test_exhaustive_sweep_flags_dirty_rows():
                   (c.register("rank")[1],)),
              Gate(((nth[1], True),), c.register("match"))]
     dirty_c = _extended(c, extra)
-    masks, ranks, outs, dirty = rs.exhaustive_sweep(dirty_c)
+    masks, ranks, outs, dirty = exhaustive_sweep(dirty_c)
     assert list(masks) == [r % 8 for r in range(32)]
     assert list(ranks) == [r // 8 for r in range(32)]
     assert [(dirty >> r) & 1 for r in range(32)] == \
         [int(rank >= 2) for rank in ranks]
-    assert rs.exhaustive_sweep(c)[3] == 0
+    assert exhaustive_sweep(c)[3] == 0
     # without the match gate only the rank register is dirty
-    masks, ranks, outs, dirty = rs.exhaustive_sweep(
+    masks, ranks, outs, dirty = exhaustive_sweep(
         _extended(c, extra[:1]))
     assert [(dirty >> r) & 1 for r in range(32)] == \
         [int(rank == 3 and m % 2 == 1) for m, rank in zip(masks, ranks)]
@@ -202,23 +202,23 @@ def test_exhaustive_sweep_refuses_rows_over_the_budget(monkeypatch):
                        match=r"exhaustive sweep of n=20: 33554432 "
                              r"\(mask,rank\) rows exceed the budget of "
                              r"16777216 rows"):
-        rs.exhaustive_sweep(rs.build_scan(20))
+        exhaustive_sweep(rs.build_scan(20))
     # n = 19: 2^24 rows, the budget itself, go on to the batch
     with pytest.raises(AssertionError, match="batch of 24 counting columns"):
-        rs.exhaustive_sweep(rs.build_scan(19))
+        exhaustive_sweep(rs.build_scan(19))
 
 
 def test_blocked_worked_trace_n8():
     # mask 01101000, r=2: block 0 holds ranks {0,1}, block 1 fires with
     # local rank 0 at local index 0, so out = 1*4 + 0 = 4
     c = rs.build_blocked(8, 4)
-    out = run(c, {"mask": rs.mask_from_string("01101000"), "nth": 2})
+    out = run(c, {"mask": mask_from_string("01101000"), "nth": 2})
     assert out["out"] == [4]
 
 
 def test_blocked_out_of_range_keeps_sentinel():
     c = rs.build_blocked(8, 4)
-    out = run(c, {"mask": rs.mask_from_string("01101000"), "nth": 9})
+    out = run(c, {"mask": mask_from_string("01101000"), "nth": 9})
     assert out["out"] == [8]
 
 
