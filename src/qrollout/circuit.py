@@ -9,6 +9,9 @@ A circuit's gates are one :class:`GateTable`, ``Circuit.gates``: flat
 struct-of-arrays CSR arrays, never mutated once built.
 Structural analyses (cost report, backward light cone, span profile) are
 pure functions of the immutable circuit and require no emulation.
+``dumps`` writes a circuit as compact JSON, and ``loads`` reads back exactly
+that text: any other text, even JSON of the same document, raises a
+CircuitError that names the byte, the gate or the qubit.
 
 The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
 replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
@@ -32,6 +35,7 @@ uncompute.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
@@ -126,20 +130,6 @@ class GateTable:
         self.qubit = np.asarray(qubit, dtype=np.int32)
         self.kind = np.asarray(kind, dtype=np.int8)
         self._bounds = None
-
-    @classmethod
-    def from_gates(cls, gates: Iterable) -> "GateTable":
-        """From ``(controls, targets)`` pairs, a control being a
-        ``(qubit, polarity)`` pair."""
-        ptr, qubit, kind = [0], [], []
-        for controls, targets in gates:
-            for q, pol in controls:
-                qubit.append(q)
-                kind.append(POS if pol else NEG)
-            qubit.extend(targets)
-            kind.extend([TGT] * len(targets))
-            ptr.append(len(qubit))
-        return cls(ptr, qubit, kind)
 
     @staticmethod
     def concat(tables: Sequence["GateTable"]) -> "GateTable":
@@ -276,8 +266,7 @@ class Circuit:
     ``layout`` is a permutation of qubit indices giving the linear order used
     by cut analyses: ``layout[pos]`` is the qubit at position ``pos``.  It
     defaults to declaration order.  ``gates`` is the circuit's
-    :class:`GateTable` (``GateTable.from_gates`` builds one from
-    ``(controls, targets)`` pairs); it is validated once, vectorised.  A
+    :class:`GateTable`; it is validated once, vectorised.  A
     circuit from ``Builder.finish`` is not re-checked (its chunks were
     checked as they were flushed, and memoized fragments, recorded from pure
     emitters, stay valid under an injective qubit remap).  Its depth is a
@@ -314,7 +303,9 @@ class Circuit:
             layout = tuple(range(total))
         else:
             layout = tuple(layout)
-            if sorted(layout) != list(range(total)):
+            # the length first, so a declared width costs nothing until
+            # the layout lists that many qubits
+            if len(layout) != total or sorted(layout) != list(range(total)):
                 raise CircuitError("layout must be a permutation of all qubits")
         self.registers = registers
         self.gates = gates
@@ -474,18 +465,18 @@ def dumps(c: Circuit) -> str:
             f'"max_live_ancilla":{c.max_live_ancilla}}}')
 
 
-_GATES_KEY, _LAYOUT_KEY = b'"gates":[', b'],"layout":['
+_GATES_KEY, _LAYOUT_KEY = '"gates":[', '],"layout":['
 _COMMA, _TRUE, _FALSE, _OPEN = b",tf{"
 
 
-def _parse_gate_list(b: np.ndarray) -> GateTable | None:
+def _parse_gate_list(b: np.ndarray, at: int) -> GateTable:
     """The table that ``dumps``' own gate list reads as, from its bytes
-    (from the opening ``[`` to the ``,`` after the closing ``]``): each
-    ``{`` opens a gate, each digit run is a qubit, a POS or NEG control when
-    ``,t`` or ``,f`` follows it and a target otherwise.  None when no table
-    fits (a digit before the first gate, a gate without qubits, a number of
-    ten digits or more); other text may give a table that does not re-dump
-    to it."""
+    (from the opening ``[``, byte ``at`` of the text, to the ``,`` after
+    the closing ``]``): each ``{`` opens a gate, each digit run is a
+    qubit, a POS or NEG control when ``,t`` or ``,f`` follows it and a
+    target otherwise.  Raises a CircuitError naming the byte for a digit
+    before the first gate, a gate without qubits or a qubit of ten digits
+    or more; other text may give a table that does not re-dump to it."""
     digit = (b - np.uint8(48)) < 10
     # the first and last bytes are not digits, so run edges alternate
     # start, end
@@ -495,8 +486,20 @@ def _parse_gate_list(b: np.ndarray) -> GateTable | None:
     longest = int(lens.max(initial=0))
     ptr = np.append(np.searchsorted(starts, np.flatnonzero(b == _OPEN)),
                     len(starts))
-    if ptr[0] or (ptr[1:] == ptr[:-1]).any() or longest > 9:
-        return None
+    if ptr[0]:
+        raise CircuitError(f"byte {at + int(starts[0])}: a number before "
+                           "the first gate")
+    empty = ptr[1:] == ptr[:-1]
+    if empty.any():
+        g = int(np.argmax(empty))
+        opens = np.flatnonzero(b == _OPEN)
+        raise CircuitError(f"byte {at + int(opens[g])}, gate {g}: a gate "
+                           "without qubits")
+    if longest > 9:
+        e = int(np.argmax(lens > 9))
+        raise CircuitError(f"byte {at + int(starts[e])}, gate "
+                           f"{int(np.searchsorted(ptr, e, 'right')) - 1}: a "
+                           f"qubit of {int(lens[e])} digits")
     qubit = np.zeros(len(starts), dtype=np.int64)
     for k in range(longest):                        # Horner, digit by digit
         d = b[np.minimum(starts + k, len(b) - 1)] - np.uint8(48)
@@ -508,85 +511,62 @@ def _parse_gate_list(b: np.ndarray) -> GateTable | None:
     return GateTable(ptr, qubit, kind)
 
 
-def _loads_own(text: str) -> Circuit | None:
-    """``dumps``' own text, its gate list parsed on arrays and the rest by
-    ``json.loads``; None for any text that the result does not re-dump to.
-    The table is validated only after that check, so every error raised
-    is about the text as JSON reads it; a qubit out of the registers' range
-    is left to the json path, as ``dumps`` names only the qubits in it."""
-    if not text.isascii():          # dumps escapes every non-ASCII character
-        return None
-    data = text.encode("ascii")
-    key = data.find(_GATES_KEY)
-    start = key + len(_GATES_KEY) - 1              # the gate list's "["
-    end = data.find(_LAYOUT_KEY, start) + 1        # one past its "]"
-    if key < 0 or end < 1:
-        return None
-    table = _parse_gate_list(np.frombuffer(data, np.uint8)[start:end + 1])
-    if table is None:
-        return None
-    try:
-        doc = json.loads(data[:start] + b"[]" + data[end:])
-        c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
-                            for r in doc["registers"]], table,
-                           doc["layout"], doc["max_live_ancilla"])
-    except (ValueError, KeyError, TypeError):
-        return None
-    if len(table) and int(table.qubit.max()) >= c.total_qubits:
-        return None
-    if dumps(c) != text:
-        return None
-    table.validate(c.total_qubits)
-    return c
-
-
-def _field(doc, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise CircuitError(f"{where}missing field {key!r}")
-    return doc[key]
-
-
-def _json_gates(gates):
-    """``(controls, targets)`` of each gate of a JSON gate list, rejecting a
-    missing field, a qubit that is not an int, and a control that is not a
-    ``[qubit, polarity]`` pair."""
-    if not isinstance(gates, list):
-        raise CircuitError("field 'gates' is not a list")
-    for g, gate in enumerate(gates):
-        controls = _field(gate, "controls", f"gate {g}: ")
-        targets = _field(gate, "targets", f"gate {g}: ")
-        for name, value in (("controls", controls), ("targets", targets)):
-            if not isinstance(value, list):
-                raise CircuitError(f"gate {g}: field {name!r} is not a list")
-        for pair in controls:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and type(pair[0]) is int and type(pair[1]) is bool):
-                raise CircuitError(f"gate {g}: field 'controls': {pair!r} is "
-                                   "not an [int, bool] pair")
-        for q in targets:
-            if type(q) is not int:
-                raise CircuitError(f"gate {g}: field 'targets': qubit {q!r} "
-                                   "is not an int")
-        yield controls, targets
-
-
-def _loads_json(text: str) -> Circuit:
-    """Any JSON text of ``dumps``' schema, read by ``json.loads``."""
-    doc = json.loads(text)
-    regs = [RegisterDecl(r["name"], r["width"], r["role"])
-            for r in _field(doc, "registers", "")]
-    table = GateTable.from_gates(_json_gates(_field(doc, "gates", "")))
-    return Circuit(regs, table, layout=doc.get("layout"),
-                   max_live_ancilla=doc.get("max_live_ancilla", 0))
+def _where(text: str, start: int, end: int, at: int) -> str:
+    """Byte ``at`` of a text whose gate list spans ``start:end``, with the
+    gate it falls in (each ``{`` opening one, as the parse counts them)."""
+    if not start < at < end:
+        return f"byte {at}"
+    return f"byte {at}, gate {max(text.count('{', start, at + 1) - 1, 0)}"
 
 
 def loads(text: str) -> Circuit:
-    """The circuit of a JSON text of ``dumps``' schema.  ``dumps``' own text
-    is parsed on arrays; any other text (whitespace, key order, ...) goes
-    through ``json.loads``.  Both paths validate the gates; a malformed gate
-    raises a CircuitError naming it and the field."""
-    c = _loads_own(text)
-    return _loads_json(text) if c is None else c
+    """The circuit that ``dumps`` wrote as ``text``, and only that: its gate
+    list is parsed on arrays and the rest by ``json.loads``, the circuit
+    must re-dump to the text byte for byte, and then its gates are
+    validated.  Any other text, even JSON of the same document (other
+    whitespace, key order, non-ASCII characters), raises a CircuitError
+    that says where: the byte offset of a JSON syntax error, the gate and
+    byte of a gate the parse cannot read, the gate and qubit of a qubit
+    outside the registers, or the first byte (and its gate) where the text
+    differs from the circuit's own text."""
+    key = text.find(_GATES_KEY)
+    start = key + len(_GATES_KEY) - 1              # the gate list's "["
+    end = text.find(_LAYOUT_KEY, start) + 1        # one past its "]"
+    if key < 0 or end < 1:
+        raise CircuitError(f"no gate list: no {_GATES_KEY!r} followed by "
+                           f"{_LAYOUT_KEY!r}")
+    if not text.isascii():
+        at = re.search(r"[^\x00-\x7f]", text).start()
+        raise CircuitError(f"{_where(text, start, end, at)}: a non-ASCII "
+                           "character, which dumps escapes")
+    table = _parse_gate_list(
+        np.frombuffer(text.encode("ascii"), np.uint8)[start:end + 1], start)
+    try:
+        doc = json.loads(text[:start] + "[]" + text[end:])
+    except json.JSONDecodeError as exc:
+        at = exc.pos + (end - start - 2 if exc.pos > start + 1 else 0)
+        raise CircuitError(f"byte {at}: invalid JSON: {exc.msg}") from exc
+    try:
+        c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
+                            for r in doc["registers"]], table,
+                           doc["layout"], doc["max_live_ancilla"])
+    except (KeyError, TypeError) as exc:
+        raise CircuitError("registers, layout or max_live_ancilla not in "
+                           f"dumps' schema ({exc!r})") from exc
+    if len(table) and int(table.qubit.max()) >= c.total_qubits:
+        table.validate(c.total_qubits)     # names the gate and the qubit
+    own = dumps(c)
+    if own != text:
+        m = min(len(own), len(text))
+        differ = np.flatnonzero(
+            np.frombuffer(own[:m].encode("ascii"), np.uint8)
+            != np.frombuffer(text[:m].encode("ascii"), np.uint8))
+        at = int(differ[0]) if len(differ) else m
+        raise CircuitError(f"{_where(text, start, end, at)}: the text "
+                           "differs from dumps' text of the circuit it "
+                           "reads as")
+    table.validate(c.total_qubits)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -894,9 +874,6 @@ class Builder:
             qs.append(int(t))
             ks.append(TGT)
         self._pp.append(len(qs))
-
-    def x(self, target: int) -> None:
-        self.gate((), (target,))
 
     def cx(self, control, target: int) -> None:
         self.gate((control,), (target,))

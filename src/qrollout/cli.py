@@ -46,11 +46,21 @@ def _manifest(args: argparse.Namespace) -> str:
     return "# manifest: " + json.dumps(params, sort_keys=True)
 
 
+def _open(path: str, mode: str, option: str):
+    """``open(path, mode)``, a file that cannot be opened being a usage
+    error that names the option and the path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise _UsageError(f"argument {option}: {path}: {exc.strerror}"
+                          ) from None
+
+
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "w", "--out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -79,7 +89,7 @@ def _load_board(args, domain: str, m: int) -> int:
     path = getattr(args, "board", None)
     if not path:
         return _default_board(domain, m)
-    with open(path) as fh:
+    with _open(path, "r", "--board") as fh:
         text = fh.read()
     cells = len("".join(text.split()))
     if cells != m * m:
@@ -134,7 +144,7 @@ def cmd_ranksel_costs(args) -> int:
 def cmd_oracle_build(args) -> int:
     spec = _make_spec(args.domain, args.m, args.H, args.T, args.rho)
     oc = orc.compose(spec)
-    with open(args.out, "w") as fh:
+    with _open(args.out, "w", "--out") as fh:
         fh.write(dumps(oc.circuit))
     rep = oc.report
     print(f"wrote {args.out}: qubits={rep.qubit_count} gates={rep.gate_count} "

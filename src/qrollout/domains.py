@@ -375,17 +375,12 @@ def board_codes(boards, n: int) -> np.ndarray:
     return ((boards[..., None] >> 2 * np.arange(n)) & 3).astype(np.int8)
 
 
-def board_pack(codes):
-    """The inverse of :func:`board_codes`: an (n,) code vector gives the
-    board as a Python int of any width, a (rows, n) array gives int64
-    boards (n <= 31)."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim == 1:
-        # cell i is the board's base-4 digit i
-        return int("".join(map(str, codes[::-1].tolist())) or "0", 4)
-    if codes.shape[1] > 31:
-        raise ValueError(f"{codes.shape[1]} cells do not fit an int64 board")
-    return (codes << 2 * np.arange(codes.shape[1])).sum(axis=1)
+def board_pack(codes) -> int:
+    """The inverse of :func:`board_codes` on one board: an (n,) code vector
+    gives the board as a Python int of any width."""
+    # cell i is the board's base-4 digit i
+    return int("".join(map(str, np.asarray(codes, dtype=np.int64)[::-1]
+                            .tolist())) or "0", 4)
 
 
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
@@ -606,10 +601,10 @@ def default_first_moves(spec: RolloutSpec, board0: int, k: int) -> list[int]:
 
 
 def arm_means(spec: RolloutSpec, board0: int, k: int,
-              first_moves=None, budget: int = DP_STATE_BUDGET) -> list[float]:
+              first_moves=None) -> list[float]:
     """mu_j = exact payoff probability given first move j (deterministic
     round-1 placement that bypasses the round-1 selector)."""
     if first_moves is None:
         first_moves = default_first_moves(spec, board0, k)
-    return [exact_value(spec, board0, first_move=fm, budget=budget)
+    return [exact_value(spec, board0, first_move=fm)
             for fm in first_moves[:k]]

@@ -130,35 +130,31 @@ def _add(b: Builder, acc, addend, car, controls) -> None:
     b.gate(controls + [(addend[0], True)], (acc[0],))
 
 
-def sub_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg,
-                 controls=()) -> None:
-    """acc -= addend (mod 2^len(acc)) iff controls satisfied."""
-    b.emit_reversed(add_register, acc, addend, scratch,
-                    controls=list(controls))
+def sub_register(b: Builder, acc: Reg, addend: Reg, scratch: Reg) -> None:
+    """acc -= addend (mod 2^len(acc))."""
+    b.emit_reversed(add_register, acc, addend, scratch)
 
 
-def flag_less_than_const(b: Builder, reg: Reg, bound: int, flag: int,
-                         controls=()) -> None:
+def flag_less_than_const(b: Builder, reg: Reg, bound: int, flag: int) -> None:
     """flag ^= [reg < bound] for a constant bound.
 
     Emits one gate per set bit of the bound (disjoint prefix patterns); a
     bound above the register range is unconditionally true.
     """
     if bound > 0:
-        b.call(_flag_less_than, reg, flag, controls, bound=bound)
+        b.call(_flag_less_than, reg, flag, bound=bound)
 
 
-def _flag_less_than(b: Builder, reg, flag, controls, *, bound: int) -> None:
+def _flag_less_than(b: Builder, reg, flag, *, bound: int) -> None:
     w = len(reg)
-    controls = list(controls)
     if bound >= (1 << w):
-        b.gate(controls, (flag,))
+        b.gate((), (flag,))
         return
     for k in reversed(range(w)):
         if (bound >> k) & 1:
             pattern = [(reg[j], bool((bound >> j) & 1)) for j in range(k + 1, w)]
             pattern.append((reg[k], False))
-            b.gate(controls + pattern, (flag,))
+            b.gate(pattern, (flag,))
 
 
 def and_ladder(b: Builder, inputs: Sequence[tuple[int, bool]], out: int,

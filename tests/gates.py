@@ -1,13 +1,16 @@
 """Test helper: gates as ``(controls, targets)`` pairs, the form that tests
 write circuits in and read a circuit's gate table back as, the referee
-loops that circuit analyses replaced, and the layout measures that only
-the lower-bound tests read (cut crossings, register-local span)."""
+loops that circuit analyses replaced, the ``json.loads`` reader that
+``loads``' array path replaced, and the layout measures that only the
+lower-bound tests read (cut crossings, register-local span)."""
 
+import json
 from typing import NamedTuple
 
 import numpy as np
 
-from qrollout.circuit import POS, Circuit, CircuitError, GateTable
+from qrollout.circuit import (NEG, POS, TGT, Circuit, CircuitError,
+                              GateTable, RegisterDecl)
 from qrollout.circuit import _gate_positions
 
 
@@ -18,10 +21,65 @@ class Gate(NamedTuple):
     targets: tuple
 
 
+def from_gates(gates) -> GateTable:
+    """The table of ``(controls, targets)`` pairs, a control being a
+    ``(qubit, polarity)`` pair."""
+    ptr, qubit, kind = [0], [], []
+    for controls, targets in gates:
+        for q, pol in controls:
+            qubit.append(q)
+            kind.append(POS if pol else NEG)
+        qubit.extend(targets)
+        kind.extend([TGT] * len(targets))
+        ptr.append(len(qubit))
+    return GateTable(ptr, qubit, kind)
+
+
 def make_circuit(registers, gates, layout=None, max_live_ancilla=0):
     """A validated circuit of ``(controls, targets)`` pairs."""
-    return Circuit(registers, GateTable.from_gates(gates), layout=layout,
+    return Circuit(registers, from_gates(gates), layout=layout,
                    max_live_ancilla=max_live_ancilla)
+
+
+def _field(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise CircuitError(f"{where}missing field {key!r}")
+    return doc[key]
+
+
+def _json_gates(gates):
+    """``(controls, targets)`` of each gate of a JSON gate list, rejecting a
+    missing field, a qubit that is not an int, and a control that is not a
+    ``[qubit, polarity]`` pair."""
+    if not isinstance(gates, list):
+        raise CircuitError("field 'gates' is not a list")
+    for g, gate in enumerate(gates):
+        controls = _field(gate, "controls", f"gate {g}: ")
+        targets = _field(gate, "targets", f"gate {g}: ")
+        for name, value in (("controls", controls), ("targets", targets)):
+            if not isinstance(value, list):
+                raise CircuitError(f"gate {g}: field {name!r} is not a list")
+        for pair in controls:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is bool):
+                raise CircuitError(f"gate {g}: field 'controls': {pair!r} is "
+                                   "not an [int, bool] pair")
+        for q in targets:
+            if type(q) is not int:
+                raise CircuitError(f"gate {g}: field 'targets': qubit {q!r} "
+                                   "is not an int")
+        yield controls, targets
+
+
+def loads_json(text: str) -> Circuit:
+    """Referee: any JSON text of ``dumps``' schema, read by ``json.loads``
+    (whitespace, key order and escapes are free), its gates validated."""
+    doc = json.loads(text)
+    regs = [RegisterDecl(r["name"], r["width"], r["role"])
+            for r in _field(doc, "registers", "")]
+    table = from_gates(_json_gates(_field(doc, "gates", "")))
+    return Circuit(regs, table, layout=doc.get("layout"),
+                   max_live_ancilla=doc.get("max_live_ancilla", 0))
 
 
 def gate_list(table: GateTable) -> list[Gate]:

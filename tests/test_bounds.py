@@ -311,12 +311,9 @@ def test_empirical_influence_within_cumulative_bound():
         assert est.delta <= bound + 3 * est.sigma, (site, dist)
 
 
-# the referee's coupling that empirical_influence runs
-@pytest.mark.parametrize("coupling", ["position"])
 @pytest.mark.parametrize("site,first_move", [(1, None), (1, 6), (0, None),
                                              (3, 2)])
-def test_empirical_influence_equals_the_trace_loop(coupling, site,
-                                                   first_move):
+def test_empirical_influence_equals_the_trace_loop(site, first_move):
     # the array MC and the per-row loop sum the same integer differences,
     # so both return the same floats
     spec = dm.sir_spec(dm.SirConfig(m=3, horizon=2, threshold=2, rho=2))
@@ -324,8 +321,9 @@ def test_empirical_influence_equals_the_trace_loop(coupling, site,
     trials = 1500
     est = bd.empirical_influence(spec, CENTER3, other, trials, seed=9 + site,
                                  first_move=first_move)
+    # the referee's coupling that empirical_influence runs
     total, squares = ref.loop_influence_sums(spec, CENTER3, other, trials,
-                                             9 + site, first_move, coupling)
+                                             9 + site, first_move, "position")
     mean = total / trials
     var = max(0.0, squares / trials - mean * mean)
     assert est.delta == abs(mean)

@@ -16,7 +16,8 @@ from qrollout import oracle as orc
 from qrollout import rank_select as rs
 from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
 
-from gates import Gate, gate_list, make_circuit, reference_layer
+from gates import (Gate, from_gates, gate_list, make_circuit,
+                   reference_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ def _table_and_layers(draw):
         gates.append(([(q, draw(st.booleans())) for q in qs[nt:]], qs[:nt]))
     k = draw(st.integers(2, 5))
     values = draw(st.lists(_layer_value, min_size=n * k, max_size=n * k))
-    return (cq.GateTable.from_gates(gates),
+    return (from_gates(gates),
             np.array(values, dtype=np.int32).reshape(n, k))
 
 
@@ -440,7 +441,7 @@ def _error(f):
 @given(_chunks())
 def test_chunk_check_matches_validate(case):
     first, n, gates = case
-    table = cq.GateTable.from_gates(gates)
+    table = from_gates(gates)
     want = _error(lambda: table.validate(n, first))
     lists = table.ptr.tolist(), table.qubit.tolist(), table.kind.tolist()
     assert cq._chunk_is_valid(*lists, n) == (want is None)
@@ -448,7 +449,7 @@ def test_chunk_check_matches_validate(case):
     b = cq.Builder(record=False)
     b.add_register("q", n, "ancilla")
     for _ in range(first):
-        b.x(0)
+        b.gate((), (0,))
     assert b.gate_count == first
     for controls, targets in gates:
         b.gate(controls, targets)
@@ -489,7 +490,7 @@ def _guarded(b, a, c, ctrl, *, play):
 def _constant(b, a, *, k):
     for i, x in enumerate(a):
         if (k >> i) & 1:
-            b.x(x)
+            b.gate((), (x,))
         elif x != a[0]:
             b.cx(a[0], x)
 
@@ -735,7 +736,7 @@ def test_cost_report_is_a_frozen_value():
     b = cq.Builder(record=False)
     q = b.add_register("q", 4, "ancilla")
     b.acquire(1)
-    b.x(q[0])
+    b.gate((), (q[0],))
     b.cx(q[0], q[1])
     b.gate([q[1]], (q[2], q[3]))
     built = b.report()
@@ -810,7 +811,7 @@ def test_recorded_chains_match_layering_the_fragments_gates():
 
 def _xs(b, a, *, count):
     for _ in range(count):
-        b.x(a)
+        b.gate((), (a,))
 
 
 def test_a_recording_past_the_chain_gate_limit_is_refused(monkeypatch):
@@ -887,22 +888,21 @@ def test_replays_reuse_one_fragment():
 def test_capture_left_by_an_exception_drops_its_pending_gates(record):
     b = cq.Builder(record=record)
     b.add_register("q", 3, "ancilla")
-    b.x(0)
+    b.gate((), (0,))
     with pytest.raises(RuntimeError):
         with b.capture():
             b.cx(0, 1)
             raise RuntimeError("abandoned block")
-    b.x(2)
+    b.gate((), (2,))
     assert b.report().gate_count == 2
     if record:
-        assert b.finish().gates == cq.GateTable.from_gates([((), (0,)),
-                                                            ((), (2,))])
+        assert b.finish().gates == from_gates([((), (0,)), ((), (2,))])
 
 
 def test_memoized_emitter_must_not_touch_liveness():
     def leaky(b, a):
         b.acquire(1)
-        b.x(a[0])
+        b.gate((), (a[0],))
 
     b = cq.Builder()
     q = b.add_register("q", 2, "ancilla")
@@ -913,7 +913,7 @@ def test_memoized_emitter_must_not_touch_liveness():
 def test_validation_names_the_gate_and_the_qubit():
     b = cq.Builder()
     b.add_register("q", 3, "ancilla")
-    b.x(0)
+    b.gate((), (0,))
     b.gate([(1, True)], (1,))
     with pytest.raises(CircuitError, match="gate 1: controls and targets "
                                            "overlap on qubit 1"):
@@ -931,11 +931,11 @@ def test_validation_names_the_gate_and_the_qubit():
     # ops had been emitted where they opened: 5 gates, then x(0), a 2-gate
     # replay, x(1) and the bad gate 9
     def overlap(b):
-        b.x(1)
+        b.gate((), (1,))
         b.gate([(2, True)], (2,))
 
     def body(b):
-        b.x(0)
+        b.gate((), (0,))
         b.call(_ladder, (0, 1, 2), ())
         overlap(b)
 
@@ -945,7 +945,7 @@ def test_validation_names_the_gate_and_the_qubit():
 
     def nested(b):
         with b.capture():
-            b.x(0)
+            b.gate((), (0,))
             with b.capture() as ops:
                 b.call(_ladder, (0, 1, 2), ())
             b.emit(ops)                 # held once, by the outer capture
@@ -956,7 +956,7 @@ def test_validation_names_the_gate_and_the_qubit():
         b = cq.Builder()
         b.add_register("q", 3, "ancilla")
         for _ in range(5):
-            b.x(0)
+            b.gate((), (0,))
         with pytest.raises(CircuitError, match="gate 9: controls and targets "
                                                "overlap on qubit 2"):
             run(b)

@@ -2,17 +2,18 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrollout.circuit import (POS, Builder, Circuit, CircuitError, GateTable,
+import qrollout.circuit as cq
+from qrollout.circuit import (POS, Builder, Circuit, CircuitError,
                               RegisterDecl, cost, dumps, invert, light_cone,
                               loads, span_profile)
-from qrollout.circuit import _loads_json, _loads_own
 
-from gates import (Gate, crossing_count, make_circuit, reference_light_cone,
-                   register_local_span)
+from gates import (Gate, crossing_count, from_gates, loads_json,
+                   make_circuit, reference_light_cone, register_local_span)
 
 
 def _reg(name, width, role="ancilla"):
@@ -57,7 +58,7 @@ def test_control_target_overlap_rejected():
 ])
 def test_validate_names_the_first_fault_in_gate_and_qubit_order(gates, first,
                                                                 match):
-    table = GateTable.from_gates(gates)
+    table = from_gates(gates)
     with pytest.raises(CircuitError, match=match):
         table.validate(10, first)
 
@@ -67,11 +68,10 @@ def test_gates_are_one_table():
     with pytest.raises(CircuitError, match="gates must be a GateTable"):
         Circuit([_reg("q", 2)], pairs)
     c = make_circuit([_reg("q", 2)], pairs)
-    assert c.gates == GateTable.from_gates(pairs)
-    assert c.gates != GateTable.from_gates(pairs[:1])
-    assert c.gates != GateTable.from_gates([_gate([(0, False)], [1]),
-                                            pairs[1]])
-    assert c.gates != GateTable.from_gates([_gate([1], [0]), pairs[1]])
+    assert c.gates == from_gates(pairs)
+    assert c.gates != from_gates(pairs[:1])
+    assert c.gates != from_gates([_gate([(0, False)], [1]), pairs[1]])
+    assert c.gates != from_gates([_gate([1], [0]), pairs[1]])
     assert c.gates != pairs
     assert not hasattr(c, "table")
 
@@ -276,7 +276,7 @@ def test_light_cone_matches_the_set_referee(c, data):
 def _variants(c) -> list[str]:
     """Texts of ``c`` other than ``dumps``' own that JSON reads as its
     document: indented, default separators, top-level keys reordered, and
-    a gate with a key the reader ignores (whose digits the array parse
+    a gate with a key the referee ignores (whose digits the array parse
     would take for a qubit out of range)."""
     doc = json.loads(dumps(c))
     keys = ("gates", "layout", "registers", "max_live_ancilla")
@@ -292,66 +292,91 @@ def _variants(c) -> list[str]:
 @given(_io_circuits())
 @example(make_circuit([_reg("q", 2)], [], max_live_ancilla=1))
 def test_loads_paths_agree(c):
+    # loads reads dumps' own text as the json.loads referee does, and
+    # refuses every other text of the same document
     text = dumps(c)
-    fast, slow = _loads_own(text), _loads_json(text)
+    fast, slow = loads(text), loads_json(text)
     assert fast == slow == c
     assert fast.max_live_ancilla == slow.max_live_ancilla
-    assert dumps(loads(text)) == text
+    assert dumps(fast) == text
     for variant in _variants(c):
-        assert _loads_own(variant) is None
-        assert loads(variant) == c
-        assert loads(variant).max_live_ancilla == c.max_live_ancilla
+        assert loads_json(variant) == c
+        with pytest.raises(CircuitError):
+            loads(variant)
 
 
 def test_loads_declines_leading_zeros():
-    # the array parse reads 007 as 7, but JSON has no leading zeros
+    # the array parse reads 007 as 7, but 7 re-dumps as 7
     c = make_circuit([_reg("q", 8)], [_gate([0], [7])])
     text = dumps(c).replace('"targets":[7]', '"targets":[007]')
-    assert _loads_own(text) is None
-    with pytest.raises(json.JSONDecodeError):
+    at = text.index("[007]") + 1
+    with pytest.raises(CircuitError, match=f"^byte {at}, gate 0: the text "
+                       "differs from dumps' text"):
         loads(text)
+    with pytest.raises(json.JSONDecodeError):
+        loads_json(text)
 
 
 def test_loads_non_ascii_register_name():
     c = make_circuit([_reg("\u00e9", 2)], [_gate([0], [1])])
     text = dumps(c)
-    assert text.isascii() and _loads_own(text) == c
+    assert text.isascii() and loads(text) == c
     raw = json.dumps(json.loads(text), ensure_ascii=False,
                      separators=(",", ":"))
-    assert _loads_own(raw) is None
-    assert loads(raw) == c
+    assert loads_json(raw) == c
+    at = raw.index("\u00e9")
+    with pytest.raises(CircuitError, match=f"^byte {at}: a non-ASCII"):
+        loads(raw)
 
 
 def test_loads_rejects_tampered_gates():
     c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
-    cases = [("targets", [7], "gate 1: qubit index 7", False),  # out of range
+    cases = [("targets", [7], r"gate 1: qubit index 7 out of range \(n=3\)"),
              ("controls", [[0, True], [2, True]],        # control is a target
-              "gate 1: controls and targets overlap on qubit 0", True)]
-    for key, value, match, own in cases:
+              "gate 1: controls and targets overlap on qubit 0")]
+    for key, value, match in cases:
         doc = json.loads(dumps(c))
         doc["gates"][1][key] = value
-        # default separators go through json.loads; compact ones (dumps'
-        # own) through the array parse, whose validate raises the same
-        # error, except a qubit out of range, which it leaves to json.loads
-        for separators in (None, (",", ":")):
-            with pytest.raises(CircuitError, match=match):
-                loads(json.dumps(doc, separators=separators))
+        # the tampered text re-dumps byte for byte (or, out of range,
+        # cannot be re-dumped), so validate names the fault; the referee
+        # finds the same one with any separators
         compact = json.dumps(doc, separators=(",", ":"))
-        if own:
-            with pytest.raises(CircuitError, match=match):
-                _loads_own(compact)
-        else:
-            assert _loads_own(compact) is None
+        with pytest.raises(CircuitError, match=f"^{match}"):
+            loads(compact)
+        for separators in (None, (",", ":")):
+            with pytest.raises(CircuitError, match=f"^{match}"):
+                loads_json(json.dumps(doc, separators=separators))
 
 
-def test_loads_rejects_a_nine_digit_qubit_without_naming_every_qubit():
-    # the re-dump in the array parse must not name qubits up to a tampered
-    # index: that would build a billion strings before validate rejects it
+def test_loads_rejects_a_nine_digit_qubit_without_naming_every_qubit(
+        monkeypatch):
+    # a re-dump would name qubits up to the tampered index, a billion
+    # strings, so the range check runs first and dumps is never called
     c = make_circuit([_reg("q", 3)], [_gate([0], [1])])
     text = dumps(c).replace('"targets":[1]', '"targets":[999999999]')
-    assert _loads_own(text) is None
-    with pytest.raises(CircuitError, match="gate 0: qubit index 999999999"):
+
+    def redump(c):
+        raise AssertionError("loads re-dumped a qubit out of range")
+    monkeypatch.setattr(cq, "dumps", redump)
+    with pytest.raises(CircuitError, match="^gate 0: qubit index 999999999 "
+                       r"out of range \(n=3\)$"):
         loads(text)
+
+
+def test_loads_rejects_a_wide_register_before_naming_its_qubits():
+    # a short text may declare a million qubits; the layout's length
+    # refuses it before any per-qubit object is built
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1])])
+    text = dumps(c).replace('"width":3', '"width":1000000')
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitError, match="^layout must be a "
+                           "permutation of all qubits$"):
+            loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _drop(key):
@@ -375,11 +400,79 @@ def _set(key, value):
     (_set("targets", [True]), "gate 1: field 'targets': qubit True is not"),
 ])
 def test_loads_rejects_malformed_gates(tamper, match):
+    # the referee names the field (``match``); loads names gate 1, with
+    # the first byte where the text differs from the re-dump of what it
+    # parsed or a qubit out of range (1.5 parses as qubits 1 and 5), or
+    # the missing gate list
     c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
     doc = json.loads(dumps(c))
     tamper(doc)
+    text = json.dumps(doc, separators=(",", ":"))
     with pytest.raises(CircuitError, match=match):
-        loads(json.dumps(doc, separators=(",", ":")))
+        loads_json(text)
+    want = r"^(byte \d+, )?gate 1: " if "gate 1" in match else "^no gate list"
+    with pytest.raises(CircuitError, match=want):
+        loads(text)
+
+
+def _case(name, edit, match):
+    return pytest.param(edit, match, id=name)
+
+
+@pytest.mark.parametrize("edit, match", [
+    # a JSON syntax error names its byte in the text, not the spliced one
+    _case("json-before-gates",
+          lambda t: t.replace('"width":3', '"width":3,'),
+          lambda t: f"^byte {t.index(',,') + 1}: invalid JSON: Expecting"),
+    _case("json-after-gates",
+          lambda t: t.replace('"layout":[0,1,2]', '"layout":[0,1,2,]'),
+          lambda t: f"^byte {t.index(',]') + 1}: invalid JSON: Expecting "
+          "value$"),
+    _case("json-leading-zero",
+          lambda t: t.replace('ancilla":0', 'ancilla":00'),
+          lambda t: f"^byte {t.index(':00') + 2}: invalid JSON"),
+    _case("no-gates-key", lambda t: t.replace('"gates"', '"gate"'),
+          lambda t: "^no gate list"),
+    _case("no-layout-key", lambda t: t.replace('"layout"', '"lay"'),
+          lambda t: "^no gate list"),
+    _case("number-before-first-gate",
+          lambda t: t.replace('"gates":[', '"gates":[5,'),
+          lambda t: f"^byte {t.index('[5,') + 1}: a number before the first "
+          "gate$"),
+    _case("gate-without-qubits",
+          lambda t: t.replace('{"controls":[],"targets":[2]}', "{}"),
+          lambda t: f"^byte {t.index('{}')}, gate 1: a gate without "
+          "qubits$"),
+    _case("ten-digit-qubit",
+          lambda t: t.replace('"targets":[2]', '"targets":[1234567890]'),
+          lambda t: f"^byte {t.index('123')}, gate 1: a qubit of 10 "
+          "digits$"),
+    _case("qubit-out-of-range",
+          lambda t: t.replace('"targets":[2]', '"targets":[3]'),
+          lambda t: r"^gate 1: qubit index 3 out of range \(n=3\)$"),
+    # 1e0 reads as 1.0, which re-dumps as 1.0, outside every gate
+    _case("differs-after-gates",
+          lambda t: t.replace('ancilla":0', 'ancilla":1e0'),
+          lambda t: f"^byte {t.index('1e0') + 1}: the text differs"),
+    _case("missing-field",
+          lambda t: t.replace(',"max_live_ancilla":0', ""),
+          lambda t: "^registers, layout or max_live_ancilla not in dumps' "
+          "schema .KeyError..max_live_ancilla"),
+    _case("not-an-object", lambda t: "[" + t + "]",
+          lambda t: "^registers, layout or max_live_ancilla not in "),
+    _case("layout-not-a-permutation",
+          lambda t: t.replace('"layout":[0,1,2]', '"layout":[0,1,1]'),
+          lambda t: "^layout must be a permutation"),
+])
+def test_loads_names_where_a_text_is_not_dumps_own(edit, match):
+    c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([], [2])])
+    text = dumps(c)
+    bad = edit(text)
+    assert bad != text
+    with pytest.raises(CircuitError, match=match(bad)) as info:
+        loads(bad)
+    if "invalid JSON" in str(info.value):
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
 
 def test_builder_tally_matches_materialized_cost():

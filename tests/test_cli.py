@@ -98,6 +98,24 @@ def test_bad_board_files_exit_2(text, message, tmp_path, capsys):
     assert f"argument --board: {path}" in err and message in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (_EPI3 + ["--board", "{missing}/board.txt"], "--board"),
+    (["oracle", "build", "--domain", "epi", "--m", "2", "--H", "1",
+      "--out", "{missing}/o.json"], "--out"),
+    (["domain", "mc", *_DOMAIN, "--seed", "1", "--out", "{missing}/x.csv"],
+     "--out"),
+], ids=["board", "oracle-build-out", "emit-out"])
+def test_files_that_cannot_be_opened_exit_2(argv, option, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    path = argv[argv.index(option) + 1]
+    err = capsys.readouterr().err
+    assert f"argument {option}: {path}: No such file or directory" in err
+
+
 def test_board_file_of_the_default_board(tmp_path, capsys):
     path = tmp_path / "board.txt"
     path.write_text("SSS\nSIS\nSSS\n")

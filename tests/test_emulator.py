@@ -314,7 +314,7 @@ def test_ancilla_clean_scan():
 def test_payoff_trivial_one_and_zero():
     b = Builder()
     b.add_register("pay", 1, "payoff")
-    b.x(0)
+    b.gate((), (0,))
     est = em.payoff_probability(b.finish(), em.InputDistribution())
     assert est.probability == 1.0
     b = Builder()
@@ -675,7 +675,7 @@ def test_mc_matches_exact_within_three_sigma():
     b = Builder()
     b.add_register("pay", 1, "payoff")
     b.add_register("src", 2, "dice")
-    b.x(0)
+    b.gate((), (0,))
     b.gate([(1, False), (2, False)], [0])
     c = b.finish()
     dist = em.InputDistribution(uniform={"src": 4})

@@ -145,7 +145,7 @@ def test_emit_reversed_gives_exact_inverse():
 def _self_inverting(b):
     # captures a block and plays it around a gate, as the Sway evaluation does
     with b.capture() as ops:
-        b.x(0)
+        b.gate((), (0,))
         b.cx(0, 1)
     b.emit(ops)
     b.gate([1], [2])
@@ -175,7 +175,7 @@ def test_emit_reversed_captures_the_emitters_own_captures():
     # x(0) followed by its captured inverse is the identity
     def identity(b):
         with b.capture() as ops:
-            b.x(0)
+            b.gate((), (0,))
         b.emit(ops)
         b.emit_inverse(ops)
     b, _ = _fresh(("q", 1))

@@ -68,7 +68,7 @@ def test_branchwise_detects_corrupted_transition():
 
     def bad_emit(b, mid, nxt, dice, pool, scr):
         good_emit(b, mid, nxt, dice, pool, scr)
-        b.x(nxt[0])                      # flip one configuration bit
+        b.gate((), (nxt[0],))                # flip one configuration bit
 
     fields["emit_transition"] = bad_emit
     bad_spec = orc.RolloutSpec(**fields)
@@ -183,7 +183,7 @@ def test_hook_touching_foreign_registers_rejected():
 
     def leaky_emit(b, mid, nxt, dice, pool, scr):
         good_emit(b, mid, nxt, dice, pool, scr)
-        b.x(0)                           # config0 belongs to round 0
+        b.gate((), (0,))                     # config0 belongs to round 0
 
     fields["emit_transition"] = leaky_emit
     with pytest.raises(orc.OracleError):
@@ -191,7 +191,7 @@ def test_hook_touching_foreign_registers_rejected():
 
 
 def _flip(b, reg):
-    b.x(reg[0])
+    b.gate((), (reg[0],))
 
 
 def test_hook_touching_foreign_qubits_on_a_later_replay_rejected():

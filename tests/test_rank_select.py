@@ -11,7 +11,7 @@ from qrollout.circuit import (TGT, Circuit, GateTable, cost, light_cone,
 
 from classical_reference import mask_from_string, select_semantics
 from emulate import exhaustive_sweep, run
-from gates import Gate, crossing_count, register_local_span
+from gates import Gate, crossing_count, from_gates, register_local_span
 
 
 def mask_to_string(mask: int, n: int) -> str:
@@ -59,7 +59,7 @@ def referee_check(c) -> rs.SweepCheck:
 def _extended(c, extra):
     """``c`` with the ``(controls, targets)`` gates ``extra`` appended."""
     return Circuit(c.registers,
-                   GateTable.concat([c.gates, GateTable.from_gates(extra)]))
+                   GateTable.concat([c.gates, from_gates(extra)]))
 
 
 def test_worked_example_positions():
