@@ -5,10 +5,18 @@ over named registers.  Controls carry a polarity (positive fires on |1>,
 negative on |0>); a gate flips every target iff all controls are satisfied.
 Every gate is self-inverse, so reversing the gate order inverts the circuit.
 
-A circuit's gates are one :class:`GateTable`, ``Circuit.gates``: flat
-struct-of-arrays CSR arrays, never mutated once built.
-Structural analyses (cost report, backward light cone, span profile) are
-pure functions of the immutable circuit and require no emulation.
+A circuit is its op tape: chunks of fresh gates and replays of memoized
+fragments, each a fragment, a qubit map (``None`` for a chunk) and a
+direction.  A circuit from ``Builder.finish`` holds its builder's tape; a
+circuit from a table (``Circuit()``, ``loads``) is a tape of one chunk.
+``Circuit.gates`` is the flat :class:`GateTable` of the tape (struct-of-
+arrays CSR arrays, never mutated once built), built the first time it is
+read and then kept.  ``dumps``, ``==`` and the structural analyses
+(backward light cone, span profile) read it; the gate count, fan-in and
+depth of :func:`cost`, inversion and emulation read the tape.  The emulator
+runs a fragment's gate ops (:meth:`_Fragment.gate_ops`): each distinct
+fragment is compiled once, its nested replays inlined by remapping their
+compiled ops.
 ``dumps`` writes a circuit as compact JSON, and ``loads`` reads back exactly
 that text: any other text, even JSON of the same document, raises a
 CircuitError that names the byte, the gate or the qubit.
@@ -20,17 +28,16 @@ recorded once on local qubit indices, as its op tape, and replayed by a
 qubit remap.  Gate counts and fan-in are tallied as ops are emitted.
 Every depth (a builder's report, a built, loaded or inverted circuit's
 cost) is one deferred walk of an op tape, taken when the depth is first
-read; a circuit from a table (``Circuit()``, ``loads``) is a tape of one
-chunk.  A replay's depth effect is carried by the int32 max-plus matrix of
+read.  A replay's depth effect is carried by the int32 max-plus matrix of
 its fragment's gate chains (walked from the fragment's tape on one int32
 row per local qubit, an entry below 0 meaning no chain).  A fragment builds
-its gate table and its chains on first use, so a tally-mode build never
-flattens one, and a build whose depth is never read builds no chains.  A
-memoized emitter must be a pure function of its registers and constants,
-and must not call ``acquire`` or ``release``.  A ``Builder.capture()``
-block holds its ops back instead of emitting them, and
-``emit``/``emit_inverse`` play them forwards or backwards: compute, use,
-uncompute.
+its gate table and its chains on first use, so a build that is only
+emulated never flattens one, and a build whose depth is never read builds
+no chains.  A memoized emitter must be a pure function of its registers and
+constants, and must not call ``acquire`` or ``release``.  A
+``Builder.capture()`` block holds its ops back instead of emitting them,
+and ``emit``/``emit_inverse`` play them forwards or backwards: compute,
+use, uncompute.
 """
 from __future__ import annotations
 
@@ -50,6 +57,11 @@ ROLES = (
 
 # table entry kinds
 NEG, POS, TGT = 0, 1, 2
+
+# gate op kinds, as :meth:`_Fragment.gate_ops` compiles them: one positive
+# control, two positive controls, a positive and a negative control (each
+# with one target), and any other gate
+OP_CX, OP_CCX, OP_PNX, OP_MCX = 0, 1, 2, 3
 
 
 class CircuitError(ValueError):
@@ -135,6 +147,8 @@ class GateTable:
     def concat(tables: Sequence["GateTable"]) -> "GateTable":
         if not tables:
             return GateTable([0], [], [])
+        if len(tables) == 1:
+            return tables[0]
         lens = np.concatenate([t.lens() for t in tables])
         ptr = np.zeros(len(lens) + 1, dtype=np.int64)
         np.cumsum(lens, out=ptr[1:])
@@ -188,8 +202,9 @@ class GateTable:
 
     def validate(self, n_qubits: int, first: int = 0) -> None:
         """Reject a gate without targets, a qubit out of range, a qubit twice
-        in one gate, or a control that is also a target.  The error names the
-        gate (numbered from ``first``) and the qubit."""
+        in one gate, a control that is also a target, or a control after a
+        target.  The error names the gate (numbered from ``first``) and the
+        qubit of the first fault in gate order."""
         count = len(self)
         lens = self.lens()
         gate_of = np.repeat(np.arange(count), lens)
@@ -204,6 +219,14 @@ class GateTable:
             raise CircuitError(f"gate {first + int(gate_of[e])}: qubit index "
                                f"{int(self.qubit[e])} out of range "
                                f"(n={n_qubits})")
+        # every gate has an entry, so ptr[g] - 1 is the last of gate g - 1
+        late = (self.kind[1:] != TGT) & (self.kind[:-1] == TGT)
+        late[self.ptr[1:-1] - 1] = False
+        faults = []
+        if late.any():
+            e = int(np.argmax(late)) + 1
+            faults.append((int(gate_of[e]), int(self.qubit[e]),
+                           "control on qubit {} after a target"))
         # the qubits are in range, so gate * n + qubit orders by (gate,
         # qubit); the key is built in gate_of's buffer
         key = gate_of
@@ -218,8 +241,13 @@ class GateTable:
             what = ("controls and targets overlap"
                     if (k1 == TGT) != (k2 == TGT)
                     else "duplicate qubit within gate")
-            g, q = divmod(int(key[e]), n_qubits)
-            raise CircuitError(f"gate {first + g}: {what} on qubit {q}")
+            # in one gate, an overlap or duplicate is named before a late
+            # control
+            faults.insert(0, (*divmod(int(key[e]), n_qubits),
+                              what + " on qubit {}"))
+        if faults:
+            g, q, what = min(faults, key=lambda f: f[0])
+            raise CircuitError(f"gate {first + g}: " + what.format(q))
 
 
 def _distinct(qubits: np.ndarray) -> np.ndarray:
@@ -265,35 +293,40 @@ class Circuit:
 
     ``layout`` is a permutation of qubit indices giving the linear order used
     by cut analyses: ``layout[pos]`` is the qubit at position ``pos``.  It
-    defaults to declaration order.  ``gates`` is the circuit's
-    :class:`GateTable`; it is validated once, vectorised.  A
-    circuit from ``Builder.finish`` is not re-checked (its chunks were
-    checked as they were flushed, and memoized fragments, recorded from pure
-    emitters, stay valid under an injective qubit remap).  Its depth is a
-    deferred tape walk, :class:`_Depth`: its builder's for a built circuit,
-    and a tape of one chunk, its own table, for any other.
+    defaults to declaration order.  The circuit is its op tape (see the
+    module docstring); ``gates`` is its flat :class:`GateTable`, built on
+    first read and then kept.  A table handed to ``Circuit()`` is the tape's
+    one chunk and is validated once, vectorised.  A circuit from
+    ``Builder.finish`` is not re-checked (its chunks were checked as they
+    were flushed, and memoized fragments, recorded from pure emitters, stay
+    valid under an injective qubit remap).  Its depth is a deferred tape
+    walk, :class:`_Depth`: its builder's for a built circuit, and its own
+    tape's for any other.
     """
 
-    __slots__ = ("registers", "gates", "total_qubits", "layout",
-                 "max_live_ancilla", "_offsets", "_pos_of", "_depth",
-                 "_cache")
+    __slots__ = ("registers", "total_qubits", "layout", "max_live_ancilla",
+                 "_offsets", "_pos_of", "_depth", "_tape", "_gates")
 
     def __init__(self, registers, gates: GateTable, layout=None,
                  max_live_ancilla=0):
         if not isinstance(gates, GateTable):
             raise CircuitError("gates must be a GateTable")
-        self._setup(registers, gates, layout, max_live_ancilla, None)
+        self._setup(registers, _chunk_tape(gates), layout, max_live_ancilla,
+                    None, gates)
         gates.validate(self.total_qubits)
 
     @classmethod
-    def _built(cls, registers, gates, layout, max_live_ancilla, depth=None):
-        """A circuit whose table the builder validated (or the caller
-        validates), with its deferred depth if one walks another tape."""
+    def _built(cls, registers, tape, layout, max_live_ancilla, depth=None,
+               gates=None):
+        """A circuit of an op tape whose gates the builder validated (or the
+        caller validates), with its deferred depth if one walks another
+        tape, and its flat table if one is at hand."""
         c = cls.__new__(cls)
-        c._setup(registers, gates, layout, max_live_ancilla, depth)
+        c._setup(registers, tape, layout, max_live_ancilla, depth, gates)
         return c
 
-    def _setup(self, registers, gates, layout, max_live_ancilla, depth):
+    def _setup(self, registers, tape, layout, max_live_ancilla, depth,
+               gates):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
@@ -308,7 +341,6 @@ class Circuit:
             if len(layout) != total or sorted(layout) != list(range(total)):
                 raise CircuitError("layout must be a permutation of all qubits")
         self.registers = registers
-        self.gates = gates
         self.total_qubits = total
         self.layout = layout
         self.max_live_ancilla = max_live_ancilla
@@ -322,11 +354,16 @@ class Circuit:
         for pos, q in enumerate(layout):
             pos_of[q] = pos
         self._pos_of = tuple(pos_of)
-        if depth is None:
-            depth = _Depth([(_Fragment.of_table(gates), None, False)], 1,
-                           total)
-        self._depth = depth
-        self._cache = {}
+        self._depth = _Depth(tape, len(tape), total) if depth is None else depth
+        self._tape = tape
+        self._gates = gates
+
+    @property
+    def gates(self) -> GateTable:
+        """The flat gate table, built from the tape on first read."""
+        if self._gates is None:
+            self._gates = _flatten(self._tape)
+        return self._gates
 
     def register(self, name: str) -> tuple[int, ...]:
         """Qubit indices of a register, in declaration order (LSB first)."""
@@ -345,15 +382,18 @@ class Circuit:
                 and self.gates == other.gates)
 
     def __hash__(self):
-        return hash((self.registers, len(self.gates)))
+        return hash((self.registers,
+                     sum([frag.gates for frag, _, _ in self._tape])))
 
 
 def invert(c: Circuit) -> Circuit:
-    """The circuit with its gates reversed: the inverse, with an identical
-    cost report (the longest gate chain is the same read backwards), so it
-    shares the circuit's deferred depth."""
-    return Circuit._built(c.registers, c.gates.reversed(), c.layout,
-                          c.max_live_ancilla, c._depth)
+    """The circuit with its tape reversed, each op's direction flipped: the
+    inverse, with an identical cost report (the longest gate chain is the
+    same read backwards), so it shares the circuit's deferred depth."""
+    tape = [(frag, qmap, not reverse) for frag, qmap, reverse in
+            reversed(c._tape)]
+    return Circuit._built(c.registers, tape, c.layout, c.max_live_ancilla,
+                          c._depth)
 
 
 def cost(c: Circuit) -> CostReport:
@@ -362,13 +402,16 @@ def cost(c: Circuit) -> CostReport:
 
     Depth convention: a gate enters the earliest layer in which none of its
     qubits are occupied (per-qubit occupancy layering, :func:`layer`).  The
-    report holds the circuit's deferred depth, one walk of its op tape
-    (its builder's, or one chunk of its table) on the first read of
-    ``depth``, shared with every other report of that tape and length.
+    gate count and fan-in are the tape's tallies.  The report holds the
+    circuit's deferred depth, one walk of its op tape (its builder's, or
+    one chunk of its table) on the first read of ``depth``, shared with
+    every other report of that tape and length.
     """
-    return CostReport(gate_count=len(c.gates), depth=c._depth,
+    return CostReport(gate_count=sum([frag.gates for frag, _, _ in c._tape]),
+                      depth=c._depth,
                       qubit_count=c.total_qubits,
-                      max_fan_in=c.gates.max_fan_in(),
+                      max_fan_in=max([frag.fan_in for frag, _, _ in c._tape],
+                                     default=0),
                       max_live_ancilla=c.max_live_ancilla)
 
 
@@ -548,8 +591,9 @@ def loads(text: str) -> Circuit:
         raise CircuitError(f"byte {at}: invalid JSON: {exc.msg}") from exc
     try:
         c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
-                            for r in doc["registers"]], table,
-                           doc["layout"], doc["max_live_ancilla"])
+                            for r in doc["registers"]], _chunk_tape(table),
+                           doc["layout"], doc["max_live_ancilla"],
+                           gates=table)
     except (KeyError, TypeError) as exc:
         raise CircuitError("registers, layout or max_live_ancilla not in "
                            f"dumps' schema ({exc!r})") from exc
@@ -605,8 +649,8 @@ _CHAIN_GATE_LIMIT = 2 ** 29
 
 class _Fragment:
     """Gates with their tallies (``gates``, ``fan_in``); the gate table, its
-    reversal, the support and a memoized fragment's chains are built the
-    first time one is needed.
+    reversal, the gate ops, the support and a memoized fragment's chains
+    are built the first time one is needed.
 
     A chunk of fresh gates is on builder qubits and holds its gates as the
     Python lists ``(ptr, qubit, kind)`` until its table is built, which
@@ -619,9 +663,9 @@ class _Fragment:
     """
 
     __slots__ = ("gates", "fan_in", "k", "_chains", "_lists", "_tape",
-                 "_forward", "_backward", "_support")
+                 "_forward", "_backward", "_support", "_ops")
 
-    def __init__(self, gates: int, fan_in: int | None, k=None, lists=None,
+    def __init__(self, gates: int, fan_in: int, k=None, lists=None,
                  tape=None):
         self.gates = gates
         self.fan_in = fan_in
@@ -629,7 +673,7 @@ class _Fragment:
         self._chains = None
         self._lists = lists
         self._tape = tape
-        self._forward = self._backward = self._support = None
+        self._forward = self._backward = self._support = self._ops = None
 
     @classmethod
     def chunk(cls, ptr, qubit, kind) -> "_Fragment":
@@ -639,8 +683,8 @@ class _Fragment:
     @classmethod
     def of_table(cls, table: GateTable) -> "_Fragment":
         """A chunk of a table's gates, for a tape that never reaches a
-        builder, so its fan-in is not tallied."""
-        frag = cls(len(table), None)
+        builder."""
+        frag = cls(len(table), table.max_fan_in())
         frag._forward = table
         return frag
 
@@ -683,6 +727,34 @@ class _Fragment:
             gates = [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
         return gates[::-1] if reverse else gates
 
+    def gate_ops(self) -> list[tuple]:
+        """The gates as ops ``(kind, a, b, t)``, compiled on first use: an
+        ``OP_CX`` flips qubit ``t`` where ``a`` is set (``b`` is ``a``), an
+        ``OP_CCX`` where ``a`` and ``b`` are set, an ``OP_PNX`` where ``a``
+        is set and ``b`` is clear, and an ``OP_MCX`` flips every qubit of the
+        tuple ``t`` where every qubit of the tuple ``a`` is set and every one
+        of ``b`` is clear.  A chunk is compiled from its Python lists (its
+        table's, once those are dropped); a memoized fragment from its tape,
+        each nested replay being the replayed fragment's ops renamed (and
+        reversed for an inverse replay), or from its table once its tape is
+        dropped."""
+        if self._ops is None:
+            if self._lists is not None:
+                ops = _gate_ops(*self._lists)
+            elif self._tape is not None:
+                ops = []
+                for frag, qmap, reverse in self._tape:
+                    sub = frag.gate_ops()
+                    if qmap is not None:
+                        sub = _remap_ops(sub, qmap)
+                    ops += reversed(sub) if reverse else sub
+            else:
+                t = self._forward
+                ops = _gate_ops(t.ptr.tolist(), t.qubit.tolist(),
+                                t.kind.tolist())
+            self._ops = ops
+        return self._ops
+
     def support(self) -> np.ndarray:
         if self._support is None:
             if self._tape is not None:
@@ -692,6 +764,40 @@ class _Fragment:
                          else self._lists[1])
                 self._support = _distinct(np.asarray(qubit))
         return self._support
+
+
+def _gate_ops(ptr, qubit, kind) -> list[tuple]:
+    """The gate ops of a table given as Python lists (see
+    :meth:`_Fragment.gate_ops`)."""
+    ops = []
+    append = ops.append
+    for e, z in zip(ptr, ptr[1:]):
+        if z - e == 2 and kind[e] == POS and kind[e + 1] == TGT:
+            append((OP_CX, qubit[e], qubit[e], qubit[e + 1]))
+        elif (z - e == 3 and kind[e] != TGT and kind[e + 1] != TGT
+              and kind[e + 2] == TGT and POS in (kind[e], kind[e + 1])):
+            a, b, t = qubit[e], qubit[e + 1], qubit[e + 2]
+            if kind[e] == NEG:
+                a, b = b, a
+            append((OP_CCX if kind[e] == kind[e + 1] else OP_PNX, a, b, t))
+        else:
+            append((OP_MCX, *[tuple([qubit[i] for i in range(e, z)
+                                     if kind[i] == k])
+                              for k in (POS, NEG, TGT)]))
+    return ops
+
+
+def _remap_ops(ops, qmap) -> list[tuple]:
+    """Gate ops with local qubit ``q`` renamed ``qmap[q]``."""
+    return [(k, qmap[a], qmap[b], qmap[t]) if k != OP_MCX
+            else (k, tuple([qmap[q] for q in a]), tuple([qmap[q] for q in b]),
+                  tuple([qmap[q] for q in t]))
+            for k, a, b, t in ops]
+
+
+def _chunk_tape(table: GateTable) -> list:
+    """The op tape of one chunk, a table's gates."""
+    return [(_Fragment.of_table(table), None, False)]
 
 
 def _flatten(tape) -> GateTable:
@@ -1008,10 +1114,12 @@ class Builder:
         return d
 
     def finish(self) -> Circuit:
+        """The circuit of the tape as it stands: it holds the tape, and its
+        flat ``gates`` table is built on first read."""
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
         self._flush()
-        return Circuit._built(self._registers, _flatten(self._tape), None,
+        return Circuit._built(self._registers, self._tape[:], None,
                               self._peak_anc, self._depth())
 
     def report(self) -> CostReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -90,7 +91,11 @@ def _load_board(args, domain: str, m: int) -> int:
     if not path:
         return _default_board(domain, m)
     with _open(path, "r", "--board") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"argument --board: {path}: not {exc.encoding} "
+                              f"text (byte {exc.start})") from None
     cells = len("".join(text.split()))
     if cells != m * m:
         raise _UsageError(f"argument --board: {path} holds {cells} cells, "
@@ -143,6 +148,12 @@ def cmd_ranksel_costs(args) -> int:
 
 def cmd_oracle_build(args) -> int:
     spec = _make_spec(args.domain, args.m, args.H, args.T, args.rho)
+    # a path that cannot be written costs no build; opening it to append
+    # leaves an existing file as it is until the oracle is written
+    existed = os.path.exists(args.out)
+    _open(args.out, "a", "--out").close()
+    if not existed:
+        os.remove(args.out)
     oc = orc.compose(spec)
     with _open(args.out, "w", "--out") as fh:
         fh.write(dumps(oc.circuit))

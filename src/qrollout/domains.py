@@ -102,10 +102,13 @@ class SirConfig:
 # boards and grids
 
 def set_cell(board: int, i: int, code: int) -> int:
-    """The board with cell ``i`` set to ``code``."""
-    codes = board_codes(board, max(i + 1, (board.bit_length() + 1) // 2))
-    codes[i] = code
-    return board_pack(codes)
+    """The board with cell ``i`` (bits ``2i`` and ``2i + 1``) set to
+    ``code``, packed by shift; a cell below 0 or a code outside 0..3 raises
+    ValueError."""
+    if i < 0 or not 0 <= code <= 3:
+        raise ValueError(f"cell {i}, code {code}: a cell is at least 0 and "
+                         "a code is 0..3")
+    return board & ~(3 << 2 * i) | code << 2 * i
 
 
 def neighbors(m: int) -> list[list[int]]:

@@ -5,6 +5,11 @@ A basis state assigns one bit per circuit qubit.  States run bit-sliced on a
 input row, so one AND per control and one XOR per target apply a gate to all
 rows at once (Biham, "A fast new DES implementation in software", FSE 1997).
 A single state is a one-row batch.  Circuits of any width emulate exactly.
+:func:`apply_batch` walks the circuit's op tape, never its flat gate table:
+each distinct fragment is compiled once into gate ops (a CX, a CCX, a gate
+with one positive and one negative control, or any other gate), and one
+loop runs them gate by gate, on the columns for a chunk and on the gathered
+columns of a replay's qubit map.
 Values meet columns in one pair, :func:`write_qubits` and
 :func:`read_qubits`: bit ``k`` of a row's value is the ``k``-th qubit of a
 qubit list, and a register is the list of its qubits.
@@ -30,7 +35,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .circuit import NEG, POS, TGT, Circuit, invert
+from .circuit import OP_CCX, OP_CX, OP_PNX, Circuit, invert
 
 DEFAULT_EXACT_BUDGET = 1 << 24
 
@@ -39,31 +44,14 @@ class EmulationError(ValueError):
     pass
 
 
-# a gate's first table entry carries its kind plus _START
-_START = 3
-
-
-def _entries(c: Circuit):
-    """The table as (qubit, code) pairs: code is the entry kind, plus
-    ``_START`` on each gate's first entry."""
-    tag = "entries"
-    if tag not in c._cache:
-        code = c.gates.kind.astype(np.int64)
-        code[c.gates.ptr[:-1]] += _START
-        # gathering from one int object per qubit shares them across all
-        # entries: faster and smaller than a new int per entry
-        labels = np.arange(c.total_qubits).astype(object)
-        c._cache[tag] = (labels[c.gates.qubit].tolist(), code.tolist())
-    return c._cache[tag]
-
-
 # ---------------------------------------------------------------------------
 # bit-sliced batches
 
 @dataclass
 class Batch:
     """Basis states of ``rows`` inputs, bit-sliced: bit ``r`` of ``cols[q]``
-    is qubit ``q`` of row ``r``."""
+    is qubit ``q`` of row ``r``, and a column has no bit at or above
+    ``rows``."""
 
     rows: int
     cols: list[int]
@@ -81,27 +69,53 @@ class Batch:
 
 
 def apply_batch(c: Circuit, batch: Batch) -> Batch:
-    """Apply the circuit to every row of a batch, in place."""
-    if len(batch.cols) != c.total_qubits:
-        raise EmulationError("batch width does not match circuit")
+    """Apply the circuit to every row of a batch, in place, walking its op
+    tape: a chunk runs its gate ops on the columns, and a replay gathers
+    the columns of its qubit map, runs the fragment's gate ops on them
+    (reversed for an inverse replay) and scatters them back.  A column
+    with a bit at or above ``batch.rows`` raises :class:`EmulationError`."""
     cols = batch.cols
-    full = s = (1 << batch.rows) - 1
-    qubits, codes = _entries(c)
-    for q, k in zip(qubits, codes):     # kinds tested most frequent first
-        if k == TGT:
-            cols[q] ^= s
-        elif k == POS + _START:
-            s = full & cols[q]
-        elif k == POS:
-            s &= cols[q]
-        elif k == NEG:
-            s &= ~cols[q]
-        elif k == NEG + _START:
-            s = full & ~cols[q]
-        else:                         # a gate without controls
-            s = full
-            cols[q] ^= s
+    if len(cols) != c.total_qubits:
+        raise EmulationError("batch width does not match circuit")
+    full = (1 << batch.rows) - 1
+    if cols and not 0 <= min(cols) <= max(cols) <= full:
+        raise EmulationError(f"a column holds bits outside the batch's "
+                             f"{batch.rows} rows")
+    for frag, qmap, reverse in c._tape:
+        ops = frag.gate_ops()
+        if reverse:
+            ops = reversed(ops)
+        if qmap is None:
+            _run(ops, cols, full)
+        else:
+            local = [cols[q] for q in qmap]
+            _run(ops, local, full)
+            for q, col in zip(qmap, local):
+                cols[q] = col
     return batch
+
+
+def _run(ops, cols: list[int], full: int) -> None:
+    """The one emulation loop: gate ops (see ``_Fragment.gate_ops``) on
+    columns that hold no bit above ``full``, in place; the kinds are
+    tested most frequent first.  A clear control is read as ``full ^ col``:
+    ``~col`` is negative, and a wide negative int costs several times more
+    in an AND."""
+    for k, a, b, t in ops:
+        if k == OP_CX:
+            cols[t] ^= cols[a]
+        elif k == OP_CCX:
+            cols[t] ^= cols[a] & cols[b]
+        elif k == OP_PNX:
+            cols[t] ^= cols[a] & (full ^ cols[b])
+        else:
+            s = full
+            for q in a:
+                s &= cols[q]
+            for q in b:
+                s &= full ^ cols[q]
+            for q in t:
+                cols[q] ^= s
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +440,9 @@ def check_bijective(c: Circuit, samples: int = 100_000, seed: int = 7,
 
     Two applies replace one apply and a decode of ``n`` columns of ``2^n``
     rows, so the round trip costs more than the decode only for circuits
-    of about 100 to 150 gate entries per qubit or more (random three-qubit
-    gates at ``2^20`` rows).  The circuits of at most 20 qubits that this
-    package builds have at most 26 (``build_scan(7)``, 19 qubits).
+    of about 50 gates per qubit or more (random three-qubit gates of mixed
+    polarity at ``2^20`` rows).  The circuits of at most 20 qubits that
+    this package builds have at most 10 (``build_scan(7)``, 19 qubits).
 
     ``samples`` below 1, and an exhaustive run of more than
     ``DEFAULT_EXACT_BUDGET`` rows, raise :class:`EmulationError` before

@@ -1,10 +1,13 @@
-"""Test helper: emulate a circuit on register inputs, one batch per sweep."""
+"""Test helper: emulate a circuit on register inputs, one batch per sweep,
+and the per-entry loop over the flat gate table that the tape kernel of
+``apply_batch`` replaced, as its referee."""
 
 import itertools
 
 import numpy as np
 
 from qrollout import emulator as em
+from qrollout.circuit import NEG, POS, TGT
 from qrollout.rank_select import _sweep_batch
 
 
@@ -13,6 +16,38 @@ def grid(ranges: dict) -> dict:
     first register varies slowest.  Maps each name to its row values."""
     rows = list(itertools.product(*ranges.values()))
     return {name: [row[i] for row in rows] for i, name in enumerate(ranges)}
+
+
+# a gate's first table entry carries its kind plus _START
+_START = 3
+
+
+def apply_flat(c, batch: em.Batch) -> em.Batch:
+    """Referee for ``apply_batch``: one step per entry of the flat table
+    ``c.gates``, in place.  A gate's first entry starts its control mask
+    ``s`` (every row for a gate without controls), each control narrows
+    it, and each target is flipped on it."""
+    if len(batch.cols) != c.total_qubits:
+        raise em.EmulationError("batch width does not match circuit")
+    cols = batch.cols
+    full = s = (1 << batch.rows) - 1
+    code = c.gates.kind.astype(np.int64)
+    code[c.gates.ptr[:-1]] += _START
+    for q, k in zip(c.gates.qubit.tolist(), code.tolist()):
+        if k == TGT:
+            cols[q] ^= s
+        elif k == POS + _START:
+            s = full & cols[q]
+        elif k == POS:
+            s &= cols[q]
+        elif k == NEG:
+            s &= ~cols[q]
+        elif k == NEG + _START:
+            s = full & ~cols[q]
+        else:                         # a gate without controls
+            s = full
+            cols[q] ^= s
+    return batch
 
 
 def run(c, inputs: dict) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 
 from qrollout.circuit import (NEG, POS, TGT, Circuit, CircuitError,
                               GateTable, RegisterDecl)
-from qrollout.circuit import _gate_positions
+from qrollout.circuit import _chunk_tape, _gate_positions
 
 
 class Gate(NamedTuple):
@@ -39,6 +39,13 @@ def make_circuit(registers, gates, layout=None, max_live_ancilla=0):
     """A validated circuit of ``(controls, targets)`` pairs."""
     return Circuit(registers, from_gates(gates), layout=layout,
                    max_live_ancilla=max_live_ancilla)
+
+
+def unchecked_circuit(registers, table: GateTable) -> Circuit:
+    """A circuit of one chunk, ``table``, that is not validated: a test's
+    way to build one whose gate takes a target as a control."""
+    return Circuit._built(registers, _chunk_tape(table), None, 0,
+                          gates=table)
 
 
 def _field(doc, key: str, where: str):

@@ -15,6 +15,7 @@ from qrollout import domains as dm
 from qrollout import oracle as orc
 from qrollout import rank_select as rs
 from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
+from qrollout.emulator import check_bijective
 
 from gates import (Gate, from_gates, gate_list, make_circuit,
                    reference_layer)
@@ -362,6 +363,29 @@ def test_tally_builds_never_flatten_a_table(monkeypatch):
     rs.builder_blocked(100, record=False).report()
     orc.compose(dm.sway_spec(dm.SwayConfig(3, 2)), record=False)
     orc.compose(dm.sir_spec(dm.SirConfig(2, 2, 1)), record=False)
+
+
+def test_compose_and_branchwise_check_never_flatten(monkeypatch):
+    calls = []
+    real = cq._flatten
+
+    def counting(tape):
+        calls.append(len(tape))
+        return real(tape)
+
+    monkeypatch.setattr(cq, "_flatten", counting)
+    for spec, board in ((dm.sway_spec(dm.SwayConfig(3, 2)), 0),
+                        (dm.sir_spec(dm.SirConfig(3, 2, 2)),
+                         dm.parse_board("SSS\nSIS\nSSS", "sir"))):
+        oc = orc.compose(spec)
+        assert orc.branchwise_check(spec, 50, board, oracle=oc).passed
+        assert check_bijective(oc.circuit, samples=64).passed
+    assert calls == []
+    # the flat table is built on first read, and then kept
+    table = oc.circuit.gates
+    flattened = len(calls)
+    assert flattened and oc.circuit.gates is table
+    assert len(calls) == flattened
 
 
 _layer_value = st.one_of(st.just(cq._NO_CHAIN), st.integers(0, 6))
@@ -774,6 +798,11 @@ def test_reading_the_depth_lets_the_tape_go(monkeypatch):
         # the deferred depth holds the tape until it is read
         assert any(ref() is not None for ref in chunks)
         oc.report.depth
+        if record:
+            # a built circuit is its tape: it holds every chunk until it
+            # goes
+            assert all(ref() is not None for ref in chunks)
+            oc = None
         assert all(ref() is None for ref in chunks)
     chunks.clear()
     rep = rs.builder_blocked(30, record=False).report()

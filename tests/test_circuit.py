@@ -46,21 +46,43 @@ def test_control_target_overlap_rejected():
 
 @pytest.mark.parametrize("gates,first,match", [
     # gate 1 holds both faults: qubit 2's control and target sort first
-    ([((), (0,)), (((7, True), (2, False), (7, False)), (7, 2)),
-      ((), (1, 1))], 0, "gate 1: controls and targets overlap on qubit 2$"),
+    (from_gates([((), (0,)), (((7, True), (2, False), (7, False)), (7, 2)),
+                 ((), (1, 1))]),
+     0, "gate 1: controls and targets overlap on qubit 2$"),
     # equal (gate, qubit) entries keep their order: two controls, then the
     # target, so the first pair is the duplicate
-    ([((), (0,)), (((5, True), (5, False)), (5, 9)), (((0, True),), (0,))],
+    (from_gates([((), (0,)), (((5, True), (5, False)), (5, 9)),
+                 (((0, True),), (0,))]),
      10, "gate 11: duplicate qubit within gate on qubit 5$"),
-    ([((), (4,)), ((), (6,)), (((8, True),), (3, 8, 3)),
-      (((2, True),), (2, 2))], 0,
-     "gate 2: duplicate qubit within gate on qubit 3$"),
+    (from_gates([((), (4,)), ((), (6,)), (((8, True),), (3, 8, 3)),
+                 (((2, True),), (2, 2))]),
+     0, "gate 2: duplicate qubit within gate on qubit 3$"),
+    # gate 0's control after a target comes before gate 1's duplicate
+    (cq.GateTable([0, 2, 4], [0, 1, 2, 2], [cq.TGT, POS, cq.TGT, cq.TGT]),
+     3, "^gate 3: control on qubit 1 after a target$"),
+    # a late control after gate 0's duplicate is named second
+    (cq.GateTable([0, 2, 4], [3, 3, 0, 1], [cq.TGT, cq.TGT, cq.TGT, cq.NEG]),
+     0, "^gate 0: duplicate qubit within gate on qubit 3$"),
+    # in one gate, the overlap is named before the late control
+    (cq.GateTable([0, 3], [4, 1, 4], [cq.TGT, POS, POS]),
+     0, "^gate 0: controls and targets overlap on qubit 4$"),
 ])
 def test_validate_names_the_first_fault_in_gate_and_qubit_order(gates, first,
                                                                 match):
-    table = from_gates(gates)
     with pytest.raises(CircuitError, match=match):
-        table.validate(10, first)
+        gates.validate(10, first)
+
+
+def test_validate_rejects_a_control_after_a_target():
+    # dumps writes a gate's controls, then its targets, so such a table
+    # would not survive a round trip
+    table = cq.GateTable([0, 2, 5], [0, 1, 2, 3, 1],
+                         [POS, cq.TGT, POS, cq.TGT, cq.NEG])
+    with pytest.raises(CircuitError,
+                       match="^gate 4: control on qubit 1 after a target$"):
+        table.validate(4, first=3)
+    with pytest.raises(CircuitError, match="after a target"):
+        Circuit([_reg("q", 4)], table)
 
 
 def test_gates_are_one_table():

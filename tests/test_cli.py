@@ -116,6 +116,42 @@ def test_files_that_cannot_be_opened_exit_2(argv, option, tmp_path, capsys):
     assert f"argument {option}: {path}: No such file or directory" in err
 
 
+def test_a_board_file_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "board.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(_EPI3 + ["--board", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --board: {path}: not " in err
+    assert "text (byte 0)" in err
+
+
+def test_oracle_build_opens_out_before_composing(tmp_path, capsys,
+                                                 monkeypatch):
+    def compose(spec):
+        raise AssertionError("composed before --out was opened")
+
+    monkeypatch.setattr(cli.orc, "compose", compose)
+    build = ["oracle", "build", "--domain", "epi", "--m", "2", "--H", "1",
+             "--out"]
+    out = tmp_path / "missing" / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(build + [str(out)])
+    assert exc.value.code == 2
+    assert f"argument --out: {out}: No such file or directory" in \
+        capsys.readouterr().err
+    # a writable --out is left as it was when the build fails
+    out = tmp_path / "o.json"
+    with pytest.raises(AssertionError, match="composed before"):
+        cli.run(build + [str(out)])
+    assert not out.exists()
+    out.write_text("kept\n")
+    with pytest.raises(AssertionError, match="composed before"):
+        cli.run(build + [str(out)])
+    assert out.read_text() == "kept\n"
+
+
 def test_board_file_of_the_default_board(tmp_path, capsys):
     path = tmp_path / "board.txt"
     path.write_text("SSS\nSIS\nSSS\n")

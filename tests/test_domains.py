@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import classical_reference as ref
 from classical_reference import cell
@@ -228,6 +229,23 @@ def test_board_pack_inverts_board_codes():
         for b in boards:
             got = dm.board_pack(dm.board_codes(b, n))
             assert type(got) is int and got == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 39).flatmap(lambda n: st.tuples(
+    st.integers(0, 4 ** n - 1), st.integers(0, n - 1), st.integers(0, 3),
+    st.just(n))))
+def test_set_cell_equals_unpack_set_pack(case):
+    board, i, code, n = case
+    codes = dm.board_codes(board, n)
+    codes[i] = code
+    assert dm.set_cell(board, i, code) == dm.board_pack(codes)
+
+
+@pytest.mark.parametrize("i, code", [(0, 4), (0, -1), (2, 200), (-1, 1)])
+def test_set_cell_rejects_a_negative_cell_or_a_code_past_3(i, code):
+    with pytest.raises(ValueError, match="a code is 0..3"):
+        dm.set_cell(5, i, code)
 
 
 def test_kernel_against_bruteforce_dice_2x2():

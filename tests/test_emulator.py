@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrollout.circuit import (NEG, POS, TGT, Builder, Circuit, GateTable,
+from qrollout.circuit import (NEG, POS, TGT, Builder, GateTable,
                               RegisterDecl, invert)
+from qrollout import circuit as cq
+from qrollout import domains as dm
 from qrollout import emulator as em
+from qrollout import oracle as orc
 from qrollout import rank_select as rs
 
-from emulate import bijective_by_count, run
-from gates import Gate, gate_list, make_circuit
+from emulate import apply_flat, bijective_by_count, run
+from gates import Gate, gate_list, make_circuit, unchecked_circuit
+from test_builder import ORACLES, _build, _op
 
 
 def _simple(width, gates):
@@ -381,8 +385,8 @@ def _table(rng, n, invalid):
         qubit += controls + qs[:k]
         kind += [rng.choice((POS, NEG)) for _ in controls] + [TGT] * k
         ptr.append(len(qubit))
-    return Circuit._built([RegisterDecl("q", n, "ancilla")],
-                          GateTable(ptr, qubit, kind), None, 0, None)
+    return unchecked_circuit([RegisterDecl("q", n, "ancilla")],
+                             GateTable(ptr, qubit, kind))
 
 
 def test_bijective_round_trip_matches_the_count_referee():
@@ -416,10 +420,10 @@ def test_bijective_round_trip_matches_the_count_referee():
 def _lossy(n, controls):
     """An ``n``-qubit circuit whose one gate clears qubit 0 where qubits
     ``0..controls-1`` are all set: not injective."""
-    return Circuit._built([RegisterDecl("q", n, "ancilla")],
-                          GateTable([0, controls + 1], [*range(controls), 0],
-                                    [POS] * controls + [TGT]),
-                          None, 0, None)
+    return unchecked_circuit([RegisterDecl("q", n, "ancilla")],
+                             GateTable([0, controls + 1],
+                                       [*range(controls), 0],
+                                       [POS] * controls + [TGT]))
 
 
 def test_bijective_sampled_mode_names_a_row_that_does_not_come_back():
@@ -713,3 +717,91 @@ def test_mc_rejects_shots_below_one():
                            match=f"shots must be >= 1, got {shots}"):
             em.payoff_probability(c, em.InputDistribution(), mode="mc",
                                   shots=shots)
+
+
+# ---------------------------------------------------------------------------
+# the tape kernel of apply_batch against the flat per-entry referee
+
+def _random_columns(c, rows, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(rows) for _ in range(c.total_qubits)]
+
+
+def _assert_kernels_agree(make, rows=70, seed=0):
+    """``apply_batch`` equals ``apply_flat`` on random columns, for circuits
+    from ``make()`` emulated before and after their flat table is read: a
+    chunk compiles from its Python lists in the first case and from its
+    table in the second.  Each circuit's inverse and ``loads(dumps(c))``
+    (a one-chunk tape) agree too, and the inverse undoes the circuit."""
+    fresh, flattened = make(), make()
+    flattened.gates
+    for c in (fresh, flattened):
+        for d in (c, invert(c), cq.loads(cq.dumps(c))):
+            cols = _random_columns(d, rows, seed)
+            got = em.apply_batch(d, em.Batch(rows, list(cols))).cols
+            assert got == apply_flat(d, em.Batch(rows, list(cols))).cols
+        cols = _random_columns(c, rows, seed)
+        back = em.apply_batch(invert(c),
+                              em.apply_batch(c, em.Batch(rows, list(cols))))
+        assert back.cols == cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op(2), min_size=1, max_size=6), st.integers(1, 130),
+       st.integers(0, 2 ** 32))
+def test_tape_kernel_matches_the_flat_referee_on_builder_programs(ops, rows,
+                                                                  seed):
+    # nested, reversed and aliased replays, captures and emit_inverse
+    _assert_kernels_agree(lambda: _build(Builder, True, ops).finish(), rows,
+                          seed)
+
+
+# the composes of test_builder's pinned dumps and reports
+_PINNED_ORACLES = dict(ORACLES,
+                       sway2x2h1=(dm.sway_spec(dm.SwayConfig(2, 1)), {}),
+                       sir2x2h1t1=(dm.sir_spec(dm.SirConfig(2, 1, 1)), {}))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ORACLES))
+def test_tape_kernel_matches_the_flat_referee_on_pinned_oracles(name):
+    spec, kw = _PINNED_ORACLES[name]
+    _assert_kernels_agree(lambda: orc.compose(spec, **kw).circuit, rows=200)
+
+
+@pytest.mark.parametrize("make", [rs.build_scan, rs.build_blocked])
+def test_tape_kernel_matches_the_flat_referee_on_rank_select(make):
+    for n in list(range(1, 13)) + [20, 33, 40]:
+        _assert_kernels_agree(lambda: make(n), seed=n)
+
+
+@st.composite
+def _raw_tables(draw):
+    """Tables that skip validation: gates, controls before targets, that
+    may have no target, repeat a qubit or take a target as a control."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = rng.randint(1, 9)
+    ptr, qubit, kind = [0], [], []
+    for _ in range(rng.randint(0, 20)):
+        ks = sorted((rng.choice((NEG, POS, POS, TGT, TGT))
+                     for _ in range(rng.randint(1, 5))),
+                    key=lambda k: k == TGT)
+        qubit += [rng.randrange(n) for _ in ks]
+        kind += ks
+        ptr.append(len(qubit))
+    return unchecked_circuit([RegisterDecl("q", n, "ancilla")],
+                             GateTable(ptr, qubit, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_tables(), st.sampled_from([1, 64, 65, 300]))
+def test_tape_kernel_reads_unchecked_tables_like_the_referee(c, rows):
+    cols = _random_columns(c, rows, rows)
+    got = em.apply_batch(c, em.Batch(rows, list(cols))).cols
+    assert got == apply_flat(c, em.Batch(rows, list(cols))).cols
+
+
+def test_apply_batch_rejects_bits_outside_the_rows():
+    c = _simple(2, [Gate(((0, True),), (1,))])
+    for cols in ([4, 0], [0, -1]):
+        with pytest.raises(em.EmulationError, match="outside the batch's 2"):
+            em.apply_batch(c, em.Batch(2, cols))
