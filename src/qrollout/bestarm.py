@@ -52,7 +52,6 @@ class BanditInstance:
     k: int
     means: tuple[float, ...]
     eps: float
-    kind: str = "base"          # "base" | "alternative"
 
     def __post_init__(self):
         if self.k != len(self.means):
@@ -65,7 +64,7 @@ class BanditInstance:
         if not 0.0 < eps <= 0.125:
             raise BestArmError("base instance requires eps <= 1/8")
         means = (0.5 + 4.0 * eps,) + (0.5,) * (k - 1)
-        return cls(k=k, means=means, eps=eps, kind="base")
+        return cls(k=k, means=means, eps=eps)
 
     def optimal_set(self) -> set[int]:
         best = max(self.means)

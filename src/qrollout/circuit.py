@@ -8,36 +8,33 @@ Every gate is self-inverse, so reversing the gate order inverts the circuit.
 A circuit is its op tape: chunks of fresh gates and replays of memoized
 fragments, each a fragment, a qubit map (``None`` for a chunk) and a
 direction.  A circuit from ``Builder.finish`` holds its builder's tape; a
-circuit from a table (``Circuit()``, ``loads``) is a tape of one chunk.
+circuit from ``loads`` is a tape of one chunk, the table it read.
 ``Circuit.gates`` is the flat :class:`GateTable` of the tape (struct-of-
 arrays CSR arrays, never mutated once built), built the first time it is
 read and then kept.  ``dumps``, ``==`` and the structural analyses
 (backward light cone, span profile) read it; the gate count, fan-in and
-depth of :func:`cost`, inversion and emulation read the tape.  The emulator
-runs a fragment's gate ops (:meth:`_Fragment.gate_ops`): each distinct
-fragment is compiled once, its nested replays inlined by remapping their
-compiled ops.
+depth of :func:`cost`, inversion and emulation read the tape.
 ``dumps`` writes a circuit as compact JSON, and ``loads`` reads back exactly
 that text: any other text, even JSON of the same document, raises a
 CircuitError that names the byte, the gate or the qubit.
 
-The :class:`Builder` emits gates into an op tape of fresh-gate chunks and
-replays of memoized fragments (``Builder.call``).  A chunk keeps its gates
-as Python lists, checked in Python, until a table is needed.  A fragment is
-recorded once on local qubit indices, as its op tape, and replayed by a
-qubit remap.  Gate counts and fan-in are tallied as ops are emitted.
-Every depth (a builder's report, a built, loaded or inverted circuit's
-cost) is one deferred walk of an op tape, taken when the depth is first
-read.  A replay's depth effect is carried by the int32 max-plus matrix of
-its fragment's gate chains (walked from the fragment's tape on one int32
-row per local qubit, an entry below 0 meaning no chain).  A fragment builds
-its gate table and its chains on first use, so a build that is only
-emulated never flattens one, and a build whose depth is never read builds
-no chains.  A memoized emitter must be a pure function of its registers and
-constants, and must not call ``acquire`` or ``release``.  A
-``Builder.capture()`` block holds its ops back instead of emitting them,
-and ``emit``/``emit_inverse`` play them forwards or backwards: compute,
-use, uncompute.
+Each fragment keeps one source form, the one it was made in: a chunk its
+entry lists ``(ptr, qubit, kind)`` (or the table ``loads`` read), a
+memoized fragment its recorded op tape.  Every other form (its gate table
+either way, the gate ops the emulator runs, its support, a memoized
+fragment's gate chains) is derived from the source on first use and kept,
+so a build that is only emulated never flattens a table, and a build whose
+depth is never read builds no chains.
+
+The :class:`Builder` emits chunks, checked in Python when flushed, and
+replays (``Builder.call``) of fragments recorded once on local qubits.  It
+tallies gate counts and fan-in as ops are emitted.  Every depth is one
+deferred walk of an op tape, taken when it is first read; a replay's depth
+effect is the int32 max-plus matrix of its fragment's gate chains.  A
+memoized emitter must be a pure function of its registers and constants,
+and must not call ``acquire`` or ``release``.  A ``Builder.capture()``
+block holds its ops back, and ``emit``/``emit_inverse`` play them forwards
+or backwards: compute, use, uncompute.
 """
 from __future__ import annotations
 
@@ -184,11 +181,6 @@ class GateTable:
     def max_fan_in(self) -> int:
         return int(self.lens().max()) if len(self) else 0
 
-    def qubit_lists(self) -> list[list[int]]:
-        """Each gate's qubits as a Python list, in gate order."""
-        qubit, ptr = self.qubit.tolist(), self.ptr.tolist()
-        return [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
-
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per gate, as Python lists: entry start offsets (plus the end) and
         the offset where the gate's targets start."""
@@ -289,44 +281,23 @@ def layer(gates: Iterable[list[int]], layers: list) -> list:
 
 
 class Circuit:
-    """Immutable reversible circuit over named registers.
+    """Immutable reversible circuit over named registers, its op tape.
 
-    ``layout`` is a permutation of qubit indices giving the linear order used
-    by cut analyses: ``layout[pos]`` is the qubit at position ``pos``.  It
-    defaults to declaration order.  The circuit is its op tape (see the
-    module docstring); ``gates`` is its flat :class:`GateTable`, built on
-    first read and then kept.  A table handed to ``Circuit()`` is the tape's
-    one chunk and is validated once, vectorised.  A circuit from
-    ``Builder.finish`` is not re-checked (its chunks were checked as they
-    were flushed, and memoized fragments, recorded from pure emitters, stay
-    valid under an injective qubit remap).  Its depth is a deferred tape
-    walk, :class:`_Depth`: its builder's for a built circuit, and its own
-    tape's for any other.
+    ``tape``'s gates are not checked here: the builder checks its chunks
+    (and memoized fragments, recorded from pure emitters, stay valid under
+    an injective qubit remap), and ``loads`` validates its table.
+    ``layout[pos]`` is the qubit at position ``pos`` of the linear order
+    that cut analyses use (default: declaration order).  ``depth`` is a
+    deferred :class:`_Depth` that walks another tape (a builder's, or the
+    inverted circuit's), by default one of ``tape``.  ``gates``, the flat
+    table, is built from the tape on first read unless it is given.
     """
 
     __slots__ = ("registers", "total_qubits", "layout", "max_live_ancilla",
-                 "_offsets", "_pos_of", "_depth", "_tape", "_gates")
+                 "_offsets", "_depth", "_tape", "_gates")
 
-    def __init__(self, registers, gates: GateTable, layout=None,
-                 max_live_ancilla=0):
-        if not isinstance(gates, GateTable):
-            raise CircuitError("gates must be a GateTable")
-        self._setup(registers, _chunk_tape(gates), layout, max_live_ancilla,
-                    None, gates)
-        gates.validate(self.total_qubits)
-
-    @classmethod
-    def _built(cls, registers, tape, layout, max_live_ancilla, depth=None,
-               gates=None):
-        """A circuit of an op tape whose gates the builder validated (or the
-        caller validates), with its deferred depth if one walks another
-        tape, and its flat table if one is at hand."""
-        c = cls.__new__(cls)
-        c._setup(registers, tape, layout, max_live_ancilla, depth, gates)
-        return c
-
-    def _setup(self, registers, tape, layout, max_live_ancilla, depth,
-               gates):
+    def __init__(self, registers, tape: list, layout=None,
+                 max_live_ancilla=0, depth=None, gates=None):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
@@ -350,10 +321,6 @@ class Circuit:
             offsets[r.name] = tuple(range(at, at + r.width))
             at += r.width
         self._offsets = offsets
-        pos_of = [0] * total
-        for pos, q in enumerate(layout):
-            pos_of[q] = pos
-        self._pos_of = tuple(pos_of)
         self._depth = _Depth(tape, len(tape), total) if depth is None else depth
         self._tape = tape
         self._gates = gates
@@ -379,6 +346,7 @@ class Circuit:
         return (isinstance(other, Circuit)
                 and self.registers == other.registers
                 and self.layout == other.layout
+                and self.max_live_ancilla == other.max_live_ancilla
                 and self.gates == other.gates)
 
     def __hash__(self):
@@ -392,8 +360,7 @@ def invert(c: Circuit) -> Circuit:
     same read backwards), so it shares the circuit's deferred depth."""
     tape = [(frag, qmap, not reverse) for frag, qmap, reverse in
             reversed(c._tape)]
-    return Circuit._built(c.registers, tape, c.layout, c.max_live_ancilla,
-                          c._depth)
+    return Circuit(c.registers, tape, c.layout, c.max_live_ancilla, c._depth)
 
 
 def cost(c: Circuit) -> CostReport:
@@ -445,7 +412,8 @@ def _gate_positions(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     t = c.gates
     if not len(t):
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    pos = np.asarray(c._pos_of, dtype=np.int64)[t.qubit]
+    # a permutation's argsort is its inverse: each qubit's position
+    pos = np.argsort(c.layout)[t.qubit]
     starts = t.ptr[:-1]
     return (np.minimum.reduceat(pos, starts),
             np.maximum.reduceat(pos, starts))
@@ -570,8 +538,11 @@ def loads(text: str) -> Circuit:
     whitespace, key order, non-ASCII characters), raises a CircuitError
     that says where: the byte offset of a JSON syntax error, the gate and
     byte of a gate the parse cannot read, the gate and qubit of a qubit
-    outside the registers, or the first byte (and its gate) where the text
-    differs from the circuit's own text."""
+    outside the registers, the first byte (and its gate) where the text
+    differs from the circuit's own text, or a field that re-dumps as read
+    but that no circuit holds (a register name that is not a string, a
+    width or layout entry that is not an int, or a max_live_ancilla that is
+    not an int >= 0)."""
     key = text.find(_GATES_KEY)
     start = key + len(_GATES_KEY) - 1              # the gate list's "["
     end = text.find(_LAYOUT_KEY, start) + 1        # one past its "]"
@@ -589,14 +560,13 @@ def loads(text: str) -> Circuit:
     except json.JSONDecodeError as exc:
         at = exc.pos + (end - start - 2 if exc.pos > start + 1 else 0)
         raise CircuitError(f"byte {at}: invalid JSON: {exc.msg}") from exc
+    schema = "registers, layout or max_live_ancilla not in dumps' schema"
     try:
-        c = Circuit._built([RegisterDecl(r["name"], r["width"], r["role"])
-                            for r in doc["registers"]], _chunk_tape(table),
-                           doc["layout"], doc["max_live_ancilla"],
-                           gates=table)
+        c = Circuit([RegisterDecl(r["name"], r["width"], r["role"])
+                     for r in doc["registers"]], _chunk_tape(table),
+                    doc["layout"], doc["max_live_ancilla"], gates=table)
     except (KeyError, TypeError) as exc:
-        raise CircuitError("registers, layout or max_live_ancilla not in "
-                           f"dumps' schema ({exc!r})") from exc
+        raise CircuitError(f"{schema} ({exc!r})") from exc
     if len(table) and int(table.qubit.max()) >= c.total_qubits:
         table.validate(c.total_qubits)     # names the gate and the qubit
     own = dumps(c)
@@ -609,6 +579,13 @@ def loads(text: str) -> Circuit:
         raise CircuitError(f"{_where(text, start, end, at)}: the text "
                            "differs from dumps' text of the circuit it "
                            "reads as")
+    # values that re-dump as read, but that no circuit holds
+    for field, value, kind in (*[("name", r.name, str) for r in c.registers],
+                               *[("width", r.width, int) for r in c.registers],
+                               *[("layout", q, int) for q in c.layout],
+                               ("max_live_ancilla", c.max_live_ancilla, int)):
+        if type(value) is not kind or (kind is int and value < 0):
+            raise CircuitError(f"{schema} (field {field!r}: {value!r})")
     table.validate(c.total_qubits)
     return c
 
@@ -648,60 +625,55 @@ _CHAIN_GATE_LIMIT = 2 ** 29
 
 
 class _Fragment:
-    """Gates with their tallies (``gates``, ``fan_in``); the gate table, its
-    reversal, the gate ops, the support and a memoized fragment's chains
-    are built the first time one is needed.
+    """Gates with their tallies (``gates``, ``fan_in``) and one source
+    form, the one they were made in.  A chunk of fresh gates is on builder
+    qubits, and its source is its entry lists ``(ptr, qubit, kind)``, or
+    the table ``loads`` read, whose lists are read from it when they are
+    needed.  A memoized fragment is on ``k`` local qubit indices, and its
+    source is its recorded op tape.
 
-    A chunk of fresh gates is on builder qubits and holds its gates as the
-    Python lists ``(ptr, qubit, kind)`` until its table is built, which
-    drops them.  A memoized fragment is on ``k`` local qubit indices and
-    holds its recorded op tape until its table and its chains are both
-    built.  Its ``chains`` are the int32 max-plus matrix whose entry
-    ``[i, j]`` is the longest gate chain from local qubit ``i``'s entry to
-    ``j``'s exit (``_NO_CHAIN`` without one), and that matrix transposed
-    (a reversed replay).  Its support is the union of its ops' supports.
+    Every other form is derived from the source on first use and kept: the
+    gate table in either direction, the gate ops, the support (the union of
+    the ops' supports for a memoized fragment) and a memoized fragment's
+    ``chains``: the int32 max-plus matrix whose entry ``[i, j]`` is the
+    longest gate chain from local qubit ``i``'s entry to ``j``'s exit
+    (``_NO_CHAIN`` without one), and that matrix transposed (a reversed
+    replay).
     """
 
-    __slots__ = ("gates", "fan_in", "k", "_chains", "_lists", "_tape",
-                 "_forward", "_backward", "_support", "_ops")
+    __slots__ = ("gates", "fan_in", "k", "_lists", "_tape", "_tables",
+                 "_ops", "_chains", "_support")
 
     def __init__(self, gates: int, fan_in: int, k=None, lists=None,
-                 tape=None):
+                 tape=None, table=None):
         self.gates = gates
         self.fan_in = fan_in
         self.k = k
-        self._chains = None
         self._lists = lists
         self._tape = tape
-        self._forward = self._backward = self._support = self._ops = None
+        self._tables = [table, None]            # forwards, backwards
+        self._ops = self._chains = self._support = None
 
     @classmethod
     def chunk(cls, ptr, qubit, kind) -> "_Fragment":
         return cls(len(ptr) - 1, max([z - a for a, z in zip(ptr, ptr[1:])]),
                    lists=(ptr, qubit, kind))
 
-    @classmethod
-    def of_table(cls, table: GateTable) -> "_Fragment":
-        """A chunk of a table's gates, for a tape that never reaches a
-        builder."""
-        frag = cls(len(table), table.max_fan_in())
-        frag._forward = table
-        return frag
+    def lists(self) -> tuple[list, list, list]:
+        """A chunk's entry lists ``(ptr, qubit, kind)``."""
+        if self._lists is None:
+            t = self._tables[0]
+            self._lists = (t.ptr.tolist(), t.qubit.tolist(), t.kind.tolist())
+        return self._lists
 
     def table(self, reverse: bool) -> GateTable:
-        if self._forward is None:
-            if self._lists is not None:
-                self._forward = GateTable(*self._lists)
-                self._lists = None
-            else:
-                self._forward = _flatten(self._tape)
-                if self._chains is not None:
-                    self._tape = None
-        if not reverse:
-            return self._forward
-        if self._backward is None:
-            self._backward = self._forward.reversed()
-        return self._backward
+        tables = self._tables
+        if tables[0] is None:
+            tables[0] = (GateTable(*self._lists) if self._tape is None
+                         else _flatten(self._tape))
+        if reverse and tables[1] is None:
+            tables[1] = tables[0].reversed()
+        return tables[reverse]
 
     @property
     def chains(self) -> tuple[np.ndarray, np.ndarray]:
@@ -714,55 +686,41 @@ class _Fragment:
             depth = np.array(rows, dtype=np.int32).reshape(k, k)
             depth[depth < 0] = _NO_CHAIN
             self._chains = (depth.T.copy(), depth)
-            if self._forward is not None:
-                self._tape = None
         return self._chains
 
     def gate_qubits(self, reverse: bool) -> list[list[int]]:
         """A chunk's per-gate qubit lists, in the order they are applied."""
-        if self._lists is None:
-            gates = self._forward.qubit_lists()
-        else:
-            ptr, qubit, _ = self._lists
-            gates = [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
+        ptr, qubit, _ = self.lists()
+        gates = [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
         return gates[::-1] if reverse else gates
 
     def gate_ops(self) -> list[tuple]:
-        """The gates as ops ``(kind, a, b, t)``, compiled on first use: an
-        ``OP_CX`` flips qubit ``t`` where ``a`` is set (``b`` is ``a``), an
-        ``OP_CCX`` where ``a`` and ``b`` are set, an ``OP_PNX`` where ``a``
-        is set and ``b`` is clear, and an ``OP_MCX`` flips every qubit of the
-        tuple ``t`` where every qubit of the tuple ``a`` is set and every one
-        of ``b`` is clear.  A chunk is compiled from its Python lists (its
-        table's, once those are dropped); a memoized fragment from its tape,
-        each nested replay being the replayed fragment's ops renamed (and
-        reversed for an inverse replay), or from its table once its tape is
-        dropped."""
+        """The gates as ops ``(kind, a, b, t)``: an ``OP_CX`` flips qubit
+        ``t`` where ``a`` is set (``b`` is ``a``), an ``OP_CCX`` where ``a``
+        and ``b`` are set, an ``OP_PNX`` where ``a`` is set and ``b`` is
+        clear, and an ``OP_MCX`` flips every qubit of the tuple ``t`` where
+        every qubit of the tuple ``a`` is set and every one of ``b`` is
+        clear.  A chunk is compiled from its lists; a memoized fragment from
+        its tape, each nested replay being the replayed fragment's ops
+        renamed (and reversed for an inverse replay)."""
         if self._ops is None:
-            if self._lists is not None:
-                ops = _gate_ops(*self._lists)
-            elif self._tape is not None:
+            if self._tape is None:
+                self._ops = _gate_ops(*self.lists())
+            else:
                 ops = []
                 for frag, qmap, reverse in self._tape:
                     sub = frag.gate_ops()
                     if qmap is not None:
                         sub = _remap_ops(sub, qmap)
                     ops += reversed(sub) if reverse else sub
-            else:
-                t = self._forward
-                ops = _gate_ops(t.ptr.tolist(), t.qubit.tolist(),
-                                t.kind.tolist())
-            self._ops = ops
+                self._ops = ops
         return self._ops
 
     def support(self) -> np.ndarray:
         if self._support is None:
-            if self._tape is not None:
-                self._support = Builder.support(self._tape)
-            else:
-                qubit = (self._forward.qubit if self._lists is None
-                         else self._lists[1])
-                self._support = _distinct(np.asarray(qubit))
+            self._support = (_distinct(np.asarray(self.lists()[1]))
+                             if self._tape is None
+                             else Builder.support(self._tape))
         return self._support
 
 
@@ -796,8 +754,9 @@ def _remap_ops(ops, qmap) -> list[tuple]:
 
 
 def _chunk_tape(table: GateTable) -> list:
-    """The op tape of one chunk, a table's gates."""
-    return [(_Fragment.of_table(table), None, False)]
+    """The op tape of one chunk, made from a table."""
+    return [(_Fragment(len(table), table.max_fan_in(), table=table), None,
+             False)]
 
 
 def _flatten(tape) -> GateTable:
@@ -1119,8 +1078,8 @@ class Builder:
         if not self.record:
             raise CircuitError("builder is in tally-only mode")
         self._flush()
-        return Circuit._built(self._registers, self._tape[:], None,
-                              self._peak_anc, self._depth())
+        return Circuit(self._registers, self._tape[:], None, self._peak_anc,
+                       self._depth())
 
     def report(self) -> CostReport:
         self._flush()

@@ -61,8 +61,7 @@ def hard_alternative(k: int, eps: float, j: int) -> ba.BanditInstance:
     means = [0.5] * k
     means[0] = 0.5 + 4.0 * eps
     means[j] = 0.5 + 6.0 * eps
-    return ba.BanditInstance(k=k, means=tuple(means), eps=eps,
-                             kind=f"alternative({j})")
+    return ba.BanditInstance(k=k, means=tuple(means), eps=eps)
 
 
 def bernoulli_sums(rng, rounds, p):

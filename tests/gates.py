@@ -1,8 +1,9 @@
 """Test helper: gates as ``(controls, targets)`` pairs, the form that tests
-write circuits in and read a circuit's gate table back as, the referee
-loops that circuit analyses replaced, the ``json.loads`` reader that
-``loads``' array path replaced, and the layout measures that only the
-lower-bound tests read (cut crossings, register-local span)."""
+write circuits in and read a circuit's gate table back as, circuits of one
+table (validated or not), the referee loops that circuit analyses
+replaced, the ``json.loads`` reader that ``loads``' array path replaced,
+and the layout measures that only the lower-bound tests read (cut
+crossings, register-local span)."""
 
 import json
 from typing import NamedTuple
@@ -35,17 +36,31 @@ def from_gates(gates) -> GateTable:
     return GateTable(ptr, qubit, kind)
 
 
+def qubit_lists(table: GateTable) -> list[list[int]]:
+    """Each gate's qubits as a Python list, in gate order."""
+    qubit, ptr = table.qubit.tolist(), table.ptr.tolist()
+    return [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
+
+
+def circuit_of(registers, table: GateTable, layout=None,
+               max_live_ancilla=0) -> Circuit:
+    """The circuit of one chunk, ``table``, validated (vectorised) on the
+    registers' qubits."""
+    registers = list(registers)
+    table.validate(sum(r.width for r in registers))
+    return Circuit(registers, _chunk_tape(table), layout, max_live_ancilla,
+                   gates=table)
+
+
 def make_circuit(registers, gates, layout=None, max_live_ancilla=0):
     """A validated circuit of ``(controls, targets)`` pairs."""
-    return Circuit(registers, from_gates(gates), layout=layout,
-                   max_live_ancilla=max_live_ancilla)
+    return circuit_of(registers, from_gates(gates), layout, max_live_ancilla)
 
 
 def unchecked_circuit(registers, table: GateTable) -> Circuit:
     """A circuit of one chunk, ``table``, that is not validated: a test's
     way to build one whose gate takes a target as a control."""
-    return Circuit._built(registers, _chunk_tape(table), None, 0,
-                          gates=table)
+    return Circuit(registers, _chunk_tape(table), gates=table)
 
 
 def _field(doc, key: str, where: str):
@@ -85,8 +100,8 @@ def loads_json(text: str) -> Circuit:
     regs = [RegisterDecl(r["name"], r["width"], r["role"])
             for r in _field(doc, "registers", "")]
     table = from_gates(_json_gates(_field(doc, "gates", "")))
-    return Circuit(regs, table, layout=doc.get("layout"),
-                   max_live_ancilla=doc.get("max_live_ancilla", 0))
+    return circuit_of(regs, table, doc.get("layout"),
+                      doc.get("max_live_ancilla", 0))
 
 
 def gate_list(table: GateTable) -> list[Gate]:

@@ -108,16 +108,18 @@ def test_single_arm_edge_cases():
 
 
 _EXACT_INSTANCES = [
-    ba.BanditInstance.hard_base(2, 0.08),
-    ba.BanditInstance.hard_base(9, 0.03),
-    ref.hard_alternative(5, 0.05, 3),
+    pytest.param(ba.BanditInstance.hard_base(2, 0.08), id="base"),
+    pytest.param(ba.BanditInstance.hard_base(9, 0.03), id="base"),
+    pytest.param(ref.hard_alternative(5, 0.05, 3), id="alternative(3)"),
     # equal means: ties at the horizon go to the lowest surviving index
-    ba.BanditInstance(k=3, means=(0.5, 0.5, 0.5), eps=0.1),
-    ba.BanditInstance(k=6, means=(0.1, 0.9, 0.45, 0.5, 0.9, 0.3), eps=0.05),
+    pytest.param(ba.BanditInstance(k=3, means=(0.5, 0.5, 0.5), eps=0.1),
+                 id="base"),
+    pytest.param(ba.BanditInstance(k=6, means=(0.1, 0.9, 0.45, 0.5, 0.9, 0.3),
+                                   eps=0.05), id="base"),
 ]
 
 
-@pytest.mark.parametrize("inst", _EXACT_INSTANCES, ids=lambda i: i.kind)
+@pytest.mark.parametrize("inst", _EXACT_INSTANCES)
 def test_kernels_at_one_trial_equal_the_scalar_loops(inst):
     eps = inst.eps
     for seed in range(40):

@@ -17,7 +17,7 @@ from qrollout import rank_select as rs
 from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
 from qrollout.emulator import check_bijective
 
-from gates import (Gate, from_gates, gate_list, make_circuit,
+from gates import (Gate, from_gates, gate_list, make_circuit, qubit_lists,
                    reference_layer)
 
 
@@ -410,7 +410,7 @@ def _table_and_layers(draw):
 @given(_table_and_layers())
 def test_layer_columns_are_independent_runs(case):
     table, layers = case
-    gates = table.qubit_lists()
+    gates = qubit_lists(table)
     start = layers.copy()
     want = np.hstack([np.stack(cq.layer(gates, list(layers[:, [j]])))
                       for j in range(layers.shape[1])])
@@ -747,6 +747,42 @@ def test_a_fragments_support_is_its_tables_qubits(ops):
             support, cq._distinct(frag.table(False).qubit))
 
 
+_FORMS = {"forwards": lambda f: f.table(False),
+          "backwards": lambda f: f.table(True),
+          "ops": lambda f: f.gate_ops(),
+          "chains": lambda f: f.chains,
+          "support": lambda f: f.support()}
+
+
+def _same_form(a, b) -> bool:
+    if isinstance(a, tuple):                # the chains, both directions
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op(2), min_size=1, max_size=6),
+       st.permutations(sorted(_FORMS)), st.booleans())
+def test_a_fragments_forms_agree_whatever_order_they_are_read_in(
+        ops, order, inner_first):
+    # a fragment keeps its source, and derives and keeps every other form
+    want = {key: {form: read(frag) for form, read in _FORMS.items()}
+            for key, frag in _build(cq.Builder, False, ops)._memo.items()}
+    memo = _build(cq.Builder, False, ops)._memo
+    for key in (list(memo) if inner_first else list(memo)[::-1]):
+        frag = memo[key]
+        for form in order:
+            got = _FORMS[form](frag)
+            assert _FORMS[form](frag) is got
+            assert _same_form(got, want[key][form]), form
+    for frag in memo.values():
+        assert frag._tape is not None
+        assert all(sub._lists is not None
+                   for sub, qmap, _ in frag._tape if qmap is None)
+
+
 def test_cost_report_is_a_frozen_value():
     rep = CostReport(5, 3, 4, 2, 1)
     assert ((rep.gate_count, rep.depth, rep.qubit_count, rep.max_fan_in,
@@ -830,7 +866,7 @@ def test_recorded_chains_match_layering_the_fragments_gates():
     (frag,) = [f for key, f in b._memo.items() if key[0] is _wide]
     identity = np.full((k, k), cq._NO_CHAIN, dtype=np.int32)
     np.fill_diagonal(identity, 0)
-    want = np.stack(cq.layer(frag.table(False).qubit_lists(),
+    want = np.stack(cq.layer(qubit_lists(frag.table(False)),
                              list(identity))).T
     assert frag.chains[0].dtype == np.int32
     np.testing.assert_array_equal(frag.chains[0],
@@ -889,7 +925,7 @@ def test_recorded_chains_equal_per_column_scalar_sweeps(case):
     (frag,) = [f for key, f in b._memo.items() if key[0] is _program]
     assert frag.chains[0].dtype == np.int32
     assert frag.chains[0].shape == (k, k)
-    gates = frag.table(False).qubit_lists()
+    gates = qubit_lists(frag.table(False))
     for i in range(k):
         sweep = cq.layer(gates, [0.0 if j == i else -np.inf
                                  for j in range(k)])

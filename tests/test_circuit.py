@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -11,8 +12,9 @@ import qrollout.circuit as cq
 from qrollout.circuit import (POS, Builder, Circuit, CircuitError,
                               RegisterDecl, cost, dumps, invert, light_cone,
                               loads, span_profile)
+from qrollout.rank_select import build_scan
 
-from gates import (Gate, crossing_count, from_gates, loads_json,
+from gates import (Gate, circuit_of, crossing_count, from_gates, loads_json,
                    make_circuit, reference_light_cone, register_local_span)
 
 
@@ -82,13 +84,11 @@ def test_validate_rejects_a_control_after_a_target():
                        match="^gate 4: control on qubit 1 after a target$"):
         table.validate(4, first=3)
     with pytest.raises(CircuitError, match="after a target"):
-        Circuit([_reg("q", 4)], table)
+        circuit_of([_reg("q", 4)], table)
 
 
 def test_gates_are_one_table():
     pairs = [_gate([0], [1]), _gate([], [0])]
-    with pytest.raises(CircuitError, match="gates must be a GateTable"):
-        Circuit([_reg("q", 2)], pairs)
     c = make_circuit([_reg("q", 2)], pairs)
     assert c.gates == from_gates(pairs)
     assert c.gates != from_gates(pairs[:1])
@@ -220,6 +220,16 @@ def test_dump_roundtrip():
     assert c2 == c
     assert c2.max_live_ancilla == 3
     assert dumps(c2) == dumps(c)
+
+
+def test_circuits_differing_only_in_peak_ancilla_are_not_equal():
+    c = build_scan(4)
+    assert c.max_live_ancilla > 0
+    d = Circuit(c.registers, c._tape, c.layout, 0)
+    assert d.gates == c.gates and d.layout == c.layout
+    assert dumps(d) != dumps(c) and cost(d) != cost(c)
+    assert d != c and c != d
+    assert c == Circuit(c.registers, c._tape, c.layout, c.max_live_ancilla)
 
 
 def reference_dumps(c) -> str:
@@ -441,6 +451,11 @@ def _case(name, edit, match):
     return pytest.param(edit, match, id=name)
 
 
+def _schema_field(field, value):
+    return ("^registers, layout or max_live_ancilla not in dumps' schema "
+            rf"\(field '{field}': {re.escape(value)}\)$")
+
+
 @pytest.mark.parametrize("edit, match", [
     # a JSON syntax error names its byte in the text, not the spliced one
     _case("json-before-gates",
@@ -485,6 +500,25 @@ def _case(name, edit, match):
     _case("layout-not-a-permutation",
           lambda t: t.replace('"layout":[0,1,2]', '"layout":[0,1,1]'),
           lambda t: "^layout must be a permutation"),
+    # values that json.loads reads and dumps writes back as read
+    _case("negative-peak-ancilla",
+          lambda t: t.replace('ancilla":0', 'ancilla":-3'),
+          lambda t: _schema_field("max_live_ancilla", "-3")),
+    _case("fractional-peak-ancilla",
+          lambda t: t.replace('ancilla":0', 'ancilla":1.5'),
+          lambda t: _schema_field("max_live_ancilla", "1.5")),
+    _case("name-not-a-string",
+          lambda t: t.replace('"name":"q"', '"name":7'),
+          lambda t: _schema_field("name", "7")),
+    # a second register keeps every qubit of the gates and the layout
+    _case("width-not-an-int",
+          lambda t: t.replace('"width":3,"role":"ancilla"}',
+                              '"width":true,"role":"ancilla"},'
+                              '{"name":"r","width":2,"role":"ancilla"}'),
+          lambda t: _schema_field("width", "True")),
+    _case("layout-not-an-int",
+          lambda t: t.replace('"layout":[0,1,2]', '"layout":[0,1.0,2]'),
+          lambda t: _schema_field("layout", "1.0")),
 ])
 def test_loads_names_where_a_text_is_not_dumps_own(edit, match):
     c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([], [2])])

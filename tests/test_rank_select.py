@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qrollout import emulator as em
 from qrollout import rank_select as rs
-from qrollout.circuit import (TGT, Circuit, GateTable, cost, light_cone,
-                              span_profile)
+from qrollout.circuit import TGT, GateTable, cost, light_cone, span_profile
 
 from classical_reference import mask_from_string, select_semantics
 from emulate import exhaustive_sweep, run
-from gates import Gate, crossing_count, from_gates, register_local_span
+from gates import (Gate, circuit_of, crossing_count, from_gates,
+                   register_local_span)
 
 
 def mask_to_string(mask: int, n: int) -> str:
@@ -58,8 +58,8 @@ def referee_check(c) -> rs.SweepCheck:
 
 def _extended(c, extra):
     """``c`` with the ``(controls, targets)`` gates ``extra`` appended."""
-    return Circuit(c.registers,
-                   GateTable.concat([c.gates, from_gates(extra)]))
+    return circuit_of(c.registers,
+                      GateTable.concat([c.gates, from_gates(extra)]))
 
 
 def test_worked_example_positions():
