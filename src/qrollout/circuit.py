@@ -290,14 +290,14 @@ class Circuit:
     that cut analyses use (default: declaration order).  ``depth`` is a
     deferred :class:`_Depth` that walks another tape (a builder's, or the
     inverted circuit's), by default one of ``tape``.  ``gates``, the flat
-    table, is built from the tape on first read unless it is given.
+    table, is built from the tape on first read and kept.
     """
 
     __slots__ = ("registers", "total_qubits", "layout", "max_live_ancilla",
                  "_offsets", "_depth", "_tape", "_gates")
 
     def __init__(self, registers, tape: list, layout=None,
-                 max_live_ancilla=0, depth=None, gates=None):
+                 max_live_ancilla=0, depth=None):
         registers = tuple(registers)
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
@@ -323,7 +323,7 @@ class Circuit:
         self._offsets = offsets
         self._depth = _Depth(tape, len(tape), total) if depth is None else depth
         self._tape = tape
-        self._gates = gates
+        self._gates = None
 
     @property
     def gates(self) -> GateTable:
@@ -564,7 +564,7 @@ def loads(text: str) -> Circuit:
     try:
         c = Circuit([RegisterDecl(r["name"], r["width"], r["role"])
                      for r in doc["registers"]], _chunk_tape(table),
-                    doc["layout"], doc["max_live_ancilla"], gates=table)
+                    doc["layout"], doc["max_live_ancilla"])
     except (KeyError, TypeError) as exc:
         raise CircuitError(f"{schema} ({exc!r})") from exc
     if len(table) and int(table.qubit.max()) >= c.total_qubits:
@@ -628,8 +628,8 @@ class _Fragment:
     """Gates with their tallies (``gates``, ``fan_in``) and one source
     form, the one they were made in.  A chunk of fresh gates is on builder
     qubits, and its source is its entry lists ``(ptr, qubit, kind)``, or
-    the table ``loads`` read, whose lists are read from it when they are
-    needed.  A memoized fragment is on ``k`` local qubit indices, and its
+    the table ``loads`` read, whose lists are read from it each time they
+    are needed and not kept.  A memoized fragment is on ``k`` local qubit indices, and its
     source is its recorded op tape.
 
     Every other form is derived from the source on first use and kept: the
@@ -660,11 +660,13 @@ class _Fragment:
                    lists=(ptr, qubit, kind))
 
     def lists(self) -> tuple[list, list, list]:
-        """A chunk's entry lists ``(ptr, qubit, kind)``."""
-        if self._lists is None:
-            t = self._tables[0]
-            self._lists = (t.ptr.tolist(), t.qubit.tolist(), t.kind.tolist())
-        return self._lists
+        """A chunk's entry lists ``(ptr, qubit, kind)``: its source, or
+        fresh lists of the table ``loads`` read (what is derived from them,
+        the ops and the support, is kept instead)."""
+        if self._lists is not None:
+            return self._lists
+        t = self._tables[0]
+        return t.ptr.tolist(), t.qubit.tolist(), t.kind.tolist()
 
     def table(self, reverse: bool) -> GateTable:
         tables = self._tables

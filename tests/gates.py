@@ -48,8 +48,7 @@ def circuit_of(registers, table: GateTable, layout=None,
     registers' qubits."""
     registers = list(registers)
     table.validate(sum(r.width for r in registers))
-    return Circuit(registers, _chunk_tape(table), layout, max_live_ancilla,
-                   gates=table)
+    return Circuit(registers, _chunk_tape(table), layout, max_live_ancilla)
 
 
 def make_circuit(registers, gates, layout=None, max_live_ancilla=0):
@@ -60,7 +59,7 @@ def make_circuit(registers, gates, layout=None, max_live_ancilla=0):
 def unchecked_circuit(registers, table: GateTable) -> Circuit:
     """A circuit of one chunk, ``table``, that is not validated: a test's
     way to build one whose gate takes a target as a control."""
-    return Circuit(registers, _chunk_tape(table), gates=table)
+    return Circuit(registers, _chunk_tape(table))
 
 
 def _field(doc, key: str, where: str):
