@@ -163,7 +163,7 @@ def threshold_walk(instance: BanditInstance, eps: float, trials: int,
         calls[run[done]] += DH_BATCH_CONSTANT * math.sqrt(k) * ae_calls
         run, marked, m = run[~done], marked[~done], m[~done]
         calls[run] += DH_BATCH_CONSTANT * np.sqrt(k / m) * ae_calls
-        cur[run] = select_rows(marked, _uniform_below(rng, m)).nonzero()[1]
+        cur[run] = select_rows(marked.T, _uniform_below(rng, m)).argmax(0)
         per_arm[run, cur[run]] += 1
     return TrialLedgers(chosen=cur, per_arm=per_arm, oracle_calls=calls)
 

@@ -68,14 +68,16 @@ def _emit(args, lines: list[str]) -> None:
 
 
 def _make_spec(domain: str, m: int, horizon: int, threshold, rho):
-    if domain == "sway":
-        return dm.sway_spec(dm.SwayConfig(m=m, horizon=horizon))
     if domain == "epi":
-        t = 2 if threshold is None else threshold
-        r = 2 if rho is None else rho
-        return dm.sir_spec(dm.SirConfig(m=m, horizon=horizon, threshold=t,
-                                        rho=r))
-    raise SystemExit(2)
+        return dm.sir_spec(dm.SirConfig(
+            m, horizon, 2 if threshold is None else threshold,
+            2 if rho is None else rho))
+    # the manifest records every given flag: refuse one that Sway ignores
+    for flag, value in (("--T", threshold), ("--rho", rho)):
+        if value is not None:
+            raise _UsageError(f"argument {flag}: --domain sway has no "
+                              f"{flag} (it is an epi parameter)")
+    return dm.sway_spec(dm.SwayConfig(m=m, horizon=horizon))
 
 
 def _default_board(domain: str, m: int) -> int:

@@ -8,28 +8,26 @@ two bits per cell (bit 0, bit 1):
     code 2 = (0,1) = white / recovered        (code 3 unreachable)
 
 Both domains provide circuit fragments (validity mask, stochastic transition,
-terminal evaluation) and the same rules on (rows, N) int8 code arrays, one
-board per row: a cell is a valid placement iff its code is 0, selector pass
-``p`` writes code ``1 << placement_bit(p)``, and each spec's ``flip_law``
-states the dice law once: a cell takes ``alt`` iff its die is below
-``threshold``, with neighbour counts from shifted-slice adds.  The rollout
-kernel (``rollout_codes``, one row per branch, rank-select as a cumulative
-sum over the empty cells) gives every round's boards; branchwise validation,
-the sampler and the influence MC replay it, and the exact distribution
-dynamic program reads ``flip_law`` too.  The payoff is stated once per
-spec, as per-code count weights and a win rule on their sum.
+terminal evaluation) and the same rules on (N, rows) int8 code arrays, one
+row per cell, one board per column: a cell is a valid placement iff its
+code is 0, selector pass ``p`` writes code ``1 << placement_bit(p)``, and
+each spec's ``flip_law`` states the dice law once: a cell takes ``alt`` iff
+its die is below ``threshold``, with neighbour counts from shifted-slice
+adds over whole rows.  The rollout kernel (``rollout_codes``, rank-select
+as a cumulative sum down the empty cells) gives every round's boards;
+branchwise validation, the sampler and the influence MC replay it, and the
+exact distribution dynamic program reads ``flip_law`` too.  The payoff is
+stated once per spec, as per-code count weights and a win rule on their
+sum.
 
 The DP is the payoff oracle at 3x3 scale.  The selector's uniform mix over
 the empty cells, both flip laws and both payoffs commute with the square's
 8 symmetries (``square_symmetries``), so the chain lumps exactly onto their
-classes, whatever the initial board.  The DP keeps its support as a sorted
-int64 array of packed boards, one per class (each board is replaced by its
-least packed image before a merge).  Its last transition and the payoff are
-one count convolution per pre-board, with no outcome boards.  Sway 3x3 H=4
-from the empty board holds at most 2,754 boards (the last round's
-pre-boards) and splits at most 70,045 outcome rows (round 3); on all boards
-and with the last round split too, it held 19,153 pre-boards and split
-1.68 M outcome rows.
+classes, whatever the initial board (``exact_value`` keeps one board per
+class).  Sway 3x3 H=4 from the empty board holds at most 2,754 boards (the
+last round's pre-boards) and splits at most 70,045 outcome rows (round 3);
+on all boards and with the last round split too, it held 19,153 pre-boards
+and split 1.68 M outcome rows.
 
 Sway (two-player placement game): black then white place on empty cells each
 round (white's validity excludes black's fresh placement), then every
@@ -129,28 +127,23 @@ def neighbors(m: int) -> list[list[int]]:
 
 
 def neighbour_counts(mask: np.ndarray, m: int) -> np.ndarray:
-    """Per cell of each row of a ``(rows, m*m)`` bool array, how many of its
-    four grid neighbours are set, as int8, by shifted-slice adds along each
-    row.  (numpy multiplies integer matrices in a generic loop: an int8
-    adjacency product took 3.5 times as long for 2000 boards of 5x5.)"""
-    x = mask.view(np.int8)
+    """Per board (column) of an ``(m*m, rows)`` bool array, how many of each
+    cell's four grid neighbours are set, as int8: one slice add per side of
+    the ``(m, m, rows)`` grid view, each over whole rows of boards."""
+    x = mask.view(np.int8).reshape((m, m) + mask.shape[1:])
     out = np.zeros_like(x)
-    out[:, m:] += x[:, :-m]
-    out[:, :-m] += x[:, m:]
+    out[1:] += x[:-1]
+    out[:-1] += x[1:]
     out[:, 1:] += x[:, :-1]
     out[:, :-1] += x[:, 1:]
-    # the two shifts by one also wrap from a grid row's end to the next
-    # row's start; take those back
-    out[:, m::m] -= x[:, m - 1:-1:m]
-    out[:, m - 1:-1:m] -= x[:, m::m]
-    return out
+    return out.reshape(mask.shape)
 
 
 @lru_cache(maxsize=None)
 def square_symmetries(m: int) -> np.ndarray:
     """The symmetries of the m x m grid (rotations and reflections) as
-    distinct cell permutations, one per row, identity first: a ``(rows,
-    N)`` code array's image under row ``g`` is ``codes[:, g]``.  They map
+    distinct cell permutations, one per row, identity first: an ``(N,
+    rows)`` code array's image under row ``g`` is ``codes[g]``.  They map
     neighbours to neighbours and keep the grid's edge, so the non-wrapping
     four-neighbour laws commute with them.  The array is shared and
     read-only."""
@@ -181,20 +174,21 @@ def parse_board(text: str, domain: str) -> int:
 
 def _sway_flip_law(m: int):
     def law(codes):
-        black = neighbour_counts(codes == BLACK, m)
-        white = neighbour_counts(codes == WHITE, m)
-        same = np.where(codes == BLACK, black, white)
-        # black <-> white; empty cells get threshold 0 and never change
-        return np.where(codes == EMPTY, 0, 4 - same), 3 - codes
+        # 4 - same-colour neighbours, 0 on empty cells (products with masks
+        # run several times as fast as np.where on int8)
+        black, white = codes == BLACK, codes == WHITE
+        threshold = ((4 - neighbour_counts(black, m)) * black
+                     + (4 - neighbour_counts(white, m)) * white)
+        return threshold, 3 - codes            # black <-> white
     return law
 
 
 def _sir_flip_law(m: int, rho: int):
     def law(codes):
-        c = neighbour_counts(codes == INFECTED, m)
-        threshold = np.where(codes == SUSCEPTIBLE, c,
-                             np.where(codes == INFECTED, rho, 0))
         # S -> I, I -> R; recovered cells get threshold 0 and never change
+        infected = codes == INFECTED
+        threshold = (neighbour_counts(infected, m) * (codes == SUSCEPTIBLE)
+                     + np.int8(rho) * infected)
         return threshold, codes + 1
     return law
 
@@ -366,16 +360,17 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
 
 
 # ---------------------------------------------------------------------------
-# array rollouts: one row per branch, one int8 code per cell
+# array rollouts: one row per cell, one column per branch
 
 def board_codes(boards, n: int) -> np.ndarray:
     """Packed boards as int8 codes, cell ``i`` from bits ``2i`` and
     ``2i + 1``: a Python int of any width gives an (n,) array, an int64
-    array of boards a (rows, n) array."""
+    array of boards an (n, rows) array, one row per cell."""
     if np.ndim(boards) == 0:
         # an object scalar: a board in [2^63, 2^64) would become uint64
         boards = np.array(int(boards), dtype=object)
-    return ((boards[..., None] >> 2 * np.arange(n)) & 3).astype(np.int8)
+    shifts = 2 * np.arange(n).reshape((n,) + (1,) * boards.ndim)
+    return ((boards >> shifts) & 3).astype(np.int8)
 
 
 def board_pack(codes) -> int:
@@ -391,39 +386,42 @@ def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
     """Every round's boards of one rollout per face row, from each initial
     board.
 
-    ``faces`` is a ``(rows, fields)`` face array of :func:`input_law`.
-    Yields rounds 0..H in turn, each as one list with one ``(rows, N)``
-    code array per initial board: row ``r`` after round ``h`` is what the
-    oracle writes into ``config<h>`` on the branch of row ``r``'s faces.
-    The next round updates that list and its arrays in place, so a caller
-    copies what it keeps.  Every board reads the same faces.  With
-    ``first_move``, round 1's first pass places there instead of reading
-    its selector.  The first board decides each placement, and the others
-    place at the same cell when it is valid on them.
+    ``faces``, a ``(rows, fields)`` face array of :func:`input_law`, is
+    transposed once into the narrowest integer dtype that holds every
+    field's largest face.  Yields rounds 0..H in turn, each as one list
+    with one ``(N, rows)`` code array per initial board: column ``r`` after
+    round ``h`` is what the oracle writes into ``config<h>`` on the branch
+    of row ``r``'s faces.  The next round updates that list and its arrays
+    in place, so a caller copies what it keeps.  Every board reads the same
+    faces.  With ``first_move``, round 1's first pass places there instead
+    of reading its selector.  The first board decides each placement, and
+    the others place at the same cell when it is valid on them.
     """
     rows, n = faces.shape[0], spec.n_cells
     sel, dice = law_columns(spec)
+    top = max((1 << spec.w) - 1, spec.faces - 1)
+    faces = np.ascontiguousarray(faces.T, dtype=np.min_scalar_type(top))
     skip = first_move is not None and spec.horizon > 0
     if skip:
         for board in boards0:                # reject an invalid first move
             place_first_move(spec, board, first_move)
-    boards = [np.tile(board_codes(b, n), (rows, 1)) for b in boards0]
+    boards = [np.tile(board_codes(b, n)[:, None], rows) for b in boards0]
     yield boards
     for h in range(spec.horizon):
         for pj in range(spec.selectors_per_round):
             code = spec.placed_code(pj)
             if skip and h == pj == 0:
                 for board in boards:
-                    board[:, first_move] = code
+                    board[first_move] = code
                 continue
-            hit = select_rows(boards[0] == EMPTY, faces[:, sel[h, pj]])
+            hit = select_rows(boards[0] == EMPTY, faces[sel[h, pj]])
             boards[0][hit] = code
             for board in boards[1:]:
                 board[hit & (board == EMPTY)] = code
-        roll = faces[:, dice[h]]
-        for k, board in enumerate(boards):
+        roll = faces[dice[h]]
+        for board in boards:
             threshold, alt = spec.flip_law(board)
-            boards[k] = np.where(roll < threshold, alt, board)
+            np.copyto(board, alt, where=roll < threshold)
         yield boards
 
 
@@ -475,11 +473,11 @@ def _canonical(states: np.ndarray, perms) -> np.ndarray:
     if perms is None:
         return states
     n = perms.shape[1]
-    place = (1 << 2 * np.arange(n))[np.argsort(perms, axis=1)].T    # (N, G)
+    place = (1 << 2 * np.arange(n))[np.argsort(perms, axis=1)]      # (G, N)
     least = np.empty_like(states)
     for lo in range(0, states.size, _CANON_ROWS):
         codes = board_codes(states[lo:lo + _CANON_ROWS], n)
-        least[lo:lo + _CANON_ROWS] = (codes @ place).min(axis=1)
+        least[lo:lo + _CANON_ROWS] = (place @ codes).min(axis=0)
     return least
 
 
@@ -489,9 +487,9 @@ def _select_pass(states, probs, n: int, strings: int, code: int,
     1/strings of its mass to each valid placement, the rest stays (sentinel
     no-op).  Placed boards are canonicalised before the one merge."""
     valid = board_codes(states, n) == EMPTY
-    row, pos = np.nonzero(valid)
+    row, pos = np.nonzero(valid.T)       # board by board, as merged
     inv = 1.0 / strings
-    stay = (strings - valid.sum(axis=1)) * inv
+    stay = (strings - valid.sum(axis=0)) * inv
     placed = _canonical(states[row] + (code << 2 * pos), perms)
     return _merge(np.concatenate((states, placed)),
                   np.concatenate((probs * stay, probs[row] * inv)))
@@ -507,20 +505,20 @@ def transition_distribution(spec: RolloutSpec, states: np.ndarray,
     codes = board_codes(states, spec.n_cells)
     threshold, alt = spec.flip_law(codes)
     flip = threshold / spec.faces
-    # a flip's packed change
-    step = (alt.astype(np.int64) - codes) << 2 * np.arange(spec.n_cells)
-    fan = np.cumsum(1 << (flip > 0).sum(axis=1))      # outcome rows so far
+    shift = 2 * np.arange(spec.n_cells)[:, None]
+    step = (alt.astype(np.int64) - codes) << shift    # a flip's packed change
+    fan = np.cumsum(1 << (flip > 0).sum(axis=0))      # outcome rows so far
     cuts = np.flatnonzero(np.diff(fan // _SPLIT_ROWS)) + 1
     parts = []
     for idx in np.split(np.arange(states.size), cuts):
         acc, weight = states[idx], np.ones(idx.size)
         for i in range(spec.n_cells):
-            pf = flip[idx, i]
+            pf = flip[i, idx]
             split = np.flatnonzero(pf)
             if split.size:
                 pre, pf = idx[split], pf[split]
                 idx = np.concatenate((idx, pre))
-                acc = np.concatenate((acc, acc[split] + step[pre, i]))
+                acc = np.concatenate((acc, acc[split] + step[i, pre]))
                 weight = np.concatenate((weight, weight[split] * pf))
                 weight[split] *= 1.0 - pf
         parts.append(_merge(_canonical(acc, perms), probs[idx] * weight))
@@ -533,7 +531,7 @@ def _terminal_value(spec: RolloutSpec, states: np.ndarray,
     convolution: given its pre-board every cell flips independently, so
     each board's final count is a sum of independent per-cell steps.  The
     count distributions of all boards, mass included, are one ``(span,
-    rows)`` array, convolved cell by cell; no outcome board is formed."""
+    boards)`` array, convolved cell by cell; no outcome board is formed."""
     n = spec.n_cells
     weight = np.asarray(spec.count_weights, dtype=np.int64)
     codes = board_codes(states, n)
@@ -543,13 +541,13 @@ def _terminal_value(spec: RolloutSpec, states: np.ndarray,
     low = n * int(weight.min())
     counts = np.arange(low, n * int(weight.max()) + 1)
     dist = np.zeros((counts.size, states.size))
-    dist[weight[codes].sum(axis=1) - low, np.arange(states.size)] = probs
+    dist[weight[codes].sum(axis=0) - low, np.arange(states.size)] = probs
     steps = sorted(set(step[flip > 0].tolist()))
     moves = [np.where(step == d, flip, 0.0) for d in steps]
-    for i in np.flatnonzero(flip.any(axis=0)):
-        out = dist * (1.0 - flip[:, i])
+    for i in np.flatnonzero(flip.any(axis=1)):
+        out = dist * (1.0 - flip[i])
         for d, move in zip(steps, moves):
-            moved = dist * move[:, i]
+            moved = dist * move[i]
             if d > 0:
                 out[d:] += moved[:-d]
             else:
@@ -581,7 +579,7 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     if skip:
         board0 = place_first_move(spec, board0, first_move)
     if spec.horizon == 0:
-        return float(spec.array_eval(board_codes(board0, n)[None])[0])
+        return float(spec.array_eval(board_codes(board0, n)))
     perms = square_symmetries(isqrt(n))
     states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):

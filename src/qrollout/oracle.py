@@ -61,7 +61,7 @@ class RolloutSpec:
     trans_pool_width: int
     eval_pool_width: int
     domain_scr_width: int
-    # array hook on (rows, N) int8 code arrays, one row per board
+    # array hook on (N, rows) int8 code arrays, one column per board
     flip_law: Callable    # codes -> (threshold, alt): a cell takes alt iff
                           # its die is below threshold
     # the selector law, flip_law and the payoff commute with the m x m
@@ -84,9 +84,9 @@ class RolloutSpec:
         return width_for(self.n_cells)
 
     def array_eval(self, codes: np.ndarray) -> np.ndarray:
-        """The payoff of each row of a (rows, N) code array, as int64."""
+        """The payoff of each column of an (N, rows) code array, as int64."""
         weight = np.asarray(self.count_weights, dtype=np.int64)
-        return self.win(weight[codes].sum(axis=1)).astype(np.int64)
+        return self.win(weight[codes].sum(axis=0)).astype(np.int64)
 
     def placed_code(self, pass_index: int) -> int:
         """The code that selector pass ``pass_index`` writes on an empty
@@ -461,17 +461,17 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     if arms:
         write_register(batch, c, "arm", arm)
     # expected: inputs unchanged, ancillae clean, configs and payoff replayed
-    codes = np.empty((h + 1, rows, n), dtype=np.int8)
+    codes = np.empty((h + 1, n, rows), dtype=np.int8)
     for a, move in enumerate(first_moves[:arms] if arms else [None]):
         mine = arm == a
         for hh, [board] in enumerate(rollout_codes(spec, [board0],
                                                    faces[mine], move)):
-            codes[hh, mine] = board
+            codes[hh][:, mine] = board
     expected = batch.copy()
     for hh in range(1, h + 1):
         config = c.register(f"config{hh}")
         for i in range(n):
-            write_qubits(expected, config[i * s:(i + 1) * s], codes[hh, :, i])
+            write_qubits(expected, config[i * s:(i + 1) * s], codes[hh, i])
     write_register(expected, c, "payoff", spec.array_eval(codes[h]))
     outs = apply_batch(c, batch)
     bad = flagged_rows(outs, range(c.total_qubits), expected)

@@ -46,13 +46,13 @@ _CHECK_ROWS = 1 << 16
 
 
 def select_rows(valid: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Rank-select on every row of a ``(rows, n)`` bool array of valid
-    cells, with 0-indexed ranks: row ``r`` of the result marks the
-    ``ranks[r]``-th set cell of ``valid[r]``, and no cell when the rank
-    reaches the row's count of set cells (the sentinel n)."""
-    count = np.cumsum(valid, axis=1,
-                      dtype=np.min_scalar_type(valid.shape[1]))
-    return valid & (count == ranks[:, None] + 1)
+    """Rank-select down every column of an ``(n, rows)`` bool array of valid
+    cells by a cumulative sum: column ``r`` marks the ``ranks[r]``-th
+    (0-indexed) set cell, or none (the sentinel n) when the rank reaches the
+    column's count.  ``ranks``' dtype must hold n (``ranks + 1`` may wrap)."""
+    count = np.cumsum(valid, axis=0,
+                      dtype=np.min_scalar_type(valid.shape[0]))
+    return valid & (count == ranks + 1)
 
 
 def _sweep_batch(c: Circuit) -> tuple[Batch, int]:
@@ -99,8 +99,8 @@ def exhaustive_check(c: Circuit) -> SweepCheck:
     mismatches = 0
     for a in range(0, batch.rows, _CHECK_ROWS):
         rows = np.arange(a, min(a + _CHECK_ROWS, batch.rows))
-        hit = select_rows((rows[:, None] >> bits) & 1 == 1, rows >> n)
-        want = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+        hit = select_rows((rows >> bits[:, None]) & 1 == 1, rows >> n)
+        want = np.where(hit.any(axis=0), hit.argmax(axis=0), n)
         mismatches += int(np.count_nonzero(got[a:a + _CHECK_ROWS] != want))
     return SweepCheck(batch.rows, mismatches, dirty.bit_count())
 

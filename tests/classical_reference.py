@@ -8,10 +8,12 @@ and ``qrollout.bounds`` replaced, and the array DP that ``exact_value`` was
 before it kept symmetry classes and convolved the last round's count, and
 ``select_semantics``, the scalar rank-select rule that
 ``rank_select.select_rows`` states on arrays (``mask_from_string`` reads
-its masks from left-to-right strings); the differential tests hold the
-array paths to them.  The packed-int
-transitions and ``_cell_branches`` state the dice law in their own terms,
-apart from the specs' ``flip_law`` hooks.
+its masks from left-to-right strings), and the row-major rollout kernel
+(``row_rollout_codes`` with ``row_select``, ``row_neighbour_counts`` and
+``row_flip_law``, one row per board) that the cell-major
+``domains.rollout_codes`` replaced; the differential tests hold the array
+paths to them.  The packed-int transitions and ``_cell_branches`` state
+the dice law in their own terms, apart from the specs' ``flip_law`` hooks.
 """
 
 from collections import defaultdict
@@ -333,3 +335,82 @@ def loop_influence_sums(spec, board_a: int, board_b: int, trials: int,
             diffs_sum += pa - pb
             diffs_sq += (pa - pb) ** 2
     return diffs_sum, diffs_sq
+
+
+# ---------------------------------------------------------------------------
+# the row-major rollout kernel: one row per board, one column per cell
+
+def row_select(valid, ranks):
+    """Rank-select on every row of a ``(rows, n)`` bool array: row ``r``
+    marks the ``ranks[r]``-th set cell of ``valid[r]``, or none."""
+    count = np.cumsum(valid, axis=1,
+                      dtype=np.min_scalar_type(valid.shape[1]))
+    return valid & (count == ranks[:, None] + 1)
+
+
+def row_neighbour_counts(mask, m: int):
+    """Per cell of each row of a ``(rows, m*m)`` bool array, how many of its
+    four grid neighbours are set, as int8, by shifted-slice adds along each
+    row."""
+    x = mask.view(np.int8)
+    out = np.zeros_like(x)
+    out[:, m:] += x[:, :-m]
+    out[:, :-m] += x[:, m:]
+    out[:, 1:] += x[:, :-1]
+    out[:, :-1] += x[:, 1:]
+    # the two shifts by one also wrap from a grid row's end to the next
+    # row's start; take those back
+    out[:, m::m] -= x[:, m - 1:-1:m]
+    out[:, m - 1:-1:m] -= x[:, m::m]
+    return out
+
+
+def row_flip_law(spec):
+    """The spec's dice law on ``(rows, N)`` int8 code arrays: codes ->
+    (threshold, alt)."""
+    m = spec.payoff_params["m"]
+    if spec.name == "sway":
+        def law(codes):
+            black = row_neighbour_counts(codes == dm.BLACK, m)
+            white = row_neighbour_counts(codes == dm.WHITE, m)
+            same = np.where(codes == dm.BLACK, black, white)
+            return np.where(codes == dm.EMPTY, 0, 4 - same), 3 - codes
+        return law
+    rho = spec.payoff_params["rho"]
+
+    def law(codes):
+        c = row_neighbour_counts(codes == dm.INFECTED, m)
+        threshold = np.where(codes == dm.SUSCEPTIBLE, c,
+                             np.where(codes == dm.INFECTED, rho, 0))
+        return threshold, codes + 1
+    return law
+
+
+def row_rollout_codes(spec, boards0, faces, first_move=None):
+    """``domains.rollout_codes`` on ``(rows, N)`` code arrays, one row per
+    branch, reading the ``(rows, fields)`` int64 faces as they are."""
+    rows, n = faces.shape[0], spec.n_cells
+    sel, dice = law_columns(spec)
+    law = row_flip_law(spec)
+    skip = first_move is not None and spec.horizon > 0
+    if skip:
+        for board in boards0:                # reject an invalid first move
+            place_first_move(spec, board, first_move)
+    boards = [np.tile(dm.board_codes(b, n), (rows, 1)) for b in boards0]
+    yield boards
+    for h in range(spec.horizon):
+        for pj in range(spec.selectors_per_round):
+            code = spec.placed_code(pj)
+            if skip and h == pj == 0:
+                for board in boards:
+                    board[:, first_move] = code
+                continue
+            hit = row_select(boards[0] == dm.EMPTY, faces[:, sel[h, pj]])
+            boards[0][hit] = code
+            for board in boards[1:]:
+                board[hit & (board == dm.EMPTY)] = code
+        roll = faces[:, dice[h]]
+        for k, board in enumerate(boards):
+            threshold, alt = law(board)
+            boards[k] = np.where(roll < threshold, alt, board)
+        yield boards

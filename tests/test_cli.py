@@ -71,6 +71,29 @@ def test_bad_count_values_exit_2(argv, capsys):
     assert "error: argument --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--T", "3"), ("--rho", "7")])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "build", *_DOMAIN, "--out", "o.json"],
+    ["oracle", "counts", *_DOMAIN],
+    ["oracle", "validate", *_DOMAIN, "--seeds", "2", "--seed", "1"],
+    ["domain", "exact", *_DOMAIN],
+    ["domain", "mc", *_DOMAIN, "--shots", "5", "--seed", "1"],
+    ["bounds", "lifting", *_DOMAIN, "--seed", "1"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_epi_flags_with_sway_exit_2(argv, flag, value, tmp_path, monkeypatch,
+                                    capsys):
+    # Sway has no payoff threshold and no recovery threshold: the flag
+    # would change nothing but the manifest
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + [flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: --domain sway has no {flag}" \
+        in captured.err
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 def test_arms_beyond_the_valid_cells_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["bounds", "lifting", "--domain", "epi", "--m", "3", "--H",
@@ -245,6 +268,13 @@ GOLDEN_RUNS = {
     "ranksel_costs_n4096.csv": "ranksel costs --n-max 4096",
     "tables_correctness_seed3.csv": "tables correctness --seed 3 "
                                     "--shots 2000 --ref-shots 20000",
+    # the classical sampler: w = 5, 4 and, past int8 selectors, 8
+    "domain_mc_sway_m5_H3.csv": "domain mc --domain sway --m 5 --H 3 "
+                                "--shots 20000 --seed 3",
+    "domain_mc_epi_m3_H2.csv": "domain mc --domain epi --m 3 --H 2 --T 2 "
+                               "--shots 20000 --seed 3",
+    "domain_mc_sway_m12_H2.csv": "domain mc --domain sway --m 12 --H 2 "
+                                 "--shots 3000 --seed 3",
 }
 
 

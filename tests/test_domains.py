@@ -179,11 +179,13 @@ def test_exact_value_budget():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7])
 def test_neighbour_counts_match_the_neighbour_lists(m):
-    mask = np.random.default_rng(m).random((64, m * m)) < 0.5
-    want = [[sum(row[j] for j in adj) for adj in dm.neighbors(m)]
-            for row in mask.tolist()]
+    # one row per cell, one column per board
+    mask = np.random.default_rng(m).random((m * m, 64)) < 0.5
+    want = [[sum(board[j] for j in adj) for adj in dm.neighbors(m)]
+            for board in mask.T.tolist()]
     got = dm.neighbour_counts(mask, m)
-    assert got.dtype == np.int8 and got.tolist() == want
+    assert got.dtype == np.int8 and got.T.tolist() == want
+    assert (got.T == ref.row_neighbour_counts(mask.T, m)).all()
 
 
 def _array_step(spec, board):
@@ -195,10 +197,10 @@ def _array_step(spec, board):
 
 def _array_transition(spec, board, dice):
     """The sampler's transition of one board under one row of dice."""
-    codes = dm.board_codes(board, spec.n_cells)[None, :]
+    codes = dm.board_codes(board, spec.n_cells)[:, None]
     threshold, alt = spec.flip_law(codes)
-    out = np.where(np.array([dice]) < threshold, alt, codes)
-    return _pack(out[0])
+    out = np.where(np.array(dice)[:, None] < threshold, alt, codes)
+    return _pack(out[:, 0])
 
 
 def _pack(codes) -> int:
@@ -216,8 +218,8 @@ def test_board_codes_unpacks_ints_of_any_width_and_int64_arrays():
             assert got.dtype == np.int8 and got.tolist() == row
         if n <= 31:
             boards = np.array([_pack(row) for row in codes], dtype=np.int64)
-            got = dm.board_codes(boards, n)
-            assert got.dtype == np.int8 and got.tolist() == codes
+            got = dm.board_codes(boards, n)       # one row per cell
+            assert got.dtype == np.int8 and got.T.tolist() == codes
 
 
 def test_board_pack_inverts_board_codes():
@@ -297,6 +299,15 @@ def _trace_rows(spec, board, faces, first_move=None):
     (dm.sway_spec(dm.SwayConfig(3, 2)), dm.set_cell(0, 4, dm.WHITE), 0),
     (dm.sir_spec(dm.SirConfig(3, 3, threshold=2)), CENTER3, None),
     (dm.sir_spec(dm.SirConfig(3, 2, threshold=2, rho=5)), CENTER3, 7),
+    # selectors past int8 (w = 8, up to 255) and past uint8 (w = 9, up to
+    # 511): faces narrowed to a dtype that does not hold them decode some
+    # ranks to the wrong cell
+    pytest.param(dm.sway_spec(dm.SwayConfig(12, 2)), 0, None, id="sway12"),
+    pytest.param(dm.sir_spec(dm.SirConfig(12, 2, threshold=3)),
+                 dm.set_cell(0, 6 * 12 + 6, dm.INFECTED), None, id="sir12"),
+    pytest.param(dm.sway_spec(dm.SwayConfig(16, 2)), 0, None, id="sway16"),
+    pytest.param(dm.sir_spec(dm.SirConfig(16, 2, threshold=3)),
+                 dm.set_cell(0, 8 * 16 + 8, dm.INFECTED), None, id="sir16"),
 ])
 def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
                                                          first_move):
@@ -309,8 +320,37 @@ def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
     payoff = spec.array_eval(rounds[-1])
     for r, (boards, bit) in enumerate(_trace_rows(spec, board, faces,
                                                   first_move)):
-        assert [_pack(codes[r]) for codes in rounds] == boards, r
+        assert [_pack(codes[:, r]) for codes in rounds] == boards, r
         assert payoff[r] == bit, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cell_major_kernel_equals_the_row_major_referee(data):
+    m, horizon = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        spec = dm.sway_spec(dm.SwayConfig(m, horizon))
+    else:
+        spec = dm.sir_spec(dm.SirConfig(m, horizon,
+                                        threshold=data.draw(st.integers(0, 3)),
+                                        rho=data.draw(st.integers(0, 8))))
+    n = spec.n_cells
+    boards = data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).map(_pack),
+        min_size=1, max_size=2))
+    empty = [i for i in range(n) if all(cell(b, i) == dm.EMPTY
+                                        for b in boards)]
+    first_move = data.draw(st.sampled_from([None] + empty))
+    rows = data.draw(st.sampled_from((0, 1)) | st.integers(2, 60))
+    faces = orc.input_law(spec, boards[0]).draw(rows,
+                                                data.draw(st.integers(0, 99)))
+    got = dm.rollout_codes(spec, boards, faces, first_move)
+    want = ref.row_rollout_codes(spec, boards, faces, first_move)
+    for h, (cell_major, row_major) in enumerate(zip(got, want)):
+        assert len(cell_major) == len(boards)
+        for a, b in zip(cell_major, row_major):
+            assert a.dtype == np.int8 and np.array_equal(a, b.T), h
+    assert h == spec.horizon
 
 
 @pytest.mark.parametrize("spec,board,other", [
@@ -337,7 +377,7 @@ def test_coupled_array_rollouts_match_the_pair_loop(spec, board, other):
         rows = zip(_trace_rows(spec, board, faces, first_move),
                    _trace_rows(spec, other, faces, first_move))
         for r, ((ta, _), (tb, _)) in enumerate(rows):
-            assert (_pack(a[r]), _pack(b[r])) == (ta[-1], tb[-1])
+            assert (_pack(a[:, r]), _pack(b[:, r])) == (ta[-1], tb[-1])
 
 
 @pytest.mark.parametrize("spec,board,first_moves", [
@@ -427,14 +467,14 @@ def test_square_symmetries_are_the_grid_automorphisms(m):
 ])
 def test_laws_and_payoff_commute_with_the_square_symmetries(spec):
     rng = np.random.default_rng(spec.n_cells)
-    codes = rng.integers(0, 3, size=(500, spec.n_cells)).astype(np.int8)
+    codes = rng.integers(0, 3, size=(spec.n_cells, 500)).astype(np.int8)
     threshold, alt = spec.flip_law(codes)
     payoff = spec.array_eval(codes)
     for g in dm.square_symmetries(math.isqrt(spec.n_cells)):
-        image = codes[:, g]
+        image = codes[g]
         got_threshold, got_alt = spec.flip_law(image)
-        assert (got_threshold == threshold[:, g]).all()
-        assert (got_alt == alt[:, g]).all()
+        assert (got_threshold == threshold[g]).all()
+        assert (got_alt == alt[g]).all()
         assert (spec.array_eval(image) == payoff).all()
 
 
@@ -457,30 +497,32 @@ def test_exact_value_is_equal_on_every_image_of_a_board(spec):
 
 
 def _old_array_eval(spec, codes):
-    """The payoff as each domain stated it before the count hook."""
+    """The payoff as each domain stated it before the count hook, on an
+    ``(N, rows)`` code array."""
     if spec.name == "sway":
-        win = (codes == dm.BLACK).sum(axis=1) > (codes == dm.WHITE).sum(axis=1)
+        win = (codes == dm.BLACK).sum(axis=0) > (codes == dm.WHITE).sum(axis=0)
     else:
-        win = ((codes == dm.INFECTED).sum(axis=1)
+        win = ((codes == dm.INFECTED).sum(axis=0)
                <= spec.payoff_params["threshold"])
     return win.astype(np.int64)
 
 
 def _outcomes(spec, board, every_die):
-    """Each outcome of one transition of ``board`` with its probability:
-    with ``every_die`` one row per dice tuple, otherwise one row per set
-    of cells whose die falls below its threshold."""
-    codes = dm.board_codes(board, spec.n_cells)[None, :]
+    """Each outcome of one transition of ``board`` with its probability,
+    one column per outcome: with ``every_die`` one per dice tuple,
+    otherwise one per set of cells whose die falls below its threshold."""
+    codes = dm.board_codes(board, spec.n_cells)[:, None]
     threshold, alt = spec.flip_law(codes)
     n = spec.n_cells
     if every_die:
-        dice = np.array(list(itertools.product(range(spec.faces), repeat=n)))
+        dice = np.array(list(itertools.product(range(spec.faces),
+                                               repeat=n))).T
         return (np.where(dice < threshold, alt, codes),
-                np.full(len(dice), spec.faces ** -n))
-    flips = np.array(list(itertools.product((False, True), repeat=n)))
-    pf = threshold[0] / spec.faces
+                np.full(dice.shape[1], spec.faces ** -n))
+    flips = np.array(list(itertools.product((False, True), repeat=n))).T
+    pf = threshold / spec.faces
     return (np.where(flips, alt, codes),
-            np.where(flips, pf, 1 - pf).prod(axis=1))
+            np.where(flips, pf, 1 - pf).prod(axis=0))
 
 
 @pytest.mark.parametrize("spec,board,every_die", [
@@ -502,8 +544,8 @@ def test_count_hook_gives_the_old_payoff_on_every_outcome(spec, board,
     final, prob = _outcomes(spec, board, every_die)
     want = _old_array_eval(spec, final)
     assert (spec.array_eval(final) == want).all()
-    assert [ref.classical_eval(spec, _pack(row)) for row in final[::97]] \
-        == want[::97].tolist()
+    assert [ref.classical_eval(spec, _pack(board))
+            for board in final.T[::97]] == want[::97].tolist()
     # the terminal count convolution is the outcomes' mean payoff
     got = dm._terminal_value(spec, np.array([board], dtype=np.int64),
                              np.ones(1))

@@ -98,10 +98,10 @@ def test_select_rows_matches_semantics(n, data):
     ranks = np.arange(1 << rs.width_for(n))
     m = np.repeat(masks, ranks.size)
     r = np.tile(ranks, len(masks))
-    valid = ((m[:, None] >> np.arange(n)) & 1).astype(bool)
+    valid = ((m >> np.arange(n)[:, None]) & 1).astype(bool)   # (n, rows)
     hit = rs.select_rows(valid, r)
-    assert (hit.sum(axis=1) <= 1).all()
-    got = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    assert (hit.sum(axis=0) <= 1).all()
+    got = np.where(hit.any(axis=0), hit.argmax(axis=0), n)
     want = [select_semantics(int(mv), n, int(rv)) for mv, rv in zip(m, r)]
     assert got.tolist() == want
 
