@@ -167,8 +167,12 @@ def check_lifting(witness: LiftingWitness, sample_count: int,
     if sample_count < 1:
         raise BoundsError(f"sample_count must be >= 1, got {sample_count}")
     w = witness
-    report = LiftingReport(structural_ok=True, gap_ok=True, family_size=0,
-                           members_checked=0, optimality_failures=0,
+    q = sorted(w.peripheral)
+    sigma = list(w.alphabet)
+    family_size = len(sigma) ** len(q)
+    report = LiftingReport(structural_ok=True, gap_ok=True,
+                           family_size=family_size, members_checked=0,
+                           optimality_failures=0,
                            modular_equality_failures=0)
 
     def fail(reason: str) -> LiftingReport:
@@ -204,10 +208,6 @@ def check_lifting(witness: LiftingWitness, sample_count: int,
                 f"{base_values[w.best_arm]:.6g} < {v:.6g} + 3 eps")
             return report
 
-    q = sorted(w.peripheral)
-    sigma = list(w.alphabet)
-    family_size = len(sigma) ** len(q)
-    report.family_size = family_size
     modular = all(w.deltas.get(p, 0.0) == 0.0 for p in w.peripheral)
 
     if family_size <= sample_count:

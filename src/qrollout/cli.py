@@ -360,23 +360,14 @@ def cmd_tables_correctness(args) -> int:
 def cmd_tables_scaling(args) -> int:
     lines = [_manifest(args),
              "# provenance: qubits = closed-form layout (equals built "
-             "registers); gates = builder tally"
-             + ("" if args.build_all else " for H=1, formula-scaled to H")
-             + "; ref_qubits are external comparison figures",
+             "registers); gates = builder tally; ref_qubits are external "
+             "comparison figures",
              "domain,m,H,n,qubits,gates,ref_qubits,qubit_ratio"]
     for (m, h) in SCALING_GRID:
         for name in ("sway", "epi"):
-            spec = _make_spec(name, m, h, None, None)
-            if args.build_all:
-                oc = orc.compose(spec, record=False)
-                qubits = oc.report.qubit_count
-                gates = oc.report.gate_count
-            else:
-                spec1 = _make_spec(name, m, 1, None, None)
-                oc1 = orc.compose(spec1, record=False)
-                qubits = orc.qubit_cost_formula(spec).total
-                gates = int(orc.gate_cost_formula(spec, oc1.g_index,
-                                                  oc1.g_trans, oc1.g_eval))
+            report = orc.compose(_make_spec(name, m, h, None, None),
+                                 record=False).report
+            qubits, gates = report.qubit_count, report.gate_count
             pq = REFERENCE_QUBITS[(name, m, h)]
             lines.append(f"{name},{m},{h},{m * m},{qubits},{gates},{pq},"
                          f"{qubits / pq:.4f}")
@@ -519,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables_correctness)
     p = g.add_parser("scaling")
-    p.add_argument("--build-all", dest="build_all", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables_scaling)
 

@@ -1,24 +1,25 @@
 """Sway and SIR-epidemic instantiations of the rollout-oracle template.
 
 Boards live on an m x m four-neighbor grid and are packed into integers with
-two bits per cell (bit 0, bit 1):
+``CELL_BITS`` = 2 bits per cell (bit 0, bit 1):
 
     code 0 = (0,0) = empty / susceptible
     code 1 = (1,0) = black / infected
     code 2 = (0,1) = white / recovered        (code 3 unreachable)
 
-Both domains provide circuit fragments (validity mask, stochastic transition,
-terminal evaluation) and the same rules on (N, rows) int8 code arrays, one
-row per cell, one board per column: a cell is a valid placement iff its
-code is 0, selector pass ``p`` writes code ``1 << placement_bit(p)``, and
-each spec's ``flip_law`` states the dice law once: a cell takes ``alt`` iff
-its die is below ``threshold``, with neighbour counts from shifted-slice
-adds over whole rows.  The rollout kernel (``rollout_codes``, rank-select
-as a cumulative sum down the empty cells) gives every round's boards;
-branchwise validation, the sampler and the influence MC replay it, and the
-exact distribution dynamic program reads ``flip_law`` too.  The payoff is
-stated once per spec, as per-code count weights and a win rule on their
-sum.
+Both domains provide circuit fragments (stochastic transition, terminal
+evaluation; the validity mask is the template's) and the same rules on
+(N, rows) int8 code arrays, one row per cell, one board per column: a cell
+is a valid placement iff its code is 0, selector pass ``p`` writes the
+spec's ``placed_codes[p]`` (Sway (BLACK, WHITE), SIR (RECOVERED,)), and
+each spec's ``flip_law`` states the dice law once: a cell takes ``alt``
+iff its die is below ``threshold``, with neighbour counts from
+shifted-slice adds over whole rows.  The rollout kernel
+(``rollout_codes``, rank-select as a cumulative sum down the empty cells)
+gives every round's boards; branchwise validation, the sampler and the
+influence MC replay it, and the exact distribution dynamic program reads
+``flip_law`` too.  The payoff is stated once per spec, as per-code count
+weights and a win rule on their sum.
 
 The DP is the payoff oracle at 3x3 scale.  The selector's uniform mix over
 the empty cells, both flip laws and both payoffs commute with the square's
@@ -52,8 +53,8 @@ import numpy as np
 from .circuit import Builder
 from .gadgets import (add_register, controlled_increment, copy_register,
                       flag_less_than_const, sub_register)
-from .oracle import (OracleError, RolloutSpec, input_law, law_columns,
-                     place_first_move)
+from .oracle import (CELL_BITS, OracleError, RolloutSpec, input_law,
+                     law_columns, place_first_move)
 from .rank_select import select_rows, width_for
 
 EMPTY = SUSCEPTIBLE = 0
@@ -61,9 +62,10 @@ BLACK = INFECTED = 1
 WHITE = RECOVERED = 2
 
 SWAY_FACES = 20
-SWAY_DICE_BITS = 5
 SIR_FACES = 8
-SIR_DICE_BITS = 3
+# each spec's RolloutSpec.d: the fewest bits that hold every face
+SWAY_DICE_BITS = (SWAY_FACES - 1).bit_length()
+SIR_DICE_BITS = (SIR_FACES - 1).bit_length()
 
 DP_STATE_BUDGET = 3 ** 9
 
@@ -100,13 +102,14 @@ class SirConfig:
 # boards and grids
 
 def set_cell(board: int, i: int, code: int) -> int:
-    """The board with cell ``i`` (bits ``2i`` and ``2i + 1``) set to
-    ``code``, packed by shift; a cell below 0 or a code outside 0..3 raises
+    """The board with cell ``i`` (bits ``CELL_BITS*i`` on) set to ``code``,
+    packed by shift; a cell below 0 or a code outside 0..3 raises
     ValueError."""
-    if i < 0 or not 0 <= code <= 3:
+    top = (1 << CELL_BITS) - 1
+    if i < 0 or not 0 <= code <= top:
         raise ValueError(f"cell {i}, code {code}: a cell is at least 0 and "
-                         "a code is 0..3")
-    return board & ~(3 << 2 * i) | code << 2 * i
+                         f"a code is 0..{top}")
+    return board & ~(top << CELL_BITS * i) | code << CELL_BITS * i
 
 
 def neighbors(m: int) -> list[list[int]]:
@@ -196,7 +199,7 @@ def _sir_flip_law(m: int, rho: int):
 # ---------------------------------------------------------------------------
 # circuit fragments
 
-def _cell_bits(bits, i: int, width: int):
+def _cell_bits(bits, i: int, width: int = CELL_BITS):
     return bits[width * i:width * (i + 1)]
 
 
@@ -229,9 +232,9 @@ def _emit_sway_dynamics(m: int):
 
     def emit(b: Builder, mid, nxt, dice, pool, scr):
         for i, adj in enumerate(nbrs):
-            b.call(_sway_cell, _cell_bits(mid, i, 2),
-                   [q for j in adj for q in _cell_bits(mid, j, 2)],
-                   _cell_bits(nxt, i, 2), _cell_bits(dice, i, d),
+            b.call(_sway_cell, _cell_bits(mid, i),
+                   [q for j in adj for q in _cell_bits(mid, j)],
+                   _cell_bits(nxt, i), _cell_bits(dice, i, d),
                    pool[:kw], pool[kw:kw + d], pool[kw + d], scr)
 
     return emit, kw + d + 1
@@ -245,9 +248,9 @@ def _emit_sway_eval(n: int):
         white = pool[wc:2 * wc]
         diff = pool[2 * wc:3 * wc + 1]
         with b.capture() as count:
-            for i in range(n):
-                controlled_increment(b, black, [(cfg[2 * i], True)], scr)
-                controlled_increment(b, white, [(cfg[2 * i + 1], True)], scr)
+            for bit0, bit1 in zip(cfg[::CELL_BITS], cfg[1::CELL_BITS]):
+                controlled_increment(b, black, [(bit0, True)], scr)
+                controlled_increment(b, white, [(bit1, True)], scr)
             copy_register(b, black, diff)
             sub_register(b, diff, white, scr)
             b.emit_reversed(controlled_increment, diff, [], scr)  # diff -= 1
@@ -291,8 +294,8 @@ def _emit_sir_dynamics(m: int, rho: int):
 
     def emit(b: Builder, mid, nxt, dice, pool, scr):
         for i, adj in enumerate(nbrs):
-            b.call(_sir_cell, _cell_bits(mid, i, 2),
-                   [mid[2 * j] for j in adj], _cell_bits(nxt, i, 2),
+            b.call(_sir_cell, _cell_bits(mid, i),
+                   [mid[CELL_BITS * j] for j in adj], _cell_bits(nxt, i),
                    _cell_bits(dice, i, d), pool[:cw], pool[cw:cw + tw],
                    pool[cw + tw], scr, rho=rho)
 
@@ -305,8 +308,8 @@ def _emit_sir_eval(n: int, threshold: int):
     def emit(b: Builder, cfg, payoff, pool, scr):
         cnt = pool[:wc]
         with b.capture() as count:
-            for i in range(n):
-                controlled_increment(b, cnt, [(cfg[2 * i], True)], scr)
+            for infected in cfg[::CELL_BITS]:
+                controlled_increment(b, cnt, [(infected, True)], scr)
         b.emit(count)
         flag_less_than_const(b, cnt, threshold + 1, payoff)
         b.emit_inverse(count)
@@ -323,11 +326,10 @@ def sway_spec(cfg: SwayConfig) -> RolloutSpec:
     emit_trans, trans_pool = _emit_sway_dynamics(cfg.m)
     emit_eval, eval_pool = _emit_sway_eval(n)
     return RolloutSpec(
-        name="sway", n_cells=n, horizon=cfg.horizon, s=2,
-        d=SWAY_DICE_BITS, faces=SWAY_FACES, selectors_per_round=2,
+        name="sway", n_cells=n, horizon=cfg.horizon, faces=SWAY_FACES,
+        placed_codes=(BLACK, WHITE),
         emit_transition=emit_trans,
         emit_eval=emit_eval,
-        placement_bit=lambda pass_index: pass_index,   # 0 -> black, 1 -> white
         trans_pool_width=trans_pool,
         eval_pool_width=eval_pool,
         domain_scr_width=max(SWAY_DICE_BITS - 1, wc),
@@ -344,11 +346,10 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
     emit_trans, trans_pool = _emit_sir_dynamics(cfg.m, cfg.rho)
     emit_eval, eval_pool = _emit_sir_eval(n, cfg.threshold)
     return RolloutSpec(
-        name="sir", n_cells=n, horizon=cfg.horizon, s=2,
-        d=SIR_DICE_BITS, faces=SIR_FACES, selectors_per_round=1,
+        name="sir", n_cells=n, horizon=cfg.horizon, faces=SIR_FACES,
+        placed_codes=(RECOVERED,),              # vaccination: S -> R
         emit_transition=emit_trans,
         emit_eval=emit_eval,
-        placement_bit=lambda pass_index: 1,     # vaccination: S -> R
         trans_pool_width=trans_pool,
         eval_pool_width=eval_pool,
         domain_scr_width=max(SIR_DICE_BITS, wc - 1),
@@ -363,22 +364,22 @@ def sir_spec(cfg: SirConfig) -> RolloutSpec:
 # array rollouts: one row per cell, one column per branch
 
 def board_codes(boards, n: int) -> np.ndarray:
-    """Packed boards as int8 codes, cell ``i`` from bits ``2i`` and
-    ``2i + 1``: a Python int of any width gives an (n,) array, an int64
-    array of boards an (n, rows) array, one row per cell."""
+    """Packed boards as int8 codes, cell ``i`` from bits ``CELL_BITS*i``
+    on: a Python int of any width gives an (n,) array, an int64 array of
+    boards an (n, rows) array, one row per cell."""
     if np.ndim(boards) == 0:
         # an object scalar: a board in [2^63, 2^64) would become uint64
         boards = np.array(int(boards), dtype=object)
-    shifts = 2 * np.arange(n).reshape((n,) + (1,) * boards.ndim)
-    return ((boards >> shifts) & 3).astype(np.int8)
+    shifts = CELL_BITS * np.arange(n).reshape((n,) + (1,) * boards.ndim)
+    return ((boards >> shifts) & (1 << CELL_BITS) - 1).astype(np.int8)
 
 
 def board_pack(codes) -> int:
     """The inverse of :func:`board_codes` on one board: an (n,) code vector
     gives the board as a Python int of any width."""
-    # cell i is the board's base-4 digit i
+    # cell i is the board's base-2^CELL_BITS digit i
     return int("".join(map(str, np.asarray(codes, dtype=np.int64)[::-1]
-                            .tolist())) or "0", 4)
+                            .tolist())) or "0", 1 << CELL_BITS)
 
 
 def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
@@ -408,8 +409,7 @@ def rollout_codes(spec: RolloutSpec, boards0, faces: np.ndarray,
     boards = [np.tile(board_codes(b, n)[:, None], rows) for b in boards0]
     yield boards
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
-            code = spec.placed_code(pj)
+        for pj, code in enumerate(spec.placed_codes):
             if skip and h == pj == 0:
                 for board in boards:
                     board[first_move] = code
@@ -469,11 +469,11 @@ def _canonical(states: np.ndarray, perms) -> np.ndarray:
     """Each int64 packed board's least packed image under the cell
     permutations ``perms`` (``None``: the boards as they are).  Image ``g``
     packs cell ``j``'s code at the place ``g`` moves it to, so all images
-    of a block of boards are one product of codes and powers of 4."""
+    of a block of boards are one product of codes and place values."""
     if perms is None:
         return states
     n = perms.shape[1]
-    place = (1 << 2 * np.arange(n))[np.argsort(perms, axis=1)]      # (G, N)
+    place = (1 << CELL_BITS * np.arange(n))[np.argsort(perms, axis=1)]
     least = np.empty_like(states)
     for lo in range(0, states.size, _CANON_ROWS):
         codes = board_codes(states[lo:lo + _CANON_ROWS], n)
@@ -490,7 +490,7 @@ def _select_pass(states, probs, n: int, strings: int, code: int,
     row, pos = np.nonzero(valid.T)       # board by board, as merged
     inv = 1.0 / strings
     stay = (strings - valid.sum(axis=0)) * inv
-    placed = _canonical(states[row] + (code << 2 * pos), perms)
+    placed = _canonical(states[row] + (code << CELL_BITS * pos), perms)
     return _merge(np.concatenate((states, placed)),
                   np.concatenate((probs * stay, probs[row] * inv)))
 
@@ -505,7 +505,7 @@ def transition_distribution(spec: RolloutSpec, states: np.ndarray,
     codes = board_codes(states, spec.n_cells)
     threshold, alt = spec.flip_law(codes)
     flip = threshold / spec.faces
-    shift = 2 * np.arange(spec.n_cells)[:, None]
+    shift = CELL_BITS * np.arange(spec.n_cells)[:, None]
     step = (alt.astype(np.int64) - codes) << shift    # a flip's packed change
     fan = np.cumsum(1 << (flip > 0).sum(axis=0))      # outcome rows so far
     cuts = np.flatnonzero(np.diff(fan // _SPLIT_ROWS)) + 1
@@ -573,7 +573,7 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     n = spec.n_cells
     if 3 ** n > budget:
         raise BudgetError(f"state space 3^{n} exceeds budget {budget}")
-    if n > 31:
+    if CELL_BITS * n > 63:
         raise BudgetError(f"{n} cells do not pack into an int64 board")
     skip = first_move is not None and spec.horizon > 0
     if skip:
@@ -583,10 +583,10 @@ def exact_value(spec: RolloutSpec, board0: int, first_move: int | None = None,
     perms = square_symmetries(isqrt(n))
     states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
+        for pj, code in enumerate(spec.placed_codes):
             if not (skip and h == pj == 0):
                 states, probs = _select_pass(states, probs, n, 1 << spec.w,
-                                             spec.placed_code(pj), perms)
+                                             code, perms)
         if h < spec.horizon - 1:
             states, probs = transition_distribution(spec, states, probs,
                                                     perms)

@@ -32,31 +32,34 @@ class OracleError(ValueError):
     pass
 
 
+CELL_BITS = 2   # configuration bits per cell: codes 0..3
+_ONE_BIT_CODES = tuple(1 << k for k in range(CELL_BITS))
+
+
 @dataclass(frozen=True)
 class RolloutSpec:
-    """A domain's transition/evaluation hooks plus register widths.
+    """A domain's circuit hooks, dice law, placement codes and payoff.
 
     Circuit hooks emit gate fragments through a Builder; the array hook
     states the same dice law on code arrays for the rollout kernel (which
     branchwise validation, the sampler and the influence MC replay) and the
-    exact dynamic program.  A cell's code is its ``s`` configuration bits.
-    A cell is a valid placement iff its code is 0, and selector pass ``p``
-    writes code ``placed_code(p)`` there.  The payoff is stated once, as
-    count weights and a win rule, which ``array_eval`` and the DP's
-    terminal count convolution read.
+    exact dynamic program.  A cell's code is its ``CELL_BITS``
+    configuration bits.  A cell is a valid placement iff its code is 0; a
+    round runs one selector pass per entry of ``placed_codes``, and pass
+    ``p`` writes the one-bit code ``placed_codes[p]`` there.  Each die is
+    ``d`` bits wide, uniform on ``faces`` faces.  The payoff is stated
+    once, as count weights and a win rule, which ``array_eval`` and the
+    DP's terminal count convolution read.
     """
 
     name: str
     n_cells: int
     horizon: int
-    s: int                       # configuration bits per cell
-    d: int                       # dice bits per cell per round
-    faces: int                   # dice faces, faces <= 2^d
-    selectors_per_round: int
+    faces: int                   # dice faces per cell per round
+    placed_codes: tuple          # the code each selector pass writes: 1 or 2
     # circuit hooks
     emit_transition: Callable    # (b, mid_bits, next_bits, dice_bits, pool, scr)
     emit_eval: Callable          # (b, config_bits, payoff_qubit, pool, scr)
-    placement_bit: Callable      # pass_index -> cell-bit offset in {0..s-1}
     # pool demands (closed form, documented in the layout breakdown)
     trans_pool_width: int
     eval_pool_width: int
@@ -73,25 +76,29 @@ class RolloutSpec:
     payoff_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if min(self.n_cells, self.horizon + 1, self.s, self.d,
-               self.selectors_per_round) < 1:
+        if min(self.n_cells, self.horizon + 1, len(self.placed_codes)) < 1:
             raise OracleError("all counts must be positive")
-        if not 2 <= self.faces <= (1 << self.d):
-            raise OracleError("faces must satisfy 2 <= D <= 2^d")
+        if self.faces < 2:
+            raise OracleError("faces must be at least 2")
+        for code in self.placed_codes:
+            # a wider code would decode into the next cell's bits
+            if code not in _ONE_BIT_CODES:
+                raise OracleError(f"placed code {code!r} is not one of the "
+                                  f"one-bit codes {_ONE_BIT_CODES}")
 
     @property
     def w(self) -> int:
         return width_for(self.n_cells)
 
+    @property
+    def d(self) -> int:
+        """Dice bits per cell per round: the fewest that hold every face."""
+        return (self.faces - 1).bit_length()
+
     def array_eval(self, codes: np.ndarray) -> np.ndarray:
         """The payoff of each column of an (N, rows) code array, as int64."""
         weight = np.asarray(self.count_weights, dtype=np.int64)
         return self.win(weight[codes].sum(axis=0)).astype(np.int64)
-
-    def placed_code(self, pass_index: int) -> int:
-        """The code that selector pass ``pass_index`` writes on an empty
-        cell: the pass sets the cell's bit ``placement_bit(pass_index)``."""
-        return 1 << self.placement_bit(pass_index)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ class OracleLayout:
     n_cells: int
     horizon: int
     w: int
-    config_qubits: int        # (H+1) * N * s
+    config_qubits: int        # (H+1) * N * CELL_BITS
     selector_qubits: int      # P * H * w
     dice_qubits: int          # H * N * d
     arm_qubits: int
@@ -131,20 +138,21 @@ class OracleLayout:
 
 
 def qubit_cost_formula(spec: RolloutSpec, arms: int = 0) -> OracleLayout:
-    """Predicted qubit count: (H+1)Ns + P*H*w + H*N*d + q_anc + 1 (+ arm)."""
-    n, h, w, p = spec.n_cells, spec.horizon, spec.w, spec.selectors_per_round
+    """Predicted qubit count: (H+1)*N*CELL_BITS + P*H*w + H*N*d + q_anc + 1
+    (+ arm), with P = len(placed_codes) selector passes per round."""
+    n, h, w, p = spec.n_cells, spec.horizon, spec.w, len(spec.placed_codes)
     rs_pool = w + 1 + p * w if h > 0 else 0
     pool = max(rs_pool, spec.trans_pool_width if h > 0 else 0,
                spec.eval_pool_width)
     scr = max(w - 1 if h > 0 else 0, spec.domain_scr_width)
     return OracleLayout(
         n_cells=n, horizon=h, w=w,
-        config_qubits=(h + 1) * n * spec.s,
+        config_qubits=(h + 1) * n * CELL_BITS,
         selector_qubits=p * h * w,
         dice_qubits=h * n * spec.d,
         arm_qubits=(arms + 1).bit_length() if arms else 0,
         payoff_qubits=1,
-        board_mid=n * spec.s if h > 0 else 0,
+        board_mid=n * CELL_BITS if h > 0 else 0,
         mask=n if h > 0 else 0,
         scr=scr,
         pool=pool,
@@ -155,7 +163,7 @@ def gate_cost_formula(spec: RolloutSpec, g_index: float, g_trans: float,
                       g_eval: float) -> float:
     """Predicted per-call gate count H*(P*G_index + G_trans) + G_eval."""
     return (spec.horizon
-            * (spec.selectors_per_round * g_index + g_trans) + g_eval)
+            * (len(spec.placed_codes) * g_index + g_trans) + g_eval)
 
 
 @dataclass
@@ -234,8 +242,8 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     as a single op.  The round's other phases (copy, mask, decode,
     transition, unprep) stay top-level ops.
     """
-    n, h, w, p = spec.n_cells, spec.horizon, spec.w, spec.selectors_per_round
-    s = spec.s
+    n, h, w, p = spec.n_cells, spec.horizon, spec.w, len(spec.placed_codes)
+    s = CELL_BITS
     _check_first_moves(spec, arms, first_moves)
     lay = qubit_cost_formula(spec, arms)
     b = Builder(record=record)
@@ -262,7 +270,7 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
     prep_gates = trans_gates = -1
 
     def emit_mask(board):
-        # vmask[i] ^= [cell i is a valid placement: all its s bits clear]
+        # vmask[i] ^= [cell i is a valid placement: all its bits clear]
         for i, q in enumerate(vmask):
             b.gate(_pattern(board[i * s:(i + 1) * s], 0), (q,))
 
@@ -275,7 +283,7 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
             # per pass: its scan ops, the register it decodes, the cells
             # that register picks among (the arm picks its first moves)
             passes = []
-            for pj in range(p):
+            for pj, code in enumerate(spec.placed_codes):
                 if hh == 0 and pj == 0 and arms:
                     scan, src, pick = [], arm_bits, first_moves[:arms]
                 else:
@@ -285,7 +293,7 @@ def compose(spec: RolloutSpec, record: bool = True, arms: int = 0,
                     b.emit(scan)
                     src, pick = outs[pj], range(n)
                 passes.append((scan, src, pick))
-                cells = [board_mid[j * s + spec.placement_bit(pj)]
+                cells = [board_mid[j * s + code.bit_length() - 1]
                          for j in pick]
                 clear = [vmask[j] for j in pick] if pj < p - 1 else ()
                 _decode(b, src, cells, clear)
@@ -356,7 +364,7 @@ def input_law(spec: RolloutSpec, board0: int) -> InputDistribution:
     selector register is uniform over all 2^w strings, and each dice
     register holds one d-bit field per cell, uniform on the D faces.  The
     round-1 pass-0 selector is drawn even when an arm bypasses it."""
-    h, p = spec.horizon, spec.selectors_per_round
+    h, p = spec.horizon, len(spec.placed_codes)
     uniform = {f"sel_h{i + 1}_p{j}": 1 << spec.w
                for i in range(h) for j in range(p)}
     uniform.update({f"dice_h{i + 1}": (spec.faces, spec.d) for i in range(h)})
@@ -370,7 +378,7 @@ def law_columns(spec: RolloutSpec) -> tuple[np.ndarray, np.ndarray]:
     selector ``p`` of round ``h + 1`` and ``dice[h, i]`` the die of cell
     ``i`` in that round.  Fields sort by register name, so ``dice_h10``
     comes before ``dice_h2``."""
-    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
+    h, p, n = spec.horizon, len(spec.placed_codes), spec.n_cells
     column = {(name, lo): f for f, (name, _, lo, _)
               in enumerate(input_law(spec, 0).fields)}
     sel = [column[f"sel_h{i + 1}_p{j}", 0] for i in range(h) for j in range(p)]
@@ -383,11 +391,12 @@ def law_columns(spec: RolloutSpec) -> tuple[np.ndarray, np.ndarray]:
 def place_first_move(spec: RolloutSpec, board: int, move: int) -> int:
     """The round-1 pass-0 placement of an arm's first move on a packed
     board; the move must be a valid (code 0) cell of ``board``."""
-    cell = (1 << spec.s) - 1
-    if not (0 <= move < spec.n_cells and not (board >> spec.s * move) & cell):
+    cell = (1 << CELL_BITS) - 1
+    if not (0 <= move < spec.n_cells
+            and not (board >> CELL_BITS * move) & cell):
         raise OracleError(f"first move {move} is not a valid position on "
                           f"the initial board")
-    return board | spec.placed_code(0) << spec.s * move
+    return board | spec.placed_codes[0] << CELL_BITS * move
 
 
 def _arm_rows(arms: int, arm_values, rows: int) -> np.ndarray:
@@ -420,7 +429,7 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
     :class:`OracleError` names the mismatch.
 
     The expected configurations of all branches come from the array
-    rollout kernel, one call per arm; bit ``s*i + b`` of register
+    rollout kernel, one call per arm; bit ``CELL_BITS*i + b`` of register
     ``config<h>`` is bit ``b`` of cell ``i``'s code after round ``h``.  All
     outputs are compared at once against the expected batch; the first
     failing branch then names its first differing register, in the order
@@ -454,7 +463,7 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
             raise OracleError(f"the oracle's layout differs from spec "
                               f"{spec.name!r} in {', '.join(differ)}")
     c = oracle.circuit
-    h, n, s = spec.horizon, spec.n_cells, spec.s
+    h, n, s = spec.horizon, spec.n_cells, CELL_BITS
     law = input_law(spec, board0)
     faces = law.draw_each(seeds)
     batch = law.batch(c, faces)

@@ -102,10 +102,8 @@ def classical_validity(spec, board: int) -> int:
 
 
 def classical_place(spec, board: int, pos: int, pass_index: int) -> int:
-    if spec.name == "sway":
-        return dm.set_cell(board, pos,
-                           dm.BLACK if pass_index == 0 else dm.WHITE)
-    return dm.set_cell(board, pos, dm.RECOVERED)    # vaccination: S -> R
+    """The board with pass ``pass_index``'s code placed at ``pos``."""
+    return dm.set_cell(board, pos, spec.placed_codes[pass_index])
 
 
 def classical_transition(spec, board: int, dice) -> int:
@@ -141,9 +139,9 @@ def classical_trace(spec, board0: int, selectors, dice,
     boards = [board0]
     board = board0
     for h in range(spec.horizon):
-        if len(selectors[h]) != spec.selectors_per_round:
+        if len(selectors[h]) != len(spec.placed_codes):
             raise OracleError("selector stream width mismatch")
-        for pj in range(spec.selectors_per_round):
+        for pj in range(len(spec.placed_codes)):
             if h == 0 and pj == 0 and first_move is not None:
                 board = place_first_move(spec, board, first_move)
                 continue
@@ -159,7 +157,7 @@ def classical_trace(spec, board0: int, selectors, dice,
 def law_streams(spec, faces) -> list[tuple[list, list]]:
     """Each face row of ``input_law`` as its ``(selectors, dice)``
     streams: ``selectors[h][p]`` and ``dice[h][i]``, rounds in order."""
-    h, p, n = spec.horizon, spec.selectors_per_round, spec.n_cells
+    h, p, n = spec.horizon, len(spec.placed_codes), spec.n_cells
     sel, dice = law_columns(spec)
     order = np.concatenate((sel.ravel(), dice.ravel()))
     dice0 = h * p
@@ -246,7 +244,7 @@ def dict_exact_value(spec, board0: int, first_move=None, cache=None) -> float:
     cache = cache if cache is not None else KernelCache(spec)
     dist = {board0: 1.0}
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
+        for pj in range(len(spec.placed_codes)):
             if h == 0 and pj == 0 and first_move is not None:
                 dist = {place_first_move(spec, b, first_move): p
                         for b, p in dist.items()}
@@ -269,11 +267,10 @@ def array_exact_value(spec, board0: int, first_move=None) -> float:
         board0 = place_first_move(spec, board0, first_move)
     states, probs = np.array([board0], dtype=np.int64), np.ones(1)
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
+        for pj, code in enumerate(spec.placed_codes):
             if not (skip and h == pj == 0):
                 states, probs = dm._select_pass(states, probs, spec.n_cells,
-                                                1 << spec.w,
-                                                spec.placed_code(pj))
+                                                1 << spec.w, code)
         states, probs = dm.transition_distribution(spec, states, probs)
     final = dm.board_codes(states, spec.n_cells)
     return float(probs[spec.array_eval(final) == 1].sum())
@@ -298,7 +295,7 @@ def coupled_pair(spec, board_a: int, board_b: int, selectors, dice,
     n = spec.n_cells
     a, b = board_a, board_b
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
+        for pj in range(len(spec.placed_codes)):
             if h == 0 and pj == 0 and first_move is not None:
                 a = place_first_move(spec, a, first_move)
                 b = place_first_move(spec, b, first_move)
@@ -399,8 +396,7 @@ def row_rollout_codes(spec, boards0, faces, first_move=None):
     boards = [np.tile(dm.board_codes(b, n), (rows, 1)) for b in boards0]
     yield boards
     for h in range(spec.horizon):
-        for pj in range(spec.selectors_per_round):
-            code = spec.placed_code(pj)
+        for pj, code in enumerate(spec.placed_codes):
             if skip and h == pj == 0:
                 for board in boards:
                     board[:, first_move] = code

@@ -182,6 +182,8 @@ def test_lifting_structural_negatives():
                           arm_supports=(frozenset({0}), frozenset({1})))
     rep = bd.check_lifting(w, 5, _toy_oracle([0.7, 0.5]))
     assert not rep.structural_ok and "stability" in rep.failure_reason
+    # a failed witness still reports its family: 2 symbols on 2 factors
+    assert rep.family_size == 4
 
 
 def test_lifting_gap_violation_detected():

@@ -1,6 +1,8 @@
 """CLI: dispatch, exit codes, manifests, byte-stable CSV artifacts."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,22 @@ def run_to_file(tmp_path, argv, name="out.csv"):
     path = tmp_path / name
     code = cli.run(argv + ["--out", str(path)])
     return code, path.read_text()
+
+
+def test_readme_cli_commands_parse():
+    # every `qrollout ...` line of README's CLI block, continuations joined,
+    # parses (and is not run), so a flag dropped from cli.py fails here
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("qrollout ")]
+    assert lines, "README's CLI block lists no qrollout command"
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -262,7 +280,7 @@ GOLDEN_RUNS = {
     "oracle_validate_sway_m6_H1.csv": "oracle validate --domain sway --m 6 "
                                       "--H 1 --seeds 20 --seed 1",
     "ranksel_validate_n6.txt": "ranksel validate --n 6",
-    "tables_scaling_build_all.csv": "tables scaling --build-all",
+    "tables_scaling.csv": "tables scaling",
     # these three print depths
     "ranksel_costs_n1024.csv": "ranksel costs --n-max 1024",
     "ranksel_costs_n4096.csv": "ranksel costs --n-max 4096",
@@ -363,6 +381,19 @@ def test_bounds_lifting_pass(tmp_path):
                               "--arms", "2", "--samples", "5", "--seed", "1"])
     assert code == 0
     assert "result,PASS" in text
+
+
+def test_bounds_lifting_failed_gap_reports_the_family(tmp_path):
+    # radius H+1 = 2 from the centre covers the 3x3 grid: no peripheral
+    # cell, so the family is the base configuration alone
+    code, text = run_to_file(tmp_path,
+                             ["bounds", "lifting", "--domain", "sway",
+                              "--m", "3", "--H", "1", "--seed", "1",
+                              "--samples", "5"])
+    assert code == 1
+    lines = text.splitlines()
+    assert "family_size,1" in lines and "result,FAIL" in lines
+    assert lines[-1].startswith("reason,base gap violated at arm 1")
 
 
 def test_bounds_lifting_over_the_dp_budget_exits_1(tmp_path):

@@ -1,7 +1,9 @@
 """Oracle composition: branchwise agreement, cost formulas, invariants."""
 
+import dataclasses
 import random
 import re
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -42,6 +44,27 @@ def test_branchwise_sir_and_sway_small():
     assert rep.passed
     rep = orc.branchwise_check(small_sway(h=2, m=2), 150, 0)
     assert rep.passed
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_white_first_sway_holds_in_compose_the_kernel_and_the_dp(m):
+    # a placement order neither built-in spec uses: every reader of
+    # placed_codes must follow it
+    black_first = dm.sway_spec(dm.SwayConfig(m, 1))
+    spec = dataclasses.replace(black_first, placed_codes=(dm.WHITE, dm.BLACK))
+    assert orc.branchwise_check(spec, 200, 0).passed
+    exact = dm.exact_value(spec, 0)
+    assert abs(exact - ref.dict_exact_value(spec, 0)) <= 1e-12
+    assert abs(exact - dm.exact_value(black_first, 0)) > 0.01
+    shots = 20_000
+    p, _ = dm.sample_payoff(spec, 0, shots, seed=29)
+    assert abs(p - exact) <= 4 * sqrt(exact * (1 - exact) / shots)
+
+
+@pytest.mark.parametrize("code", [0, 3, 4])
+def test_placed_codes_must_be_one_bit_codes(code):
+    with pytest.raises(orc.OracleError, match=f"placed code {code} is not"):
+        dataclasses.replace(small_sway(), placed_codes=(dm.BLACK, code))
 
 
 def test_branchwise_rejects_fewer_than_one_branch():
@@ -100,7 +123,7 @@ def test_branchwise_localises_a_row_selective_corruption():
     regs = {"config0": board, "dice_h1": [sum(
         f << (i * bad_spec.d) for i, f in enumerate(dice[0]))
         for _, dice in streams]}
-    for j in range(bad_spec.selectors_per_round):
+    for j in range(len(bad_spec.placed_codes)):
         regs[f"sel_h1_p{j}"] = [sel[0][j] for sel, _ in streams]
     out = run(c, regs)
 
