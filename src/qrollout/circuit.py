@@ -11,9 +11,9 @@ direction.  A circuit from ``Builder.finish`` holds its builder's tape; a
 circuit from ``loads`` is a tape of one chunk, the table it read.
 ``Circuit.gates`` is the flat :class:`GateTable` of the tape (struct-of-
 arrays CSR arrays, never mutated once built), built the first time it is
-read and then kept.  ``dumps``, ``==`` and the structural analyses
-(backward light cone, span profile) read it; the gate count, fan-in and
-depth of :func:`cost`, inversion and emulation read the tape.
+read and then kept.  ``dumps``, ``==`` and the span profile read it; the
+gate count, fan-in and depth of :func:`cost`, the backward light cone,
+inversion and emulation read the tape.
 ``dumps`` writes a circuit as compact JSON, and ``loads`` reads back exactly
 that text: any other text, even JSON of the same document, raises a
 CircuitError that names the byte, the gate or the qubit.
@@ -22,9 +22,9 @@ Each fragment keeps one source form, the one it was made in: a chunk its
 entry lists ``(ptr, qubit, kind)`` (or the table ``loads`` read), a
 memoized fragment its recorded op tape.  Every other form (its gate table
 either way, the gate ops the emulator runs, its support, a memoized
-fragment's gate chains) is derived from the source on first use and kept,
-so a build that is only emulated never flattens a table, and a build whose
-depth is never read builds no chains.
+fragment's gate chains and cone summaries) is derived from the source on
+first use and kept, so a build that is only emulated or light-coned never
+flattens a table, and a build whose depth is never read builds no chains.
 
 The :class:`Builder` emits chunks, checked in Python when flushed, and
 replays (``Builder.call``) of fragments recorded once on local qubits.  It
@@ -386,8 +386,12 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
     """Input qubits reachable backwards from ``outputs`` through the gates.
 
     A gate propagates dependence from any of its targets to all of its
-    controls (targets are flipped by a function of the controls).  The gates
-    are walked backwards over one live flag per qubit.
+    controls (targets are flipped by a function of the controls).  The op
+    tape is walked backwards over one live flag per qubit, without the flat
+    table: a chunk gate by gate, and a replay through its fragment's cone
+    summary (:meth:`_Fragment.cone`), whose rows for the live exit qubits
+    mark their entry qubits live.  Flags are never cleared, so the summary
+    composes to exactly the gate-by-gate result.
     """
     n = c.total_qubits
     live = [False] * n
@@ -395,16 +399,35 @@ def light_cone(c: Circuit, outputs: Iterable[int]) -> set[int]:
         if not 0 <= q < n:
             raise CircuitError(f"output qubit {q} out of range")
         live[q] = True
-    # one shared int object per qubit, not one per entry
-    qubit = np.arange(n).astype(object)[c.gates.qubit].tolist()
-    ptr, tgt = c.gates.bounds()
-    for g in range(len(ptr) - 2, -1, -1):
-        m, z = tgt[g], ptr[g + 1]
-        if (live[qubit[m]] if z - m == 1
-                else any([live[q] for q in qubit[m:z]])):
-            for q in qubit[ptr[g]:m]:
-                live[q] = True
+    # one shared int object per qubit, not one per table entry
+    names = np.arange(n).astype(object)
+    for frag, qmap, reverse in reversed(c._tape):
+        if not frag.gates:
+            continue
+        if qmap is not None:
+            dep = 0
+            for q, row in zip(qmap, frag.cone(reverse)):
+                if live[q]:
+                    dep |= row
+            for i in _bits(dep):
+                live[qmap[i]] = True
+            continue
+        t = frag.table(False)
+        qubit = names[t.qubit].tolist()
+        ptr, tgt = t.bounds()
+        # backwards through the tape: a reversed chunk's gates in table order
+        for g in (range(len(t)) if reverse else range(len(t) - 1, -1, -1)):
+            m, z = tgt[g], ptr[g + 1]
+            if (live[qubit[m]] if z - m == 1
+                    else any([live[q] for q in qubit[m:z]])):
+                for q in qubit[ptr[g]:m]:
+                    live[q] = True
     return {q for q, v in enumerate(live) if v}
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def _gate_positions(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -638,11 +661,12 @@ class _Fragment:
     ``chains``: the int32 max-plus matrix whose entry ``[i, j]`` is the
     longest gate chain from local qubit ``i``'s entry to ``j``'s exit
     (``_NO_CHAIN`` without one), and that matrix transposed (a reversed
-    replay).
+    replay); and beside them its cone summary in each direction
+    (:meth:`cone`), which local entry qubits each exit depends on.
     """
 
     __slots__ = ("gates", "fan_in", "k", "_lists", "_tape", "_tables",
-                 "_ops", "_chains", "_support")
+                 "_ops", "_chains", "_cones", "_cone_bits", "_support")
 
     def __init__(self, gates: int, fan_in: int, k=None, lists=None,
                  tape=None, table=None):
@@ -652,6 +676,8 @@ class _Fragment:
         self._lists = lists
         self._tape = tape
         self._tables = [table, None]            # forwards, backwards
+        self._cones = [None, None]              # forwards, backwards
+        self._cone_bits = [None, None]
         self._ops = self._chains = self._support = None
 
     @classmethod
@@ -689,6 +715,49 @@ class _Fragment:
             depth[depth < 0] = _NO_CHAIN
             self._chains = (depth.T.copy(), depth)
         return self._chains
+
+    def cone(self, reverse: bool) -> list[int]:
+        """A memoized fragment's cone summary, its gates played forwards or
+        (``reverse``) backwards: per local exit qubit ``j``, a bitmask of
+        the local entry qubits that ``j``'s exit depends on (always ``j``
+        itself).  It is one forward walk of the tape in that direction: a
+        gate's targets take in the dependences of its controls, and a
+        nested replay composes the replayed fragment's summary.  Reading a
+        fragment backwards does not transpose it: a lone CX ``a -> b``
+        makes ``b`` depend on ``a`` either way."""
+        if self._cones[reverse] is None:
+            rows = [1 << q for q in range(self.k)]
+            for frag, qmap, rev in (reversed(self._tape) if reverse
+                                    else self._tape):
+                rev = rev != reverse
+                if qmap is not None:
+                    before = [rows[q] for q in qmap]
+                    for q, entries in zip(qmap, frag.cone_bits(rev)):
+                        dep = 0
+                        for i in entries:
+                            dep |= before[i]
+                        rows[q] = dep
+                    continue
+                qubit = frag.lists()[1]
+                ptr, tgt = frag.table(False).bounds()
+                for g in (range(frag.gates - 1, -1, -1) if rev
+                          else range(frag.gates)):
+                    dep = 0
+                    for q in qubit[ptr[g]:tgt[g]]:
+                        dep |= rows[q]
+                    if dep:
+                        for q in qubit[tgt[g]:ptr[g + 1]]:
+                            rows[q] |= dep
+            self._cones[reverse] = rows
+        return self._cones[reverse]
+
+    def cone_bits(self, reverse: bool) -> list[list[int]]:
+        """:meth:`cone` with each row as the list of its set bits, the form
+        that a replay in an enclosing fragment's summary composes."""
+        if self._cone_bits[reverse] is None:
+            self._cone_bits[reverse] = [_bits(row)
+                                        for row in self.cone(reverse)]
+        return self._cone_bits[reverse]
 
     def gate_qubits(self, reverse: bool) -> list[list[int]]:
         """A chunk's per-gate qubit lists, in the order they are applied."""

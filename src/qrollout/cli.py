@@ -37,12 +37,12 @@ REFERENCE_QUBITS = {
 
 class _UsageError(Exception):
     """A value that only the domain can reject, reported like a parser
-    error (exit 2)."""
+    error of the subcommand that took it (its usage line, exit 2)."""
 
 
 def _manifest(args: argparse.Namespace) -> str:
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func",) and v is not None}
+              if k not in ("func", "parser") and v is not None}
     params["version"] = __version__
     return "# manifest: " + json.dumps(params, sort_keys=True)
 
@@ -435,40 +435,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("scan", "blocked", "both"),
                    default="both")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ranksel_validate)
+    p.set_defaults(func=cmd_ranksel_validate, parser=p)
     p = g.add_parser("costs")
     p.add_argument("--n-max", dest="n_max", type=_int_at_least(4),
                    required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ranksel_costs)
+    p.set_defaults(func=cmd_ranksel_costs, parser=p)
 
     g = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
     p = g.add_parser("build")
     _add_domain_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_oracle_build)
+    p.set_defaults(func=cmd_oracle_build, parser=p)
     p = g.add_parser("counts")
     _add_domain_args(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle_counts)
+    p.set_defaults(func=cmd_oracle_counts, parser=p)
     p = g.add_parser("validate")
     _add_domain_args(p)
     p.add_argument("--seeds", type=_COUNT, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle_validate)
+    p.set_defaults(func=cmd_oracle_validate, parser=p)
 
     g = sub.add_parser("domain").add_subparsers(dest="sub", required=True)
     p = g.add_parser("exact")
     _add_domain_args(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_domain_exact)
+    p.set_defaults(func=cmd_domain_exact, parser=p)
     p = g.add_parser("mc")
     _add_domain_args(p)
     p.add_argument("--shots", type=_COUNT, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_domain_mc)
+    p.set_defaults(func=cmd_domain_mc, parser=p)
 
     g = sub.add_parser("bestarm").add_subparsers(dest="sub", required=True)
     p = g.add_parser("separate")
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_COUNT, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bestarm_separate)
+    p.set_defaults(func=cmd_bestarm_separate, parser=p)
 
     g = sub.add_parser("bounds").add_subparsers(dest="sub", required=True)
     p = g.add_parser("decay")
@@ -488,19 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=_NONNEG, required=True)
     p.add_argument("--d-max", dest="d_max", type=_COUNT, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bounds_decay)
+    p.set_defaults(func=cmd_bounds_decay, parser=p)
     p = g.add_parser("peripheral")
     p.add_argument("--m", type=_COUNT, required=True)
     p.add_argument("--H", type=_NONNEG, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bounds_peripheral)
+    p.set_defaults(func=cmd_bounds_peripheral, parser=p)
     p = g.add_parser("lifting")
     _add_domain_args(p)
     p.add_argument("--arms", type=_int_at_least(2), default=2)
     p.add_argument("--samples", type=_COUNT, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bounds_lifting)
+    p.set_defaults(func=cmd_bounds_lifting, parser=p)
 
     g = sub.add_parser("tables").add_subparsers(dest="sub", required=True)
     p = g.add_parser("correctness")
@@ -508,10 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=_COUNT, default=10_000)
     p.add_argument("--ref-shots", dest="ref_shots", type=_COUNT, default=200_000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_tables_correctness)
+    p.set_defaults(func=cmd_tables_correctness, parser=p)
     p = g.add_parser("scaling")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_tables_scaling)
+    p.set_defaults(func=cmd_tables_scaling, parser=p)
 
     return ap
 
@@ -522,7 +522,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        ap.error(str(exc))
+        args.parser.error(str(exc))
 
 
 def console_main() -> None:

@@ -541,7 +541,7 @@ def _terminal_value(spec: RolloutSpec, states: np.ndarray,
     low = n * int(weight.min())
     counts = np.arange(low, n * int(weight.max()) + 1)
     dist = np.zeros((counts.size, states.size))
-    dist[weight[codes].sum(axis=0) - low, np.arange(states.size)] = probs
+    dist[spec.count(codes) - low, np.arange(states.size)] = probs
     steps = sorted(set(step[flip > 0].tolist()))
     moves = [np.where(step == d, flip, 0.0) for d in steps]
     for i in np.flatnonzero(flip.any(axis=1)):

@@ -95,10 +95,20 @@ class RolloutSpec:
         """Dice bits per cell per round: the fewest that hold every face."""
         return (self.faces - 1).bit_length()
 
+    def count(self, codes: np.ndarray) -> np.ndarray:
+        """The payoff count of each column of an (N, rows) code array, the
+        sum of ``count_weights[code]`` over its cells, as int64: one int32
+        cell count per code with a nonzero weight, and no per-cell weight
+        array."""
+        total = np.zeros(codes.shape[1:], dtype=np.int64)
+        for code, weight in enumerate(self.count_weights):
+            if weight:
+                total += weight * (codes == code).sum(axis=0, dtype=np.int32)
+        return total
+
     def array_eval(self, codes: np.ndarray) -> np.ndarray:
         """The payoff of each column of an (N, rows) code array, as int64."""
-        weight = np.asarray(self.count_weights, dtype=np.int64)
-        return self.win(weight[codes].sum(axis=0)).astype(np.int64)
+        return self.win(self.count(codes)).astype(np.int64)
 
 
 @dataclass(frozen=True)

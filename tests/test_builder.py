@@ -18,7 +18,7 @@ from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
 from qrollout.emulator import check_bijective
 
 from gates import (Gate, from_gates, gate_list, make_circuit, qubit_lists,
-                   reference_layer)
+                   reference_layer, reference_light_cone)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +751,8 @@ _FORMS = {"forwards": lambda f: f.table(False),
           "backwards": lambda f: f.table(True),
           "ops": lambda f: f.gate_ops(),
           "chains": lambda f: f.chains,
+          "cone forwards": lambda f: f.cone(False),
+          "cone backwards": lambda f: f.cone(True),
           "support": lambda f: f.support()}
 
 
@@ -938,6 +940,127 @@ def test_recorded_chains_equal_per_column_scalar_sweeps(case):
                                        for i in range(k)])
         got = frag.chains[True][j]
         np.testing.assert_array_equal(np.where(got < 0, -np.inf, got), sweep)
+
+
+# ---------------------------------------------------------------------------
+# light cones walk the op tape: a replay through its fragment's cone
+# summary, referred to the set walk over the flat table
+
+def _gate_cone(table: cq.GateTable, k: int) -> list[int]:
+    """Referee: the cone summary of ``k`` local qubits, gate by gate."""
+    rows = [{q} for q in range(k)]
+    for controls, targets in gate_list(table):
+        dep = set().union(*[rows[q] for q, _ in controls])
+        for t in targets:
+            rows[t] = rows[t] | dep
+    return [sum(1 << i for i in row) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_programs())
+def test_cone_summaries_equal_the_gate_by_gate_walk(case):
+    k, ops = case
+    b = cq.Builder()
+    q = b.add_register("q", k + 1, "ancilla")
+    b.call(_program, *q[:k], ops=ops)
+    for frag in b._memo.values():
+        for reverse in (False, True):
+            want = _gate_cone(frag.table(reverse), frag.k)
+            assert frag.cone(reverse) == want
+            assert frag.cone_bits(reverse) == [
+                [i for i in range(frag.k) if row >> i & 1] for row in want]
+
+
+def _one_cx(b, a, t):
+    b.cx(a, t)
+
+
+def _cx_chain(b, a, t, u):
+    b.cx(a, t)
+    b.cx(t, u)
+
+
+def test_a_reversed_summary_is_a_walk_of_the_reversed_gates():
+    b = cq.Builder()
+    q = b.add_register("q", 3, "ancilla")
+    b.call(_one_cx, q[0], q[1])
+    b.call(_cx_chain, *q)
+    one, chain = b._memo.values()
+    # a lone CX a -> b: b's exit depends on a's entry either way, so the
+    # reversed summary is not the transpose ([0b11, 0b10])
+    assert one.cone(False) == one.cone(True) == [0b01, 0b11]
+    # a -> t, then t -> u: u depends on a forwards only
+    assert chain.cone(False) == [0b001, 0b011, 0b111]
+    assert chain.cone(True) == [0b001, 0b011, 0b110]
+    # the circuit a -> t, a -> t, t -> u and its inverse
+    c = b.finish()
+    assert cq.light_cone(c, [2]) == {0, 1, 2}
+    assert cq.light_cone(cq.invert(c), [2]) == {1, 2}
+    assert cq.light_cone(cq.invert(c), [1]) == {0, 1}
+
+
+def _assert_cones_match(c):
+    """``light_cone`` against the set referee, with every register's
+    qubits as the outputs."""
+    for r in c.registers:
+        outputs = c.register(r.name)
+        assert cq.light_cone(c, outputs) == reference_light_cone(c, outputs), \
+            r.name
+
+
+_CONE_SPECS = {"sway": lambda m, h: dm.sway_spec(dm.SwayConfig(m, h)),
+               "sir": lambda m, h: dm.sir_spec(dm.SirConfig(m, h, 1))}
+
+
+@pytest.mark.parametrize("domain,m,h,arms", [
+    *[(domain, m, h, 0) for domain in _CONE_SPECS for m in (2, 3)
+      for h in (1, 2)],
+    ("sway", 2, 2, 2)])
+def test_light_cone_of_an_oracle_matches_the_set_referee(domain, m, h, arms):
+    c = orc.compose(_CONE_SPECS[domain](m, h), arms=arms,
+                    first_moves=[0, 3] if arms else None).circuit
+    for variant in (c, cq.invert(c), cq.loads(cq.dumps(c))):
+        _assert_cones_match(variant)
+
+
+@pytest.mark.parametrize("n", [4, 9, 24, 40, 100])
+def test_light_cone_of_rank_select_matches_the_set_referee(n):
+    # the scan's runs and clear runs replay nested cell, ladder and
+    # increment fragments
+    for make in (rs.build_scan, rs.build_blocked):
+        c = make(n)
+        _assert_cones_match(c)
+        _assert_cones_match(cq.invert(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op(2), min_size=1, max_size=6))
+def test_light_cone_of_a_builder_program_matches_the_set_referee(ops):
+    c = _build(cq.Builder, True, ops).finish()
+    for variant in (c, cq.invert(c)):
+        for q in range(N_QUBITS):
+            assert (cq.light_cone(variant, [q])
+                    == reference_light_cone(variant, [q]))
+        _assert_cones_match(variant)
+
+
+def test_light_cone_of_a_composed_oracle_never_flattens(monkeypatch):
+    def flatten(tape):
+        raise AssertionError("light_cone flattened a table")
+
+    monkeypatch.setattr(cq, "_flatten", flatten)
+    cones = []
+    for spec in (dm.sway_spec(dm.SwayConfig(3, 2)),
+                 dm.sir_spec(dm.SirConfig(3, 2, 2))):
+        c = orc.compose(spec).circuit
+        for variant in (c, cq.invert(c)):
+            outputs = c.register("payoff")
+            cones.append((variant, outputs, cq.light_cone(variant, outputs)))
+            assert variant._gates is None
+        assert set(c.register("config0")) <= cones[-2][2]
+    monkeypatch.undo()
+    for variant, outputs, cone in cones:
+        assert cone == reference_light_cone(variant, outputs)
 
 
 def test_replays_reuse_one_fragment():

@@ -112,13 +112,28 @@ def test_epi_flags_with_sway_exit_2(argv, flag, value, tmp_path, monkeypatch,
     assert captured.out == "" and not list(tmp_path.iterdir())
 
 
+def _usage_error(err: str, command: str) -> str:
+    """The message of a usage error that ``command``'s own parser
+    reported: its usage line first, its error line last."""
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: qrollout {command} [-h]")
+    prefix = f"qrollout {command}: error: "
+    assert lines[-1].startswith(prefix)
+    return lines[-1][len(prefix):]
+
+
 def test_arms_beyond_the_valid_cells_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["bounds", "lifting", "--domain", "epi", "--m", "3", "--H",
-                 "1", "--arms", "9", "--seed", "1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --arms" in err and "initial board has 8" in err
+    for argv, message in (
+            (["--domain", "epi", "--m", "3", "--H", "1", "--arms", "9"],
+             "9 arms need 9 valid cells, the initial board has 8"),
+            (["--domain", "sway", "--m", "1", "--H", "1", "--samples", "1"],
+             "2 arms need 2 valid cells, the initial board has 1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["bounds", "lifting", *argv, "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (_usage_error(err, "bounds lifting")
+                == f"argument --arms: {message}")
 
 
 _EPI3 = ["domain", "exact", "--domain", "epi", "--m", "3", "--H", "1"]
@@ -135,8 +150,8 @@ def test_bad_board_files_exit_2(text, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(_EPI3 + ["--board", str(path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --board: {path}" in err and message in err
+    err = _usage_error(capsys.readouterr().err, "domain exact")
+    assert err.startswith(f"argument --board: {path}") and message in err
 
 
 @pytest.mark.parametrize("argv,option", [

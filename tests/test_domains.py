@@ -507,6 +507,24 @@ def _old_array_eval(spec, codes):
     return win.astype(np.int64)
 
 
+@pytest.mark.parametrize("spec", [dm.sway_spec(dm.SwayConfig(20, 1)),
+                                  dm.sir_spec(dm.SirConfig(20, 1, 200))],
+                         ids=["sway", "sir"])
+def test_per_code_counts_match_the_weight_gather_at_400_cells(spec):
+    # 400 cells of one code overflow an int8 count; the counts must not
+    rng = np.random.default_rng(11)
+    codes = rng.integers(0, 4, size=(400, 300)).astype(np.int8)
+    for code in range(4):
+        codes[:, code] = code
+    weight = np.asarray(spec.count_weights, dtype=np.int64)
+    want = weight[codes].sum(axis=0)
+    assert want[:4].tolist() == [400 * w for w in spec.count_weights]
+    got = spec.count(codes)
+    assert got.dtype == np.int64 and (got == want).all()
+    assert (spec.array_eval(codes) == spec.win(want).astype(np.int64)).all()
+    assert spec.count(codes[:, 1]) == want[1]
+
+
 def _outcomes(spec, board, every_die):
     """Each outcome of one transition of ``board`` with its probability,
     one column per outcome: with ``every_die`` one per dice tuple,
