@@ -7,24 +7,24 @@ Every gate is self-inverse, so reversing the gate order inverts the circuit.
 
 A circuit is its op tape: chunks of fresh gates and replays of memoized
 fragments, each a fragment, a qubit map (``None`` for a chunk) and a
-direction.  A circuit from ``Builder.finish`` holds its builder's tape; a
-circuit from ``loads`` is a tape of one chunk, the table it read.
-``Circuit.gates`` is the flat :class:`GateTable` of the tape (struct-of-
-arrays CSR arrays, never mutated once built), built the first time it is
-read and then kept.  ``dumps``, ``==`` and the span profile read it; the
-gate count, fan-in and depth of :func:`cost`, the backward light cone,
-inversion and emulation read the tape.
-``dumps`` writes a circuit as compact JSON, and ``loads`` reads back exactly
-that text: any other text, even JSON of the same document, raises a
-CircuitError that names the byte, the gate or the qubit.
+direction.  A circuit from ``Builder.finish`` holds its builder's tape, and
+a circuit from ``loads`` the tape its text lists.  ``dumps`` writes that
+tape as compact JSON, each distinct fragment once, and ``loads`` reads back
+exactly that text: any other text, even JSON of the same document, raises a
+CircuitError that names the byte, or the fragment, op and gate.  A circuit
+keeps its text once made, and ``==`` compares texts.  The gate count,
+fan-in and depth of :func:`cost`, the backward light cone, the span
+profile, inversion and emulation walk the tape.  ``Circuit.gates`` is the
+flat :class:`GateTable` of the tape (struct-of-arrays CSR arrays, never
+mutated once built), built the first time it is read and then kept.
 
 Each fragment keeps one source form, the one it was made in: a chunk its
-entry lists ``(ptr, qubit, kind)`` (or the table ``loads`` read), a
-memoized fragment its recorded op tape.  Every other form (its gate table
-either way, the gate ops the emulator runs, its support, a memoized
-fragment's gate chains and cone summaries) is derived from the source on
-first use and kept, so a build that is only emulated or light-coned never
-flattens a table, and a build whose depth is never read builds no chains.
+entry lists ``(ptr, qubit, kind)``, a memoized fragment its recorded (or
+read) op tape.  Every other form (its gate table either way, the gate ops
+the emulator runs, its support, a memoized fragment's gate chains and cone
+summaries) is derived from the source on first use and kept, so a build
+that is only emulated or light-coned never flattens a table, and a build
+whose depth is never read builds no chains.
 
 The :class:`Builder` emits chunks, checked in Python when flushed, and
 replays (``Builder.call``) of fragments recorded once on local qubits.  It
@@ -178,9 +178,6 @@ class GateTable:
                 and np.array_equal(self.qubit, other.qubit)
                 and np.array_equal(self.kind, other.kind))
 
-    def max_fan_in(self) -> int:
-        return int(self.lens().max()) if len(self) else 0
-
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per gate, as Python lists: entry start offsets (plus the end) and
         the offset where the gate's targets start."""
@@ -285,16 +282,17 @@ class Circuit:
 
     ``tape``'s gates are not checked here: the builder checks its chunks
     (and memoized fragments, recorded from pure emitters, stay valid under
-    an injective qubit remap), and ``loads`` validates its table.
+    an injective qubit remap), and ``loads`` checks every op it reads.
     ``layout[pos]`` is the qubit at position ``pos`` of the linear order
     that cut analyses use (default: declaration order).  ``depth`` is a
     deferred :class:`_Depth` that walks another tape (a builder's, or the
     inverted circuit's), by default one of ``tape``.  ``gates``, the flat
-    table, is built from the tape on first read and kept.
+    table, is built from the tape on first read and kept, and so is the
+    text of :func:`dumps`.
     """
 
     __slots__ = ("registers", "total_qubits", "layout", "max_live_ancilla",
-                 "_offsets", "_depth", "_tape", "_gates")
+                 "_offsets", "_depth", "_tape", "_gates", "_text")
 
     def __init__(self, registers, tape: list, layout=None,
                  max_live_ancilla=0, depth=None):
@@ -323,7 +321,7 @@ class Circuit:
         self._offsets = offsets
         self._depth = _Depth(tape, len(tape), total) if depth is None else depth
         self._tape = tape
-        self._gates = None
+        self._gates = self._text = None
 
     @property
     def gates(self) -> GateTable:
@@ -343,11 +341,9 @@ class Circuit:
         return [r.name for r in self.registers if r.role == role]
 
     def __eq__(self, other):
-        return (isinstance(other, Circuit)
-                and self.registers == other.registers
-                and self.layout == other.layout
-                and self.max_live_ancilla == other.max_live_ancilla
-                and self.gates == other.gates)
+        """Equal iff the same bytes: iff :func:`dumps` writes one text (so
+        one tape, fragment for fragment) for both."""
+        return isinstance(other, Circuit) and dumps(self) == dumps(other)
 
     def __hash__(self):
         return hash((self.registers,
@@ -431,15 +427,20 @@ def _bits(mask: int) -> list[int]:
 
 
 def _gate_positions(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """Per gate, the lowest and highest layout position of its support."""
-    t = c.gates
-    if not len(t):
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    """Per gate, the lowest and highest layout position of its support,
+    op by op: the fragment table's qubits gathered through the layout (a
+    replay's map first), then a ``reduceat``."""
     # a permutation's argsort is its inverse: each qubit's position
-    pos = np.argsort(c.layout)[t.qubit]
-    starts = t.ptr[:-1]
-    return (np.minimum.reduceat(pos, starts),
-            np.maximum.reduceat(pos, starts))
+    pos = np.argsort(c.layout)
+    lo, hi = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for frag, qmap, reverse in c._tape:
+        if frag.gates:
+            t = frag.table(False)
+            at = (pos if qmap is None else pos[qmap])[t.qubit]
+            step = -1 if reverse else 1
+            lo.append(np.minimum.reduceat(at, t.ptr[:-1])[::step])
+            hi.append(np.maximum.reduceat(at, t.ptr[:-1])[::step])
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 @dataclass(frozen=True)
@@ -453,7 +454,8 @@ class SpanProfile:
 
 
 def span_profile(c: Circuit) -> SpanProfile:
-    """Per-gate spans and the total prefix-span (sum of all cut crossings)."""
+    """Per-gate spans and the total prefix-span (sum of all cut crossings),
+    from a walk of the op tape (the flat table is not built)."""
     lo, hi = _gate_positions(c)
     spans = hi - lo
     return SpanProfile(spans=tuple(spans.tolist()),
@@ -463,154 +465,153 @@ def span_profile(c: Circuit) -> SpanProfile:
 # ---------------------------------------------------------------------------
 # serialization
 
-# the JSON text before each table entry, by code: inside a gate, after a
-# NEG or POS control (0, 1; +2 before the first target) or a target (4); at
-# a gate start, after the previous gate (5) or at the first gate (7), +1 for
-# a gate without controls
-_SEPS = (
-    ",false],[", ",true],[", ',false]],"targets":[', ',true]],"targets":[',
-    ",", ']},{"controls":[[', ']},{"controls":[],"targets":[',
-    '{"controls":[[', '{"controls":[],"targets":[')
-
-
 def dumps(c: Circuit) -> str:
-    """Lossless JSON dump: registers, gates with polarities, layout.  The
-    gate list is joined once from pre-joined (separator, qubit) strings,
-    one gathered per table entry."""
-    t = c.gates
-    gates = "[]"
-    if len(t):
-        n = c.total_qubits
-        target = t.kind == TGT
-        code = np.empty(len(t.kind), dtype=np.int64)
-        code[1:] = np.where(target[:-1], 4, t.kind[:-1] + 2 * target[1:])
-        code[t.ptr[:-1]] = 5 + target[t.ptr[:-1]]
-        code[0] += 2
-        names = [str(q) for q in range(n)]
-        pieces = np.array([sep + q for sep in _SEPS for q in names],
-                          dtype=object)
-        code *= n
-        code += t.qubit
-        gates = "[" + "".join(pieces[code].tolist()) + "]}]"
-    registers = json.dumps([{"name": r.name, "width": r.width, "role": r.role}
-                            for r in c.registers], separators=(",", ":"))
-    return (f'{{"registers":{registers},"gates":{gates},'
-            f'"layout":[{",".join(map(str, c.layout))}],'
-            f'"max_live_ancilla":{c.max_live_ancilla}}}')
+    """Lossless compact JSON of the op tape, made once and kept: the
+    registers; each distinct fragment once, in first-use post-order (a
+    chunk's lists ``ptr``, ``qubit`` and ``kind``, or a memoized
+    fragment's local qubit count ``k`` and ``ops``); the top-level
+    ``ops``, each ``[fragment, qubit map or null, reversed]``; the layout;
+    the peak ancilla."""
+    if c._text is None:
+        index, entries = {}, []
+
+        def ops(tape) -> list:
+            out = []
+            for frag, qmap, reverse in tape:
+                i = index.get(frag)
+                if i is None:
+                    entries.append(
+                        dict(zip(("ptr", "qubit", "kind"), frag._lists))
+                        if frag._tape is None
+                        else {"k": frag.k, "ops": ops(frag._tape)})
+                    i = index[frag] = len(entries) - 1
+                out.append([i, qmap, reverse])
+            return out
+
+        c._text = json.dumps(
+            {"registers": [{"name": r.name, "width": r.width, "role": r.role}
+                           for r in c.registers],
+             "fragments": entries, "ops": ops(c._tape), "layout": c.layout,
+             "max_live_ancilla": c.max_live_ancilla}, separators=(",", ":"))
+    return c._text
 
 
-_GATES_KEY, _LAYOUT_KEY = '"gates":[', '],"layout":['
-_COMMA, _TRUE, _FALSE, _OPEN = b",tf{"
+_SCHEMA = "not in dumps' schema"
 
-
-def _parse_gate_list(b: np.ndarray, at: int) -> GateTable:
-    """The table that ``dumps``' own gate list reads as, from its bytes
-    (from the opening ``[``, byte ``at`` of the text, to the ``,`` after
-    the closing ``]``): each ``{`` opens a gate, each digit run is a
-    qubit, a POS or NEG control when ``,t`` or ``,f`` follows it and a
-    target otherwise.  Raises a CircuitError naming the byte for a digit
-    before the first gate, a gate without qubits or a qubit of ten digits
-    or more; other text may give a table that does not re-dump to it."""
-    digit = (b - np.uint8(48)) < 10
-    # the first and last bytes are not digits, so run edges alternate
-    # start, end
-    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    starts, ends = edges[::2], edges[1::2]
-    lens = ends - starts
-    longest = int(lens.max(initial=0))
-    ptr = np.append(np.searchsorted(starts, np.flatnonzero(b == _OPEN)),
-                    len(starts))
-    if ptr[0]:
-        raise CircuitError(f"byte {at + int(starts[0])}: a number before "
-                           "the first gate")
-    empty = ptr[1:] == ptr[:-1]
-    if empty.any():
-        g = int(np.argmax(empty))
-        opens = np.flatnonzero(b == _OPEN)
-        raise CircuitError(f"byte {at + int(opens[g])}, gate {g}: a gate "
-                           "without qubits")
-    if longest > 9:
-        e = int(np.argmax(lens > 9))
-        raise CircuitError(f"byte {at + int(starts[e])}, gate "
-                           f"{int(np.searchsorted(ptr, e, 'right')) - 1}: a "
-                           f"qubit of {int(lens[e])} digits")
-    qubit = np.zeros(len(starts), dtype=np.int64)
-    for k in range(longest):                        # Horner, digit by digit
-        d = b[np.minimum(starts + k, len(b) - 1)] - np.uint8(48)
-        qubit = np.where(lens > k, 10 * qubit + d, qubit)
-    control = b[ends] == _COMMA
-    kind = np.full(len(starts), TGT, dtype=np.int8)
-    kind[control & (b[ends + 1] == _TRUE)] = POS
-    kind[control & (b[ends + 1] == _FALSE)] = NEG
-    return GateTable(ptr, qubit, kind)
-
-
-def _where(text: str, start: int, end: int, at: int) -> str:
-    """Byte ``at`` of a text whose gate list spans ``start:end``, with the
-    gate it falls in (each ``{`` opening one, as the parse counts them)."""
-    if not start < at < end:
-        return f"byte {at}"
-    return f"byte {at}, gate {max(text.count('{', start, at + 1) - 1, 0)}"
+# the deepest fragment nesting (a chunk's is 1) loads reads; each level
+# costs the recursive fragment walks a few frames, and builds nest 5 deep
+_MAX_NESTING = 100
 
 
 def loads(text: str) -> Circuit:
-    """The circuit that ``dumps`` wrote as ``text``, and only that: its gate
-    list is parsed on arrays and the rest by ``json.loads``, the circuit
-    must re-dump to the text byte for byte, and then its gates are
-    validated.  Any other text, even JSON of the same document (other
-    whitespace, key order, non-ASCII characters), raises a CircuitError
-    that says where: the byte offset of a JSON syntax error, the gate and
-    byte of a gate the parse cannot read, the gate and qubit of a qubit
-    outside the registers, the first byte (and its gate) where the text
-    differs from the circuit's own text, or a field that re-dumps as read
-    but that no circuit holds (a register name that is not a string, a
-    width or layout entry that is not an int, or a max_live_ancilla that is
-    not an int >= 0)."""
-    key = text.find(_GATES_KEY)
-    start = key + len(_GATES_KEY) - 1              # the gate list's "["
-    end = text.find(_LAYOUT_KEY, start) + 1        # one past its "]"
-    if key < 0 or end < 1:
-        raise CircuitError(f"no gate list: no {_GATES_KEY!r} followed by "
-                           f"{_LAYOUT_KEY!r}")
+    """The circuit that ``dumps`` wrote as ``text``, and only that, its op
+    tape rebuilt.  In order: ``json.loads`` reads the text; each op that
+    plays a chunk checks its gates on the op's qubits, as the builder does
+    (``GateTable.validate`` names a fault); a replay must name an earlier
+    fragment, with a map of its ``k`` distinct qubits in range; a
+    memoized fragment must hold fewer than ``_CHAIN_GATE_LIMIT`` gates and
+    nest at most ``_MAX_NESTING`` deep; each value must have its schema
+    type; the circuit must re-dump to the text byte for byte.  Any other
+    text, even JSON of the same document, raises a CircuitError naming the
+    byte, or the fragment, op and gate, or the field."""
     if not text.isascii():
         at = re.search(r"[^\x00-\x7f]", text).start()
-        raise CircuitError(f"{_where(text, start, end, at)}: a non-ASCII "
-                           "character, which dumps escapes")
-    table = _parse_gate_list(
-        np.frombuffer(text.encode("ascii"), np.uint8)[start:end + 1], start)
+        raise CircuitError(f"byte {at}: a non-ASCII character, which dumps "
+                           "escapes")
     try:
-        doc = json.loads(text[:start] + "[]" + text[end:])
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        at = exc.pos + (end - start - 2 if exc.pos > start + 1 else 0)
-        raise CircuitError(f"byte {at}: invalid JSON: {exc.msg}") from exc
-    schema = "registers, layout or max_live_ancilla not in dumps' schema"
+        raise CircuitError(f"byte {exc.pos}: invalid JSON: {exc.msg}") from exc
+    typed = []      # (where, field, values, type): each re-dumps as read
     try:
-        c = Circuit([RegisterDecl(r["name"], r["width"], r["role"])
-                     for r in doc["registers"]], _chunk_tape(table),
-                    doc["layout"], doc["max_live_ancilla"])
-    except (KeyError, TypeError) as exc:
-        raise CircuitError(f"{schema} ({exc!r})") from exc
-    if len(table) and int(table.qubit.max()) >= c.total_qubits:
-        table.validate(c.total_qubits)     # names the gate and the qubit
+        registers = [RegisterDecl(r["name"], r["width"], r["role"])
+                     for r in doc["registers"]]
+        frags, nest = [], {}
+        for i, entry in enumerate(doc["fragments"]):
+            frag = _read_fragment(entry, frags, f"fragment {i}", typed)
+            nest[frag] = 1 + max([nest[f] for f, _, _ in frag._tape or ()],
+                                 default=0)
+            if nest[frag] > _MAX_NESTING:
+                raise CircuitError(f"fragment {i}: nested {nest[frag]} deep, "
+                                   f"more than {_MAX_NESTING}")
+            frags.append(frag)
+        tape = _read_ops(doc["ops"], frags, sum(r.width for r in registers),
+                         "op", typed)
+        c = Circuit(registers, tape, doc["layout"], doc["max_live_ancilla"])
+    except CircuitError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CircuitError(f"{_SCHEMA} ({exc!r})") from exc
+    typed += [("", "name", [r.name for r in registers], str),
+              ("", "width", [r.width for r in registers], int),
+              ("", "layout", c.layout, int),
+              ("", "max_live_ancilla", [c.max_live_ancilla], int)]
+    for where, field, values, kind in typed:
+        if not set(map(type, values)) <= {kind}:
+            bad = next(v for v in values if type(v) is not kind)
+            raise CircuitError(f"{_SCHEMA} ({where}field {field!r}: {bad!r})")
+    if c.max_live_ancilla < 0:
+        raise CircuitError(f"{_SCHEMA} (field 'max_live_ancilla': "
+                           f"{c.max_live_ancilla})")
     own = dumps(c)
     if own != text:
         m = min(len(own), len(text))
-        differ = np.flatnonzero(
-            np.frombuffer(own[:m].encode("ascii"), np.uint8)
-            != np.frombuffer(text[:m].encode("ascii"), np.uint8))
-        at = int(differ[0]) if len(differ) else m
-        raise CircuitError(f"{_where(text, start, end, at)}: the text "
-                           "differs from dumps' text of the circuit it "
-                           "reads as")
-    # values that re-dump as read, but that no circuit holds
-    for field, value, kind in (*[("name", r.name, str) for r in c.registers],
-                               *[("width", r.width, int) for r in c.registers],
-                               *[("layout", q, int) for q in c.layout],
-                               ("max_live_ancilla", c.max_live_ancilla, int)):
-        if type(value) is not kind or (kind is int and value < 0):
-            raise CircuitError(f"{schema} (field {field!r}: {value!r})")
-    table.validate(c.total_qubits)
+        at = next((i for i in range(m) if own[i] != text[i]), m)
+        raise CircuitError(f"byte {at}: the text differs from dumps' text of "
+                           "the circuit it reads as")
+    c._text = text
     return c
+
+
+def _read_fragment(entry, frags, where: str, typed: list) -> "_Fragment":
+    """One fragment of a ``dumps`` text: a chunk, its lists one gate table
+    (each op that plays it checks its qubits), or a memoized fragment, its
+    ops read on ``k`` local qubits."""
+    if "k" not in entry:
+        ptr, qubit, kind = lists = entry["ptr"], entry["qubit"], entry["kind"]
+        typed += [(where + ", ", f, v, int)
+                  for f, v in zip(("ptr", "qubit", "kind"), lists)]
+        if not (len(ptr) > 1 and ptr[0] == 0 and ptr == sorted(ptr)
+                and ptr[-1] == len(qubit) == len(kind)
+                and set(kind) <= {NEG, POS, TGT}):
+            raise CircuitError(f"{where}: ptr, qubit and kind are not one "
+                               "gate table")
+        return _Fragment.chunk(ptr, qubit, kind)
+    typed.append((where + ", ", "k", [entry["k"]], int))
+    tape = _read_ops(entry["ops"], frags, entry["k"], where + ", op", typed)
+    return _Fragment.memoized(sum([frag.gates for frag, _, _ in tape]),
+                              max([frag.fan_in for frag, _, _ in tape],
+                                  default=0), entry["k"], tape, where)
+
+
+def _read_ops(ops, frags, n: int, where: str, typed: list) -> list:
+    """The op tape of an op list of a ``dumps`` text, on ``n`` qubits:
+    each op names one of ``frags``, the fragments listed before it."""
+    tape = []
+    for j, (i, qmap, reverse) in enumerate(ops):
+        at = f"{where} {j}"
+        if not 0 <= i < len(frags):
+            raise CircuitError(f"{at}: fragment {i} is not listed before it")
+        frag = frags[i]
+        if frag.k is None:
+            ptr, qubit, kind = frag._lists
+            if qmap is not None:
+                raise CircuitError(f"{at}: a chunk takes no qubit map")
+            if not (_chunk_is_valid(ptr, qubit, kind, n)
+                    and _controls_first(ptr, kind)):
+                try:
+                    GateTable(ptr, qubit, kind).validate(n)
+                except CircuitError as err:
+                    raise CircuitError(f"{at}, {err}") from None
+        else:
+            typed.append((at + ", ", "map", qmap, int))
+            if not (len(qmap) == len(set(qmap)) == frag.k
+                    and (not qmap or 0 <= min(qmap) and max(qmap) < n)):
+                raise CircuitError(f"{at}: map {qmap} of fragment {i} is not "
+                                   f"k={frag.k} distinct qubits below n={n}")
+        typed.append((at + ", ", "reverse", [reverse], bool))
+        tape.append((frag, qmap, reverse))
+    return tape
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +620,9 @@ def loads(text: str) -> Circuit:
 def _chunk_is_valid(ptr, qubit, kind, n_qubits: int) -> bool:
     """Whether ``GateTable(ptr, qubit, kind).validate(n_qubits)`` passes, on
     the Python lists of a chunk whose gates list their controls before
-    their targets (as ``Builder.gate`` does): every gate ends with a target
-    and holds each qubit once, and every qubit is in range."""
+    their targets (as ``Builder.gate`` does, and :func:`_controls_first`
+    checks for a read text): every gate ends with a target and holds each
+    qubit once, and every qubit is in range."""
     if qubit and not (0 <= min(qubit) and max(qubit) < n_qubits):
         return False
     for a, z in zip(ptr, ptr[1:]):
@@ -630,6 +632,12 @@ def _chunk_is_valid(ptr, qubit, kind, n_qubits: int) -> bool:
         elif kind[z - 1] != TGT or len(set(qubit[a:z])) < z - a:
             return False
     return True
+
+
+def _controls_first(ptr, kind) -> bool:
+    """Whether no gate of a chunk lists a control after a target."""
+    late = {e for e in range(1, len(kind)) if kind[e - 1] == TGT != kind[e]}
+    return late <= set(ptr)
 
 
 # the widest column slice of one max-plus product in a fragment's chain walk
@@ -649,11 +657,10 @@ _CHAIN_GATE_LIMIT = 2 ** 29
 
 class _Fragment:
     """Gates with their tallies (``gates``, ``fan_in``) and one source
-    form, the one they were made in.  A chunk of fresh gates is on builder
-    qubits, and its source is its entry lists ``(ptr, qubit, kind)``, or
-    the table ``loads`` read, whose lists are read from it each time they
-    are needed and not kept.  A memoized fragment is on ``k`` local qubit indices, and its
-    source is its recorded op tape.
+    form, the one they were made in.  A chunk of fresh gates is on the
+    qubits of the tape that plays it, and its source is its entry lists
+    ``(ptr, qubit, kind)``.  A memoized fragment is on ``k`` local qubit
+    indices, and its source is its recorded (or read) op tape.
 
     Every other form is derived from the source on first use and kept: the
     gate table in either direction, the gate ops, the support (the union of
@@ -669,13 +676,13 @@ class _Fragment:
                  "_ops", "_chains", "_cones", "_cone_bits", "_support")
 
     def __init__(self, gates: int, fan_in: int, k=None, lists=None,
-                 tape=None, table=None):
+                 tape=None):
         self.gates = gates
         self.fan_in = fan_in
         self.k = k
         self._lists = lists
         self._tape = tape
-        self._tables = [table, None]            # forwards, backwards
+        self._tables = [None, None]             # forwards, backwards
         self._cones = [None, None]              # forwards, backwards
         self._cone_bits = [None, None]
         self._ops = self._chains = self._support = None
@@ -685,14 +692,15 @@ class _Fragment:
         return cls(len(ptr) - 1, max([z - a for a, z in zip(ptr, ptr[1:])]),
                    lists=(ptr, qubit, kind))
 
-    def lists(self) -> tuple[list, list, list]:
-        """A chunk's entry lists ``(ptr, qubit, kind)``: its source, or
-        fresh lists of the table ``loads`` read (what is derived from them,
-        the ops and the support, is kept instead)."""
-        if self._lists is not None:
-            return self._lists
-        t = self._tables[0]
-        return t.ptr.tolist(), t.qubit.tolist(), t.kind.tolist()
+    @classmethod
+    def memoized(cls, gates: int, fan_in: int, k: int, tape: list,
+                 name: str) -> "_Fragment":
+        """The fragment of an op tape on ``k`` local qubits, with its
+        tallies, which must hold fewer than ``_CHAIN_GATE_LIMIT`` gates."""
+        if gates >= _CHAIN_GATE_LIMIT:
+            raise CircuitError(f"{name}: a memoized fragment holds at most "
+                               f"{_CHAIN_GATE_LIMIT - 1} gates, not {gates}")
+        return cls(gates, fan_in, k=k, tape=tape)
 
     def table(self, reverse: bool) -> GateTable:
         tables = self._tables
@@ -738,7 +746,7 @@ class _Fragment:
                             dep |= before[i]
                         rows[q] = dep
                     continue
-                qubit = frag.lists()[1]
+                qubit = frag._lists[1]
                 ptr, tgt = frag.table(False).bounds()
                 for g in (range(frag.gates - 1, -1, -1) if rev
                           else range(frag.gates)):
@@ -761,7 +769,7 @@ class _Fragment:
 
     def gate_qubits(self, reverse: bool) -> list[list[int]]:
         """A chunk's per-gate qubit lists, in the order they are applied."""
-        ptr, qubit, _ = self.lists()
+        ptr, qubit, _ = self._lists
         gates = [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
         return gates[::-1] if reverse else gates
 
@@ -776,7 +784,7 @@ class _Fragment:
         renamed (and reversed for an inverse replay)."""
         if self._ops is None:
             if self._tape is None:
-                self._ops = _gate_ops(*self.lists())
+                self._ops = _gate_ops(*self._lists)
             else:
                 ops = []
                 for frag, qmap, reverse in self._tape:
@@ -789,7 +797,7 @@ class _Fragment:
 
     def support(self) -> np.ndarray:
         if self._support is None:
-            self._support = (_distinct(np.asarray(self.lists()[1]))
+            self._support = (_distinct(np.asarray(self._lists[1]))
                              if self._tape is None
                              else Builder.support(self._tape))
         return self._support
@@ -822,12 +830,6 @@ def _remap_ops(ops, qmap) -> list[tuple]:
             else (k, tuple([qmap[q] for q in a]), tuple([qmap[q] for q in b]),
                   tuple([qmap[q] for q in t]))
             for k, a, b, t in ops]
-
-
-def _chunk_tape(table: GateTable) -> list:
-    """The op tape of one chunk, made from a table."""
-    return [(_Fragment(len(table), table.max_fan_in(), table=table), None,
-             False)]
 
 
 def _flatten(tape) -> GateTable:
@@ -1084,12 +1086,8 @@ class Builder:
             sub._flush()
         except CircuitError as err:
             raise CircuitError(f"{name} (local qubits): {err}") from None
-        if sub._gate_count >= _CHAIN_GATE_LIMIT:
-            raise CircuitError(f"{name}: a memoized fragment holds at most "
-                               f"{_CHAIN_GATE_LIMIT - 1} gates, not "
-                               f"{sub._gate_count}")
-        return _Fragment(sub._gate_count, sub._max_fan_in, k=k,
-                         tape=sub._tape)
+        return _Fragment.memoized(sub._gate_count, sub._max_fan_in, k,
+                                  sub._tape, name)
 
     # -- capture / inversion ------------------------------------------------
     @contextmanager

@@ -1,9 +1,10 @@
 """Test helper: gates as ``(controls, targets)`` pairs, the form that tests
 write circuits in and read a circuit's gate table back as, circuits of one
 table (validated or not), the referee loops that circuit analyses
-replaced, the ``json.loads`` reader that ``loads``' array path replaced,
-and the layout measures that only the lower-bound tests read (cut
-crossings, register-local span)."""
+replaced, the flat gate-list text that ``dumps`` wrote before it wrote the
+op tape, a ``json.loads`` reader of the tape text, and the layout measures
+that only the lower-bound tests read (cut crossings, register-local
+span)."""
 
 import json
 from typing import NamedTuple
@@ -12,7 +13,7 @@ import numpy as np
 
 from qrollout.circuit import (NEG, POS, TGT, Circuit, CircuitError,
                               GateTable, RegisterDecl)
-from qrollout.circuit import _chunk_tape, _gate_positions
+from qrollout.circuit import _Fragment, _gate_positions
 
 
 class Gate(NamedTuple):
@@ -42,6 +43,14 @@ def qubit_lists(table: GateTable) -> list[list[int]]:
     return [qubit[a:z] for a, z in zip(ptr, ptr[1:])]
 
 
+def _chunk_tape(table: GateTable) -> list:
+    """The op tape of one chunk, made from a table (no op for no gates)."""
+    if not len(table):
+        return []
+    return [(_Fragment.chunk(table.ptr.tolist(), table.qubit.tolist(),
+                             table.kind.tolist()), None, False)]
+
+
 def circuit_of(registers, table: GateTable, layout=None,
                max_live_ancilla=0) -> Circuit:
     """The circuit of one chunk, ``table``, validated (vectorised) on the
@@ -62,6 +71,43 @@ def unchecked_circuit(registers, table: GateTable) -> Circuit:
     return Circuit(registers, _chunk_tape(table))
 
 
+# the JSON text before each table entry, by code: inside a gate, after a
+# NEG or POS control (0, 1; +2 before the first target) or a target (4); at
+# a gate start, after the previous gate (5) or at the first gate (7), +1 for
+# a gate without controls
+_SEPS = (
+    ",false],[", ",true],[", ',false]],"targets":[', ',true]],"targets":[',
+    ",", ']},{"controls":[[', ']},{"controls":[],"targets":[',
+    '{"controls":[[', '{"controls":[],"targets":[')
+
+
+def flat_dumps(c: Circuit) -> str:
+    """The flat text that ``dumps`` wrote before it wrote the op tape:
+    registers, every gate of ``c.gates`` with its polarities, layout.  The
+    gate list is joined once from pre-joined (separator, qubit) strings,
+    one gathered per table entry."""
+    t = c.gates
+    gates = "[]"
+    if len(t):
+        n = c.total_qubits
+        target = t.kind == TGT
+        code = np.empty(len(t.kind), dtype=np.int64)
+        code[1:] = np.where(target[:-1], 4, t.kind[:-1] + 2 * target[1:])
+        code[t.ptr[:-1]] = 5 + target[t.ptr[:-1]]
+        code[0] += 2
+        names = [str(q) for q in range(n)]
+        pieces = np.array([sep + q for sep in _SEPS for q in names],
+                          dtype=object)
+        code *= n
+        code += t.qubit
+        gates = "[" + "".join(pieces[code].tolist()) + "]}]"
+    registers = json.dumps([{"name": r.name, "width": r.width, "role": r.role}
+                            for r in c.registers], separators=(",", ":"))
+    return (f'{{"registers":{registers},"gates":{gates},'
+            f'"layout":[{",".join(map(str, c.layout))}],'
+            f'"max_live_ancilla":{c.max_live_ancilla}}}')
+
+
 def _field(doc, key: str, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise CircuitError(f"{where}missing field {key!r}")
@@ -69,9 +115,9 @@ def _field(doc, key: str, where: str):
 
 
 def _json_gates(gates):
-    """``(controls, targets)`` of each gate of a JSON gate list, rejecting a
-    missing field, a qubit that is not an int, and a control that is not a
-    ``[qubit, polarity]`` pair."""
+    """``(controls, targets)`` of each gate of a flat JSON gate list,
+    rejecting a missing field, a qubit that is not an int, and a control
+    that is not a ``[qubit, polarity]`` pair."""
     if not isinstance(gates, list):
         raise CircuitError("field 'gates' is not a list")
     for g, gate in enumerate(gates):
@@ -92,14 +138,40 @@ def _json_gates(gates):
         yield controls, targets
 
 
+def _tape_gates(fragments, ops, limit: int) -> list:
+    """The gates of an op list of a tape text, in the order they are
+    applied, each replay's gates renamed through its map; an op may name
+    only one of the first ``limit`` fragments."""
+    gates = []
+    for i, qmap, reverse in ops:
+        if not 0 <= i < limit:
+            raise CircuitError(f"fragment {i} is not listed before its op")
+        entry = fragments[i]
+        if "k" in entry:
+            sub = [Gate(tuple((qmap[q], p) for q, p in g.controls),
+                        tuple(qmap[q] for q in g.targets))
+                   for g in _tape_gates(fragments, entry["ops"], i)]
+        else:
+            sub = gate_list(GateTable(entry["ptr"], entry["qubit"],
+                                      entry["kind"]))
+        gates += sub[::-1] if reverse else sub
+    return gates
+
+
 def loads_json(text: str) -> Circuit:
-    """Referee: any JSON text of ``dumps``' schema, read by ``json.loads``
-    (whitespace, key order and escapes are free), its gates validated."""
+    """Referee: any JSON text of the schema of ``dumps`` or of
+    :func:`flat_dumps`, read by ``json.loads`` (whitespace, key order and
+    escapes are free), its gates (an op tape's flattened gate by gate)
+    one table, which is validated."""
     doc = json.loads(text)
     regs = [RegisterDecl(r["name"], r["width"], r["role"])
             for r in _field(doc, "registers", "")]
-    table = from_gates(_json_gates(_field(doc, "gates", "")))
-    return circuit_of(regs, table, doc.get("layout"),
+    if "fragments" in doc:
+        fragments = doc["fragments"]
+        gates = _tape_gates(fragments, doc["ops"], len(fragments))
+    else:
+        gates = _json_gates(_field(doc, "gates", ""))
+    return circuit_of(regs, from_gates(gates), doc.get("layout"),
                       doc.get("max_live_ancilla", 0))
 
 

@@ -17,8 +17,9 @@ from qrollout import rank_select as rs
 from qrollout.circuit import Circuit, CircuitError, CostReport, RegisterDecl
 from qrollout.emulator import check_bijective
 
-from gates import (Gate, from_gates, gate_list, make_circuit, qubit_lists,
-                   reference_layer, reference_light_cone)
+from gates import (Gate, flat_dumps, from_gates, gate_list, loads_json,
+                   make_circuit, qubit_lists, reference_layer,
+                   reference_light_cone)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +216,14 @@ PINNED_REPORTS = {
     "sir6x6h3t2": CostReport(37526, 30390, 757, 7, 126),
 }
 PINNED_DUMPS = {
-    "scan16": "aaf924aca24bd98cc7b8ac958e3bd0a3760f579ac60a7e5d218aeae097051a55",
-    "blocked16": "dc78903b64694f286726e6bbcc4651d6dcae9c031b1582e2e7174e764187acf6",
-    "sway2x2h1": "e6100a0bd002781dab899ed67a7236058344b3b2df553f7dd9624a1d053d5c05",
-    "sir2x2h1t1": "5d2386dac06a69190ccdd15462f69efee60318162f8a6e5d11138a965e3b2f2b",
-    # captured before selector passes and counter-clear runs were memoized
-    "scan1": "19742defead0fca02dda6eaeb101408ea56daf7299d6093e97644882147a53d0",
-    "scan12": "ce553239780a0bfe74d1862f328238a3da358f7f1df969822ef3c686853b3348",
-    "sway3x3h2": "7919d26ec77b17da252de132ab9a892af9b137a789db0dcf8fba92b8618c0a90",
-    "sway2x2h2arms": "55bc87d3349f598927b9da6710ee98cb8db0d1d20380a5a58a93bc121bab89d9",
+    "scan16": "07b8717d6a21a2e36f3baec696d162a394ae60a3a2089a065d13d0d98b41fe4f",
+    "blocked16": "583cd9bc277c242dc9b75e0fe01c6d372693b33196a33f20346e5fc4bf16a8c3",
+    "sway2x2h1": "45b8ef0b6986535e82c009637b211211bc39414fa26111e6c12abf216c3088ec",
+    "sir2x2h1t1": "7cf43d4e71604978f4a5c8ff95d245f6b3459b80d2d6658e51b1e5a3d2c76ddd",
+    "scan1": "9233dc311f426e9c56b12581ee11033e8d7c8214a82ba7b01e941bf21367137a",
+    "scan12": "8a26c6b38ab98f0883a030658e071a10fa0623814e459d452ad2e0dea7dfccab",
+    "sway3x3h2": "b6ad78ace183e1b13ebb8aab2e57f6d8883ba2fdbf2c8ce2f42ff903dd1442f3",
+    "sway2x2h2arms": "dbd416d02337644eeb1f32535079f93dc3bfc3ea6d1170624579a362398726ca",
 }
 
 
@@ -236,14 +236,14 @@ def test_pinned_reports():
     sir = orc.compose(dm.sir_spec(dm.SirConfig(6, 3, 2)))
     assert sway.report == PINNED_REPORTS["sway6x6h3"]
     assert sir.report == PINNED_REPORTS["sir6x6h3t2"]
-    # the record-mode circuits carry the builder's depth; the layering
-    # routine over their flat tables agrees
+    # the record-mode circuits carry the builder's depth; the depth walk
+    # of their loaded tapes agrees
     for oc in (sway, sir):
         assert cq.cost(cq.loads(cq.dumps(oc.circuit))) == oc.report
 
 
-def test_pinned_dumps():
-    circuits = {
+def _pinned_circuits() -> dict:
+    return {
         "scan16": rs.build_scan(16),
         "blocked16": rs.build_blocked(16),
         "sway2x2h1": orc.compose(dm.sway_spec(dm.SwayConfig(2, 1))).circuit,
@@ -255,9 +255,25 @@ def test_pinned_dumps():
         "sway2x2h2arms": orc.compose(dm.sway_spec(dm.SwayConfig(2, 2)),
                                      arms=2, first_moves=[0, 3]).circuit,
     }
-    for name, c in circuits.items():
+
+
+def test_pinned_dumps():
+    for name, c in _pinned_circuits().items():
         digest = hashlib.sha256(cq.dumps(c).encode()).hexdigest()
         assert digest == PINNED_DUMPS[name], name
+
+
+def test_a_loaded_tape_lists_the_flat_texts_gates():
+    # the tape text against the flat gate list it replaced: a loaded tape
+    # flattens to the circuit's table, and the referee reads both texts
+    circuits = _pinned_circuits()
+    circuits["sway3x3h2 inverted"] = cq.invert(circuits["sway3x3h2"])
+    for name, c in circuits.items():
+        back = cq.loads(cq.dumps(c))
+        assert back.gates == c.gates, name
+        assert flat_dumps(back) == flat_dumps(c), name
+        assert loads_json(cq.dumps(c)).gates == c.gates, name
+        assert loads_json(flat_dumps(c)).gates == c.gates, name
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +714,11 @@ def test_a_loaded_circuits_depth_is_one_walk_on_first_read(monkeypatch):
     rep = cq.cost(c)
     inverse = cq.cost(cq.invert(c))
     assert walks == []
-    # the loaded tape is one chunk, its own table
-    assert rep.depth == want and walks == [1]
-    assert inverse.depth == cq.cost(c).depth == want and walks == [1]
+    # the loaded tape is the built one, op for op
+    ops = len(oc.circuit._tape)
+    assert len(c._tape) == ops
+    assert rep.depth == want and walks == [ops]
+    assert inverse.depth == cq.cost(c).depth == want and walks == [ops]
 
 
 def test_a_build_whose_depth_is_never_read_builds_no_chains(monkeypatch):

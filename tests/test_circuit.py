@@ -14,8 +14,9 @@ from qrollout.circuit import (POS, Builder, Circuit, CircuitError,
                               loads, span_profile)
 from qrollout.rank_select import build_scan
 
-from gates import (Gate, circuit_of, crossing_count, from_gates, loads_json,
-                   make_circuit, reference_light_cone, register_local_span)
+from gates import (Gate, circuit_of, crossing_count, flat_dumps, from_gates,
+                   loads_json, make_circuit, reference_light_cone,
+                   register_local_span)
 
 
 def _reg(name, width, role="ancilla"):
@@ -233,7 +234,8 @@ def test_circuits_differing_only_in_peak_ancilla_are_not_equal():
 
 
 def reference_dumps(c) -> str:
-    """Reference: the per-gate dict encoder that ``dumps`` replaced."""
+    """Reference: the per-gate dict encoder that the flat writer
+    (``flat_dumps``) replaced."""
     qubit = c.gates.qubit.tolist()
     pairs = [[q, k == POS] for q, k in zip(qubit, c.gates.kind.tolist())]
     ptr, tgt = c.gates.bounds()
@@ -284,10 +286,12 @@ def _wide_circuit():
 @example(make_circuit([_reg("q", 3)], []))
 @example(_wide_circuit())
 def test_dumps_matches_reference_encoder(c):
+    # the circuit and its loaded tape have the dict encoder's flat text
     text = dumps(c)
-    assert text == reference_dumps(c)
-    assert loads(text) == c
-    assert loads(text).max_live_ancilla == c.max_live_ancilla
+    back = loads(text)
+    assert flat_dumps(back) == flat_dumps(c) == reference_dumps(c)
+    assert back == c and dumps(back) == text
+    assert back.max_live_ancilla == c.max_live_ancilla
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,14 +312,13 @@ def test_light_cone_matches_the_set_referee(c, data):
 def _variants(c) -> list[str]:
     """Texts of ``c`` other than ``dumps``' own that JSON reads as its
     document: indented, default separators, top-level keys reordered, and
-    a gate with a key the referee ignores (whose digits the array parse
-    would take for a qubit out of range)."""
+    a fragment with a key the referee ignores."""
     doc = json.loads(dumps(c))
-    keys = ("gates", "layout", "registers", "max_live_ancilla")
+    keys = ("fragments", "ops", "layout", "registers", "max_live_ancilla")
     texts = [json.dumps(doc, indent=1), json.dumps(doc),
              json.dumps({k: doc[k] for k in keys}, separators=(",", ":"))]
-    if doc["gates"]:
-        doc["gates"][0]["qubit99"] = 0
+    if doc["fragments"]:
+        doc["fragments"][0]["qubit99"] = 0
         texts.append(json.dumps(doc, separators=(",", ":")))
     return texts
 
@@ -338,12 +341,12 @@ def test_loads_paths_agree(c):
 
 
 def test_loads_declines_leading_zeros():
-    # the array parse reads 007 as 7, but 7 re-dumps as 7
+    # JSON has no 007, and json.loads names the byte after its first 0
     c = make_circuit([_reg("q", 8)], [_gate([0], [7])])
-    text = dumps(c).replace('"targets":[7]', '"targets":[007]')
-    at = text.index("[007]") + 1
-    with pytest.raises(CircuitError, match=f"^byte {at}, gate 0: the text "
-                       "differs from dumps' text"):
+    text = dumps(c).replace('"qubit":[0,7]', '"qubit":[0,007]')
+    assert text != dumps(c)
+    at = text.index("007") + 1
+    with pytest.raises(CircuitError, match=f"^byte {at}: invalid JSON"):
         loads(text)
     with pytest.raises(json.JSONDecodeError):
         loads_json(text)
@@ -362,18 +365,18 @@ def test_loads_non_ascii_register_name():
 
 
 def test_loads_rejects_tampered_gates():
+    # one chunk: ptr [0, 2, 5], qubit [0, 1, 1, 2, 0], kind [1, 2, 1, 1, 2]
     c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
-    cases = [("targets", [7], r"gate 1: qubit index 7 out of range \(n=3\)"),
-             ("controls", [[0, True], [2, True]],        # control is a target
+    cases = [([0, 1, 1, 2, 7], r"gate 1: qubit index 7 out of range \(n=3\)"),
+             ([0, 1, 0, 2, 0],                            # control is a target
               "gate 1: controls and targets overlap on qubit 0")]
-    for key, value, match in cases:
+    for qubit, match in cases:
         doc = json.loads(dumps(c))
-        doc["gates"][1][key] = value
-        # the tampered text re-dumps byte for byte (or, out of range,
-        # cannot be re-dumped), so validate names the fault; the referee
-        # finds the same one with any separators
+        doc["fragments"][0]["qubit"] = qubit
+        # the op that plays the chunk checks its gates, and validate names
+        # the fault; the referee finds the same one with any separators
         compact = json.dumps(doc, separators=(",", ":"))
-        with pytest.raises(CircuitError, match=f"^{match}"):
+        with pytest.raises(CircuitError, match=f"^op 0, {match}$"):
             loads(compact)
         for separators in (None, (",", ":")):
             with pytest.raises(CircuitError, match=f"^{match}"):
@@ -382,16 +385,15 @@ def test_loads_rejects_tampered_gates():
 
 def test_loads_rejects_a_nine_digit_qubit_without_naming_every_qubit(
         monkeypatch):
-    # a re-dump would name qubits up to the tampered index, a billion
-    # strings, so the range check runs first and dumps is never called
+    # the op that plays the chunk checks its qubits before any re-dump
     c = make_circuit([_reg("q", 3)], [_gate([0], [1])])
-    text = dumps(c).replace('"targets":[1]', '"targets":[999999999]')
+    text = dumps(c).replace('"qubit":[0,1]', '"qubit":[0,999999999]')
 
     def redump(c):
         raise AssertionError("loads re-dumped a qubit out of range")
     monkeypatch.setattr(cq, "dumps", redump)
-    with pytest.raises(CircuitError, match="^gate 0: qubit index 999999999 "
-                       r"out of range \(n=3\)$"):
+    with pytest.raises(CircuitError, match="^op 0, gate 0: qubit index "
+                       r"999999999 out of range \(n=3\)$"):
         loads(text)
 
 
@@ -432,18 +434,17 @@ def _set(key, value):
     (_set("targets", [True]), "gate 1: field 'targets': qubit True is not"),
 ])
 def test_loads_rejects_malformed_gates(tamper, match):
-    # the referee names the field (``match``); loads names gate 1, with
-    # the first byte where the text differs from the re-dump of what it
-    # parsed or a qubit out of range (1.5 parses as qubits 1 and 5), or
-    # the missing gate list
+    # a flat gate list (the text dumps wrote before the op tape) with a
+    # malformed gate: the referee names the field (``match``), and loads
+    # refuses it as it refuses every flat text, for its missing fragments
     c = make_circuit([_reg("q", 3)], [_gate([0], [1]), _gate([1, 2], [0])])
-    doc = json.loads(dumps(c))
+    doc = json.loads(flat_dumps(c))
     tamper(doc)
     text = json.dumps(doc, separators=(",", ":"))
     with pytest.raises(CircuitError, match=match):
         loads_json(text)
-    want = r"^(byte \d+, )?gate 1: " if "gate 1" in match else "^no gate list"
-    with pytest.raises(CircuitError, match=want):
+    with pytest.raises(CircuitError, match=r"^not in dumps' schema "
+                       r"\(KeyError\('fragments'\)\)$"):
         loads(text)
 
 
@@ -451,9 +452,9 @@ def _case(name, edit, match):
     return pytest.param(edit, match, id=name)
 
 
-def _schema_field(field, value):
-    return ("^registers, layout or max_live_ancilla not in dumps' schema "
-            rf"\(field '{field}': {re.escape(value)}\)$")
+def _schema_field(field, value, where=""):
+    return (rf"^not in dumps' schema \({where}field '{field}': "
+            rf"{re.escape(value)}\)$")
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -468,35 +469,35 @@ def _schema_field(field, value):
     _case("json-leading-zero",
           lambda t: t.replace('ancilla":0', 'ancilla":00'),
           lambda t: f"^byte {t.index(':00') + 2}: invalid JSON"),
-    _case("no-gates-key", lambda t: t.replace('"gates"', '"gate"'),
-          lambda t: "^no gate list"),
+    # the fragments hold the gates: one chunk, ptr [0, 2, 3], qubit
+    # [0, 1, 2], kind [1, 2, 2]
+    _case("no-gates-key", lambda t: t.replace('"fragments"', '"fragment"'),
+          lambda t: r"^not in dumps' schema \(KeyError\('fragments'\)\)$"),
     _case("no-layout-key", lambda t: t.replace('"layout"', '"lay"'),
-          lambda t: "^no gate list"),
+          lambda t: r"^not in dumps' schema \(KeyError\('layout'\)\)$"),
     _case("number-before-first-gate",
-          lambda t: t.replace('"gates":[', '"gates":[5,'),
-          lambda t: f"^byte {t.index('[5,') + 1}: a number before the first "
-          "gate$"),
+          lambda t: t.replace('"ptr":[0,', '"ptr":[5,0,'),
+          lambda t: "^fragment 0: ptr, qubit and kind are not one gate "
+          "table$"),
     _case("gate-without-qubits",
-          lambda t: t.replace('{"controls":[],"targets":[2]}', "{}"),
-          lambda t: f"^byte {t.index('{}')}, gate 1: a gate without "
-          "qubits$"),
+          lambda t: t.replace('"ptr":[0,2,3]', '"ptr":[0,2,2,3]'),
+          lambda t: "^op 0, gate 1: gate must have at least one target$"),
     _case("ten-digit-qubit",
-          lambda t: t.replace('"targets":[2]', '"targets":[1234567890]'),
-          lambda t: f"^byte {t.index('123')}, gate 1: a qubit of 10 "
-          "digits$"),
+          lambda t: t.replace('"qubit":[0,1,2]', '"qubit":[0,1,1234567890]'),
+          lambda t: r"^op 0, gate 1: qubit index 1234567890 out of range "
+          r"\(n=3\)$"),
     _case("qubit-out-of-range",
-          lambda t: t.replace('"targets":[2]', '"targets":[3]'),
-          lambda t: r"^gate 1: qubit index 3 out of range \(n=3\)$"),
-    # 1e0 reads as 1.0, which re-dumps as 1.0, outside every gate
+          lambda t: t.replace('"qubit":[0,1,2]', '"qubit":[0,1,3]'),
+          lambda t: r"^op 0, gate 1: qubit index 3 out of range \(n=3\)$"),
+    # -0 reads as 0, which re-dumps as 0, after every gate
     _case("differs-after-gates",
-          lambda t: t.replace('ancilla":0', 'ancilla":1e0'),
-          lambda t: f"^byte {t.index('1e0') + 1}: the text differs"),
+          lambda t: t.replace('ancilla":0', 'ancilla":-0'),
+          lambda t: f"^byte {t.index('-0')}: the text differs"),
     _case("missing-field",
           lambda t: t.replace(',"max_live_ancilla":0', ""),
-          lambda t: "^registers, layout or max_live_ancilla not in dumps' "
-          "schema .KeyError..max_live_ancilla"),
+          lambda t: "^not in dumps' schema .KeyError..max_live_ancilla"),
     _case("not-an-object", lambda t: "[" + t + "]",
-          lambda t: "^registers, layout or max_live_ancilla not in "),
+          lambda t: r"^not in dumps' schema \(TypeError"),
     _case("layout-not-a-permutation",
           lambda t: t.replace('"layout":[0,1,2]', '"layout":[0,1,1]'),
           lambda t: "^layout must be a permutation"),
@@ -529,6 +530,156 @@ def test_loads_names_where_a_text_is_not_dumps_own(edit, match):
         loads(bad)
     if "invalid JSON" in str(info.value):
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
+# dumps' text of a tape on 3 qubits: fragment 0 is a chunk of one gate
+# (positive 0, negative 1, target 2), fragment 1 replays it on k=3 local
+# qubits, fragment 2 is an X on qubit 1; the top level replays fragment 1
+# forwards and backwards around fragment 2
+_TAPE = ('{"registers":[{"name":"q","width":3,"role":"ancilla"}],'
+         '"fragments":[{"ptr":[0,3],"qubit":[0,1,2],"kind":[1,0,2]},'
+         '{"k":3,"ops":[[0,null,false]]},'
+         '{"ptr":[0,1],"qubit":[1],"kind":[2]}],'
+         '"ops":[[1,[0,1,2],false],[2,null,false],[1,[2,1,0],true]],'
+         '"layout":[0,1,2],"max_live_ancilla":0}')
+
+
+def test_loads_reads_a_tape_of_replays_back_to_its_text():
+    c = loads(_TAPE)
+    assert dumps(c) == _TAPE and c == loads(_TAPE)
+    assert [qmap for _, qmap, _ in c._tape] == [[0, 1, 2], None, [2, 1, 0]]
+    assert c._tape[0][0] is c._tape[2][0]
+    want = [Gate(((0, True), (1, False)), (2,)), Gate((), (1,)),
+            Gate(((2, True), (1, False)), (0,))]
+    assert loads_json(_TAPE).gates == c.gates == from_gates(want)
+
+
+@pytest.mark.parametrize("edit, match", [
+    _case("later-fragment",
+          lambda t: t.replace('"ops":[[0,null,false]]',
+                              '"ops":[[1,null,false]]'),
+          lambda t: "^fragment 1, op 0: fragment 1 is not listed before it$"),
+    _case("missing-fragment",
+          lambda t: t.replace("[2,null,false]", "[3,null,false]"),
+          lambda t: "^op 1: fragment 3 is not listed before it$"),
+    _case("map-of-the-wrong-length",
+          lambda t: t.replace("[1,[0,1,2],false]", "[1,[0,1],false]"),
+          lambda t: r"^op 0: map \[0, 1\] of fragment 1 is not k=3 distinct "
+          "qubits below n=3$"),
+    _case("map-repeats-a-qubit",
+          lambda t: t.replace("[1,[2,1,0],true]", "[1,[2,1,2],true]"),
+          lambda t: r"^op 2: map \[2, 1, 2\] of fragment 1 is not k=3 "
+          "distinct qubits below n=3$"),
+    _case("map-out-of-range",
+          lambda t: t.replace("[1,[2,1,0],true]", "[1,[2,1,3],true]"),
+          lambda t: r"^op 2: map \[2, 1, 3\] of fragment 1 is not k=3 "
+          "distinct qubits below n=3$"),
+    _case("chunk-with-a-map",
+          lambda t: t.replace("[2,null,false]", "[2,[1],false]"),
+          lambda t: "^op 1: a chunk takes no qubit map$"),
+    _case("replay-without-a-map",
+          lambda t: t.replace("[1,[0,1,2],false]", "[1,null,false]"),
+          lambda t: r"^not in dumps' schema \(TypeError"),
+    _case("chunk-outside-its-replays-k",
+          lambda t: t.replace('"k":3', '"k":2'),
+          lambda t: r"^fragment 1, op 0, gate 0: qubit index 2 out of range "
+          r"\(n=2\)$"),
+    _case("control-after-a-target",
+          lambda t: t.replace('"kind":[1,0,2]', '"kind":[2,0,2]'),
+          lambda t: "^fragment 1, op 0, gate 0: control on qubit 1 after a "
+          "target$"),
+    _case("kind-out-of-range",
+          lambda t: t.replace('"kind":[2]', '"kind":[3]'),
+          lambda t: "^fragment 2: ptr, qubit and kind are not one gate "
+          "table$"),
+    _case("ptr-past-the-entries",
+          lambda t: t.replace('"ptr":[0,1]', '"ptr":[0,2]'),
+          lambda t: "^fragment 2: ptr, qubit and kind are not one gate "
+          "table$"),
+    _case("qubit-not-an-int",
+          lambda t: t.replace('"qubit":[1]', '"qubit":[true]'),
+          lambda t: _schema_field("qubit", "True", "fragment 2, ")),
+    _case("k-not-an-int", lambda t: t.replace('"k":3', '"k":3.0'),
+          lambda t: _schema_field("k", "3.0", "fragment 1, ")),
+    _case("map-qubit-not-an-int",
+          lambda t: t.replace("[1,[0,1,2],false]", "[1,[0,1.0,2],false]"),
+          lambda t: _schema_field("map", "1.0", "op 0, ")),
+    _case("direction-not-a-bool",
+          lambda t: t.replace("[2,null,false]", "[2,null,0]"),
+          lambda t: _schema_field("reverse", "0", "op 1, ")),
+    # a fragment that no op plays is not in the re-dump
+    _case("fragment-no-op-plays",
+          lambda t: t.replace('"kind":[2]}]', '"kind":[2]},{"k":0,"ops":[]}]'),
+          lambda t: f"^byte {t.index(',{' + chr(34) + 'k' + chr(34) + ':0')}: "
+          "the text differs"),
+])
+def test_loads_names_where_a_tape_is_not_dumps_own(edit, match):
+    bad = edit(_TAPE)
+    assert bad != _TAPE
+    with pytest.raises(CircuitError, match=match(bad)):
+        loads(bad)
+
+
+def _nested(levels: int) -> str:
+    """dumps' text of an X gate in ``levels`` fragments, each replaying the
+    one before it once."""
+    frags = ['{"ptr":[0,1],"qubit":[0],"kind":[2]}',
+             '{"k":1,"ops":[[0,null,false]]}'] + [
+        f'{{"k":1,"ops":[[{i},[0],false]]}}' for i in range(1, levels - 1)]
+    return ('{"registers":[{"name":"q","width":1,"role":"ancilla"}],'
+            f'"fragments":[{",".join(frags)}],'
+            f'"ops":[[{levels - 1},[0],false]],'
+            '"layout":[0],"max_live_ancilla":0}')
+
+
+def test_loads_refuses_fragments_nested_past_max_nesting():
+    # the fragment walks recurse once per level, so a deeper text would end
+    # in a RecursionError, not a CircuitError
+    deepest = loads(_nested(cq._MAX_NESTING))
+    assert dumps(deepest) == _nested(cq._MAX_NESTING)
+    assert cost(deepest).depth == 1 and light_cone(deepest, [0]) == {0}
+    assert len(deepest.gates) == 1
+    over = cq._MAX_NESTING + 1
+    with pytest.raises(CircuitError, match=f"^fragment {over - 1}: nested "
+                       f"{over} deep, more than {cq._MAX_NESTING}$"):
+        loads(_nested(over))
+    with pytest.raises(CircuitError, match="nested"):
+        loads(_nested(1200))
+
+
+def _doubling(b, q, level):
+    if level:
+        b.call(_doubling, q, level=level - 1)
+        b.call(_doubling, q, level=level - 1)
+    else:
+        b.gate((), (q,))
+
+
+def test_loads_and_the_builder_refuse_a_fragment_of_chain_gate_limit_gates():
+    # fragment i > 0 plays fragment i - 1 twice (the chunk of one gate,
+    # then replays), so fragment 29 holds 2^29 gates: a text of about a
+    # kilobyte reaches the limit, as the recording of _doubling does
+    limit = cq._CHAIN_GATE_LIMIT
+    assert limit == 2 ** 29
+    frags = ['{"ptr":[0,1],"qubit":[0],"kind":[2]}'] + [
+        f'{{"k":1,"ops":[[{i},{m},false],[{i},{m},false]]}}'
+        for i, m in [(0, "null")] + [(i, "[0]") for i in range(1, 29)]]
+    text = ('{"registers":[{"name":"q","width":1,"role":"ancilla"}],'
+            f'"fragments":[{",".join(frags)}],"ops":[[29,[0],false]],'
+            '"layout":[0],"max_live_ancilla":0}')
+    assert len(text) < 1500
+    at_most = (f"a memoized fragment holds at most {limit - 1} gates, not "
+               f"{limit}$")
+    with pytest.raises(CircuitError, match=f"^fragment 29: {at_most}"):
+        loads(text)
+    # one level less loads, and re-dumps as read
+    below = text.replace("," + frags[-1], "").replace("[[29,", "[[28,")
+    assert cost(loads(below)).gate_count == limit // 2
+    assert dumps(loads(below)) == below
+    b = Builder()
+    q = b.add_register("q", 1, "ancilla")
+    with pytest.raises(CircuitError, match=f"^_doubling: {at_most}"):
+        b.call(_doubling, q[0], level=29)
 
 
 def test_builder_tally_matches_materialized_cost():

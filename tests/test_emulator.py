@@ -729,10 +729,9 @@ def _random_columns(c, rows, seed):
 
 def _assert_kernels_agree(make, rows=70, seed=0):
     """``apply_batch`` equals ``apply_flat`` on random columns, for circuits
-    from ``make()`` emulated before and after their flat table is read: a
-    chunk compiles from its Python lists in the first case and from its
-    table in the second.  Each circuit's inverse and ``loads(dumps(c))``
-    (a one-chunk tape) agree too, and the inverse undoes the circuit."""
+    from ``make()`` emulated before and after their flat table is read.
+    Each circuit's inverse and ``loads(dumps(c))`` (the same tape, read
+    back) agree too, and the inverse undoes the circuit."""
     fresh, flattened = make(), make()
     flattened.gates
     for c in (fresh, flattened):
@@ -772,6 +771,33 @@ def test_tape_kernel_matches_the_flat_referee_on_pinned_oracles(name):
 def test_tape_kernel_matches_the_flat_referee_on_rank_select(make):
     for n in list(range(1, 13)) + [20, 33, 40]:
         _assert_kernels_agree(lambda: make(n), seed=n)
+
+
+def _fragments(tape, seen=None) -> dict:
+    """Every distinct fragment that an op tape plays, nested ones too."""
+    seen = {} if seen is None else seen
+    for frag, qmap, _ in tape:
+        if id(frag) not in seen:
+            seen[id(frag)] = frag
+            if qmap is not None:
+                _fragments(frag._tape, seen)
+    return seen
+
+
+def test_a_loaded_oracle_keeps_its_tape():
+    # the fragments, ops, cost, light cone and emulation of a loaded SIR
+    # 6x6 H=3 oracle are the composed one's: a chunk played twice is one
+    # fragment, read once
+    c = orc.compose(dm.sir_spec(dm.SirConfig(6, 3, 2))).circuit
+    back = cq.loads(cq.dumps(c))
+    assert len(_fragments(back._tape)) == len(_fragments(c._tape)) == 61
+    assert len(back._tape) == len(c._tape) == 211
+    assert cq.cost(back) == cq.cost(c)
+    payoff = c.register("payoff")
+    assert cq.light_cone(back, payoff) == cq.light_cone(c, payoff)
+    cols = _random_columns(c, 64, 11)
+    assert (em.apply_batch(back, em.Batch(64, list(cols))).cols
+            == em.apply_batch(c, em.Batch(64, list(cols))).cols)
 
 
 @st.composite
