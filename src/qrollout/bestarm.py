@@ -9,9 +9,12 @@ oracle calls returning the exact mean perturbed by a seeded error below
 eps/2, and the outer maximum-finding walk performs its expected
 O(sqrt(k)) comparisons.
 
-Both sides are kernels that play every trial of one instance at once on
-(trials, k) arrays (``successive_elimination``, ``threshold_walk``).
-Ledgers are deterministic given (instance, eps, seed, trials).
+Both sides are kernels that play every trial of one instance at once.
+``threshold_walk`` works on (trials, k) arrays; ``successive_elimination``
+holds only the live (trial, arm) entries of running trials, flat in
+row-major order, so a chunk costs its binomial draws plus a few passes
+over those entries.  Ledgers are deterministic given (instance, eps, seed,
+trials).
 ``separation_report`` gives each (k, eps) cell of its grid its own seeded
 streams, one per side.
 """
@@ -34,6 +37,14 @@ class BestArmError(ValueError):
     pass
 
 
+def _check_args(eps: float, trials: int = 0) -> None:
+    """Raise unless eps lies in (0, 1) (NaN does not) and trials >= 0."""
+    if not 0.0 < eps < 1.0:
+        raise BestArmError(f"eps must lie in (0, 1), got {eps}")
+    if trials < 0:
+        raise BestArmError(f"trials must be >= 0, got {trials}")
+
+
 def classical_lower_bound(k: int, eps: float) -> float:
     """(k-1) ln2 / (288 eps^2): expected-rollout floor on the hard family.
 
@@ -42,8 +53,7 @@ def classical_lower_bound(k: int, eps: float) -> float:
     """
     if k < 2:
         raise BestArmError("k must be >= 2")
-    if not 0.0 < eps < 1.0:
-        raise BestArmError("eps must lie in (0, 1)")
+    _check_args(eps)
     return (k - 1) * math.log(2.0) / (288.0 * eps * eps)
 
 
@@ -54,6 +64,8 @@ class BanditInstance:
     eps: float
 
     def __post_init__(self):
+        if self.k < 1:
+            raise BestArmError(f"k must be >= 1, got {self.k}")
         if self.k != len(self.means):
             raise BestArmError("k must match number of means")
         if any(not 0.0 <= mu <= 1.0 for mu in self.means):
@@ -73,7 +85,7 @@ class BanditInstance:
 
 
 # ---------------------------------------------------------------------------
-# kernels: every trial of one instance at once, on (trials, k) arrays
+# kernels: every trial of one instance at once
 
 @dataclass(frozen=True)
 class TrialLedgers:
@@ -104,29 +116,54 @@ def successive_elimination(instance: BanditInstance, eps: float, trials: int,
     times.  A chunk adds one ``rng.binomial(rounds, mean)`` per live (trial,
     arm) entry, in row-major order: a sum of ``rounds`` Bernoulli pulls.
     Ties among the arms left at the horizon go to the lowest index.
+
+    Only the live entries of running trials are held, flat in that
+    row-major order, each trial one segment: a chunk draws on them as
+    they lie, takes each segment's leader with one ``reduceat``, and
+    compacts them only when an entry leaves.  An entry's pull count is the
+    t at which it left (dropped, its trial stopped, or the horizon).
     """
-    means = np.asarray(instance.means)
+    _check_args(eps, trials)
+    k = instance.k
     a = SE_RADIUS_CONSTANT
     t_stop = int(math.ceil(4.0 * a / (eps * eps)))
     chunk = max(1, t_stop // SE_CHECK_CHUNKS)
-    live = np.ones((trials, instance.k), dtype=bool)
-    sums = np.zeros(live.shape, dtype=np.int64)
-    pulls = np.zeros(live.shape, dtype=np.int64)
-    running = live.sum(axis=1) > 1
-    emp = np.zeros(live.shape)
+    pulls = np.zeros(trials * k, dtype=np.int64)
+    live = np.arange(trials * k if k > 1 else 0)     # flat (trial, arm)
+    mu = np.resize(instance.means, live.size)
+    sums = np.zeros(live.size, dtype=np.int64)
+    counts = np.full(live.size // k, k)              # live arms per trial
+    starts = np.arange(0, live.size, k)
+    won = []                                         # the chosen entries
     t = 0
-    while t < t_stop and running.any():
+    while t < t_stop and live.size:
         rounds = min(chunk, t_stop - t)
-        draw = live & running[:, None]
-        sums[draw] += rng.binomial(rounds, means[np.nonzero(draw)[1]])
-        pulls[draw] += rounds
+        sums += rng.binomial(rounds, mu)
         t += rounds
-        emp = np.where(live, sums / t, -np.inf)
-        keep = emp >= emp.max(axis=1, keepdims=True) - 2.0 * math.sqrt(a / t)
-        live &= keep
-        running &= live.sum(axis=1) > 1
-    chosen = np.argmax(np.where(live, emp, -np.inf), axis=1)
-    return TrialLedgers(chosen=chosen, per_arm=pulls,
+        emp = sums / t
+        top = np.maximum.reduceat(emp, starts)
+        keep = emp >= (top - 2.0 * math.sqrt(a / t)).repeat(counts)
+        if np.count_nonzero(keep) == keep.size:
+            continue
+        left = np.add.reduceat(keep, starts, dtype=np.int64)
+        run = left > 1
+        stay = keep & run.repeat(counts)
+        won.append(live[keep > stay])
+        pulls[live] = t           # final for the leavers; stayers rise again
+        live, mu, sums = live[stay], mu[stay], sums[stay]
+        counts = left[run]
+        starts = counts.cumsum() - counts
+    if live.size:
+        pulls[live] = t
+        emp = sums / t
+        top = np.maximum.reduceat(emp, starts).repeat(counts)
+        won.append(live[np.minimum.reduceat(
+            np.where(emp == top, np.arange(live.size), live.size), starts)])
+    chosen = np.zeros(trials, dtype=np.int64)
+    if won:
+        won = np.concatenate(won)
+        chosen[won // k] = won % k
+    return TrialLedgers(chosen=chosen, per_arm=pulls.reshape(trials, k),
                         oracle_calls=np.zeros(trials))
 
 
@@ -143,6 +180,7 @@ def threshold_walk(instance: BanditInstance, eps: float, trials: int,
     sqrt(k)-run exhaustion check where m = 0.  A single arm costs one AE
     run.
     """
+    _check_args(eps, trials)
     k = instance.k
     ae_calls = AE_CALL_CONSTANT / eps
     rows = np.arange(trials)

@@ -10,8 +10,7 @@ fragments, each a fragment, a qubit map (``None`` for a chunk) and a
 direction.  A circuit from ``Builder.finish`` holds its builder's tape, and
 a circuit from ``loads`` the tape its text lists.  ``dumps`` writes that
 tape as compact JSON, each distinct fragment once, and ``loads`` reads back
-exactly that text: any other text, even JSON of the same document, raises a
-CircuitError that names the byte, or the fragment, op and gate.  A circuit
+exactly that text and refuses any other (see :func:`loads`).  A circuit
 keeps its text once made, and ``==`` compares texts.  The gate count,
 fan-in and depth of :func:`cost`, the backward light cone, the span
 profile, inversion and emulation walk the tape.  ``Circuit.gates`` is the
@@ -346,8 +345,7 @@ class Circuit:
         return isinstance(other, Circuit) and dumps(self) == dumps(other)
 
     def __hash__(self):
-        return hash((self.registers,
-                     sum([frag.gates for frag, _, _ in self._tape])))
+        return hash((self.registers, _tallies(self._tape)))
 
 
 def invert(c: Circuit) -> Circuit:
@@ -357,6 +355,12 @@ def invert(c: Circuit) -> Circuit:
     tape = [(frag, qmap, not reverse) for frag, qmap, reverse in
             reversed(c._tape)]
     return Circuit(c.registers, tape, c.layout, c.max_live_ancilla, c._depth)
+
+
+def _tallies(tape) -> tuple[int, int]:
+    """An op tape's gate count and largest fan-in, from its fragments'."""
+    return (sum([frag.gates for frag, _, _ in tape]),
+            max([frag.fan_in for frag, _, _ in tape], default=0))
 
 
 def cost(c: Circuit) -> CostReport:
@@ -370,11 +374,9 @@ def cost(c: Circuit) -> CostReport:
     one chunk of its table) on the first read of ``depth``, shared with
     every other report of that tape and length.
     """
-    return CostReport(gate_count=sum([frag.gates for frag, _, _ in c._tape]),
-                      depth=c._depth,
-                      qubit_count=c.total_qubits,
-                      max_fan_in=max([frag.fan_in for frag, _, _ in c._tape],
-                                     default=0),
+    gates, fan_in = _tallies(c._tape)
+    return CostReport(gate_count=gates, depth=c._depth,
+                      qubit_count=c.total_qubits, max_fan_in=fan_in,
                       max_live_ancilla=c.max_live_ancilla)
 
 
@@ -505,8 +507,8 @@ _MAX_NESTING = 100
 
 def loads(text: str) -> Circuit:
     """The circuit that ``dumps`` wrote as ``text``, and only that, its op
-    tape rebuilt.  In order: ``json.loads`` reads the text; each op that
-    plays a chunk checks its gates on the op's qubits, as the builder does
+    tape rebuilt.  In order: ``json.loads`` reads the text; a chunk is
+    checked as the builder does, once per qubit count that plays it
     (``GateTable.validate`` names a fault); a replay must name an earlier
     fragment, with a map of its ``k`` distinct qubits in range; a
     memoized fragment must hold fewer than ``_CHAIN_GATE_LIMIT`` gates and
@@ -526,9 +528,9 @@ def loads(text: str) -> Circuit:
     try:
         registers = [RegisterDecl(r["name"], r["width"], r["role"])
                      for r in doc["registers"]]
-        frags, nest = [], {}
+        frags, nest, seen = [], {}, set()
         for i, entry in enumerate(doc["fragments"]):
-            frag = _read_fragment(entry, frags, f"fragment {i}", typed)
+            frag = _read_fragment(entry, frags, f"fragment {i}", typed, seen)
             nest[frag] = 1 + max([nest[f] for f, _, _ in frag._tape or ()],
                                  default=0)
             if nest[frag] > _MAX_NESTING:
@@ -536,7 +538,7 @@ def loads(text: str) -> Circuit:
                                    f"more than {_MAX_NESTING}")
             frags.append(frag)
         tape = _read_ops(doc["ops"], frags, sum(r.width for r in registers),
-                         "op", typed)
+                         "op", typed, seen)
         c = Circuit(registers, tape, doc["layout"], doc["max_live_ancilla"])
     except CircuitError:
         raise
@@ -563,10 +565,9 @@ def loads(text: str) -> Circuit:
     return c
 
 
-def _read_fragment(entry, frags, where: str, typed: list) -> "_Fragment":
-    """One fragment of a ``dumps`` text: a chunk, its lists one gate table
-    (each op that plays it checks its qubits), or a memoized fragment, its
-    ops read on ``k`` local qubits."""
+def _read_fragment(entry, frags, where, typed, seen) -> "_Fragment":
+    """One fragment of a ``dumps`` text: a chunk, its lists one gate table,
+    or a memoized fragment, its ops read on ``k`` local qubits."""
     if "k" not in entry:
         ptr, qubit, kind = lists = entry["ptr"], entry["qubit"], entry["kind"]
         typed += [(where + ", ", f, v, int)
@@ -578,15 +579,15 @@ def _read_fragment(entry, frags, where: str, typed: list) -> "_Fragment":
                                "gate table")
         return _Fragment.chunk(ptr, qubit, kind)
     typed.append((where + ", ", "k", [entry["k"]], int))
-    tape = _read_ops(entry["ops"], frags, entry["k"], where + ", op", typed)
-    return _Fragment.memoized(sum([frag.gates for frag, _, _ in tape]),
-                              max([frag.fan_in for frag, _, _ in tape],
-                                  default=0), entry["k"], tape, where)
+    tape = _read_ops(entry["ops"], frags, entry["k"], where + ", op", typed,
+                     seen)
+    return _Fragment.memoized(*_tallies(tape), entry["k"], tape, where)
 
 
-def _read_ops(ops, frags, n: int, where: str, typed: list) -> list:
+def _read_ops(ops, frags, n: int, where, typed, seen) -> list:
     """The op tape of an op list of a ``dumps`` text, on ``n`` qubits:
-    each op names one of ``frags``, the fragments listed before it."""
+    each op names one of ``frags``, the fragments listed before it.  A
+    chunk is checked at its first op on n qubits (``seen``: those done)."""
     tape = []
     for j, (i, qmap, reverse) in enumerate(ops):
         at = f"{where} {j}"
@@ -597,12 +598,14 @@ def _read_ops(ops, frags, n: int, where: str, typed: list) -> list:
             ptr, qubit, kind = frag._lists
             if qmap is not None:
                 raise CircuitError(f"{at}: a chunk takes no qubit map")
-            if not (_chunk_is_valid(ptr, qubit, kind, n)
+            if (i, n) not in seen and not (
+                    _chunk_is_valid(ptr, qubit, kind, n)
                     and _controls_first(ptr, kind)):
                 try:
                     GateTable(ptr, qubit, kind).validate(n)
                 except CircuitError as err:
                     raise CircuitError(f"{at}, {err}") from None
+            seen.add((i, n))
         else:
             typed.append((at + ", ", "map", qmap, int))
             if not (len(qmap) == len(set(qmap)) == frag.k

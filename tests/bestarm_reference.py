@@ -11,6 +11,10 @@ loop states two laws:
   the kernels replaced (a matrix of Bernoulli pulls per chunk, and a
   ``random.Random`` walk), which the kernels must match in distribution.
 
+``dense_elimination`` is the elimination kernel that the flat one in
+``qrollout.bestarm`` replaced: it plays every trial on full (trials, k)
+arrays, and the flat kernel must agree with it exactly.
+
 It also holds the Bernoulli ``kl`` behind the transportation ratio of the
 hard family, and ``generator``, the Philox stream that the kernel tests
 seed.
@@ -99,6 +103,36 @@ def elimination_loop(instance, eps, rng, sums_of):
         return int(active[0]), per_arm
     emp = sums[active] / t
     return int(active[int(np.argmax(emp))]), per_arm
+
+
+def dense_elimination(instance, eps, trials, rng):
+    """Successive elimination on (trials, k) arrays: every chunk draws the
+    live entries of running trials through a boolean mask, adds each
+    draw's rounds to its pull count, and takes each row's leader over
+    the live arms; ties at the horizon go to the lowest index."""
+    means = np.asarray(instance.means)
+    a = ba.SE_RADIUS_CONSTANT
+    t_stop = int(math.ceil(4.0 * a / (eps * eps)))
+    chunk = max(1, t_stop // ba.SE_CHECK_CHUNKS)
+    live = np.ones((trials, instance.k), dtype=bool)
+    sums = np.zeros(live.shape, dtype=np.int64)
+    pulls = np.zeros(live.shape, dtype=np.int64)
+    running = live.sum(axis=1) > 1
+    emp = np.zeros(live.shape)
+    t = 0
+    while t < t_stop and running.any():
+        rounds = min(chunk, t_stop - t)
+        draw = live & running[:, None]
+        sums[draw] += rng.binomial(rounds, means[np.nonzero(draw)[1]])
+        pulls[draw] += rounds
+        t += rounds
+        emp = np.where(live, sums / t, -np.inf)
+        keep = emp >= emp.max(axis=1, keepdims=True) - 2.0 * math.sqrt(a / t)
+        live &= keep
+        running &= live.sum(axis=1) > 1
+    chosen = np.argmax(np.where(live, emp, -np.inf), axis=1)
+    return ba.TrialLedgers(chosen=chosen, per_arm=pulls,
+                           oracle_calls=np.zeros(trials))
 
 
 def numpy_walk_draws(rng):

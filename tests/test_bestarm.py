@@ -89,6 +89,9 @@ def test_hard_instances():
         ba.BanditInstance.hard_base(4, 0.2)          # mean would exceed 1
     with pytest.raises(ba.BestArmError):
         ref.hard_alternative(4, 0.1, 1)  # needs eps <= 1/12
+    # no arms: refused here, not as a numpy error inside a kernel
+    with pytest.raises(ba.BestArmError, match="^k must be >= 1, got 0$"):
+        ba.BanditInstance(k=0, means=(), eps=0.1)
 
 
 def test_single_arm_edge_cases():
@@ -134,6 +137,76 @@ def test_kernels_at_one_trial_equal_the_scalar_loops(inst):
         assert (qa.chosen[0], qa.oracle_calls[0],
                 qa.per_arm[0].tolist()) == (arm, calls, per_arm)
         assert _quantum(inst, eps, seed) == (arm, per_arm, calls)
+
+
+_REFEREE_INSTANCES = _EXACT_INSTANCES + [
+    pytest.param(ba.BanditInstance(k=1, means=(0.6,), eps=0.05), id="one-arm"),
+    pytest.param(ba.BanditInstance.hard_base(64, 0.01), id="base"),
+    # arm 0 leaves at once and arms 1 and 2 tie until the horizon
+    pytest.param(ba.BanditInstance(k=3, means=(0.0, 1.0, 1.0), eps=0.1),
+                 id="tie-at-the-horizon"),
+    # t_stop = 89 rounds < 2 * SE_CHECK_CHUNKS, so every chunk is one round
+    pytest.param(ba.BanditInstance(k=4, means=(0.6, 0.5, 0.5, 0.45), eps=0.3),
+                 id="one-round-chunks"),
+]
+
+
+@pytest.mark.parametrize("inst", _REFEREE_INSTANCES)
+def test_flat_elimination_equals_the_dense_referee(inst):
+    for trials in (0, 1, 2, 7, 50):
+        for seed in range(40):
+            got = ba.successive_elimination(inst, inst.eps, trials,
+                                            ref.generator(seed))
+            want = ref.dense_elimination(inst, inst.eps, trials,
+                                         ref.generator(seed))
+            for field in ("chosen", "per_arm", "oracle_calls"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert (a == b).all(), (field, trials, seed)
+
+
+def test_ties_at_the_horizon_go_to_the_lowest_index():
+    inst = ba.BanditInstance(k=3, means=(0.0, 1.0, 1.0), eps=0.1)
+    led = ba.successive_elimination(inst, 0.1, 5, ref.generator(0))
+    t_stop = math.ceil(4 * ba.SE_RADIUS_CONSTANT / 0.1 ** 2)
+    assert (led.chosen == 1).all()
+    assert (led.per_arm[:, 1:] == t_stop).all()
+    assert (led.per_arm[:, 0] < t_stop).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_separation_report_equals_one_built_from_the_referee(seed,
+                                                             monkeypatch):
+    # perfbench's grid: every field, rows and slopes, compares exactly
+    grid = ([4, 8, 16, 32, 64], [0.08, 0.04, 0.02, 0.01], 50, seed)
+    got = ba.separation_report(*grid)
+    monkeypatch.setattr(ba, "successive_elimination", ref.dense_elimination)
+    assert ba.separation_report(*grid) == got
+
+
+@pytest.mark.parametrize("kernel", [ba.successive_elimination,
+                                    ba.threshold_walk])
+@pytest.mark.parametrize("eps, trials, match", [
+    (-0.1, 3, r"eps must lie in \(0, 1\), got -0.1"),
+    (0.0, 3, r"eps must lie in \(0, 1\), got 0.0"),
+    (1.0, 3, r"eps must lie in \(0, 1\), got 1.0"),
+    (math.nan, 3, r"eps must lie in \(0, 1\), got nan"),
+    (0.05, -1, "trials must be >= 0, got -1"),
+])
+def test_kernels_refuse_eps_outside_the_unit_interval_and_negative_trials(
+        kernel, eps, trials, match):
+    inst = ba.BanditInstance.hard_base(4, 0.05)
+    with pytest.raises(ba.BestArmError, match=f"^{match}$"):
+        kernel(inst, eps, trials, ref.generator(0))
+
+
+@pytest.mark.parametrize("kernel", [ba.successive_elimination,
+                                    ba.threshold_walk])
+def test_kernels_at_zero_trials_return_empty_ledgers(kernel):
+    led = kernel(ba.BanditInstance.hard_base(4, 0.05), 0.05, 0,
+                 ref.generator(0))
+    assert led.chosen.shape == led.oracle_calls.shape == (0,)
+    assert led.per_arm.shape == (0, 4)
 
 
 def _within_4_sigma(a, b):

@@ -620,6 +620,43 @@ def test_loads_names_where_a_tape_is_not_dumps_own(edit, match):
         loads(bad)
 
 
+def _chunk_plays(chunk: str, k: int, ops: str) -> str:
+    """dumps' text on 3 qubits of one chunk, fragment 0, played by
+    fragment 1 on 3 local qubits, by fragment 2 on ``k``, and by the
+    top-level ``ops``."""
+    return ('{"registers":[{"name":"q","width":3,"role":"ancilla"}],'
+            f'"fragments":[{chunk},{{"k":3,"ops":[[0,null,false]]}},'
+            f'{{"k":{k},"ops":[[0,null,false]]}}],"ops":{ops},'
+            '"layout":[0,1,2],"max_live_ancilla":0}')
+
+
+def test_loads_checks_a_chunk_once_per_qubit_count(monkeypatch):
+    good = '{"ptr":[0,2],"qubit":[0,2],"kind":[1,2]}'
+    checks = []
+    monkeypatch.setattr(cq, "_chunk_is_valid",
+                        lambda *a: checks.append(a[-1]) or True)
+    text = _chunk_plays(good, 3, "[[0,null,false],[0,null,true],"
+                        "[1,[2,0,1],false],[2,[0,1,2],true]]")
+    assert dumps(loads(text)) == text
+    assert checks == [3]
+    monkeypatch.undo()
+    # valid on 3 qubits, the chunk is still checked on fragment 2's 2
+    with pytest.raises(CircuitError, match=r"^fragment 2, op 0, gate 0: "
+                       r"qubit index 2 out of range \(n=2\)$"):
+        loads(_chunk_plays(good, 2, "[[1,[0,1,2],false]]"))
+    # a bad chunk that two top-level ops play is named at the first
+    bad = '{"ptr":[0,3],"qubit":[0,1,2],"kind":[2,0,2]}'
+    with pytest.raises(CircuitError, match="^fragment 1, op 0, gate 0: "
+                       "control on qubit 1 after a target$"):
+        loads(_chunk_plays(bad, 3, "[[0,null,false],[0,null,true]]"))
+    top = ('{"registers":[{"name":"q","width":3,"role":"ancilla"}],'
+           f'"fragments":[{bad}],"ops":[[0,null,true],[0,null,false]],'
+           '"layout":[0,1,2],"max_live_ancilla":0}')
+    with pytest.raises(CircuitError, match="^op 0, gate 0: control on "
+                       "qubit 1 after a target$"):
+        loads(top)
+
+
 def _nested(levels: int) -> str:
     """dumps' text of an X gate in ``levels`` fragments, each replaying the
     one before it once."""
