@@ -251,8 +251,8 @@ def empirical_influence(spec: RolloutSpec, board_a: int, board_b: int,
                         first_move: int | None = None) -> InfluenceEstimate:
     """Coupled rollouts from two initial boards under shared streams; returns
     the measured payoff-probability difference with its Monte Carlo error.
-    Trial ``r`` feeds row ``r`` of ``input_law(spec, board_a).draw(trials,
-    seed)`` to both boards.
+    Trial ``r`` feeds shot ``r`` of ``input_law(spec, board_a)``'s draw at
+    ``seed`` to both boards.
 
     The boards share the decoded action positions (``board_b`` skips a
     position that is not valid on it), so the measured difference isolates

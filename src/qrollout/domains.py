@@ -437,8 +437,8 @@ def sample_payoff(spec: RolloutSpec, board0: int, shots: int, seed: int,
                   first_move: int | None = None):
     """Seeded Monte Carlo payoff estimate with a 95% CI (classical sampler).
 
-    Shot ``r`` plays row ``r`` of ``input_law(spec, board0).draw(shots,
-    seed)``, the inputs that the circuit MC at the same seed emulates."""
+    Shot ``r`` plays shot ``r`` of ``input_law(spec, board0)``'s draw at
+    ``seed``, the inputs that the circuit MC at the same seed emulates."""
     if shots < 1:
         raise OracleError(f"shots must be >= 1, got {shots}")
     wins = 0

@@ -12,9 +12,12 @@ loop runs them gate by gate, on the columns for a chunk and on the gathered
 columns of a replay's qubit map.
 Values meet columns in one pair, :func:`write_qubits` and
 :func:`read_qubits`: bit ``k`` of a row's value is the ``k``-th qubit of a
-qubit list, and a register is the list of its qubits.
+qubit list, and a register is the list of its qubits.  Both are one bit
+transpose, in blocks of rows: values become uint8 bit planes that pack
+into columns, and columns unpack into planes that pack into values, at
+any width; :func:`write_qubits` takes many fields in one call.
 Every basis state of ``k`` qubits is one batch of counting columns
-(:func:`counting_batch`), built without encoding a row.
+(:func:`counting_batch`), each built by doubling, without encoding a row.
 
 Bijectivity is checked by a round trip: apply the circuit, then its
 inverse, and demand that every input column comes back.  That is exact, not
@@ -26,7 +29,9 @@ circuit is not a permutation.  Rows are decoded only to name a colliding
 pair once the round trip has failed.
 
 Seeded inputs have one definition, :class:`InputDistribution`: the classical
-sampler, branchwise checks and the circuit MC all draw from it.
+sampler, branchwise checks and the circuit MC all draw from it.  Its
+Philox4x64-10 words are a pure function of key and counter, so the words
+of many seeds are computed at once (:meth:`InputDistribution.draw_each`).
 """
 from __future__ import annotations
 
@@ -121,71 +126,134 @@ def _run(ops, cols: list[int], full: int) -> None:
 # ---------------------------------------------------------------------------
 # register codec: values meet columns only in write_qubits and read_qubits
 
-def _pack(bits: np.ndarray) -> int:
-    """One column from a uint8 0/1 value per row."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                          "little")
+# bytes of bit planes that one block of rows of a transpose holds at most
+_PLANE_BYTES = 1 << 22
 
 
-def _unpack(col: int, rows: int) -> np.ndarray:
-    """A column's uint8 0/1 value per row."""
-    raw = np.frombuffer(col.to_bytes((rows + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=rows, bitorder="little")
+def _block_rows(planes: int) -> int:
+    """Rows per block of a transpose of ``planes`` bit planes: a multiple
+    of 8, so that the packed bytes of consecutive blocks abut."""
+    return max(8, _PLANE_BYTES // max(planes, 1) & -8)
+
+
+def _transpose(batch: Batch, fields, blocks) -> None:
+    """Write ``(rows, fields)`` value blocks into the fields' qubits, in
+    place: bit ``k`` of column ``f`` goes to ``fields[f][k]``.  The blocks
+    hold consecutive rows, each a multiple of 8 rows but the last.
+
+    Fields of one width share one pass: their values, narrowed and
+    transposed, become ``(fields, width, rows)`` uint8 planes that are
+    nonzero where the bit is set (an AND with ``1 << k`` up to 8 bits, a
+    shift and an AND above).  Each block's ``(qubits, rows)`` plane matrix
+    is packed in one call, and each column is one ``int.from_bytes`` of
+    its packed row."""
+    groups: dict[int, list[int]] = {}
+    for f, qubits in enumerate(fields):
+        if len(qubits):
+            groups.setdefault(len(qubits), []).append(f)
+    order = [q for fs in groups.values() for f in fs for q in fields[f]]
+    # (fields, as a slice where they are consecutive, width, narrow dtype)
+    plan = [(slice(fs[0], fs[-1] + 1) if fs[-1] - fs[0] == len(fs) - 1
+             else fs, width, np.min_scalar_type((1 << width) - 1))
+            for width, fs in groups.items()]
+    packed = np.empty((len(order), (batch.rows + 7) // 8), dtype=np.uint8)
+    start = 0
+    for values in blocks:
+        rows = len(values)
+        planes = np.empty((len(order), rows), dtype=np.uint8)
+        top = 0
+        for fs, width, dtype in plan:
+            narrow = values[:, fs].T.astype(dtype, order="C")
+            g = len(narrow)
+            out = planes[top:top + g * width].reshape(g, width, rows)
+            bits = np.arange(width, dtype=dtype)[:, None]
+            if width <= 8:
+                np.bitwise_and(narrow[:, None], 1 << bits, out=out)
+            else:
+                np.right_shift(narrow[:, None], bits, out=out,
+                               casting="unsafe")
+                out &= 1
+            top += g * width
+        packed[:, start // 8:(start + rows + 7) // 8] = np.packbits(
+            planes, axis=1, bitorder="little")
+        start += rows
+    for q, col in zip(order, packed):
+        batch.cols[q] = int.from_bytes(col, "little")
 
 
 def write_qubits(batch: Batch, qubits, values) -> None:
-    """Write a value into ``qubits`` of every row, in place: bit ``k`` of a
-    row's value goes to ``qubits[k]``.  ``values`` is one value per row, or
-    a scalar written to every row, each in ``[0, 2^len(qubits))``; unlike
-    :func:`write_register`, nothing is checked."""
+    """Write values into qubits of every row, in place, as one bit
+    transpose.  ``qubits`` is a qubit list and ``values`` one value per
+    row, or a scalar written to every row: bit ``k`` of a row's value goes
+    to ``qubits[k]``.  Or ``qubits`` is a list of such fields and
+    ``values`` a ``(rows, fields)`` integer array, column ``f`` going to
+    field ``f``, each narrower than 64 qubits.  Values must fit their
+    fields; unlike :func:`write_register`, nothing is checked.
+
+    The transpose runs in blocks of rows whose bit planes hold at most
+    ``_PLANE_BYTES``.  A field of 64 qubits or more takes Python ints,
+    written as 64-qubit fields of their 64-bit limbs."""
     if np.ndim(values) == 0:
         value, full = int(values), (1 << batch.rows) - 1
         for k, q in enumerate(qubits):
             batch.cols[q] = full if (value >> k) & 1 else 0
         return
-    # the narrowest unsigned type keeps the low bits and makes each
-    # per-bit pass touch fewer bytes.  Python ints carry 64 bits and more:
-    # numpy reads a list mixing ints above and below 2^63 as float64.
-    width = len(qubits)
-    values = (np.asarray(values).astype(np.min_scalar_type((1 << width) - 1))
-              if width < 64 else np.array(values, dtype=object))
-    for k, q in enumerate(qubits):
-        batch.cols[q] = _pack(((values >> k) & 1).astype(np.uint8,
-                                                         copy=False))
+    if np.ndim(values) == 2:
+        fields = qubits
+    elif len(qubits) < 64:
+        fields, values = [qubits], np.asarray(values)[:, None]
+    else:
+        limbs = (len(qubits) + 63) // 64
+        raw = b"".join(int(v).to_bytes(8 * limbs, "little") for v in values)
+        fields = [qubits[64 * j:64 * j + 64] for j in range(limbs)]
+        values = np.frombuffer(raw, dtype="<u8").reshape(-1, limbs)
+    step = _block_rows(sum(map(len, fields)))
+    _transpose(batch, fields, (values[s:s + step]
+                               for s in range(0, len(values), step)))
 
 
 def read_qubits(batch: Batch, qubits) -> np.ndarray:
     """The value of ``qubits`` in every row, bit ``k`` from ``qubits[k]``:
     an int64 array up to 63 qubits, an object array of Python ints
-    above."""
-    width = len(qubits)
-    dtype = np.min_scalar_type((1 << width) - 1) if width < 64 else object
-    out = np.zeros(batch.rows, dtype=dtype)
-    for k, q in enumerate(qubits):
-        out |= _unpack(batch.cols[q], batch.rows).astype(dtype) << k
-    return out.astype(np.int64) if width < 64 else out
-
-
-# byte ``q`` holds bit ``q`` of each of its eight row indices
-_LOW_COUNTS = (0xAA, 0xCC, 0xF0)
+    above.  The inverse transpose of :func:`write_qubits`: the columns'
+    bytes unpack to bit planes, and packing the planes down the qubit axis
+    gives each row's value, a byte per 8 qubits."""
+    width, rows = len(qubits), batch.rows
+    size = (rows + 7) // 8
+    raw = np.frombuffer(b"".join(batch.cols[q].to_bytes(size, "little")
+                                 for q in qubits),
+                        dtype=np.uint8).reshape(width, size)
+    # byte j of each row's value, one row per 8 qubits, padded to a limb
+    limbs = max(1, (width + 63) // 64)
+    value = np.zeros((rows, 8 * limbs), dtype=np.uint8)
+    step = _block_rows(width)
+    for s in range(0, rows, step):
+        planes = np.unpackbits(raw[:, s // 8:(s + step) // 8], axis=1,
+                               count=min(step, rows - s), bitorder="little")
+        value[s:s + step, :(width + 7) // 8] = np.packbits(
+            planes, axis=0, bitorder="little").T
+    if width < 64:
+        return value.view("<u8")[:, 0].astype(np.int64)
+    out = np.empty(rows, dtype=object)
+    out[:] = [int.from_bytes(v, "little") for v in value]
+    return out
 
 
 def counting_batch(c: Circuit, qubits) -> Batch:
     """Every basis state of ``qubits`` once, in index order: ``2^k`` rows
     for ``k`` qubits, where bit ``r`` of the column of ``qubits[q]`` is bit
     ``q`` of ``r``; the other qubits are 0.  Column ``q`` repeats a
-    ``2^(q+1)``-row pattern, so each is one ``int.from_bytes`` of a
-    repeated byte string."""
+    ``2^(q+1)``-row period, ``2^q`` zeros and then ``2^q`` ones, so it is
+    built by doubling: each shift-or appends a copy of what is there."""
     rows = 1 << len(qubits)
     batch = Batch.zeros(c, rows)
-    size = (rows + 7) // 8
     for q, qubit in enumerate(qubits):
-        if q < 3:
-            unit = bytes([_LOW_COUNTS[q]])
-        else:
-            unit = bytes(1 << q - 3) + b"\xff" * (1 << q - 3)
-        col = int.from_bytes(unit * (size // len(unit)), "little")
-        batch.cols[qubit] = col & (1 << rows) - 1 if rows < 8 else col
+        span = 2 << q
+        col = ((1 << (1 << q)) - 1) << (1 << q)
+        while span < rows:
+            col |= col << span
+            span <<= 1
+        batch.cols[qubit] = col
     return batch
 
 
@@ -271,6 +339,9 @@ class InputDistribution:
                 raise EmulationError(f"D={d} exceeds 2^width for {name!r}")
             self.fields += [(name, d, lo, width)
                             for lo in range(0, total, width)]
+        # the D of every field, for faces()
+        self._d = np.array([d for _, d, _, _ in self.fields],
+                           dtype=np.uint64)
 
     def validate(self, c: Circuit) -> None:
         for name, val in self.fixed.items():
@@ -291,16 +362,23 @@ class InputDistribution:
 
     def batch(self, c: Circuit, faces: np.ndarray) -> Batch:
         """The inputs that a ``(rows, fields)`` face array stands for: the
-        fixed values, and each face written into its field.  The circuit
-        is not validated against the law."""
-        batch = Batch.zeros(c, faces.shape[0])
+        fixed values, and each face written into its field, all fields in
+        one :func:`write_qubits`.  The circuit is not validated against the
+        law."""
+        batch = self._fixed(c, faces.shape[0])
+        write_qubits(batch, self._qubits(c), faces)
+        return batch
+
+    def _fixed(self, c: Circuit, rows: int) -> Batch:
+        batch = Batch.zeros(c, rows)
         for name, val in self.fixed.items():
             write_register(batch, c, name, val)
-        for f, (name, d, lo, _) in enumerate(self.fields):
-            # a face is below D, so the field's higher qubits stay 0
-            qubits = c.register(name)[lo:lo + (d - 1).bit_length()]
-            write_qubits(batch, qubits, faces[:, f])
         return batch
+
+    def _qubits(self, c: Circuit) -> list:
+        # a face is below D, so the field's higher qubits stay 0
+        return [c.register(name)[lo:lo + (d - 1).bit_length()]
+                for name, d, lo, _ in self.fields]
 
     def enumerate_chunks(self, c: Circuit, chunk: int = 1 << 16):
         """Batches covering the whole support, in index order."""
@@ -318,15 +396,15 @@ class InputDistribution:
     def faces(self, words: np.ndarray) -> np.ndarray:
         """Map ``(rows, fields)`` uint64 words to faces, ``(u * D) >> 64``
         per field, exactly."""
-        d = [d for _, d, _, _ in self.fields]
-        if max(d, default=1) > 1 << 32:
+        dd, half = self._d, np.uint64(32)
+        if dd.size and dd.max() > 1 << 32:
+            d = dd.tolist()
             return np.array([[(u * x) >> 64 for u, x in zip(row, d)]
                              for row in words.tolist()],
                             dtype=np.int64).reshape(words.shape)
         # u*D from the 32-bit halves of u: each partial product fits uint64.
         # In place, so a call holds two arrays beside ``words``; a face
         # below D <= 2^32 reads the same as int64.
-        dd, half = np.array(d, dtype=np.uint64), np.uint64(32)
         low = words & np.uint64(0xFFFFFFFF)
         low *= dd
         low >>= half
@@ -340,50 +418,113 @@ class InputDistribution:
         n = len(self.fields)
         return self.faces(bits.random_raw(rows * n).reshape(rows, n))
 
-    def draw(self, shots: int, seed: int) -> np.ndarray:
-        """Seeded faces, one row per shot: a ``(shots, fields)`` int64 array.
+    def draw_chunks(self, shots: int, seed: int, chunk: int = 4096):
+        """Seeded faces, one row per shot, as consecutive ``(rows,
+        fields)`` int64 arrays of at most ``chunk`` rows, so a sampler's
+        memory is bounded by one chunk.
 
         Word ``shot * fields + f`` of the Philox stream keyed by ``seed``
-        decides field ``f`` of that shot, so ``draw(k, s)`` equals the
-        first ``k`` rows of ``draw(n, s)``.
+        decides field ``f`` of that shot, so the first ``k`` shots of a
+        draw are the same for any ``shots`` and ``chunk``.
         """
-        return self._draw(_philox(seed), shots)
-
-    def draw_chunks(self, shots: int, seed: int, chunk: int = 4096):
-        """``draw(shots, seed)`` as consecutive arrays of at most ``chunk``
-        rows, so a sampler's memory is bounded by one chunk."""
         bits = _philox(seed)
         for start in range(0, shots, chunk):
             yield self._draw(bits, min(chunk, shots - start))
 
     def draw_each(self, seeds) -> np.ndarray:
-        """One row per seed: row ``r`` equals ``draw(1, seeds[r])[0]``; the
-        words of all seeds map to faces in one pass.  One bit generator
-        serves every seed: its key and counter are reset through ``state``,
-        which skips the entropy draw of a new ``Philox``."""
-        n = len(self.fields)
-        bits = np.random.Philox(key=0)
-        state = bits.state
-        zero = state["state"]["counter"]
-        words = np.empty((len(seeds), n), dtype=np.uint64)
-        for r, s in enumerate(seeds):
-            state["state"] = {"counter": zero,
-                              "key": np.array([int(s) & (2**64 - 1), 0],
-                                              dtype=np.uint64)}
-            bits.state = state
-            words[r] = bits.random_raw(n)
-        return self.faces(words)
+        """One row per seed: row ``r`` is shot 0 of the draw at
+        ``seeds[r]`` (see :meth:`draw_chunks`).  The Philox words of all
+        seeds are computed at once (:func:`_philox_words`) and map to faces
+        in one pass."""
+        return self.faces(_philox_words(seeds, len(self.fields)))
 
     def sample(self, c: Circuit, shots: int, seed: int) -> Batch:
         """Seeded sample of ``shots`` inputs as a batch: the inputs of
-        ``draw(shots, seed)``, so equal arguments give equal batches and a
-        smaller sample is a prefix of a larger one."""
+        ``draw_chunks(shots, seed)``, so equal arguments give equal batches
+        and a smaller sample is a prefix of a larger one.  The faces are
+        drawn and written in blocks of rows (see :func:`write_qubits`), so
+        no ``(shots, fields)`` array is held."""
         self.validate(c)
-        return self.batch(c, self.draw(shots, seed))
+        batch = self._fixed(c, shots)
+        fields = self._qubits(c)
+        # a block's words, faces and the one temporary of faces() take
+        # 8 bytes a field each
+        step = _block_rows(max(24 * len(fields), sum(map(len, fields))))
+        _transpose(batch, fields, self.draw_chunks(shots, seed, chunk=step))
+        return batch
 
 
 def _philox(seed: int) -> np.random.Philox:
     return np.random.Philox(key=int(seed) & (2**64 - 1))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): the round multipliers and the key bumps, as numpy's Philox
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                 dtype=np.uint64).reshape(2, 1, 1)
+
+
+def _mulhilo(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of each 128-bit product ``x * m``, from the
+    32-bit halves; ``x`` is overwritten."""
+    mlo, mhi = m & _M32, m >> _S32
+    xh = x >> _S32
+    lo = x * m
+    x &= _M32
+    t = x * mlo
+    t >>= _S32
+    u = xh * mlo
+    u += t                         # xh*mlo + carry: below 2^64
+    x *= mhi
+    np.bitwise_and(u, _M32, out=t)
+    x += t                         # xl*mhi + low half of u: below 2^64
+    xh *= mhi
+    u >>= _S32
+    xh += u
+    x >>= _S32
+    xh += x
+    return xh, lo
+
+
+def _philox_words(seeds, n: int) -> np.ndarray:
+    """The first ``n`` words of the Philox stream of every seed, a
+    ``(seeds, n)`` uint64 array whose row ``r`` equals
+    ``np.random.Philox(key=seeds[r] mod 2^64).random_raw(n)``: block ``b``
+    (counter ``(b, 0, 0, 0)``, ``b`` from 1, key ``(seed, 0)``) gives words
+    ``4(b-1)`` to ``4b-1``.  Each word is a pure function of key and
+    counter, so every seed runs at once.  Round 1 depends on the block
+    alone, and round 2 on the seed's key and the block apart, so the
+    ``(seeds, blocks)`` arrays start at round 3.  The key bumps stay in
+    arrays, where uint64 wraps without a warning."""
+    k = np.array([int(s) & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    key = np.zeros((2, k.size, 1), dtype=np.uint64)
+    key[0, :, 0] = k
+    blocks = np.arange(1, (n + 3) // 4 + 1, dtype=np.uint64)
+    # round 1 on counter (b, 0, 0, 0), key (k, 0): (k, 0, hi, lo) of M0*b
+    hi0, lo0 = _mulhilo(blocks, _MUL[:1])
+    # round 2: M0 * k per seed, M1 * hi0 per block
+    hi_k, lo_k = _mulhilo(k, _MUL[:1])
+    hi_b, lo_b = _mulhilo(hi0, _MUL[1:])
+    key += _BUMP
+    # the state as two (2, seeds, blocks) arrays: words 0 and 2, 1 and 3
+    x = np.empty((2, k.size, blocks.size), dtype=np.uint64)
+    y = np.empty_like(x)
+    np.bitwise_xor(hi_b, key[0], out=x[0])
+    np.bitwise_xor(hi_k[:, None], lo0, out=x[1])
+    x[1] ^= key[1]
+    y[0] = lo_b
+    y[1] = lo_k[:, None]
+    mul = _MUL.reshape(2, 1, 1)
+    for _ in range(8):
+        key += _BUMP
+        hi, lo = _mulhilo(x, mul)
+        y ^= hi[::-1]
+        y ^= key
+        x, y = y, lo[::-1]
+    out = np.stack([x[0], y[0], x[1], y[1]], axis=-1)
+    return out.reshape(k.size, 4 * blocks.size)[:, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +557,13 @@ def flagged_rows(batch: Batch, qubits, want: Batch | None = None) -> int:
 
 def _round_trip(c: Circuit, batch: Batch) -> int:
     """Apply ``c`` and then ``invert(c)`` to a batch, in place: the rows
-    that did not come back, as :func:`flagged_rows` flags them."""
+    that did not come back, as :func:`flagged_rows` flags them.  Equal
+    column lists are compared first, so rows are flagged only after a
+    mismatch."""
     inputs = batch.copy()
     apply_batch(invert(c), apply_batch(c, batch))
+    if batch.cols == inputs.cols:
+        return 0
     return flagged_rows(batch, range(c.total_qubits), inputs)
 
 

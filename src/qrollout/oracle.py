@@ -440,10 +440,12 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
 
     The expected configurations of all branches come from the array
     rollout kernel, one call per arm; bit ``CELL_BITS*i + b`` of register
-    ``config<h>`` is bit ``b`` of cell ``i``'s code after round ``h``.  All
-    outputs are compared at once against the expected batch; the first
-    failing branch then names its first differing register, in the order
-    configs (by round), payoff, read-only inputs, ancillae."""
+    ``config<h>`` is bit ``b`` of cell ``i``'s code after round ``h``, and
+    the cells of every round are written in one :func:`write_qubits`.  The
+    output columns are compared at once against the expected batch, and
+    rows are flagged only after a mismatch: the first failing branch then
+    names its first differing register, in the order configs (by round),
+    payoff, read-only inputs, ancillae."""
     from .domains import rollout_codes  # local import: domains builds on us
 
     rows = seeds if isinstance(seeds, int) else len(seeds)
@@ -487,16 +489,14 @@ def branchwise_check(spec: RolloutSpec, seeds: Sequence[int] | int,
                                                    faces[mine], move)):
             codes[hh][:, mine] = board
     expected = batch.copy()
-    for hh in range(1, h + 1):
-        config = c.register(f"config{hh}")
-        for i in range(n):
-            write_qubits(expected, config[i * s:(i + 1) * s], codes[hh, i])
+    cells = [c.register(f"config{hh}")[i * s:(i + 1) * s]
+             for hh in range(1, h + 1) for i in range(n)]
+    write_qubits(expected, cells, codes[1:].reshape(h * n, rows).T)
     write_register(expected, c, "payoff", spec.array_eval(codes[h]))
     outs = apply_batch(c, batch)
-    bad = flagged_rows(outs, range(c.total_qubits), expected)
-    if not bad:
+    if outs.cols == expected.cols:
         return BranchwiseReport(True, rows)
-    r = first_row(bad)
+    r = first_row(flagged_rows(outs, range(c.total_qubits), expected))
     got, want = outs.row(r), expected.row(r)
     rounds = {f"config{hh}": hh for hh in range(h + 1)}
     rounds["payoff"] = h

@@ -1,6 +1,9 @@
-"""Test helper: emulate a circuit on register inputs, one batch per sweep,
-and the per-entry loop over the flat gate table that the tape kernel of
-``apply_batch`` replaced, as its referee."""
+"""Test helper: emulate a circuit on register inputs, one batch per sweep.
+Also the referees of code that ``qrollout.emulator`` replaced: the
+per-entry loop over the flat gate table (for ``apply_batch``'s tape
+kernel), the per-qubit register codec (for the bit transpose of
+``write_qubits``/``read_qubits``), one Philox bit generator reset per seed
+(for ``draw_each``) and repeated byte strings (for ``counting_batch``)."""
 
 import itertools
 
@@ -97,3 +100,87 @@ def exhaustive_sweep(c) -> tuple[np.ndarray, np.ndarray, em.Batch, int]:
     n = len(c.register("mask"))
     rows = np.arange(batch.rows, dtype=np.int64)
     return rows % (1 << n), rows // (1 << n), batch, dirty
+
+
+# ---------------------------------------------------------------------------
+# referees of the input builders
+
+def draw(law: em.InputDistribution, shots: int, seed: int) -> np.ndarray:
+    """A law's seeded faces in one ``(shots, fields)`` array: word
+    ``shot * fields + f`` of the Philox stream keyed by ``seed`` mod 2^64
+    decides field ``f`` of that shot, as ``draw_chunks`` defines."""
+    n = len(law.fields)
+    words = np.random.Philox(key=int(seed) & (2**64 - 1)).random_raw(
+        shots * n)
+    return law.faces(words.reshape(shots, n))
+
+
+def pack(bits) -> int:
+    """One column from a uint8 0/1 value per row."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
+def unpack(col: int, rows: int) -> np.ndarray:
+    """A column's uint8 0/1 value per row."""
+    raw = np.frombuffer(col.to_bytes((rows + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little")
+
+
+def write_per_qubit(batch: em.Batch, qubits, values) -> None:
+    """Referee for ``write_qubits`` on one field: one column per qubit,
+    from bit ``k`` of every row's value; a scalar fills or clears each."""
+    if np.ndim(values) == 0:
+        value, full = int(values), (1 << batch.rows) - 1
+        for k, q in enumerate(qubits):
+            batch.cols[q] = full if (value >> k) & 1 else 0
+        return
+    values = np.array(values, dtype=object)
+    for k, q in enumerate(qubits):
+        batch.cols[q] = pack(((values >> k) & 1).astype(np.uint8))
+
+
+def read_per_qubit(batch: em.Batch, qubits) -> list[int]:
+    """Referee for ``read_qubits``: each row's value ORed together one
+    qubit at a time, as Python ints."""
+    out = [0] * batch.rows
+    for k, q in enumerate(qubits):
+        for r, bit in enumerate(unpack(batch.cols[q], batch.rows).tolist()):
+            out[r] |= bit << k
+    return out
+
+
+def philox_words_by_reset(seeds, n: int) -> np.ndarray:
+    """Referee for ``emulator._philox_words``: one bit generator whose key
+    and counter are reset through ``state`` for each seed."""
+    bits = np.random.Philox(key=0)
+    state = bits.state
+    zero = state["state"]["counter"]
+    words = np.empty((len(seeds), n), dtype=np.uint64)
+    for r, s in enumerate(seeds):
+        state["state"] = {"counter": zero,
+                          "key": np.array([int(s) & (2**64 - 1), 0],
+                                          dtype=np.uint64)}
+        bits.state = state
+        words[r] = bits.random_raw(n)
+    return words
+
+
+# byte ``q`` holds bit ``q`` of each of its eight row indices
+_LOW_COUNTS = (0xAA, 0xCC, 0xF0)
+
+
+def counting_by_bytes(c, qubits) -> em.Batch:
+    """Referee for ``counting_batch``: each column is one
+    ``int.from_bytes`` of its repeated ``2^(q+1)``-row byte pattern."""
+    rows = 1 << len(qubits)
+    batch = em.Batch.zeros(c, rows)
+    size = (rows + 7) // 8
+    for q, qubit in enumerate(qubits):
+        if q < 3:
+            unit = bytes([_LOW_COUNTS[q]])
+        else:
+            unit = bytes(1 << q - 3) + b"\xff" * (1 << q - 3)
+        col = int.from_bytes(unit * (size // len(unit)), "little")
+        batch.cols[qubit] = col & (1 << rows) - 1 if rows < 8 else col
+    return batch

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import classical_reference as ref
 from classical_reference import cell
+from emulate import draw
 from qrollout import domains as dm
 from qrollout import oracle as orc
 
@@ -313,7 +314,7 @@ def test_array_rollouts_match_classical_trace_row_by_row(spec, board,
                                                          first_move):
     # every round's boards, the ones branchwise validation writes into the
     # config registers, not just the final ones
-    faces = orc.input_law(spec, board).draw(400, 31)
+    faces = draw(orc.input_law(spec, board), 400, 31)
     rounds = [codes.copy() for [codes] in dm.rollout_codes(spec, [board],
                                                            faces, first_move)]
     assert len(rounds) == spec.horizon + 1
@@ -342,8 +343,8 @@ def test_cell_major_kernel_equals_the_row_major_referee(data):
                                         for b in boards)]
     first_move = data.draw(st.sampled_from([None] + empty))
     rows = data.draw(st.sampled_from((0, 1)) | st.integers(2, 60))
-    faces = orc.input_law(spec, boards[0]).draw(rows,
-                                                data.draw(st.integers(0, 99)))
+    faces = draw(orc.input_law(spec, boards[0]), rows,
+                 data.draw(st.integers(0, 99)))
     got = dm.rollout_codes(spec, boards, faces, first_move)
     want = ref.row_rollout_codes(spec, boards, faces, first_move)
     for h, (cell_major, row_major) in enumerate(zip(got, want)):
@@ -364,7 +365,7 @@ def test_coupled_array_rollouts_match_the_pair_loop(spec, board, other):
     # position coupling: the second board follows the first board's
     # placements where they are valid on it; rank coupling: independent
     # rollouts, one board per call
-    faces = orc.input_law(spec, board).draw(300, 8)
+    faces = draw(orc.input_law(spec, board), 300, 8)
     streams = ref.law_streams(spec, faces)
     for first_move in (None, 6):
         a, b = dm.final_codes(spec, [board, other], faces, first_move)
@@ -639,7 +640,7 @@ def test_default_first_moves():
 
 def test_law_streams_shapes_and_ranges():
     spec = dm.sway_spec(dm.SwayConfig(m=3, horizon=2))
-    faces = orc.input_law(spec, 0).draw(1, 1)
+    faces = draw(orc.input_law(spec, 0), 1, 1)
     [(selectors, dice)] = ref.law_streams(spec, faces)
     assert len(selectors) == 2 and all(len(s) == 2 for s in selectors)
     assert len(dice) == 2 and all(len(d) == 9 for d in dice)

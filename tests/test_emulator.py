@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from qrollout import emulator as em
 from qrollout import oracle as orc
 from qrollout import rank_select as rs
 
-from emulate import apply_flat, bijective_by_count, run
+from emulate import (apply_flat, bijective_by_count, counting_by_bytes, draw,
+                     pack, philox_words_by_reset, read_per_qubit, run,
+                     write_per_qubit)
 from gates import Gate, gate_list, make_circuit, unchecked_circuit
 from test_builder import ORACLES, _build, _op
 
@@ -196,6 +199,153 @@ def test_write_qubits_keeps_wide_ints_in_a_list_exact():
         assert [int(v) for v in em.read_qubits(batch, range(width))] == values
 
 
+# ---------------------------------------------------------------------------
+# the bit-transpose codec against the per-qubit referees
+
+_ROWS = st.one_of(st.integers(1, 4100), st.integers(1 << 14, 1 << 15))
+
+
+def _random_values(rng, rows: int, width: int) -> list[int]:
+    """``rows`` uniform ``width``-bit Python ints, from 32-bit limbs."""
+    limbs = rng.integers(0, 1 << 32, (rows, (width + 31) // 32),
+                         dtype=np.uint64).tolist()
+    return [sum(x << 32 * j for j, x in enumerate(row)) & ((1 << width) - 1)
+            for row in limbs]
+
+
+def _noise(rng, rows: int, n: int) -> em.Batch:
+    """A batch of ``n`` random columns, so a write shows what it leaves."""
+    return em.Batch(rows, [int.from_bytes(rng.bytes((rows + 7) // 8),
+                                          "little") & ((1 << rows) - 1)
+                           for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 130), st.sampled_from([63, 64, 65])), _ROWS,
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_write_and_read_qubits_equal_the_per_qubit_referees(
+        width, rows, seed, scalar):
+    rng = np.random.default_rng(seed)
+    qubits = rng.permutation(width + 5)[:width].tolist()
+    values = _random_values(rng, 1 if scalar else rows, width)
+    got = _noise(rng, rows, width + 5)
+    want = got.copy()
+    arg = values[0] if scalar else values
+    em.write_qubits(got, qubits, arg)
+    write_per_qubit(want, qubits, arg)
+    assert got.cols == want.cols
+    out = em.read_qubits(got, qubits)
+    assert out.dtype == (np.int64 if width < 64 else object)
+    assert out.tolist() == read_per_qubit(got, qubits)
+    assert out.tolist() == (values * rows if scalar else values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=12), _ROWS,
+       st.integers(0, 2**32 - 1), st.sampled_from([8, 64, 1 << 22]))
+def test_multi_field_write_equals_one_referee_write_per_field(
+        widths, rows, seed, plane_bytes):
+    # mixed widths, 0-qubit fields included, and plane budgets that cut
+    # the rows into blocks of 8 and more, the last one short
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(widths) + 3).tolist()
+    fields, top = [], 0
+    for w in widths:
+        fields.append(order[top:top + w])
+        top += w
+    values = np.array([_random_values(rng, rows, w) for w in widths],
+                      dtype=np.int64).T
+    got = _noise(rng, rows, len(order))
+    want = got.copy()
+    old = em._PLANE_BYTES
+    em._PLANE_BYTES = plane_bytes
+    try:
+        em.write_qubits(got, fields, values)
+    finally:
+        em._PLANE_BYTES = old
+    for qubits, column in zip(fields, values.T):
+        write_per_qubit(want, qubits, column.tolist())
+    assert got.cols == want.cols
+    for qubits, column in zip(fields, values.T):
+        assert em.read_qubits(got, qubits).tolist() == column.tolist()
+
+
+@pytest.mark.parametrize("plane_bytes", [8, 24, 1 << 22])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_blocked_reads_and_writes_cross_every_block_boundary(
+        monkeypatch, plane_bytes, width):
+    rng = np.random.default_rng(width)
+    monkeypatch.setattr(em, "_PLANE_BYTES", plane_bytes)
+    for rows in (1, 7, 8, 9, 63, 64, 65, 1001):
+        values = _random_values(rng, rows, width)
+        got = _noise(rng, rows, width)
+        want = got.copy()
+        em.write_qubits(got, range(width), values)
+        write_per_qubit(want, range(width), values)
+        assert got.cols == want.cols
+        assert em.read_qubits(got, range(width)).tolist() == values
+
+
+_SEEDS = [0, 1, 2**63, 2**64 - 1, -1, -2**63, 2**64, np.uint64(2**64 - 1),
+          np.uint64(12345)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0, 1, 2, 400]),
+       st.one_of(st.integers(1, 9), st.just(81)), st.integers(0, 2**32 - 1))
+def test_philox_words_equal_one_reset_bit_generator_per_seed(count, n, seed):
+    rng = random.Random(seed)
+    seeds = [rng.choice(_SEEDS) if rng.random() < 0.3
+             else rng.randrange(-2**70, 2**70) for _ in range(count)]
+    words = em._philox_words(seeds, n)
+    assert words.dtype == np.uint64 and words.shape == (count, n)
+    assert np.array_equal(words, philox_words_by_reset(seeds, n))
+    law = em.InputDistribution(uniform={"q": (6, 3)}, widths={"q": 3 * n})
+    assert np.array_equal(law.draw_each(seeds), law.faces(words))
+
+
+def test_philox_words_at_the_pinned_seeds():
+    for n in (1, 4, 5, 9, 81):
+        assert np.array_equal(em._philox_words(_SEEDS, n),
+                              philox_words_by_reset(_SEEDS, n))
+        for s in _SEEDS:
+            key = int(s) & (2**64 - 1)
+            assert np.array_equal(em._philox_words([s], n)[0],
+                                  np.random.Philox(key=key).random_raw(n))
+    assert em._philox_words([], 3).shape == (0, 3)
+    assert em._philox_words([7], 0).shape == (1, 0)
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_counting_batch_equals_the_byte_string_referee(k):
+    c = _simple(21, [])
+    qubits = list(range(20, 20 - k, -1))
+    got = em.counting_batch(c, qubits)
+    want = counting_by_bytes(c, qubits)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+
+
+def test_sample_holds_one_block_of_faces_not_the_face_array():
+    # 1,000 three-bit fields at 4,096 shots: the face array alone is
+    # 31.25 MiB (4096 x 1000 x 8 bytes), and drawing it whole before the
+    # write, as ``sample`` once did, peaked at 94.5 MiB under tracemalloc.
+    # Drawn and written in blocks of rows (at most ~4 MiB of words, faces
+    # and planes each), it peaks at 8.2 MiB, the sample itself (3,000
+    # columns of 512 bytes) included.
+    law = em.InputDistribution(fixed={"cfg": 5}, uniform={"q": (6, 3)},
+                               widths={"q": 3000})
+    c = make_circuit([RegisterDecl("cfg", 3, "config"),
+                      RegisterDecl("q", 3000, "dice")], [])
+    tracemalloc.start()
+    try:
+        batch = law.sample(c, 4096, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"sample peaked at {peak / 2**20:.1f} MiB"
+    assert batch.cols == law.batch(c, draw(law, 4096, 11)).cols
+
+
 def test_write_register_rejects_values_that_do_not_fit():
     c = make_circuit([RegisterDecl("nth", 3, "rank"),
                       RegisterDecl("w63", 63, "dice"),
@@ -364,7 +514,7 @@ def test_counting_batch_holds_every_basis_state(n, data):
     assert batch.rows == rows.size
     want = [0] * n
     for k, q in enumerate(qubits):
-        want[q] = em._pack(((rows >> k) & 1).astype(np.uint8))
+        want[q] = pack(((rows >> k) & 1).astype(np.uint8))
     assert batch.cols == want
 
 
@@ -476,6 +626,7 @@ def test_bijective_pass_decodes_no_rows(monkeypatch):
         raise AssertionError("a passing check decoded rows")
 
     monkeypatch.setattr(em, "read_qubits", no_decode)
+    monkeypatch.setattr(em, "flagged_rows", no_decode)
     rep = em.check_bijective(rs.build_scan(3))
     assert rep.passed and rep.mode == "exhaustive"
     rep = em.check_bijective(rs.build_scan(3), samples=300, exhaustive_limit=0)
@@ -555,9 +706,9 @@ def test_law_faces_exact_where_the_low_half_carries():
 def test_law_draw_is_per_shot_prefix_stable(cl, k, n, seed):
     _, law = cl
     k, n = min(k, n), max(k, n)
-    full = law.draw(n, seed)
+    full = draw(law, n, seed)
     assert full.shape == (n, len(law.fields)) and full.dtype == np.int64
-    assert (law.draw(k, seed) == full[:k]).all()
+    assert (draw(law, k, seed) == full[:k]).all()
     chunks = list(law.draw_chunks(n, seed, chunk=7))
     assert all(len(x) <= 7 for x in chunks)
     assert np.array_equal(np.concatenate(chunks or [full]), full)
@@ -565,7 +716,7 @@ def test_law_draw_is_per_shot_prefix_stable(cl, k, n, seed):
         seeds = [seed, seed ^ 1]
         each = law.draw_each(seeds)
         assert (each[0] == full[0]).all()
-        assert (each[1] == law.draw(1, seed ^ 1)[0]).all()
+        assert (each[1] == draw(law, 1, seed ^ 1)[0]).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,14 +728,14 @@ def test_law_draw_each_is_one_draw_per_seed(cl, seeds):
     each = law.draw_each(seeds)
     assert each.shape == (len(seeds), len(law.fields))
     for r, seed in enumerate(seeds):
-        assert (each[r] == law.draw(1, seed)[0]).all()
+        assert (each[r] == draw(law, 1, seed)[0]).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(_laws(), st.integers(0, 2**64 - 1))
 def test_law_faces_below_d_and_exact(cl, seed):
     _, law = cl
-    faces = law.draw(50, seed)
+    faces = draw(law, 50, seed)
     words = np.random.Philox(key=seed).random_raw(faces.size)
     want = [(int(u) * law.fields[f % len(law.fields)][1]) >> 64
             for f, u in enumerate(words.tolist())]
@@ -597,7 +748,7 @@ def test_law_faces_below_d_and_exact(cl, seed):
 @given(_laws(), st.integers(1, 30), st.integers(0, 2**64 - 1))
 def test_law_registers_decode_to_faces(cl, shots, seed):
     c, law = cl
-    faces = law.draw(shots, seed)
+    faces = draw(law, shots, seed)
     batch = law.sample(c, shots, seed)
     assert _read_faces(c, law, batch) == faces.tolist()
     assert (em.read_register(batch, c, "cfg") == 5).all()
@@ -626,7 +777,7 @@ def test_law_writes_only_the_qubits_a_face_needs(fields, shots, seed):
                       RegisterDecl("dice", 4 * fields, "dice")], [])
     law = em.InputDistribution(uniform={"dice": (3, 4)},
                                widths={"dice": 4 * fields})
-    faces = law.draw(shots, seed)
+    faces = draw(law, shots, seed)
     batch = law.sample(c, shots, seed)
     dice = c.register("dice")
     for f in range(fields):
